@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install lint test test-columnar test-vectorized test-dataflow bench chaos examples serve-smoke verify ci all
+.PHONY: install lint test test-dataflow bench bench-smoke chaos examples serve-smoke verify ci all
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -17,37 +17,38 @@ lint:
 test:
 	$(PYTHON) -m pytest tests/ -q
 
-# The whole suite with window snapshots served by the columnar graph
-# core (docs/COLUMNAR.md) — the A/B run CI uses to pin byte-identity.
-test-columnar:
-	PYTHONPATH=src REPRO_GRAPH_BACKEND=columnar $(PYTHON) -m pytest tests/ -q -m "not slow"
-
-# The whole suite with vectorized candidate pruning forced on, under
-# both graph backends (docs/VECTORIZED.md) — pins that the set-at-a-time
-# matcher path is byte-identical everywhere, not just where it defaults.
-test-vectorized:
-	PYTHONPATH=src REPRO_VECTORIZED=1 $(PYTHON) -m pytest tests/ -q -m "not slow"
-	PYTHONPATH=src REPRO_VECTORIZED=1 REPRO_GRAPH_BACKEND=columnar $(PYTHON) -m pytest tests/ -q -m "not slow"
-
 # Dataflow chaining (docs/DATAFLOW.md): grammar/DAG/materializer units,
 # the fused-vs-hand-composed hypothesis matrix, the socket-level derived
-# stream surface, and the bench's byte-identity gate.
+# stream surface, and the three-stage network pipeline's byte-identity
+# gate against engines glued by hand.
 test-dataflow:
 	PYTHONPATH=src $(PYTHON) -m pytest \
 		tests/seraph/test_dataflow.py \
 		tests/properties/test_prop_dataflow.py \
 		tests/service/test_dataflow_service.py \
-		benchmarks/test_bench_dataflow.py \
-		-q -m "not slow" --benchmark-disable
+		tests/usecases/test_network.py \
+		-q -m "not slow"
 
+# The repo's one benchmark: five workloads, event to emission, every run
+# checked against the denotational semantics (benchmarks/e2e/README.md).
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m benchmarks.e2e
+
+# Correctness smoke of the benchmark: each workload through the command
+# BENCHMARK.json declares, on a short stream.  A non-zero exit means
+# wrong emissions; there is no timing gate.
+bench-smoke:
+	@for workload in $$($(PYTHON) -c "import json; print(*[w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']])"); do \
+		echo "== $$workload"; \
+		$(PYTHON) benchmarks/e2e/run.py --workload $$workload --seed 1 \
+			--scale 0.02 --seconds 5 > /dev/null || exit 1; \
+	done
+	@echo "all workloads correct"
 
 # Seeded fault-injection smoke: every chaos test pins its ChaosConfig
 # seed, so this run reproduces byte-for-byte on any machine.
 chaos:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/ benchmarks/ -q \
-		-m "chaos and not slow" --benchmark-disable
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q -m "chaos and not slow"
 
 examples:
 	@for script in examples/*.py; do \
@@ -66,6 +67,6 @@ serve-smoke:
 ci:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
-verify: lint test bench examples serve-smoke
+verify: lint test bench-smoke examples serve-smoke
 
 all: install verify

@@ -1,1 +1,1 @@
-"""Performance benches (pytest-benchmark); see conftest.py."""
+"""The repo's one benchmark lives in ``benchmarks/e2e`` (see its README)."""

@@ -41,8 +41,8 @@ def main():
 
     print("\n(The reuse arm skips re-evaluation whenever no event arrived "
           "since the last ET instant — identical emissions, lower mean "
-          "latency. See benchmarks/test_bench_reuse.py for the pinned "
-          "version.)")
+          "latency; tests/seraph/test_extensions.py pins the "
+          "transparency.)")
 
 
 if __name__ == "__main__":

@@ -30,11 +30,11 @@ builds exclusively on it.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, Union
 
 from repro.errors import EngineError
+from repro.graph.columnar import resolve_backend_name
 from repro.graph.model import PropertyGraph
 from repro.obs import NOOP_OBS, Observability
 from repro.runtime.engine import ResilientEngine
@@ -45,25 +45,6 @@ from repro.seraph.engine import SeraphEngine
 from repro.stream.window import ActiveSubstreamPolicy
 
 
-def _env_bool(raw: str) -> bool:
-    """Shared boolean parse for every ``REPRO_*`` toggle (same falsy set
-    as the legacy ``REPRO_VECTORIZED`` handling)."""
-    return raw.strip().lower() not in {"", "0", "false", "no", "off"}
-
-
-#: Environment variable -> (EngineConfig field, parser).  The complete
-#: environment surface of the engine front door; resolved in one place
-#: by :meth:`EngineConfig.from_env` (precedence: explicit arg > env >
-#: default — see the table in docs/API.md).
-ENV_KNOBS = {
-    "REPRO_GRAPH_BACKEND": ("graph_backend", str),
-    "REPRO_VECTORIZED": ("vectorized", _env_bool),
-    "REPRO_DELTA_EVAL": ("delta_eval", _env_bool),
-    "REPRO_PHYSICAL_PLANS": ("physical_plans", _env_bool),
-    "REPRO_PARALLEL_WORKERS": ("parallel_workers", int),
-}
-
-
 @dataclass
 class EngineConfig:
     """Declarative description of one engine stack.
@@ -71,18 +52,19 @@ class EngineConfig:
     Core evaluation
     ---------------
     ``policy``, ``incremental``, ``static_graph``,
-    ``reuse_unchanged_windows``, ``share_windows``, ``delta_eval``,
-    ``physical_plans``, ``graph_backend``, ``vectorized`` map one-to-one
-    onto :class:`~repro.seraph.engine.SeraphEngine` knobs
+    ``reuse_unchanged_windows``, ``delta_eval``, ``physical_plans``,
+    ``graph_backend``, ``vectorized`` map one-to-one onto
+    :class:`~repro.seraph.engine.SeraphEngine` knobs
     (``physical_plans=False`` forces the interpreted pipeline — results
     are identical, compiled plans are a pure optimization;
     ``graph_backend="columnar"`` swaps window snapshots to the
     interned, array-backed :class:`~repro.graph.columnar.ColumnarGraph`
-    — emissions stay byte-identical, ``None`` defers to the
-    ``REPRO_GRAPH_BACKEND`` environment variable; ``vectorized``
-    enables set-at-a-time candidate pruning in the matcher
-    (docs/VECTORIZED.md) — ``None`` defers to ``REPRO_VECTORIZED``
-    and defaults to on under the columnar backend).
+    — emissions stay byte-identical; ``vectorized`` enables
+    set-at-a-time candidate pruning in the matcher
+    (docs/VECTORIZED.md) — ``None`` means on under the columnar
+    backend, off under the reference one).  These fields are the only
+    way to select an execution mode: nothing ambient (environment
+    variables, CLI flags) can.
 
     Parallelism
     -----------
@@ -126,10 +108,9 @@ class EngineConfig:
     incremental: bool = True
     static_graph: Optional[PropertyGraph] = None
     reuse_unchanged_windows: bool = True
-    share_windows: bool = True
     delta_eval: bool = True
     physical_plans: bool = True
-    graph_backend: Optional[str] = None
+    graph_backend: str = "reference"
     vectorized: Optional[bool] = None
     # -- parallelism ----------------------------------------------------
     parallel_workers: Optional[int] = None
@@ -167,10 +148,7 @@ class EngineConfig:
             raise EngineError(
                 f"chaos must be a ChaosConfig, got {type(self.chaos).__name__}"
             )
-        if self.graph_backend is not None:
-            from repro.graph.columnar import resolve_backend_name
-
-            resolve_backend_name(self.graph_backend)  # raises on unknown
+        resolve_backend_name(self.graph_backend)  # raises on unknown
         if self.allowed_lateness < 0:
             raise EngineError("allowed_lateness must be >= 0")
         if self.span_limit < 0 or self.reservoir < 1:
@@ -192,38 +170,6 @@ class EngineConfig:
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         values.update(changes)
         return EngineConfig(**values)
-
-    @classmethod
-    def from_env(
-        cls, environ: Optional[dict] = None, **overrides
-    ) -> "EngineConfig":
-        """The one knob-resolution path: explicit arg > env > default.
-
-        Reads every ``REPRO_*`` engine knob (:data:`ENV_KNOBS`; table in
-        docs/API.md) from ``environ`` (default ``os.environ``), then
-        applies ``overrides`` on top — an explicit override always wins,
-        including an explicit ``None`` (= defer to the engine-side
-        default).  This replaces ad-hoc env reading scattered across the
-        CLI, the service, and callers of :class:`EngineConfig`: resolve
-        once here, pass the config around.
-        """
-        if environ is None:
-            environ = os.environ
-        values = {}
-        for variable, (field_name, parse) in ENV_KNOBS.items():
-            if field_name in overrides:
-                continue
-            raw = environ.get(variable)
-            if raw is not None:
-                try:
-                    values[field_name] = parse(raw)
-                except ValueError as exc:
-                    raise EngineError(
-                        f"cannot parse environment variable "
-                        f"{variable}={raw!r}: {exc}"
-                    ) from exc
-        values.update(overrides)
-        return cls(**values)
 
 
 def build_engine(
@@ -249,7 +195,6 @@ def build_engine(
         incremental=config.incremental,
         static_graph=config.static_graph,
         reuse_unchanged_windows=config.reuse_unchanged_windows,
-        share_windows=config.share_windows,
         delta_eval=config.delta_eval,
         physical_plans=config.physical_plans,
         graph_backend=config.graph_backend,

@@ -56,30 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print empty emissions too",
     )
     run.add_argument(
-        "--incremental-eval",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="evaluate eligible queries incrementally from window deltas "
-        "(--no-incremental-eval re-matches every snapshot: the ablation "
-        "baseline, docs/INCREMENTAL.md)",
-    )
-    run.add_argument(
-        "--graph-backend", choices=["reference", "columnar"], default=None,
-        help="window snapshot implementation: the reference dict-based "
-        "PropertyGraph or the interned array-backed columnar core "
-        "(emissions are byte-identical; default defers to the "
-        "REPRO_GRAPH_BACKEND environment variable, docs/COLUMNAR.md)",
-    )
-    run.add_argument(
-        "--vectorized",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="prune matcher candidates set-at-a-time from label/property "
-        "id columns before the per-candidate walk (emissions are "
-        "byte-identical; default defers to REPRO_VECTORIZED, and to "
-        "on under the columnar backend, docs/VECTORIZED.md)",
-    )
-    run.add_argument(
         "--parallel", nargs="?", const=0, type=int, default=None,
         metavar="N",
         help="offload expensive evaluations to N worker processes "
@@ -178,9 +154,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the multi-tenant continuous-query HTTP service "
         "(docs/SERVICE.md)",
     )
-    # Explicit flag > --tenants-config file > ServiceConfig default —
-    # the same precedence rule as the engine knobs, so every default
-    # is None here and resolution happens in _cmd_serve.
+    # Explicit flag > --tenants-config file > ServiceConfig default, so
+    # every default is None here and resolution happens in _cmd_serve.
     serve.add_argument("--host", default=None,
                        help="bind address (default 127.0.0.1)")
     serve.add_argument(
@@ -244,18 +219,15 @@ def _wants_observability(args: argparse.Namespace) -> bool:
 def _run_config(args: argparse.Namespace) -> EngineConfig:
     """One declarative config for everything the run flags describe.
 
-    Resolved through :meth:`EngineConfig.from_env` so the precedence is
-    the documented one everywhere: explicit flag > ``REPRO_*``
-    environment variable > default (table in docs/API.md).  Flags the
-    user did not pass are simply omitted, letting the environment fill
-    them in.
+    The flags choose layers (parallel, resilient, observability), never
+    an execution mode: those stay at the ``EngineConfig()`` defaults.
     """
     from repro.runtime import FaultPolicy
     from repro.runtime.faults import ChaosConfig
 
-    overrides = dict(
+    return EngineConfig(
         policy=_POLICIES[args.policy],
-        delta_eval=args.incremental_eval,
+        parallel_workers=args.parallel,
         max_worker_restarts=args.max_worker_restarts,
         chaos=(
             ChaosConfig.profile(args.chaos_seed)
@@ -267,14 +239,6 @@ def _run_config(args: argparse.Namespace) -> EngineConfig:
         late_policy=FaultPolicy.parse(args.on_late),
         observability=_wants_observability(args),
     )
-    for name, value in (
-        ("graph_backend", args.graph_backend),
-        ("vectorized", args.vectorized),
-        ("parallel_workers", args.parallel),
-    ):
-        if value is not None:
-            overrides[name] = value
-    return EngineConfig.from_env(**overrides)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -290,9 +254,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         with _maybe_profiled(args):
             engine.run_stream(elements, until=until)
     finally:
-        # The pool may also come from REPRO_PARALLEL_WORKERS, so probe
-        # the built engine rather than the --parallel flag.
-        if hasattr(engine, "close"):
+        if args.parallel is not None:
             engine.close()
             print(engine.parallel_metrics.render(), file=sys.stderr)
             print(engine.supervisor.render(), file=sys.stderr)

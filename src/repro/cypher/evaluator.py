@@ -36,8 +36,6 @@ class QueryEvaluator:
     (see :func:`repro.cypher.expressions.compile_expression`): the Seraph
     engine passes one dict per registered query so hot-path expressions
     are compiled once per query lifetime, not once per snapshot.
-    ``compile_expressions=False`` forces the tree-walking interpreter
-    (the ablation arm; results are identical).
 
     ``vectorized=True`` hands the matcher the snapshot's shared
     :class:`~repro.cypher.vectorized.CandidatePruner`: constant pattern
@@ -54,7 +52,6 @@ class QueryEvaluator:
         base_scope: Optional[Mapping[str, Any]] = None,
         optimize: bool = True,
         compile_cache: Optional[dict] = None,
-        compile_expressions: bool = True,
         vectorized: bool = False,
     ):
         self.graph = graph
@@ -69,22 +66,14 @@ class QueryEvaluator:
             pruner = pruner_for(graph)
         self.matcher = PatternMatcher(graph, self.evaluator, pruner=pruner)
         self.evaluator._pattern_checker = self.matcher.has_match
-        if compile_expressions:
-            self._compile_cache: Optional[dict] = (
-                compile_cache if compile_cache is not None else {}
-            )
-        else:
-            self._compile_cache = None
+        self._compile_cache: dict = (
+            compile_cache if compile_cache is not None else {}
+        )
 
     def _compiled(self, expression: ast.Expression):
-        """A ``fn(expr_evaluator, scope)`` closure for ``expression``.
-
-        Compiled (and cached per query) on the default path; a thin
-        interpreter shim when expression compilation is disabled.
-        """
-        if self._compile_cache is not None:
-            return compile_expression(expression, self._compile_cache)
-        return lambda ev, scope: ev.evaluate(expression, scope)
+        """A ``fn(expr_evaluator, scope)`` closure for ``expression``,
+        compiled once and cached per query."""
+        return compile_expression(expression, self._compile_cache)
 
     # -- public API ------------------------------------------------------------
 
@@ -505,14 +494,12 @@ def run_cypher(
     parameters: Optional[Mapping[str, Any]] = None,
     base_scope: Optional[Mapping[str, Any]] = None,
     optimize: bool = True,
-    compile_expressions: bool = True,
     vectorized: bool = False,
 ) -> Table:
     """Parse (if needed) and evaluate a core-Cypher query over a graph.
 
     This is ``output(Q, G)`` of Section 3.2.  ``optimize=False`` disables
-    the pattern planner, ``compile_expressions=False`` the expression
-    compiler (the ablation arms; results are identical), and
+    the pattern planner (the ablation arm; results are identical), and
     ``vectorized=True`` enables set-at-a-time candidate pruning
     (docs/VECTORIZED.md; also identical).
     """
@@ -522,5 +509,5 @@ def run_cypher(
         query = parse_cypher(query)
     return QueryEvaluator(
         graph, parameters=parameters, base_scope=base_scope, optimize=optimize,
-        compile_expressions=compile_expressions, vectorized=vectorized,
+        vectorized=vectorized,
     ).run(query)

@@ -57,41 +57,15 @@ core's id columns directly.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Dict, Optional, Tuple
 
 from repro.cypher import ast
 from repro.graph.values import property_index_key
 
-#: Environment default for the vectorized matcher path, mirroring
-#: ``REPRO_GRAPH_BACKEND``: any value but ``0``/``false``/``no``/``off``
-#: enables it; an explicit ``EngineConfig(vectorized=...)`` always wins.
-PRUNE_ENV_VAR = "REPRO_VECTORIZED"
-
-_FALSY = frozenset({"", "0", "false", "no", "off"})
-
 #: The constant part of a node pattern: its label set plus the
 #: (key, index-bucket) pairs of its indexable literal properties.
 PatternSignature = Tuple[frozenset, Tuple[Tuple[str, tuple], ...]]
-
-
-def resolve_vectorized(
-    flag: Optional[bool] = None, backend_name: Optional[str] = None
-) -> bool:
-    """Resolve the vectorized-pruning knob.
-
-    Explicit ``flag`` wins; otherwise the :data:`PRUNE_ENV_VAR`
-    environment variable; otherwise pruning defaults to **on under the
-    columnar backend** (whose columns it was built for) and off under the
-    reference backend (which keeps the interpreted path as the oracle).
-    """
-    if flag is not None:
-        return bool(flag)
-    raw = os.environ.get(PRUNE_ENV_VAR)
-    if raw is not None:
-        return raw.strip().lower() not in _FALSY
-    return (backend_name or "") == "columnar"
 
 
 def pattern_signature(node_pattern: ast.NodePattern) -> Optional[PatternSignature]:

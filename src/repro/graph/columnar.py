@@ -47,7 +47,6 @@ rebuilds via :meth:`of`, mirroring the reference pickle contract.
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import (
     Any,
@@ -82,10 +81,6 @@ __all__ = [
     "resolve_backend",
     "resolve_backend_name",
 ]
-
-#: Environment override consumed when a backend name is not given
-#: explicitly — lets CI re-run the whole suite under the columnar core.
-BACKEND_ENV_VAR = "REPRO_GRAPH_BACKEND"
 
 
 class _Core:
@@ -1123,16 +1118,8 @@ GRAPH_BACKENDS: Dict[str, type] = {
 }
 
 
-def resolve_backend_name(name: Optional[str] = None) -> str:
-    """Validate a backend name; ``None`` defers to the environment.
-
-    The ``REPRO_GRAPH_BACKEND`` environment variable (default
-    ``"reference"``) fills in unspecified names, which is how CI re-runs
-    entire suites under the columnar core without touching every
-    construction site.
-    """
-    if name is None:
-        name = os.environ.get(BACKEND_ENV_VAR) or "reference"
+def resolve_backend_name(name: str) -> str:
+    """Validate a backend name (raises :class:`EngineError` on unknown)."""
     if name not in GRAPH_BACKENDS:
         raise EngineError(
             f"unknown graph backend {name!r}; "
@@ -1141,7 +1128,6 @@ def resolve_backend_name(name: Optional[str] = None) -> str:
     return name
 
 
-def resolve_backend(name: Optional[str] = None) -> type:
-    """The snapshot class for a backend name (see
-    :func:`resolve_backend_name` for ``None`` handling)."""
+def resolve_backend(name: str) -> type:
+    """The snapshot class for a backend name."""
     return GRAPH_BACKENDS[resolve_backend_name(name)]

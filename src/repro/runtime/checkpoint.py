@@ -133,7 +133,6 @@ def engine_to_dict(engine: SeraphEngine) -> Dict[str, Any]:
             "policy": engine.policy.name,
             "incremental": engine.incremental,
             "reuse_unchanged_windows": engine.reuse_unchanged_windows,
-            "share_windows": engine.share_windows,
             "delta_eval": engine.delta_eval,
             "graph_backend": engine.graph_backend,
             "vectorized": engine.vectorized,
@@ -208,13 +207,12 @@ def engine_from_dict(
             static_graph=graph_from_dict(static) if static is not None
             else None,
             reuse_unchanged_windows=config["reuse_unchanged_windows"],
-            share_windows=config["share_windows"],
             # Absent in version-1 documents written before the delta path.
             delta_eval=config.get("delta_eval", True),
             # Absent in documents written before the columnar backend.
             graph_backend=config.get("graph_backend", "reference"),
             # Absent in documents written before vectorized pruning; None
-            # re-resolves from the environment/backend default.
+            # re-derives it from the backend.
             vectorized=config.get("vectorized"),
         )
         workers = config.get("parallel_workers")

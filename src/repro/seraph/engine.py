@@ -319,10 +319,14 @@ class SeraphEngine:
         :class:`~repro.graph.model.PropertyGraph`) or ``"columnar"``
         (the interned, array-backed
         :class:`~repro.graph.columnar.ColumnarGraph` — see
-        docs/COLUMNAR.md).  ``None`` (default) defers to the
-        ``REPRO_GRAPH_BACKEND`` environment variable, falling back to
-        ``"reference"``.  Semantically transparent: emissions are
+        docs/COLUMNAR.md).  Semantically transparent: emissions are
         byte-identical across backends.
+    vectorized:
+        Set-at-a-time candidate pruning in the matcher
+        (docs/VECTORIZED.md).  ``None`` (default) means on under the
+        columnar backend, whose columns the pruner reads, and off under
+        the reference one.  Semantically transparent (superset rule +
+        residual checks).
     obs:
         An :class:`repro.obs.Observability` bundle (tracer + metrics
         registry).  ``None`` (default) installs the shared no-op bundle:
@@ -348,30 +352,26 @@ class SeraphEngine:
         incremental: bool = True,
         static_graph: Optional[PropertyGraph] = None,
         reuse_unchanged_windows: bool = True,
-        share_windows: bool = True,
         delta_eval: bool = True,
         physical_plans: bool = True,
-        graph_backend: Optional[str] = None,
+        graph_backend: str = "reference",
         vectorized: Optional[bool] = None,
         obs: Optional[Observability] = None,
     ):
-        from repro.cypher.vectorized import resolve_vectorized
         from repro.graph.columnar import GRAPH_BACKENDS, resolve_backend_name
 
         self.policy = policy
         self.incremental = incremental
         self.static_graph = static_graph
         self.reuse_unchanged_windows = reuse_unchanged_windows
-        self.share_windows = share_windows
         self.delta_eval = delta_eval
         self.physical_plans = physical_plans
         self.graph_backend = resolve_backend_name(graph_backend)
         self._graph_cls = GRAPH_BACKENDS[self.graph_backend]
-        # Set-at-a-time candidate pruning (docs/VECTORIZED.md): None
-        # defers to REPRO_VECTORIZED, else on by default under the
-        # columnar backend whose columns the pruner reads.  Results are
-        # byte-identical on or off (superset rule + residual checks).
-        self.vectorized = resolve_vectorized(vectorized, self.graph_backend)
+        self.vectorized = (
+            bool(vectorized) if vectorized is not None
+            else self.graph_backend == "columnar"
+        )
         self.plan_cache = PlanCache()
         self._streams: Dict[str, _StreamState] = {}
         self.obs = obs if obs is not None else NOOP_OBS
@@ -428,10 +428,7 @@ class SeraphEngine:
             self._stream_state(stream_name)  # ensure the stream exists
             config = semantics.window_config(query, width)
             share_key = (stream_name, width, config.start, config.slide)
-            shared = (
-                self._shared_windows.get(share_key)
-                if self.share_windows else None
-            )
+            shared = self._shared_windows.get(share_key)
             if shared is not None and shared.last_advanced is None:
                 # Lock-step sharing is only safe from a clean state: a
                 # late registrant must not see an already-advanced window.
@@ -444,7 +441,7 @@ class SeraphEngine:
                 self.static_graph,
                 self._graph_cls,
             )
-            if self.share_windows and shared is None:
+            if shared is None:
                 self._shared_windows[share_key] = state
             windows[(stream_name, width)] = state
         delta_reason = delta_ineligibility(query)

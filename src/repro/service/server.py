@@ -71,28 +71,60 @@ _REASONS = {
 SERVICE_SCHEMA = {"name": "repro.service", "version": 1}
 
 
+_NUMBER = (int, float)
+#: The JSON-settable :class:`EngineConfig` fields and the JSON types each
+#: takes (``None`` = the field also accepts ``null``).  Everything else
+#: on the dataclass (graphs, callables, policy objects) has no JSON form.
+_ENGINE_JSON_FIELDS: Dict[str, tuple] = {
+    "incremental": (bool,),
+    "reuse_unchanged_windows": (bool,),
+    "delta_eval": (bool,),
+    "physical_plans": (bool,),
+    "graph_backend": (str,),
+    "vectorized": (bool, None),
+    "parallel_workers": (int, None),
+    "offload_threshold": (*_NUMBER, None),
+    "max_worker_restarts": (int, None),
+    "task_timeout": (*_NUMBER, None),
+    "resilient": (bool,),
+    "allowed_lateness": (int,),
+    "dead_letter_capacity": (int, None),
+    "observability": (bool,),
+    "span_limit": (int,),
+    "reservoir": (int,),
+}
+
+
 def engine_config_from_dict(data: Dict[str, Any]) -> EngineConfig:
     """An :class:`EngineConfig` from a JSON configuration fragment.
 
-    Accepts the scalar subset of the config fields (``policy`` by name);
-    unset fields fall through :meth:`EngineConfig.from_env` — so the
-    precedence for a served tenant is config file > environment >
-    default, the same rule as everywhere else.
+    Accepts ``policy`` by name plus the JSON-scalar config fields, each
+    with its field's type; anything else raises :class:`EngineError`.
     """
+    if not isinstance(data, dict):
+        raise EngineError(
+            f"engine config must be a JSON object, got {data!r}"
+        )
     overrides = dict(data)
     policy = overrides.pop("policy", None)
+    unknown = set(overrides) - set(_ENGINE_JSON_FIELDS)
+    if unknown:
+        raise EngineError(
+            f"engine config fields not settable from JSON: {sorted(unknown)}"
+        )
+    for name, value in overrides.items():
+        # bool is an int subclass, so match the exact JSON type.
+        kind = None if value is None else type(value)
+        if kind not in _ENGINE_JSON_FIELDS[name]:
+            raise EngineError(
+                f"engine config field {name!r} does not take {value!r}"
+            )
     if policy is not None:
         try:
             overrides["policy"] = ActiveSubstreamPolicy[str(policy).upper()]
         except KeyError:
             raise EngineError(f"unknown active-substream policy {policy!r}")
-    known = {f for f in EngineConfig.__dataclass_fields__}
-    unknown = set(overrides) - known
-    if unknown:
-        raise EngineError(
-            f"unknown engine config fields: {sorted(unknown)}"
-        )
-    return EngineConfig.from_env(**overrides)
+    return EngineConfig(**overrides)
 
 
 def tenant_spec_from_dict(name: str, data: Dict[str, Any]) -> TenantSpec:

@@ -18,12 +18,10 @@ from repro.cypher.expressions import ExpressionEvaluator
 from repro.cypher.parser import parse_cypher
 from repro.cypher.physical import compile_query, execute_plan, render_plan
 from repro.cypher.vectorized import (
-    PRUNE_ENV_VAR,
     CandidatePruner,
     ColumnarCandidatePruner,
     pattern_signature,
     pruner_for,
-    resolve_vectorized,
 )
 from repro.graph.columnar import ColumnarGraph
 from repro.graph.model import Node, PropertyGraph, Relationship
@@ -63,29 +61,6 @@ BOTH = pytest.mark.parametrize("backend", ["reference", "columnar"])
 def _graph_for(backend):
     ref, col = _pair()
     return ref if backend == "reference" else col
-
-
-class TestResolveVectorized:
-    def test_explicit_flag_wins(self, monkeypatch):
-        monkeypatch.setenv(PRUNE_ENV_VAR, "1")
-        assert resolve_vectorized(False, "columnar") is False
-        monkeypatch.setenv(PRUNE_ENV_VAR, "0")
-        assert resolve_vectorized(True, "reference") is True
-
-    @pytest.mark.parametrize("raw,expected", [
-        ("1", True), ("yes", True), ("on", True), ("TRUE", True),
-        ("0", False), ("false", False), ("no", False), ("off", False),
-        ("", False), ("  OFF  ", False),
-    ])
-    def test_environment_default(self, monkeypatch, raw, expected):
-        monkeypatch.setenv(PRUNE_ENV_VAR, raw)
-        assert resolve_vectorized(None, "reference") is expected
-
-    def test_backend_default(self, monkeypatch):
-        monkeypatch.delenv(PRUNE_ENV_VAR, raising=False)
-        assert resolve_vectorized(None, "columnar") is True
-        assert resolve_vectorized(None, "reference") is False
-        assert resolve_vectorized(None, None) is False
 
 
 class TestPatternSignature:
@@ -373,14 +348,18 @@ class TestEngineWiring:
         ref, _ = _pair()
         return [StreamElement(graph=ref, instant=1)]
 
-    def test_engine_status_reports_the_resolved_flag(self, monkeypatch):
+    def test_engine_status_reports_the_resolved_flag(self):
+        """``vectorized=None`` means on under columnar, off under
+        reference; an explicit value wins either way."""
         from repro import EngineConfig, build_engine
 
-        engine = build_engine(EngineConfig(vectorized=True))
-        assert engine.status()["vectorized"] is True
-        monkeypatch.delenv(PRUNE_ENV_VAR, raising=False)
-        reference = build_engine(EngineConfig(graph_backend="reference"))
-        assert reference.status()["vectorized"] is False
+        def resolved(**kwargs):
+            return build_engine(EngineConfig(**kwargs)).status()["vectorized"]
+
+        assert resolved() is False
+        assert resolved(graph_backend="columnar") is True
+        assert resolved(vectorized=True) is True
+        assert resolved(graph_backend="columnar", vectorized=False) is False
 
     def test_explain_analyze_surfaces_prunes_and_vectorize_stage(self):
         from repro import EngineConfig, build_engine
@@ -417,37 +396,15 @@ class TestEngineWiring:
         ]:
             assert emissions(**kwargs) == baseline
 
-    def test_checkpoint_round_trips_the_flag(self, monkeypatch):
+    def test_checkpoint_round_trips_the_flag(self):
         from repro.runtime.checkpoint import engine_from_dict, engine_to_dict
         from repro.seraph import SeraphEngine
 
         engine = SeraphEngine(vectorized=True)
         restored = engine_from_dict(engine_to_dict(engine))
         assert restored.vectorized is True
-        # Documents written before the knob re-resolve from the default
-        # (env cleared and backend pinned so the default is deterministic).
-        monkeypatch.delenv(PRUNE_ENV_VAR, raising=False)
-        document = engine_to_dict(SeraphEngine(graph_backend="reference"))
-        del document["config"]["vectorized"]
-        assert engine_from_dict(document).vectorized is False
-
-    def test_cli_flag_reaches_the_engine_config(self, monkeypatch):
-        from repro.cli import _build_parser, _run_config
-
-        args = _build_parser().parse_args(
-            ["run", "q.seraph", "s.jsonl", "--vectorized"]
-        )
-        assert _run_config(args).vectorized is True
-        args = _build_parser().parse_args(
-            ["run", "q.seraph", "s.jsonl", "--no-vectorized"]
-        )
-        assert _run_config(args).vectorized is False
-        # An explicit flag beats the environment...
-        monkeypatch.setenv(PRUNE_ENV_VAR, "0")
-        assert _run_config(args).vectorized is False
-        # ...and without one, the CLI resolves through
-        # EngineConfig.from_env (explicit arg > env > default).
-        args = _build_parser().parse_args(["run", "q.seraph", "s.jsonl"])
-        assert _run_config(args).vectorized is False
-        monkeypatch.delenv(PRUNE_ENV_VAR, raising=False)
-        assert _run_config(args).vectorized is None
+        # Documents written before the knob re-derive it from the backend.
+        for backend, expected in (("reference", False), ("columnar", True)):
+            document = engine_to_dict(SeraphEngine(graph_backend=backend))
+            del document["config"]["vectorized"]
+            assert engine_from_dict(document).vectorized is expected

@@ -12,7 +12,6 @@ import pytest
 
 from repro.errors import EngineError, GraphConsistencyError
 from repro.graph.columnar import (
-    BACKEND_ENV_VAR,
     GRAPH_BACKENDS,
     ColumnarGraph,
     ColumnarStore,
@@ -342,14 +341,6 @@ class TestBackendRegistry:
         assert resolve_backend_name("columnar") == "columnar"
         assert resolve_backend("columnar") is ColumnarGraph
         assert resolve_backend("reference") is PropertyGraph
-
-    def test_resolve_default_without_env(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend_name(None) == "reference"
-
-    def test_resolve_default_from_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "columnar")
-        assert resolve_backend_name(None) == "columnar"
 
     def test_unknown_backend_raises(self):
         with pytest.raises(EngineError, match="unknown graph backend"):

@@ -175,6 +175,21 @@ class TestResilienceMetricsBridge:
         ).value == 1
 
 
+class TestSpanLimit:
+    def test_a_full_tracer_drops_spans_not_emissions(self):
+        plain = build_engine(EngineConfig())
+        plain.register(LISTING5_SERAPH)
+        expected = plain.run_stream(figure1_stream(), until=_t("15:40"))
+        engine = build_engine(EngineConfig(observability=True,
+                                           span_limit=10))
+        engine.register(LISTING5_SERAPH)
+        emissions = engine.run_stream(figure1_stream(), until=_t("15:40"))
+        assert [e.render() for e in emissions] == \
+            [e.render() for e in expected]
+        assert engine.obs.tracer.created == 10
+        assert engine.obs.tracer.dropped > 0
+
+
 class TestExplainAnalyze:
     def test_enabled_engine_reports_observed_stages(self):
         engine = build_engine(EngineConfig(observability=True))

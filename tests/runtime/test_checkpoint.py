@@ -180,7 +180,6 @@ class TestConfigRoundTrip:
             incremental=False,
             static_graph=figure2_graph(),
             reuse_unchanged_windows=False,
-            share_windows=False,
         )
         engine.register(COUNT_QUERY)
         restored = engine_from_json(
@@ -188,8 +187,26 @@ class TestConfigRoundTrip:
         )
         assert restored.incremental is False
         assert restored.reuse_unchanged_windows is False
-        assert restored.share_windows is False
         assert restored.static_graph == engine.static_graph
+
+    def test_mode_fields_round_trip(self):
+        engine = SeraphEngine(
+            incremental=False, reuse_unchanged_windows=False,
+            delta_eval=False, graph_backend="columnar", vectorized=False,
+        )
+        restored = engine_from_dict(engine_to_dict(engine))
+        for name in ("incremental", "reuse_unchanged_windows",
+                     "delta_eval", "graph_backend", "vectorized"):
+            assert getattr(restored, name) == getattr(engine, name), name
+
+    def test_share_windows_key_of_older_documents_is_ignored(self):
+        """Documents written while ``share_windows`` was a knob still
+        load; the key is dropped and new documents no longer carry it."""
+        document = engine_to_dict(SeraphEngine())
+        assert "share_windows" not in document["config"]
+        document["config"]["share_windows"] = False
+        restored = engine_from_dict(document)
+        assert not hasattr(restored, "share_windows")
 
     def test_progress_counters_survive(self):
         engine = SeraphEngine()

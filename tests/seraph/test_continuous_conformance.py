@@ -13,14 +13,26 @@ The fixture stream (period 60s, instants 60..300):
     t=180 : (empty period — no event)
     t=240 : (a:User {id:1})-[:PING {n:3}]->(s:Server {id:9})
     t=300 : (a:User {id:3})-[:PING {n:4}]->(s:Server {id:9})
+
+Every case runs under every explicit execution mode of
+``tests/modes.py`` and must also equal the denotational run
+(``semantics.continuous_run``) — the check that replaced rerunning the
+whole suite once per ``REPRO_*`` setting.
 """
 
 import pytest
 
 from repro.graph.builder import GraphBuilder
-from repro.seraph import CollectingSink, SeraphEngine
 from repro.stream.stream import StreamElement
 from repro.stream.window import ActiveSubstreamPolicy
+
+from ..modes import (
+    MODES,
+    SAME_ROW_ORDER,
+    assert_equals_denotation,
+    renders,
+    run_mode,
+)
 
 
 def ping(instant, user, seq):
@@ -109,23 +121,17 @@ CASES = [
 ]
 
 
-def run_case(stream, body, policy=ActiveSubstreamPolicy.TRAILING,
-             until=None):
-    engine = SeraphEngine(policy=policy)
-    sink = CollectingSink()
-    engine.register(wrap(body), sink=sink)
-    engine.run_stream(stream, until=until)
-    return sink
-
-
-@pytest.mark.parametrize(
-    "case_id,body,expected",
-    [(c[0], c[1], c[2]) for c in CASES],
-    ids=[c[0] for c in CASES],
+BY_CASE = pytest.mark.parametrize(
+    "case_id,body,expected", CASES, ids=[c[0] for c in CASES],
 )
-def test_continuous_conformance(stream, case_id, body, expected):
+
+
+@pytest.mark.parametrize("mode", MODES)
+@BY_CASE
+def test_continuous_conformance(stream, case_id, body, expected, mode):
     until = max(expected)
-    sink = run_case(stream, body, until=until)
+    sink = run_mode(mode, wrap(body), stream, until)
+    assert_equals_denotation(sink, wrap(body), stream, until)
     actual = {
         emission.instant: sorted(
             tuple(record[name] for name in sorted(record))
@@ -140,45 +146,52 @@ def test_continuous_conformance(stream, case_id, body, expected):
         )
 
 
+@BY_CASE
+def test_backend_and_pruning_modes_are_byte_identical(
+    stream, case_id, body, expected
+):
+    until = max(expected)
+    default, *others = (
+        renders(run_mode(mode, wrap(body), stream, until))
+        for mode in SAME_ROW_ORDER
+    )
+    for mode, rendered in zip(SAME_ROW_ORDER[1:], others):
+        assert rendered == default, mode
+
+
+@pytest.mark.parametrize("mode", MODES)
 class TestOneShot:
-    def test_return_terminal_fires_once(self, stream):
-        engine = SeraphEngine()
-        sink = CollectingSink()
-        engine.register(
+    def test_return_terminal_fires_once(self, stream, mode):
+        sink = run_mode(
+            mode,
             "REGISTER QUERY once STARTING AT 1970-01-01T00:04\n"
             "{ MATCH ()-[p:PING]->() WITHIN PT10M RETURN count(p) AS n }",
-            sink=sink,
+            stream, 600,
         )
-        engine.run_stream(stream, until=600)
         assert len(sink.emissions) == 1
         assert sink.emissions[0].instant == 240
         assert sink.emissions[0].table.table.records[0]["n"] == 3
 
 
+FORMAL = ActiveSubstreamPolicy.EARLIEST_CONTAINING
+FORMAL_COUNT = wrap("MATCH ()-[p:PING]->() WITHIN PT10M "
+                    "EMIT count(p) AS n SNAPSHOT EVERY PT1M")
+
+
+@pytest.mark.parametrize("mode", MODES)
 class TestFormalPolicyConformance:
-    def test_formal_window_annotation(self, stream):
+    def test_formal_window_annotation(self, stream, mode):
         """Under EARLIEST_CONTAINING the reported window is the earliest
         Def-5.9 window containing ω (here always the first window, since
         the width far exceeds the horizon)."""
-        sink = run_case(
-            stream,
-            "MATCH ()-[p:PING]->() WITHIN PT10M "
-            "EMIT count(p) AS n SNAPSHOT EVERY PT1M",
-            policy=ActiveSubstreamPolicy.EARLIEST_CONTAINING,
-            until=300,
-        )
+        sink = run_mode(mode, FORMAL_COUNT, stream, 300, policy=FORMAL)
+        assert_equals_denotation(sink, FORMAL_COUNT, stream, 300, FORMAL)
         for emission in sink.emissions:
             assert emission.table.win_start == 60  # ω₀
             assert emission.table.win_end == 60 + 600
 
-    def test_formal_counts_clip_to_arrivals(self, stream):
-        sink = run_case(
-            stream,
-            "MATCH ()-[p:PING]->() WITHIN PT10M "
-            "EMIT count(p) AS n SNAPSHOT EVERY PT1M",
-            policy=ActiveSubstreamPolicy.EARLIEST_CONTAINING,
-            until=300,
-        )
+    def test_formal_counts_clip_to_arrivals(self, stream, mode):
+        sink = run_mode(mode, FORMAL_COUNT, stream, 300, policy=FORMAL)
         counts = [emission.table.table.records[0]["n"]
                   for emission in sink.emissions]
         assert counts == [1, 2, 2, 3, 4]

@@ -3,7 +3,8 @@
 Covers Figure 1 (the stream), Figure 2 (the merged graph), Table 2 (the
 one-time Cypher result), Table 4 (its time-annotated extension), and
 Tables 5/6 (the Seraph outputs at 15:15h and 15:40h) — plus the full
-evaluation narrative of Section 5.4.
+evaluation narrative of Section 5.4.  The Listing 5 run is repeated
+under every explicit execution mode of ``tests/modes.py``.
 """
 
 import pytest
@@ -24,6 +25,14 @@ from repro.usecases.micromobility import (
     _t,
     figure1_stream,
     figure2_graph,
+)
+
+from ..modes import (
+    MODES,
+    SAME_ROW_ORDER,
+    assert_equals_denotation,
+    renders,
+    run_mode,
 )
 
 
@@ -124,16 +133,27 @@ class TestTable4:
             assert record[WIN_END] == _t("15:40")
 
 
-@pytest.fixture
-def run_listing5(rental_stream):
-    engine = SeraphEngine()
-    sink = CollectingSink()
-    engine.register(parse_seraph(LISTING5_SERAPH), sink=sink)
-    engine.run_stream(rental_stream, until=_t("15:40"))
-    return sink
+@pytest.fixture(params=MODES)
+def run_listing5(request, rental_stream):
+    return run_mode(request.param, LISTING5_SERAPH, rental_stream,
+                    _t("15:40"))
 
 
 class TestTables5And6:
+    def test_equals_the_denotational_run(self, run_listing5, rental_stream):
+        assert_equals_denotation(run_listing5, LISTING5_SERAPH,
+                                 rental_stream, _t("15:40"))
+
+    def test_backend_and_pruning_modes_are_byte_identical(
+        self, rental_stream
+    ):
+        default, *others = (
+            renders(run_mode(mode, LISTING5_SERAPH, rental_stream,
+                             _t("15:40")))
+            for mode in SAME_ROW_ORDER
+        )
+        assert all(rendered == default for rendered in others)
+
     def test_evaluation_count(self, run_listing5):
         # Every 5 minutes from 14:45 through 15:40 inclusive: 12 instants.
         assert len(run_listing5.emissions) == 12

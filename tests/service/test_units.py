@@ -1,14 +1,16 @@
 """Unit tests for the service building blocks (no sockets involved):
-token-bucket admission, bearer auth, SSE framing, and the bounded
-emission log."""
+token-bucket admission, bearer auth, SSE framing, the bounded emission
+log, and the JSON engine-config fragment."""
 
 import asyncio
 
 import pytest
 
-from repro.errors import AuthenticationError, ConsumerLagError
+from repro.api import EngineConfig
+from repro.errors import AuthenticationError, ConsumerLagError, EngineError
 from repro.service.admission import TokenBucket
 from repro.service.auth import Authenticator, parse_bearer
+from repro.service.server import engine_config_from_dict
 from repro.service.sse import (
     HEARTBEAT_FRAME,
     EmissionLog,
@@ -186,3 +188,42 @@ class TestServiceSink:
         sink.receive(self._emission(empty=True))
         assert len(log) == 0
         assert sink.received == 1
+
+
+class TestEngineConfigFromDict:
+    def test_scalar_fields_and_policy_by_name(self):
+        config = engine_config_from_dict({
+            "policy": "trailing", "resilient": True,
+            "allowed_lateness": 600, "graph_backend": "columnar",
+            "vectorized": None, "offload_threshold": 2,
+        })
+        assert config == EngineConfig(
+            resilient=True, allowed_lateness=600, graph_backend="columnar",
+            offload_threshold=2,
+        )
+
+    def test_observability_flag_the_benchmarks_traced_server_sends(self):
+        assert engine_config_from_dict(
+            {"observability": True}
+        ).observability is True
+
+    def test_empty_fragment_is_the_default_config(self):
+        assert engine_config_from_dict({}) == EngineConfig()
+
+    @pytest.mark.parametrize("fragment", [
+        {"allowed_lateness": "5"},     # was a bare TypeError
+        {"allowed_lateness": True},    # bool is not a JSON integer
+        {"static_graph": "x"},         # was an AttributeError downstream
+        {"incremental": "no"},         # was silently truthy
+        {"retry": 3},                  # failed at the first sink retry
+        {"resilient": None},           # null only where the field allows
+        {"late_policy": "skip"},
+        {"no_such_field": 1},
+        {"policy": "sometimes"},
+        {"graph_backend": "bogus"},
+        {"parallel_workers": -1},
+        ["resilient"],                 # not an object at all
+    ])
+    def test_everything_else_is_a_typed_error(self, fragment):
+        with pytest.raises(EngineError):
+            engine_config_from_dict(fragment)

@@ -68,69 +68,23 @@ class TestEngineConfig:
         assert bundle.registry.reservoir == 2
 
 
-class TestFromEnv:
-    """Knob resolution: explicit argument > environment > default."""
+class TestNothingAmbientSelectsAMode:
+    """Execution modes come from an explicit EngineConfig and nowhere
+    else: the REPRO_* variables earlier releases read are inert."""
 
-    def test_empty_environment_yields_defaults(self):
-        assert EngineConfig.from_env(environ={}) == EngineConfig()
-
-    def test_environment_fills_unset_fields(self):
-        config = EngineConfig.from_env(environ={
-            "REPRO_GRAPH_BACKEND": "columnar",
-            "REPRO_VECTORIZED": "1",
-            "REPRO_DELTA_EVAL": "off",
-            "REPRO_PHYSICAL_PLANS": "false",
-            "REPRO_PARALLEL_WORKERS": "3",
-        })
-        assert config.graph_backend == "columnar"
-        assert config.vectorized is True
-        assert config.delta_eval is False
-        assert config.physical_plans is False
-        assert config.parallel_workers == 3
-
-    def test_explicit_override_beats_environment(self):
-        config = EngineConfig.from_env(
-            environ={"REPRO_PARALLEL_WORKERS": "8",
-                     "REPRO_DELTA_EVAL": "0"},
-            parallel_workers=2, delta_eval=True,
-        )
-        assert config.parallel_workers == 2
-        assert config.delta_eval is True
-
-    def test_explicit_none_beats_environment(self):
-        config = EngineConfig.from_env(
-            environ={"REPRO_PARALLEL_WORKERS": "8"},
-            parallel_workers=None,
-        )
-        assert config.parallel_workers is None
-
-    def test_boolean_falsy_spellings(self):
-        for raw in ("0", "false", "no", "off", "", "False", "NO"):
-            config = EngineConfig.from_env(
-                environ={"REPRO_VECTORIZED": raw}
-            )
-            assert config.vectorized is False, raw
-        for raw in ("1", "true", "yes", "on", "anything"):
-            config = EngineConfig.from_env(
-                environ={"REPRO_VECTORIZED": raw}
-            )
-            assert config.vectorized is True, raw
-
-    def test_unparseable_int_raises_engine_error(self):
-        with pytest.raises(EngineError, match="REPRO_PARALLEL_WORKERS"):
-            EngineConfig.from_env(
-                environ={"REPRO_PARALLEL_WORKERS": "many"}
-            )
-
-    def test_invalid_env_value_still_validates(self):
-        with pytest.raises(EngineError):
-            EngineConfig.from_env(
-                environ={"REPRO_GRAPH_BACKEND": "bogus"}
-            )
-
-    def test_real_environment_is_the_default_source(self, monkeypatch):
+    def test_environment_does_not_reach_the_engine(self, monkeypatch):
         monkeypatch.setenv("REPRO_GRAPH_BACKEND", "columnar")
-        assert EngineConfig.from_env().graph_backend == "columnar"
+        monkeypatch.setenv("REPRO_VECTORIZED", "1")
+        monkeypatch.setenv("REPRO_DELTA_EVAL", "0")
+        monkeypatch.setenv("REPRO_PHYSICAL_PLANS", "0")
+        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "2")
+        for engine in (SeraphEngine(), build_engine()):
+            assert type(engine) is SeraphEngine
+            status = engine.status()
+            assert status["graph_backend"] == "reference"
+            assert status["vectorized"] is False
+            assert status["delta_eval"] is True
+            assert status["planner"]["physical_plans"] is True
 
 
 class TestBuildEngine:
@@ -184,18 +138,6 @@ class TestBuildEngine:
         from repro.graph.columnar import ColumnarGraph
 
         assert engine._graph_cls is ColumnarGraph
-
-    def test_graph_backend_default_resolves_reference(self, monkeypatch):
-        from repro.graph.columnar import BACKEND_ENV_VAR
-
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert build_engine().graph_backend == "reference"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "columnar")
-        assert build_engine().graph_backend == "columnar"
-        # An explicit config wins over the environment.
-        assert build_engine(
-            EngineConfig(graph_backend="reference")
-        ).graph_backend == "reference"
 
     def test_every_layer_shares_one_observability_bundle(self):
         engine = build_engine(EngineConfig(

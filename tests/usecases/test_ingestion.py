@@ -117,6 +117,25 @@ class TestPipelineMechanics:
             element.instant for element in figure1_stream()
         ]
 
+    def test_every_message_becomes_one_relationship(self):
+        """A longer generated feed: the store and the sealed deltas each
+        hold exactly one relationship per message."""
+        import random
+
+        rng = random.Random(3)
+        start = _t("08:00")
+        pipeline = IngestionPipeline(period=300, start=start)
+        for index in range(50):
+            kind = "rental" if rng.random() < 0.5 else "return"
+            pipeline.feed(RentalMessage(
+                kind, rng.randint(1, 40), rng.randint(1, 15),
+                rng.randint(1, 60), start + index * 60,
+                duration=rng.randint(5, 40) if kind == "return" else None,
+            ))
+        elements = pipeline.seal_until(start + 50 * 60 + 300)
+        assert pipeline.store.graph().size == 50
+        assert sum(element.graph.size for element in elements) == 50
+
     def test_empty_periods_produce_no_elements(self):
         pipeline = IngestionPipeline(period=300, start=_t("14:40"))
         pipeline.feed(RentalMessage("rental", 5, 1, 1234, _t("14:41")))

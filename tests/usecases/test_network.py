@@ -1,9 +1,14 @@
 """Unit tests for the network monitoring use case (Listing 2)."""
 
+import json
+import re
+
 import pytest
 
 from repro.cypher import run_cypher
-from repro.seraph import CollectingSink, SeraphEngine
+from repro.graph.io import graph_from_dict, graph_to_dict
+from repro.seraph import CollectingSink, SeraphEngine, StreamMaterializer
+from repro.stream.stream import StreamElement
 from repro.usecases.network import (
     MEAN_HOPS,
     NetworkConfig,
@@ -11,6 +16,7 @@ from repro.usecases.network import (
     NetworkTopology,
     anomalous_routes_query,
     anomalous_routes_query_data_driven,
+    pipeline_queries,
 )
 
 
@@ -115,3 +121,73 @@ class TestContinuousAnomalyDetection:
         engine.register(anomalous_routes_query_data_driven(), sink=sink)
         engine.run_stream(stream[:5])
         assert len(sink.emissions) >= 1
+
+
+class TestDetectEnrichAlertPipeline:
+    """The three-stage ``EMIT ... INTO`` pipeline (docs/DATAFLOW.md) in
+    one fused engine emits, stage for stage, the bytes of the deployment
+    it replaces: one engine per stage, each stage's emissions
+    materialized and shipped as JSON into the next, all advanced in
+    lockstep."""
+
+    STREAMS = ("route_anomalies", "rack_alerts")
+
+    @pytest.fixture(scope="class")
+    def faulty_stream(self):
+        return NetworkStreamGenerator(NetworkConfig(
+            racks=16, routers=6, events=20, fault_rate=0.5, seed=11,
+        )).stream()
+
+    def run_fused(self, stream):
+        engine = SeraphEngine()
+        sinks = [CollectingSink() for _ in range(3)]
+        for text, sink in zip(pipeline_queries(), sinks):
+            engine.register(text, sink=sink)
+        engine.run_stream(stream)
+        return [[e.render() for e in sink.emissions] for sink in sinks]
+
+    def run_glued(self, stream):
+        engines = [SeraphEngine() for _ in range(3)]
+        sinks = [CollectingSink() for _ in range(3)]
+        for engine, text, sink in zip(engines, pipeline_queries(), sinks):
+            engine.register(re.sub(r"\n\s*INTO \w+", "", text), sink=sink)
+        materializers = [StreamMaterializer(name) for name in self.STREAMS]
+        shipped = [0, 0]
+
+        def ship(stage):
+            """Stage ``stage``'s new emissions over a JSON wire into the
+            next engine."""
+            for emission in sinks[stage].emissions[shipped[stage]:]:
+                shipped[stage] += 1
+                element = materializers[stage].materialize(emission)
+                if element is None:
+                    continue
+                payload = json.loads(json.dumps({
+                    "instant": element.instant,
+                    "graph": graph_to_dict(element.graph),
+                }))
+                engines[stage + 1].ingest_element(
+                    StreamElement(graph=graph_from_dict(payload["graph"]),
+                                  instant=payload["instant"]),
+                    self.STREAMS[stage],
+                )
+
+        def advance(until):
+            engines[0].advance_to(until)
+            ship(0)
+            engines[1].advance_to(until)
+            ship(1)
+            engines[2].advance_to(until)
+
+        for element in stream:
+            advance(element.instant - 1)
+            engines[0].ingest_element(element)
+        advance(stream[-1].instant)
+        return [[e.render() for e in sink.emissions] for sink in sinks]
+
+    def test_fused_engine_is_byte_identical_to_lockstep_glue(
+        self, faulty_stream
+    ):
+        fused = self.run_fused(faulty_stream)
+        assert fused == self.run_glued(faulty_stream)
+        assert any("rack_id" in text for text in fused[2])  # alerts fired
