@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install lint test test-dataflow bench bench-smoke chaos examples serve-smoke verify ci all
+.PHONY: install lint test test-dataflow bench bench-smoke bench-ab chaos examples serve-smoke verify ci all
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -44,6 +44,13 @@ bench-smoke:
 			--scale 0.02 --seconds 5 > /dev/null || exit 1; \
 	done
 	@echo "all workloads correct"
+
+# Interleaved A/B against another revision, from outside the frozen
+# benchmark directory: make bench-ab BASE=HEAD~1 WORKLOAD=net_paths
+# [PAIRS=10] [SEED=7] (tools/bench_ab.py; ~25 s per pair).
+bench-ab:
+	$(PYTHON) tools/bench_ab.py --base $(BASE) --workload $(WORKLOAD) \
+		--pairs $(or $(PAIRS),10) --seed $(or $(SEED),7)
 
 # Seeded fault-injection smoke: every chaos test pins its ChaosConfig
 # seed, so this run reproduces byte-for-byte on any machine.

@@ -58,8 +58,8 @@ def main():
         engine.ingest(graph, instant)
     engine.advance_to(hhmm("09:40"))     # drain remaining evaluations
 
-    collected = engine.registered("big_transfers").result
-    print(f"\n{len(collected)} evaluations recorded; "
+    evaluations = engine.registered("big_transfers").evaluations
+    print(f"\n{evaluations} evaluations recorded; "
           "large transfers were reported exactly once each (ON ENTERING).")
 
 

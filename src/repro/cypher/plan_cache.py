@@ -12,6 +12,10 @@ heuristic cost model anyway).
 The band signature covers exactly what compilation reads: per MATCH
 window, the graph order/size bands plus the bands of every label and
 relationship type the query's patterns mention.
+
+Plans are retained per ``(query text, band)``, a few bands per query: a
+statistic that oscillates across a boundary flips between two cached
+plans instead of recompiling on every crossing.
 """
 
 from __future__ import annotations
@@ -22,6 +26,11 @@ from repro.cypher import ast
 from repro.cypher.physical import PhysicalPlan, compile_query
 
 __all__ = ["PlanCache", "stats_band", "band_signature"]
+
+#: Bands retained per query text; the oldest is evicted beyond this.
+#: A signature has several independently oscillating counts: Listing 5
+#: over a steady rental stream wanders among about eight of them.
+PLANS_PER_QUERY = 8
 
 
 def stats_band(count: int) -> int:
@@ -84,7 +93,7 @@ class PlanCache:
 
     def __init__(self, quantize: Callable[[int], int] = stats_band):
         self._quantize = quantize
-        self._plans: Dict[str, PhysicalPlan] = {}
+        self._plans: Dict[str, Dict[tuple, PhysicalPlan]] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -92,35 +101,38 @@ class PlanCache:
     def plan_for(
         self, query, stats_for: Callable[[str, int], Any]
     ) -> PhysicalPlan:
-        """The cached plan for ``query``, recompiling on band drift.
+        """The cached plan for ``query`` under the current band; compiles
+        on the first visit to a band (or after its eviction).
 
         Raises :class:`~repro.errors.PhysicalPlanError` when the query
         cannot be lowered (never cached; callers remember the failure).
         """
-        text = query.render()
         band = band_signature(query, stats_for, self._quantize)
-        cached = self._plans.get(text)
-        if cached is not None and cached.band == band:
+        bands = self._plans.get(query.text)
+        if bands is not None and band in bands:
             self.hits += 1
-            return cached
-        if cached is not None:
+            return bands[band]
+        if bands is not None:
             self.invalidations += 1
         self.misses += 1
         plan = compile_query(query, stats_for, band=band)
-        self._plans[text] = plan
+        bands = self._plans.setdefault(query.text, {})
+        if len(bands) >= PLANS_PER_QUERY:
+            del bands[next(iter(bands))]
+        bands[band] = plan
         return plan
 
     def evict(self, query) -> None:
-        """Drop the plan cached for ``query`` (on deregistration)."""
-        self._plans.pop(query.render(), None)
+        """Drop the plans cached for ``query`` (on deregistration)."""
+        self._plans.pop(query.text, None)
 
     def __len__(self) -> int:
-        return len(self._plans)
+        return sum(len(bands) for bands in self._plans.values())
 
     def stats(self) -> Dict[str, Any]:
         lookups = self.hits + self.misses
         return {
-            "plans": len(self._plans),
+            "plans": len(self),
             "hits": self.hits,
             "misses": self.misses,
             "invalidations": self.invalidations,

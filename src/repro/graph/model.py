@@ -293,13 +293,6 @@ class PropertyGraph:
                 buckets = prop_buckets_for(label_key)
                 buckets[value_key] = buckets.get(value_key, ()) + (node.id,)
 
-        def unlabel(node_id: NodeId, label: str) -> None:
-            ids = tuple(i for i in by_label[label] if i != node_id)
-            if ids:
-                by_label[label] = ids
-            else:
-                del by_label[label]
-
         for rel_id in removed_rels:
             rel = rel_map.pop(rel_id, None)
             if rel is None:
@@ -315,6 +308,10 @@ class PropertyGraph:
                 by_type[rel.type] = count
             else:
                 by_type.pop(rel.type, None)
+        # Removed and upserted nodes leave their label buckets together:
+        # each affected bucket is rewritten once per call, not per node.
+        moved: set = set()
+        affected_labels: set = set()
         for node_id in removed_nodes:
             node = node_map.pop(node_id, None)
             if node is None:
@@ -327,17 +324,15 @@ class PropertyGraph:
                 )
             out_adj.pop(node_id, None)
             in_adj.pop(node_id, None)
-            for label in node.labels:
-                unlabel(node_id, label)
+            moved.add(node_id)
+            affected_labels.update(node.labels)
             if prop_index is not None:
                 prop_unindex(node)
-        # Upserts move to the end of every enumeration order, batched so
-        # each affected bucket is rewritten once per call, not per node.
+        # Upserts move to the end of every enumeration order.
         upserts: Dict[NodeId, Node] = {}
         for node in nodes:
             upserts[node.id] = node  # dedupe: last upsert of an id wins
-        if upserts:
-            affected_labels: set = set()
+        if upserts or moved:
             olds: Dict[NodeId, Optional[Node]] = {}
             for node_id, node in upserts.items():
                 old = node_map.get(node_id)
@@ -350,7 +345,7 @@ class PropertyGraph:
                     in_adj.setdefault(node_id, ())
                 affected_labels.update(node.labels)
                 node_map[node_id] = node
-            moved = set(upserts)
+            moved.update(upserts)
             for label in affected_labels:
                 ids = by_label.get(label)
                 if ids:

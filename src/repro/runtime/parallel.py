@@ -432,7 +432,7 @@ class ParallelEngine(SeraphEngine):
                 plan = self._physical_plan(registered, stats_for)
                 tasks.append(
                     (
-                        registered.query.render(),
+                        registered.query.text,
                         pendings[i].interval.start,
                         pendings[i].interval.end,
                         (plan.band, plan) if plan is not None else None,
@@ -466,6 +466,7 @@ class ParallelEngine(SeraphEngine):
                     # eligible query evaluated outside the delta path no
                     # longer tracks the window content.
                     registered.delta_state.invalidate()
+                self._record_path(pendings[i], "full")
                 tables[i] = table
                 plan_rows = registered.plan_rows
                 for op_id, count in rows_per_task[position].items():

@@ -6,7 +6,8 @@ which stream elements entered and left the window.  This module turns
 that knowledge into an incremental evaluation path:
 
 1. :class:`WindowDelta` — the elements a :meth:`_WindowState.advance`
-   call added/removed, and the *dirty* node/relationship ids they touch.
+   call added, and the *net-changed* node/relationship ids the snapshot
+   maintainer recorded while applying arrivals and expiries.
 2. :class:`QueryDeltaState` — the query's previous assignment set, each
    assignment paired with its *footprint* (every node and relationship
    the embedding traverses, named or anonymous).
@@ -19,14 +20,17 @@ Soundness rests on two facts.  First, an embedding's validity depends
 only on the merged view of the entities in its footprint: eligibility
 (:func:`delta_ineligibility`) rejects every construct that could reach
 beyond it (window-bound references, pattern predicates, OPTIONAL MATCH,
-multi-clause bodies).  Second, an entity's merged snapshot view can only
-change when an element containing it enters or leaves the window — i.e.
-when the entity is dirty — because surviving elements keep their
-relative union order.  Retained assignments are therefore bit-identical
-to what a full re-match would produce, and every *new* embedding must
-touch a dirty entity, so anchoring the matcher on the dirty
-neighbourhood (radius = the pattern's maximum hop count) finds all of
-them.
+multi-clause bodies).  Second, an entity's merged snapshot view is a
+function of its set of *distinct* contributions alone (the union is
+idempotent, and consistent contributions commute), so it can only change
+when that set changes — a contribution key appears for the first time or
+disappears for the last, which is exactly when the maintainer marks the
+entity dirty.  An element entering or leaving with a description some
+surviving element also carries changes nothing.  Retained assignments
+are therefore identical to what a full re-match would produce, and every
+*new* embedding must touch a dirty entity, so anchoring the matcher on
+the dirty neighbourhood (radius = the pattern's maximum hop count) finds
+all of them.
 
 Queries the analysis cannot cover fall back to full evaluation — the
 correctness contract (property-tested bag-equality against
@@ -55,39 +59,30 @@ from repro.stream.tvt import WIN_END, WIN_START
 
 @dataclass(frozen=True, slots=True)
 class WindowDelta:
-    """What one window advance changed: elements in, elements out."""
+    """What one window advance changed: the elements that entered, and
+    the net-changed ids (:class:`~repro.stream.snapshot.SnapshotMaintainer`)
+    since the last snapshot build."""
 
     added: Tuple[StreamElement, ...] = ()
-    removed: Tuple[StreamElement, ...] = ()
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.added and not self.removed
+    changed_nodes: FrozenSet[int] = frozenset()
+    changed_rels: FrozenSet[int] = frozenset()
+    #: Endpoints of every relationship whose contribution set changed
+    #: (vanished ones included: the withdrawn key carries them).
+    changed_endpoints: FrozenSet[int] = frozenset()
 
     def dirty_entities(self) -> Footprint:
-        """Every node/relationship id an added or removed element touches.
+        """Every node/relationship id whose distinct-contribution set
+        changed — the only entities whose merged snapshot view can differ
+        from the previous evaluation's."""
+        return frozenset(
+            [("n", node_id) for node_id in self.changed_nodes]
+            + [("r", rel_id) for rel_id in self.changed_rels]
+        )
 
-        These are the only entities whose merged snapshot view can differ
-        from the previous evaluation's.
-        """
-        dirty: Set[Tuple[str, int]] = set()
-        for element in self.added + self.removed:
-            graph = element.graph
-            dirty.update(("n", node_id) for node_id in graph.nodes)
-            dirty.update(("r", rel_id) for rel_id in graph.relationships)
-        return frozenset(dirty)
-
-    def seed_node_ids(self) -> Set[int]:
+    def seed_node_ids(self) -> FrozenSet[int]:
         """Node ids to grow the dirty neighbourhood from (includes the
         endpoints of dirty relationships)."""
-        seeds: Set[int] = set()
-        for element in self.added + self.removed:
-            graph = element.graph
-            seeds.update(graph.nodes)
-            for rel in graph.relationships.values():
-                seeds.add(rel.src)
-                seeds.add(rel.trg)
-        return seeds
+        return self.changed_nodes | self.changed_endpoints
 
 
 @dataclass(slots=True)
@@ -187,18 +182,22 @@ def pattern_hops(path: cypher_ast.PathPattern) -> int:
 
 
 def dirty_neighborhood(
-    graph: PropertyGraph, seeds: Set[int], hops: int
+    graph: PropertyGraph, seeds: Set[int], hops: int,
+    limit: float = float("inf"),
 ) -> Set[int]:
     """Node ids within ``hops`` undirected hops of any seed node.
 
     Any embedding that touches a dirty entity starts within this set:
     its walk has at most ``hops`` edges and passes through a seed, so the
     start node is at most ``hops`` graph edges away from it.
+
+    Growth stops as soon as the set reaches ``limit`` nodes: the caller
+    only needs to know that it did.
     """
     seen = {node_id for node_id in seeds if node_id in graph.nodes}
     frontier = set(seen)
     for _ in range(hops):
-        if not frontier:
+        if not frontier or len(seen) >= limit:
             break
         grown: Set[int] = set()
         for node_id in frontier:
@@ -207,6 +206,8 @@ def dirty_neighborhood(
                 if other not in seen:
                     seen.add(other)
                     grown.add(other)
+            if len(seen) >= limit:
+                return seen
         frontier = grown
     return seen
 
@@ -287,22 +288,19 @@ def evaluate_delta(
         stats = DeltaStats(
             full_refresh=True, retained=0, recomputed=len(state.assignments)
         )
-    elif delta.is_empty:
+    elif not (seeds := delta.seed_node_ids()):
         stats = DeltaStats(
             full_refresh=False, retained=len(state.assignments), recomputed=0
         )
     else:
-        dirty = delta.dirty_entities()
-        retained = [
-            assignment
-            for assignment in state.assignments
-            if not (assignment[1] & dirty)
-        ]
-        candidates = dirty_neighborhood(
-            graph, delta.seed_node_ids(), pattern_hops(pattern.paths[0])
-        )
+        # Cost guard first: a tick that will full-refresh pays for
+        # neither the retention filter nor the rest of the walk.
         anchor_estimate = node_anchor_cost(
             pattern.paths[0].nodes[0], graph, frozenset(base_scope)
+        )
+        candidates = dirty_neighborhood(
+            graph, seeds, pattern_hops(pattern.paths[0]),
+            limit=anchor_estimate,
         )
         if len(candidates) >= anchor_estimate:
             # The anchored walk would start from at least as many nodes
@@ -314,6 +312,12 @@ def evaluate_delta(
                 recomputed=len(state.assignments),
             )
         else:
+            dirty = delta.dirty_entities()
+            retained = [
+                assignment
+                for assignment in state.assignments
+                if not (assignment[1] & dirty)
+            ]
             fresh = [
                 (record, footprint)
                 for record, footprint in matches(first_candidates=candidates)
@@ -338,8 +342,6 @@ def evaluate_delta(
             path=path,
             retained=stats.retained,
             recomputed=stats.recomputed,
-            dirty_seeds=len(delta.seed_node_ids()) if not delta.is_empty
-            else 0,
         )
     table = Table(
         (record for record, _footprint in state.assignments),

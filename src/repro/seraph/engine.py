@@ -130,7 +130,8 @@ class _WindowState:
     def advance(self, source: _StreamState, instant: TimeInstant) -> WindowDelta:
         """Bring the window content up to the evaluation at ``instant``.
 
-        Returns the content delta (elements that entered/left).  Idempotent
+        Returns the content delta: the elements that entered and the
+        net-changed ids since the last snapshot build.  Idempotent
         for repeated calls at the same instant — that is what lets
         concurrent queries with identical window configurations share one
         state (they fire at the same ET instants, in lock-step; each gets
@@ -150,17 +151,17 @@ class _WindowState:
             else:
                 keep_after = window.start - 1
                 add_until = instant
-        # Evict from the front (arrivals are non-decreasing).
+        # Expired prefix (arrivals are non-decreasing).  Arrivals reach
+        # the maintainer *before* expiries leave it, so an entity handed
+        # from an expiring element to an arriving one is a count bump,
+        # never a net change.
         evict_count = 0
         for element in self.content:
             if element.instant <= keep_after:
                 evict_count += 1
             else:
                 break
-        removed = tuple(self.content[:evict_count])
-        for element in removed:
-            if self.incremental:
-                self.maintainer.remove(element)
+        removed = self.content[:evict_count]
         del self.content[:evict_count]
         del self.content_seqs[:evict_count]
         # Add newly arrived elements.  A state created after the stream
@@ -179,15 +180,28 @@ class _WindowState:
                 self.content.append(element)
                 self.content_seqs.append(self.next_seq)
                 added.append(element)
-                if self.incremental:
-                    self.maintainer.add(element)
             index += 1
             self.next_seq += 1
-        self.last_delta = WindowDelta(added=tuple(added), removed=removed)
+        maintainer = self.maintainer
+        if self.incremental:
+            for element in added:
+                maintainer.add(element)
+            for element in removed:
+                maintainer.remove(element)
+        self.last_delta = WindowDelta(
+            added=tuple(added),
+            changed_nodes=frozenset(maintainer.changed_nodes),
+            changed_rels=frozenset(maintainer.changed_rels),
+            changed_endpoints=frozenset(maintainer.changed_endpoints),
+        )
         return self.last_delta
 
-    def fingerprint(self) -> Tuple[int, int]:
-        """Identifies the current window content (contiguous seq range)."""
+    def version(self):
+        """Identifies the current window content: equal versions ⇒ equal
+        snapshot graphs.  The maintainer's content version; without one
+        (``incremental=False``) the contiguous sequence range."""
+        if self.incremental:
+            return self.maintainer.version
         if not self.content_seqs:
             return (-1, -1)
         return (self.content_seqs[0], self.content_seqs[-1])
@@ -243,7 +257,7 @@ class RegisteredQuery:
     #: Per derived-stream count of upstream elements this query's windows
     #: consumed (the per-edge counters EXPLAIN ANALYZE renders).
     consumed_elements: Dict[str, int] = field(default_factory=dict)
-    _last_fingerprint: Optional[Tuple] = None
+    _last_version: Optional[Tuple] = None
     _last_table: Optional[Table] = None
     #: Per-query compiled-expression cache (see repro.cypher.expressions);
     #: threaded through every evaluation so hot-path expressions compile
@@ -268,7 +282,7 @@ class _PendingEvaluation:
     registered: RegisteredQuery
     instant: TimeInstant
     interval: "object"
-    fingerprint: Tuple
+    version: Tuple
     reusable: bool
     deltas: List[Tuple[_WindowState, WindowDelta]]
     #: Open per-evaluation trace root (None when observability is off).
@@ -445,6 +459,8 @@ class SeraphEngine:
                 self._shared_windows[share_key] = state
             windows[(stream_name, width)] = state
         delta_reason = delta_ineligibility(query)
+        if delta_reason is None and not self.incremental:
+            delta_reason = "non-incremental windows keep no net-change record"
         registered = RegisteredQuery(
             query=query,
             sink=sink if sink is not None else CollectingSink(),
@@ -718,21 +734,20 @@ class SeraphEngine:
             obs.record_stage(query.name, "window_advance", elapsed)
 
         interval = semantics.reported_interval(query, instant, self.policy)
-        fingerprint = tuple(
-            (key, state.fingerprint())
-            for key, state in sorted(registered.windows.items())
+        version = tuple(
+            state.version() for state in registered.windows.values()
         )
         reusable = (
             self.reuse_unchanged_windows
             and not registered.uses_window_bounds
             and registered._last_table is not None
-            and fingerprint == registered._last_fingerprint
+            and version == registered._last_version
         )
         return _PendingEvaluation(
             registered=registered,
             instant=instant,
             interval=interval,
-            fingerprint=fingerprint,
+            version=version,
             reusable=reusable,
             deltas=deltas,
             span=span,
@@ -751,6 +766,7 @@ class SeraphEngine:
         obs = self.obs
         if pending.reusable:
             registered.reused_evaluations += 1
+            self._record_path(pending, "reuse")
             if obs.enabled:
                 obs.tracer.add_completed("reuse", 0.0, parent=pending.span)
                 obs.record_stage(registered.name, "reuse", 0.0)
@@ -799,8 +815,10 @@ class SeraphEngine:
                 )
             if stats.full_refresh:
                 registered.delta_full_refreshes += 1
+                self._record_path(pending, "full_refresh")
             else:
                 registered.delta_evaluations += 1
+                self._record_path(pending, "delta")
             registered.assignments_retained += stats.retained
             registered.assignments_recomputed += stats.recomputed
             return table
@@ -809,6 +827,7 @@ class SeraphEngine:
             # delta_eval toggled off): its assignment set no longer
             # tracks the window content.
             registered.delta_state.invalidate()
+        self._record_path(pending, "full")
         if not obs.enabled:
             provider = self._memoized_provider(
                 self._graph_provider(registered)
@@ -847,11 +866,22 @@ class SeraphEngine:
         )
         return table
 
+    def _record_path(self, pending: _PendingEvaluation, path: str) -> None:
+        """Which way an evaluation went: reuse | delta | full_refresh |
+        full — on its root span and as a per-query counter."""
+        obs = self.obs
+        if obs.enabled:
+            pending.span.annotate(path=path)
+            obs.registry.inc(f"query.{pending.registered.name}.path.{path}")
+
     def _timed_graph(self, window_state: _WindowState, query_name: str,
                      parent) -> PropertyGraph:
         """Snapshot-build stage: one window state's graph, under a span."""
         obs = self.obs
-        with obs.tracer.span("snapshot_build", parent=parent) as span:
+        maintainer = window_state.maintainer
+        changed = len(maintainer.changed_nodes) + len(maintainer.changed_rels)
+        with obs.tracer.span("snapshot_build", parent=parent,
+                             changed=changed) as span:
             graph = window_state.graph()
             span.annotate(order=graph.order, size=graph.size)
         obs.record_stage(query_name, "snapshot_build", span.duration_seconds)
@@ -880,7 +910,7 @@ class SeraphEngine:
         instant = pending.instant
         interval = pending.interval
         obs = self.obs
-        registered._last_fingerprint = pending.fingerprint
+        registered._last_version = pending.version
         registered._last_table = table
 
         if obs.enabled:
@@ -1087,6 +1117,10 @@ class SeraphEngine:
         for registered in self._queries.values():
             if registered.done:
                 continue
+            # Ψ restricted to instants a live window can still reach.
+            registered.result.evict_closed_by(
+                registered.next_eval - registered.query.max_within
+            )
             for (stream_name, width), state in registered.windows.items():
                 live_states.add(id(state))
                 horizon = registered.next_eval - width

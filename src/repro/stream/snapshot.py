@@ -12,7 +12,6 @@ A snapshot graph ``G_τ`` is the union of all graphs in the substream
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, Iterable, Set, Tuple
 
 from repro.errors import GraphUnionError
@@ -39,9 +38,14 @@ class SnapshotMaintainer:
 
     Each element contributes a bag of (id → description) facts; the
     current snapshot node/relationship for an id is the UNA-consistent
-    combination of all live contributions for that id.  Removing an
-    element withdraws its contributions and drops ids whose contribution
-    count reaches zero.
+    combination of the *distinct* live contributions for that id.
+    Removing an element withdraws its contributions and drops ids whose
+    contribution count reaches zero.
+
+    Change is tracked **net**: an id is changed only when a distinct
+    contribution key appears for the first time or disappears for the
+    last.  A count bump on a key that is already live changes nothing a
+    merge reads, so it marks nothing and leaves :attr:`version` alone.
 
     ``graph_cls`` selects the snapshot implementation — the reference
     :class:`~repro.graph.model.PropertyGraph` (default) or any class
@@ -51,72 +55,97 @@ class SnapshotMaintainer:
 
     def __init__(self, graph_cls: type = PropertyGraph):
         self._graph_cls = graph_cls
-        self._node_contribs: Dict[int, Counter] = {}
-        self._rel_contribs: Dict[int, Counter] = {}
-        self._dirty = True
-        self._dirty_nodes: Set[int] = set()
-        self._dirty_rels: Set[int] = set()
+        self._node_contribs: Dict[int, Dict[Tuple, int]] = {}
+        self._rel_contribs: Dict[int, Dict[Tuple, int]] = {}
+        # id(element) → (element, node keys, relationship keys): computed
+        # on entry, reused on expiry.  Holding the element pins its id.
+        self._keys: Dict[int, Tuple] = {}
+        #: Content version: bumped by every mutation that nets a change.
+        #: Equal versions ⇒ equal snapshot graphs.
+        self.version = 0
+        #: Net-changed ids since the last :meth:`graph` build, and the
+        #: endpoints of every relationship key that appeared or vanished.
+        self.changed_nodes: Set[int] = set()
+        self.changed_rels: Set[int] = set()
+        self.changed_endpoints: Set[int] = set()
         self._has_cache = False
         self._cached: PropertyGraph = graph_cls.empty()
 
     # -- mutation ------------------------------------------------------------
 
+    def _element_keys(self, element: StreamElement) -> Tuple:
+        graph = element.graph
+        return (
+            element,
+            [(node.id, _node_contribution(node))
+             for node in graph.nodes.values()],
+            [(rel.id, _rel_contribution(rel))
+             for rel in graph.relationships.values()],
+        )
+
     def add(self, element: StreamElement) -> None:
-        for node in element.graph.nodes.values():
-            self._node_contribs.setdefault(node.id, Counter())[
-                _node_contribution(node)
-            ] += 1
-            self._dirty_nodes.add(node.id)
-        for rel in element.graph.relationships.values():
-            self._rel_contribs.setdefault(rel.id, Counter())[
-                _rel_contribution(rel)
-            ] += 1
-            self._dirty_rels.add(rel.id)
-        self._dirty = True
+        entry = self._keys[id(element)] = self._element_keys(element)
+        _element, node_keys, rel_keys = entry
+        bumped = self.version + 1
+        for node_id, key in node_keys:
+            contribs = self._node_contribs.setdefault(node_id, {})
+            count = contribs.get(key, 0)
+            contribs[key] = count + 1
+            if not count:
+                self.version = bumped
+                self.changed_nodes.add(node_id)
+        for rel_id, key in rel_keys:
+            contribs = self._rel_contribs.setdefault(rel_id, {})
+            count = contribs.get(key, 0)
+            contribs[key] = count + 1
+            if not count:
+                self.version = bumped
+                self.changed_rels.add(rel_id)
+                self.changed_endpoints.update(key[1:3])
 
     def remove(self, element: StreamElement) -> None:
-        for node in element.graph.nodes.values():
-            contribs = self._node_contribs.get(node.id)
-            if not contribs:
-                raise GraphUnionError(
-                    f"removing element that never contributed node {node.id}"
-                )
-            key = _node_contribution(node)
-            if contribs[key] <= 0:
-                raise GraphUnionError(
-                    f"removing unknown contribution for node {node.id}"
-                )
-            contribs[key] -= 1
-            if contribs[key] == 0:
-                del contribs[key]
-            if not contribs:
-                del self._node_contribs[node.id]
-            self._dirty_nodes.add(node.id)
-        for rel in element.graph.relationships.values():
-            contribs = self._rel_contribs.get(rel.id)
-            if not contribs:
-                raise GraphUnionError(
-                    f"removing element that never contributed relationship {rel.id}"
-                )
-            key = _rel_contribution(rel)
-            if contribs[key] <= 0:
-                raise GraphUnionError(
-                    f"removing unknown contribution for relationship {rel.id}"
-                )
-            contribs[key] -= 1
-            if contribs[key] == 0:
-                del contribs[key]
-            if not contribs:
-                del self._rel_contribs[rel.id]
-            self._dirty_rels.add(rel.id)
-        self._dirty = True
+        entry = self._keys.pop(id(element), None)
+        _element, node_keys, rel_keys = entry or self._element_keys(element)
+        bumped = self.version + 1
+        for node_id, key in node_keys:
+            if self._withdraw(self._node_contribs, node_id, key, "node"):
+                self.version = bumped
+                self.changed_nodes.add(node_id)
+        for rel_id, key in rel_keys:
+            if self._withdraw(self._rel_contribs, rel_id, key,
+                              "relationship"):
+                self.version = bumped
+                self.changed_rels.add(rel_id)
+                self.changed_endpoints.update(key[1:3])
+
+    @staticmethod
+    def _withdraw(table: Dict[int, Dict[Tuple, int]], entity_id: int,
+                  key: Tuple, kind: str) -> bool:
+        """Withdraw one contribution; True when its key vanished."""
+        contribs = table.get(entity_id)
+        if not contribs:
+            raise GraphUnionError(
+                f"removing element that never contributed {kind} {entity_id}"
+            )
+        count = contribs.get(key, 0)
+        if count <= 0:
+            raise GraphUnionError(
+                f"removing unknown contribution for {kind} {entity_id}"
+            )
+        if count > 1:
+            contribs[key] = count - 1
+            return False
+        del contribs[key]
+        if not contribs:
+            del table[entity_id]
+        return True
 
     # -- contribution merging --------------------------------------------------
 
-    def _merge_node(self, node_id: int, contribs: Counter) -> Node:
+    def _merge_node(self, node_id: int, contribs: Dict[Tuple, int]) -> Node:
         labels = None
         properties: Dict = {}
-        for (contrib_labels, contrib_props), _count in contribs.items():
+        for contrib_labels, contrib_props in contribs:
             if labels is None:
                 labels = contrib_labels
             elif contrib_labels != labels:
@@ -132,11 +161,11 @@ class SnapshotMaintainer:
                 properties[key] = value
         return Node(id=node_id, labels=labels, properties=properties)
 
-    def _merge_rel(self, rel_id: int, contribs: Counter) -> Relationship:
+    def _merge_rel(self, rel_id: int, contribs: Dict[Tuple, int]) -> Relationship:
         rel_type = None
         endpoints = None
         properties: Dict = {}
-        for (contrib_type, src, trg, contrib_props), _count in contribs.items():
+        for contrib_type, src, trg, contrib_props in contribs:
             if rel_type is None:
                 rel_type, endpoints = contrib_type, (src, trg)
             elif (contrib_type, (src, trg)) != (rel_type, endpoints):
@@ -162,18 +191,19 @@ class SnapshotMaintainer:
     # -- snapshot construction -----------------------------------------------
 
     def graph(self) -> PropertyGraph:
-        """The current snapshot graph (cached until the next mutation).
+        """The current snapshot graph (cached until the next net change).
 
-        When a cached snapshot exists, only the entities touched since
-        the last build are re-merged and patched in
+        When a cached snapshot exists, only the net-changed entities are
+        re-merged and patched in
         (:meth:`~repro.graph.model.PropertyGraph.patched`) — the
-        per-evaluation maintenance step is O(delta), not O(window).
+        per-evaluation maintenance step is O(net change), not O(window).
         """
-        if not self._dirty:
+        changed_nodes, changed_rels = self.changed_nodes, self.changed_rels
+        if self._has_cache and not changed_nodes and not changed_rels:
             return self._cached
-        touched = len(self._dirty_nodes) + len(self._dirty_rels)
+        changed = len(changed_nodes) + len(changed_rels)
         live = len(self._node_contribs) + len(self._rel_contribs)
-        if not self._has_cache or 2 * touched >= live:
+        if not self._has_cache or 2 * changed >= live:
             # No base to patch (or most of it changed): build from scratch.
             nodes = [
                 self._merge_node(node_id, contribs)
@@ -186,33 +216,33 @@ class SnapshotMaintainer:
             self._cached = self._graph_cls.of(nodes, relationships)
         else:
             self._cached = self._cached.patched(
-                    nodes=[
-                        self._merge_node(node_id, self._node_contribs[node_id])
-                        for node_id in self._dirty_nodes
-                        if node_id in self._node_contribs
-                    ],
-                    relationships=[
-                        self._merge_rel(rel_id, self._rel_contribs[rel_id])
-                        for rel_id in self._dirty_rels
-                        if rel_id in self._rel_contribs
-                    ],
-                    removed_nodes=[
-                        node_id
-                        for node_id in self._dirty_nodes
-                        if node_id not in self._node_contribs
-                        and node_id in self._cached.nodes
-                    ],
-                    removed_rels=[
-                        rel_id
-                        for rel_id in self._dirty_rels
-                        if rel_id not in self._rel_contribs
-                        and rel_id in self._cached.relationships
-                    ],
-                )
+                nodes=[
+                    self._merge_node(node_id, self._node_contribs[node_id])
+                    for node_id in changed_nodes
+                    if node_id in self._node_contribs
+                ],
+                relationships=[
+                    self._merge_rel(rel_id, self._rel_contribs[rel_id])
+                    for rel_id in changed_rels
+                    if rel_id in self._rel_contribs
+                ],
+                removed_nodes=[
+                    node_id
+                    for node_id in changed_nodes
+                    if node_id not in self._node_contribs
+                    and node_id in self._cached.nodes
+                ],
+                removed_rels=[
+                    rel_id
+                    for rel_id in changed_rels
+                    if rel_id not in self._rel_contribs
+                    and rel_id in self._cached.relationships
+                ],
+            )
         self._has_cache = True
-        self._dirty = False
-        self._dirty_nodes.clear()
-        self._dirty_rels.clear()
+        changed_nodes.clear()
+        changed_rels.clear()
+        self.changed_endpoints.clear()
         return self._cached
 
     def is_empty(self) -> bool:

@@ -107,6 +107,16 @@ class TimeVaryingTable:
             )
         self._entries.append(entry)
 
+    def evict_closed_by(self, horizon: TimeInstant) -> None:
+        """Forget the leading entries whose interval closed at or before
+        ``horizon`` (Ψ is then defined from ``horizon`` on)."""
+        drop = 0
+        for entry in self._entries:
+            if entry.interval.end > horizon:
+                break
+            drop += 1
+        del self._entries[:drop]
+
     def at(self, instant: TimeInstant) -> Optional[TimeAnnotatedTable]:
         """Ψ(ω): earliest-opening stored table whose interval contains ω."""
         for entry in self._entries:

@@ -18,7 +18,12 @@ from repro.cypher.physical import (
     execute_plan,
     render_plan,
 )
-from repro.cypher.plan_cache import PlanCache, band_signature, stats_band
+from repro.cypher.plan_cache import (
+    PLANS_PER_QUERY,
+    PlanCache,
+    band_signature,
+    stats_band,
+)
 from repro.errors import PhysicalPlanError
 from repro.graph.builder import GraphBuilder
 from repro.seraph import semantics
@@ -199,6 +204,13 @@ class TestExecution:
         assert "[op 0]" in rendered
 
 
+def _people(count):
+    builder = GraphBuilder()
+    for i in range(count):
+        builder.add_node(["Person"], {"name": f"x{i}"}, node_id=i + 1)
+    return builder.build()
+
+
 class TestPlanCache:
     def test_hit_on_same_band(self):
         graph = _graph()
@@ -211,17 +223,45 @@ class TestPlanCache:
         assert cache.stats()["misses"] == 1
 
     def test_invalidated_on_band_drift(self):
-        small = _graph()
-        builder = GraphBuilder()
-        for i in range(200):
-            builder.add_node(["Person"], {"name": f"x{i}"}, node_id=i + 1)
-        big = builder.build()
+        small, big = _graph(), _people(200)
         cache = PlanCache()
         query = parse_seraph(SIMPLE)
         first = cache.plan_for(query, lambda _s, _w: small)
         second = cache.plan_for(query, lambda _s, _w: big)
         assert first is not second
         assert cache.invalidations == 1
+
+    def test_a_band_seen_before_is_a_hit(self):
+        """A statistic oscillating across a band boundary flips between
+        two retained plans; it compiles once per band, not per crossing."""
+        small, big = _graph(), _people(200)
+        cache = PlanCache()
+        query = parse_seraph(SIMPLE)
+        first = cache.plan_for(query, lambda _s, _w: small)
+        second = cache.plan_for(query, lambda _s, _w: big)
+        for _ in range(5):
+            assert cache.plan_for(query, lambda _s, _w: small) is first
+            assert cache.plan_for(query, lambda _s, _w: big) is second
+        assert cache.stats()["misses"] == 2
+        assert cache.stats()["hits"] == 10
+        assert cache.stats()["plans"] == len(cache) == 2
+
+    def test_retention_per_query_is_bounded_oldest_first(self):
+        cache = PlanCache()
+        query = parse_seraph(SIMPLE)
+        sizes = [2 ** (power + 3) for power in range(PLANS_PER_QUERY + 1)]
+        plans = [
+            cache.plan_for(query, lambda _s, _w, n=n: _people(n))
+            for n in sizes
+        ]
+        assert len(cache) == PLANS_PER_QUERY
+        # The newest bands are hits; the oldest was evicted and recompiles.
+        assert cache.plan_for(
+            query, lambda _s, _w: _people(sizes[-1])) is plans[-1]
+        misses = cache.misses
+        assert cache.plan_for(
+            query, lambda _s, _w: _people(sizes[0])) is not plans[0]
+        assert cache.misses == misses + 1
 
     def test_exact_quantize_mode(self):
         graph = _graph()

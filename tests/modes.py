@@ -12,9 +12,10 @@ only be selected here the way it can anywhere: through explicit
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro import EngineConfig, build_engine
+from repro.graph.model import PropertyGraph
 from repro.seraph import CollectingSink, parse_seraph
 from repro.seraph.semantics import continuous_run
 from repro.stream.stream import PropertyGraphStream, StreamElement
@@ -51,9 +52,12 @@ def run_mode(
     elements: Sequence[StreamElement],
     until: int,
     policy: ActiveSubstreamPolicy = ActiveSubstreamPolicy.TRAILING,
+    static_graph: Optional[PropertyGraph] = None,
 ) -> CollectingSink:
     """One continuous run of ``query_text`` under ``MODES[mode]``."""
-    engine = build_engine(EngineConfig(policy=policy, **MODES[mode]))
+    engine = build_engine(EngineConfig(
+        policy=policy, static_graph=static_graph, **MODES[mode]
+    ))
     sink = CollectingSink()
     engine.register(query_text, sink=sink)
     engine.run_stream(elements, until=until)
@@ -66,12 +70,13 @@ def assert_equals_denotation(
     elements: Sequence[StreamElement],
     until: int,
     policy: ActiveSubstreamPolicy = ActiveSubstreamPolicy.TRAILING,
+    static_graph: Optional[PropertyGraph] = None,
 ) -> None:
     """Every emission is bag-equal to the from-scratch evaluation of the
     same instant, with the same reported window."""
     reference = continuous_run(
         parse_seraph(query_text), PropertyGraphStream(elements), until,
-        policy,
+        policy, static_graph,
     )
     assert len(sink.emissions) == len(reference)
     for emission, expected in zip(sink.emissions, reference):

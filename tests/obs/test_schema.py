@@ -104,9 +104,16 @@ class TestGoldenStatusShape:
             "engine.stream.default.ingested",
         }
         assert base <= counters
+        # Which way each evaluation went (Figure 1: full matches and
+        # reuse; Listing 5 is delta-ineligible).
+        paths = {name for name in counters
+                 if name.startswith("query.student_trick.path.")}
+        assert paths == {"query.student_trick.path.full",
+                         "query.student_trick.path.reuse"}
+        assert sum(metrics["counters"][name] for name in paths) == 12
         # The only other counters are per-operator row counts from the
         # physical plan (query.<name>.op.<id>.rows).
-        for name in counters - base:
+        for name in counters - base - paths:
             assert name.startswith("query.student_trick.op.")
             assert name.endswith(".rows")
         histograms = metrics["histograms"]

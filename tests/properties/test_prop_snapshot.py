@@ -2,11 +2,15 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import GraphUnionError
 from repro.graph.generators import random_stream
+from repro.graph.model import Node, PropertyGraph, Relationship
 from repro.stream.snapshot import SnapshotMaintainer, snapshot_graph
+from repro.stream.stream import StreamElement
 
 
 @st.composite
@@ -66,3 +70,128 @@ class TestMaintainerAgreesWithDefinition:
             backward.remove(element)
         assert forward.graph() == backward.graph()
         assert forward.graph() == snapshot_graph(elements[:keep])
+
+
+# -- net-change tracking under overlapping, repeated and conflicting facts ----
+
+_NODE = st.tuples(
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([("A",), ("A",), ("A",), ("B",)]),
+    st.fixed_dictionaries(
+        {}, optional={"k": st.sampled_from([1, 1, 1, 2]), "m": st.just(7)}
+    ),
+)
+_REL = st.tuples(
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(["R", "R", "R", "S"]),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2),
+    st.fixed_dictionaries({}, optional={"w": st.sampled_from([1, 1, 2])}),
+)
+
+
+@st.composite
+def overlapping_element(draw):
+    """A tiny graph over a tiny id space: elements share ids, repeat each
+    other's descriptions, and now and then contradict them."""
+    described = {}
+    for node_id, labels, props in draw(
+        st.lists(_NODE, min_size=1, max_size=3)
+    ):
+        described[node_id] = Node(node_id, labels, props)
+    ids = sorted(described)
+    rels = {}
+    for rel_id, rel_type, src, trg, props in draw(
+        st.lists(_REL, max_size=2)
+    ):
+        rels[rel_id] = Relationship(
+            rel_id, rel_type, ids[src % len(ids)], ids[trg % len(ids)], props
+        )
+    return StreamElement(
+        graph=PropertyGraph.of(described.values(), rels.values()), instant=0
+    )
+
+
+def _facts_of(entities):
+    for entity in entities:
+        properties = tuple(sorted(entity.properties.items()))
+        if isinstance(entity, Node):
+            yield ("n", entity.id, entity.labels, properties)
+        else:
+            yield ("r", entity.id, entity.type, entity.src, entity.trg,
+                   properties)
+
+
+def _facts(elements):
+    """The distinct (id, description) facts the live elements assert."""
+    facts = set()
+    for element in elements:
+        facts.update(_facts_of(element.graph.nodes.values()))
+        facts.update(_facts_of(element.graph.relationships.values()))
+    return facts
+
+
+def _differing(before, after):
+    """Ids whose description differs between two snapshot graphs'
+    id → entity mappings (appeared, vanished, or merged differently)."""
+    def described(entities):
+        return {fact[1]: fact for fact in _facts_of(entities.values())}
+
+    old, new = described(before), described(after)
+    return {key for key in set(old) | set(new) if old.get(key) != new.get(key)}
+
+
+class TestNetChangeTracking:
+    @given(
+        pool=st.lists(overlapping_element(), min_size=2, max_size=8),
+        ops=st.lists(st.integers(min_value=0, max_value=63),
+                     min_size=1, max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_law_version_changed_ids_and_union_errors(self, pool, ops):
+        maintainer = SnapshotMaintainer()
+        live = []
+        built = PropertyGraph.empty()  # the last snapshot that built
+        for op in ops:
+            facts_before, version_before = _facts(live), maintainer.version
+            if op % 2 == 0 or not live:
+                element = pool[op // 2 % len(pool)]
+                live.append(element)       # may repeat a live element
+                maintainer.add(element)
+            else:
+                maintainer.remove(live.pop(op // 2 % len(live)))
+            # version: a pure count change never moves it, a change of the
+            # distinct facts always does (equal versions ⇒ equal snapshots).
+            if _facts(live) == facts_before:
+                assert maintainer.version == version_before
+            else:
+                assert maintainer.version > version_before
+            changed_nodes = set(maintainer.changed_nodes)
+            changed_rels = set(maintainer.changed_rels)
+            endpoints = set(maintainer.changed_endpoints)
+            try:
+                literal = snapshot_graph(live)
+            except GraphUnionError:
+                # ... raised at exactly the instants the literal union does.
+                with pytest.raises(GraphUnionError):
+                    maintainer.graph()
+                continue
+            maintained = maintainer.graph()
+            assert maintained == literal
+            # Net-changed ids cover the true symmetric difference against
+            # the last snapshot that built (they accumulate across failed
+            # builds), vanished relationships' endpoints included.
+            assert changed_nodes >= _differing(built.nodes, literal.nodes)
+            moved_rels = _differing(built.relationships,
+                                    literal.relationships)
+            assert changed_rels >= moved_rels
+            for graph in (built, literal):
+                for rel_id in moved_rels & set(graph.relationships):
+                    rel = graph.relationships[rel_id]
+                    assert {rel.src, rel.trg} <= endpoints
+            assert not maintainer.changed_nodes
+            assert not maintainer.changed_rels
+            built = literal
+        for element in live:
+            maintainer.remove(element)
+        assert maintainer.is_empty()

@@ -12,7 +12,16 @@ from repro.seraph.delta import (
     dirty_neighborhood,
     pattern_hops,
 )
+from repro.stream.snapshot import SnapshotMaintainer
 from repro.stream.stream import StreamElement
+
+from ..modes import (
+    MODES,
+    SAME_ROW_ORDER,
+    assert_equals_denotation,
+    renders,
+    run_mode,
+)
 
 
 def query_of(body):
@@ -111,19 +120,35 @@ class TestEligibility:
 
 
 class TestDeltaHelpers:
-    def test_window_delta_dirty_entities_and_seeds(self):
+    def test_window_delta_carries_net_changes_only(self):
+        """The ids come from the maintainer's net-change record: an
+        element whose every contribution is already live (a count bump)
+        dirties nothing; a vanished relationship still seeds its ends."""
+        maintainer = SnapshotMaintainer()
+        leaving = knows_element(5)
+        maintainer.add(knows_element(1))
+        maintainer.add(leaving)
+        maintainer.graph()
+        maintainer.add(knows_element(1, instant=9))  # count bump only
+        maintainer.add(knows_element(3))
+        maintainer.remove(leaving)
         delta = WindowDelta(
-            added=(knows_element(1),), removed=(knows_element(5),)
+            changed_nodes=frozenset(maintainer.changed_nodes),
+            changed_rels=frozenset(maintainer.changed_rels),
+            changed_endpoints=frozenset(maintainer.changed_endpoints),
         )
-        dirty = delta.dirty_entities()
-        assert ("n", 2) in dirty and ("n", 3) in dirty
-        assert ("n", 10) in dirty and ("n", 11) in dirty
-        assert ("r", 1) in dirty and ("r", 5) in dirty
-        assert delta.seed_node_ids() == {2, 3, 10, 11}
+        assert delta.dirty_entities() == {
+            ("n", 6), ("n", 7), ("r", 3), ("n", 10), ("n", 11), ("r", 5),
+        }
+        assert delta.seed_node_ids() == {6, 7, 10, 11}
 
-    def test_empty_delta(self):
-        assert WindowDelta().is_empty
-        assert not WindowDelta(added=(knows_element(1),)).is_empty
+    def test_relationship_only_change_seeds_its_endpoints(self):
+        delta = WindowDelta(
+            changed_rels=frozenset({4}), changed_endpoints=frozenset({8, 9})
+        )
+        assert delta.dirty_entities() == {("r", 4)}
+        assert delta.seed_node_ids() == {8, 9}
+        assert not WindowDelta().seed_node_ids()
 
     def test_pattern_hops(self):
         query = query_of(
@@ -144,6 +169,10 @@ class TestDeltaHelpers:
         assert dirty_neighborhood(graph, {2}, 1) == {1, 2, 3}
         # Seeds absent from the current graph are ignored.
         assert dirty_neighborhood(graph, {99}, 3) == set()
+        # Growth stops once the limit is reached; below it, it is exact.
+        assert len(dirty_neighborhood(graph, {0}, 4, limit=2)) >= 2
+        assert len(dirty_neighborhood(graph, {0}, 4, limit=2)) < 5
+        assert dirty_neighborhood(graph, {0}, 4, limit=6) == {0, 1, 2, 3, 4}
 
 
 class TestEngineDeltaPath:
@@ -248,6 +277,98 @@ class TestEngineDeltaPath:
         del document["config"]["delta_eval"]
         restored = engine_from_json(json.dumps(document))
         assert restored.delta_eval is True
+
+
+def overlapping_stream(count):
+    """Element i carries KNOWS pair i, repeats pair i-1 verbatim and links
+    the two (a chain): most of what enters or leaves the window is a
+    count bump on a description some other element still carries."""
+    elements = []
+    for index in range(1, count + 1):
+        nodes, rels = {}, []
+        for pair in (index - 1, index):
+            if pair < 1:
+                continue
+            graph = knows_element(pair).graph
+            nodes.update(graph.nodes)
+            rels.extend(graph.relationships.values())
+        if index > 1:
+            rels.append(Relationship(
+                id=500 + index, type="KNOWS", src=2 * index - 1,
+                trg=2 * index, properties=(),
+            ))
+        elements.append(StreamElement(
+            graph=PropertyGraph.of(nodes.values(), rels), instant=index,
+        ))
+    return elements
+
+
+class TestNetDirtyDeltaAcrossModes:
+    """The delta path driven by net change, per instant against the
+    denotation, under every execution mode."""
+
+    TEMPLATE = """
+    REGISTER QUERY q STARTING AT 1970-01-01T00:00:00
+    {{
+      MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person)
+      WITHIN {width}
+      EMIT id(a) AS a, id(c) AS c {policy} EVERY {slide}
+    }}
+    """
+    #: name → (width, slide, report policy, with a static graph)
+    SCENARIOS = {
+        "sliding": ("PT16S", "PT2S", "SNAPSHOT", False),
+        "entering": ("PT12S", "PT1S", "ON ENTERING", False),
+        "tumbling": ("PT4S", "PT4S", "SNAPSHOT", False),
+        "static": ("PT16S", "PT2S", "SNAPSHOT", True),
+    }
+
+    @staticmethod
+    def static_graph():
+        """Background pairs, one of them (pair 3) also streamed: stream
+        contributions land on permanent ones, and a permanent link ties
+        the streamed chain to the background."""
+        graphs = [knows_element(pair).graph for pair in (3, 40, 41)]
+        nodes, rels = {}, []
+        for graph in graphs:
+            nodes.update(graph.nodes)
+            rels.extend(graph.relationships.values())
+        rels.append(Relationship(id=900, type="KNOWS", src=81, trg=6,
+                                 properties=()))
+        return PropertyGraph.of(nodes.values(), rels)
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_every_mode_equals_the_denotation(self, mode, scenario):
+        width, slide, policy, static = self.SCENARIOS[scenario]
+        text = self.TEMPLATE.format(width=width, slide=slide, policy=policy)
+        static_graph = self.static_graph() if static else None
+        elements = overlapping_stream(24)
+        sink = run_mode(mode, text, elements, 30, static_graph=static_graph)
+        assert any(not emission.is_empty() for emission in sink.emissions)
+        assert_equals_denotation(sink, text, elements, 30,
+                                 static_graph=static_graph)
+        if mode in SAME_ROW_ORDER:
+            default = run_mode("default", text, elements, 30,
+                               static_graph=static_graph)
+            assert renders(sink) == renders(default)
+
+    def test_count_bumps_keep_assignments(self):
+        """On the default path the overlapping stream is served by
+        anchored re-matches that retain assignments, not by refreshes."""
+        engine = SeraphEngine()
+        registered = engine.register(self.TEMPLATE.format(
+            width="PT10S", slide="PT2S", policy="SNAPSHOT"))
+        engine.run_stream(overlapping_stream(24), until=30)
+        assert registered.delta_evaluations > 0
+        assert registered.assignments_retained > 0
+
+    def test_non_incremental_windows_take_the_full_path(self):
+        engine = SeraphEngine(incremental=False)
+        registered = engine.register(self.TEMPLATE.format(
+            width="PT10S", slide="PT2S", policy="SNAPSHOT"))
+        assert registered.delta_state is None
+        assert "net-change" in registered.delta_reason
 
 
 class TestExplainDeltaLine:

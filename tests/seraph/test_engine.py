@@ -8,7 +8,13 @@ from repro.seraph import CollectingSink, SeraphEngine, parse_seraph
 from repro.seraph.semantics import continuous_run
 from repro.stream.stream import PropertyGraphStream
 from repro.stream.window import ActiveSubstreamPolicy
-from repro.usecases.micromobility import LISTING5_SERAPH, _t, figure1_stream
+from repro.usecases.micromobility import (
+    LISTING5_SERAPH,
+    RentalStreamConfig,
+    RentalStreamGenerator,
+    _t,
+    figure1_stream,
+)
 
 COUNT_QUERY = """
 REGISTER QUERY rentals STARTING AT 2022-08-01T14:45
@@ -220,11 +226,31 @@ class TestStateTracking:
         registered = engine.register(LISTING5_SERAPH)
         engine.run_stream(rental_stream, until=_t("15:40"))
         result = registered.result
-        assert len(result) == 12
+        assert registered.evaluations == 12
+        # Retained: Ψ from the horizon the next evaluation (15:45) can
+        # still reach — every entry whose window closed after 14:45.
+        assert [entry.interval.end for entry in result] == [
+            _t("14:50") + 300 * k for k in range(11)
+        ]
         result.check_constraints()
         # Ψ(ω) at 15:16 resolves to the 15:15 window's (full) table.
         at_1516 = result.at(_t("15:16") - 60 * 59)  # inside [14:15,15:15)
         assert at_1516 is not None
+
+    def test_time_varying_table_stays_bounded(self):
+        """A long-running query keeps about one table per slide of its
+        window width, not one per evaluation ever made."""
+        stream = RentalStreamGenerator(
+            RentalStreamConfig(events=500, seed=2)
+        ).stream()
+        engine = SeraphEngine()
+        registered = engine.register(COUNT_QUERY.replace("14:45", "08:00"))
+        for element in stream:
+            engine.ingest_element(element)
+            engine.advance_to(element.instant)
+        assert registered.evaluations >= 500
+        assert len(registered.result) <= 60 // 5 + 1
+        registered.result.check_constraints()
 
     def test_eviction_bounds_memory(self, rental_stream):
         engine = SeraphEngine()

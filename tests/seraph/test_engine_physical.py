@@ -12,6 +12,7 @@ import pytest
 
 from repro import EngineConfig, build_engine
 from repro.cypher import physical as physical_module
+from repro.cypher.plan_cache import PLANS_PER_QUERY
 from repro.errors import PhysicalPlanError
 from repro.seraph import CollectingSink, SeraphEngine
 from repro.seraph.explain import explain, explain_analyze
@@ -108,7 +109,7 @@ class TestEnginePlans:
     def test_deregister_evicts_plan(self):
         engine = SeraphEngine()
         _run(engine)
-        assert len(engine.plan_cache) == 1
+        assert 1 <= len(engine.plan_cache) <= PLANS_PER_QUERY
         engine.deregister("rentals")
         assert len(engine.plan_cache) == 0
 
@@ -117,7 +118,8 @@ class TestEnginePlans:
         _run(engine)
         planner = engine.status()["planner"]
         assert planner["physical_plans"] is True
-        assert planner["plans"] == 1
+        # One plan per statistics band visited, a bounded few per query.
+        assert 1 <= planner["plans"] <= PLANS_PER_QUERY
         query_info = engine.status()["queries"]["rentals"]
         assert query_info["plan_compiles"] >= 1
         assert query_info["plan_operators"] > 0

@@ -21,9 +21,15 @@ from repro.seraph import (
     explain,
     parse_seraph,
 )
-from repro.seraph.semantics import continuous_run
+from repro.seraph.semantics import continuous_run, window_config
+from repro.stream.snapshot import snapshot_graph
 from repro.stream.stream import PropertyGraphStream, StreamElement
 from repro.usecases.micromobility import LISTING5_SERAPH, _t, figure1_stream
+from repro.usecases.network import (
+    NetworkConfig,
+    NetworkStreamGenerator,
+    anomalous_routes_query,
+)
 
 
 def event(instant, node_specs, rel_specs=()):
@@ -242,6 +248,43 @@ class TestReuseUnchangedWindows:
         engine.run_stream(rental_stream, until=_t("15:40"))
         assert registered.uses_window_bounds
         assert registered.reused_evaluations == 0
+
+    def test_reuse_is_keyed_on_content_not_on_the_element_range(self):
+        """Listing 2 over overlapping configuration graphs, one event per
+        evaluation: the element range moves on every tick, the snapshot
+        only when a link fails or recovers.  Exactly the ticks whose
+        literal snapshot equals the previous tick's are reused."""
+        stream = NetworkStreamGenerator(
+            NetworkConfig(racks=8, routers=4, events=120, seed=13)
+        ).stream()
+        text = anomalous_routes_query()
+        query = parse_seraph(text)
+        engine = SeraphEngine()
+        sink = CollectingSink()
+        engine.register(query, sink=sink)
+        bounds = SeraphEngine()
+        bounds.register(text.replace("rack_id, hops", "rack_id, win_start"))
+        for element in stream:
+            for driven in (engine, bounds):
+                driven.ingest_element(element)
+                driven.advance_to(element.instant)
+        recorded = PropertyGraphStream(stream)
+        window = window_config(query, query.max_within)
+        snapshots = [
+            snapshot_graph(window.active_substream(
+                recorded, emission.instant, engine.policy))
+            for emission in sink.emissions
+        ]
+        unchanged = sum(
+            before == after for before, after in zip(snapshots, snapshots[1:])
+        )
+        assert 0 < unchanged < len(snapshots) - 1
+        assert engine.status()["queries"][query.name]["reused"] == unchanged
+        reference = continuous_run(query, recorded, stream[-1].instant)
+        assert len(sink.emissions) == len(reference)
+        for emission, expected in zip(sink.emissions, reference):
+            assert emission.table.bag_equals(expected), emission.instant
+        assert bounds.status()["queries"][query.name]["reused"] == 0
 
     def test_window_slide_still_changes_content(self):
         """Reuse must not fire when eviction changed the content even
