@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install lint test test-dataflow bench bench-smoke bench-ab chaos examples serve-smoke verify ci all
+.PHONY: install lint test test-dataflow bench bench-smoke bench-ab chaos examples serve-smoke src-lines verify ci all
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -60,7 +60,7 @@ chaos:
 examples:
 	@for script in examples/*.py; do \
 		echo "== $$script"; \
-		$(PYTHON) $$script > /dev/null || exit 1; \
+		PYTHONPATH=src $(PYTHON) $$script > /dev/null || exit 1; \
 	done
 	@echo "all examples ran"
 
@@ -70,6 +70,11 @@ examples:
 # an offline build_engine run (docs/SERVICE.md).
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.service.smoke
+
+# Per-package and total line counts of src/repro against the committed
+# ceiling (tools/src_lines.ceiling); CI runs it with --check.
+src-lines:
+	$(PYTHON) tools/src_lines.py
 
 ci:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q

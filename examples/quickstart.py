@@ -58,7 +58,7 @@ def main():
         engine.ingest(graph, instant)
     engine.advance_to(hhmm("09:40"))     # drain remaining evaluations
 
-    evaluations = engine.registered("big_transfers").evaluations
+    evaluations = engine.status()["queries"]["big_transfers"]["evaluations"]
     print(f"\n{evaluations} evaluations recorded; "
           "large transfers were reported exactly once each (ON ENTERING).")
 

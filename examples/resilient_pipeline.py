@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""The fault-tolerant runtime on the paper's running example.
+"""The fault-tolerant ingress on the paper's running example.
 
 Takes the Figure 1 rental stream and degrades it the way real feeds
 degrade — malformed payloads, events arriving out of order, a sink
-that fails transiently — then runs Listing 5 behind
-:class:`repro.runtime.ResilientEngine` and shows that the emissions
-still match the clean run:
+that fails transiently — then runs Listing 5 on an engine that owns a
+:class:`repro.runtime.Ingress` and shows that the emissions still match
+the clean run:
 
 1. **poison quarantine** — undecodable payloads land in a replayable
    dead-letter queue instead of aborting the run;
@@ -21,11 +21,7 @@ Run:  python examples/resilient_pipeline.py
 
 import json
 
-from repro.runtime import (
-    FailureSchedule,
-    FlakySink,
-    ResilientEngine,
-)
+from repro.runtime import FailureSchedule, FlakySink, Ingress
 from repro.runtime.resilient_sink import RetryPolicy
 from repro.seraph import SeraphEngine
 from repro.usecases.micromobility import (
@@ -63,16 +59,16 @@ def main():
     ]
 
     flaky = FlakySink(FailureSchedule.first(3))  # dies 3 times, recovers
-    engine = ResilientEngine(
+    engine = SeraphEngine(ingress=Ingress(
         allowed_lateness=1200,                   # 20 minutes of tolerance
         retry=RetryPolicy(max_attempts=4, seed=7),
         sleep=lambda _: None,                    # no real waiting here
-    )
+    ))
     engine.register(LISTING5_SERAPH, sink=flaky)
     emissions = engine.run_stream(degraded, until=UNTIL)
 
     print("== degraded feed, resilient run")
-    print(f"   {engine.metrics.render()}")
+    print(f"   {engine.ingress.render()}")
     print(f"   quarantined payloads: {len(engine.dead_letters)}")
     for entry in engine.dead_letters:
         print(f"     - {entry.error}: {entry.reason}")
@@ -82,16 +78,16 @@ def main():
           f"none lost to the flaky sink")
 
     # Interrupt a second run mid-stream and resume from the checkpoint.
-    first = ResilientEngine(allowed_lateness=1200)
+    first = SeraphEngine(ingress=Ingress(allowed_lateness=1200))
     first.register(LISTING5_SERAPH)
     resumed = []
     for item in degraded[:4]:
-        resumed.extend(first.ingest_item(item))
+        resumed.extend(first.ingest_element(item))
     document = first.checkpoint_json()
 
-    restored = ResilientEngine.from_checkpoint(json.loads(document))
+    restored = SeraphEngine.from_checkpoint(json.loads(document))
     for item in degraded[4:]:
-        resumed.extend(restored.ingest_item(item))
+        resumed.extend(restored.ingest_element(item))
     resumed.extend(restored.flush(UNTIL))
 
     print("== checkpoint/restore")

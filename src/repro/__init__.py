@@ -56,7 +56,6 @@ from repro.errors import (
     UnknownTenantError,
 )
 from repro.runtime.faults import ChaosConfig
-from repro.metrics import RunReport, instrumented_run
 from repro.obs import Observability
 from repro.graph import (
     GraphBuilder,
@@ -143,8 +142,6 @@ __all__ = [
     "TenantSpec",
     # observability
     "Observability",
-    "RunReport",
-    "instrumented_run",
     # typed errors
     "ReproError",
     "GraphError",

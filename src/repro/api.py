@@ -1,12 +1,12 @@
 """The one front door: :class:`EngineConfig` + :func:`build_engine`.
 
-The engine stack grew three construction idioms — ``SeraphEngine(...)``,
-the ``SeraphEngine(parallel=N)`` factory hook, and hand-wrapping in
-:class:`~repro.runtime.ResilientEngine` — each threading its own metrics
-object.  :func:`build_engine` replaces all of them: one declarative
-config selects the layers (serial / parallel core, optional resilient
-wrapper, optional observability bundle), and every layer shares the same
-:class:`~repro.obs.Observability` (tracer + metrics registry)::
+One declarative config describes one
+:class:`~repro.seraph.engine.SeraphEngine`: its execution modes, and
+which optional parts it owns — an ingress (``resilient=True``:
+:class:`~repro.runtime.ingress.Ingress`), a pool executor
+(``parallel_workers=N``:
+:class:`~repro.runtime.parallel.PoolExecutor`) — all sharing the
+engine's :class:`~repro.obs.Observability` (tracer + metrics registry)::
 
     from repro import EngineConfig, build_engine
 
@@ -21,11 +21,8 @@ wrapper, optional observability bundle), and every layer shares the same
     engine.run_stream(elements)
     print(engine.unified_status()["obs"]["metrics"])
 
-The legacy construction idioms (``SeraphEngine(parallel=N)``,
-``ResilientEngine(**engine_kwargs)``) finished their deprecation cycle
-and now hard-error with a migration message: this module is the single
-front door, and the continuous-query service (:mod:`repro.service`)
-builds exclusively on it.
+The continuous-query service (:mod:`repro.service`) builds exclusively
+on it.
 """
 
 from __future__ import annotations
@@ -36,9 +33,9 @@ from typing import Callable, Optional, Union
 from repro.errors import EngineError
 from repro.graph.columnar import resolve_backend_name
 from repro.graph.model import PropertyGraph
-from repro.obs import NOOP_OBS, Observability
-from repro.runtime.engine import ResilientEngine
+from repro.obs import Observability
 from repro.runtime.faults import ChaosConfig
+from repro.runtime.ingress import Ingress
 from repro.runtime.policies import FaultPolicy
 from repro.runtime.resilient_sink import RetryPolicy
 from repro.seraph.engine import SeraphEngine
@@ -68,14 +65,15 @@ class EngineConfig:
 
     Parallelism
     -----------
-    ``parallel_workers=None`` (default) keeps evaluation serial; ``N >=
-    1`` builds a :class:`~repro.runtime.parallel.ParallelEngine` with an
-    ``N``-process pool, ``0`` sizes the pool to ``os.cpu_count()``.
+    ``parallel_workers=None`` (default) keeps evaluation in place; ``N
+    >= 1`` gives the engine a
+    :class:`~repro.runtime.parallel.PoolExecutor` with an ``N``-process
+    pool, ``0`` sizes the pool to ``os.cpu_count()``.
     ``offload_threshold`` overrides the cost-model cutoff.
     ``max_worker_restarts`` is the supervisor's crash budget (pool
     rebuilds tolerated before degrading to in-parent execution) and
     ``task_timeout`` bounds each offloaded task's wall-clock seconds —
-    both ignored for serial stacks.
+    both ignored without an executor.
 
     Chaos
     -----
@@ -90,17 +88,17 @@ class EngineConfig:
 
     Resilience
     ----------
-    ``resilient=True`` wraps the core in a
-    :class:`~repro.runtime.ResilientEngine`; the lateness/policy/retry
+    ``resilient=True`` gives the engine an
+    :class:`~repro.runtime.ingress.Ingress`; the lateness/policy/retry
     fields configure it and are ignored (validated untouched) otherwise.
 
     Observability
     -------------
     ``observability=True`` creates a fresh
-    :class:`~repro.obs.Observability` bundle shared by every layer; an
-    existing bundle is accepted as-is (e.g. one registry across several
-    engines); ``False`` (default) installs the shared no-op bundle —
-    instrumented sites then cost one attribute check each.
+    :class:`~repro.obs.Observability` bundle shared by the engine and
+    its parts; an existing bundle is accepted as-is (e.g. one registry
+    across several engines); ``False`` (default) turns tracing off — the
+    engine still counts into a registry of its own.
     """
 
     # -- core -----------------------------------------------------------
@@ -155,14 +153,14 @@ class EngineConfig:
             raise EngineError("span_limit must be >= 0, reservoir >= 1")
 
     def resolve_observability(self) -> Observability:
-        """The bundle this config denotes (shared no-op when disabled)."""
+        """The bundle this config denotes (tracing off when disabled)."""
         if isinstance(self.observability, Observability):
             return self.observability
         if self.observability:
             return Observability.create(
                 span_limit=self.span_limit, reservoir=self.reservoir
             )
-        return NOOP_OBS
+        return Observability.disabled()
 
     def replace(self, **changes) -> "EngineConfig":
         """A copy with ``changes`` applied (config objects stay usable
@@ -174,43 +172,40 @@ class EngineConfig:
 
 def build_engine(
     config: Optional[EngineConfig] = None, **overrides
-) -> Union[SeraphEngine, ResilientEngine]:
-    """Build the engine stack ``config`` describes.
+) -> SeraphEngine:
+    """Build the engine ``config`` describes.
 
     ``overrides`` are field-level shortcuts —
     ``build_engine(delta_eval=False)`` equals
-    ``build_engine(EngineConfig(delta_eval=False))``.  Returns the
-    outermost layer: a :class:`~repro.runtime.ResilientEngine` when
-    ``resilient=True``, the (serial or parallel) core engine otherwise.
-    Every layer shares one observability bundle, reachable as ``.obs``
-    on whatever comes back.
+    ``build_engine(EngineConfig(delta_eval=False))``.  Always a
+    :class:`~repro.seraph.engine.SeraphEngine`; ``resilient`` and
+    ``parallel_workers`` decide which optional parts it owns
+    (``engine.ingress``, ``engine.executor``).
     """
     if config is None:
         config = EngineConfig(**overrides)
     elif overrides:
         config = config.replace(**overrides)
-    obs = config.resolve_observability()
-    core_kwargs = dict(
-        policy=config.policy,
-        incremental=config.incremental,
-        static_graph=config.static_graph,
-        reuse_unchanged_windows=config.reuse_unchanged_windows,
-        delta_eval=config.delta_eval,
-        physical_plans=config.physical_plans,
-        graph_backend=config.graph_backend,
-        vectorized=config.vectorized,
-        obs=obs,
-    )
-    if config.parallel_workers is None:
-        engine: SeraphEngine = SeraphEngine(**core_kwargs)
-    else:
+    ingress = executor = None
+    if config.resilient:
+        ingress = Ingress(
+            allowed_lateness=config.allowed_lateness,
+            poison_policy=config.poison_policy,
+            late_policy=config.late_policy,
+            sink_policy=config.sink_policy,
+            retry=config.retry,
+            dead_letter_capacity=config.dead_letter_capacity,
+            fallback_factory=config.fallback_factory,
+            chaos=config.chaos,
+        )
+    if config.parallel_workers is not None:
         from repro.runtime.parallel import (
             DEFAULT_OFFLOAD_THRESHOLD,
-            ParallelEngine,
+            PoolExecutor,
         )
 
-        engine = ParallelEngine(
-            workers=config.parallel_workers,
+        executor = PoolExecutor(
+            config.parallel_workers,
             offload_threshold=(
                 config.offload_threshold
                 if config.offload_threshold is not None
@@ -219,18 +214,17 @@ def build_engine(
             max_worker_restarts=config.max_worker_restarts,
             task_timeout=config.task_timeout,
             chaos=config.chaos,
-            **core_kwargs,
         )
-    if not config.resilient:
-        return engine
-    return ResilientEngine(
-        engine,
-        allowed_lateness=config.allowed_lateness,
-        poison_policy=config.poison_policy,
-        late_policy=config.late_policy,
-        sink_policy=config.sink_policy,
-        retry=config.retry,
-        dead_letter_capacity=config.dead_letter_capacity,
-        fallback_factory=config.fallback_factory,
-        chaos=config.chaos,
+    return SeraphEngine(
+        policy=config.policy,
+        incremental=config.incremental,
+        static_graph=config.static_graph,
+        reuse_unchanged_windows=config.reuse_unchanged_windows,
+        delta_eval=config.delta_eval,
+        physical_plans=config.physical_plans,
+        graph_backend=config.graph_backend,
+        vectorized=config.vectorized,
+        obs=config.resolve_observability(),
+        ingress=ingress,
+        executor=executor,
     )

@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--resilient", action="store_true",
-        help="run behind the fault-tolerant runtime "
+        help="give the engine a fault-tolerant ingress "
         "(poison quarantine, reordering, sink isolation)",
     )
     run.add_argument(
@@ -101,13 +101,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--checkpoint-out", metavar="PATH",
-        help="save an engine checkpoint after the run (implies "
-        "--resilient)",
+        help="save an engine checkpoint after the run",
     )
     run.add_argument(
         "--restore", metavar="PATH",
-        help="resume from a checkpoint instead of a fresh engine "
-        "(implies --resilient)",
+        help="resume from a checkpoint instead of a fresh engine",
     )
     run.add_argument(
         "--metrics-out", metavar="PATH",
@@ -196,17 +194,15 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _wants_resilient(args: argparse.Namespace) -> bool:
+def _wants_ingress(args: argparse.Namespace) -> bool:
     return bool(
         args.resilient
         or args.allowed_lateness
         or args.dead_letters
-        or args.checkpoint_out
-        or args.restore
         or args.on_poison != "dead-letter"
         or args.on_late != "dead-letter"
         # Chaos injects poison payloads and sink failures; only the
-        # resilient runtime is built to absorb them.
+        # ingress is built to absorb them.
         or args.chaos_seed is not None
     )
 
@@ -219,8 +215,8 @@ def _wants_observability(args: argparse.Namespace) -> bool:
 def _run_config(args: argparse.Namespace) -> EngineConfig:
     """One declarative config for everything the run flags describe.
 
-    The flags choose layers (parallel, resilient, observability), never
-    an execution mode: those stay at the ``EngineConfig()`` defaults.
+    The flags choose parts (executor, ingress, observability), never an
+    execution mode: those stay at the ``EngineConfig()`` defaults.
     """
     from repro.runtime import FaultPolicy
     from repro.runtime.faults import ChaosConfig
@@ -233,7 +229,7 @@ def _run_config(args: argparse.Namespace) -> EngineConfig:
             ChaosConfig.profile(args.chaos_seed)
             if args.chaos_seed is not None else None
         ),
-        resilient=_wants_resilient(args),
+        resilient=_wants_ingress(args),
         allowed_lateness=args.allowed_lateness,
         poison_policy=FaultPolicy.parse(args.on_poison),
         late_policy=FaultPolicy.parse(args.on_late),
@@ -241,57 +237,53 @@ def _run_config(args: argparse.Namespace) -> EngineConfig:
     )
 
 
+def _restored(args: argparse.Namespace):
+    """The engine in ``--restore``'s checkpoint; policy flags that were
+    given override the checkpointed ingress's."""
+    from repro.runtime import FaultPolicy, load_checkpoint
+
+    tuning = {}
+    if args.on_poison != "dead-letter":
+        tuning["poison_policy"] = FaultPolicy.parse(args.on_poison)
+    if args.on_late != "dead-letter":
+        tuning["late_policy"] = FaultPolicy.parse(args.on_late)
+    engine = load_checkpoint(args.restore, **tuning)
+    if engine.ingress is None and _wants_ingress(args):
+        raise ValueError(
+            f"the engine checkpointed in {args.restore} has no ingress "
+            "for the resilience flags to act on"
+        )
+    return engine
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    if _wants_resilient(args):
-        return _cmd_run_resilient(args)
-    query = parse_seraph(_read(args.query))
-    elements = stream_from_jsonl(_read(args.stream))
-    until = parse_datetime(args.until) if args.until else None
-    engine = build_engine(_run_config(args))
-    sink = CollectingSink()
-    engine.register(query, sink=sink)
-    try:
-        with _maybe_profiled(args):
-            engine.run_stream(elements, until=until)
-    finally:
-        if args.parallel is not None:
-            engine.close()
-            print(engine.parallel_metrics.render(), file=sys.stderr)
-            print(engine.supervisor.render(), file=sys.stderr)
-    _print_emissions(args, sink)
-    _write_observability(args, engine, query.name)
-    return 0
-
-
-def _cmd_run_resilient(args: argparse.Namespace) -> int:
-    from repro.runtime import FaultPolicy, ResilientEngine
+    from repro.obs.format import render_counters
 
     until = parse_datetime(args.until) if args.until else None
-    if args.restore:
-        engine = ResilientEngine.load_checkpoint(args.restore)
-        engine.poison_policy = FaultPolicy.parse(args.on_poison)
-        engine.late_policy = FaultPolicy.parse(args.on_late)
-    else:
-        engine = build_engine(_run_config(args))
+    engine = _restored(args) if args.restore \
+        else build_engine(_run_config(args))
     query = parse_seraph(_read(args.query))
     if query.name not in engine.query_names:
         engine.register(query)
-    # Feed raw lines so malformed ones hit the poison policy instead of
-    # aborting the whole load.
-    items = [line for line in _read(args.stream).splitlines()
-             if line.strip()]
+    text = _read(args.stream)
+    if engine.ingress is not None:
+        # Feed raw lines so malformed ones hit the poison policy instead
+        # of aborting the whole load.
+        items = [line for line in text.splitlines() if line.strip()]
+    else:
+        items = stream_from_jsonl(text)
     try:
         with _maybe_profiled(args):
             engine.run_stream(items, until=until)
     finally:
-        inner = getattr(engine, "engine", None)
-        if hasattr(inner, "close"):
-            inner.close()
-            print(inner.parallel_metrics.render(), file=sys.stderr)
-            print(inner.supervisor.render(), file=sys.stderr)
-    sink = engine.sink(query.name)
-    _print_emissions(args, sink)
-    print(engine.metrics.render(), file=sys.stderr)
+        engine.close()
+        if engine.executor is not None:
+            print(render_counters("parallel", engine.executor.status()),
+                  file=sys.stderr)
+            print(engine.executor.supervisor.render(), file=sys.stderr)
+    _print_emissions(args, engine.sink(query.name))
+    if engine.ingress is not None:
+        print(engine.ingress.render(), file=sys.stderr)
     if args.dead_letters:
         with open(args.dead_letters, "w", encoding="utf-8") as handle:
             handle.write(engine.dead_letters.to_jsonl() + "\n")
@@ -328,14 +320,13 @@ def _write_observability(
     if not _wants_observability(args):
         return
     from repro.obs.export import trace_document, write_json, write_prometheus
-    from repro.obs.schema import unified_status
     from repro.seraph.explain import explain_analyze, explain_dataflow
 
     if args.metrics_out:
         if args.metrics_out.endswith(".prom"):
             write_prometheus(args.metrics_out, engine.obs.registry)
         else:
-            write_json(args.metrics_out, unified_status(engine))
+            write_json(args.metrics_out, engine.unified_status())
         print(f"-- metrics written to {args.metrics_out}", file=sys.stderr)
     if args.trace_out:
         write_json(args.trace_out, trace_document(engine.obs.tracer))

@@ -13,9 +13,15 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.cypher import ast
 from repro.cypher.aggregates import compute_aggregate
 from repro.cypher.expressions import (
+    OPEN_END,
     ExpressionEvaluator,
+    apply_binary,
+    apply_unary,
+    compare_chain,
     compile_expression,
     contains_aggregate,
+    index_value,
+    slice_value,
 )
 from repro.cypher.functions import AGGREGATE_NAMES
 from repro.cypher.matcher import PatternMatcher
@@ -58,7 +64,12 @@ class QueryEvaluator:
         self.base_scope = dict(base_scope or {})
         self.optimize = optimize
         self.vectorized = bool(vectorized)
-        self.evaluator = ExpressionEvaluator(graph, parameters=parameters)
+        self._compile_cache: dict = (
+            compile_cache if compile_cache is not None else {}
+        )
+        self.evaluator = ExpressionEvaluator(
+            graph, parameters=parameters, compile_cache=self._compile_cache
+        )
         pruner = None
         if vectorized:
             from repro.cypher.vectorized import pruner_for
@@ -66,9 +77,6 @@ class QueryEvaluator:
             pruner = pruner_for(graph)
         self.matcher = PatternMatcher(graph, self.evaluator, pruner=pruner)
         self.evaluator._pattern_checker = self.matcher.has_match
-        self._compile_cache: dict = (
-            compile_cache if compile_cache is not None else {}
-        )
 
     def _compiled(self, expression: ast.Expression):
         """A ``fn(expr_evaluator, scope)`` closure for ``expression``,
@@ -382,65 +390,39 @@ class QueryEvaluator:
                 expression.name, values, parameter=parameter,
                 distinct=expression.distinct,
             )
+        def operand(part: ast.Expression) -> Any:
+            return self._aggregate_operand(part, rows)
+
         if isinstance(expression, ast.BinaryOp):
-            left = self._aggregate_operand(expression.left, rows)
-            right = self._aggregate_operand(expression.right, rows)
-            return self.evaluator._eval_BinaryOp(
-                ast.BinaryOp(op=expression.op,
-                             left=ast.Literal(left), right=ast.Literal(right)),
-                {},
+            return apply_binary(
+                expression.op, operand(expression.left),
+                operand(expression.right),
             )
         if isinstance(expression, ast.UnaryOp):
-            operand = self._aggregate_operand(expression.operand, rows)
-            return self.evaluator._eval_UnaryOp(
-                ast.UnaryOp(op=expression.op, operand=ast.Literal(operand)), {}
-            )
+            return apply_unary(expression.op, operand(expression.operand))
         if isinstance(expression, ast.FunctionCall):
-            args = [self._aggregate_operand(arg, rows) for arg in expression.args]
-            return self.evaluator.evaluate(
-                ast.FunctionCall(
-                    name=expression.name,
-                    args=tuple(ast.Literal(arg) for arg in args),
-                ),
-                {},
+            return self.evaluator.call(
+                expression.name, [operand(arg) for arg in expression.args]
             )
         if isinstance(expression, ast.Comparison):
-            first = self._aggregate_operand(expression.first, rows)
-            rest = tuple(
-                (op, ast.Literal(self._aggregate_operand(operand, rows)))
-                for op, operand in expression.rest
-            )
-            return self.evaluator._eval_Comparison(
-                ast.Comparison(first=ast.Literal(first), rest=rest), {}
+            return compare_chain(
+                operand(expression.first),
+                [(op, operand(part)) for op, part in expression.rest],
             )
         if isinstance(expression, ast.Index):
-            subject = self._aggregate_operand(expression.subject, rows)
-            index = self._aggregate_operand(expression.index, rows)
-            return self.evaluator._eval_Index(
-                ast.Index(subject=ast.Literal(subject),
-                          index=ast.Literal(index)),
-                {},
+            return index_value(
+                operand(expression.subject), operand(expression.index)
             )
         if isinstance(expression, ast.Slice):
-            subject = self._aggregate_operand(expression.subject, rows)
-            lower = (
-                ast.Literal(self._aggregate_operand(expression.lower, rows))
-                if expression.lower is not None else None
-            )
-            upper = (
-                ast.Literal(self._aggregate_operand(expression.upper, rows))
-                if expression.upper is not None else None
-            )
-            return self.evaluator._eval_Slice(
-                ast.Slice(subject=ast.Literal(subject), lower=lower,
-                          upper=upper),
-                {},
+            return slice_value(
+                operand(expression.subject),
+                operand(expression.lower)
+                if expression.lower is not None else 0,
+                operand(expression.upper)
+                if expression.upper is not None else OPEN_END,
             )
         if isinstance(expression, ast.ListLiteral):
-            return [
-                self._aggregate_operand(item, rows)
-                for item in expression.items
-            ]
+            return [operand(item) for item in expression.items]
         raise CypherEvaluationError(
             "unsupported aggregate expression shape: "
             f"{type(expression).__name__}"

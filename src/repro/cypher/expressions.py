@@ -4,12 +4,21 @@
 (a mapping from names to values — a table record, possibly extended with
 Seraph's reserved window fields) and a property graph (needed for pattern
 predicates and ``startNode``/``endNode``).
+
+Every expression runs as a closure built once by
+:func:`compile_expression`.  The operators' value-level semantics — null
+propagation, 3-valued comparison chains, indexing — are the module
+functions below (:func:`apply_binary`, :func:`apply_unary`,
+:func:`compare_chain`, :func:`index_value`, :func:`slice_value`), shared
+with the aggregate evaluator, which applies them to already-aggregated
+operands.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Mapping, Optional
+import sys
+from typing import Any, Callable, Iterable, Mapping, Optional, Tuple
 
 from repro.cypher import ast
 from repro.cypher.functions import AGGREGATE_NAMES, call_function
@@ -98,7 +107,10 @@ def contains_aggregate(expression: ast.Expression) -> bool:
 
 
 def apply_binary(op: str, left: Any, right: Any) -> Any:
-    """Apply a non-null binary arithmetic/concatenation operator."""
+    """Apply a binary arithmetic/concatenation operator (null in, null
+    out)."""
+    if left is NULL or right is NULL:
+        return NULL
     if op == "+":
         if isinstance(left, str) and isinstance(right, str):
             return left + right
@@ -142,6 +154,76 @@ def _require_numbers(op: str, left: Any, right: Any) -> None:
         )
 
 
+def apply_unary(op: str, operand: Any) -> Any:
+    if operand is NULL:
+        return NULL
+    if not is_numeric(operand):
+        raise CypherTypeError(f"unary {op} expects a number, got {operand!r}")
+    return -operand if op == "-" else +operand
+
+
+def compare(op: str, left: Any, right: Any) -> Ternary:
+    if op == "=":
+        return cypher_equals(left, right)
+    if op == "<>":
+        return not3(cypher_equals(left, right))
+    ordering = cypher_compare(left, right)
+    if ordering is None:
+        return Ternary.UNKNOWN
+    if op == "<":
+        return Ternary.of(ordering < 0)
+    if op == ">":
+        return Ternary.of(ordering > 0)
+    if op == "<=":
+        return Ternary.of(ordering <= 0)
+    if op == ">=":
+        return Ternary.of(ordering >= 0)
+    raise CypherEvaluationError(f"unknown comparison operator {op}")
+
+
+def compare_chain(left: Any, rest: Iterable[Tuple[str, Any]]) -> Any:
+    """``left op1 v1 op2 v2 ...`` as the 3-valued conjunction of its
+    links; ``rest`` is consumed only up to the first FALSE link."""
+    result = Ternary.TRUE
+    for op, right in rest:
+        result = and3(result, compare(op, left, right))
+        if result is Ternary.FALSE:
+            return False
+        left = right
+    return result.to_value()
+
+
+def index_value(subject: Any, index: Any) -> Any:
+    if subject is NULL or index is NULL:
+        return NULL
+    if isinstance(subject, list):
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise CypherTypeError(f"list index must be an integer, got {index!r}")
+        if -len(subject) <= index < len(subject):
+            return subject[index]
+        return NULL
+    if isinstance(subject, dict):
+        return subject.get(index, NULL)
+    if isinstance(subject, (Node, Relationship)):
+        return subject.property(index)
+    raise CypherTypeError(f"cannot index into {subject!r}")
+
+
+#: An absent slice bound: ``[lower..]`` runs to the end, ``[..upper]``
+#: starts at 0.
+OPEN_END = sys.maxsize
+
+
+def slice_value(subject: Any, lower: Any = 0, upper: Any = OPEN_END) -> Any:
+    if subject is NULL:
+        return NULL
+    if not isinstance(subject, list):
+        raise CypherTypeError(f"cannot slice {subject!r}")
+    if lower is NULL or upper is NULL:
+        return NULL
+    return subject[lower:upper]
+
+
 class ExpressionEvaluator:
     """Evaluates expressions against a scope and a graph."""
 
@@ -151,207 +233,61 @@ class ExpressionEvaluator:
         parameters: Optional[Mapping[str, Any]] = None,
         pattern_checker: Optional[Callable[[ast.PathPattern, Mapping[str, Any]], bool]]
         = None,
+        compile_cache: Optional[dict] = None,
     ):
         self.graph = graph
         self.parameters = dict(parameters or {})
         # Injected by the evaluator layer to avoid a circular import with
         # the matcher; checks whether a pattern predicate has any match.
         self._pattern_checker = pattern_checker
+        #: Closures by AST node (see :func:`compile_expression`); the
+        #: query evaluator shares its per-query cache here.
+        self.compile_cache: dict = (
+            compile_cache if compile_cache is not None else {}
+        )
 
     # -- public API --------------------------------------------------------------
 
     def evaluate(self, expression: ast.Expression, scope: Mapping[str, Any]) -> Any:
-        # Dispatch via a precomputed type table — this is the hottest
-        # call in the engine (every predicate on every candidate row).
-        method = _DISPATCH.get(type(expression))
-        if method is None:
-            raise CypherEvaluationError(
-                f"cannot evaluate expression node {type(expression).__name__}"
-            )
-        return method(self, expression, scope)
+        return compile_expression(expression, self.compile_cache)(self, scope)
 
     def truth(self, expression: ast.Expression, scope: Mapping[str, Any]) -> Ternary:
         """Evaluate as a predicate (for WHERE and friends)."""
         return Ternary.of(self.evaluate(expression, scope))
 
-    # -- atoms --------------------------------------------------------------------
+    def call(self, name: str, args: list) -> Any:
+        """Apply a (non-aggregate) function to evaluated arguments."""
+        if name in ("startnode", "endnode"):
+            # Graph-aware functions need endpoint resolution.
+            rel = args[0]
+            if rel is NULL:
+                return NULL
+            if not isinstance(rel, Relationship):
+                raise CypherTypeError(
+                    f"{name}() expects a relationship, got {rel!r}"
+                )
+            return self.graph.node(rel.src if name == "startnode" else rel.trg)
+        return call_function(name, args)
 
-    def _eval_Literal(self, node: ast.Literal, scope: Mapping[str, Any]) -> Any:
-        return node.value
-
-    def _eval_Parameter(self, node: ast.Parameter, scope: Mapping[str, Any]) -> Any:
-        if node.name not in self.parameters:
-            raise CypherEvaluationError(f"missing parameter ${node.name}")
-        return self.parameters[node.name]
-
-    def _eval_Variable(self, node: ast.Variable, scope: Mapping[str, Any]) -> Any:
-        if node.name in scope:
-            return scope[node.name]
-        raise CypherEvaluationError(f"unknown variable {node.name}")
-
-    def _eval_PropertyAccess(
-        self, node: ast.PropertyAccess, scope: Mapping[str, Any]
-    ) -> Any:
-        subject = self.evaluate(node.subject, scope)
-        if subject is NULL:
-            return NULL
-        if isinstance(subject, (Node, Relationship)):
-            return subject.property(node.key)
-        if isinstance(subject, dict):
-            return subject.get(node.key, NULL)
-        raise CypherTypeError(
-            f"cannot access property {node.key!r} on {subject!r}"
-        )
-
-    def _eval_ListLiteral(self, node: ast.ListLiteral, scope: Mapping[str, Any]) -> Any:
-        return [self.evaluate(item, scope) for item in node.items]
+    # -- node kinds without a closure of their own ---------------------------------
+    #
+    # Rare or structurally complex kinds: :func:`compile_expression`
+    # wraps these methods instead of unrolling them.
 
     def _eval_MapLiteral(self, node: ast.MapLiteral, scope: Mapping[str, Any]) -> Any:
         return {key: self.evaluate(value, scope) for key, value in node.entries}
 
     def _eval_Index(self, node: ast.Index, scope: Mapping[str, Any]) -> Any:
-        subject = self.evaluate(node.subject, scope)
-        index = self.evaluate(node.index, scope)
-        if subject is NULL or index is NULL:
-            return NULL
-        if isinstance(subject, list):
-            if not isinstance(index, int) or isinstance(index, bool):
-                raise CypherTypeError(f"list index must be an integer, got {index!r}")
-            if -len(subject) <= index < len(subject):
-                return subject[index]
-            return NULL
-        if isinstance(subject, dict):
-            return subject.get(index, NULL)
-        if isinstance(subject, (Node, Relationship)):
-            return subject.property(index)
-        raise CypherTypeError(f"cannot index into {subject!r}")
+        return index_value(
+            self.evaluate(node.subject, scope), self.evaluate(node.index, scope)
+        )
 
     def _eval_Slice(self, node: ast.Slice, scope: Mapping[str, Any]) -> Any:
-        subject = self.evaluate(node.subject, scope)
-        if subject is NULL:
-            return NULL
-        if not isinstance(subject, list):
-            raise CypherTypeError(f"cannot slice {subject!r}")
-        lower = self.evaluate(node.lower, scope) if node.lower else 0
-        upper = self.evaluate(node.upper, scope) if node.upper else len(subject)
-        if lower is NULL or upper is NULL:
-            return NULL
-        return subject[lower:upper]
-
-    # -- arithmetic ---------------------------------------------------------------
-
-    def _eval_UnaryOp(self, node: ast.UnaryOp, scope: Mapping[str, Any]) -> Any:
-        operand = self.evaluate(node.operand, scope)
-        if operand is NULL:
-            return NULL
-        if not is_numeric(operand):
-            raise CypherTypeError(f"unary {node.op} expects a number, got {operand!r}")
-        return -operand if node.op == "-" else +operand
-
-    def _eval_BinaryOp(self, node: ast.BinaryOp, scope: Mapping[str, Any]) -> Any:
-        left = self.evaluate(node.left, scope)
-        right = self.evaluate(node.right, scope)
-        if left is NULL or right is NULL:
-            return NULL
-        return apply_binary(node.op, left, right)
-
-    @staticmethod
-    def _require_numbers(op: str, left: Any, right: Any) -> None:
-        if not is_numeric(left) or not is_numeric(right):
-            raise CypherTypeError(
-                f"operator {op} expects numbers, got {left!r} and {right!r}"
-            )
-
-    # -- predicates -----------------------------------------------------------------
-
-    def _eval_Comparison(self, node: ast.Comparison, scope: Mapping[str, Any]) -> Any:
-        result = Ternary.TRUE
-        left = self.evaluate(node.first, scope)
-        for op, operand_node in node.rest:
-            right = self.evaluate(operand_node, scope)
-            result = and3(result, self._compare(op, left, right))
-            if result is Ternary.FALSE:
-                return False
-            left = right
-        return result.to_value()
-
-    @staticmethod
-    def _compare(op: str, left: Any, right: Any) -> Ternary:
-        if op == "=":
-            return cypher_equals(left, right)
-        if op == "<>":
-            return not3(cypher_equals(left, right))
-        ordering = cypher_compare(left, right)
-        if ordering is None:
-            return Ternary.UNKNOWN
-        if op == "<":
-            return Ternary.of(ordering < 0)
-        if op == ">":
-            return Ternary.of(ordering > 0)
-        if op == "<=":
-            return Ternary.of(ordering <= 0)
-        if op == ">=":
-            return Ternary.of(ordering >= 0)
-        raise CypherEvaluationError(f"unknown comparison operator {op}")
-
-    def _eval_And(self, node: ast.And, scope: Mapping[str, Any]) -> Any:
-        return and3(self.truth(node.left, scope), self.truth(node.right, scope)) \
-            .to_value()
-
-    def _eval_Or(self, node: ast.Or, scope: Mapping[str, Any]) -> Any:
-        return or3(self.truth(node.left, scope), self.truth(node.right, scope)) \
-            .to_value()
-
-    def _eval_Xor(self, node: ast.Xor, scope: Mapping[str, Any]) -> Any:
-        return xor3(self.truth(node.left, scope), self.truth(node.right, scope)) \
-            .to_value()
-
-    def _eval_Not(self, node: ast.Not, scope: Mapping[str, Any]) -> Any:
-        return not3(self.truth(node.operand, scope)).to_value()
-
-    def _eval_IsNull(self, node: ast.IsNull, scope: Mapping[str, Any]) -> Any:
-        value = self.evaluate(node.operand, scope)
-        result = value is NULL
-        return (not result) if node.negated else result
-
-    def _eval_InList(self, node: ast.InList, scope: Mapping[str, Any]) -> Any:
-        item = self.evaluate(node.item, scope)
-        container = self.evaluate(node.container, scope)
-        if container is NULL:
-            return NULL
-        if not isinstance(container, list):
-            raise CypherTypeError(f"IN expects a list, got {container!r}")
-        saw_unknown = item is NULL and bool(container)
-        for element in container:
-            verdict = cypher_equals(item, element)
-            if verdict is Ternary.TRUE:
-                return True
-            if verdict is Ternary.UNKNOWN:
-                saw_unknown = True
-        return NULL if saw_unknown else False
-
-    def _eval_StringPredicate(
-        self, node: ast.StringPredicate, scope: Mapping[str, Any]
-    ) -> Any:
-        left = self.evaluate(node.left, scope)
-        right = self.evaluate(node.right, scope)
-        if left is NULL or right is NULL:
-            return NULL
-        if not isinstance(left, str) or not isinstance(right, str):
-            raise CypherTypeError(
-                f"{node.kind} expects strings, got {left!r} and {right!r}"
-            )
-        if node.kind == "STARTS WITH":
-            return left.startswith(right)
-        if node.kind == "ENDS WITH":
-            return left.endswith(right)
-        if node.kind == "CONTAINS":
-            return right in left
-        if node.kind == "=~":
-            import re
-
-            return re.fullmatch(right, left) is not None
-        raise CypherEvaluationError(f"unknown string predicate {node.kind}")
+        return slice_value(
+            self.evaluate(node.subject, scope),
+            self.evaluate(node.lower, scope) if node.lower else 0,
+            self.evaluate(node.upper, scope) if node.upper else OPEN_END,
+        )
 
     def _eval_Quantifier(self, node: ast.Quantifier, scope: Mapping[str, Any]) -> Any:
         source = self.evaluate(node.source, scope)
@@ -385,8 +321,6 @@ class ExpressionEvaluator:
                 return NULL
             return true_count == 1
         raise CypherEvaluationError(f"unknown quantifier {node.kind}")
-
-    # -- composite expressions ---------------------------------------------------
 
     def _eval_ListComprehension(
         self, node: ast.ListComprehension, scope: Mapping[str, Any]
@@ -431,23 +365,10 @@ class ExpressionEvaluator:
     def _eval_FunctionCall(
         self, node: ast.FunctionCall, scope: Mapping[str, Any]
     ) -> Any:
-        if node.name in AGGREGATE_NAMES:
-            raise CypherEvaluationError(
-                f"aggregate {node.name}() is only allowed in WITH/RETURN items"
-            )
-        args = [self.evaluate(arg, scope) for arg in node.args]
-        # Graph-aware functions need endpoint resolution.
-        if node.name in ("startnode", "endnode"):
-            rel = args[0]
-            if rel is NULL:
-                return NULL
-            if not isinstance(rel, Relationship):
-                raise CypherTypeError(
-                    f"{node.name}() expects a relationship, got {rel!r}"
-                )
-            node_id = rel.src if node.name == "startnode" else rel.trg
-            return self.graph.node(node_id)
-        return call_function(node.name, args)
+        # Only aggregates get here; plain calls have a closure.
+        raise CypherEvaluationError(
+            f"aggregate {node.name}() is only allowed in WITH/RETURN items"
+        )
 
     def _eval_CountStar(self, node: ast.CountStar, scope: Mapping[str, Any]) -> Any:
         raise CypherEvaluationError("count(*) is only allowed in WITH/RETURN items")
@@ -464,14 +385,11 @@ class ExpressionEvaluator:
 
 # -- compiled expressions -----------------------------------------------------
 #
-# The interpreter above re-walks the AST for every candidate row.  For
-# per-query hot paths (WHERE predicates, projection items, sort keys) we
-# compile an expression once into a closure ``fn(ev, scope)`` — ``ev`` is
-# the ExpressionEvaluator carrying graph/parameters, so one compiled tree
-# is reusable across evaluation instants and snapshots.  Node kinds with
-# rare or complex semantics fall back to the interpreter; the compiled
-# form is semantically identical by construction (it binds the same
-# helpers the interpreter calls).
+# An expression is compiled once into a closure ``fn(ev, scope)`` —
+# ``ev`` is the ExpressionEvaluator carrying graph/parameters, so one
+# compiled tree is reusable across evaluation instants and snapshots.
+# Node kinds with rare or complex semantics wrap the evaluator's
+# ``_eval_*`` method for that kind.
 
 CompiledExpr = Callable[["ExpressionEvaluator", Mapping[str, Any]], Any]
 
@@ -550,20 +468,20 @@ def _compile(node: ast.Expression, cache: Optional[dict]) -> CompiledExpr:
         rest = tuple(
             (op, compile_expression(operand, cache)) for op, operand in node.rest
         )
-        compare = ExpressionEvaluator._compare
+        if len(rest) == 1:
+            # The common case, without the chain's generator.
+            (op, right_fn), = rest
+            return lambda ev, scope: compare(
+                op, first_fn(ev, scope), right_fn(ev, scope)
+            ).to_value()
 
-        def cmp_fn(ev, scope):
-            result = Ternary.TRUE
-            left = first_fn(ev, scope)
-            for op, operand_fn in rest:
-                right = operand_fn(ev, scope)
-                result = and3(result, compare(op, left, right))
-                if result is Ternary.FALSE:
-                    return False
-                left = right
-            return result.to_value()
+        def chain_fn(ev, scope):
+            return compare_chain(
+                first_fn(ev, scope),
+                ((op, operand_fn(ev, scope)) for op, operand_fn in rest),
+            )
 
-        return cmp_fn
+        return chain_fn
 
     if isinstance(node, (ast.And, ast.Or, ast.Xor)):
         op3 = {ast.And: and3, ast.Or: or3, ast.Xor: xor3}[type(node)]
@@ -645,7 +563,7 @@ def _compile(node: ast.Expression, cache: Optional[dict]) -> CompiledExpr:
         }
         check = checks.get(kind)
         if check is None:
-            return lambda ev, scope: ev.evaluate(node, scope)
+            raise CypherEvaluationError(f"unknown string predicate {kind}")
 
         def strpred_fn(ev, scope):
             left = left_fn(ev, scope)
@@ -664,32 +582,14 @@ def _compile(node: ast.Expression, cache: Optional[dict]) -> CompiledExpr:
         left_fn = compile_expression(node.left, cache)
         right_fn = compile_expression(node.right, cache)
         op = node.op
-
-        def binop_fn(ev, scope):
-            left = left_fn(ev, scope)
-            right = right_fn(ev, scope)
-            if left is NULL or right is NULL:
-                return NULL
-            return apply_binary(op, left, right)
-
-        return binop_fn
+        return lambda ev, scope: apply_binary(
+            op, left_fn(ev, scope), right_fn(ev, scope)
+        )
 
     if isinstance(node, ast.UnaryOp):
         operand_fn = compile_expression(node.operand, cache)
-        negate = node.op == "-"
         op = node.op
-
-        def unary_fn(ev, scope):
-            operand = operand_fn(ev, scope)
-            if operand is NULL:
-                return NULL
-            if not is_numeric(operand):
-                raise CypherTypeError(
-                    f"unary {op} expects a number, got {operand!r}"
-                )
-            return -operand if negate else +operand
-
-        return unary_fn
+        return lambda ev, scope: apply_unary(op, operand_fn(ev, scope))
 
     if isinstance(node, ast.ListLiteral):
         item_fns = tuple(compile_expression(item, cache) for item in node.items)
@@ -699,40 +599,19 @@ def _compile(node: ast.Expression, cache: Optional[dict]) -> CompiledExpr:
         arg_fns = tuple(compile_expression(arg, cache) for arg in node.args)
         name = node.name
         if name in ("startnode", "endnode"):
-            want_src = name == "startnode"
+            return lambda ev, scope: ev.call(
+                name, [fn(ev, scope) for fn in arg_fns]
+            )
+        return lambda ev, scope: call_function(
+            name, [fn(ev, scope) for fn in arg_fns]
+        )
 
-            def endpoint_fn(ev, scope):
-                rel = arg_fns[0](ev, scope)
-                if rel is NULL:
-                    return NULL
-                if not isinstance(rel, Relationship):
-                    raise CypherTypeError(
-                        f"{name}() expects a relationship, got {rel!r}"
-                    )
-                return ev.graph.node(rel.src if want_src else rel.trg)
-
-            return endpoint_fn
-
-        def call_fn(ev, scope):
-            return call_function(name, [fn(ev, scope) for fn in arg_fns])
-
-        return call_fn
-
-    # Everything else (maps, slices, quantifiers, CASE, comprehensions,
-    # pattern predicates, aggregates-in-wrong-place errors) keeps the
-    # interpreter's exact behaviour.
-    return lambda ev, scope: ev.evaluate(node, scope)
-
-
-#: Precomputed expression-type → handler table (see evaluate()).
-_DISPATCH = {
-    node_type: getattr(ExpressionEvaluator, f"_eval_{node_type.__name__}")
-    for node_type in (
-        ast.Literal, ast.Parameter, ast.Variable, ast.PropertyAccess,
-        ast.ListLiteral, ast.MapLiteral, ast.Index, ast.Slice, ast.UnaryOp,
-        ast.BinaryOp, ast.Comparison, ast.And, ast.Or, ast.Xor, ast.Not,
-        ast.IsNull, ast.InList, ast.StringPredicate, ast.Quantifier,
-        ast.ListComprehension, ast.CaseExpression, ast.FunctionCall,
-        ast.CountStar, ast.PatternPredicate,
-    )
-}
+    # Everything else (maps, indexing, slices, quantifiers, CASE,
+    # comprehensions, pattern predicates, aggregates-in-wrong-place
+    # errors): the evaluator's method for the kind.
+    method = getattr(ExpressionEvaluator, f"_eval_{type(node).__name__}", None)
+    if method is None:
+        raise CypherEvaluationError(
+            f"cannot evaluate expression node {type(node).__name__}"
+        )
+    return lambda ev, scope: method(ev, node, scope)

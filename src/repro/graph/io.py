@@ -78,30 +78,30 @@ def graph_from_json(text: str) -> PropertyGraph:
     return graph_from_dict(json.loads(text))
 
 
+def element_to_dict(element: Any) -> Dict[str, Any]:
+    """The wire form of one ``StreamElement``-like pair."""
+    return {"instant": element.instant,
+            "graph": graph_to_dict(element.graph)}
+
+
+def element_from_dict(data: Dict[str, Any]) -> Any:
+    from repro.stream.stream import StreamElement
+
+    return StreamElement(graph=graph_from_dict(data["graph"]),
+                         instant=int(data["instant"]))
+
+
 def stream_to_jsonl(elements: List[Any]) -> str:
     """Serialize ``StreamElement``-like pairs to JSON-lines."""
-    lines = []
-    for element in elements:
-        lines.append(
-            json.dumps(
-                {"instant": element.instant, "graph": graph_to_dict(element.graph)},
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines)
+    return "\n".join(
+        json.dumps(element_to_dict(element), sort_keys=True)
+        for element in elements
+    )
 
 
 def stream_from_jsonl(text: str) -> List[Any]:
     """Parse JSON-lines into ``StreamElement`` objects."""
-    from repro.stream.stream import StreamElement
-
-    elements = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        data = json.loads(line)
-        elements.append(
-            StreamElement(graph=graph_from_dict(data["graph"]),
-                          instant=int(data["instant"]))
-        )
-    return elements
+    return [
+        element_from_dict(json.loads(line))
+        for line in text.splitlines() if line.strip()
+    ]

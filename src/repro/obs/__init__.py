@@ -1,8 +1,7 @@
 """Unified observability: tracing + metrics registry for every layer.
 
-The engine stack (core :class:`~repro.seraph.engine.SeraphEngine`, the
-delta path, :class:`~repro.runtime.parallel.ParallelEngine`,
-:class:`~repro.runtime.ResilientEngine`) shares one
+A :class:`~repro.seraph.engine.SeraphEngine` and its parts (the delta
+path, the ingress, the pool executor and its supervisor) share one
 :class:`Observability` bundle — a :class:`~repro.obs.trace.Tracer` plus
 a :class:`~repro.obs.registry.MetricsRegistry` — threaded through
 construction (``build_engine(EngineConfig(observability=True))``).
@@ -26,13 +25,16 @@ process boundary.  Stage durations also feed per-query histograms in
 the registry under :func:`stage_metric` names — that is what ``EXPLAIN
 ANALYZE`` (:func:`repro.seraph.explain.explain_analyze`) reads.
 
-When observability is off (the default), every instrumented site is
-guarded by a single ``if obs.enabled:`` branch and the shared
-:data:`NOOP_OBS` bundle records nothing.
+The registry is always real: every engine counts into its own, and
+``status()`` reads it.  ``enabled`` switches tracing — spans and the
+stage-timing histograms; when it is off (the default)
+:meth:`Observability.stage` hands every instrumented site the shared
+no-op span.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
@@ -83,22 +85,35 @@ class Observability:
             enabled=True,
         )
 
+    @classmethod
+    def disabled(cls) -> "Observability":
+        """Tracing off, a registry of its own (counters always count)."""
+        return cls(tracer=NOOP_TRACER, registry=MetricsRegistry(),
+                   enabled=False)
+
     def record_stage(self, query_name: str, stage: str,
                      seconds: float) -> None:
         self.registry.observe(stage_metric(query_name, stage), seconds)
 
+    def stage(self, query_name: str, stage: str, parent=None, **tags):
+        """One instrumented site: a span named ``stage`` under ``parent``
+        whose duration also lands in the query's stage histogram.  With
+        tracing off, the shared no-op span."""
+        if not self.enabled:
+            return NOOP_SPAN
+        return self._timed_stage(query_name, stage, parent, tags)
 
-#: The disabled bundle (shared; never written to).
-NOOP_OBS = Observability(
-    tracer=NOOP_TRACER, registry=MetricsRegistry(), enabled=False
-)
+    @contextmanager
+    def _timed_stage(self, query_name, stage, parent, tags):
+        with self.tracer.span(stage, parent=parent, **tags) as span:
+            yield span
+        self.record_stage(query_name, stage, span.duration_seconds)
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NOOP_OBS",
     "NOOP_SPAN",
     "NOOP_TRACER",
     "NoopTracer",

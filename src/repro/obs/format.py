@@ -1,10 +1,9 @@
 """The one human-readable formatter for every metrics surface.
 
-``ResilienceMetrics.render()``, ``ParallelMetrics.render()``,
-``RunReport.render()``, the registry's ``render()`` exporter, and the
-unified status renderer all delegate here, so counter formatting
-(``name=value`` pairs, millisecond latencies, percentages) is decided in
-exactly one place.
+The CLI's run summaries, ``PoolSupervisor.render()``, the registry's
+``render()`` exporter, and the unified status renderer all delegate
+here, so counter formatting (``name=value`` pairs, millisecond
+latencies) is decided in exactly one place.
 """
 
 from __future__ import annotations
@@ -39,22 +38,6 @@ def render_counters(namespace: str, fields: Mapping[str, Any],
         return f"{namespace}: {empty}"
     return f"{namespace}: " + ", ".join(
         f"{name}={format_value(value)}" for name, value in flat.items()
-    )
-
-
-def render_run_report(evaluations: int, ingested_elements: int,
-                      wall_seconds: float, mean_latency: float,
-                      p95_latency: float, total_rows: int,
-                      reuse_ratio: float, delta_ratio: float) -> str:
-    """The instrumented-run paragraph (``RunReport.render``)."""
-    return (
-        f"{evaluations} evaluations over "
-        f"{ingested_elements} events in {wall_seconds:.3f}s; "
-        f"mean latency {mean_latency * 1000:.2f}ms, "
-        f"p95 {p95_latency * 1000:.2f}ms; "
-        f"{total_rows} rows emitted; "
-        f"reuse ratio {reuse_ratio:.0%}; "
-        f"delta ratio {delta_ratio:.0%}"
     )
 
 

@@ -1,14 +1,12 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
-One :class:`MetricsRegistry` holds every named instrument of an observed
-engine, namespaced with dots (``engine.ingested``,
-``query.<name>.stage.match_full``, ``resilience.reorder.default.pending``).
-The layer-specific counter objects that predate this registry
-(:class:`~repro.metrics.ResilienceMetrics`,
-:class:`~repro.metrics.ParallelMetrics`, :class:`~repro.metrics.RunReport`)
-are absorbed into it by :meth:`MetricsRegistry.absorb`, which flattens
-their dictionaries under a namespace — the unified status schema
-(:mod:`repro.obs.schema`) is built that way.
+One :class:`MetricsRegistry` holds every named instrument of an engine,
+namespaced with dots (``engine.ingested``, ``query.<name>.evaluations``,
+``resilience.reordered``, ``parallel.batches``,
+``service.tenant.<t>.events``).  It is the only counter store: every
+layer bumps its instruments here, and ``status()`` /
+``unified_status()`` are reads of it (docs/OBSERVABILITY.md has the
+name table).
 
 Histograms keep a fixed-size **ring-buffer reservoir** (latest N
 observations) next to exact count/sum/min/max, so percentile queries
@@ -17,7 +15,7 @@ observations) next to exact count/sum/min/max, so percentile queries
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.errors import MetricsError
 
@@ -59,7 +57,7 @@ class Histogram:
 
     ``count``/``total``/``min``/``max`` are exact over every observation;
     percentiles are computed over the newest ``reservoir`` observations
-    (nearest-rank, the same rule :class:`repro.metrics.RunReport` uses).
+    (nearest-rank).
     """
 
     __slots__ = ("name", "count", "total", "min", "max", "_ring", "_next")
@@ -160,6 +158,12 @@ class MetricsRegistry:
             "histogram",
         )
 
+    def declare(self, namespace: str, names: Iterable[str]) -> None:
+        """Create the counters ``namespace.<name>`` now, so an export
+        carries them at zero instead of omitting them until first use."""
+        for name in names:
+            self.counter(f"{namespace}.{name}")
+
     def get(self, name: str) -> Optional[Any]:
         """The instrument under ``name``, or None."""
         return self._instruments.get(name)
@@ -175,26 +179,28 @@ class MetricsRegistry:
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).observe(value)
 
-    def absorb(self, namespace: str, fields: Mapping[str, Any]) -> None:
-        """Flatten a (possibly nested) counter dict into namespaced gauges.
-
-        This is how the pre-existing layer metrics objects
-        (``ResilienceMetrics.as_dict()``, ``ParallelMetrics.as_dict()``,
-        ``RunReport.as_dict()``) surface through the registry without
-        changing their own bookkeeping.  Non-numeric leaves are skipped.
-        """
-        for key, value in fields.items():
-            name = f"{namespace}.{key}"
-            if isinstance(value, Mapping):
-                self.absorb(name, value)
-            elif isinstance(value, bool) or not isinstance(
-                value, (int, float)
-            ):
-                continue
-            else:
-                self.gauge(name).set(value)
-
     # -- read -------------------------------------------------------------
+
+    def value(self, name: str):
+        """A counter's or gauge's current value; 0 before first use."""
+        instrument = self._instruments.get(name)
+        return instrument.value if instrument is not None else 0
+
+    def values(self, namespace: str, names: Iterable[str]) -> Dict[str, Any]:
+        """``{name: value}`` of ``namespace.<name>`` for each name."""
+        return {name: self.value(f"{namespace}.{name}") for name in names}
+
+    def under(self, prefix: str) -> Iterator[Tuple[str, Any]]:
+        """``(name-after-prefix, instrument)`` pairs, sorted by name."""
+        for name in sorted(self._instruments):
+            if name.startswith(prefix):
+                yield name[len(prefix):], self._instruments[name]
+
+    def discard(self, prefix: str) -> None:
+        """Forget every instrument under ``prefix`` (a deregistered
+        query's ledger must not leak into its successor's)."""
+        for name in [n for n in self._instruments if n.startswith(prefix)]:
+            del self._instruments[name]
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe dump: ``{"counters", "gauges", "histograms"}``."""

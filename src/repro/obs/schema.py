@@ -1,11 +1,9 @@
 """The unified, versioned status/metrics schema — and its validator.
 
-Before this layer existed the repo had three unrelated answers to "what
-is the engine doing": ``SeraphEngine.status()``,
-``ResilienceMetrics.as_dict()`` and ``ParallelMetrics.as_dict()`` (plus
-``RunReport`` for instrumented runs).  :func:`unified_status` merges all
-of them under one namespaced document with a stable, documented contract
-(docs/OBSERVABILITY.md):
+:func:`unified_status` is the answer to "what is the engine doing":
+``SeraphEngine.status()`` regrouped under one namespaced document with a
+stable, documented contract (docs/OBSERVABILITY.md).  Every count in it
+is a read of the engine's metrics registry:
 
 ``schema``
     ``{"name": "repro.status", "version": 1}`` — bump the version on
@@ -14,27 +12,24 @@ of them under one namespaced document with a stable, documented contract
     The core engine surface: per-query counters, per-stream retention,
     watermark, and the optimization toggles.
 ``parallel.*``
-    ``None`` on a serial engine; otherwise the
-    :class:`~repro.metrics.ParallelMetrics` counters plus ``workers``.
+    ``None`` on an engine without an executor; otherwise the
+    ``parallel.*`` counters plus ``workers``.
 ``supervision.*``
-    ``None`` on a serial engine; otherwise the pool supervisor's
+    ``None`` without an executor; otherwise the pool supervisor's
     document (mode, crash budget, rebuild/retry/degradation counters,
     chaos tallies — see
     :meth:`~repro.runtime.supervisor.PoolSupervisor.as_dict`).
 ``resilience.*``
-    ``None`` outside a :class:`~repro.runtime.ResilientEngine`;
-    otherwise the runtime policies, buffer depths, dead-letter count,
-    and the :class:`~repro.metrics.ResilienceMetrics` counters.
+    ``None`` on an engine without an ingress; otherwise the runtime
+    policies, buffer depths, dead-letter count, and the
+    ``resilience.*`` counters.
 ``service.*``
     Absent on offline documents; injected per tenant by the
     continuous-query service (quotas, admission, counters, per-query
     emission-log offsets — docs/SERVICE.md).
 ``obs.*``
-    Whether observability is on, the registry snapshot
-    (counters/gauges/histograms), and trace span counts.
-
-The legacy ``status()`` methods remain for compatibility; they are
-views over the same state.
+    Whether tracing is on and, when it is, the registry snapshot
+    (counters/gauges/histograms) and trace span counts.
 
 Run ``python -m repro.obs.schema FILE...`` to validate exported JSON
 documents (status/metrics/trace are auto-detected) — the CI pipeline
@@ -62,37 +57,16 @@ def _schema_stamp(name: str) -> Dict[str, Any]:
 # -- document construction ----------------------------------------------------
 
 def unified_status(engine) -> Dict[str, Any]:
-    """One namespaced status document for any engine composition.
-
-    Accepts a :class:`~repro.seraph.engine.SeraphEngine`, a
-    :class:`~repro.runtime.parallel.ParallelEngine`, or a
-    :class:`~repro.runtime.ResilientEngine` wrapping either.
-    """
-    wrapper = None
-    inner = engine
-    if hasattr(engine, "dead_letters") and hasattr(engine, "engine"):
-        wrapper = engine
-        inner = engine.engine
-    base = dict(inner.status())
+    """One namespaced status document for a
+    :class:`~repro.seraph.engine.SeraphEngine`, whatever parts it owns."""
+    base = engine.status()
     parallel = base.pop("parallel", None)
     supervision = base.pop("supervision", None)
-    base.pop("resilience", None)  # wrapper state is rebuilt below
-    resilience: Optional[Dict[str, Any]] = None
-    if wrapper is not None:
-        resilience = {
-            "allowed_lateness": wrapper.allowed_lateness,
-            "poison_policy": wrapper.poison_policy.value,
-            "late_policy": wrapper.late_policy.value,
-            "sink_policy": wrapper.sink_policy.value,
-            "buffered": {name: len(buffer)
-                         for name, buffer in wrapper._buffers.items()},
-            "dead_letters": len(wrapper.dead_letters),
-            "metrics": wrapper.metrics.as_dict(),
-        }
-    obs = getattr(inner, "obs", None)
+    resilience = base.pop("resilience", None)
+    obs = engine.obs
     obs_section: Dict[str, Any] = {"enabled": False,
                                    "metrics": None, "trace": None}
-    if obs is not None and obs.enabled:
+    if obs.enabled:
         obs_section = {
             "enabled": True,
             "metrics": obs.registry.snapshot(),

@@ -1,4 +1,4 @@
-"""Fault-tolerant streaming runtime around the Seraph engine.
+"""Fault-tolerant streaming runtime: the parts a Seraph engine can own.
 
 The paper defers the engine implementation (Section 6) and says nothing
 about failure; the seed engine is fail-stop.  This package adds the
@@ -12,13 +12,15 @@ denotational-semantics contract:
   allowed lateness);
 * :class:`ResilientSink` — retries, exponential backoff with seeded
   jitter, circuit breaker, fallback sink;
-* :class:`ResilientEngine` — the composed wrapper, with JSON
-  checkpoint/restore of the full runtime state;
+* :class:`Ingress` — the part that composes them in front of an
+  engine's stream log (``EngineConfig(resilient=True)``), with its state
+  in the engine's JSON checkpoint;
+* :class:`PoolExecutor` — the part that computes full evaluations in
+  worker processes (``EngineConfig(parallel_workers=N)``);
 * :class:`GuardedIngestionPipeline` — fault policies for the MERGE
   ingestion pipeline;
 * :class:`PoolSupervisor` — crash detection, pool rebuilds, idempotent
-  retry, and graceful degradation around the parallel engines' process
-  pools;
+  retry, and graceful degradation around the process pools;
 * :mod:`repro.runtime.faults` — the deterministic chaos harness
   (:class:`ChaosConfig` drives every fault axis from one seed).
 """
@@ -31,7 +33,7 @@ from repro.runtime.checkpoint import (
     save_checkpoint,
 )
 from repro.runtime.deadletter import DeadLetterEntry, DeadLetterQueue
-from repro.runtime.engine import ResilientEngine, decode_item
+from repro.runtime.ingress import Ingress, decode_item
 from repro.runtime.faults import (
     ChaosConfig,
     ChaosInjector,
@@ -43,7 +45,7 @@ from repro.runtime.faults import (
 )
 from repro.runtime.guard import GuardedIngestionPipeline, message_from_payload
 from repro.runtime.parallel import (
-    ParallelEngine,
+    PoolExecutor,
     ShardedEngine,
     dead_letter_partition_handler,
     merge_emissions,
@@ -51,11 +53,7 @@ from repro.runtime.parallel import (
 )
 from repro.runtime.policies import FaultPolicy
 from repro.runtime.reorder import ReorderBuffer
-from repro.runtime.supervisor import (
-    PoolSupervisor,
-    SupervisionMetrics,
-    SupervisorConfig,
-)
+from repro.runtime.supervisor import PoolSupervisor, SupervisorConfig
 from repro.runtime.resilient_sink import (
     CircuitBreaker,
     ResilientSink,
@@ -74,15 +72,14 @@ __all__ = [
     "FlakySink",
     "FlakySource",
     "GuardedIngestionPipeline",
+    "Ingress",
     "InjectedSinkFailure",
-    "ParallelEngine",
+    "PoolExecutor",
     "PoolSupervisor",
     "ReorderBuffer",
-    "ResilientEngine",
     "ResilientSink",
     "RetryPolicy",
     "ShardedEngine",
-    "SupervisionMetrics",
     "SupervisorConfig",
     "dead_letter_partition_handler",
     "decode_item",

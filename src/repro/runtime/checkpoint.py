@@ -2,22 +2,30 @@
 
 A checkpoint captures everything a fresh :class:`SeraphEngine` needs to
 continue a continuous run with emissions bag-equal to the uninterrupted
-run (the property the tests assert):
+run (the property the tests assert).  One document, version 2, for every
+engine:
 
-* engine configuration (policy, incremental, window sharing/reuse, the
-  static background graph);
+* ``config`` — policy, the static background graph, **every** execution
+  mode field, the pool size (``parallel_workers``) and whether tracing
+  was on.  Each mode field is read with its default when absent, so a
+  field can leave the engine later without another version bump;
 * per-stream retained elements **with their eviction bookkeeping**
   (``base_seq``), so restored window states catch up over exactly the
   surviving history;
 * per-query progress: the registered query *text* (re-parsed on
-  restore), next evaluation instant, done flag, evaluation counters, and
-  the report-policy state (the previous evaluation's table — required
-  for ``ON ENTERING`` / ``ON EXITING`` correctness across the restore).
+  restore), next evaluation instant, done flag, the query's counters,
+  and the report-policy state (the previous evaluation's table —
+  required for ``ON ENTERING`` / ``ON EXITING`` correctness across the
+  restore);
+* ``runtime`` — ``null``, or the ingress's policies, reorder buffers,
+  dead letters and ``resilience.*`` counters
+  (:meth:`repro.runtime.ingress.Ingress.to_dict`).
 
 Not captured: sinks (arbitrary user objects — pass replacements to
 :func:`engine_from_dict`), the accumulated per-query result history, the
 reuse-memo table, and the delta-path assignment set (the first
-post-restore evaluation simply recomputes / full-refreshes).
+post-restore evaluation simply recomputes / full-refreshes).  Version 1
+documents (two shapes, mode fields missing) are rejected.
 
 The document is pure JSON; graph payloads reuse :mod:`repro.graph.io`,
 table values a tagged codec (nodes, relationships, paths, maps, lists).
@@ -30,6 +38,8 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro.errors import CheckpointError
 from repro.graph.io import (
+    element_from_dict,
+    element_to_dict,
     graph_from_dict,
     graph_to_dict,
     node_from_dict,
@@ -39,14 +49,27 @@ from repro.graph.io import (
 )
 from repro.graph.model import Node, Path, Relationship
 from repro.graph.table import Record, Table
+from repro.obs import Observability
+from repro.runtime.ingress import Ingress
+from repro.runtime.parallel import PoolExecutor
 from repro.seraph.dataflow import StreamMaterializer
-from repro.seraph.engine import SeraphEngine
+from repro.seraph.engine import QUERY_COUNTERS, SeraphEngine
 from repro.seraph.parser import parse_seraph
 from repro.seraph.sinks import Sink
-from repro.stream.stream import StreamElement
 from repro.stream.window import ActiveSubstreamPolicy
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+#: ``config`` keys that map one-to-one onto ``SeraphEngine`` mode
+#: parameters, with the value a document that lacks the key restores.
+_MODE_DEFAULTS = {
+    "incremental": True,
+    "reuse_unchanged_windows": True,
+    "delta_eval": True,
+    "physical_plans": True,
+    "graph_backend": "reference",
+    "vectorized": None,  # re-derived from the backend
+}
 
 
 # -- value / table codec -----------------------------------------------------
@@ -131,27 +154,27 @@ def engine_to_dict(engine: SeraphEngine) -> Dict[str, Any]:
         "version": CHECKPOINT_VERSION,
         "config": {
             "policy": engine.policy.name,
-            "incremental": engine.incremental,
-            "reuse_unchanged_windows": engine.reuse_unchanged_windows,
-            "delta_eval": engine.delta_eval,
-            "graph_backend": engine.graph_backend,
-            "vectorized": engine.vectorized,
+            **{name: getattr(engine, name) for name in _MODE_DEFAULTS},
             "static_graph": (
                 graph_to_dict(engine.static_graph)
                 if engine.static_graph is not None else None
             ),
-            # Set for ParallelEngine instances; None restores serial.
-            "parallel_workers": getattr(engine, "workers", None),
+            "parallel_workers": (
+                engine.executor.workers
+                if engine.executor is not None else None
+            ),
+            "observability": engine.obs.enabled,
         },
+        "runtime": (
+            engine.ingress.to_dict() if engine.ingress is not None else None
+        ),
         "watermark": engine._watermark,
+        "last_admitted": engine._last_admitted,
         "streams": {
             name: {
                 "base_seq": state.base_seq,
-                "elements": [
-                    {"instant": element.instant,
-                     "graph": graph_to_dict(element.graph)}
-                    for element in state.elements
-                ],
+                "elements": [element_to_dict(element)
+                             for element in state.elements],
             }
             for name, state in engine._streams.items()
         },
@@ -160,8 +183,10 @@ def engine_to_dict(engine: SeraphEngine) -> Dict[str, Any]:
                 "text": registered.query.render(),
                 "next_eval": registered.next_eval,
                 "done": registered.done,
-                "evaluations": registered.evaluations,
-                "reused_evaluations": registered.reused_evaluations,
+                "counters": {
+                    suffix: counter.value
+                    for suffix, counter in registered.counters.items()
+                },
                 "report_previous": (
                     table_to_dict(registered.report._previous)
                     if registered.report is not None
@@ -186,11 +211,14 @@ def engine_to_dict(engine: SeraphEngine) -> Dict[str, Any]:
 def engine_from_dict(
     data: Dict[str, Any],
     sinks: Optional[Dict[str, Sink]] = None,
+    **tuning,
 ) -> SeraphEngine:
     """Rebuild an engine mid-run from :func:`engine_to_dict` output.
 
     ``sinks`` maps query names to replacement sinks (sinks are not part
     of the checkpoint); unmapped queries get a fresh default sink.
+    ``tuning`` goes to the restored :class:`Ingress` — what a document
+    cannot carry (retry, clock, sleep, factories), or policy overrides.
     """
     try:
         version = data["version"]
@@ -200,41 +228,31 @@ def engine_from_dict(
                 f"(expected {CHECKPOINT_VERSION})"
             )
         config = data["config"]
+        runtime = data["runtime"]
+        if tuning and runtime is None:
+            raise CheckpointError(
+                f"checkpoint has no ingress to apply {sorted(tuning)} to"
+            )
         static = config.get("static_graph")
-        core_kwargs = dict(
+        workers = config.get("parallel_workers")
+        engine = SeraphEngine(
             policy=ActiveSubstreamPolicy[config["policy"]],
-            incremental=config["incremental"],
             static_graph=graph_from_dict(static) if static is not None
             else None,
-            reuse_unchanged_windows=config["reuse_unchanged_windows"],
-            # Absent in version-1 documents written before the delta path.
-            delta_eval=config.get("delta_eval", True),
-            # Absent in documents written before the columnar backend.
-            graph_backend=config.get("graph_backend", "reference"),
-            # Absent in documents written before vectorized pruning; None
-            # re-derives it from the backend.
-            vectorized=config.get("vectorized"),
+            obs=Observability.create() if config.get("observability")
+            else None,
+            ingress=Ingress.from_dict(runtime, **tuning)
+            if runtime is not None else None,
+            executor=PoolExecutor(workers) if workers is not None else None,
+            **{name: config.get(name, default)
+               for name, default in _MODE_DEFAULTS.items()},
         )
-        workers = config.get("parallel_workers")
-        if workers is not None:
-            # Restore the parallel subclass directly (the legacy
-            # SeraphEngine(parallel=N) factory hook is gone).
-            from repro.runtime.parallel import ParallelEngine
-
-            engine: SeraphEngine = ParallelEngine(
-                workers=workers, **core_kwargs
-            )
-        else:
-            engine = SeraphEngine(**core_kwargs)
+        if runtime is not None:
+            engine.ingress.restore_state(runtime)
         for name, stream_data in data["streams"].items():
             state = engine._stream_state(name)
             for element_data in stream_data["elements"]:
-                state.append(
-                    StreamElement(
-                        graph=graph_from_dict(element_data["graph"]),
-                        instant=int(element_data["instant"]),
-                    )
-                )
+                state.append(element_from_dict(element_data))
             state.base_seq = int(stream_data["base_seq"])
         for query_data in data["queries"]:
             query = parse_seraph(query_data["text"])
@@ -242,22 +260,24 @@ def engine_from_dict(
             registered = engine.register(query, sink=sink, validate=False)
             registered.next_eval = query_data["next_eval"]
             registered.done = query_data["done"]
-            registered.evaluations = query_data["evaluations"]
-            registered.reused_evaluations = query_data["reused_evaluations"]
+            for suffix in QUERY_COUNTERS:
+                registered.counters[suffix].inc(
+                    query_data["counters"].get(suffix, 0)
+                )
             previous = query_data.get("report_previous")
             if previous is not None and registered.report is not None:
                 registered.report._previous = table_from_dict(previous)
         # Re-registering producers created fresh materializers; overwrite
-        # them with the checkpointed state (absent in documents written
-        # before dataflow chaining).
+        # them with the checkpointed state.
         for stream, materializer_data in data.get("dataflow", {}).items():
             engine._materializers[stream] = \
                 StreamMaterializer.from_dict(materializer_data)
         engine._watermark = data["watermark"]
+        engine._last_admitted = data["last_admitted"]
         return engine
     except CheckpointError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(
             f"malformed checkpoint document: {exc!r}"
         ) from exc
@@ -269,13 +289,13 @@ def checkpoint_to_json(engine: SeraphEngine, indent: Optional[int] = None
 
 
 def engine_from_json(
-    text: str, sinks: Optional[Dict[str, Sink]] = None
+    text: str, sinks: Optional[Dict[str, Sink]] = None, **tuning
 ) -> SeraphEngine:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint is not valid JSON: {exc}") from exc
-    return engine_from_dict(data, sinks=sinks)
+    return engine_from_dict(data, sinks=sinks, **tuning)
 
 
 def save_checkpoint(engine: SeraphEngine, path: str) -> None:
@@ -284,7 +304,7 @@ def save_checkpoint(engine: SeraphEngine, path: str) -> None:
 
 
 def load_checkpoint(
-    path: str, sinks: Optional[Dict[str, Sink]] = None
+    path: str, sinks: Optional[Dict[str, Sink]] = None, **tuning
 ) -> SeraphEngine:
     with open(path, "r", encoding="utf-8") as handle:
-        return engine_from_json(handle.read(), sinks=sinks)
+        return engine_from_json(handle.read(), sinks=sinks, **tuning)

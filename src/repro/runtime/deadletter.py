@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, List, Optional
 
-from repro.metrics import ResilienceMetrics
+from repro.obs.registry import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,11 @@ class DeadLetterEntry:
 
 
 def _json_safe(payload: Any) -> Any:
-    from repro.graph.io import graph_to_dict
+    from repro.graph.io import element_to_dict
     from repro.stream.stream import StreamElement
 
     if isinstance(payload, StreamElement):
-        return {"instant": payload.instant,
-                "graph": graph_to_dict(payload.graph)}
+        return element_to_dict(payload)
     try:
         json.dumps(payload)
         return payload
@@ -58,17 +57,20 @@ class DeadLetterQueue:
 
     ``capacity`` bounds memory: when full, the oldest entry is dropped
     (the sequence numbers keep counting, so loss is observable).
+    Every append counts ``resilience.dead_lettered`` in ``registry`` (a
+    private one unless the owner shares its own).
     """
 
     def __init__(
         self,
         capacity: Optional[int] = None,
-        metrics: Optional[ResilienceMetrics] = None,
+        registry: Optional[MetricsRegistry] = None,
     ):
         if capacity is not None and capacity <= 0:
             raise ValueError("dead-letter capacity must be positive")
         self.capacity = capacity
-        self.metrics = metrics
+        self.registry = registry if registry is not None \
+            else MetricsRegistry()
         self._entries: List[DeadLetterEntry] = []
         self._next_sequence = 0
 
@@ -92,8 +94,7 @@ class DeadLetterQueue:
         self._entries.append(entry)
         if self.capacity is not None and len(self._entries) > self.capacity:
             del self._entries[0]
-        if self.metrics is not None:
-            self.metrics.dead_lettered += 1
+        self.registry.inc("resilience.dead_lettered")
         return entry
 
     # -- accessors ----------------------------------------------------------
@@ -122,8 +123,8 @@ class DeadLetterQueue:
         return entries
 
     def restore(self, entries: List[DeadLetterEntry], total: int) -> None:
-        """Reload checkpointed quarantine state (bypasses metrics — the
-        restored counters already account for these entries)."""
+        """Reload checkpointed quarantine state (bypasses the counter —
+        the restored ledger already accounts for these entries)."""
         self._entries = list(entries)
         self._next_sequence = total
 

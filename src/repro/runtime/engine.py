@@ -1,523 +1,7 @@
-"""The fault-tolerant runtime wrapper around :class:`SeraphEngine`.
+"""Import path of :func:`~repro.runtime.ingress.decode_item` that the
+frozen benchmark (``benchmarks/e2e/service.py``) uses; the ingress itself
+lives in :mod:`repro.runtime.ingress`."""
 
-:class:`ResilientEngine` composes the resilience components in front of
-and around an unmodified engine, preserving its denotational-semantics
-contract on the surviving inputs:
+from repro.runtime.ingress import decode_item
 
-* **ingestion guard** — raw payloads (JSON strings, ``{"instant", "graph"}``
-  dicts, or :class:`StreamElement` objects) are validated before they
-  touch the engine; malformed ones are handled per the poison policy
-  (fail fast / skip / dead-letter);
-* **reorder buffer** — one per input stream, re-sequencing bounded
-  out-of-order arrivals and quarantining events beyond the allowed
-  lateness;
-* **sink isolation** — every registered sink is wrapped in a
-  :class:`ResilientSink` (retries + circuit breaker + fallback), so user
-  sink bugs cannot abort the evaluation loop;
-* **checkpoint/restore** — the full runtime state (engine, buffers,
-  dead letters, counters) serializes to JSON and resumes mid-stream
-  with emissions bag-equal to an uninterrupted run.
-
-All counters are surfaced through one shared
-:class:`~repro.metrics.ResilienceMetrics`.
-"""
-
-from __future__ import annotations
-
-import json
-import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
-
-from repro.errors import EngineError, PoisonMessageError, ReproError
-from repro.graph.io import graph_from_dict, graph_to_dict
-from repro.graph.model import PropertyGraph
-from repro.graph.temporal import TimeInstant
-from repro.metrics import ResilienceMetrics
-from repro.runtime.checkpoint import (
-    CHECKPOINT_VERSION,
-    engine_from_dict,
-    engine_to_dict,
-)
-from repro.runtime.deadletter import DeadLetterEntry, DeadLetterQueue
-from repro.runtime.policies import FaultPolicy
-from repro.runtime.reorder import ReorderBuffer
-from repro.runtime.resilient_sink import (
-    CircuitBreaker,
-    ResilientSink,
-    RetryPolicy,
-)
-from repro.seraph.ast import DEFAULT_STREAM, SeraphQuery
-from repro.seraph.engine import RegisteredQuery, SeraphEngine
-from repro.seraph.sinks import Emission, Sink
-from repro.stream.stream import StreamElement
-
-from repro.errors import CheckpointError
-
-
-def decode_item(item: Any) -> StreamElement:
-    """Decode/validate one raw input into a :class:`StreamElement`.
-
-    Accepts a StreamElement (validated), an ``{"instant", "graph"}``
-    payload dict, or its JSON string form.  Anything else — or any
-    decoding failure — raises :class:`PoisonMessageError`.
-    """
-    if isinstance(item, StreamElement):
-        if not isinstance(item.graph, PropertyGraph):
-            raise PoisonMessageError(
-                f"stream element graph is {type(item.graph).__name__}, "
-                "not a PropertyGraph"
-            )
-        if isinstance(item.instant, bool) or not isinstance(item.instant, int):
-            raise PoisonMessageError(
-                f"stream element instant {item.instant!r} is not an integer"
-            )
-        return item
-    if isinstance(item, (str, bytes)):
-        try:
-            item = json.loads(item)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise PoisonMessageError(
-                f"payload is not valid JSON: {exc}"
-            ) from exc
-    if not isinstance(item, dict):
-        raise PoisonMessageError(
-            f"payload of type {type(item).__name__} is not a stream element"
-        )
-    try:
-        instant = item["instant"]
-        graph_data = item["graph"]
-    except KeyError as exc:
-        raise PoisonMessageError(f"payload misses key {exc}") from exc
-    if isinstance(instant, bool) or not isinstance(instant, int):
-        raise PoisonMessageError(f"instant {instant!r} is not an integer")
-    if not isinstance(graph_data, dict):
-        raise PoisonMessageError("graph payload is not an object")
-    try:
-        graph = graph_from_dict(graph_data)
-    except ReproError as exc:
-        raise PoisonMessageError(f"malformed graph payload: {exc}") from exc
-    return StreamElement(graph=graph, instant=instant)
-
-
-class ResilientEngine:
-    """A :class:`SeraphEngine` that survives poison, disorder, and flaky
-    sinks.
-
-    Parameters
-    ----------
-    engine:
-        The wrapped engine (a fresh default one when omitted).  Build
-        composed stacks through
-        :func:`repro.build_engine`/``EngineConfig(resilient=True)``;
-        the removed ``**engine_kwargs`` pass-through hard-errors.
-    allowed_lateness:
-        Out-of-order tolerance in stream time units: an element may
-        arrive up to this much after a newer element and still be
-        re-sequenced.  0 (default) admits only non-decreasing arrivals.
-    poison_policy / late_policy / sink_policy:
-        What to do with malformed payloads, events beyond the lateness
-        bound, and emissions no delivery attempt could place.
-    retry / breaker_factory / fallback_factory:
-        Sink-delivery tuning; each registered query gets its own breaker
-        (and fallback, when a factory is given).
-    sleep / clock:
-        Injectable time for deterministic tests (backoff sleeping and
-        breaker recovery timing).
-    chaos:
-        A :class:`~repro.runtime.faults.ChaosConfig`.  Its source axis
-        wraps every :meth:`run_stream` input in a seeded
-        :class:`~repro.runtime.faults.FlakySource` (poison payloads,
-        displaced arrivals); its sink axis slips a seeded
-        :class:`~repro.runtime.faults.FlakySink` between the resilient
-        delivery layer and each user sink, so retries/breakers get
-        exercised deterministically.  The worker axis is consumed by the
-        wrapped engine's pool supervisor, not here.
-
-    The wrapper shares the wrapped engine's observability bundle
-    (``self.obs is self.engine.obs``): sink retries show up as
-    ``sink_attempt`` child spans under the engine's ``sink`` span, and
-    reorder/poison counters land in the same registry.
-    """
-
-    def __init__(
-        self,
-        engine: Optional[SeraphEngine] = None,
-        *,
-        allowed_lateness: int = 0,
-        poison_policy: FaultPolicy = FaultPolicy.DEAD_LETTER,
-        late_policy: FaultPolicy = FaultPolicy.DEAD_LETTER,
-        sink_policy: FaultPolicy = FaultPolicy.DEAD_LETTER,
-        retry: Optional[RetryPolicy] = None,
-        breaker_factory: Optional[Callable[[], CircuitBreaker]] = None,
-        fallback_factory: Optional[Callable[[], Sink]] = None,
-        dead_letter_capacity: Optional[int] = None,
-        metrics: Optional[ResilienceMetrics] = None,
-        dead_letters: Optional[DeadLetterQueue] = None,
-        sleep: Callable[[float], None] = time.sleep,
-        clock: Callable[[], float] = time.monotonic,
-        chaos=None,
-        **engine_kwargs,
-    ):
-        if engine_kwargs:
-            # The PR 4 pass-through (forwarding **engine_kwargs to an
-            # implicit SeraphEngine) went through a DeprecationWarning
-            # cycle and is now removed; fail with the migration path.
-            raise EngineError(
-                "ResilientEngine(**engine_kwargs) was removed; build the "
-                "stack through the front door instead: "
-                "repro.build_engine(EngineConfig(resilient=True, ...)), "
-                "or construct the inner engine and pass it explicitly"
-            )
-        self.engine = engine if engine is not None else SeraphEngine()
-        self.obs = self.engine.obs
-        self.allowed_lateness = allowed_lateness
-        self.poison_policy = poison_policy
-        self.late_policy = late_policy
-        self.sink_policy = sink_policy
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.metrics = metrics if metrics is not None else ResilienceMetrics()
-        self.dead_letters = dead_letters if dead_letters is not None \
-            else DeadLetterQueue(capacity=dead_letter_capacity,
-                                 metrics=self.metrics)
-        if self.dead_letters.metrics is None:
-            self.dead_letters.metrics = self.metrics
-        self.sleep = sleep
-        self.clock = clock
-        self.chaos = chaos
-        self._breaker_factory = breaker_factory
-        self._fallback_factory = fallback_factory
-        self._buffers: Dict[str, ReorderBuffer] = {}
-        self._last_ingested: Optional[TimeInstant] = None
-
-    # -- registry ----------------------------------------------------------
-
-    def register(
-        self,
-        query: Union[str, SeraphQuery],
-        sink: Optional[Sink] = None,
-        fallback: Optional[Sink] = None,
-        wrap_sink: bool = True,
-        **kwargs,
-    ) -> RegisteredQuery:
-        """Register a query; its sink is wrapped for fault isolation."""
-        registered = self.engine.register(query, sink=sink, **kwargs)
-        if wrap_sink and not isinstance(registered.sink, ResilientSink):
-            registered.sink = self._wrap_sink(registered.sink, fallback)
-        return registered
-
-    def _wrap_sink(
-        self, inner: Sink, fallback: Optional[Sink] = None
-    ) -> ResilientSink:
-        if fallback is None and self._fallback_factory is not None:
-            fallback = self._fallback_factory()
-        breaker = (
-            self._breaker_factory()
-            if self._breaker_factory is not None
-            else CircuitBreaker(clock=self.clock, metrics=self.metrics)
-        )
-        if self.chaos is not None and self.chaos.wants_sink_chaos:
-            # The flaky layer sits *under* the resilient one, so its
-            # injected failures exercise retries/breakers while the user
-            # sink still receives every delivered emission.
-            inner = self.chaos.sink(inner)
-        return ResilientSink(
-            inner,
-            retry=self.retry,
-            breaker=breaker,
-            fallback=fallback,
-            failure_policy=self.sink_policy,
-            dead_letters=self.dead_letters,
-            metrics=self.metrics,
-            sleep=self.sleep,
-            tracer=self.obs.tracer if self.obs.enabled else None,
-        )
-
-    def deregister(self, name: str) -> None:
-        self.engine.deregister(name)
-
-    def registered(self, name: str) -> RegisteredQuery:
-        return self.engine.registered(name)
-
-    def sink(self, name: str) -> Sink:
-        """The *inner* (user) sink of a registered query."""
-        from repro.runtime.faults import FlakySink
-
-        sink = self.engine.sink(name)
-        if isinstance(sink, ResilientSink):
-            sink = sink.inner
-        if isinstance(sink, FlakySink):
-            sink = sink.inner
-        return sink
-
-    @property
-    def query_names(self) -> List[str]:
-        return self.engine.query_names
-
-    # -- ingestion ---------------------------------------------------------
-
-    def _buffer(self, stream: str) -> ReorderBuffer:
-        buffer = self._buffers.get(stream)
-        if buffer is None:
-            buffer = ReorderBuffer(
-                allowed_lateness=self.allowed_lateness,
-                late_policy=self.late_policy,
-                dead_letters=self.dead_letters,
-                metrics=self.metrics,
-                stream=stream,
-                registry=self.obs.registry if self.obs.enabled else None,
-            )
-            self._buffers[stream] = buffer
-        return buffer
-
-    def ingest(
-        self,
-        graph: PropertyGraph,
-        instant: TimeInstant,
-        stream: str = DEFAULT_STREAM,
-    ) -> List[Emission]:
-        """Guarded counterpart of :meth:`SeraphEngine.ingest`."""
-        return self.ingest_item(
-            StreamElement(graph=graph, instant=instant), stream
-        )
-
-    def ingest_item(
-        self, item: Any, stream: str = DEFAULT_STREAM
-    ) -> List[Emission]:
-        """Validate, re-sequence, and ingest one raw input.
-
-        Returns the emissions fired while catching the engine up to the
-        newly released (ripe) elements.
-        """
-        try:
-            element = decode_item(item)
-        except PoisonMessageError as exc:
-            self.metrics.poison_rejected += 1
-            if self.obs.enabled:
-                self.obs.registry.inc("resilience.poison_rejected")
-            if self.poison_policy is FaultPolicy.FAIL_FAST:
-                raise
-            if self.poison_policy is FaultPolicy.SKIP:
-                self.metrics.poison_skipped += 1
-            else:
-                self.dead_letters.append(
-                    item, reason=str(exc), error=exc, stream=stream
-                )
-            return []
-        released = self._buffer(stream).offer(element)
-        return self._deliver(released, stream)
-
-    def ingest_element(
-        self, element: StreamElement, stream: str = DEFAULT_STREAM
-    ) -> List[Emission]:
-        return self.ingest_item(element, stream)
-
-    def _deliver(
-        self, released: List[StreamElement], stream: str
-    ) -> List[Emission]:
-        emissions: List[Emission] = []
-        for element in released:
-            # Evaluations strictly before this arrival must not see it
-            # (the engine's own run_stream discipline).
-            emissions.extend(self.engine.advance_to(element.instant - 1))
-            self.engine.ingest_element(element, stream)
-            self.metrics.ingested += 1
-            self._last_ingested = element.instant
-        return emissions
-
-    # -- evaluation --------------------------------------------------------
-
-    def advance_to(self, instant: TimeInstant) -> List[Emission]:
-        return self.engine.advance_to(instant)
-
-    def flush(
-        self, until: Optional[TimeInstant] = None
-    ) -> List[Emission]:
-        """End-of-stream: drain every reorder buffer, then advance to
-        ``until`` (default: the last ingested arrival)."""
-        emissions: List[Emission] = []
-        for stream, buffer in self._buffers.items():
-            emissions.extend(self._deliver(buffer.flush(), stream))
-        final = until if until is not None else self._last_ingested
-        if final is not None:
-            emissions.extend(self.engine.advance_to(final))
-        return emissions
-
-    def run_stream(
-        self,
-        items: Iterable[Any],
-        until: Optional[TimeInstant] = None,
-        stream: str = DEFAULT_STREAM,
-    ) -> List[Emission]:
-        """Fault-tolerant counterpart of :meth:`SeraphEngine.run_stream`:
-        accepts raw payloads and StreamElements alike.
-
-        With source chaos configured, ``items`` are fed through the
-        seeded :class:`~repro.runtime.faults.FlakySource` first — poison
-        payloads and displaced arrivals land on exactly the machinery
-        (poison policy, reorder buffer) built to absorb them.
-        """
-        if self.chaos is not None and self.chaos.wants_source_chaos:
-            items = self.chaos.source(items)
-        emissions: List[Emission] = []
-        for item in items:
-            emissions.extend(self.ingest_item(item, stream))
-        emissions.extend(self.flush(until))
-        return emissions
-
-    # -- checkpoint/restore ------------------------------------------------
-
-    def checkpoint(self) -> Dict[str, Any]:
-        """Serialize the full runtime state to a JSON-safe document."""
-        self.metrics.checkpoints += 1
-        return {
-            "version": CHECKPOINT_VERSION,
-            "engine": engine_to_dict(self.engine),
-            "runtime": {
-                "allowed_lateness": self.allowed_lateness,
-                "poison_policy": self.poison_policy.value,
-                "late_policy": self.late_policy.value,
-                "sink_policy": self.sink_policy.value,
-                "buffers": {
-                    name: {
-                        "watermark": buffer.watermark,
-                        "frontier": buffer.frontier,
-                        "pending": [
-                            {"instant": element.instant,
-                             "graph": graph_to_dict(element.graph)}
-                            for element in buffer.pending
-                        ],
-                    }
-                    for name, buffer in self._buffers.items()
-                },
-                "last_ingested": self._last_ingested,
-                "metrics": self.metrics.as_dict(),
-                "dead_letters": {
-                    "total": self.dead_letters.total_appended,
-                    "entries": [
-                        entry.to_dict() for entry in self.dead_letters
-                    ],
-                },
-            },
-        }
-
-    def checkpoint_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.checkpoint(), indent=indent, sort_keys=True)
-
-    def save_checkpoint(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.checkpoint_json(indent=2))
-
-    @classmethod
-    def from_checkpoint(
-        cls,
-        data: Union[str, Dict[str, Any]],
-        sinks: Optional[Dict[str, Sink]] = None,
-        **kwargs,
-    ) -> "ResilientEngine":
-        """Rebuild a runtime (engine + buffers + quarantine + counters)
-        from a :meth:`checkpoint` document or its JSON string.
-
-        ``sinks`` maps query names to replacement user sinks (wrapped on
-        restore); ``kwargs`` override runtime tuning (retry, clock, ...).
-        """
-        if isinstance(data, str):
-            try:
-                data = json.loads(data)
-            except json.JSONDecodeError as exc:
-                raise CheckpointError(
-                    f"checkpoint is not valid JSON: {exc}"
-                ) from exc
-        try:
-            runtime_data = data["runtime"]
-            engine = engine_from_dict(data["engine"], sinks=sinks)
-            metrics = ResilienceMetrics(**runtime_data["metrics"])
-            metrics.restores += 1
-            restored = cls(
-                engine,
-                allowed_lateness=runtime_data["allowed_lateness"],
-                poison_policy=FaultPolicy.parse(
-                    runtime_data["poison_policy"]
-                ),
-                late_policy=FaultPolicy.parse(runtime_data["late_policy"]),
-                sink_policy=FaultPolicy.parse(runtime_data["sink_policy"]),
-                metrics=metrics,
-                **kwargs,
-            )
-            restored._last_ingested = runtime_data["last_ingested"]
-            for name, buffer_data in runtime_data["buffers"].items():
-                buffer = restored._buffer(name)
-                buffer.restore_state(
-                    watermark=buffer_data["watermark"],
-                    frontier=buffer_data["frontier"],
-                    pending=[
-                        StreamElement(
-                            graph=graph_from_dict(element["graph"]),
-                            instant=int(element["instant"]),
-                        )
-                        for element in buffer_data["pending"]
-                    ],
-                )
-            letters = runtime_data["dead_letters"]
-            restored.dead_letters.restore(
-                entries=[
-                    DeadLetterEntry(
-                        payload=entry["payload"],
-                        reason=entry["reason"],
-                        error=entry["error"],
-                        stream=entry["stream"],
-                        instant=entry["instant"],
-                        sequence=entry["sequence"],
-                    )
-                    for entry in letters["entries"]
-                ],
-                total=letters["total"],
-            )
-            for name in restored.engine.query_names:
-                registered = restored.engine.registered(name)
-                if not isinstance(registered.sink, ResilientSink):
-                    registered.sink = restored._wrap_sink(registered.sink)
-            return restored
-        except CheckpointError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"malformed runtime checkpoint: {exc!r}"
-            ) from exc
-
-    @classmethod
-    def load_checkpoint(
-        cls,
-        path: str,
-        sinks: Optional[Dict[str, Sink]] = None,
-        **kwargs,
-    ) -> "ResilientEngine":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_checkpoint(handle.read(), sinks=sinks, **kwargs)
-
-    # -- introspection -----------------------------------------------------
-
-    def status(self) -> Dict[str, Any]:
-        status = self.engine.status()
-        status["resilience"] = {
-            "allowed_lateness": self.allowed_lateness,
-            "poison_policy": self.poison_policy.value,
-            "late_policy": self.late_policy.value,
-            "sink_policy": self.sink_policy.value,
-            "buffered": {name: len(buffer)
-                         for name, buffer in self._buffers.items()},
-            "dead_letters": len(self.dead_letters),
-            "metrics": self.metrics.as_dict(),
-        }
-        return status
-
-    def unified_status(self) -> Dict[str, Any]:
-        """The namespaced, schema-stamped status document
-        (:func:`repro.obs.schema.unified_status`)."""
-        from repro.obs.schema import unified_status
-
-        return unified_status(self)
-
-    def __repr__(self) -> str:
-        return (f"ResilientEngine(lateness={self.allowed_lateness}, "
-                f"queries={len(self.engine.query_names)}, "
-                f"dead_letters={len(self.dead_letters)})")
+__all__ = ["decode_item"]

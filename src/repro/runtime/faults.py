@@ -121,7 +121,7 @@ class FlakySource:
     """Injects poison payloads and displaced events into a clean stream.
 
     Yields a mix of valid :class:`StreamElement` objects and raw payloads
-    (to be fed through ``ResilientEngine.ingest_item``):
+    (to be fed to an engine that owns an ingress):
 
     * with probability ``poison_rate`` a poison payload from
       ``POISON_PAYLOADS`` is inserted *before* the next clean element;
@@ -218,8 +218,9 @@ class ChaosConfig:
     * ``result_drop_rate`` — probability the parent discards a
       completed task's result (a lost response).
 
-    Stream/sink axis (consumed by :class:`~repro.runtime.ResilientEngine`
-    when built with ``EngineConfig(chaos=...)``):
+    Stream/sink axis (consumed by the engine's
+    :class:`~repro.runtime.ingress.Ingress` when built with
+    ``EngineConfig(resilient=True, chaos=...)``):
 
     * ``source_poison_rate`` / ``source_displace_rate`` /
       ``source_displace_by`` — the :class:`FlakySource` knobs;

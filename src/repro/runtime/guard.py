@@ -21,7 +21,7 @@ from typing import Any, List, Optional
 
 from repro.errors import IngestionError, PoisonMessageError, StreamError
 from repro.graph.temporal import TimeInstant
-from repro.metrics import ResilienceMetrics
+from repro.obs.registry import MetricsRegistry
 from repro.runtime.deadletter import DeadLetterQueue
 from repro.runtime.policies import FaultPolicy
 from repro.stream.stream import StreamElement
@@ -82,15 +82,15 @@ class GuardedIngestionPipeline:
         pipeline: IngestionPipeline,
         policy: FaultPolicy = FaultPolicy.DEAD_LETTER,
         dead_letters: Optional[DeadLetterQueue] = None,
-        metrics: Optional[ResilienceMetrics] = None,
+        registry: Optional[MetricsRegistry] = None,
     ):
         self.pipeline = pipeline
         self.policy = policy
-        self.metrics = metrics if metrics is not None else ResilienceMetrics()
+        #: counts ``resilience.{ingested,poison_rejected,poison_skipped}``
+        self.registry = registry if registry is not None \
+            else MetricsRegistry()
         self.dead_letters = dead_letters if dead_letters is not None \
-            else DeadLetterQueue(metrics=self.metrics)
-        if self.dead_letters.metrics is None:
-            self.dead_letters.metrics = self.metrics
+            else DeadLetterQueue(registry=self.registry)
 
     @property
     def store(self):
@@ -105,7 +105,7 @@ class GuardedIngestionPipeline:
         except StreamError as exc:  # IngestionError is a StreamError
             self._refuse(message, exc)
             return False
-        self.metrics.ingested += 1
+        self.registry.inc("resilience.ingested")
         return True
 
     def feed_raw(self, payload: Any) -> bool:
@@ -117,18 +117,18 @@ class GuardedIngestionPipeline:
         except StreamError as exc:
             self._refuse(payload, exc)
             return False
-        self.metrics.ingested += 1
+        self.registry.inc("resilience.ingested")
         return True
 
     def seal_until(self, until: TimeInstant) -> List[StreamElement]:
         return self.pipeline.seal_until(until)
 
     def _refuse(self, payload: Any, error: StreamError) -> None:
-        self.metrics.poison_rejected += 1
+        self.registry.inc("resilience.poison_rejected")
         if self.policy is FaultPolicy.FAIL_FAST:
             raise error
         if self.policy is FaultPolicy.SKIP:
-            self.metrics.poison_skipped += 1
+            self.registry.inc("resilience.poison_skipped")
             return
         instant = None
         if isinstance(payload, RentalMessage) and isinstance(

@@ -5,15 +5,16 @@ future-work item (ii) sketches logical sub-streams.  This module turns
 both hooks into wall-clock speedup without changing a single emitted
 byte, along two independent axes:
 
-* **query-level parallelism** — :class:`ParallelEngine` (a
-  :class:`~repro.seraph.engine.SeraphEngine` subclass).  At each
-  evaluation pass it advances windows serially, then groups the due
-  *full* evaluations by their shared-window signature, ships each
-  group's pickled snapshot graphs to a worker process once, and computes
-  the group's tables there.  Window maintenance, the reuse memo, the
-  delta path, report policies, and sink delivery all stay in the parent,
-  applied in the exact serial firing order — emissions are byte-identical
-  to the serial engine (docs/PARALLEL.md gives the determinism argument).
+* **query-level parallelism** — :class:`PoolExecutor`, the optional
+  part a :class:`~repro.seraph.engine.SeraphEngine` hands each stage
+  chunk's computations to.  The engine advances windows serially; the
+  executor groups the due *full* evaluations by their shared-window
+  signature, ships each group's pickled snapshot graphs to a worker
+  process once, and computes the group's tables there.  Window
+  maintenance, the reuse memo, the delta path, report policies, and sink
+  delivery all stay in the parent, applied in the exact serial firing
+  order — emissions are byte-identical to the engine without an executor
+  (docs/PARALLEL.md gives the determinism argument).
 
 * **partition-level parallelism** — :class:`ShardedEngine` /
   :func:`run_partitioned`.  A stream is routed through
@@ -28,10 +29,10 @@ byte, along two independent axes:
 
 A cost-model scheduler (:func:`repro.cypher.planner.pattern_cost`)
 decides serial vs. parallel per evaluation: small snapshots never pay
-the IPC tax.  :class:`repro.metrics.ParallelMetrics` counts what
-happened.
+the IPC tax.  What happened is counted under ``parallel.*`` in the
+owning engine's metrics registry.
 
-Both engines run their pools through a
+Both run their pools through a
 :class:`~repro.runtime.supervisor.PoolSupervisor`: worker death and
 ``BrokenProcessPool`` rebuild the pool behind bounded backoff, failing
 tasks retry idempotently (both worker functions are pure over their
@@ -52,9 +53,14 @@ from repro.errors import CheckpointError, EngineError, PartitionError
 from repro.graph.io import graph_from_dict, graph_to_dict
 from repro.graph.table import Table
 from repro.graph.temporal import TimeInstant
-from repro.metrics import ParallelMetrics
+from repro.obs import Observability
+from repro.obs.registry import MetricsRegistry
 from repro.runtime.deadletter import DeadLetterQueue
-from repro.runtime.supervisor import PoolSupervisor, SupervisorConfig
+from repro.runtime.supervisor import (
+    SUPERVISION_COUNTERS,
+    PoolSupervisor,
+    SupervisorConfig,
+)
 from repro.seraph import semantics
 from repro.seraph.engine import SeraphEngine, _PendingEvaluation
 from repro.seraph.ast import SeraphMatch
@@ -71,6 +77,47 @@ from repro.stream.window import ActiveSubstreamPolicy
 #: the unit-test graphs (tens of nodes, fixed-length patterns) stay
 #: serial while variable-length/shortestPath workloads offload.
 DEFAULT_OFFLOAD_THRESHOLD = 5_000.0
+
+#: ``parallel.*`` counters, in ``status()["parallel"]`` order;
+#: ``parallel.max_queue_depth`` (a gauge) follows them.
+PARALLEL_COUNTERS = (
+    "batches",                # passes (engine) / runs (sharded) with work
+    "offloaded_groups",       # window-signature groups sent to workers
+    "offloaded_evaluations",  # evaluations computed in a worker
+    "inline_evaluations",     # full evaluations computed in-parent
+    "scheduler_serial",       # scheduler verdicts: stay serial
+    "scheduler_parallel",     # scheduler verdicts: offload
+)
+
+
+def _observe_task(registry: MetricsRegistry, worker_id: int,
+                  seconds: float) -> None:
+    """One completed worker task: ``parallel.worker.<id>.task_seconds``
+    (count = tasks, sum = busy seconds)."""
+    registry.observe(f"parallel.worker.{worker_id}.task_seconds", seconds)
+
+
+def _observe_queue_depth(registry: MetricsRegistry, depth: int) -> None:
+    gauge = registry.gauge("parallel.max_queue_depth")
+    gauge.set(max(gauge.value, depth))
+
+
+def _parallel_status(registry: MetricsRegistry, **sizes) -> Dict[str, object]:
+    return {
+        **registry.values("parallel", PARALLEL_COUNTERS),
+        "max_queue_depth": registry.value("parallel.max_queue_depth"),
+        **sizes,
+    }
+
+
+def _supervisor_config(max_worker_restarts, task_timeout) -> SupervisorConfig:
+    return SupervisorConfig(
+        max_restarts=(
+            max_worker_restarts if max_worker_restarts is not None
+            else SupervisorConfig.max_restarts
+        ),
+        task_timeout=task_timeout,
+    )
 
 # -- worker-side tasks --------------------------------------------------------
 #
@@ -201,20 +248,21 @@ def _worker_run_shard(payload):
 
 # -- query-level parallelism ---------------------------------------------------
 
-class ParallelEngine(SeraphEngine):
-    """A SeraphEngine that offloads full evaluations to worker processes.
+class PoolExecutor:
+    """Where a :class:`SeraphEngine` sends a chunk's full evaluations.
 
-    Construct through :func:`repro.build_engine`
-    (``EngineConfig(parallel_workers=N)``) or directly.  ``workers``
-    sizes the process pool; ``0`` means ``os.cpu_count()``.  The pool is
-    created lazily on the first offload
-    and released by :meth:`close` (the engine is also a context
-    manager); ``pool`` injects an externally managed executor instead —
-    the engine then never shuts it down.
+    Build through :func:`repro.build_engine`
+    (``EngineConfig(parallel_workers=N)``) or pass one to
+    ``SeraphEngine(executor=...)``.  ``workers`` sizes the process pool;
+    ``None``/``0`` means ``os.cpu_count()``.  The pool is created lazily
+    on the first offload and released by :meth:`close`; ``pool`` injects
+    an externally managed executor instead — it is then never shut down
+    here.
 
-    Emissions are byte-identical to the serial engine: only the pure
-    snapshot evaluation (:func:`repro.seraph.semantics.execute_body`)
-    moves to a worker, and results are applied in serial firing order.
+    Emissions are byte-identical to an engine without an executor: only
+    the pure snapshot evaluation
+    (:func:`repro.seraph.semantics.execute_body`) moves to a worker, and
+    results are applied in serial firing order.
 
     The pool lives behind a :class:`PoolSupervisor`:
     ``max_worker_restarts`` is the crash budget before degrading to
@@ -227,144 +275,75 @@ class ParallelEngine(SeraphEngine):
 
     def __init__(
         self,
-        *args,
         workers: Optional[int] = None,
+        *,
         pool: Optional[ProcessPoolExecutor] = None,
         offload_threshold: float = DEFAULT_OFFLOAD_THRESHOLD,
         max_worker_restarts: Optional[int] = None,
         task_timeout: Optional[float] = None,
         chaos=None,
         supervisor: Optional[PoolSupervisor] = None,
-        **kwargs,
     ):
-        super().__init__(*args, **kwargs)
-        resolved = workers
-        if resolved is None or resolved <= 0:
-            resolved = os.cpu_count() or 1
-        self.workers = int(resolved)
+        if workers is None or workers <= 0:
+            workers = os.cpu_count() or 1
+        self.workers = int(workers)
         self.offload_threshold = float(offload_threshold)
-        self.parallel_metrics = ParallelMetrics()
         if supervisor is None:
-            config = SupervisorConfig(
-                max_restarts=(
-                    max_worker_restarts if max_worker_restarts is not None
-                    else SupervisorConfig.max_restarts
-                ),
-                task_timeout=task_timeout,
-            )
             supervisor = PoolSupervisor(
-                self.workers, config=config, pool=pool, obs=self.obs,
-                chaos=chaos,
+                self.workers,
+                config=_supervisor_config(max_worker_restarts, task_timeout),
+                pool=pool, chaos=chaos,
             )
         self.supervisor = supervisor
+        self.attach(supervisor.obs)
 
-    # -- pool lifecycle ------------------------------------------------------
-    #
-    # The executor itself belongs to the supervisor; `_pool`/`_owns_pool`
-    # stay as delegating properties because callers (and tests) inject
-    # and inspect them on the engine.
-
-    @property
-    def _pool(self) -> Optional[ProcessPoolExecutor]:
-        return self.supervisor.pool
-
-    @_pool.setter
-    def _pool(self, value: Optional[ProcessPoolExecutor]) -> None:
-        self.supervisor._pool = value
-
-    @property
-    def _owns_pool(self) -> bool:
-        return self.supervisor._owns_pool
-
-    @_owns_pool.setter
-    def _owns_pool(self, value: bool) -> None:
-        self.supervisor._owns_pool = value
+    def attach(self, obs: Observability) -> None:
+        """Count into (and trace through) the owning engine's bundle."""
+        self.obs = self.supervisor.obs = obs
+        obs.registry.declare("parallel", PARALLEL_COUNTERS)
+        obs.registry.declare("supervision", SUPERVISION_COUNTERS)
+        self._batches = obs.registry.counter("parallel.batches")
 
     def close(self) -> None:
         """Shut down the worker pool (no-op for injected pools)."""
         self.supervisor.close()
 
-    def __enter__(self) -> "ParallelEngine":
-        return self
+    def status(self) -> Dict[str, object]:
+        """The ``status()["parallel"]`` section."""
+        return _parallel_status(self.obs.registry, workers=self.workers)
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    # -- one stage chunk -----------------------------------------------------
 
-    # -- evaluation loop -----------------------------------------------------
-
-    def advance_to(self, instant: TimeInstant) -> List[Emission]:
-        """Serial-identical firing, batched computation.
-
-        Each pass collects the same due set, in the same order, as the
-        serial loop; window advancement and emission delivery stay
-        serial, only the pure table computations fan out.
-
-        Dataflow stages act as barriers between the window-group
-        batches (docs/DATAFLOW.md): a chunk whose queries consume a
-        derived stream produced earlier in the pass only begins — i.e.
-        advances its windows — after the producer chunk has finished and
-        materialized.  Without ``INTO`` queries there is exactly one
-        chunk per pass, the pre-dataflow behavior.
-        """
-        emissions: List[Emission] = []
-        obs = self.obs
-        while True:
-            due = self._due_queries(instant)
-            if not due:
-                break
-            self.parallel_metrics.batches += 1
-            staged = obs.enabled and not self._dataflow.is_trivial
-            for index, chunk in enumerate(self._dataflow_stages(due)):
-                if staged:
-                    started = time.perf_counter()
-                pendings = [
-                    self._begin_evaluation(registered)
-                    for registered in chunk
-                ]
-                tables = self._compute_batch(pendings)
-                for pending, table in zip(pendings, tables):
-                    emissions.append(self._finish_evaluation(pending, table))
-                if staged:
-                    obs.tracer.add_completed(
-                        "dataflow_stage", time.perf_counter() - started,
-                        stage=index, queries=len(chunk),
-                    )
-                    obs.registry.inc("dataflow.stages")
-        self._evict()
-        return emissions
-
-    def _compute_batch(
-        self, pendings: List[_PendingEvaluation]
+    def compute_batch(
+        self, engine: SeraphEngine, pendings: List[_PendingEvaluation]
     ) -> List[Table]:
-        """Compute one pass's tables, offloading where it pays off."""
+        """Compute one chunk's tables, offloading where it pays off."""
+        self._batches.inc()
+        count = self.obs.registry.inc
         tables: List[Optional[Table]] = [None] * len(pendings)
         graph_cache: Dict[int, object] = {}
         offload: List[int] = []
         for index, pending in enumerate(pendings):
-            if not self._needs_full_evaluation(pending):
+            if pending.reusable or pending.takes_delta_path:
                 # Reuse memo / delta path: cheap and stateful — in-parent.
-                tables[index] = self._compute_table(pending)
-            elif self._should_offload(pending, graph_cache):
-                self.parallel_metrics.scheduler_parallel += 1
+                tables[index] = engine._compute_table(pending)
+            elif self._estimated_cost(pending, graph_cache) \
+                    >= self.offload_threshold:
+                count("parallel.scheduler_parallel")
                 offload.append(index)
             else:
-                self.parallel_metrics.scheduler_serial += 1
-                tables[index] = self._compute_table(pending)
-                self.parallel_metrics.inline_evaluations += 1
+                count("parallel.scheduler_serial")
+                tables[index] = engine._compute_table(pending)
+                count("parallel.inline_evaluations")
         if offload:
-            self._offload(pendings, offload, graph_cache, tables)
+            self._offload(engine, pendings, offload, graph_cache, tables)
         return tables  # type: ignore[return-value]
-
-    def _should_offload(
-        self, pending: _PendingEvaluation, graph_cache: Dict[int, object]
-    ) -> bool:
-        """Cost-model verdict: is this evaluation worth the IPC tax?"""
-        return self._estimated_cost(pending, graph_cache) \
-            >= self.offload_threshold
 
     def _estimated_cost(
         self, pending: _PendingEvaluation, graph_cache: Dict[int, object]
     ) -> float:
+        """The cost model's estimate: is this evaluation worth the IPC
+        tax?"""
         bound = frozenset((WIN_START, WIN_END))
         total = 0.0
         for clause in pending.registered.query.body:
@@ -390,6 +369,7 @@ class ParallelEngine(SeraphEngine):
 
     def _offload(
         self,
+        engine: SeraphEngine,
         pendings: List[_PendingEvaluation],
         offload: List[int],
         graph_cache: Dict[int, object],
@@ -400,6 +380,8 @@ class ParallelEngine(SeraphEngine):
         Queries sharing the same window states (and instant) land in one
         task, so each group's snapshots are pickled exactly once.
         """
+        obs = self.obs
+        registry = obs.registry
         groups: Dict[Tuple, List[int]] = {}
         for index in offload:
             pending = pendings[index]
@@ -429,7 +411,7 @@ class ParallelEngine(SeraphEngine):
             tasks = []
             for i in indices:
                 registered = pendings[i].registered
-                plan = self._physical_plan(registered, stats_for)
+                plan = engine._physical_plan(registered, stats_for)
                 tasks.append(
                     (
                         registered.query.text,
@@ -438,7 +420,7 @@ class ParallelEngine(SeraphEngine):
                         (plan.band, plan) if plan is not None else None,
                     )
                 )
-            payloads.append((graphs, tasks, self.vectorized))
+            payloads.append((graphs, tasks, engine.vectorized))
             group_indices.append(indices)
             # A stable, pickle-friendly label for failures: the group's
             # window keys plus the evaluation instant.
@@ -446,44 +428,34 @@ class ParallelEngine(SeraphEngine):
                 tuple(sorted(first.registered.windows.keys()))
                 + (first.instant,)
             )
-            self.parallel_metrics.offloaded_groups += 1
-        self.parallel_metrics.max_queue_depth = max(
-            self.parallel_metrics.max_queue_depth, len(payloads)
-        )
+        registry.inc("parallel.offloaded_groups", len(payloads))
+        _observe_queue_depth(registry, len(payloads))
         results = self.supervisor.run_batch(
             _worker_evaluate_group, payloads, signatures
         )
         for result, indices in zip(results, group_indices):
             (worker_pid, elapsed, group_tables, timings,
              rows_per_task, prunes_per_task) = result
-            self.parallel_metrics.observe_task(worker_pid, elapsed)
+            _observe_task(registry, worker_pid, elapsed)
             for position, (i, table) in enumerate(
                 zip(indices, group_tables)
             ):
                 registered = pendings[i].registered
                 if registered.delta_state is not None:
-                    # Same bookkeeping the serial full path performs: an
-                    # eligible query evaluated outside the delta path no
-                    # longer tracks the window content.
+                    # Same bookkeeping the in-parent full path performs:
+                    # an eligible query evaluated outside the delta path
+                    # no longer tracks the window content.
                     registered.delta_state.invalidate()
-                self._record_path(pendings[i], "full")
+                engine._record_path(pendings[i], "full")
                 tables[i] = table
-                plan_rows = registered.plan_rows
-                for op_id, count in rows_per_task[position].items():
-                    plan_rows[op_id] = plan_rows.get(op_id, 0) + count
-                    if self.obs.enabled:
-                        self.obs.registry.inc(
-                            f"query.{registered.name}.op.{op_id}.rows",
-                            count,
-                        )
-                if prunes_per_task[position]:
-                    self._merge_plan_prunes(
-                        registered, prunes_per_task[position]
-                    )
-                self.parallel_metrics.offloaded_evaluations += 1
-                if self.obs.enabled:
+                engine._merge_plan_counts(
+                    registered, rows_per_task[position],
+                    prunes_per_task[position],
+                )
+                registry.inc("parallel.offloaded_evaluations")
+                if obs.enabled:
                     offset, duration = timings[position]
-                    self.obs.tracer.add_completed(
+                    obs.tracer.add_completed(
                         "worker_evaluate",
                         duration,
                         parent=pendings[i].span,
@@ -491,18 +463,9 @@ class ParallelEngine(SeraphEngine):
                         pid=worker_pid,
                         rows=len(table),
                     )
-                    self.obs.record_stage(
+                    obs.record_stage(
                         registered.name, "worker_evaluate", duration
                     )
-                    self.obs.registry.inc("parallel.offloaded_evaluations")
-
-    def status(self) -> Dict[str, object]:
-        info = super().status()
-        info["parallel"] = dict(
-            self.parallel_metrics.as_dict(), workers=self.workers
-        )
-        info["supervision"] = self.supervisor.as_dict()
-        return info
 
 
 # -- partition-level parallelism -----------------------------------------------
@@ -614,20 +577,15 @@ class ShardedEngine:
         self.workers = int(workers)
         self.engine_options = dict(engine_options or {})
         self.dead_letters = dead_letters
-        self.parallel_metrics = ParallelMetrics()
         if supervisor is None:
-            config = SupervisorConfig(
-                max_restarts=(
-                    max_worker_restarts if max_worker_restarts is not None
-                    else SupervisorConfig.max_restarts
-                ),
-                task_timeout=task_timeout,
-            )
             supervisor = PoolSupervisor(
                 min(self.workers, self.shards) or 1,
-                config=config, pool=pool, chaos=chaos,
+                config=_supervisor_config(max_worker_restarts, task_timeout),
+                pool=pool, chaos=chaos,
             )
         self.supervisor = supervisor
+        #: ``parallel.*`` and ``supervision.*`` share one registry.
+        self.registry = supervisor.obs.registry
         #: logical sub-stream name → shard id, in first-seen order.
         self.assignment: Dict[str, int] = {}
         self._shard_states: List[Optional[dict]] = [None] * self.shards
@@ -636,22 +594,6 @@ class ShardedEngine:
         ]
 
     # -- pool lifecycle ------------------------------------------------------
-
-    @property
-    def _pool(self) -> Optional[ProcessPoolExecutor]:
-        return self.supervisor.pool
-
-    @_pool.setter
-    def _pool(self, value: Optional[ProcessPoolExecutor]) -> None:
-        self.supervisor._pool = value
-
-    @property
-    def _owns_pool(self) -> bool:
-        return self.supervisor._owns_pool
-
-    @_owns_pool.setter
-    def _owns_pool(self, value: bool) -> None:
-        self.supervisor._owns_pool = value
 
     def close(self) -> None:
         self.supervisor.close()
@@ -718,7 +660,7 @@ class ShardedEngine:
                 for slice_elements in slices if slice_elements
             ]
             until = max(instants) if instants else None
-        self.parallel_metrics.batches += 1
+        self.registry.inc("parallel.batches")
         if self.workers > 1:
             per_shard = self._run_in_workers(slices, until)
         else:
@@ -740,8 +682,8 @@ class ShardedEngine:
             _pid, elapsed, emissions, state = _worker_run_shard(
                 self._payload(shard, slice_elements, until)
             )
-            self.parallel_metrics.inline_evaluations += len(emissions)
-            self.parallel_metrics.observe_task(shard, elapsed)
+            self.registry.inc("parallel.inline_evaluations", len(emissions))
+            _observe_task(self.registry, shard, elapsed)
             self._shard_states[shard] = state
             per_shard.append(emissions)
         return per_shard
@@ -752,18 +694,17 @@ class ShardedEngine:
             for shard, slice_elements in enumerate(slices)
         ]
         signatures = [("shard", shard) for shard in range(len(slices))]
-        self.parallel_metrics.max_queue_depth = max(
-            self.parallel_metrics.max_queue_depth, len(payloads)
-        )
+        _observe_queue_depth(self.registry, len(payloads))
         results = self.supervisor.run_batch(
             _worker_run_shard, payloads, signatures
         )
         per_shard: List[List[Emission]] = []
         for shard, result in enumerate(results):
             worker_pid, elapsed, emissions, state = result
-            self.parallel_metrics.observe_task(worker_pid, elapsed)
-            self.parallel_metrics.offloaded_evaluations += len(emissions)
-            self.parallel_metrics.offloaded_groups += 1
+            _observe_task(self.registry, worker_pid, elapsed)
+            self.registry.inc("parallel.offloaded_evaluations",
+                              len(emissions))
+            self.registry.inc("parallel.offloaded_groups")
             self._shard_states[shard] = state
             per_shard.append(emissions)
         return per_shard
@@ -771,9 +712,8 @@ class ShardedEngine:
     def status(self) -> Dict[str, object]:
         """Operational snapshot mirroring the engines' ``status()``."""
         return {
-            "parallel": dict(
-                self.parallel_metrics.as_dict(),
-                workers=self.workers, shards=self.shards,
+            "parallel": _parallel_status(
+                self.registry, workers=self.workers, shards=self.shards
             ),
             "supervision": self.supervisor.as_dict(),
         }

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 
 from repro.errors import LateEventError
 from repro.graph.temporal import TimeInstant
-from repro.metrics import ResilienceMetrics
+from repro.obs.registry import MetricsRegistry
 from repro.runtime.deadletter import DeadLetterQueue
 from repro.runtime.policies import FaultPolicy
 from repro.stream.stream import StreamElement
@@ -40,20 +40,24 @@ class ReorderBuffer:
         allowed_lateness: int = 0,
         late_policy: FaultPolicy = FaultPolicy.DEAD_LETTER,
         dead_letters: Optional[DeadLetterQueue] = None,
-        metrics: Optional[ResilienceMetrics] = None,
         stream: Optional[str] = None,
-        registry=None,
+        registry: Optional[MetricsRegistry] = None,
     ):
         if allowed_lateness < 0:
             raise ValueError("allowed lateness must be >= 0")
         self.allowed_lateness = allowed_lateness
         self.late_policy = late_policy
         self.dead_letters = dead_letters
-        self.metrics = metrics
         self.stream = stream
-        #: optional :class:`repro.obs.registry.MetricsRegistry` mirroring
-        #: the buffer's depth/watermark as live gauges.
-        self.registry = registry
+        #: counts ``resilience.{reordered,late_events,late_dropped}`` and
+        #: mirrors the buffer's depth/watermark as live gauges.
+        self.registry = registry if registry is not None \
+            else MetricsRegistry()
+        label = stream if stream is not None else "default"
+        self._depth = self.registry.gauge(
+            f"resilience.buffer.{label}.pending")
+        self._watermark_gauge = self.registry.gauge(
+            f"resilience.buffer.{label}.watermark")
         self._pending: List[Tuple[TimeInstant, int, StreamElement]] = []
         self._arrivals = 0
         self._watermark: Optional[TimeInstant] = None
@@ -91,9 +95,8 @@ class ReorderBuffer:
         if self._frontier is not None and element.instant < self._frontier:
             self._handle_late(element)
             return []
-        if self.metrics is not None:
-            if self._watermark is not None and element.instant < self._watermark:
-                self.metrics.reordered += 1
+        if self._watermark is not None and element.instant < self._watermark:
+            self.registry.inc("resilience.reordered")
         heapq.heappush(
             self._pending, (element.instant, self._arrivals, element)
         )
@@ -115,16 +118,9 @@ class ReorderBuffer:
         return released
 
     def _publish_gauges(self) -> None:
-        if self.registry is None:
-            return
-        label = self.stream if self.stream is not None else "default"
-        self.registry.set(
-            f"resilience.buffer.{label}.pending", len(self._pending)
-        )
+        self._depth.set(len(self._pending))
         if self._watermark is not None:
-            self.registry.set(
-                f"resilience.buffer.{label}.watermark", self._watermark
-            )
+            self._watermark_gauge.set(self._watermark)
 
     def _release_ripe(self) -> List[StreamElement]:
         ripe_until = self._watermark - self.allowed_lateness
@@ -156,16 +152,14 @@ class ReorderBuffer:
             self._arrivals += 1
 
     def _handle_late(self, element: StreamElement) -> None:
-        if self.metrics is not None:
-            self.metrics.late_events += 1
+        self.registry.inc("resilience.late_events")
         if self.late_policy is FaultPolicy.FAIL_FAST:
             raise LateEventError(
                 f"element at {element.instant} is beyond the allowed "
                 f"lateness (release frontier {self._frontier}, "
                 f"allowed lateness {self.allowed_lateness})"
             )
-        if self.metrics is not None:
-            self.metrics.late_dropped += 1
+        self.registry.inc("resilience.late_dropped")
         if (
             self.late_policy is FaultPolicy.DEAD_LETTER
             and self.dead_letters is not None

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.errors import CircuitOpenError, SinkDeliveryError
-from repro.metrics import ResilienceMetrics
+from repro.obs.registry import MetricsRegistry
 from repro.runtime.deadletter import DeadLetterQueue
 from repro.runtime.policies import FaultPolicy
 from repro.seraph.sinks import Emission, Sink
@@ -81,14 +81,17 @@ class CircuitBreaker:
         failure_threshold: int = 5,
         recovery_timeout: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
-        metrics: Optional[ResilienceMetrics] = None,
+        registry: Optional[MetricsRegistry] = None,
     ):
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         self.failure_threshold = failure_threshold
         self.recovery_timeout = recovery_timeout
         self.clock = clock
-        self.metrics = metrics
+        #: counts ``resilience.breaker_opens``; a :class:`ResilientSink`
+        #: points it at its own registry.
+        self.registry = registry if registry is not None \
+            else MetricsRegistry()
         self.state = self.CLOSED
         self.consecutive_failures = 0
         self.opened_at: Optional[float] = None
@@ -121,8 +124,7 @@ class CircuitBreaker:
     def _trip(self) -> None:
         if self.state != self.OPEN:
             self.times_opened += 1
-            if self.metrics is not None:
-                self.metrics.breaker_opens += 1
+            self.registry.inc("resilience.breaker_opens")
         self.state = self.OPEN
         self.opened_at = self.clock()
 
@@ -147,9 +149,12 @@ class ResilientSink(Sink):
     fallback: FAIL_FAST re-raises :class:`SinkDeliveryError` /
     :class:`CircuitOpenError`, SKIP drops it, DEAD_LETTER quarantines it.
 
-    With a ``tracer`` (:class:`repro.obs.trace.Tracer`), every delivery
-    attempt opens a ``sink_attempt`` span — ambient-parented, so it
-    nests under the engine's ``sink`` span when one is open.
+    Deliveries, failures, retries, short circuits and fallback
+    deliveries count under ``resilience.*`` in ``registry`` (the breaker
+    counts there too).  With a ``tracer``
+    (:class:`repro.obs.trace.Tracer`), every delivery attempt opens a
+    ``sink_attempt`` span — ambient-parented, so it nests under the
+    engine's ``sink`` span when one is open.
     """
 
     def __init__(
@@ -160,16 +165,17 @@ class ResilientSink(Sink):
         fallback: Optional[Sink] = None,
         failure_policy: FaultPolicy = FaultPolicy.DEAD_LETTER,
         dead_letters: Optional[DeadLetterQueue] = None,
-        metrics: Optional[ResilienceMetrics] = None,
+        registry: Optional[MetricsRegistry] = None,
         sleep: Callable[[float], None] = time.sleep,
         tracer=None,
     ):
         self.inner = inner
         self.retry = retry if retry is not None else RetryPolicy()
-        self.metrics = metrics
+        self.registry = registry if registry is not None \
+            else MetricsRegistry()
+        self._delivered = self.registry.counter("resilience.sink_deliveries")
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        if self.breaker.metrics is None:
-            self.breaker.metrics = metrics
+        self.breaker.registry = self.registry
         self.fallback = fallback
         self.failure_policy = failure_policy
         self.dead_letters = dead_letters
@@ -178,8 +184,7 @@ class ResilientSink(Sink):
 
     def receive(self, emission: Emission) -> None:
         if not self.breaker.allow():
-            if self.metrics is not None:
-                self.metrics.short_circuited += 1
+            self.registry.inc("resilience.short_circuited")
             self._divert(
                 emission,
                 reason="circuit breaker open",
@@ -211,16 +216,13 @@ class ResilientSink(Sink):
                     self.inner.receive(emission)
             except Exception as exc:  # noqa: BLE001 — isolate *any* sink bug
                 last_error = exc
-                if self.metrics is not None:
-                    self.metrics.sink_failures += 1
+                self.registry.inc("resilience.sink_failures")
                 if attempt + 1 < attempts:
-                    if self.metrics is not None:
-                        self.metrics.retried += 1
+                    self.registry.inc("resilience.retried")
                     self.sleep(delays[attempt])
             else:
                 self.breaker.record_success()
-                if self.metrics is not None:
-                    self.metrics.sink_deliveries += 1
+                self._delivered.inc()
                 return
         self.breaker.record_failure()
         self._divert(
@@ -243,8 +245,7 @@ class ResilientSink(Sink):
             except Exception:  # noqa: BLE001 — fallback failed too
                 pass
             else:
-                if self.metrics is not None:
-                    self.metrics.fallback_deliveries += 1
+                self.registry.inc("resilience.fallback_deliveries")
                 return
         if self.failure_policy is FaultPolicy.FAIL_FAST:
             if isinstance(error, SinkDeliveryError):

@@ -34,10 +34,10 @@ supervisor consults a seeded :class:`~repro.runtime.faults.ChaosInjector`
 per submission attempt and ships worker-side directives (kill / delay /
 poison) inside the task wrapper, while result drops are simulated
 parent-side.  Everything is observable: pool rebuilds, retries and
-degraded-mode transitions surface as ``supervision.*`` counters and
-``pool_rebuild`` / ``degraded_mode`` trace spans through the shared
-:class:`~repro.obs.Observability` bundle, and as
-``status()["supervision"]`` on both engines (docs/SUPERVISION.md).
+degraded-mode transitions are ``supervision.*`` counters in the shared
+:class:`~repro.obs.Observability` bundle's registry (and
+``pool_rebuild`` / ``degraded_mode`` trace spans when tracing is on);
+``status()["supervision"]`` reads them (docs/SUPERVISION.md).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EngineError, ParallelExecutionError
-from repro.obs import NOOP_OBS, Observability
+from repro.obs import Observability
 from repro.runtime.faults import (
     DELAY_RESULT,
     DROP_RESULT,
@@ -127,30 +127,18 @@ class SupervisorConfig:
         )
 
 
-@dataclass
-class SupervisionMetrics:
-    """Counters surfaced by one :class:`PoolSupervisor`."""
-
-    pooled_tasks: int = 0          # tasks completed in a worker process
-    inline_tasks: int = 0          # tasks executed in-parent (degraded/fallback)
-    worker_crashes: int = 0        # BrokenProcessPool / timeout events
-    pool_rebuilds: int = 0         # fresh pools built after a crash
-    task_retries: int = 0          # task resubmissions (failures + drops)
-    task_timeouts: int = 0         # tasks that exceeded task_timeout
-    dropped_results: int = 0       # chaos-dropped results (parent-side)
-    degraded_transitions: int = 0  # pooled -> degraded switches
-    degraded_recoveries: int = 0   # degraded -> pooled (probation passed)
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            name: getattr(self, name)
-            for name in (
-                "pooled_tasks", "inline_tasks", "worker_crashes",
-                "pool_rebuilds", "task_retries", "task_timeouts",
-                "dropped_results", "degraded_transitions",
-                "degraded_recoveries",
-            )
-        }
+#: ``supervision.*`` counters, in ``status()["supervision"]`` order.
+SUPERVISION_COUNTERS = (
+    "pooled_tasks",          # tasks completed in a worker process
+    "inline_tasks",          # tasks executed in-parent (degraded/fallback)
+    "worker_crashes",        # BrokenProcessPool / timeout events
+    "pool_rebuilds",         # fresh pools built after a crash
+    "task_retries",          # task resubmissions (failures + drops)
+    "task_timeouts",         # tasks that exceeded task_timeout
+    "dropped_results",       # chaos-dropped results (parent-side)
+    "degraded_transitions",  # pooled -> degraded switches
+    "degraded_recoveries",   # degraded -> pooled (probation passed)
+)
 
 
 class PoolSupervisor:
@@ -177,12 +165,11 @@ class PoolSupervisor:
     ):
         self.workers = int(workers)
         self.config = config if config is not None else SupervisorConfig()
-        self.obs = obs if obs is not None else NOOP_OBS
+        self.obs = obs if obs is not None else Observability.disabled()
         if isinstance(chaos, ChaosConfig):
             chaos = chaos.injector() if chaos.wants_worker_chaos else None
         self.chaos: Optional[ChaosInjector] = chaos
         self.sleep = sleep
-        self.metrics = SupervisionMetrics()
         self._pool = pool
         self._owns_pool = pool is None
         self._pool_factory = pool_factory or (
@@ -265,6 +252,9 @@ class PoolSupervisor:
             )
         return results
 
+    def _count(self, name: str) -> None:
+        self.obs.registry.inc(f"supervision.{name}")
+
     def _signature(self, signatures, index):
         if signatures is None:
             return None
@@ -310,15 +300,13 @@ class PoolSupervisor:
                 crash, crash_index = exc, index
                 still.append(index)
             except FutureTimeoutError as exc:
-                self.metrics.task_timeouts += 1
-                if self.obs.enabled:
-                    self.obs.registry.inc("supervision.task_timeouts")
+                self._count("task_timeouts")
                 crash, crash_index = exc, index
                 still.append(index)
             except Exception as exc:
                 # Task-level failure (chaos poison, pickling, a bug).
                 attempts[index] += 1
-                self._count_retry()
+                self._count("task_retries")
                 if attempts[index] > self.config.task_retries:
                     results[index] = self._last_resort(
                         fn, payloads[index], exc,
@@ -328,8 +316,8 @@ class PoolSupervisor:
                     still.append(index)
             else:
                 if dropped:
-                    self.metrics.dropped_results += 1
-                    self._count_retry()
+                    self._count("dropped_results")
+                    self._count("task_retries")
                     # A drop consumes an attempt too, so pathological
                     # drop rates still terminate via the last resort.
                     attempts[index] += 1
@@ -343,16 +331,11 @@ class PoolSupervisor:
                         still.append(index)
                 else:
                     results[index] = value
-                    self.metrics.pooled_tasks += 1
+                    self._count("pooled_tasks")
         if crash is not None:
             self._handle_crash(crash, self._signature(signatures, crash_index))
         still.sort()
         return still
-
-    def _count_retry(self) -> None:
-        self.metrics.task_retries += 1
-        if self.obs.enabled:
-            self.obs.registry.inc("supervision.task_retries")
 
     def _last_resort(self, fn, payload, cause, signature):
         """A task that failed every pooled attempt: run it in-parent
@@ -364,17 +347,13 @@ class PoolSupervisor:
                 signature=signature,
                 workers=self.workers,
             ) from cause
-        self.metrics.inline_tasks += 1
-        if self.obs.enabled:
-            self.obs.registry.inc("supervision.inline_tasks")
+        self._count("inline_tasks")
         return fn(payload)
 
     # -- crash handling / degradation ladder -------------------------------
 
     def _handle_crash(self, cause, signature) -> None:
-        self.metrics.worker_crashes += 1
-        if self.obs.enabled:
-            self.obs.registry.inc("supervision.worker_crashes")
+        self._count("worker_crashes")
         if self._restarts >= self.config.max_restarts:
             self._abandon_pool()
             if not self.config.degrade:
@@ -387,35 +366,31 @@ class PoolSupervisor:
             self._enter_degraded(cause)
             return
         self._restarts += 1
-        self.metrics.pool_rebuilds += 1
+        self._count("pool_rebuilds")
         started = time.perf_counter()
         self._abandon_pool()
         delay = self.config.backoff(self._restarts)
         if delay > 0:
             self.sleep(delay)
         self._ensure_pool()
-        if self.obs.enabled:
-            self.obs.registry.inc("supervision.pool_rebuilds")
-            self.obs.tracer.add_completed(
-                "pool_rebuild",
-                time.perf_counter() - started,
-                reason=type(cause).__name__,
-                restart=self._restarts,
-            )
+        self.obs.tracer.add_completed(
+            "pool_rebuild",
+            time.perf_counter() - started,
+            reason=type(cause).__name__,
+            restart=self._restarts,
+        )
 
     def _enter_degraded(self, cause) -> None:
         if self.degraded:
             return
         self.degraded = True
         self._probation = 0
-        self.metrics.degraded_transitions += 1
-        if self.obs.enabled:
-            self.obs.registry.inc("supervision.degraded_transitions")
-            self.obs.registry.set("supervision.degraded", 1)
-            self.obs.tracer.add_completed(
-                "degraded_mode", 0.0, reason=type(cause).__name__,
-                budget=self.config.max_restarts,
-            )
+        self._count("degraded_transitions")
+        self.obs.registry.set("supervision.degraded", 1)
+        self.obs.tracer.add_completed(
+            "degraded_mode", 0.0, reason=type(cause).__name__,
+            budget=self.config.max_restarts,
+        )
 
     def _run_degraded(self, fn, payloads, pending, results) -> None:
         """In-parent serial execution: emissions continue, byte-identical
@@ -424,9 +399,7 @@ class PoolSupervisor:
         serial engine would raise."""
         for index in pending:
             results[index] = fn(payloads[index])
-            self.metrics.inline_tasks += 1
-            if self.obs.enabled:
-                self.obs.registry.inc("supervision.inline_tasks")
+            self._count("inline_tasks")
             self._probation += 1
             if self._probation >= self.config.probation_tasks:
                 self._leave_degraded()
@@ -436,10 +409,8 @@ class PoolSupervisor:
         self.degraded = False
         self._restarts = 0
         self._probation = 0
-        self.metrics.degraded_recoveries += 1
-        if self.obs.enabled:
-            self.obs.registry.inc("supervision.degraded_recoveries")
-            self.obs.registry.set("supervision.degraded", 0)
+        self._count("degraded_recoveries")
+        self.obs.registry.set("supervision.degraded", 0)
 
     # -- introspection -----------------------------------------------------
 
@@ -457,7 +428,7 @@ class PoolSupervisor:
                 }
                 if self.degraded else None
             ),
-            **self.metrics.as_dict(),
+            **self.obs.registry.values("supervision", SUPERVISION_COUNTERS),
         }
         if self.chaos is not None:
             info["chaos"] = self.chaos.as_dict()

@@ -6,7 +6,7 @@ evaluations at each query's ET instants, maintains per-window snapshot
 graphs incrementally, applies report policies, and delivers
 time-annotated tables to sinks.
 
-Beyond the paper's core it implements three of its stated future-work /
+Beyond the paper's core it implements four of its stated future-work /
 optimization items:
 
 * **multiple streams** (future work i) — events are ingested into named
@@ -22,16 +22,22 @@ optimization items:
   agree on (stream, width, ω₀, slide) share one incrementally-maintained
   snapshot instead of each maintaining its own.
 
+Two optional parts are stages of this pipeline, not other engines: an
+*ingress* (:mod:`repro.runtime.ingress`) in front of the stream log and
+an *executor* (:class:`repro.runtime.parallel.PoolExecutor`) for a stage
+chunk's full evaluations.
+
 Correctness contract: for every query and instant, the engine's emission
 bag-equals the denotational :func:`repro.seraph.semantics.continuous_run`
-output (tested, including property-based tests over random streams).
+output on the admitted input (tested, including property-based tests
+over random streams).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.cypher.physical import PhysicalPlan, execute_plan
 from repro.cypher.plan_cache import PlanCache
@@ -41,7 +47,8 @@ from repro.errors import (
     QueryRegistryError,
     UnknownStreamError,
 )
-from repro.obs import NOOP_OBS, Observability
+from repro.obs import Observability
+from repro.obs.registry import Counter
 from repro.graph.model import PropertyGraph
 from repro.graph.table import Table
 from repro.graph.temporal import TimeInstant
@@ -64,39 +71,34 @@ from repro.stream.tvt import TimeAnnotatedTable, TimeVaryingTable
 from repro.stream.window import ActiveSubstreamPolicy, WindowConfig
 
 
-class _StreamState:
-    """One named input stream: recorded elements + eviction bookkeeping."""
+class _StreamState(PropertyGraphStream):
+    """One named input stream: the recorded elements, plus ``base_seq`` —
+    the global sequence number of the oldest retained one — so window
+    states keep their place across evictions."""
 
     def __init__(self, name: str):
+        super().__init__()
         self.name = name
-        self.stream = PropertyGraphStream()
-        self.elements: List[StreamElement] = []
-        self.base_seq = 0  # global sequence number of elements[0]
+        self.base_seq = 0
 
-    def append(self, element: StreamElement) -> None:
-        self.stream.append(element)
-        self.elements.append(element)
+    @property
+    def elements(self) -> List[StreamElement]:
+        return self._elements  # the live list, not a copy
+
+    def evict_count(self, count: int) -> List[StreamElement]:
+        self.base_seq += count
+        return super().evict_count(count)
 
     def evict(self, horizon: TimeInstant, min_seq: int) -> None:
         drop = 0
-        for index, element in enumerate(self.elements):
+        for index, element in enumerate(self._elements):
             seq = self.base_seq + index
             if element.instant <= horizon and seq < min_seq:
                 drop = index + 1
             else:
                 break
         if drop:
-            del self.elements[:drop]
-            self.base_seq += drop
-            self.stream.evict_count(drop)
-
-    def evict_all(self) -> None:
-        """Drop every retained element (no live query reads this stream)."""
-        count = len(self.elements)
-        if count:
-            self.elements.clear()
-            self.base_seq += count
-            self.stream.evict_count(count)
+            self.evict_count(drop)
 
 
 class _WindowState:
@@ -223,6 +225,21 @@ class _WindowState:
         return graph
 
 
+#: ``status()["queries"][q]`` key -> the ``query.<q>.<suffix>`` counter
+#: in the registry it reads.
+_STATUS_COUNTERS = {
+    "evaluations": "evaluations",
+    "reused": "path.reuse",
+    "delta": "path.delta",
+    "delta_full_refreshes": "path.full_refresh",
+    "assignments_retained": "assignments_retained",
+    "assignments_recomputed": "assignments_recomputed",
+    "plan_compiles": "plan_compiles",
+}
+#: Every per-query counter suffix.
+QUERY_COUNTERS = (*_STATUS_COUNTERS.values(), "path.full")
+
+
 @dataclass
 class RegisteredQuery:
     """Engine-side state of one registered continuous query."""
@@ -235,14 +252,11 @@ class RegisteredQuery:
     uses_window_bounds: bool = True
     warnings: List = field(default_factory=list)
     result: TimeVaryingTable = field(default_factory=TimeVaryingTable)
-    evaluations: int = 0
-    reused_evaluations: int = 0
+    #: The registry's ``query.<name>.<suffix>`` counters, pre-bound by
+    #: :data:`QUERY_COUNTERS` suffix (the only per-query counter store).
+    counters: Dict[str, Counter] = field(default_factory=dict)
     delta_state: Optional[QueryDeltaState] = None
     delta_reason: Optional[str] = None  # why the delta path is off
-    delta_evaluations: int = 0  # evaluations served incrementally
-    delta_full_refreshes: int = 0
-    assignments_retained: int = 0
-    assignments_recomputed: int = 0
     done: bool = False
     #: Compiled physical plan (None until first full evaluation, or when
     #: physical planning is off / the query cannot be lowered).
@@ -252,11 +266,7 @@ class RegisteredQuery:
     #: Cumulative per-operator ``[candidates, pruned]`` counters from the
     #: vectorized pruner (empty when vectorization is off).
     plan_prunes: Dict[int, List[int]] = field(default_factory=dict)
-    plan_compiles: int = 0
     plan_failed: bool = False
-    #: Per derived-stream count of upstream elements this query's windows
-    #: consumed (the per-edge counters EXPLAIN ANALYZE renders).
-    consumed_elements: Dict[str, int] = field(default_factory=dict)
     _last_version: Optional[Tuple] = None
     _last_table: Optional[Table] = None
     #: Per-query compiled-expression cache (see repro.cypher.expressions);
@@ -273,26 +283,22 @@ class RegisteredQuery:
 class _PendingEvaluation:
     """One due evaluation after window advancement, before computing.
 
-    Splitting :meth:`SeraphEngine._evaluate` around this value lets the
-    parallel engine offload the expensive middle (:meth:`_compute_table`)
-    to worker processes while keeping window maintenance and emission
-    delivery serial and deterministic.
+    Splitting an evaluation around this value lets an executor offload
+    the expensive middle (:meth:`SeraphEngine._compute_table`) to worker
+    processes while window maintenance and emission delivery stay serial
+    and deterministic.
     """
 
     registered: RegisteredQuery
     instant: TimeInstant
     interval: "object"
     version: Tuple
+    #: Neither set: the full (pure) body runs — what a worker can compute.
     reusable: bool
+    takes_delta_path: bool
     deltas: List[Tuple[_WindowState, WindowDelta]]
-    #: Open per-evaluation trace root (None when observability is off).
-    span: Optional[object] = None
-
-    @property
-    def takes_delta_path(self) -> bool:
-        return (
-            self.registered.delta_state is not None and len(self.deltas) == 1
-        )
+    #: Open per-evaluation trace root (the no-op span when tracing is off).
+    span: Any = None
 
 
 class SeraphEngine:
@@ -343,22 +349,16 @@ class SeraphEngine:
         residual checks).
     obs:
         An :class:`repro.obs.Observability` bundle (tracer + metrics
-        registry).  ``None`` (default) installs the shared no-op bundle:
-        every instrumented site then costs a single attribute check
-        (docs/OBSERVABILITY.md).
+        registry).  ``None`` (default): tracing off, counters counted in
+        a registry of the engine's own (docs/OBSERVABILITY.md).
+    ingress:
+        An optional :class:`repro.runtime.ingress.Ingress`: validates and
+        re-sequences arrivals before the stream log and isolates sinks
+        (docs/RESILIENCE.md).  Absent, arrivals are appended as given.
+    executor:
+        An optional :class:`repro.runtime.parallel.PoolExecutor`: computes
+        a chunk's full evaluations in worker processes (docs/PARALLEL.md).
     """
-
-    def __new__(cls, *args, **kwargs):
-        if "parallel" in kwargs and cls is SeraphEngine:
-            # The PR 4 factory hook (SeraphEngine(parallel=N) returning a
-            # ParallelEngine) went through a DeprecationWarning cycle and
-            # is now removed; fail with the migration path.
-            raise EngineError(
-                "SeraphEngine(parallel=N) was removed; build parallel "
-                "stacks through the front door: "
-                "repro.build_engine(EngineConfig(parallel_workers=N))"
-            )
-        return object.__new__(cls)
 
     def __init__(
         self,
@@ -371,6 +371,8 @@ class SeraphEngine:
         graph_backend: str = "reference",
         vectorized: Optional[bool] = None,
         obs: Optional[Observability] = None,
+        ingress=None,
+        executor=None,
     ):
         from repro.graph.columnar import GRAPH_BACKENDS, resolve_backend_name
 
@@ -388,10 +390,18 @@ class SeraphEngine:
         )
         self.plan_cache = PlanCache()
         self._streams: Dict[str, _StreamState] = {}
-        self.obs = obs if obs is not None else NOOP_OBS
+        self.obs = obs if obs is not None else Observability.disabled()
+        self._ingested = self.obs.registry.counter("engine.ingested")
+        self._evaluations = self.obs.registry.counter("engine.evaluations")
+        self.ingress = ingress
+        self.executor = executor
+        for part in (ingress, executor):
+            if part is not None:
+                part.attach(self.obs)
         self._queries: Dict[str, RegisteredQuery] = {}
         self._shared_windows: Dict[Tuple, _WindowState] = {}
         self._watermark: Optional[TimeInstant] = None
+        self._last_admitted: Optional[TimeInstant] = None
         # Dataflow chaining (docs/DATAFLOW.md): the dependency graph over
         # registered queries, plus one materializer per derived stream.
         self._dataflow = DataflowGraph()
@@ -410,6 +420,8 @@ class SeraphEngine:
         sink: Optional[Sink] = None,
         replace: bool = False,
         validate: bool = True,
+        fallback: Optional[Sink] = None,
+        wrap_sink: bool = True,
     ) -> RegisteredQuery:
         """Register a continuous query; returns its engine-side handle.
 
@@ -418,7 +430,9 @@ class SeraphEngine:
         Semantic validation (undefined variables, aggregates in WHERE —
         :mod:`repro.seraph.validation`) runs by default and raises
         :class:`~repro.errors.SeraphSemanticError` on errors; warnings are
-        recorded on the returned handle as ``handle.warnings``.
+        recorded on the returned handle as ``handle.warnings``.  An
+        ingress wraps the sink for fault isolation (``fallback`` takes
+        what it cannot) unless ``wrap_sink`` is false.
         """
         if isinstance(query, str):
             query = parse_seraph(query)
@@ -461,15 +475,25 @@ class SeraphEngine:
         delta_reason = delta_ineligibility(query)
         if delta_reason is None and not self.incremental:
             delta_reason = "non-incremental windows keep no net-change record"
+        if sink is None:
+            sink = CollectingSink()
+        if self.ingress is not None and wrap_sink:
+            sink = self.ingress.wrap_sink(sink, fallback)
+        registry = self.obs.registry
+        registry.discard(f"query.{query.name}.")
         registered = RegisteredQuery(
             query=query,
-            sink=sink if sink is not None else CollectingSink(),
+            sink=sink,
             windows=windows,
             report=ReportState(query.emit.policy) if query.is_continuous else None,
             next_eval=query.starting_at,
             uses_window_bounds=query.references_window_bounds(),
             delta_state=QueryDeltaState() if delta_reason is None else None,
             delta_reason=delta_reason,
+            counters={
+                suffix: registry.counter(f"query.{query.name}.{suffix}")
+                for suffix in QUERY_COUNTERS
+            },
         )
         registered.warnings = warnings
         self._queries[query.name] = registered
@@ -488,6 +512,7 @@ class SeraphEngine:
             raise QueryRegistryError(f"no registered query named {name!r}")
         self.plan_cache.evict(self._queries[name].query)
         del self._queries[name]
+        self.obs.registry.discard(f"query.{name}.")
         self._dataflow.remove(name)
         self._cascade_derived()
         self._evict()
@@ -514,7 +539,10 @@ class SeraphEngine:
         return self._queries[name]
 
     def sink(self, name: str) -> Sink:
-        return self.registered(name).sink
+        """The user's sink of a registered query (under whatever the
+        ingress wrapped around it)."""
+        sink = self.registered(name).sink
+        return sink if self.ingress is None else self.ingress.unwrap(sink)
 
     @property
     def query_names(self) -> List[str]:
@@ -525,8 +553,7 @@ class SeraphEngine:
     def _stream_state(self, name: str) -> _StreamState:
         state = self._streams.get(name)
         if state is None:
-            state = _StreamState(name)
-            self._streams[name] = state
+            state = self._streams[name] = _StreamState(name)
         return state
 
     def ingest(
@@ -534,31 +561,73 @@ class SeraphEngine:
         graph: PropertyGraph,
         instant: TimeInstant,
         stream: str = DEFAULT_STREAM,
-    ) -> StreamElement:
+    ) -> List[Emission]:
         """Ingest one stream pair (G, ω) into the named stream."""
-        element = StreamElement(graph=graph, instant=instant)
-        self.ingest_element(element, stream)
-        return element
+        return self.ingest_element(
+            StreamElement(graph=graph, instant=instant), stream
+        )
 
     def ingest_element(
-        self, element: StreamElement, stream: str = DEFAULT_STREAM
-    ) -> None:
-        obs = self.obs
-        if obs.enabled:
-            with obs.tracer.span("ingest", stream=stream,
-                                 instant=element.instant):
-                self._stream_state(stream).append(element)
-            obs.registry.inc("engine.ingested")
-            obs.registry.inc(f"engine.stream.{stream}.ingested")
-        else:
+        self, element: Any, stream: str = DEFAULT_STREAM
+    ) -> List[Emission]:
+        """One arrival.  Without an ingress: appended as is (returns
+        ``[]``; evaluations fire on :meth:`advance_to`).  With one:
+        validated (raw payloads too), re-sequenced, and what became ripe
+        is admitted; returns the emissions fired while catching up."""
+        if self.ingress is None:
+            self._append(element, stream)
+            return []
+        emissions: List[Emission] = []
+        for ripe in self.ingress.offer(element, stream):
+            emissions.extend(self._admit(ripe, stream))
+        return emissions
+
+    def _append(self, element: StreamElement, stream: str) -> None:
+        with self.obs.tracer.span("ingest", stream=stream,
+                                  instant=element.instant):
             self._stream_state(stream).append(element)
+        self._ingested.inc()
+        self.obs.registry.inc(f"engine.stream.{stream}.ingested")
+        self._last_admitted = element.instant
         if self._watermark is None or element.instant > self._watermark:
             self._watermark = element.instant
+
+    def _admit(self, element: StreamElement, stream: str) -> List[Emission]:
+        """Fire what is due strictly before this arrival (it must not be
+        seen by those evaluations), then append it."""
+        emissions = self.advance_to(element.instant - 1)
+        self._append(element, stream)
+        return emissions
+
+    def push(self, element: Any, stream: str = DEFAULT_STREAM
+             ) -> List[Emission]:
+        """One arrival of a live feed: through the ingress when there is
+        one, else admitted in arrival order."""
+        if self.ingress is None:
+            return self._admit(element, stream)
+        return self.ingest_element(element, stream)
+
+    def flush(self, until: Optional[TimeInstant] = None) -> List[Emission]:
+        """End-of-stream: admit whatever the ingress still buffers, then
+        advance to ``until`` (default: the last admitted arrival)."""
+        emissions: List[Emission] = []
+        if self.ingress is not None:
+            for stream, element in self.ingress.drain():
+                emissions.extend(self._admit(element, stream))
+        final = until if until is not None else self._last_admitted
+        if final is not None:
+            emissions.extend(self.advance_to(final))
+        return emissions
+
+    @property
+    def watermark(self) -> Optional[TimeInstant]:
+        """The largest instant appended to any stream so far."""
+        return self._watermark
 
     @property
     def stream(self) -> PropertyGraphStream:
         """The default input stream (single-stream convenience view)."""
-        return self._stream_state(DEFAULT_STREAM).stream
+        return self._stream_state(DEFAULT_STREAM)
 
     # -- evaluation loop -----------------------------------------------------------
 
@@ -573,7 +642,7 @@ class SeraphEngine:
             if not due:
                 break
             for index, chunk in enumerate(self._dataflow_stages(due)):
-                self._run_stage(index, chunk, instant, emissions)
+                self._run_stage(index, chunk, emissions)
         self._evict()
         return emissions
 
@@ -628,18 +697,24 @@ class SeraphEngine:
         self,
         index: int,
         chunk: List[RegisteredQuery],
-        instant: TimeInstant,
         emissions: List[Emission],
     ) -> None:
-        """Evaluate one dataflow stage chunk (serial engine)."""
+        """One dataflow stage chunk: begin every evaluation (windows
+        advance), compute the tables (in place, or wherever the executor
+        decides), finish in firing order (report, sink)."""
         obs = self.obs
         staged = obs.enabled and not self._dataflow.is_trivial
         if staged:
             started = time.perf_counter()
-        for registered in chunk:
-            if registered.next_eval > instant or registered.done:
-                continue
-            emissions.append(self._evaluate(registered))
+        pendings = [
+            self._begin_evaluation(registered) for registered in chunk
+        ]
+        if self.executor is not None:
+            tables = self.executor.compute_batch(self, pendings)
+        else:
+            tables = [self._compute_table(pending) for pending in pendings]
+        for pending, table in zip(pendings, tables):
+            emissions.append(self._finish_evaluation(pending, table))
         if staged:
             obs.tracer.add_completed(
                 "dataflow_stage", time.perf_counter() - started,
@@ -649,22 +724,19 @@ class SeraphEngine:
 
     def run_stream(
         self,
-        elements: Iterable[StreamElement],
+        elements: Iterable[Any],
         until: Optional[TimeInstant] = None,
         stream: str = DEFAULT_STREAM,
     ) -> List[Emission]:
         """Ingest a whole (finite) stream, firing evaluations in arrival
-        order; then advance to ``until`` (default: the last arrival)."""
+        order; then :meth:`flush` to ``until`` (default: the last
+        arrival)."""
+        if self.ingress is not None:
+            elements = self.ingress.source(elements)
         emissions: List[Emission] = []
-        last: Optional[TimeInstant] = None
         for element in elements:
-            # Evaluations strictly before this arrival must not see it.
-            emissions.extend(self.advance_to(element.instant - 1))
-            self.ingest_element(element, stream)
-            last = element.instant
-        final = until if until is not None else last
-        if final is not None:
-            emissions.extend(self.advance_to(final))
+            emissions.extend(self.push(element, stream))
+        emissions.extend(self.flush(until))
         return emissions
 
     def run_streams(
@@ -680,22 +752,12 @@ class SeraphEngine:
                 tagged.append((element.instant, order, name, element))
         tagged.sort(key=lambda item: (item[0], item[1]))
         emissions: List[Emission] = []
-        last: Optional[TimeInstant] = None
-        for instant, _order, name, element in tagged:
-            emissions.extend(self.advance_to(instant - 1))
-            self.ingest_element(element, name)
-            last = instant
-        final = until if until is not None else last
-        if final is not None:
-            emissions.extend(self.advance_to(final))
+        for _instant, _order, name, element in tagged:
+            emissions.extend(self.push(element, name))
+        emissions.extend(self.flush(until))
         return emissions
 
     # -- internals -------------------------------------------------------------------
-
-    def _evaluate(self, registered: RegisteredQuery) -> Emission:
-        pending = self._begin_evaluation(registered)
-        table = self._compute_table(pending)
-        return self._finish_evaluation(pending, table)
 
     def _begin_evaluation(
         self, registered: RegisteredQuery
@@ -704,34 +766,28 @@ class SeraphEngine:
         query = registered.query
         instant = registered.next_eval
         obs = self.obs
-        span = None
-        if obs.enabled:
-            # Explicit parenting: the parallel engine opens many
-            # evaluation roots per batch; they must not nest.
-            span = obs.tracer.start("evaluate", query=query.name,
-                                    instant=instant)
-            advance_started = time.perf_counter()
+        # Explicit parenting: a chunk opens many evaluation roots before
+        # finishing any; they must not nest.
+        span = obs.tracer.start("evaluate", query=query.name,
+                                instant=instant)
         deltas: List[Tuple[_WindowState, WindowDelta]] = []
         derived = not self._dataflow.is_trivial
-        for (stream_name, _width), state in registered.windows.items():
-            delta = state.advance(self._stream_state(stream_name), instant)
-            deltas.append((state, delta))
-            if derived and delta.added \
-                    and self._dataflow.producers_of(stream_name):
-                # Per-edge consumption counter: upstream emissions are
-                # the delta for this downstream window (EXPLAIN
-                # ANALYZE's dataflow edges render these).
-                registered.consumed_elements[stream_name] = (
-                    registered.consumed_elements.get(stream_name, 0)
-                    + len(delta.added)
+        with obs.stage(query.name, "window_advance", parent=span,
+                       windows=len(registered.windows)):
+            for (stream_name, _width), state in registered.windows.items():
+                delta = state.advance(
+                    self._stream_state(stream_name), instant
                 )
-        if span is not None:
-            elapsed = time.perf_counter() - advance_started
-            obs.tracer.add_completed(
-                "window_advance", elapsed, parent=span,
-                windows=len(registered.windows),
-            )
-            obs.record_stage(query.name, "window_advance", elapsed)
+                deltas.append((state, delta))
+                if derived and delta.added \
+                        and self._dataflow.producers_of(stream_name):
+                    # Per-edge consumption counter: upstream emissions
+                    # are the delta for this downstream window (EXPLAIN
+                    # ANALYZE's dataflow edges render these).
+                    obs.registry.inc(
+                        f"query.{query.name}.consumed.{stream_name}",
+                        len(delta.added),
+                    )
 
         interval = semantics.reported_interval(query, instant, self.policy)
         version = tuple(
@@ -749,58 +805,27 @@ class SeraphEngine:
             interval=interval,
             version=version,
             reusable=reusable,
+            takes_delta_path=(
+                self.delta_eval and not reusable
+                and registered.delta_state is not None and len(deltas) == 1
+            ),
             deltas=deltas,
             span=span,
-        )
-
-    def _needs_full_evaluation(self, pending: _PendingEvaluation) -> bool:
-        """True when this evaluation will run the full (pure) body — the
-        part a worker process can compute from pickled snapshots."""
-        return not pending.reusable and not (
-            self.delta_eval and pending.takes_delta_path
         )
 
     def _compute_table(self, pending: _PendingEvaluation) -> Table:
         """The evaluation work itself: reuse / delta / full execution."""
         registered = pending.registered
+        name = registered.name
         obs = self.obs
         if pending.reusable:
-            registered.reused_evaluations += 1
             self._record_path(pending, "reuse")
-            if obs.enabled:
-                obs.tracer.add_completed("reuse", 0.0, parent=pending.span)
-                obs.record_stage(registered.name, "reuse", 0.0)
-            return registered._last_table
-        if self.delta_eval and pending.takes_delta_path:
+            with obs.stage(name, "reuse", parent=pending.span):
+                return registered._last_table
+        if pending.takes_delta_path:
             window_state, delta = pending.deltas[0]
-            if obs.enabled:
-                with obs.tracer.span("match_delta",
-                                     parent=pending.span) as stage:
-                    snapshot = self._timed_graph(
-                        window_state, registered.name, stage
-                    )
-                    table, stats = evaluate_delta(
-                        registered.query,
-                        registered.delta_state,
-                        snapshot,
-                        delta,
-                        pending.interval,
-                        expr_cache=registered._expr_cache,
-                        span=stage,
-                        plan=self._physical_plan(
-                            registered, lambda _s, _w: snapshot
-                        ),
-                        vectorized=self.vectorized,
-                    )
-                obs.record_stage(
-                    registered.name, "match_delta", stage.duration_seconds
-                )
-                if self.vectorized:
-                    obs.record_stage(
-                        registered.name, "vectorize", stats.vectorize_seconds
-                    )
-            else:
-                snapshot = window_state.graph()
+            with obs.stage(name, "match_delta", parent=pending.span) as stage:
+                snapshot = self._timed_graph(window_state, name, stage)
                 table, stats = evaluate_delta(
                     registered.query,
                     registered.delta_state,
@@ -808,19 +833,21 @@ class SeraphEngine:
                     delta,
                     pending.interval,
                     expr_cache=registered._expr_cache,
+                    span=stage,
                     plan=self._physical_plan(
                         registered, lambda _s, _w: snapshot
                     ),
                     vectorized=self.vectorized,
                 )
-            if stats.full_refresh:
-                registered.delta_full_refreshes += 1
-                self._record_path(pending, "full_refresh")
-            else:
-                registered.delta_evaluations += 1
-                self._record_path(pending, "delta")
-            registered.assignments_retained += stats.retained
-            registered.assignments_recomputed += stats.recomputed
+            if obs.enabled and self.vectorized:
+                obs.record_stage(name, "vectorize", stats.vectorize_seconds)
+            self._record_path(
+                pending, "full_refresh" if stats.full_refresh else "delta"
+            )
+            registered.counters["assignments_retained"].inc(stats.retained)
+            registered.counters["assignments_recomputed"].inc(
+                stats.recomputed
+            )
             return table
         if registered.delta_state is not None:
             # An eligible query evaluated outside the delta path (e.g.
@@ -828,10 +855,8 @@ class SeraphEngine:
             # tracks the window content.
             registered.delta_state.invalidate()
         self._record_path(pending, "full")
-        if not obs.enabled:
-            provider = self._memoized_provider(
-                self._graph_provider(registered)
-            )
+        with obs.stage(name, "match_full", parent=pending.span) as stage:
+            provider = self._graph_provider(registered, stage)
             plan = self._physical_plan(registered, provider)
             if plan is not None:
                 return self._run_plan(
@@ -844,62 +869,25 @@ class SeraphEngine:
                 expr_cache=registered._expr_cache,
                 vectorized=self.vectorized,
             )
-        with obs.tracer.span("match_full", parent=pending.span) as stage:
-            provider = self._memoized_provider(
-                self._traced_provider(registered, stage)
-            )
-            plan = self._physical_plan(registered, provider)
-            if plan is not None:
-                table = self._run_plan(
-                    registered, plan, provider, pending.interval
-                )
-            else:
-                table = semantics.execute_body(
-                    registered.query,
-                    provider,
-                    pending.interval,
-                    expr_cache=registered._expr_cache,
-                    vectorized=self.vectorized,
-                )
-        obs.record_stage(
-            registered.name, "match_full", stage.duration_seconds
-        )
-        return table
 
     def _record_path(self, pending: _PendingEvaluation, path: str) -> None:
         """Which way an evaluation went: reuse | delta | full_refresh |
         full — on its root span and as a per-query counter."""
-        obs = self.obs
-        if obs.enabled:
-            pending.span.annotate(path=path)
-            obs.registry.inc(f"query.{pending.registered.name}.path.{path}")
+        pending.span.annotate(path=path)
+        pending.registered.counters[f"path.{path}"].inc()
 
     def _timed_graph(self, window_state: _WindowState, query_name: str,
                      parent) -> PropertyGraph:
         """Snapshot-build stage: one window state's graph, under a span."""
-        obs = self.obs
         maintainer = window_state.maintainer
-        changed = len(maintainer.changed_nodes) + len(maintainer.changed_rels)
-        with obs.tracer.span("snapshot_build", parent=parent,
-                             changed=changed) as span:
+        with self.obs.stage(
+            query_name, "snapshot_build", parent=parent,
+            changed=len(maintainer.changed_nodes)
+            + len(maintainer.changed_rels),
+        ) as span:
             graph = window_state.graph()
             span.annotate(order=graph.order, size=graph.size)
-        obs.record_stage(query_name, "snapshot_build", span.duration_seconds)
         return graph
-
-    def _traced_provider(self, registered: RegisteredQuery, parent):
-        """The graph provider with snapshot-build spans attached."""
-
-        def graph_for(stream_name: str, width: int) -> PropertyGraph:
-            state = registered.windows.get((stream_name, width))
-            if state is None:
-                raise EngineError(
-                    f"no window state for stream {stream_name!r} "
-                    f"width {width}"
-                )
-            return self._timed_graph(state, registered.name, parent)
-
-        return graph_for
 
     def _finish_evaluation(
         self, pending: _PendingEvaluation, table: Table
@@ -910,53 +898,35 @@ class SeraphEngine:
         instant = pending.instant
         interval = pending.interval
         obs = self.obs
+        span = pending.span
         registered._last_version = pending.version
         registered._last_table = table
 
-        if obs.enabled:
-            with obs.tracer.span("report", parent=pending.span,
-                                 policy=query.emit.policy.value
-                                 if registered.report is not None
-                                 else None) as stage:
-                if registered.report is not None:
-                    emitted = registered.report.apply(table)
-                else:
-                    emitted = table
-            obs.record_stage(query.name, "report", stage.duration_seconds)
-        elif registered.report is not None:
-            emitted = registered.report.apply(table)
-        else:
-            emitted = table
+        emitted = table
+        if registered.report is not None:
+            with obs.stage(query.name, "report", parent=span,
+                           policy=query.emit.policy.value):
+                emitted = registered.report.apply(table)
         annotated = TimeAnnotatedTable(table=emitted, interval=interval)
         registered.result.append(
             TimeAnnotatedTable(table=table, interval=interval)
         )
-        registered.evaluations += 1
         if query.is_continuous:
             registered.next_eval = instant + query.slide
         else:
             registered.done = True
         emission = Emission(query_name=query.name, instant=instant, table=annotated)
+        with obs.stage(query.name, "sink", parent=span, rows=len(annotated)):
+            registered.sink.receive(emission)
+        if query.emits_into is not None:
+            self._materialize_emission(registered, emission, span)
+        registered.counters["evaluations"].inc()
+        self._evaluations.inc()
         if obs.enabled:
-            with obs.tracer.span("sink", parent=pending.span,
-                                 rows=len(annotated)) as stage:
-                registered.sink.receive(emission)
-            obs.record_stage(query.name, "sink", stage.duration_seconds)
-            if query.emits_into is not None:
-                self._materialize_emission(registered, emission,
-                                           pending.span)
-            span = pending.span
             span.annotate(rows=len(annotated))
             span.finish()
             obs.record_stage(query.name, "total", span.duration_seconds)
-            obs.registry.inc("engine.evaluations")
-            obs.registry.observe(
-                f"query.{query.name}.rows", len(annotated)
-            )
-        else:
-            registered.sink.receive(emission)
-            if query.emits_into is not None:
-                self._materialize_emission(registered, emission, None)
+            obs.registry.observe(f"query.{query.name}.rows", len(annotated))
         return emission
 
     def _materialize_emission(
@@ -969,58 +939,46 @@ class SeraphEngine:
         windows advance (the staged-propagation contract).
         """
         into = registered.query.emits_into
-        materializer = self._materializers.get(into)
-        if materializer is None:  # pragma: no cover — register creates it
-            materializer = self._materializers[into] = \
-                StreamMaterializer(into)
-        obs = self.obs
-        if obs.enabled:
-            started = time.perf_counter()
-        element = materializer.materialize(emission)
-        if element is not None:
-            self._stream_state(into).append(element)
-            if self._watermark is None or element.instant > self._watermark:
-                self._watermark = element.instant
-        if obs.enabled:
-            elapsed = time.perf_counter() - started
-            obs.tracer.add_completed(
-                "materialize", elapsed, parent=span, stream=into,
-                rows=len(emission.table) if element is not None else 0,
-            )
-            obs.record_stage(registered.name, "materialize", elapsed)
+        materializer = self._materializers[into]  # register created it
+        registry = self.obs.registry
+        with self.obs.stage(registered.name, "materialize", parent=span,
+                            stream=into) as stage:
+            element = materializer.materialize(emission)
             if element is not None:
-                obs.registry.inc("dataflow.materialized_elements")
-                obs.registry.inc("dataflow.materialized_rows",
-                                 len(emission.table))
-                obs.registry.inc(f"dataflow.stream.{into}.elements")
+                self._stream_state(into).append(element)
+                if self._watermark is None \
+                        or element.instant > self._watermark:
+                    self._watermark = element.instant
+            stage.annotate(
+                rows=len(emission.table) if element is not None else 0
+            )
+        if element is not None:
+            registry.inc("dataflow.materialized_elements")
+            registry.inc("dataflow.materialized_rows", len(emission.table))
+            registry.inc(f"dataflow.stream.{into}.elements")
 
-    def _graph_provider(self, registered: RegisteredQuery):
-        def graph_for(stream_name: str, width: int) -> PropertyGraph:
-            state = registered.windows.get((stream_name, width))
-            if state is None:
-                raise EngineError(
-                    f"no window state for stream {stream_name!r} "
-                    f"width {width}"
-                )
-            return state.graph()
-
-        return graph_for
-
-    @staticmethod
-    def _memoized_provider(graph_for):
-        """Build each window's snapshot once per evaluation.
-
-        Plan lookup reads statistics from the same snapshots the plan
-        then executes against; memoizing keeps that one graph build."""
+    def _graph_provider(self, registered: RegisteredQuery, parent):
+        """Window snapshots by (stream, width): each built once per
+        evaluation (plan lookup reads statistics from the snapshots the
+        plan then executes against), as a ``snapshot_build`` stage under
+        ``parent``."""
         snapshots: Dict[Tuple[str, int], PropertyGraph] = {}
 
-        def provider(stream_name: str, width: int) -> PropertyGraph:
+        def graph_for(stream_name: str, width: int) -> PropertyGraph:
             key = (stream_name, width)
             if key not in snapshots:
-                snapshots[key] = graph_for(stream_name, width)
+                state = registered.windows.get(key)
+                if state is None:
+                    raise EngineError(
+                        f"no window state for stream {stream_name!r} "
+                        f"width {width}"
+                    )
+                snapshots[key] = self._timed_graph(
+                    state, registered.name, parent
+                )
             return snapshots[key]
 
-        return provider
+        return graph_for
 
     def _physical_plan(
         self, registered: RegisteredQuery, stats_for
@@ -1037,7 +995,7 @@ class SeraphEngine:
             registered.plan_failed = True
             return None
         if self.plan_cache.misses != misses_before:
-            registered.plan_compiles += 1
+            registered.counters["plan_compiles"].inc()
             if obs.enabled:
                 obs.record_stage(
                     registered.name,
@@ -1061,12 +1019,8 @@ class SeraphEngine:
         (and, when vectorized, candidate/pruned counters plus the
         ``vectorize`` stage's set-construction time)."""
         rows: Dict[int, int] = {}
-        prunes: Optional[Dict[int, List[int]]] = (
-            {} if self.vectorized else None
-        )
-        prune_stats: Optional[Dict[str, float]] = (
-            {} if self.vectorized else None
-        )
+        prunes: Optional[dict] = {} if self.vectorized else None
+        prune_stats: Optional[dict] = {} if self.vectorized else None
         table = execute_plan(
             plan,
             graph_for,
@@ -1077,6 +1031,23 @@ class SeraphEngine:
             prunes=prunes,
             prune_stats=prune_stats,
         )
+        self._merge_plan_counts(registered, rows, prunes)
+        if self.obs.enabled and prune_stats is not None:
+            self.obs.record_stage(
+                registered.name,
+                "vectorize",
+                prune_stats.get("build_seconds", 0.0),
+            )
+        return table
+
+    def _merge_plan_counts(
+        self,
+        registered: RegisteredQuery,
+        rows: Dict[int, int],
+        prunes: Optional[Dict[int, List[int]]],
+    ) -> None:
+        """Add one execution's per-operator row counts and ``[candidates,
+        pruned]`` pairs to the query's plan annotations."""
         plan_rows = registered.plan_rows
         obs = self.obs
         for op_id, count in rows.items():
@@ -1085,28 +1056,10 @@ class SeraphEngine:
                 obs.registry.inc(
                     f"query.{registered.name}.op.{op_id}.rows", count
                 )
-        if prunes:
-            self._merge_plan_prunes(registered, prunes)
-        if obs.enabled and prune_stats is not None:
-            obs.record_stage(
-                registered.name,
-                "vectorize",
-                prune_stats.get("build_seconds", 0.0),
-            )
-        return table
-
-    @staticmethod
-    def _merge_plan_prunes(
-        registered: RegisteredQuery, prunes: Dict[int, List[int]]
-    ) -> None:
-        plan_prunes = registered.plan_prunes
-        for op_id, (candidates, pruned) in prunes.items():
-            slot = plan_prunes.get(op_id)
-            if slot is None:
-                plan_prunes[op_id] = [candidates, pruned]
-            else:
-                slot[0] += candidates
-                slot[1] += pruned
+        for op_id, (candidates, pruned) in (prunes or {}).items():
+            slot = registered.plan_prunes.setdefault(op_id, [0, 0])
+            slot[0] += candidates
+            slot[1] += pruned
 
     def _evict(self) -> None:
         """Drop stream elements no future evaluation can reach, and shared
@@ -1144,12 +1097,12 @@ class SeraphEngine:
             else:
                 # No live query reads this stream: nothing retained here
                 # can ever be evaluated again.
-                state.evict_all()
+                state.evict_count(len(state))
 
     @property
     def retained_elements(self) -> int:
         """How many stream elements the engine currently retains."""
-        return sum(len(state.elements) for state in self._streams.values())
+        return sum(len(state) for state in self._streams.values())
 
     # -- dataflow introspection -------------------------------------------------
 
@@ -1192,7 +1145,7 @@ class SeraphEngine:
                 "consumers": self._dataflow.consumers_of(stream),
                 "cursor": materializer.elements if materializer else 0,
                 "rows": materializer.rows if materializer else 0,
-                "retained": len(state.elements) if state else 0,
+                "retained": len(state) if state is not None else 0,
             }
         return {
             "streams": streams,
@@ -1207,10 +1160,8 @@ class SeraphEngine:
                     "stream": stream,
                     "consumer": consumer,
                     "emitted": streams[stream]["cursor"],
-                    "consumed": (
-                        self._queries[consumer]
-                        .consumed_elements.get(stream, 0)
-                        if consumer in self._queries else 0
+                    "consumed": self.obs.registry.value(
+                        f"query.{consumer}.consumed.{stream}"
                     ),
                 }
                 for producer, stream, consumer in self._dataflow.edges()
@@ -1218,21 +1169,17 @@ class SeraphEngine:
         }
 
     def status(self) -> Dict[str, object]:
-        """Operational snapshot for monitoring dashboards/logs."""
-        return {
+        """Operational snapshot for monitoring dashboards/logs: every
+        count in it is a read of the metrics registry."""
+        info: Dict[str, object] = {
             "queries": {
                 name: {
-                    "evaluations": registered.evaluations,
-                    "reused": registered.reused_evaluations,
-                    "delta": registered.delta_evaluations,
-                    "delta_full_refreshes": registered.delta_full_refreshes,
+                    **{key: registered.counters[suffix].value
+                       for key, suffix in _STATUS_COUNTERS.items()},
                     "delta_reason": registered.delta_reason,
-                    "assignments_retained": registered.assignments_retained,
-                    "assignments_recomputed": registered.assignments_recomputed,
                     "next_eval": registered.next_eval,
                     "done": registered.done,
                     "warnings": [str(w) for w in registered.warnings],
-                    "plan_compiles": registered.plan_compiles,
                     "plan_operators": (
                         registered.physical_plan.op_count
                         if registered.physical_plan is not None
@@ -1248,8 +1195,8 @@ class SeraphEngine:
             },
             "streams": {
                 name: {
-                    "retained": len(state.elements),
-                    "head": state.stream.head_instant,
+                    "retained": len(state),
+                    "head": state.head_instant,
                 }
                 for name, state in self._streams.items()
             },
@@ -1262,6 +1209,12 @@ class SeraphEngine:
             "shared_window_states": len(self._shared_windows),
             "dataflow": self.dataflow_status(),
         }
+        if self.executor is not None:
+            info["parallel"] = self.executor.status()
+            info["supervision"] = self.executor.supervisor.as_dict()
+        if self.ingress is not None:
+            info["resilience"] = self.ingress.status()
+        return info
 
     def unified_status(self) -> Dict[str, object]:
         """The namespaced, schema-versioned status document
@@ -1269,3 +1222,48 @@ class SeraphEngine:
         from repro.obs.schema import unified_status
 
         return unified_status(self)
+
+    # -- lifecycle / checkpoint (repro.runtime.checkpoint) ----------------------
+
+    @property
+    def dead_letters(self):
+        """The ingress's quarantine (``None`` without an ingress)."""
+        return self.ingress.dead_letters if self.ingress is not None else None
+
+    def close(self) -> None:
+        """Release the executor's worker pool, if there is one."""
+        if self.executor is not None:
+            self.executor.close()
+
+    def __enter__(self) -> "SeraphEngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def checkpoint(self) -> Dict[str, Any]:
+        """The engine's whole state as one JSON-safe document
+        (:mod:`repro.runtime.checkpoint` has the format)."""
+        from repro.runtime import checkpoint
+
+        return checkpoint.engine_to_dict(self)
+
+    def checkpoint_json(self, indent: Optional[int] = None) -> str:
+        from repro.runtime import checkpoint
+
+        return checkpoint.checkpoint_to_json(self, indent)
+
+    def save_checkpoint(self, path: str) -> None:
+        from repro.runtime import checkpoint
+
+        checkpoint.save_checkpoint(self, path)
+
+    @staticmethod
+    def from_checkpoint(data, sinks=None, **tuning) -> "SeraphEngine":
+        """An engine from a :meth:`checkpoint` document or its JSON
+        string (:func:`repro.runtime.checkpoint.engine_from_dict`)."""
+        from repro.runtime import checkpoint
+
+        load = (checkpoint.engine_from_json if isinstance(data, str)
+                else checkpoint.engine_from_dict)
+        return load(data, sinks, **tuning)

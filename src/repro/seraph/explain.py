@@ -117,10 +117,8 @@ def explain(query: Union[str, SeraphQuery], graph=None) -> str:
 def explain_analyze(engine, query_name: str) -> str:
     """EXPLAIN plus observed stage timings (``EXPLAIN ANALYZE``).
 
-    ``engine`` is any layer of the stack (:class:`SeraphEngine`,
-    :class:`ParallelEngine`, or a :class:`ResilientEngine` wrapper) that
-    ran ``query_name`` with observability enabled; each stage that fired
-    at least once gets a ``n/mean/p95/max`` line.  Raises
+    ``engine`` ran ``query_name`` with observability enabled; each stage
+    that fired at least once gets a ``n/mean/p95/max`` line.  Raises
     :class:`~repro.errors.EngineError` for an unregistered query; an
     engine without observability gets the plain plan plus a hint.
     """
@@ -129,16 +127,15 @@ def explain_analyze(engine, query_name: str) -> str:
 
     from repro.cypher.physical import render_plan
 
-    inner = engine.engine if hasattr(engine, "dead_letters") \
-        and hasattr(engine, "engine") else engine
-    if query_name not in inner.query_names:
+    if query_name not in engine.query_names:
         raise EngineError(f"query {query_name!r} is not registered")
-    registered = inner.registered(query_name)
+    registered = engine.registered(query_name)
     lines = [explain(registered.query)]
     plan = registered.physical_plan
     if plan is not None:
         lines.append(
-            f"  physical    : ({registered.plan_compiles} compiles, "
+            f"  physical    : "
+            f"({registered.counters['plan_compiles'].value} compiles, "
             f"band {len(plan.band)} windows)"
         )
         lines.extend(
@@ -156,7 +153,7 @@ def explain_analyze(engine, query_name: str) -> str:
             "  physical    : interpreted fallback "
             "(query not coverable by the physical pipeline)"
         )
-    obs = inner.obs
+    obs = engine.obs
     if not obs.enabled:
         lines.append(
             "  analyze     : observability disabled "
@@ -185,13 +182,8 @@ def explain_dataflow(engine) -> str:
     reads and (for ``EMIT ... INTO`` producers) the derived stream it
     feeds, followed by every producer→consumer edge annotated with the
     elements emitted into and consumed from its stream so far.
-    ``engine`` is any layer of the stack; a
-    :class:`~repro.runtime.engine.ResilientEngine` wrapper is unwrapped
-    like in :func:`explain_analyze`.
     """
-    inner = engine.engine if hasattr(engine, "dead_letters") \
-        and hasattr(engine, "engine") else engine
-    status = inner.dataflow_status()
+    status = engine.dataflow_status()
     lines = ["DataflowDAG"]
     if not status["order"]:
         lines.append("  (no registered queries)")
@@ -204,7 +196,7 @@ def explain_dataflow(engine) -> str:
         if stage != current:
             lines.append(f"  stage {stage}:")
             current = stage
-        query = inner.registered(name).query
+        query = engine.registered(name).query
         reads = ", ".join(query.stream_names())
         produced = query.emits_into if query.is_continuous else None
         suffix = ""

@@ -31,7 +31,6 @@ from repro.service.sse import (
 from repro.service.tenants import (
     TENANT_CHECKPOINT_VERSION,
     TenantManager,
-    TenantMetrics,
     TenantQuotas,
     TenantSpec,
     TenantState,
@@ -48,7 +47,6 @@ __all__ = [
     "ServiceSink",
     "SseEvent",
     "TenantManager",
-    "TenantMetrics",
     "TenantQuotas",
     "TenantSpec",
     "TenantState",

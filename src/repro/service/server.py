@@ -19,6 +19,7 @@ Endpoint map (full contract in docs/SERVICE.md)::
     POST   /tenants/{t}/streams/{s}/events       push events (202)
     POST   /tenants/{t}/advance                  fire due evaluations
     GET    /tenants/{t}/status                   unified status + service
+    GET    /tenants/{t}/metrics                  Prometheus text exposition
     GET    /tenants/{t}/checkpoint               snapshot to JSON
     POST   /tenants/{t}/restore                  rebuild from a snapshot
 
@@ -50,7 +51,7 @@ from repro.errors import (
     CypherError,
     ServiceError,
 )
-from repro.runtime.engine import decode_item
+from repro.runtime.ingress import decode_item
 from repro.service.sse import HEARTBEAT_FRAME, format_event
 from repro.service.tenants import (
     TenantManager,
@@ -440,6 +441,8 @@ class SeraphService:
             return self._handle_advance
         if rest == ["status"] and method == "GET":
             return self._handle_tenant_status
+        if rest == ["metrics"] and method == "GET":
+            return self._handle_tenant_metrics
         if rest == ["checkpoint"] and method == "GET":
             return self._handle_checkpoint
         if rest == ["restore"] and method == "POST":
@@ -533,7 +536,7 @@ class SeraphService:
         self._respond(writer, 202, {
             "ingested": ingested,
             "stream": stream,
-            "watermark": tenant._core._watermark,
+            "watermark": tenant.engine.watermark,
         })
 
     async def _handle_advance(
@@ -552,6 +555,19 @@ class SeraphService:
         self, request, writer, tenant: TenantState, rest
     ) -> None:
         self._respond(writer, 200, tenant.status())
+
+    async def _handle_tenant_metrics(
+        self, request, writer, tenant: TenantState, rest
+    ) -> None:
+        # Imported here: ``python -m repro.obs.schema`` must not find
+        # its module already loaded through ``import repro``.
+        from repro.obs.export import to_prometheus
+
+        self._respond(
+            writer, 200,
+            to_prometheus(tenant.obs.registry).encode("utf-8"),
+            content_type="text/plain; version=0.0.4; charset=utf-8",
+        )
 
     async def _handle_checkpoint(
         self, request, writer, tenant: TenantState, rest
@@ -676,11 +692,7 @@ class SeraphService:
         return True
 
     def _shed(self, tenant: TenantState) -> None:
-        tenant.metrics.shed_consumers += 1
-        if tenant.obs.enabled:
-            tenant.obs.registry.inc(
-                f"service.tenant.{tenant.name}.shed_consumers"
-            )
+        tenant.count("shed_consumers")
 
     # -- status ------------------------------------------------------------
 

@@ -1,16 +1,19 @@
 """Per-tenant namespaces: engines, quotas, metrics, checkpoints.
 
-One :class:`TenantState` owns one engine stack (built through the
+One :class:`TenantState` owns one engine (built through the
 :class:`~repro.api.EngineConfig` front door — the service has no other
 construction path), its named input streams, one bounded
 :class:`~repro.service.sse.EmissionLog` per registered query, a
 token-bucket admission controller, and a small crash-containment fence:
 engine failures are counted per tenant, and a tenant whose engine keeps
-failing is quarantined (503) without touching its neighbours.
+failing is quarantined (503) without touching its neighbours.  The
+tenant's service counters live in its engine's metrics registry under
+``service.tenant.<name>.*`` — one scrape (``GET /tenants/{t}/metrics``)
+covers the tenant end to end.
 
 :class:`TenantManager` is the service-wide registry: static tenants from
 configuration, optional dynamic creation, and whole-service snapshot /
-restore riding on the PR 1 checkpoint format
+restore riding on the engine checkpoint format
 (:mod:`repro.runtime.checkpoint`).
 """
 
@@ -22,14 +25,14 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.api import EngineConfig, build_engine
 from repro.errors import (
+    CheckpointError,
     QuotaExceededError,
     ReproError,
     TenantQuarantinedError,
     UnknownStreamError,
     UnknownTenantError,
 )
-from repro.runtime.checkpoint import engine_from_dict, engine_to_dict
-from repro.runtime.engine import ResilientEngine
+from repro.runtime.checkpoint import engine_from_dict
 from repro.seraph.ast import DEFAULT_STREAM
 from repro.seraph.parser import parse_seraph
 from repro.service.admission import TokenBucket
@@ -37,7 +40,13 @@ from repro.service.auth import Authenticator
 from repro.service.sse import EmissionLog, ServiceSink
 from repro.stream.stream import StreamElement
 
-TENANT_CHECKPOINT_VERSION = 1
+TENANT_CHECKPOINT_VERSION = 2
+
+#: ``service.tenant.<t>.*`` counters, in ``service.metrics`` status order.
+TENANT_COUNTERS = (
+    "requests", "events", "throttled", "emissions", "shed_consumers",
+    "auth_failures", "engine_errors", "checkpoints", "restores",
+)
 
 
 @dataclass(frozen=True)
@@ -79,32 +88,8 @@ class TenantSpec:
     engine: Optional[EngineConfig] = None
 
 
-class TenantMetrics:
-    """Per-tenant service counters (requests, events, emissions, sheds)."""
-
-    __slots__ = (
-        "requests", "events", "throttled", "emissions",
-        "shed_consumers", "auth_failures", "engine_errors",
-        "checkpoints", "restores",
-    )
-
-    def __init__(self):
-        self.requests = 0
-        self.events = 0
-        self.throttled = 0
-        self.emissions = 0
-        self.shed_consumers = 0
-        self.auth_failures = 0
-        self.engine_errors = 0
-        self.checkpoints = 0
-        self.restores = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
 class TenantState:
-    """One live tenant: engine stack + logs + quotas + containment."""
+    """One live tenant: engine + logs + quotas + containment."""
 
     def __init__(
         self,
@@ -114,7 +99,6 @@ class TenantState:
         self.spec = spec
         self.name = spec.name
         self.quotas = spec.quotas
-        self.metrics = TenantMetrics()
         self.bucket = TokenBucket(
             rate=spec.quotas.max_events_per_sec,
             burst=spec.quotas.burst,
@@ -122,6 +106,7 @@ class TenantState:
         )
         self._clock = clock
         self.engine = build_engine(spec.engine or EngineConfig())
+        self._declare_counters()
         self.logs: Dict[str, EmissionLog] = {}
         self.sinks: Dict[str, ServiceSink] = {}
         self.failures = 0  # consecutive unexpected engine failures
@@ -130,16 +115,17 @@ class TenantState:
     # -- engine plumbing ---------------------------------------------------
 
     @property
-    def _resilient(self) -> bool:
-        return isinstance(self.engine, ResilientEngine)
-
-    @property
-    def _core(self):
-        return self.engine.engine if self._resilient else self.engine
-
-    @property
     def obs(self):
         return self.engine.obs
+
+    def _declare_counters(self) -> None:
+        self.obs.registry.declare(
+            f"service.tenant.{self.name}", TENANT_COUNTERS
+        )
+
+    def count(self, name: str, amount: int = 1) -> None:
+        """Bump one of the tenant's :data:`TENANT_COUNTERS`."""
+        self.obs.registry.inc(f"service.tenant.{self.name}.{name}", amount)
 
     def _check_fence(self) -> None:
         if self.quarantined:
@@ -164,7 +150,7 @@ class TenantState:
             raise
         except Exception:
             self.failures += 1
-            self.metrics.engine_errors += 1
+            self.count("engine_errors")
             if self.failures >= self.quotas.max_engine_failures:
                 self.quarantined = True
             raise
@@ -190,14 +176,11 @@ class TenantState:
         )
         self.logs[query.name] = log
         self.sinks[query.name] = sink
-        if self.obs.enabled:
-            self.obs.registry.inc(f"service.tenant.{self.name}.queries")
+        self.count("queries")
         return handle
 
     def _count_emission(self) -> None:
-        self.metrics.emissions += 1
-        if self.obs.enabled:
-            self.obs.registry.inc(f"service.tenant.{self.name}.emissions")
+        self.count("emissions")
 
     def deregister_query(self, name: str) -> None:
         self._contained(lambda: self.engine.deregister(name))
@@ -228,7 +211,7 @@ class TenantState:
         materialized so far) — the engine's dataflow status section
         (docs/DATAFLOW.md).
         """
-        return self._core.dataflow_status()["streams"]
+        return self.engine.dataflow_status()["streams"]
 
     def stream_log(self, stream: str) -> EmissionLog:
         """The emission log feeding a derived stream.
@@ -239,9 +222,9 @@ class TenantState:
         :class:`~repro.errors.UnknownStreamError` (404) when no
         registered query emits into ``stream``.
         """
-        producers = self._core.dataflow.producers_of(stream)
+        producers = self.engine.dataflow.producers_of(stream)
         if not producers:
-            known = sorted(self._core.dataflow.produced_streams())
+            known = sorted(self.engine.dataflow.produced_streams())
             raise UnknownStreamError(
                 f"tenant {self.name!r} has no derived stream {stream!r} "
                 f"(derived streams: {known if known else 'none'})"
@@ -253,11 +236,7 @@ class TenantState:
     def admit(self, events: int) -> None:
         """Token-bucket admission for a batch of ``events`` events."""
         if not self.bucket.try_acquire(float(events)):
-            self.metrics.throttled += events
-            if self.obs.enabled:
-                self.obs.registry.inc(
-                    f"service.tenant.{self.name}.throttled", events
-                )
+            self.count("throttled", events)
             raise QuotaExceededError(
                 f"tenant {self.name!r} exceeded its event admission rate "
                 f"({self.quotas.max_events_per_sec}/s)"
@@ -266,38 +245,22 @@ class TenantState:
     def push(self, element: StreamElement, stream: str = DEFAULT_STREAM) -> None:
         """Ingest one admitted element, firing due evaluations first.
 
-        Mirrors ``run_stream`` exactly: evaluations strictly before this
-        arrival must not see it — that discipline is what makes service
-        emissions byte-identical to an offline run on the same elements.
+        ``engine.push`` is what ``run_stream`` does per element:
+        evaluations strictly before this arrival must not see it — that
+        discipline is what makes service emissions byte-identical to an
+        offline run on the same elements.
         """
-        obs = self.obs
-
-        def ingest():
-            if self._resilient:
-                # The resilient runtime advances internally (reorder
-                # buffers release ripe elements in their own order).
-                self.engine.ingest_element(element, stream)
-            else:
-                self.engine.advance_to(element.instant - 1)
-                self.engine.ingest_element(element, stream)
-
-        if obs.enabled:
-            with obs.tracer.span(
-                "service_push", tenant=self.name, stream=stream,
-                instant=element.instant,
-            ):
-                self._contained(ingest)
-            obs.registry.inc(f"service.tenant.{self.name}.events")
-        else:
-            self._contained(ingest)
-        self.metrics.events += 1
+        with self.obs.tracer.span(
+            "service_push", tenant=self.name, stream=stream,
+            instant=element.instant,
+        ):
+            self._contained(lambda: self.engine.push(element, stream))
+        self.count("events")
 
     def advance(self, until: int) -> None:
-        """Fire every due evaluation with ET instant <= ``until``."""
-        if self._resilient:
-            self._contained(lambda: self.engine.flush(until))
-        else:
-            self._contained(lambda: self.engine.advance_to(until))
+        """Fire every due evaluation with ET instant <= ``until`` (after
+        draining whatever the engine's ingress still buffers)."""
+        self._contained(lambda: self.engine.flush(until))
 
     # -- status / checkpoint -----------------------------------------------
 
@@ -313,7 +276,9 @@ class TenantState:
             "quarantined": self.quarantined,
             "quotas": self.quotas.as_dict(),
             "admission": self.bucket.as_dict(),
-            "metrics": self.metrics.as_dict(),
+            "metrics": self.obs.registry.values(
+                f"service.tenant.{self.name}", TENANT_COUNTERS
+            ),
             "queries": {
                 name: {
                     "buffered": len(log),
@@ -327,22 +292,17 @@ class TenantState:
     def checkpoint(self) -> Dict[str, Any]:
         """Snapshot this tenant's engine + emission offsets to JSON.
 
-        Rides on the PR 1 checkpoint format: the ``engine`` payload is
-        :func:`~repro.runtime.checkpoint.engine_to_dict` output for core
-        stacks, or the full :meth:`ResilientEngine.checkpoint` document
-        for resilient ones.  Emission logs persist their *offsets* only
-        (``next_event_id``), so Last-Event-ID cursors stay monotonic
-        across a restore while buffered rows are rebuilt by replay.
+        The ``engine`` payload is the engine's own checkpoint document
+        (:mod:`repro.runtime.checkpoint`).  Emission logs persist their
+        *offsets* only (``next_event_id``), so Last-Event-ID cursors stay
+        monotonic across a restore while buffered rows are rebuilt by
+        replay.
         """
-        self.metrics.checkpoints += 1
+        self.count("checkpoints")
         return {
             "version": TENANT_CHECKPOINT_VERSION,
             "tenant": self.name,
-            "kind": "resilient" if self._resilient else "core",
-            "engine": (
-                self.engine.checkpoint() if self._resilient
-                else engine_to_dict(self.engine)
-            ),
+            "engine": self.engine.checkpoint(),
             "queries": {
                 name: {
                     "next_event_id": log.next_id,
@@ -357,58 +317,53 @@ class TenantState:
 
         Clears the quarantine fence and reattaches a fresh bounded log
         (seeded at the checkpointed event-id offset) to every restored
-        query.
+        query; the tenant's service counters carry over into the new
+        engine's registry.
         """
-        from repro.errors import CheckpointError
-
         version = document.get("version")
         if version != TENANT_CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"unsupported tenant checkpoint version {version!r}"
             )
-        self.close()
-        resilient = document.get("kind") == "resilient"
-        if resilient:
-            engine = ResilientEngine.from_checkpoint(document["engine"])
-        else:
-            engine = engine_from_dict(document["engine"])
         offsets = document.get("queries", {})
         logs: Dict[str, EmissionLog] = {}
         sinks: Dict[str, ServiceSink] = {}
-        for name in engine.query_names:
-            entry = offsets.get(name, {})
-            log = EmissionLog(
+        for name, entry in offsets.items():
+            logs[name] = EmissionLog(
                 self.quotas.max_buffered_emissions,
                 next_id=int(entry.get("next_event_id", 0)),
             )
-            logs[name] = log
-            sink = ServiceSink(
-                log,
+            sinks[name] = ServiceSink(
+                logs[name],
                 skip_empty=bool(entry.get("skip_empty", False)),
                 on_append=self._count_emission,
             )
-            sinks[name] = sink
-            if resilient:
-                # Re-wrap so the restored delivery layer (retries,
-                # breaker) still fronts the service sink.
-                engine.engine.registered(name).sink = engine._wrap_sink(sink)
-            else:
-                engine.registered(name).sink = sink
+        engine = engine_from_dict(document["engine"], sinks=sinks)
+        for name in engine.query_names:
+            if name not in sinks:
+                raise CheckpointError(
+                    f"tenant checkpoint has no offsets for query {name!r}"
+                )
+        carried = [
+            (name, counter.value) for name, counter in
+            self.obs.registry.under(f"service.tenant.{self.name}.")
+        ]
+        self.close()
         self.engine = engine
-        self.logs = logs
-        self.sinks = sinks
+        self._declare_counters()
+        self.logs = {name: logs[name] for name in engine.query_names}
+        self.sinks = {name: sinks[name] for name in engine.query_names}
         self.failures = 0
         self.quarantined = False
-        self.metrics.restores += 1
+        for name, value in carried:
+            self.count(name, value)
+        self.count("restores")
 
     def close(self) -> None:
         """Release engine resources (worker pools) and wake consumers."""
         for log in self.logs.values():
             log.close()
-        core = self._core
-        close = getattr(core, "close", None)
-        if callable(close):
-            close()
+        self.engine.close()
 
 
 class TenantManager:
@@ -461,9 +416,9 @@ class TenantManager:
         try:
             self.authenticator.check(name, authorization)
         except AuthenticationError:
-            state.metrics.auth_failures += 1
+            state.count("auth_failures")
             raise
-        state.metrics.requests += 1
+        state.count("requests")
         return state
 
     def snapshot(self) -> Dict[str, Any]:

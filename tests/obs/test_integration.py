@@ -16,7 +16,7 @@ from repro import EngineConfig, build_engine
 from repro.errors import EngineError
 from repro.graph.generators import random_stream
 from repro.obs import Observability
-from repro.runtime import ParallelEngine, ResilientEngine
+from repro.runtime import Ingress, PoolExecutor
 from repro.runtime.faults import FailureSchedule, FlakySink
 from repro.runtime.resilient_sink import RetryPolicy
 from repro.seraph import CollectingSink, SeraphEngine, explain_analyze
@@ -51,8 +51,8 @@ def elements():
 class TestWorkerSpanStitching:
     @pytest.fixture(scope="class")
     def traced(self, pool, elements):
-        engine = ParallelEngine(
-            workers=2, pool=pool, offload_threshold=0.0,
+        engine = SeraphEngine(
+            executor=PoolExecutor(2, pool=pool, offload_threshold=0.0),
             obs=Observability.create(),
         )
         sink = CollectingSink()
@@ -109,11 +109,11 @@ class TestWorkerSpanStitching:
 class TestSinkRetrySpans:
     @pytest.fixture
     def flaky_run(self):
-        inner = build_engine(EngineConfig(observability=True))
         flaky = FlakySink(FailureSchedule.first(2))
-        engine = ResilientEngine(
-            inner, retry=RetryPolicy(max_attempts=4, seed=3),
-            sleep=lambda _: None,
+        engine = SeraphEngine(
+            obs=Observability.create(),
+            ingress=Ingress(retry=RetryPolicy(max_attempts=4, seed=3),
+                            sleep=lambda _: None),
         )
         engine.register(LISTING5_SERAPH, sink=flaky)
         engine.run_stream(figure1_stream(), until=_t("15:40"))
@@ -155,13 +155,14 @@ class TestResilienceMetricsBridge:
         stream = figure1_stream()
         shuffled = [stream[1], stream[0]] + stream[2:]
         engine.run_stream(shuffled, until=_t("15:40"))
-        assert engine.metrics.reordered > 0
         registry = engine.obs.registry
+        assert registry.value("resilience.reordered") > 0
         pending = registry.get("resilience.buffer.default.pending")
         watermark = registry.get("resilience.buffer.default.watermark")
         assert pending is not None and watermark is not None
         # The gauge mirrors the live buffer depth.
-        assert pending.value == len(engine._buffers["default"])
+        assert pending.value \
+            == engine.status()["resilience"]["buffered"]["default"]
 
     def test_poison_rejections_are_counted(self):
         engine = build_engine(EngineConfig(

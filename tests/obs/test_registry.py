@@ -139,36 +139,46 @@ class TestMetricsRegistry:
         assert "missing" not in registry
 
 
-class TestAbsorb:
-    def test_nested_dicts_flatten_into_namespaced_gauges(self):
-        registry = MetricsRegistry()
-        registry.absorb("resilience", {
-            "ingested": 7,
-            "buffered": {"default": 2, "late": 0},
-            "mean_latency": 0.25,
-        })
-        assert registry.gauge("resilience.ingested").value == 7
-        assert registry.gauge("resilience.buffered.default").value == 2
-        assert registry.gauge("resilience.mean_latency").value == 0.25
+class TestLedgerReads:
+    """What ``status()`` is built from: reads by name, by namespace and
+    by prefix, and forgetting a deregistered query's instruments."""
 
-    def test_non_numeric_and_boolean_leaves_are_skipped(self):
+    def test_value_reads_counters_and_gauges_and_is_zero_before_use(self):
         registry = MetricsRegistry()
-        registry.absorb("engine", {
-            "policy": "trailing",
-            "delta_eval": True,
-            "watermark": None,
-            "evaluations": 3,
-        })
-        assert "engine.policy" not in registry
-        assert "engine.delta_eval" not in registry
-        assert "engine.watermark" not in registry
-        assert registry.gauge("engine.evaluations").value == 3
+        registry.inc("resilience.reordered", 3)
+        registry.set("parallel.max_queue_depth", 2)
+        assert registry.value("resilience.reordered") == 3
+        assert registry.value("parallel.max_queue_depth") == 2
+        assert registry.value("resilience.never_bumped") == 0
+        assert "resilience.never_bumped" not in registry
 
-    def test_absorb_twice_overwrites_in_place(self):
+    def test_values_reads_a_namespace_in_the_order_asked(self):
         registry = MetricsRegistry()
-        registry.absorb("run", {"rows": 1})
-        registry.absorb("run", {"rows": 5})
-        assert registry.gauge("run.rows").value == 5
+        registry.inc("supervision.pool_rebuilds")
+        assert registry.values(
+            "supervision", ("task_retries", "pool_rebuilds")
+        ) == {"task_retries": 0, "pool_rebuilds": 1}
+        assert list(registry.values("supervision", ("b", "a"))) == ["b", "a"]
+
+    def test_under_yields_suffixes_sorted(self):
+        registry = MetricsRegistry()
+        registry.observe("parallel.worker.7.task_seconds", 0.5)
+        registry.observe("parallel.worker.3.task_seconds", 0.25)
+        registry.inc("parallel.batches")
+        found = list(registry.under("parallel.worker."))
+        assert [name for name, _ in found] == [
+            "3.task_seconds", "7.task_seconds"]
+        assert [hist.total for _, hist in found] == [0.25, 0.5]
+
+    def test_discard_forgets_a_prefix_and_nothing_else(self):
+        registry = MetricsRegistry()
+        registry.inc("query.q.evaluations", 4)
+        registry.observe("query.q.stage.total", 0.1)
+        registry.inc("query.q2.evaluations")
+        registry.discard("query.q.")
+        assert registry.value("query.q.evaluations") == 0
+        assert registry.get("query.q.stage.total") is None
+        assert registry.value("query.q2.evaluations") == 1
 
 
 class TestSnapshot:

@@ -108,12 +108,21 @@ class TestGoldenStatusShape:
         # reuse; Listing 5 is delta-ineligible).
         paths = {name for name in counters
                  if name.startswith("query.student_trick.path.")}
-        assert paths == {"query.student_trick.path.full",
-                         "query.student_trick.path.reuse"}
+        assert {name for name in paths if metrics["counters"][name]} \
+            == {"query.student_trick.path.full",
+                "query.student_trick.path.reuse"}
         assert sum(metrics["counters"][name] for name in paths) == 12
+        # The query's own ledger — what status() reads.
+        ledger = {
+            f"query.student_trick.{suffix}"
+            for suffix in ("evaluations", "assignments_retained",
+                           "assignments_recomputed", "plan_compiles")
+        }
+        assert ledger <= counters
+        assert metrics["counters"]["query.student_trick.evaluations"] == 12
         # The only other counters are per-operator row counts from the
         # physical plan (query.<name>.op.<id>.rows).
-        for name in counters - base - paths:
+        for name in counters - base - paths - ledger:
             assert name.startswith("query.student_trick.op.")
             assert name.endswith(".rows")
         histograms = metrics["histograms"]

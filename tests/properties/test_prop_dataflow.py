@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.generators import random_stream
-from repro.runtime import ParallelEngine
+from repro.runtime import PoolExecutor
 from repro.seraph import CollectingSink, SeraphEngine, StreamMaterializer
 
 DETECT_TEMPLATE = """
@@ -119,8 +119,8 @@ def test_fused_pipeline_equals_hand_composed(data, pool):
     elements, detect, enrich, delta_eval, parallel, backend, vectorized = data
     reference = _run_hand_composed(elements, detect, enrich, delta_eval)
     if parallel:
-        engine = ParallelEngine(
-            workers=2, pool=pool, offload_threshold=0.0,
+        engine = SeraphEngine(
+            executor=PoolExecutor(2, pool=pool, offload_threshold=0.0),
             delta_eval=delta_eval, graph_backend=backend,
             vectorized=vectorized,
         )

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import EngineConfig, build_engine
-from repro.seraph import CollectingSink
+from repro.obs import Observability
+from repro.runtime import Ingress, PoolExecutor
+from repro.seraph import SeraphEngine
 
 from .test_prop_parallel import _run_serial, scenario
 
@@ -24,31 +25,15 @@ def pool():
         yield executor
 
 
-def _run_traced(elements, texts, config, pool):
-    engine = build_engine(config)
-    inner = getattr(engine, "engine", engine)
-    if config.parallel_workers is not None:
-        # Reuse the module pool instead of spawning one per example
-        # (pools are created lazily, so nothing leaks).
-        inner._pool = pool
-        inner._owns_pool = False
-    if config.resilient:
-        for text in texts:
-            engine.register(text)
-        engine.run_stream(elements)
-        rendered = [
-            e.render()
-            for index in range(len(texts))
-            for e in engine.sink(f"q{index}").emissions
-        ]
-    else:
-        sinks = [CollectingSink() for _ in texts]
-        for text, sink in zip(texts, sinks):
-            engine.register(text, sink=sink)
-        engine.run_stream(elements)
-        rendered = [e.render()
-                    for sink in sinks for e in sink.emissions]
-    return engine, rendered
+def _run_traced(elements, texts, engine):
+    for text in texts:
+        engine.register(text)
+    engine.run_stream(elements)
+    return [
+        e.render()
+        for index in range(len(texts))
+        for e in engine.sink(f"q{index}").emissions
+    ]
 
 
 @given(data=scenario(), parallel=st.booleans(), resilient=st.booleans())
@@ -58,17 +43,17 @@ def test_traced_stack_is_emission_equal_to_the_untraced_serial_engine(
 ):
     elements, texts, delta_eval, backend, vectorized = data
     baseline = _run_serial(elements, texts, delta_eval)
-    config = EngineConfig(
+    engine = SeraphEngine(
         delta_eval=delta_eval,
         graph_backend=backend,
         vectorized=vectorized,
-        parallel_workers=2 if parallel else None,
-        offload_threshold=0.0 if parallel else None,
-        resilient=resilient,
-        observability=True,
+        obs=Observability.create(),
+        ingress=Ingress() if resilient else None,
+        # The module pool, not one spawned per example.
+        executor=PoolExecutor(2, pool=pool, offload_threshold=0.0)
+        if parallel else None,
     )
-    engine, traced = _run_traced(elements, texts, config, pool)
-    assert traced == baseline
+    assert _run_traced(elements, texts, engine) == baseline
     tracer = engine.obs.tracer
     evaluates = [root for root in tracer.roots if root.name == "evaluate"]
     assert len(evaluates) == len(baseline)

@@ -4,7 +4,7 @@ The tentpole contract: parallelism may change wall-clock time, never a
 result.  Across random streams, random concurrent query sets, random
 window configurations, and random shard counts:
 
-* :class:`ParallelEngine` emissions are **order-equal and bag-equal**
+* an engine with a :class:`PoolExecutor` emits **order-equal and bag-equal**
   (we assert rendered-text equality, which implies both) to the serial
   engine — including through the delta_eval × parallel × resilient
   composition matrix;
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.graph.generators import random_stream
 from repro.graph.model import Node, PropertyGraph, Relationship
-from repro.runtime import ParallelEngine, ResilientEngine, ShardedEngine
+from repro.runtime import Ingress, PoolExecutor, ShardedEngine
 from repro.seraph import CollectingSink, SeraphEngine
 from repro.stream.stream import StreamElement
 
@@ -121,8 +121,8 @@ class TestParallelEqualsSerial:
     def test_forced_offload_order_and_bag_equal(self, data, pool):
         elements, texts, delta_eval, backend, vectorized = data
         serial = _run_serial(elements, texts, delta_eval)
-        engine = ParallelEngine(
-            workers=2, pool=pool, offload_threshold=0.0,
+        engine = SeraphEngine(
+            executor=PoolExecutor(2, pool=pool, offload_threshold=0.0),
             delta_eval=delta_eval, graph_backend=backend,
             vectorized=vectorized,
         )
@@ -136,16 +136,17 @@ class TestParallelEqualsSerial:
     @given(data=scenario())
     @settings(max_examples=25, deadline=None)
     def test_resilient_parallel_delta_matrix(self, data, pool):
-        """The full composition: ResilientEngine wrapping a parallel
-        engine, delta path on or off, must replay the serial run."""
+        """The full composition: an engine owning both an ingress and a
+        pool executor, delta path on or off, must replay the serial
+        run."""
         elements, texts, delta_eval, backend, vectorized = data
         serial = _run_serial(elements, texts, delta_eval)
-        inner = ParallelEngine(
-            workers=2, pool=pool, offload_threshold=0.0,
+        engine = SeraphEngine(
+            ingress=Ingress(),
+            executor=PoolExecutor(2, pool=pool, offload_threshold=0.0),
             delta_eval=delta_eval, graph_backend=backend,
             vectorized=vectorized,
         )
-        engine = ResilientEngine(inner)
         for text in texts:
             engine.register(text)
         engine.run_stream(elements)

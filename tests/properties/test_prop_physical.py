@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.generators import random_stream
-from repro.runtime import ParallelEngine, ResilientEngine
+from repro.runtime import Ingress, PoolExecutor
 from repro.seraph import CollectingSink, SeraphEngine
 
 QUERY_TEMPLATES = [
@@ -133,8 +133,8 @@ class TestPhysicalMatrix:
         serial = _run(
             SeraphEngine(delta_eval=delta_eval), elements, texts
         )
-        engine = ParallelEngine(
-            workers=2, pool=pool, offload_threshold=0.0,
+        engine = SeraphEngine(
+            executor=PoolExecutor(2, pool=pool, offload_threshold=0.0),
             delta_eval=delta_eval,
         )
         parallel = _run(engine, elements, texts)
@@ -148,11 +148,11 @@ class TestPhysicalMatrix:
         serial = _run(
             SeraphEngine(delta_eval=delta_eval), elements, texts
         )
-        inner = ParallelEngine(
-            workers=2, pool=pool, offload_threshold=0.0,
+        engine = SeraphEngine(
+            ingress=Ingress(),
+            executor=PoolExecutor(2, pool=pool, offload_threshold=0.0),
             delta_eval=delta_eval,
         )
-        engine = ResilientEngine(inner)
         for text in texts:
             engine.register(text)
         engine.run_stream(elements)

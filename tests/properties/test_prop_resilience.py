@@ -21,10 +21,10 @@ from repro.runtime import (
     FailureSchedule,
     FlakySink,
     FlakySource,
-    ResilientEngine,
+    Ingress,
 )
 from repro.runtime.resilient_sink import RetryPolicy
-from repro.seraph import parse_seraph
+from repro.seraph import SeraphEngine, parse_seraph
 from repro.seraph.semantics import continuous_run
 from repro.stream.stream import PropertyGraphStream, StreamElement
 
@@ -111,11 +111,11 @@ class TestResilientRunMatchesDenotation:
     def test_emissions_bag_equal_continuous_run_on_survivors(self, data):
         seed, elements, items, query, lateness, until = data
         flaky = FlakySink(FailureSchedule.every(3))  # never 2 consecutive
-        engine = ResilientEngine(
+        engine = SeraphEngine(ingress=Ingress(
             allowed_lateness=lateness,
             retry=RetryPolicy(max_attempts=3, seed=seed),
             sleep=lambda _: None,
-        )
+        ))
         engine.register(query, sink=flaky)
         emissions = engine.run_stream(items, until=until)
 
@@ -141,15 +141,15 @@ class TestResilientRunMatchesDenotation:
         seed, elements, items, query, lateness, until = data
         split = int(len(items) * split_fraction)
 
-        engine = ResilientEngine(allowed_lateness=lateness)
+        engine = SeraphEngine(ingress=Ingress(allowed_lateness=lateness))
         engine.register(query)
         emissions = []
         for item in items[:split]:
-            emissions.extend(engine.ingest_item(item))
+            emissions.extend(engine.ingest_element(item))
 
-        restored = ResilientEngine.from_checkpoint(engine.checkpoint())
+        restored = SeraphEngine.from_checkpoint(engine.checkpoint())
         for item in items[split:]:
-            emissions.extend(restored.ingest_item(item))
+            emissions.extend(restored.ingest_element(item))
         emissions.extend(restored.flush(until))
 
         survivors = surviving_elements(elements, engine, restored)

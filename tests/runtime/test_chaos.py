@@ -16,9 +16,9 @@ from repro.api import EngineConfig, build_engine
 from repro.errors import EngineError, ParallelExecutionError
 from repro.runtime import (
     ChaosConfig,
-    ParallelEngine,
+    PoolExecutor,
     PoolSupervisor,
-    ResilientEngine,
+    Ingress,
     ShardedEngine,
     SupervisorConfig,
 )
@@ -53,6 +53,16 @@ def _run(engine, stream, queries=(CHAIN_QUERY, ROUTE_QUERY)):
     return [e.render() for sink in sinks for e in sink.emissions]
 
 
+def _pooled(supervisor=None, ingress=None):
+    """A delta-off engine whose every full evaluation is offloaded."""
+    return SeraphEngine(
+        delta_eval=False, ingress=ingress,
+        executor=PoolExecutor(
+            2, offload_threshold=0.0, supervisor=supervisor
+        ),
+    )
+
+
 def _chaotic_supervisor(chaos, **config_kwargs):
     """A supervisor that never sleeps through backoff (test speed)."""
     return PoolSupervisor(
@@ -68,9 +78,8 @@ class TestChaosByteIdentical:
 
     def test_kills_and_poison_keep_emissions_byte_identical(self):
         serial = _run(SeraphEngine(delta_eval=False), _stream())
-        engine = ParallelEngine(
-            workers=2, offload_threshold=0.0, delta_eval=False,
-            supervisor=_chaotic_supervisor(KILL_AND_POISON, max_restarts=50),
+        engine = _pooled(
+            _chaotic_supervisor(KILL_AND_POISON, max_restarts=50),
         )
         with engine:
             chaotic = _run(engine, _stream())
@@ -85,9 +94,8 @@ class TestChaosByteIdentical:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_any_seed_converges_to_serial(self, seed):
         serial = _run(SeraphEngine(delta_eval=False), _stream())
-        engine = ParallelEngine(
-            workers=2, offload_threshold=0.0, delta_eval=False,
-            supervisor=_chaotic_supervisor(
+        engine = _pooled(
+            _chaotic_supervisor(
                 ChaosConfig(
                     seed=seed, worker_kill_rate=0.2,
                     worker_poison_rate=0.2, result_drop_rate=0.1,
@@ -128,9 +136,8 @@ class TestChaosByteIdentical:
 class TestCrashBudget:
     def test_exceeding_the_budget_degrades_instead_of_raising(self):
         serial = _run(SeraphEngine(delta_eval=False), _stream())
-        engine = ParallelEngine(
-            workers=2, offload_threshold=0.0, delta_eval=False,
-            supervisor=_chaotic_supervisor(
+        engine = _pooled(
+            _chaotic_supervisor(
                 ChaosConfig(seed=0, worker_kill_rate=1.0), max_restarts=1
             ),
         )
@@ -143,9 +150,8 @@ class TestCrashBudget:
         assert supervision["inline_tasks"] > 0
 
     def test_degrade_disabled_raises_typed_error(self):
-        engine = ParallelEngine(
-            workers=2, offload_threshold=0.0, delta_eval=False,
-            supervisor=_chaotic_supervisor(
+        engine = _pooled(
+            _chaotic_supervisor(
                 ChaosConfig(seed=0, worker_kill_rate=1.0),
                 max_restarts=0, degrade=False,
             ),
@@ -167,47 +173,42 @@ class TestCheckpointAcrossPoolCrash:
         elements = _stream(8)
         head, tail = elements[:4], elements[4:]
 
-        serial = ResilientEngine(SeraphEngine(delta_eval=False))
+        serial = SeraphEngine(delta_eval=False, ingress=Ingress())
         serial.register(ROUTE_QUERY)
         serial_head = [e.render() for e in serial.run_stream(
             head, until=head[-1].instant
         )]
         serial_tail = [e.render() for e in serial.run_stream(tail)]
 
-        engine = ResilientEngine(
-            ParallelEngine(workers=2, offload_threshold=0.0,
-                           delta_eval=False)
-        )
+        engine = _pooled(ingress=Ingress())
         engine.register(ROUTE_QUERY)
         live_head = [e.render() for e in engine.run_stream(
             head, until=head[-1].instant
         )]
         assert live_head == serial_head
         checkpoint = engine.checkpoint()
-        engine.engine.close()
+        engine.close()
 
         # The continuation hits an unsupervivable pool: every task's
         # worker dies, the budget is zero, degradation is off — the
         # typed error escapes mid-stream, exactly a crashed deployment.
-        doomed = ResilientEngine(
-            ParallelEngine(
-                workers=2, offload_threshold=0.0, delta_eval=False,
-                supervisor=_chaotic_supervisor(
-                    ChaosConfig(seed=0, worker_kill_rate=1.0),
-                    max_restarts=0, degrade=False,
-                ),
-            )
+        doomed = _pooled(
+            _chaotic_supervisor(
+                ChaosConfig(seed=0, worker_kill_rate=1.0),
+                max_restarts=0, degrade=False,
+            ),
+            ingress=Ingress(),
         )
         doomed.register(ROUTE_QUERY)
         with pytest.raises(ParallelExecutionError):
             doomed.run_stream(tail)
-        doomed.engine.close()
+        doomed.close()
 
         # Recovery: rebuild from the checkpoint, replay the tail.
-        restored = ResilientEngine.from_checkpoint(checkpoint)
-        assert isinstance(restored.engine, ParallelEngine)
+        restored = SeraphEngine.from_checkpoint(checkpoint)
+        assert restored.executor is not None
         restored_tail = [e.render() for e in restored.run_stream(tail)]
-        restored.engine.close()
+        restored.close()
         assert sorted(restored_tail) == sorted(serial_tail)
 
 
@@ -229,7 +230,7 @@ class TestEngineConfigChaosPath:
         chaotic.register(CHAIN_QUERY)
         emissions = [e.render() for e in chaotic.run_stream(_stream())]
         assert emissions == expected
-        assert chaotic.metrics.poison_rejected >= 1
+        assert chaotic.obs.registry.value("resilience.poison_rejected") >= 1
         assert len(chaotic.dead_letters) >= 1
 
     def test_displaced_arrivals_are_resequenced(self):
@@ -245,7 +246,7 @@ class TestEngineConfigChaosPath:
         chaotic.register(CHAIN_QUERY)
         emissions = [e.render() for e in chaotic.run_stream(_stream())]
         assert emissions == expected
-        assert chaotic.metrics.reordered >= 1
+        assert chaotic.obs.registry.value("resilience.reordered") >= 1
 
     def test_sink_chaos_is_absorbed_by_delivery_retries(self):
         clean = build_engine(EngineConfig(resilient=True))
@@ -264,7 +265,7 @@ class TestEngineConfigChaosPath:
         # The flaky layer sits under the resilient one: the user sink
         # still received every emission the clean run produced.
         assert [e.render() for e in sink.emissions] == expected
-        assert chaotic.metrics.retried >= 1
+        assert chaotic.obs.registry.value("resilience.retried") >= 1
         # sink() unwraps both resilience and chaos layers.
         assert chaotic.sink("chains") is sink
 
@@ -301,7 +302,7 @@ class TestEngineConfigChaosPath:
         try:
             emissions = [e.render() for e in engine.run_stream(_stream())]
         finally:
-            engine.engine.close()
+            engine.close()
         assert emissions == expected
         status = engine.unified_status()
         assert status["supervision"]["workers"] == 2

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import EngineConfig, build_engine
 from repro.errors import CheckpointError
 from repro.graph.builder import GraphBuilder
 from repro.graph.model import Node, Path, Relationship
@@ -27,6 +28,8 @@ from repro.usecases.micromobility import (
     figure1_stream,
     figure2_graph,
 )
+
+from ..modes import MODES
 
 COUNT_QUERY = """
 REGISTER QUERY rentals STARTING AT 2022-08-01T14:45
@@ -189,15 +192,31 @@ class TestConfigRoundTrip:
         assert restored.reuse_unchanged_windows is False
         assert restored.static_graph == engine.static_graph
 
-    def test_mode_fields_round_trip(self):
-        engine = SeraphEngine(
-            incremental=False, reuse_unchanged_windows=False,
-            delta_eval=False, graph_backend="columnar", vectorized=False,
-        )
+    @pytest.mark.parametrize("resilient", [False, True])
+    @pytest.mark.parametrize("observability", [False, True])
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_every_mode_field_round_trips(self, mode, observability,
+                                          resilient):
+        """A restored slow twin used to come back compiled
+        (``physical_plans`` was never written) and a restored resilient
+        stack untraced."""
+        engine = build_engine(EngineConfig(
+            resilient=resilient, observability=observability,
+            **MODES[mode],
+        ))
         restored = engine_from_dict(engine_to_dict(engine))
         for name in ("incremental", "reuse_unchanged_windows",
-                     "delta_eval", "graph_backend", "vectorized"):
+                     "delta_eval", "physical_plans", "graph_backend",
+                     "vectorized"):
             assert getattr(restored, name) == getattr(engine, name), name
+        assert restored.obs.enabled is observability
+        assert (restored.ingress is not None) is resilient
+
+    def test_an_absent_mode_field_restores_its_default(self):
+        """Removing a mode field later needs no version bump."""
+        document = engine_to_dict(SeraphEngine(physical_plans=False))
+        del document["config"]["physical_plans"]
+        assert engine_from_dict(document).physical_plans is True
 
     def test_share_windows_key_of_older_documents_is_ignored(self):
         """Documents written while ``share_windows`` was a knob still
@@ -216,7 +235,8 @@ class TestConfigRoundTrip:
         restored = engine_from_dict(engine_to_dict(engine))
         restored_query = restored.registered("rentals")
         assert restored_query.next_eval == registered.next_eval
-        assert restored_query.evaluations == registered.evaluations
+        assert restored.status()["queries"]["rentals"]["evaluations"] \
+            == engine.status()["queries"]["rentals"]["evaluations"] > 0
         assert restored_query.done == registered.done
 
 
@@ -244,6 +264,17 @@ class TestMalformedDocuments:
         with pytest.raises(CheckpointError):
             engine_from_dict(document)
 
+    def test_version_1_documents_are_rejected(self):
+        document = engine_to_dict(SeraphEngine())
+        document["version"] = 1
+        with pytest.raises(CheckpointError, match="version 1"):
+            engine_from_dict(document)
+
     def test_missing_keys_raise(self):
         with pytest.raises(CheckpointError):
-            engine_from_dict({"version": 1})
+            engine_from_dict({"version": 2})
+
+    def test_ingress_tuning_needs_an_ingress(self):
+        document = engine_to_dict(SeraphEngine())
+        with pytest.raises(CheckpointError, match="no ingress"):
+            engine_from_dict(document, allowed_lateness=5)

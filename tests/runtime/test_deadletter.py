@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.metrics import ResilienceMetrics
+from repro.obs.registry import MetricsRegistry
 from repro.runtime.deadletter import DeadLetterQueue
 from repro.stream.stream import StreamElement
 from repro.graph.model import PropertyGraph
@@ -31,11 +31,11 @@ class TestAppendAndAccess:
         assert (first.sequence, second.sequence) == (0, 1)
 
     def test_metrics_counter_increments(self):
-        metrics = ResilienceMetrics()
-        queue = DeadLetterQueue(metrics=metrics)
+        registry = MetricsRegistry()
+        queue = DeadLetterQueue(registry=registry)
         queue.append("a", reason="r")
         queue.append("b", reason="r")
-        assert metrics.dead_lettered == 2
+        assert registry.value("resilience.dead_lettered") == 2
 
 
 class TestCapacity:

@@ -14,7 +14,7 @@ from repro.graph.model import Node, PropertyGraph, Relationship
 from repro.graph.table import Record, Table
 from repro.runtime import (
     DeadLetterQueue,
-    ParallelEngine,
+    PoolExecutor,
     ShardedEngine,
     engine_from_dict,
     engine_to_dict,
@@ -80,6 +80,19 @@ def pool():
         yield executor
 
 
+def pooled(workers=2, **options):
+    """An engine that owns a pool executor; engine options pass through."""
+    executor = PoolExecutor(workers, **{
+        key: options.pop(key) for key in ("pool", "offload_threshold")
+        if key in options
+    })
+    return SeraphEngine(executor=executor, **options)
+
+
+def counter(engine, name):
+    return engine.obs.registry.value(f"parallel.{name}")
+
+
 def _run(engine, stream, queries=(CHAIN_QUERY, ROUTE_QUERY)):
     sinks = [CollectingSink() for _ in queries]
     for text, sink in zip(queries, sinks):
@@ -89,31 +102,23 @@ def _run(engine, stream, queries=(CHAIN_QUERY, ROUTE_QUERY)):
 
 
 class TestConstruction:
-    def test_parallel_kwarg_hard_errors_with_migration(self):
-        from repro.errors import EngineError
-
-        with pytest.raises(EngineError, match="parallel_workers"):
-            SeraphEngine(parallel=2)
-
-    def test_front_door_builds_parallel_engine(self):
+    def test_front_door_gives_the_engine_an_executor(self):
         from repro import EngineConfig, build_engine
 
         engine = build_engine(EngineConfig(parallel_workers=2))
-        assert isinstance(engine, ParallelEngine)
-        assert engine.workers == 2
+        assert type(engine) is SeraphEngine
+        assert engine.executor.workers == 2
         engine.close()
 
-    def test_plain_construction_stays_serial(self):
-        assert not isinstance(SeraphEngine(), ParallelEngine)
+    def test_plain_construction_has_no_executor(self):
+        assert SeraphEngine().executor is None
 
     def test_workers_zero_means_cpu_count(self):
-        engine = ParallelEngine(workers=0)
-        assert engine.workers >= 1
-        engine.close()
+        assert PoolExecutor(0).workers >= 1
 
     def test_direct_construction_keeps_engine_options(self):
-        engine = ParallelEngine(workers=3, delta_eval=False)
-        assert engine.workers == 3
+        engine = pooled(3, delta_eval=False)
+        assert engine.executor.workers == 3
         assert engine.delta_eval is False
         engine.close()
 
@@ -122,26 +127,24 @@ class TestByteIdenticalEmissions:
     @pytest.mark.parametrize("delta_eval", [True, False])
     def test_forced_offload_equals_serial(self, stream, pool, delta_eval):
         serial = _run(SeraphEngine(delta_eval=delta_eval), stream)
-        engine = ParallelEngine(
-            workers=2, pool=pool, offload_threshold=0.0,
-            delta_eval=delta_eval,
-        )
+        engine = pooled(pool=pool, offload_threshold=0.0,
+                        delta_eval=delta_eval)
         assert _run(engine, stream) == serial
-        assert engine.parallel_metrics.offloaded_evaluations > 0
+        assert counter(engine, "offloaded_evaluations") > 0
         if delta_eval:
             # The delta-eligible query stays on its in-parent delta path;
             # only the shortestPath query crosses the process boundary.
-            assert engine.parallel_metrics.inline_evaluations == 0
+            assert counter(engine, "inline_evaluations") == 0
 
     def test_default_threshold_equals_serial(self, stream):
         serial = _run(SeraphEngine(), stream)
-        with ParallelEngine(workers=2) as engine:
+        with pooled() as engine:
             assert _run(engine, stream) == serial
             # Tiny snapshots: the cost model kept everything in-parent
             # and the pool was never created.
-            assert engine.parallel_metrics.offloaded_evaluations == 0
-            assert engine.parallel_metrics.scheduler_parallel == 0
-            assert engine._pool is None
+            assert counter(engine, "offloaded_evaluations") == 0
+            assert counter(engine, "scheduler_parallel") == 0
+            assert engine.executor.supervisor.pool is None
 
     def test_shared_window_queries_group_into_one_task(self, stream, pool):
         # Same stream, same WITHIN → one window signature → the whole
@@ -149,32 +152,35 @@ class TestByteIdenticalEmissions:
         variant = ROUTE_QUERY.replace(
             "REGISTER QUERY routes", "REGISTER QUERY routes_b"
         )
-        engine = ParallelEngine(workers=2, pool=pool, offload_threshold=0.0)
+        engine = pooled(pool=pool, offload_threshold=0.0)
         serial = _run(
             SeraphEngine(), stream, queries=(ROUTE_QUERY, variant)
         )
         assert _run(engine, stream, queries=(ROUTE_QUERY, variant)) == serial
-        metrics = engine.parallel_metrics
-        assert metrics.offloaded_evaluations == 2 * metrics.offloaded_groups
+        assert counter(engine, "offloaded_evaluations") \
+            == 2 * counter(engine, "offloaded_groups")
 
     def test_metrics_counters_and_status(self, stream, pool):
-        engine = ParallelEngine(workers=2, pool=pool, offload_threshold=0.0)
+        engine = pooled(pool=pool, offload_threshold=0.0)
         _run(engine, stream, queries=(ROUTE_QUERY,))
-        metrics = engine.parallel_metrics
-        assert metrics.batches > 0
-        assert metrics.max_queue_depth >= 1
-        assert sum(metrics.worker_tasks.values()) == metrics.offloaded_groups
-        assert metrics.scheduler_parallel == metrics.offloaded_evaluations
+        assert counter(engine, "batches") > 0
+        assert counter(engine, "max_queue_depth") >= 1
+        worker_tasks = sum(
+            histogram.count for _name, histogram
+            in engine.obs.registry.under("parallel.worker.")
+        )
+        assert worker_tasks == counter(engine, "offloaded_groups")
+        assert counter(engine, "scheduler_parallel") \
+            == counter(engine, "offloaded_evaluations")
         info = engine.status()
         assert info["parallel"]["workers"] == 2
         assert info["parallel"]["offloaded_evaluations"] \
-            == metrics.offloaded_evaluations
-        assert metrics.render().startswith("parallel:")
+            == counter(engine, "offloaded_evaluations") > 0
 
 
 class TestCheckpoint:
     def test_roundtrip_preserves_parallelism(self, stream):
-        with ParallelEngine(workers=3) as engine:
+        with pooled(3) as engine:
             sink = CollectingSink()
             engine.register(CHAIN_QUERY, sink=sink)
             engine.run_stream(stream[:4])
@@ -182,8 +188,7 @@ class TestCheckpoint:
         assert document["config"]["parallel_workers"] == 3
         restored = engine_from_dict(document)
         try:
-            assert isinstance(restored, ParallelEngine)
-            assert restored.workers == 3
+            assert restored.executor.workers == 3
         finally:
             restored.close()
 
@@ -193,7 +198,7 @@ class TestCheckpoint:
         engine.run_stream(stream[:4])
         document = engine_to_dict(engine)
         assert document["config"]["parallel_workers"] is None
-        assert not isinstance(engine_from_dict(document), ParallelEngine)
+        assert engine_from_dict(document).executor is None
 
     def test_restored_parallel_engine_continues_like_serial(self, stream):
         def finish(engine, sink):
@@ -206,7 +211,7 @@ class TestCheckpoint:
         serial_engine.run_stream(stream[:4])
         expected = finish(serial_engine, serial_sink)
 
-        with ParallelEngine(workers=2, offload_threshold=0.0) as engine:
+        with pooled(offload_threshold=0.0) as engine:
             sink = CollectingSink()
             engine.register(CHAIN_QUERY, sink=sink)
             engine.run_stream(stream[:4])
@@ -215,7 +220,7 @@ class TestCheckpoint:
         tail_sink = CollectingSink()
         restored = engine_from_dict(document, sinks={"chains": tail_sink})
         try:
-            restored.offload_threshold = 0.0
+            restored.executor.offload_threshold = 0.0
             restored.run_stream(stream[4:])
             resumed = head + [e.render() for e in tail_sink.emissions]
         finally:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import LateEventError
 from repro.graph.model import PropertyGraph
-from repro.metrics import ResilienceMetrics
+from repro.obs.registry import MetricsRegistry
 from repro.runtime.deadletter import DeadLetterQueue
 from repro.runtime.policies import FaultPolicy
 from repro.runtime.reorder import ReorderBuffer
@@ -52,20 +52,20 @@ class TestReordering:
         assert instants(released) == [10, 15, 20, 25, 30, 40]
 
     def test_reordered_metric_counts_disordered_arrivals(self):
-        metrics = ResilienceMetrics()
-        buffer = ReorderBuffer(allowed_lateness=10, metrics=metrics)
+        registry = MetricsRegistry()
+        buffer = ReorderBuffer(allowed_lateness=10, registry=registry)
         for instant in [10, 20, 15, 30]:
             buffer.offer(element(instant))
-        assert metrics.reordered == 1
+        assert registry.value("resilience.reordered") == 1
 
 
 class TestLateEvents:
     def test_late_event_dead_lettered(self):
-        metrics = ResilienceMetrics()
-        dlq = DeadLetterQueue(metrics=metrics)
+        registry = MetricsRegistry()
+        dlq = DeadLetterQueue(registry=registry)
         buffer = ReorderBuffer(
             allowed_lateness=5, late_policy=FaultPolicy.DEAD_LETTER,
-            dead_letters=dlq, metrics=metrics, stream="s",
+            dead_letters=dlq, registry=registry, stream="s",
         )
         buffer.offer(element(10))
         buffer.offer(element(30))  # frontier -> 25
@@ -73,8 +73,8 @@ class TestLateEvents:
         assert len(dlq) == 1
         assert dlq.entries[0].instant == 12
         assert dlq.entries[0].stream == "s"
-        assert metrics.late_events == 1
-        assert metrics.late_dropped == 1
+        assert registry.value("resilience.late_events") == 1
+        assert registry.value("resilience.late_dropped") == 1
 
     def test_late_event_raises_under_fail_fast(self):
         buffer = ReorderBuffer(
@@ -85,14 +85,14 @@ class TestLateEvents:
             buffer.offer(element(5))
 
     def test_late_event_dropped_under_skip(self):
-        metrics = ResilienceMetrics()
+        registry = MetricsRegistry()
         buffer = ReorderBuffer(
             allowed_lateness=0, late_policy=FaultPolicy.SKIP,
-            metrics=metrics,
+            registry=registry,
         )
         buffer.offer(element(10))
         assert buffer.offer(element(5)) == []
-        assert metrics.late_dropped == 1
+        assert registry.value("resilience.late_dropped") == 1
 
     def test_element_at_frontier_is_not_late(self):
         buffer = ReorderBuffer(allowed_lateness=0)

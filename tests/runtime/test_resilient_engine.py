@@ -1,4 +1,4 @@
-"""Integration tests for the fault-tolerant runtime wrapper."""
+"""Integration tests for an engine that owns a fault-tolerant ingress."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from repro.runtime import (
     FaultPolicy,
     FlakySink,
     FlakySource,
-    ResilientEngine,
+    Ingress,
     decode_item,
 )
 from repro.runtime.resilient_sink import CircuitBreaker, RetryPolicy
@@ -33,6 +33,14 @@ def emission_key(emission):
     return (emission.query_name, emission.instant, rows)
 
 
+def resilient_engine(**ingress_options):
+    return SeraphEngine(ingress=Ingress(**ingress_options))
+
+
+def counter(engine, name):
+    return engine.obs.registry.value(f"resilience.{name}")
+
+
 def bare_emissions(query=LISTING5_SERAPH, until=None):
     engine = SeraphEngine()
     engine.register(query)
@@ -41,7 +49,7 @@ def bare_emissions(query=LISTING5_SERAPH, until=None):
 
 class TestCleanPathTransparency:
     def test_clean_run_matches_bare_engine(self):
-        resilient = ResilientEngine()
+        resilient = resilient_engine()
         resilient.register(LISTING5_SERAPH)
         emissions = resilient.run_stream(figure1_stream(),
                                          until=_t("15:40"))
@@ -49,11 +57,11 @@ class TestCleanPathTransparency:
         assert list(map(emission_key, emissions)) == list(
             map(emission_key, baseline)
         )
-        assert resilient.metrics.ingested == 5
+        assert counter(resilient, "ingested") == 5
         assert len(resilient.dead_letters) == 0
 
     def test_collecting_sink_reachable_through_wrapper(self):
-        resilient = ResilientEngine()
+        resilient = resilient_engine()
         resilient.register(COUNT_QUERY)
         resilient.run_stream(figure1_stream())
         sink = resilient.sink("rentals")
@@ -71,7 +79,7 @@ class TestPoisonHandling:
     ]
 
     def test_poison_dead_lettered_and_run_survives(self):
-        resilient = ResilientEngine()
+        resilient = resilient_engine()
         resilient.register(COUNT_QUERY)
         stream = figure1_stream()
         items = [stream[0], self.POISON[0], stream[1], self.POISON[1],
@@ -81,21 +89,21 @@ class TestPoisonHandling:
         assert list(map(emission_key, emissions)) == list(
             map(emission_key, baseline)
         )
-        assert resilient.metrics.poison_rejected == 3
+        assert counter(resilient, "poison_rejected") == 3
         assert len(resilient.dead_letters) == 3
 
     def test_poison_skip_policy_counts_silently(self):
-        resilient = ResilientEngine(poison_policy=FaultPolicy.SKIP)
+        resilient = resilient_engine(poison_policy=FaultPolicy.SKIP)
         resilient.register(COUNT_QUERY)
         resilient.run_stream([self.POISON[0]] + figure1_stream())
-        assert resilient.metrics.poison_skipped == 1
+        assert counter(resilient, "poison_skipped") == 1
         assert len(resilient.dead_letters) == 0
 
     def test_poison_fail_fast_raises(self):
-        resilient = ResilientEngine(poison_policy=FaultPolicy.FAIL_FAST)
+        resilient = resilient_engine(poison_policy=FaultPolicy.FAIL_FAST)
         resilient.register(COUNT_QUERY)
         with pytest.raises(PoisonMessageError):
-            resilient.ingest_item("garbage")
+            resilient.ingest_element("garbage")
 
     @pytest.mark.parametrize("payload", POISON)
     def test_decode_item_rejects_each_poison_shape(self, payload):
@@ -115,33 +123,33 @@ class TestOutOfOrderHandling:
     def test_reordered_run_matches_in_order_run(self):
         stream = figure1_stream()
         shuffled = [stream[1], stream[0], stream[2], stream[4], stream[3]]
-        resilient = ResilientEngine(allowed_lateness=1200)
+        resilient = resilient_engine(allowed_lateness=1200)
         resilient.register(LISTING5_SERAPH)
         emissions = resilient.run_stream(shuffled, until=_t("15:40"))
         baseline = bare_emissions(until=_t("15:40"))
         assert list(map(emission_key, emissions)) == list(
             map(emission_key, baseline)
         )
-        assert resilient.metrics.reordered == 2
+        assert counter(resilient, "reordered") == 2
 
     def test_too_late_event_is_dead_lettered(self):
         stream = figure1_stream()
         # 14:45 arrives after 15:40 with only 5 minutes of tolerance.
         items = [stream[1], stream[2], stream[3], stream[4], stream[0]]
-        resilient = ResilientEngine(allowed_lateness=300)
+        resilient = resilient_engine(allowed_lateness=300)
         resilient.register(COUNT_QUERY)
         resilient.run_stream(items, until=_t("15:40"))
-        assert resilient.metrics.late_dropped == 1
+        assert counter(resilient, "late_dropped") == 1
         assert len(resilient.dead_letters) == 1
         assert resilient.dead_letters.entries[0].instant == _t("14:45")
 
     def test_late_fail_fast_raises(self):
         stream = figure1_stream()
-        resilient = ResilientEngine(late_policy=FaultPolicy.FAIL_FAST)
+        resilient = resilient_engine(late_policy=FaultPolicy.FAIL_FAST)
         resilient.register(COUNT_QUERY)
-        resilient.ingest_item(stream[1])
+        resilient.ingest_element(stream[1])
         with pytest.raises(LateEventError):
-            resilient.ingest_item(stream[0])
+            resilient.ingest_element(stream[0])
 
 
 class TestSinkRecoveryAcceptance:
@@ -151,7 +159,7 @@ class TestSinkRecoveryAcceptance:
     def test_no_emission_lost_with_flaky_sink(self):
         failures = 3
         flaky = FlakySink(FailureSchedule.first(failures))
-        resilient = ResilientEngine(
+        resilient = resilient_engine(
             retry=RetryPolicy(max_attempts=failures + 1, seed=11),
             sleep=lambda _: None,
         )
@@ -162,16 +170,16 @@ class TestSinkRecoveryAcceptance:
             map(emission_key, baseline)
         )
         assert flaky.failures == failures
-        assert resilient.metrics.sink_failures == failures
-        assert resilient.metrics.retried == failures
-        assert resilient.metrics.sink_deliveries == len(baseline)
-        assert resilient.metrics.breaker_opens == 0
+        assert counter(resilient, "sink_failures") == failures
+        assert counter(resilient, "retried") == failures
+        assert counter(resilient, "sink_deliveries") == len(baseline)
+        assert counter(resilient, "breaker_opens") == 0
         assert len(resilient.dead_letters) == 0
 
     def test_persistently_failing_sink_trips_breaker_not_the_run(self):
         clock_value = [0.0]
         flaky = FlakySink(FailureSchedule.first(10_000))
-        resilient = ResilientEngine(
+        resilient = resilient_engine(
             retry=RetryPolicy(max_attempts=2),
             breaker_factory=lambda: CircuitBreaker(
                 failure_threshold=2, recovery_timeout=1e9,
@@ -184,15 +192,15 @@ class TestSinkRecoveryAcceptance:
                                          until=_t("15:40"))
         # The run completed all 12 evaluations despite the dead sink.
         assert len(emissions) == 12
-        assert resilient.metrics.breaker_opens == 1
-        assert resilient.metrics.short_circuited > 0
+        assert counter(resilient, "breaker_opens") == 1
+        assert counter(resilient, "short_circuited") > 0
         # Every emission is quarantined, none silently lost.
         assert len(resilient.dead_letters) == 12
 
     def test_fallback_sink_catches_undeliverable_emissions(self):
         fallback = CollectingSink()
         flaky = FlakySink(FailureSchedule.first(10_000))
-        resilient = ResilientEngine(
+        resilient = resilient_engine(
             retry=RetryPolicy(max_attempts=1),
             sleep=lambda _: None,
         )
@@ -209,15 +217,15 @@ class TestRuntimeCheckpoint:
         """The reorder buffer contents survive the checkpoint: elements
         not yet released to the engine are not lost."""
         stream = figure1_stream()
-        resilient = ResilientEngine(allowed_lateness=1200)
+        resilient = resilient_engine(allowed_lateness=1200)
         resilient.register(LISTING5_SERAPH)
         emissions = []
         for element in [stream[1], stream[0], stream[2]]:
-            emissions.extend(resilient.ingest_item(element))
+            emissions.extend(resilient.ingest_element(element))
         document = resilient.checkpoint_json()
-        restored = ResilientEngine.from_checkpoint(document)
+        restored = SeraphEngine.from_checkpoint(document)
         for element in [stream[3], stream[4]]:
-            emissions.extend(restored.ingest_item(element))
+            emissions.extend(restored.ingest_element(element))
         emissions.extend(restored.flush(_t("15:40")))
         baseline = bare_emissions(until=_t("15:40"))
         assert list(map(emission_key, emissions)) == list(
@@ -225,29 +233,28 @@ class TestRuntimeCheckpoint:
         )
 
     def test_metrics_and_dead_letters_survive_restore(self):
-        resilient = ResilientEngine()
+        resilient = resilient_engine()
         resilient.register(COUNT_QUERY)
-        resilient.ingest_item("poison")
-        resilient.ingest_item(figure1_stream()[0])
-        restored = ResilientEngine.from_checkpoint(resilient.checkpoint())
-        assert restored.metrics.poison_rejected == 1
-        assert restored.metrics.ingested == 1
-        assert restored.metrics.checkpoints == 1
-        assert restored.metrics.restores == 1
+        resilient.ingest_element("poison")
+        resilient.ingest_element(figure1_stream()[0])
+        restored = SeraphEngine.from_checkpoint(resilient.checkpoint())
+        assert counter(restored, "poison_rejected") == 1
+        assert counter(restored, "ingested") == 1
+        assert counter(restored, "checkpoints") == 1
+        assert counter(restored, "restores") == 1
         assert len(restored.dead_letters) == 1
         assert restored.dead_letters.total_appended == 1
 
     def test_restored_sinks_are_wrapped(self, tmp_path):
+        from repro.runtime import load_checkpoint
         from repro.runtime.resilient_sink import ResilientSink
 
-        resilient = ResilientEngine()
+        resilient = resilient_engine()
         resilient.register(COUNT_QUERY)
         path = str(tmp_path / "cp.json")
         resilient.save_checkpoint(path)
-        restored = ResilientEngine.load_checkpoint(path)
-        assert isinstance(
-            restored.engine.registered("rentals").sink, ResilientSink
-        )
+        restored = load_checkpoint(path)
+        assert isinstance(restored.registered("rentals").sink, ResilientSink)
 
 
 class TestFlakySource:
@@ -270,9 +277,9 @@ class TestFlakySource:
         assert sorted(emitted, key=lambda el: el.instant) == stream
 
     def test_status_surfaces_resilience_info(self):
-        resilient = ResilientEngine(allowed_lateness=60)
+        resilient = resilient_engine(allowed_lateness=60)
         resilient.register(COUNT_QUERY)
-        resilient.ingest_item("poison")
+        resilient.ingest_element("poison")
         status = resilient.status()
         assert status["resilience"]["allowed_lateness"] == 60
         assert status["resilience"]["dead_letters"] == 1

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import CircuitOpenError, SinkDeliveryError
 from repro.graph.table import Table
-from repro.metrics import ResilienceMetrics
+from repro.obs.registry import MetricsRegistry
 from repro.runtime.deadletter import DeadLetterQueue
 from repro.runtime.faults import FailureSchedule, FlakySink
 from repro.runtime.policies import FaultPolicy
@@ -57,23 +57,23 @@ class TestRetries:
         flaky = FlakySink(FailureSchedule.first(2))
         sink = ResilientSink(
             flaky, retry=RetryPolicy(max_attempts=4), sleep=sleeps.append,
-            metrics=ResilienceMetrics(),
+            registry=MetricsRegistry(),
         )
         sink.receive(emission())
         assert flaky.calls == 3
         assert len(flaky.delivered) == 1
         assert len(sleeps) == 2
-        assert sink.metrics.retried == 2
-        assert sink.metrics.sink_failures == 2
-        assert sink.metrics.sink_deliveries == 1
+        assert sink.registry.value("resilience.retried") == 2
+        assert sink.registry.value("resilience.sink_failures") == 2
+        assert sink.registry.value("resilience.sink_deliveries") == 1
 
     def test_exhausted_retries_dead_letter_the_emission(self):
-        metrics = ResilienceMetrics()
-        dlq = DeadLetterQueue(metrics=metrics)
+        registry = MetricsRegistry()
+        dlq = DeadLetterQueue(registry=registry)
         flaky = FlakySink(FailureSchedule.first(100))
         sink = ResilientSink(
             flaky, retry=RetryPolicy(max_attempts=3),
-            sleep=lambda _: None, dead_letters=dlq, metrics=metrics,
+            sleep=lambda _: None, dead_letters=dlq, registry=registry,
         )
         sink.receive(emission(instant=9))
         assert flaky.calls == 3
@@ -92,15 +92,15 @@ class TestRetries:
 
     def test_fallback_receives_undeliverable_emissions(self):
         fallback = CollectingSink()
-        metrics = ResilienceMetrics()
+        registry = MetricsRegistry()
         flaky = FlakySink(FailureSchedule.first(100))
         sink = ResilientSink(
             flaky, retry=RetryPolicy(max_attempts=2),
-            sleep=lambda _: None, fallback=fallback, metrics=metrics,
+            sleep=lambda _: None, fallback=fallback, registry=registry,
         )
         sink.receive(emission())
         assert len(fallback.emissions) == 1
-        assert metrics.fallback_deliveries == 1
+        assert registry.value("resilience.fallback_deliveries") == 1
 
 
 class TestCircuitBreaker:
@@ -150,8 +150,8 @@ class TestCircuitBreaker:
 class TestBreakerIntegration:
     def test_open_breaker_short_circuits_deliveries(self):
         clock = FakeClock()
-        metrics = ResilienceMetrics()
-        dlq = DeadLetterQueue(metrics=metrics)
+        registry = MetricsRegistry()
+        dlq = DeadLetterQueue(registry=registry)
         flaky = FlakySink(FailureSchedule.first(100))
         sink = ResilientSink(
             flaky,
@@ -161,15 +161,15 @@ class TestBreakerIntegration:
             ),
             sleep=lambda _: None,
             dead_letters=dlq,
-            metrics=metrics,
+            registry=registry,
         )
         sink.receive(emission(0))  # 2 attempts fail -> breaker failure 1
         sink.receive(emission(1))  # 2 attempts fail -> breaker opens
         calls_before = flaky.calls
         sink.receive(emission(2))  # short-circuited: sink untouched
         assert flaky.calls == calls_before
-        assert metrics.short_circuited == 1
-        assert metrics.breaker_opens == 1
+        assert registry.value("resilience.short_circuited") == 1
+        assert registry.value("resilience.breaker_opens") == 1
         assert len(dlq) == 3
 
     def test_breaker_open_raises_under_fail_fast(self):
@@ -189,7 +189,7 @@ class TestBreakerIntegration:
 
     def test_recovered_sink_closes_breaker_and_delivers(self):
         clock = FakeClock()
-        metrics = ResilienceMetrics()
+        registry = MetricsRegistry()
         flaky = FlakySink(FailureSchedule.first(2))
         sink = ResilientSink(
             flaky,
@@ -198,7 +198,7 @@ class TestBreakerIntegration:
                 failure_threshold=2, recovery_timeout=5.0, clock=clock
             ),
             sleep=lambda _: None,
-            metrics=metrics,
+            registry=registry,
         )
         sink.receive(emission(0))  # fails, breaker 1/2
         sink.receive(emission(1))  # fails, breaker opens

@@ -96,8 +96,8 @@ class TestHealthyPath:
     def test_results_in_payload_order(self, fast_supervisor):
         supervisor = fast_supervisor()
         assert supervisor.run_batch(_square, [3, 1, 2]) == [9, 1, 4]
-        assert supervisor.metrics.pooled_tasks == 3
-        assert supervisor.metrics.pool_rebuilds == 0
+        assert supervisor.obs.registry.value("supervision.pooled_tasks") == 3
+        assert supervisor.obs.registry.value("supervision.pool_rebuilds") == 0
 
     def test_pool_is_lazy(self, fast_supervisor):
         supervisor = fast_supervisor()
@@ -125,8 +125,8 @@ class TestCrashRecovery:
         supervisor = fast_supervisor()
         flag = str(tmp_path / "killed")
         assert supervisor.run_batch(_kill_once, [flag]) == ["ok"]
-        assert supervisor.metrics.worker_crashes == 1
-        assert supervisor.metrics.pool_rebuilds == 1
+        assert supervisor.obs.registry.value("supervision.worker_crashes") == 1
+        assert supervisor.obs.registry.value("supervision.pool_rebuilds") == 1
         assert supervisor.as_dict()["mode"] == "pooled"
 
     def test_batch_mates_of_a_crash_are_recomputed(
@@ -140,7 +140,7 @@ class TestCrashRecovery:
             _mixed, [("sq", 4), ("kill", flag), ("sq", 5)]
         )
         assert results == [16, "ok", 25]
-        assert supervisor.metrics.pool_rebuilds == 1
+        assert supervisor.obs.registry.value("supervision.pool_rebuilds") == 1
 
     def test_backoff_is_bounded_exponential(self, fast_supervisor):
         delays = []
@@ -164,8 +164,8 @@ class TestCrashRecovery:
         flag = str(tmp_path / "slept")
         results = supervisor.run_batch(_slow_once, [(flag, 1.0)])
         assert results == ["fast"]
-        assert supervisor.metrics.task_timeouts == 1
-        assert supervisor.metrics.pool_rebuilds == 1
+        assert supervisor.obs.registry.value("supervision.task_timeouts") == 1
+        assert supervisor.obs.registry.value("supervision.pool_rebuilds") == 1
 
     def test_obs_counters_and_rebuild_span(self, fast_supervisor, tmp_path):
         obs = Observability.create()
@@ -196,8 +196,8 @@ class TestTaskRetry:
         )
         results = supervisor.run_batch(_fail_n_times, [(str(flag_dir), 2)])
         assert results == ["recovered"]
-        assert supervisor.metrics.task_retries == 2
-        assert supervisor.metrics.pool_rebuilds == 0
+        assert supervisor.obs.registry.value("supervision.task_retries") == 2
+        assert supervisor.obs.registry.value("supervision.pool_rebuilds") == 0
 
     def test_exhausted_retries_fall_back_inline(self, fast_supervisor):
         supervisor = fast_supervisor(
@@ -205,7 +205,7 @@ class TestTaskRetry:
         )
         results = supervisor.run_batch(_fail_in_worker, [os.getpid()])
         assert results == ["parent"]
-        assert supervisor.metrics.inline_tasks == 1
+        assert supervisor.obs.registry.value("supervision.inline_tasks") == 1
         # The supervisor stays pooled: one bad task is not a pool crash.
         assert supervisor.as_dict()["mode"] == "pooled"
 
@@ -236,8 +236,8 @@ class TestDegradationLadder:
         )
         assert results == ["parent"] * 3
         assert supervisor.degraded is True
-        assert supervisor.metrics.degraded_transitions == 1
-        assert supervisor.metrics.pool_rebuilds == 1
+        assert supervisor.obs.registry.value("supervision.degraded_transitions") == 1
+        assert supervisor.obs.registry.value("supervision.pool_rebuilds") == 1
         assert supervisor.as_dict()["mode"] == "degraded"
 
     def test_budget_exhaustion_raises_typed_when_degrade_off(
@@ -262,10 +262,10 @@ class TestDegradationLadder:
         supervisor.run_batch(_square, [1, 2, 3])
         assert supervisor.degraded is False
         assert supervisor.restarts == 0  # fresh budget after recovery
-        assert supervisor.metrics.degraded_recoveries == 1
+        assert supervisor.obs.registry.value("supervision.degraded_recoveries") == 1
         # Back in pooled mode for real: the next batch uses workers.
         assert supervisor.run_batch(_square, [4]) == [16]
-        assert supervisor.metrics.pooled_tasks >= 1
+        assert supervisor.obs.registry.value("supervision.pooled_tasks") >= 1
 
     def test_degraded_document_reports_probation(self, fast_supervisor):
         supervisor = fast_supervisor(
@@ -326,7 +326,7 @@ class TestChaosDirectives:
             supervisor.close()
         assert results == [4, 9, 16]
         assert supervisor.degraded is True
-        assert supervisor.metrics.worker_crashes >= 2
+        assert supervisor.obs.registry.value("supervision.worker_crashes") >= 2
         assert supervisor.as_dict()["chaos"]["kills"] >= 2
 
     def test_certain_drops_terminate_via_last_resort(self):
@@ -341,8 +341,8 @@ class TestChaosDirectives:
         finally:
             supervisor.close()
         assert results == [25]
-        assert supervisor.metrics.dropped_results == 3
-        assert supervisor.metrics.inline_tasks == 1
+        assert supervisor.obs.registry.value("supervision.dropped_results") == 3
+        assert supervisor.obs.registry.value("supervision.inline_tasks") == 1
 
     def test_delay_directive_slows_but_preserves_results(self):
         supervisor = PoolSupervisor(

@@ -29,6 +29,7 @@ from repro.stream.window import ActiveSubstreamPolicy
 from ..modes import (
     MODES,
     SAME_ROW_ORDER,
+    STACKS,
     assert_equals_denotation,
     renders,
     run_mode,
@@ -157,6 +158,22 @@ def test_backend_and_pruning_modes_are_byte_identical(
     )
     for mode, rendered in zip(SAME_ROW_ORDER[1:], others):
         assert rendered == default, mode
+
+
+#: "no-delta" too: with the delta path on, delta-eligible queries never
+#: leave the parent, so only there does every case cross the pool.
+@pytest.mark.parametrize("mode", ["default", "no-delta"])
+@pytest.mark.parametrize("stack", [s for s in STACKS if s != "plain"])
+@BY_CASE
+def test_every_stack_equals_the_denotation_and_the_plain_engine(
+    stream, case_id, body, expected, stack, mode
+):
+    until = max(expected)
+    sink = run_mode(mode, wrap(body), stream, until, stack=stack)
+    assert_equals_denotation(sink, wrap(body), stream, until)
+    assert renders(sink) == renders(
+        run_mode(mode, wrap(body), stream, until)
+    )
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -195,9 +195,9 @@ class TestEngineDeltaPath:
         with_delta, sink_delta = self.run(True)
         without, sink_full = self.run(False)
         assert with_delta.delta_reason is None
-        assert with_delta.delta_evaluations > 0
-        assert with_delta.assignments_retained > 0
-        assert without.delta_evaluations == 0
+        assert with_delta.counters["path.delta"].value > 0
+        assert with_delta.counters["assignments_retained"].value > 0
+        assert without.counters["path.delta"].value == 0
         assert len(sink_delta.emissions) == len(sink_full.emissions)
         for left, right in zip(sink_delta.emissions, sink_full.emissions):
             assert left.table.bag_equals(right.table)
@@ -227,7 +227,7 @@ class TestEngineDeltaPath:
         engine.run_stream([knows_element(i) for i in range(1, 10)], until=10)
         assert registered.delta_reason is not None
         assert registered.delta_state is None
-        assert registered.delta_evaluations == 0
+        assert registered.counters["path.delta"].value == 0
         assert any(not emission.is_empty() for emission in sink.emissions)
 
     def test_toggling_delta_eval_off_invalidates_state(self):
@@ -360,8 +360,8 @@ class TestNetDirtyDeltaAcrossModes:
         registered = engine.register(self.TEMPLATE.format(
             width="PT10S", slide="PT2S", policy="SNAPSHOT"))
         engine.run_stream(overlapping_stream(24), until=30)
-        assert registered.delta_evaluations > 0
-        assert registered.assignments_retained > 0
+        assert registered.counters["path.delta"].value > 0
+        assert registered.counters["assignments_retained"].value > 0
 
     def test_non_incremental_windows_take_the_full_path(self):
         engine = SeraphEngine(incremental=False)

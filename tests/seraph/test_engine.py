@@ -138,7 +138,7 @@ class TestRegistryContract:
         engine.register(COUNT_QUERY)
         engine.run_stream(rental_stream[:2])
         replaced = engine.register(COUNT_QUERY, replace=True)
-        assert replaced.evaluations == 0
+        assert replaced.counters["evaluations"].value == 0
 
     def test_deregister(self):
         engine = SeraphEngine()
@@ -226,7 +226,7 @@ class TestStateTracking:
         registered = engine.register(LISTING5_SERAPH)
         engine.run_stream(rental_stream, until=_t("15:40"))
         result = registered.result
-        assert registered.evaluations == 12
+        assert registered.counters["evaluations"].value == 12
         # Retained: Ψ from the horizon the next evaluation (15:45) can
         # still reach — every entry whose window closed after 14:45.
         assert [entry.interval.end for entry in result] == [
@@ -248,7 +248,7 @@ class TestStateTracking:
         for element in stream:
             engine.ingest_element(element)
             engine.advance_to(element.instant)
-        assert registered.evaluations >= 500
+        assert registered.counters["evaluations"].value >= 500
         assert len(registered.result) <= 60 // 5 + 1
         registered.result.check_constraints()
 

@@ -50,7 +50,7 @@ class TestEnginePlans:
         _run(engine)
         registered = engine.registered("rentals")
         assert registered.physical_plan is not None
-        assert registered.plan_compiles >= 1
+        assert registered.counters["plan_compiles"].value >= 1
         stats = engine.plan_cache.stats()
         # 12 evaluations: at least one compile and at least one reuse
         # (the tiny Figure-1 windows drift across power-of-two bands,
@@ -167,25 +167,28 @@ class TestExplainPhysical:
         assert planner["hit_rate"] > 0.0
 
 
+def _pooled():
+    from repro.runtime.parallel import PoolExecutor
+
+    return SeraphEngine(
+        delta_eval=False,
+        executor=PoolExecutor(2, offload_threshold=0.0),
+    )
+
+
 class TestParallelPlans:
     def test_offloaded_evaluations_report_plan_rows(self):
-        from repro.runtime.parallel import ParallelEngine
-
-        with ParallelEngine(workers=2, offload_threshold=0.0,
-                            delta_eval=False) as engine:
+        with _pooled() as engine:
             sink = _run(engine)
         assert sink.emissions
         registered = engine.registered("rentals")
-        assert engine.parallel_metrics.offloaded_evaluations > 0
+        assert engine.status()["parallel"]["offloaded_evaluations"] > 0
         assert registered.physical_plan is not None
         assert sum(registered.plan_rows.values()) > 0
 
     def test_parallel_matches_serial_byte_for_byte(self):
-        from repro.runtime.parallel import ParallelEngine
-
         serial = _run(SeraphEngine(delta_eval=False))
-        with ParallelEngine(workers=2, offload_threshold=0.0,
-                            delta_eval=False) as engine:
+        with _pooled() as engine:
             parallel = _run(engine)
         assert [e.render() for e in parallel.emissions] == \
             [e.render() for e in serial.emissions]

@@ -218,8 +218,8 @@ class TestReuseUnchangedWindows:
         engine.run_stream(rental_stream, until=_t("15:40"))
         # Events arrive at 5 of the 12 ET instants; evaluations between
         # arrivals see identical window content and are reused.
-        assert registered.evaluations == 12
-        assert registered.reused_evaluations >= 5
+        assert registered.counters["evaluations"].value == 12
+        assert registered.counters["path.reuse"].value >= 5
 
     def test_reuse_produces_identical_emissions(self, rental_stream):
         with_reuse = SeraphEngine(reuse_unchanged_windows=True)
@@ -247,7 +247,7 @@ class TestReuseUnchangedWindows:
         registered = engine.register(query)
         engine.run_stream(rental_stream, until=_t("15:40"))
         assert registered.uses_window_bounds
-        assert registered.reused_evaluations == 0
+        assert registered.counters["path.reuse"].value == 0
 
     def test_reuse_is_keyed_on_content_not_on_the_element_range(self):
         """Listing 2 over overlapping configuration graphs, one event per

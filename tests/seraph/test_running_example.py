@@ -30,6 +30,7 @@ from repro.usecases.micromobility import (
 from ..modes import (
     MODES,
     SAME_ROW_ORDER,
+    STACKS,
     assert_equals_denotation,
     renders,
     run_mode,
@@ -153,6 +154,19 @@ class TestTables5And6:
             for mode in SAME_ROW_ORDER
         )
         assert all(rendered == default for rendered in others)
+
+    @pytest.mark.parametrize("stack", [s for s in STACKS if s != "plain"])
+    def test_every_stack_is_byte_identical_to_the_plain_engine(
+        self, rental_stream, stack
+    ):
+        """Listing 5 is delta-ineligible: on the pool stacks every
+        evaluation that is not a reuse crosses the process boundary."""
+        sink = run_mode("default", LISTING5_SERAPH, rental_stream,
+                        _t("15:40"), stack=stack)
+        assert_equals_denotation(sink, LISTING5_SERAPH, rental_stream,
+                                 _t("15:40"))
+        assert renders(sink) == renders(run_mode(
+            "default", LISTING5_SERAPH, rental_stream, _t("15:40")))
 
     def test_evaluation_count(self, run_listing5):
         # Every 5 minutes from 14:45 through 15:40 inclusive: 12 instants.

@@ -127,7 +127,43 @@ class TestAuth:
                 "GET", "/tenants/locked/status"
             )).status == 200
             assert service.manager.tenants[
-                "locked"].metrics.auth_failures == 2
+                "locked"].service_status()["metrics"]["auth_failures"] == 2
+            await service.stop()
+
+        run(scenario())
+
+    def test_metrics_scrape_sits_behind_the_same_bearer_check(self):
+        """``GET /tenants/{t}/metrics``: the tenant's registry in the
+        Prometheus text format — its event, emission and evaluation
+        counters after a push."""
+        from repro.obs.export import parse_prometheus
+
+        async def scenario():
+            service = await start_service(tenants={
+                "locked": spec("locked", token="s3cret"),
+            })
+            bare = ServiceClient("127.0.0.1", service.port)
+            assert (await bare.request(
+                "GET", "/tenants/locked/metrics"
+            )).status == 401
+
+            good = ServiceClient("127.0.0.1", service.port, token="s3cret")
+            await register(good, "locked")
+            await push_all(good, "locked", figure1_stream()[:2])
+            scrape = await good.request("GET", "/tenants/locked/metrics")
+            assert scrape.status == 200
+            assert scrape.headers["content-type"].startswith("text/plain")
+            samples = parse_prometheus(scrape.body.decode("utf-8"))
+            assert samples["repro_service_tenant_locked_events_total"][""] \
+                == 2
+            # 14:45 .. 14:55 fired before the second arrival (15:00).
+            assert samples[
+                "repro_service_tenant_locked_emissions_total"][""] == 3
+            assert samples["repro_engine_evaluations_total"][""] == 3
+            assert samples[
+                "repro_query_student_trick_evaluations_total"][""] == 3
+            assert samples[
+                "repro_service_tenant_locked_auth_failures_total"][""] == 1
             await service.stop()
 
         run(scenario())
@@ -462,7 +498,7 @@ class TestSse:
             await asyncio.wait_for(
                 service._stream_emissions(writer, tenant, log, -1), 5.0
             )
-            assert tenant.metrics.shed_consumers == 1
+            assert tenant.service_status()["metrics"]["shed_consumers"] == 1
             assert writer.frames  # the frame was written before the stall
             await service.stop()
 

@@ -73,7 +73,7 @@ class TestQuotas:
         tenant.admit(2)
         with pytest.raises(QuotaExceededError):
             tenant.admit(1)
-        assert tenant.metrics.throttled == 1
+        assert tenant.service_status()["metrics"]["throttled"] == 1
         clock.tick(1.0)
         tenant.admit(2)
 
@@ -118,7 +118,7 @@ class TestContainment:
         def boom(*args, **kwargs):
             raise RuntimeError("engine blew up")
 
-        tenant.engine.ingest_element = boom
+        tenant.engine.push = boom
         return tenant
 
     def test_repro_errors_pass_through_without_counting(self):
@@ -137,13 +137,13 @@ class TestContainment:
         assert tenant.quarantined
         with pytest.raises(TenantQuarantinedError):
             tenant.push(element)
-        assert tenant.metrics.engine_errors == 2
+        assert tenant.service_status()["metrics"]["engine_errors"] == 2
 
     def test_restore_clears_quarantine(self):
         tenant = make_tenant(max_engine_failures=1)
         tenant.register_query(COUNT_QUERY)
         document = tenant.checkpoint()
-        tenant.engine.ingest_element = lambda *a, **k: (_ for _ in ()).throw(
+        tenant.engine.push = lambda *a, **k: (_ for _ in ()).throw(
             RuntimeError("boom")
         )
         with pytest.raises(RuntimeError):

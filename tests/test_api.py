@@ -4,12 +4,13 @@ import pytest
 
 from repro import EngineConfig, Observability, build_engine
 from repro.errors import EngineError
-from repro.obs import NOOP_OBS
-from repro.runtime import ParallelEngine, ResilientEngine
+from repro.runtime import Ingress, PoolExecutor
 from repro.runtime.policies import FaultPolicy
 from repro.seraph import SeraphEngine
 from repro.stream.window import ActiveSubstreamPolicy
 from repro.usecases.micromobility import LISTING5_SERAPH, _t, figure1_stream
+
+from .modes import STACKS
 
 
 class TestEngineConfig:
@@ -44,9 +45,12 @@ class TestEngineConfig:
         with pytest.raises(EngineError):
             EngineConfig().replace(parallel_workers=-2)
 
-    def test_resolve_observability_disabled_is_the_shared_noop(self):
-        assert EngineConfig().resolve_observability() is NOOP_OBS
-        assert NOOP_OBS.enabled is False
+    def test_resolve_observability_disabled_still_owns_a_registry(self):
+        first = EngineConfig().resolve_observability()
+        second = EngineConfig().resolve_observability()
+        assert first.enabled is False and second.enabled is False
+        assert first.registry is not second.registry
+        assert first.tracer.span("anything") is first.tracer.span("else")
 
     def test_resolve_observability_true_builds_a_fresh_bundle(self):
         first = EngineConfig(observability=True).resolve_observability()
@@ -88,28 +92,34 @@ class TestNothingAmbientSelectsAMode:
 
 
 class TestBuildEngine:
-    def test_default_is_a_serial_core_engine(self):
+    def test_default_is_an_engine_without_parts(self):
         engine = build_engine()
         assert type(engine) is SeraphEngine
-        assert engine.obs is NOOP_OBS
+        assert engine.ingress is None and engine.executor is None
+        assert engine.obs.enabled is False
 
-    def test_parallel_workers_selects_the_parallel_engine(self):
-        engine = build_engine(EngineConfig(parallel_workers=2))
-        try:
-            assert isinstance(engine, ParallelEngine)
-            assert engine.workers == 2
-        finally:
-            engine.close()
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    def test_every_stack_is_one_engine_type(self, stack):
+        with build_engine(EngineConfig(**STACKS[stack])) as engine:
+            assert type(engine) is SeraphEngine
+            assert (engine.ingress is not None) \
+                is STACKS[stack].get("resilient", False)
+            assert (engine.executor is not None) \
+                is ("parallel_workers" in STACKS[stack])
 
-    def test_resilient_wraps_the_core(self):
+    def test_parallel_workers_gives_the_engine_an_executor(self):
+        with build_engine(EngineConfig(parallel_workers=2)) as engine:
+            assert isinstance(engine.executor, PoolExecutor)
+            assert engine.executor.workers == 2
+
+    def test_resilient_gives_the_engine_an_ingress(self):
         engine = build_engine(EngineConfig(
             resilient=True, allowed_lateness=45,
             late_policy=FaultPolicy.SKIP,
         ))
-        assert isinstance(engine, ResilientEngine)
-        assert type(engine.engine) is SeraphEngine
-        assert engine.allowed_lateness == 45
-        assert engine.late_policy is FaultPolicy.SKIP
+        assert isinstance(engine.ingress, Ingress)
+        assert engine.ingress.allowed_lateness == 45
+        assert engine.ingress.late_policy is FaultPolicy.SKIP
 
     def test_overrides_are_field_level_shortcuts(self):
         engine = build_engine(delta_eval=False)
@@ -118,7 +128,7 @@ class TestBuildEngine:
     def test_overrides_layer_on_top_of_a_config(self):
         config = EngineConfig(resilient=True)
         engine = build_engine(config, allowed_lateness=10)
-        assert engine.allowed_lateness == 10
+        assert engine.ingress.allowed_lateness == 10
         assert config.allowed_lateness == 0  # the config is untouched
 
     def test_core_knobs_reach_the_engine(self):
@@ -139,12 +149,15 @@ class TestBuildEngine:
 
         assert engine._graph_cls is ColumnarGraph
 
-    def test_every_layer_shares_one_observability_bundle(self):
-        engine = build_engine(EngineConfig(
-            resilient=True, observability=True,
-        ))
-        assert engine.obs is engine.engine.obs
-        assert engine.obs.enabled is True
+    def test_every_part_shares_one_observability_bundle(self):
+        with build_engine(EngineConfig(
+            resilient=True, parallel_workers=2, observability=True,
+        )) as engine:
+            assert engine.obs.enabled is True
+            assert engine.ingress.obs is engine.obs
+            assert engine.executor.obs is engine.obs
+            assert engine.executor.supervisor.obs is engine.obs
+            assert engine.dead_letters.registry is engine.obs.registry
 
     def test_one_bundle_can_span_several_engines(self):
         bundle = Observability.create()
@@ -167,21 +180,12 @@ class TestBuildEngine:
         assert status["obs"]["enabled"] is True
 
 
-class TestRetiredShims:
-    """The PR 4 compatibility paths hard-error with migration messages."""
+class TestPartsConstructDirectly:
+    def test_an_executor_is_passed_to_the_engine(self):
+        with SeraphEngine(executor=PoolExecutor(2)) as engine:
+            assert engine.executor.workers == 2
 
-    def test_seraph_engine_parallel_keyword_hard_errors(self):
-        with pytest.raises(EngineError, match="build_engine"):
-            SeraphEngine(parallel=2)
-
-    def test_resilient_engine_kwargs_hard_error(self):
-        with pytest.raises(EngineError, match="build_engine"):
-            ResilientEngine(delta_eval=False)
-
-    def test_parallel_subclass_still_constructs_directly(self):
-        with ParallelEngine(workers=2) as engine:
-            assert engine.workers == 2
-
-    def test_explicit_inner_engine_still_works(self):
-        engine = ResilientEngine(SeraphEngine(delta_eval=False))
-        assert engine.engine.delta_eval is False
+    def test_an_ingress_is_passed_to_the_engine(self):
+        engine = SeraphEngine(delta_eval=False, ingress=Ingress())
+        assert engine.delta_eval is False
+        assert engine.status()["resilience"]["allowed_lateness"] == 0

@@ -23,7 +23,7 @@ PINNED_EXPORTS = {
     "SeraphService", "ServiceClient", "ServiceConfig", "TenantQuotas",
     "TenantSpec",
     # observability
-    "Observability", "RunReport", "instrumented_run",
+    "Observability",
     # typed errors
     "ReproError", "GraphError", "StreamError", "CypherError",
     "SeraphError", "SeraphSyntaxError", "SeraphSemanticError",

@@ -1,94 +1,85 @@
-"""Tests for run instrumentation and the JSONL sink."""
+"""Tests for the per-run ledger an engine keeps, and the JSONL sink."""
 
 import io
 import json
 
 import pytest
 
-from repro.metrics import RunReport, instrumented_run
+from repro import EngineConfig, build_engine
+from repro.obs import stage_metric
 from repro.seraph import SeraphEngine
 from repro.seraph.sinks import JsonlSink
 from repro.usecases.micromobility import LISTING5_SERAPH, _t, figure1_stream
 
 
-class TestInstrumentedRun:
+class TestRunLedger:
+    """What ``instrumented_run`` / ``RunReport`` used to sample is what
+    an observed engine records by itself: per-evaluation latency in
+    ``query.<q>.stage.total``, rows in ``query.<q>.rows``, the path each
+    evaluation took in ``query.<q>.path.*``."""
+
     @pytest.fixture
-    def report(self):
+    def registry(self):
+        engine = build_engine(EngineConfig(observability=True))
+        engine.register(LISTING5_SERAPH)
+        engine.run_stream(figure1_stream(), until=_t("15:40"))
+        return engine.obs.registry
+
+    def test_counts(self, registry):
+        assert registry.value("engine.evaluations") == 12
+        assert registry.value("engine.ingested") == 5
+        rows = registry.histogram("query.student_trick.rows")
+        assert rows.count == 12
+        assert rows.total == 2  # Tables 5 and 6
+
+    def test_latencies_positive_and_ordered(self, registry):
+        latency = registry.histogram(stage_metric("student_trick", "total"))
+        assert latency.count == 12
+        assert latency.mean > 0
+        assert latency.percentile(0.5) <= latency.percentile(1.0)
+        assert latency.total >= latency.mean
+
+    def test_reuse_observed_on_quiet_instants(self, registry):
+        # 12 evaluations, 5 arrivals: most evaluations reuse.
+        reused = registry.value("query.student_trick.path.reuse")
+        assert reused / registry.value("query.student_trick.evaluations") \
+            > 0.4
+
+    def test_every_evaluation_took_exactly_one_path(self, registry):
+        paths = sum(
+            counter.value for _name, counter
+            in registry.under("query.student_trick.path.")
+        )
+        assert paths == registry.value("query.student_trick.evaluations")
+
+    def test_out_of_range_percentile_raises(self, registry):
+        from repro.errors import MetricsError
+
+        latency = registry.histogram(stage_metric("student_trick", "total"))
+        with pytest.raises(MetricsError, match="got 1.5"):
+            latency.percentile(1.5)
+
+    def test_the_counters_count_with_tracing_off_too(self):
         engine = SeraphEngine()
         engine.register(LISTING5_SERAPH)
-        return instrumented_run(engine, figure1_stream(), until=_t("15:40"))
+        engine.run_stream(figure1_stream(), until=_t("15:40"))
+        registry = engine.obs.registry
+        assert registry.value("engine.evaluations") == 12
+        assert registry.value("query.student_trick.evaluations") == 12
+        assert registry.get(stage_metric("student_trick", "total")) is None
 
-    def test_counts(self, report):
-        assert report.evaluations == 12
-        assert report.ingested_elements == 5
-        assert report.total_rows == 2  # Tables 5 and 6
-
-    def test_latencies_positive_and_ordered(self, report):
-        assert report.mean_latency > 0
-        assert report.latency_percentile(0.5) <= \
-            report.latency_percentile(1.0)
-        assert report.wall_seconds >= report.mean_latency
-
-    def test_reuse_observed_on_quiet_instants(self, report):
-        # 12 evaluations, 5 arrivals: most evaluations reuse.
-        assert report.reuse_ratio > 0.4
-
-    def test_by_query_grouping(self, report):
-        grouped = report.by_query()
-        assert set(grouped) == {"student_trick"}
-        assert len(grouped["student_trick"]) == 12
-
-    def test_render_summary(self, report):
-        text = report.render()
-        assert "12 evaluations" in text
-        assert "2 rows" in text
-
-    def test_empty_report(self):
-        report = RunReport()
-        assert report.mean_latency == 0.0
-        assert report.latency_percentile(0.9) == 0.0
-        assert report.reuse_ratio == 0.0
-
-    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.01, 2])
-    def test_out_of_range_percentile_raises_even_when_empty(self, bad):
-        # Same validation rule as repro.obs Histogram.percentile: bad
-        # input is always a typed error, an empty report is always 0.0.
-        from repro.errors import MetricsError
-
-        for report in (RunReport(), ):
-            with pytest.raises(MetricsError, match="percentile must be in"):
-                report.latency_percentile(bad)
-
-    def test_out_of_range_percentile_raises_on_populated_reports(
-        self, report
-    ):
-        from repro.errors import MetricsError
-
-        with pytest.raises(MetricsError, match="got 1.5"):
-            report.latency_percentile(1.5)
-
-    def test_as_dict_summarizes_the_run(self, report):
-        summary = report.as_dict()
-        assert summary["evaluations"] == 12
-        assert summary["ingested_elements"] == 5
-        assert summary["total_rows"] == 2
-        assert summary["mean_latency"] > 0
-        assert set(summary) == {
-            "evaluations", "ingested_elements", "wall_seconds",
-            "mean_latency", "p95_latency", "total_rows", "reuse_ratio",
-            "delta_ratio",
-        }
-
-    def test_multiple_queries_sampled(self):
-        engine = SeraphEngine()
+    def test_multiple_queries_keep_separate_ledgers(self):
+        engine = build_engine(EngineConfig(observability=True))
         engine.register(LISTING5_SERAPH)
         engine.register(
             LISTING5_SERAPH.replace("student_trick", "second"),
         )
-        report = instrumented_run(engine, figure1_stream(),
-                                  until=_t("15:40"))
-        assert set(report.by_query()) == {"student_trick", "second"}
-        assert report.evaluations == 24
+        engine.run_stream(figure1_stream(), until=_t("15:40"))
+        registry = engine.obs.registry
+        assert registry.value("engine.evaluations") == 24
+        for name in ("student_trick", "second"):
+            assert registry.value(f"query.{name}.evaluations") == 12
+            assert registry.histogram(stage_metric(name, "total")).count == 12
 
 
 class TestJsonlSink:

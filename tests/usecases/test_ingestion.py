@@ -230,7 +230,7 @@ class TestGuardedPipeline:
         elements = guarded.seal_until(_t("14:50"))
         assert len(elements) == 1
         assert len(guarded.dead_letters) == 2
-        assert guarded.metrics.poison_rejected == 2
+        assert guarded.registry.value("resilience.poison_rejected") == 2
 
     def test_feed_raw_survives_malformed_payloads(self):
         from repro.runtime import GuardedIngestionPipeline
