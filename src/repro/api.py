@@ -52,8 +52,9 @@ class EngineConfig:
     ``reuse_unchanged_windows``, ``delta_eval``, ``physical_plans``,
     ``graph_backend``, ``vectorized`` map one-to-one onto
     :class:`~repro.seraph.engine.SeraphEngine` knobs
-    (``physical_plans=False`` forces the interpreted pipeline — results
-    are identical, compiled plans are a pure optimization;
+    (``physical_plans=False`` compiles plans without hoisting: patterns
+    are planned per evaluation and no index seek is taken — results are
+    identical, hoisting is a pure optimization;
     ``graph_backend="columnar"`` swaps window snapshots to the
     interned, array-backed :class:`~repro.graph.columnar.ColumnarGraph`
     — emissions stay byte-identical; ``vectorized`` enables

@@ -8,6 +8,7 @@ snapshot reducibility (Definition 5.8) in code.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.cypher import ast
@@ -25,6 +26,7 @@ from repro.cypher.expressions import (
 )
 from repro.cypher.functions import AGGREGATE_NAMES
 from repro.cypher.matcher import PatternMatcher
+from repro.cypher.vectorized import CandidatePruner
 from repro.errors import CypherEvaluationError
 from repro.graph.model import PropertyGraph
 from repro.graph.table import Record, Table
@@ -43,8 +45,9 @@ class QueryEvaluator:
     engine passes one dict per registered query so hot-path expressions
     are compiled once per query lifetime, not once per snapshot.
 
-    ``vectorized=True`` hands the matcher the snapshot's shared
-    :class:`~repro.cypher.vectorized.CandidatePruner`: constant pattern
+    ``vectorized=True`` hands the matcher a
+    :class:`~repro.cypher.vectorized.CandidatePruner` over the snapshot's
+    shared candidate-set memo: constant pattern
     predicates are evaluated once per snapshot as ordered id-set
     intersections and candidate loops collapse to membership probes.
     Results are byte-identical either way (superset rule + residual
@@ -70,13 +73,19 @@ class QueryEvaluator:
         self.evaluator = ExpressionEvaluator(
             graph, parameters=parameters, compile_cache=self._compile_cache
         )
-        pruner = None
-        if vectorized:
-            from repro.cypher.vectorized import pruner_for
-
-            pruner = pruner_for(graph)
+        pruner = CandidatePruner(graph) if vectorized else None
         self.matcher = PatternMatcher(graph, self.evaluator, pruner=pruner)
-        self.evaluator._pattern_checker = self.matcher.has_match
+        # Pattern predicates reach the matcher through a weak reference:
+        # a strong one closes the cycle evaluator -> matcher -> evaluator.
+        # One QueryEvaluator is built per evaluation, so the cycle would
+        # hold every replaced snapshot graph (index dicts, nodes,
+        # relationships) until the cyclic collector runs, and the
+        # collector's pauses land inside event latencies.  ``self`` owns
+        # both ends, so the matcher lives as long as the evaluator is used.
+        matcher = weakref.ref(self.matcher)
+        self.evaluator._pattern_checker = (
+            lambda pattern, scope: matcher().has_match(pattern, scope)
+        )
 
     def _compiled(self, expression: ast.Expression):
         """A ``fn(expr_evaluator, scope)`` closure for ``expression``,
@@ -151,8 +160,7 @@ class QueryEvaluator:
         table: Table,
         pattern: Optional[ast.Pattern] = None,
         anchor_factory: Optional[Any] = None,
-        observer: Optional[Any] = None,
-        counts_out: Optional[Dict[Tuple[int, int], List[int]]] = None,
+        count: Optional[Any] = None,
     ) -> Table:
         """Apply a MATCH clause.
 
@@ -160,21 +168,9 @@ class QueryEvaluator:
         a pre-planned pattern (skips the per-evaluation planner run),
         ``anchor_factory(scope)`` yields an ordered start-candidate
         sequence for the first path (an index seek) or ``None`` to scan,
-        ``observer(stage, count)`` receives per-record "match" and
-        "filter" row counts, and ``counts_out`` — a
-        ``{(path_idx, hop): [candidates, pruned]}`` dict — activates the
-        matcher's per-hop candidate accounting for the duration of this
-        clause (``hop == -1`` is start enumeration).
+        and ``count(step, rows)`` receives per-record "match" and
+        "filter" row counts.
         """
-        if counts_out is not None:
-            self.matcher.hop_counts = counts_out
-            try:
-                return self._apply_match(
-                    clause, table, pattern=pattern,
-                    anchor_factory=anchor_factory, observer=observer,
-                )
-            finally:
-                self.matcher.hop_counts = None
         free = clause.pattern.free_variables()
         out_fields = set(table.fields) | set(free)
         if pattern is None:
@@ -208,9 +204,9 @@ class QueryEvaluator:
                     if verdict is not Ternary.TRUE:
                         continue
                 survivors.append(merged.project(out_fields))
-            if observer is not None:
-                observer("match", matched)
-                observer("filter", len(survivors))
+            if count is not None:
+                count("match", matched)
+                count("filter", len(survivors))
             if survivors:
                 out.extend(survivors)
             elif clause.optional:
@@ -247,7 +243,7 @@ class QueryEvaluator:
         skip: Optional[ast.Expression],
         limit: Optional[ast.Expression],
         where: Optional[ast.Expression],
-        observer: Optional[Any] = None,
+        count: Optional[Any] = None,
     ) -> Table:
         has_aggregate = any(contains_aggregate(item.expression) for item in items)
         if has_aggregate and star:
@@ -258,8 +254,8 @@ class QueryEvaluator:
             projected, pair_rows = self._project_aggregating(table, items)
         else:
             projected, pair_rows = self._project_plain(table, items, star)
-        if observer is not None:
-            observer("aggregate" if has_aggregate else "project", len(pair_rows))
+        if count is not None:
+            count("aggregate" if has_aggregate else "project", len(pair_rows))
 
         if where is not None:
             where_fn = self._compiled(where)
@@ -269,8 +265,8 @@ class QueryEvaluator:
                 if Ternary.of(where_fn(self.evaluator, scope)) is Ternary.TRUE:
                     kept.append((out_record, in_record))
             pair_rows = kept
-            if observer is not None:
-                observer("filter", len(pair_rows))
+            if count is not None:
+                count("filter", len(pair_rows))
 
         if distinct:
             seen = set()
@@ -281,23 +277,21 @@ class QueryEvaluator:
                     seen.add(key)
                     kept.append((out_record, in_record))
             pair_rows = kept
-            if observer is not None:
-                observer("distinct", len(pair_rows))
+            if count is not None:
+                count("distinct", len(pair_rows))
 
         if order_by:
             pair_rows = self._sort(pair_rows, order_by)
-            if observer is not None:
-                observer("order", len(pair_rows))
+            if count is not None:
+                count("order", len(pair_rows))
 
         rows = [out_record for out_record, _ in pair_rows]
         if skip is not None:
-            count = self._constant_int(skip, "SKIP")
-            rows = rows[count:]
+            rows = rows[self._constant_int(skip, "SKIP"):]
         if limit is not None:
-            count = self._constant_int(limit, "LIMIT")
-            rows = rows[:count]
-        if observer is not None and (skip is not None or limit is not None):
-            observer("slice", len(rows))
+            rows = rows[:self._constant_int(limit, "LIMIT")]
+        if count is not None and (skip is not None or limit is not None):
+            count("slice", len(rows))
         return Table(rows, fields=projected)
 
     def _project_plain(

@@ -54,6 +54,13 @@ Footprint = FrozenSet[EntityRef]
 
 _EMPTY_FOOTPRINT: Footprint = frozenset()
 
+#: Pattern orientation -> the graph read contract's ``expand_pairs`` tag.
+_DIRECTION_TAGS = {
+    ast.Direction.OUT: "out",
+    ast.Direction.IN: "in",
+    ast.Direction.BOTH: "any",
+}
+
 
 def footprint_of(nodes: Iterator[Node], rels: Iterator[Relationship]) -> Footprint:
     """The footprint of an explicit node/relationship traversal."""
@@ -73,16 +80,8 @@ class PatternMatcher:
     ):
         self.graph = graph
         self.evaluator = evaluator
-        # Columnar fast path: a backend exposing expand_pairs() serves
-        # (relationship, neighbour) pairs straight off its CSR arrays
-        # (memoized per snapshot).  The pairs arrive in exactly the
-        # order the interpreted expansion below enumerates, and the
-        # match-state-dependent filters (relationship uniqueness,
-        # pattern properties) still run here — so results are
-        # byte-identical either way.
-        self._expand_pairs = getattr(graph, "expand_pairs", None)
         # Vectorized candidate pruning (repro.cypher.vectorized): a
-        # per-snapshot CandidatePruner turns each pattern's constant
+        # CandidatePruner over the snapshot turns each pattern's constant
         # label/property predicates into one ordered id-set, consumed
         # here as pre-pruned start enumerations and as one membership
         # probe per expansion target.  Pruned sets are exact-or-superset
@@ -499,42 +498,17 @@ class PatternMatcher:
         scope: Mapping[str, Any],
         used: UsedRels,
     ) -> Iterator[Tuple[Relationship, Node]]:
-        """Candidate (relationship, next node) pairs from ``node``."""
-        direction = rel_pattern.direction
-        if self._expand_pairs is not None:
-            tag = (
-                "out" if direction is ast.Direction.OUT
-                else "in" if direction is ast.Direction.IN
-                else "any"
-            )
-            for rel, next_node in self._expand_pairs(
-                node.id, tag, rel_pattern.types
-            ):
-                if rel.id in used:
-                    continue
-                if not self._properties_match(
-                    rel, rel_pattern.properties, scope
-                ):
-                    continue
-                yield rel, next_node
-            return
-        if direction is ast.Direction.OUT:
-            candidates = (
-                (rel, self.graph.node(rel.trg)) for rel in self.graph.outgoing(node.id)
-            )
-        elif direction is ast.Direction.IN:
-            candidates = (
-                (rel, self.graph.node(rel.src)) for rel in self.graph.incoming(node.id)
-            )
-        else:
-            candidates = (
-                (rel, self.graph.node(rel.other_end(node.id)))
-                for rel in self.graph.incident(node.id)
-            )
-        for rel, next_node in candidates:
+        """Candidate (relationship, next node) pairs from ``node``.
+
+        Both graph backends serve ``expand_pairs`` in the same traversal
+        order (the columnar one straight off its CSR arrays, memoized per
+        snapshot); the filters that depend on the match state —
+        relationship uniqueness, pattern properties — run here.
+        """
+        for rel, next_node in self.graph.expand_pairs(
+            node.id, _DIRECTION_TAGS[rel_pattern.direction], rel_pattern.types
+        ):
             if rel.id in used:
-                continue
-            if rel_pattern.types and rel.type not in rel_pattern.types:
                 continue
             if not self._properties_match(rel, rel_pattern.properties, scope):
                 continue

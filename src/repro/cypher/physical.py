@@ -1,16 +1,27 @@
 """Volcano-style physical query plans — compile once, execute per snapshot.
 
-The interpreted pipeline re-plans every MATCH pattern and re-walks the
-AST on every snapshot.  This module lowers a registered Seraph query
-*once* through the heuristic planner (:mod:`repro.cypher.planner`) into a
-pipeline of physical stages whose operator tree names the access paths —
-IndexSeek / LabelScan / AllNodesScan / ExpandHop / VarLengthExpand /
-ShortestPath / Filter / Project / Aggregate / Distinct / OrderBy — the
-first of the paper's Section 6 "query planning at different levels"
-rounds taken to its physical conclusion.
+The reference pipeline (:func:`repro.seraph.semantics.execute_body`, the
+test oracle) re-plans every MATCH pattern and re-walks the AST on every
+snapshot.  This module lowers a registered Seraph query *once* through
+the heuristic planner (:mod:`repro.cypher.planner`) into a pipeline of
+physical stages whose operator tree names the access paths — IndexSeek /
+LabelScan / AllNodesScan / ExpandHop / VarLengthExpand / ShortestPath /
+Filter / Project / Aggregate / Distinct / OrderBy — the first of the
+paper's Section 6 "query planning at different levels" rounds taken to
+its physical conclusion.
 
-Three design rules keep compiled execution byte-identical to the
-interpreted path:
+The plan is *total* and the only body executor in production: every
+query ``SeraphEngine.register`` accepts compiles (:func:`check_lowerable`
+rejects the rest at registration), and the engine's full path, the pool
+worker and the delta path all run a :class:`PhysicalPlan`.
+``compile_query(..., hoist=False)`` — the ``physical_plans=False``
+ablation — compiles the same stages without hoisting anything out of the
+evaluation: each pattern is planned against the live snapshot and no
+seek is taken, step for step what the reference pipeline does.  What an
+execution counted travels in one :class:`PlanProfile`.
+
+Three design rules keep hoisted execution byte-identical to the
+reference pipeline:
 
 * **Supersets, not substitutes** — an IndexSeek replaces only the start
   *enumeration* of the first path; the matcher still checks every label
@@ -19,23 +30,21 @@ interpreted path:
 * **Global node order** — :meth:`PropertyGraph.patched` keeps one total
   node order shared by node scans, label buckets, and property buckets,
   so a seek enumerates the same subsequence a scan would.
-* **Fallback on anything unusual** — an unindexable anchor value (null,
+* **Scan on anything unusual** — an unindexable anchor value (null,
   NaN, lists) or an anchor expression that raises degrades to the exact
-  interpreted scan at runtime; an unsupported clause shape raises
-  :class:`PhysicalPlanError` at compile time and the engine keeps
-  interpreting that query.
+  scan the reference pipeline runs.
 
 Plans are plain frozen dataclasses over AST nodes: picklable, so the
 parallel engine ships them to workers, and statistics-free, so one plan
 object serves every snapshot until the plan cache invalidates it.
 
 The operators are backend-agnostic: they consume the public graph API
-(``nodes_with_property``, ``nodes_with_labels``, the matcher's
-expansion hook), so under ``graph_backend="columnar"`` an IndexSeek is
-served from interned property columns and ExpandHop / VarLengthExpand
-walk CSR adjacency arrays (via ``expand_pairs``) with no operator
-changes — the global-node-order rule above is exactly what makes the
-two backends emit byte-identical rows (docs/COLUMNAR.md).
+(``nodes_with_property``, ``nodes_with_labels``, ``expand_pairs``), so
+under ``graph_backend="columnar"`` an IndexSeek is served from interned
+property columns and ExpandHop / VarLengthExpand walk CSR adjacency
+arrays with no operator changes — the global-node-order rule above is
+exactly what makes the two backends emit byte-identical rows
+(docs/COLUMNAR.md).
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ from typing import (
 from repro.cypher import ast
 from repro.cypher.evaluator import QueryEvaluator
 from repro.cypher.planner import plan_pattern
-from repro.errors import PhysicalPlanError
+from repro.errors import SeraphSemanticError
 from repro.graph.model import PropertyGraph
 from repro.graph.table import Table
 from repro.stream.timeline import TimeInterval
@@ -69,10 +78,11 @@ __all__ = [
     "MatchStage",
     "UnwindStage",
     "ProjectStage",
+    "PlanProfile",
+    "check_lowerable",
     "compile_query",
     "execute_plan",
     "render_plan",
-    "PhysicalPlanError",
 ]
 
 
@@ -112,38 +122,44 @@ class IndexSeekSpec:
 
 @dataclass(frozen=True)
 class MatchStage:
-    """A MATCH executed with a pre-planned pattern (and optional seek).
+    """A MATCH: its pattern hoisted (planned at compile time, with an
+    optional seek) or, with ``pattern`` ``None``, planned per evaluation.
 
-    ``hop_ops`` maps the matcher's per-hop candidate accounting back onto
-    the operator tree: one ``(anchor_op_id, (hop_op_id, ...))`` entry per
-    path pattern, where the anchor op receives the start-enumeration
-    counts (hop ``-1``) and the k-th hop op the k-th relationship
-    pattern's expansion counts.  A shortestPath path contributes its
-    single ShortestPath op as anchor with no hop ops.
+    ``ops`` names the operators this stage's accounting lands on: the
+    evaluator's ``"match"`` / ``"filter"`` row counts and, for a hoisted
+    pattern, the matcher's per-``(path, hop)`` candidate counts — hop
+    ``-1`` is a path's start enumeration (its anchor op), hop ``k`` its
+    k-th relationship pattern.  A shortestPath path has no entries (the
+    matcher does not count it).
     """
 
     clause: ast.Match
-    pattern: ast.Pattern
     window_key: Tuple[str, int]
+    pattern: Optional[ast.Pattern]
     seek: Optional[IndexSeekSpec]
-    match_op: int
-    filter_op: Optional[int]
-    hop_ops: Tuple[Tuple[int, Tuple[int, ...]], ...] = ()
+    ops: Mapping[Any, int] = field(default_factory=dict)
+
+    def planned(self, graph: PropertyGraph, bound: frozenset) -> ast.Pattern:
+        """The pattern to match on ``graph``: the hoisted one, else the
+        source pattern planned now (``bound`` = names already in scope)."""
+        if self.pattern is not None:
+            return self.pattern
+        return plan_pattern(self.clause.pattern, graph, bound)
 
 
 @dataclass(frozen=True)
 class UnwindStage:
     clause: ast.Unwind
     window_key: Tuple[str, int]
-    op_id: int
+    ops: Mapping[str, int] = field(default_factory=dict)  # {"unwind": id}
 
 
 @dataclass(frozen=True)
 class ProjectStage:
     """A WITH/RETURN projection (aggregation, WHERE, DISTINCT, ORDER BY).
 
-    ``ops`` maps the evaluator's observer stage names ("project",
-    "aggregate", "filter", "distinct", "order", "slice") to operator ids.
+    ``ops`` maps the evaluator's step names ("project", "aggregate",
+    "filter", "distinct", "order", "slice") to operator ids.
     """
 
     clause: Union[ast.With, ast.Return]
@@ -177,6 +193,52 @@ class PhysicalPlan:
         walk(self.root)
         out.sort(key=lambda op: op.op_id)
         return out
+
+
+@dataclass
+class PlanProfile:
+    """What executing a plan counted, by operator id — the one accounting
+    value: :func:`execute_plan` and the delta path fill it, pool workers
+    return it, ``RegisteredQuery.profile`` accumulates it with
+    :meth:`merge`, :func:`render_plan` prints it.  Plain data: picklable.
+    """
+
+    #: Rows each operator produced.
+    rows: Dict[int, int] = field(default_factory=dict)
+    #: ``[candidates, pruned]`` per operator: how many candidates the
+    #: matcher consumed there and how many the vectorized pruner's set
+    #: operations eliminated (filled by vectorized executions only).
+    prunes: Dict[int, List[int]] = field(default_factory=dict)
+    #: Seconds spent building pruned candidate sets (the ``vectorize``
+    #: stage).  A timing, so two profiles of the same work still compare
+    #: equal.
+    pruner_seconds: float = field(default=0.0, compare=False)
+
+    def add_rows(self, op_id: int, count: int) -> None:
+        self.rows[op_id] = self.rows.get(op_id, 0) + count
+
+    def add_candidates(self, op_id: int, candidates: int, pruned: int) -> None:
+        slot = self.prunes.setdefault(op_id, [0, 0])
+        slot[0] += candidates
+        slot[1] += pruned
+
+    def counter(self, ops: Mapping[Any, int]) -> Callable[[Any, int], None]:
+        """A ``count(step, rows)`` callback for the evaluator: adds to
+        the operator ``ops`` names for ``step`` (unnamed steps drop)."""
+
+        def count(step: Any, rows: int) -> None:
+            op_id = ops.get(step)
+            if op_id is not None:
+                self.add_rows(op_id, rows)
+
+        return count
+
+    def merge(self, other: "PlanProfile") -> None:
+        for op_id, count in other.rows.items():
+            self.add_rows(op_id, count)
+        for op_id, (candidates, pruned) in other.prunes.items():
+            self.add_candidates(op_id, candidates, pruned)
+        self.pruner_seconds += other.pruner_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +281,11 @@ def _pattern_ops(
     seek: Optional[IndexSeekSpec],
     next_id: Callable[[], int],
     upstream: Optional[PhysicalOp],
-) -> Tuple[PhysicalOp, Tuple[Tuple[int, Tuple[int, ...]], ...]]:
-    """The operator chain for a planned MATCH pattern, plus the per-path
-    ``(anchor_op_id, hop_op_ids)`` map the executor uses to attribute the
-    matcher's candidate counts to operators."""
+) -> Tuple[PhysicalOp, Dict[Any, int]]:
+    """The operator chain for a planned MATCH pattern, plus the
+    ``(path, hop) -> op id`` entries of :attr:`MatchStage.ops`."""
     current = upstream
-    hop_ops: List[Tuple[int, Tuple[int, ...]]] = []
+    ops: Dict[Any, int] = {}
     for index, path in enumerate(pattern.paths):
         if path.shortest is not None:
             children = (current,) if current is not None else ()
@@ -234,7 +295,6 @@ def _pattern_ops(
                 detail=path.render(),
                 children=children,
             )
-            hop_ops.append((current.op_id, ()))
             continue
         start = path.nodes[0]
         children = (current,) if current is not None else ()
@@ -277,17 +337,16 @@ def _pattern_ops(
                 children=children,
             )
         current = anchor
-        path_hops: List[int] = []
+        ops[(index, -1)] = anchor.op_id
         for hop, rel in enumerate(path.relationships):
             kind = "VarLengthExpand" if rel.is_var_length else "ExpandHop"
             detail = rel.render() + path.nodes[hop + 1].render()
             current = PhysicalOp(
                 op_id=next_id(), kind=kind, detail=detail, children=(current,)
             )
-            path_hops.append(current.op_id)
-        hop_ops.append((anchor.op_id, tuple(path_hops)))
+            ops[(index, hop)] = current.op_id
     assert current is not None
-    return current, tuple(hop_ops)
+    return current, ops
 
 
 def _projection_ops(
@@ -342,10 +401,31 @@ def _projection_ops(
     return current, ops
 
 
+def check_lowerable(query) -> None:
+    """Raise :class:`~repro.errors.SeraphSemanticError` for a body clause
+    no stage models.
+
+    The Seraph grammar only produces MATCH / UNWIND / WITH bodies, so
+    only a programmatically built query can fail; ``register()`` calls
+    this so that such a query is rejected before it ever runs.
+    """
+    from repro.seraph.ast import SeraphMatch
+
+    for clause in query.body:
+        if not isinstance(
+            clause, (SeraphMatch, ast.Match, ast.Unwind, ast.With)
+        ):
+            raise SeraphSemanticError(
+                f"cannot lower clause {type(clause).__name__} "
+                "to a physical stage"
+            )
+
+
 def compile_query(
     query,
-    stats_for: Callable[[str, int], Any],
+    stats_for: Optional[Callable[[str, int], Any]],
     band: tuple = (),
+    hoist: bool = True,
 ) -> "PhysicalPlan":
     """Lower a :class:`~repro.seraph.ast.SeraphQuery` to a physical plan.
 
@@ -355,12 +435,14 @@ def compile_query(
     plan's lifetime.  ``band`` records the statistics band the plan was
     costed under (see :mod:`repro.cypher.plan_cache`).
 
-    Raises :class:`PhysicalPlanError` for clause shapes the physical
-    pipeline does not model; callers fall back to interpretation.
+    ``hoist=False`` reads no statistics: every MATCH becomes one opaque
+    ``Match`` operator whose pattern is planned per evaluation, without a
+    seek — the reference pipeline's behaviour, as a plan.
     """
     from repro.seraph.ast import SeraphMatch
     from repro.seraph.semantics import terminal_clause
 
+    check_lowerable(query)
     counter = [0]
 
     def next_id() -> int:
@@ -376,28 +458,34 @@ def compile_query(
 
     def lower_match(clause: ast.Match, window_key: Tuple[str, int]) -> None:
         nonlocal root, fields
-        stats = stats_for(*window_key)
-        bound = frozenset(base_names | fields)
-        pattern = plan_pattern(clause.pattern, stats, bound)
-        seek = _seek_for(pattern.paths[0], set(bound), stats, next_id)
-        root, hop_ops = _pattern_ops(pattern, set(bound), seek, next_id, root)
-        match_op = root.op_id
-        filter_op: Optional[int] = None
+        if hoist:
+            stats = stats_for(*window_key)
+            bound = base_names | fields
+            pattern = plan_pattern(clause.pattern, stats, frozenset(bound))
+            seek = _seek_for(pattern.paths[0], bound, stats, next_id)
+            root, ops = _pattern_ops(pattern, bound, seek, next_id, root)
+        else:
+            pattern = seek = None
+            root = PhysicalOp(
+                op_id=next_id(), kind="Match",
+                detail=clause.pattern.render(),
+                children=(root,) if root is not None else (),
+            )
+            ops = {"match": root.op_id}
         if clause.where is not None:
             root = PhysicalOp(
                 op_id=next_id(), kind="Filter",
                 detail=clause.where.render(), children=(root,),
             )
-            filter_op = root.op_id
+            ops["filter"] = root.op_id
         if clause.optional:
             root = PhysicalOp(
                 op_id=next_id(), kind="Optional", children=(root,)
             )
         stages.append(
             MatchStage(
-                clause=clause, pattern=pattern, window_key=window_key,
-                seek=seek, match_op=match_op, filter_op=filter_op,
-                hop_ops=hop_ops,
+                clause=clause, window_key=window_key, pattern=pattern,
+                seek=seek, ops=ops,
             )
         )
         fields |= set(clause.pattern.free_variables())
@@ -434,22 +522,18 @@ def compile_query(
             )
             stages.append(
                 UnwindStage(
-                    clause=clause, window_key=default_key, op_id=root.op_id
+                    clause=clause, window_key=default_key,
+                    ops={"unwind": root.op_id},
                 )
             )
             fields |= {clause.alias}
-        elif isinstance(clause, ast.With):
+        else:  # ast.With: check_lowerable admitted nothing else
             lower_projection(clause, default_key)
-        else:
-            raise PhysicalPlanError(
-                f"cannot lower clause {type(clause).__name__} "
-                "to a physical stage"
-            )
     lower_projection(terminal_clause(query), default_key)
     assert root is not None
     return PhysicalPlan(
         query_name=query.name,
-        query_text=query.render(),
+        query_text=query.text,
         band=band,
         root=root,
         stages=tuple(stages),
@@ -463,20 +547,18 @@ def compile_query(
 
 
 def _anchor_factory(
-    stage: MatchStage, evaluator: QueryEvaluator, rows: Optional[Dict[int, int]]
+    seek: IndexSeekSpec, evaluator: QueryEvaluator, profile: PlanProfile
 ):
     """The per-record start-candidate hook for a MatchStage's seek.
 
     Returns ``None`` (scan) whenever the index cannot help — value not
     indexable, or the anchor expression raising — so error behaviour and
-    enumeration order match the interpreted path exactly.  ``rows`` for
-    the seek op count *index-served* candidates only (a scan fallback
+    enumeration order match the reference pipeline exactly.  The seek
+    op's rows count *index-served* candidates only (a scan fallback
     leaves the op absent — the observable that seeks are being taken);
     the matcher's own start-enumeration accounting covers the scan
     anchors and the pruned/candidate counters.
     """
-    seek = stage.seek
-    assert seek is not None
     value_fn = evaluator._compiled(seek.value_expr)
     graph = evaluator.graph
 
@@ -486,27 +568,11 @@ def _anchor_factory(
         except Exception:
             return None  # let the scan raise identically
         candidates = graph.nodes_with_property(seek.label, seek.key, value)
-        if candidates is None:
-            return None
-        if rows is not None:
-            rows[seek.op_id] = rows.get(seek.op_id, 0) + len(candidates)
+        if candidates is not None:
+            profile.add_rows(seek.op_id, len(candidates))
         return candidates
 
     return anchor
-
-
-def _stage_observer(
-    op_ids: Mapping[str, int], rows: Optional[Dict[int, int]]
-):
-    if rows is None:
-        return None
-
-    def observe(name: str, count: int) -> None:
-        op_id = op_ids.get(name)
-        if op_id is not None:
-            rows[op_id] = rows.get(op_id, 0) + count
-
-    return observe
 
 
 def execute_plan(
@@ -514,89 +580,67 @@ def execute_plan(
     graph_for: Callable[[str, int], PropertyGraph],
     interval: TimeInterval,
     expr_cache: Optional[dict] = None,
-    rows: Optional[Dict[int, int]] = None,
     vectorized: bool = False,
-    prunes: Optional[Dict[int, List[int]]] = None,
-    prune_stats: Optional[Dict[str, float]] = None,
+    profile: Optional[PlanProfile] = None,
 ) -> Table:
     """Run a compiled plan over per-window snapshot graphs.
 
-    The drop-in physical counterpart of
-    :func:`repro.seraph.semantics.execute_body`: same snapshot provider
-    contract, same ``win_start``/``win_end`` scope injection, same
-    result — but no per-evaluation planning, index-seek anchors where
-    the plan provides them, and per-operator row counts accumulated
-    into ``rows`` (op_id → rows) when given.
+    Same snapshot provider contract, ``win_start``/``win_end`` scope
+    injection and result as the reference
+    :func:`repro.seraph.semantics.execute_body` — but (for a hoisted
+    plan) no per-evaluation planning, and index-seek anchors where the
+    plan provides them.
 
-    ``vectorized=True`` routes every evaluator through the snapshot's
-    shared :class:`~repro.cypher.vectorized.CandidatePruner`;
-    ``prunes`` (op_id → ``[candidates, pruned]``) then collects the
-    per-operator candidate accounting, and ``prune_stats`` accumulates
-    the pruner's set-construction cost for this run (``"builds"`` /
-    ``"build_seconds"`` — the ``vectorize`` observability stage).
+    ``vectorized=True`` routes every evaluator through a
+    :class:`~repro.cypher.vectorized.CandidatePruner` over its snapshot.
+    ``profile`` receives what the run counted: rows per operator,
+    ``[candidates, pruned]`` per operator (vectorized runs) and the
+    pruner's set-construction seconds.
     """
+    if profile is None:
+        profile = PlanProfile()
     base_scope = {WIN_START: interval.start, WIN_END: interval.end}
     evaluators: Dict[Tuple[str, int], QueryEvaluator] = {}
-    pruner_baselines: Dict[int, Tuple[Any, int, float]] = {}
-
-    def evaluator_for(window_key: Tuple[str, int]) -> QueryEvaluator:
-        if window_key not in evaluators:
-            evaluator = QueryEvaluator(
-                graph_for(*window_key),
+    table = Table.unit()
+    for stage in plan.stages:
+        evaluator = evaluators.get(stage.window_key)
+        if evaluator is None:
+            evaluator = evaluators[stage.window_key] = QueryEvaluator(
+                graph_for(*stage.window_key),
                 base_scope=base_scope,
                 compile_cache=expr_cache,
                 vectorized=vectorized,
             )
-            evaluators[window_key] = evaluator
-            pruner = evaluator.matcher.pruner
-            if prune_stats is not None and pruner is not None:
-                # The pruner is shared per snapshot (and its counters are
-                # cumulative), so remember the level it was at when this
-                # run first saw it and report only the delta.
-                pruner_baselines.setdefault(
-                    id(pruner),
-                    (pruner, pruner.builds, pruner.build_seconds),
-                )
-        return evaluators[window_key]
-
-    track_counts = rows is not None or prunes is not None
-    table = Table.unit()
-    for stage in plan.stages:
-        evaluator = evaluator_for(stage.window_key)
+        count = profile.counter(stage.ops)
         if isinstance(stage, MatchStage):
-            anchor = (
-                _anchor_factory(stage, evaluator, rows)
-                if stage.seek is not None
-                else None
-            )
-            counts: Optional[Dict[Tuple[int, int], List[int]]] = (
-                {} if track_counts else None
-            )
-            # With hop accounting active the pattern's terminal op reports
-            # candidates *produced* (expanded before target filtering, per
-            # the matcher's counters) — so the observer's matched-rows
-            # count must not also land on it; WHERE survivors keep their
-            # own Filter op either way.
-            observer_ops = (
-                {} if counts is not None else {"match": stage.match_op}
-            )
-            if stage.filter_op is not None:
-                observer_ops["filter"] = stage.filter_op
-            observer = _stage_observer(observer_ops, rows)
+            # A hoisted pattern's operators take the matcher's per-hop
+            # candidate counts (expanded before target filtering — a
+            # VarLengthExpand counts every traversed edge at every
+            # depth); an un-hoisted Match op takes the matched rows.
+            hops: Optional[dict] = {} if stage.pattern is not None else None
+            evaluator.matcher.hop_counts = hops
             table = evaluator._apply_match(
                 stage.clause,
                 table,
-                pattern=stage.pattern,
-                anchor_factory=anchor,
-                observer=observer,
-                counts_out=counts,
+                pattern=stage.planned(
+                    evaluator.graph, frozenset(base_scope) | table.fields
+                ),
+                anchor_factory=(
+                    _anchor_factory(stage.seek, evaluator, profile)
+                    if stage.seek is not None else None
+                ),
+                count=count,
             )
-            if counts:
-                _merge_hop_counts(stage, counts, rows, prunes)
+            evaluator.matcher.hop_counts = None
+            for key, (candidates, pruned) in (hops or {}).items():
+                op_id = stage.ops[key]
+                if stage.seek is None or op_id != stage.seek.op_id:
+                    profile.add_rows(op_id, candidates)
+                if vectorized:
+                    profile.add_candidates(op_id, candidates, pruned)
         elif isinstance(stage, UnwindStage):
             table = evaluator._apply_unwind(stage.clause, table)
-            if rows is not None:
-                rows[stage.op_id] = rows.get(stage.op_id, 0) + len(table)
+            count("unwind", len(table))
         else:
             clause = stage.clause
             table = evaluator._apply_projection(
@@ -608,56 +652,13 @@ def execute_plan(
                 skip=clause.skip,
                 limit=clause.limit,
                 where=getattr(clause, "where", None),
-                observer=_stage_observer(stage.ops, rows),
+                count=count,
             )
-    if prune_stats is not None:
-        for pruner, builds, seconds in pruner_baselines.values():
-            prune_stats["builds"] = (
-                prune_stats.get("builds", 0) + (pruner.builds - builds)
-            )
-            prune_stats["build_seconds"] = (
-                prune_stats.get("build_seconds", 0.0)
-                + (pruner.build_seconds - seconds)
-            )
+    for evaluator in evaluators.values():
+        pruner = evaluator.matcher.pruner
+        if pruner is not None:
+            profile.pruner_seconds += pruner.build_seconds
     return table
-
-
-def _merge_hop_counts(
-    stage: MatchStage,
-    counts: Mapping[Tuple[int, int], List[int]],
-    rows: Optional[Dict[int, int]],
-    prunes: Optional[Dict[int, List[int]]],
-) -> None:
-    """Attribute the matcher's per-(path, hop) candidate accounting to
-    operator ids via ``stage.hop_ops``.
-
-    Expand rows report candidates *before* target filtering — a
-    VarLengthExpand counts every traversed edge at every depth — and
-    scan/bound anchors count every start candidate the matcher consumed.
-    The seek op's ``rows`` stay with :func:`_anchor_factory` (index-served
-    candidates only, absent on scan fallback), but its
-    candidates/pruned counters land here like everyone else's.
-    """
-    seek_op = stage.seek.op_id if stage.seek is not None else None
-    for (path_idx, hop), (candidates, pruned) in counts.items():
-        if path_idx >= len(stage.hop_ops):
-            continue
-        anchor_op, hop_op_ids = stage.hop_ops[path_idx]
-        if hop < 0:
-            op_id = anchor_op
-        elif hop < len(hop_op_ids):
-            op_id = hop_op_ids[hop]
-        else:
-            continue
-        if rows is not None and op_id != seek_op:
-            rows[op_id] = rows.get(op_id, 0) + candidates
-        if prunes is not None:
-            slot = prunes.get(op_id)
-            if slot is None:
-                prunes[op_id] = [candidates, pruned]
-            else:
-                slot[0] += candidates
-                slot[1] += pruned
 
 
 # ---------------------------------------------------------------------------
@@ -666,14 +667,13 @@ def _merge_hop_counts(
 
 
 def render_plan(
-    plan: PhysicalPlan,
-    rows: Optional[Mapping[int, int]] = None,
-    prunes: Optional[Mapping[int, List[int]]] = None,
+    plan: PhysicalPlan, profile: Optional[PlanProfile] = None
 ) -> str:
-    """Indented operator tree, optionally annotated with row counts and
-    the vectorized pruner's per-operator ``candidates=``/``pruned=``
-    accounting (how many candidates the matcher consumed at that
-    operator, and how many the set operations eliminated)."""
+    """Indented operator tree, annotated from ``profile`` (when given)
+    with each operator's ``rows=`` and — where a vectorized run counted
+    them — ``candidates=``/``pruned=``: how many candidates the matcher
+    consumed at that operator, and how many the set operations
+    eliminated."""
     lines: List[str] = []
 
     def walk(op: PhysicalOp, depth: int) -> None:
@@ -681,11 +681,11 @@ def render_plan(
         if op.detail:
             label += f"({op.detail})"
         suffix = f" [op {op.op_id}]"
-        if rows is not None:
-            suffix += f" rows={rows.get(op.op_id, 0)}"
-        if prunes is not None and op.op_id in prunes:
-            candidates, pruned = prunes[op.op_id]
-            suffix += f" candidates={candidates} pruned={pruned}"
+        if profile is not None:
+            suffix += f" rows={profile.rows.get(op.op_id, 0)}"
+            if op.op_id in profile.prunes:
+                candidates, pruned = profile.prunes[op.op_id]
+                suffix += f" candidates={candidates} pruned={pruned}"
         lines.append("  " * depth + "+- " + label + suffix)
         for child in op.children:
             walk(child, depth + 1)

@@ -16,6 +16,10 @@ relationship type the query's patterns mention.
 Plans are retained per ``(query text, band)``, a few bands per query: a
 statistic that oscillates across a boundary flips between two cached
 plans instead of recompiling on every crossing.
+
+``PlanCache(hoist=False)`` (the ``physical_plans=False`` ablation) holds
+un-hoisted plans, which read no statistics: one plan per query, under
+the empty band.
 """
 
 from __future__ import annotations
@@ -91,8 +95,11 @@ def band_signature(
 class PlanCache:
     """Per-registry cache of compiled plans with hit/invalidation stats."""
 
-    def __init__(self, quantize: Callable[[int], int] = stats_band):
+    def __init__(
+        self, quantize: Callable[[int], int] = stats_band, hoist: bool = True
+    ):
         self._quantize = quantize
+        self.hoist = hoist
         self._plans: Dict[str, Dict[tuple, PhysicalPlan]] = {}
         self.hits = 0
         self.misses = 0
@@ -102,12 +109,11 @@ class PlanCache:
         self, query, stats_for: Callable[[str, int], Any]
     ) -> PhysicalPlan:
         """The cached plan for ``query`` under the current band; compiles
-        on the first visit to a band (or after its eviction).
-
-        Raises :class:`~repro.errors.PhysicalPlanError` when the query
-        cannot be lowered (never cached; callers remember the failure).
-        """
-        band = band_signature(query, stats_for, self._quantize)
+        on the first visit to a band (or after its eviction)."""
+        band = (
+            band_signature(query, stats_for, self._quantize)
+            if self.hoist else ()
+        )
         bands = self._plans.get(query.text)
         if bands is not None and band in bands:
             self.hits += 1
@@ -115,7 +121,7 @@ class PlanCache:
         if bands is not None:
             self.invalidations += 1
         self.misses += 1
-        plan = compile_query(query, stats_for, band=band)
+        plan = compile_query(query, stats_for, band=band, hoist=self.hoist)
         bands = self._plans.setdefault(query.text, {})
         if len(bands) >= PLANS_PER_QUERY:
             del bands[next(iter(bands))]

@@ -30,8 +30,8 @@ A membership *failure* is therefore a definitive rejection, while a pass
 still gets re-checked — the same contract
 :meth:`PropertyGraph.nodes_with_property` already follows.
 
-Fallbacks (the pruner returns ``None`` and the interpreted path runs
-unchanged):
+Fallbacks (the pruner returns ``None`` and the unpruned enumeration
+runs unchanged):
 
 * patterns with no labels — neither backend keeps a global property
   column, so there is nothing to intersect;
@@ -41,18 +41,19 @@ unchanged):
 * unindexable literal values (``null``, NaN, lists/maps) likewise stay
   residual.
 
-Memo lifecycle: one pruner per *snapshot*.  :func:`pruner_for` attaches
-the pruner to the graph object itself, so every evaluator over the same
-snapshot (serial, delta, per-worker) shares one memo, and any graph
-mutation — ``patched()`` overlays, compaction — produces a *new* graph
-object with no pruner attached, invalidating the memo by construction.
-Both backends' ``__reduce__`` rebuild from their elements, so the memo is
+Memo lifecycle: one memo per *snapshot*.  The candidate sets live in the
+graph object's declared ``candidate_sets`` dict, so every evaluator over
+the same snapshot (serial, delta, per-worker) shares them, and any graph
+change — ``patched()`` overlays, compaction — produces a *new* graph
+object with an empty memo, invalidating it by construction.  Both
+backends' ``__reduce__`` rebuild from their elements, so the memo is
 never pickled to parallel workers; each worker rebuilds per snapshot.
+A :class:`CandidatePruner` itself is a per-evaluator handle: its
+``build_seconds`` is what *this* evaluation spent building sets.
 
-The reference :class:`PropertyGraph` gets the slower dict-backed
-:class:`CandidatePruner` so the vectorized path can be A/B-tested against
-the columnar backend; :class:`ColumnarCandidatePruner` reads the columnar
-core's id columns directly.
+The pruner reads either backend through the graph read contract
+(``label_id_column`` / ``property_id_column`` — id columns in global node
+order), so there is one pruner class.
 """
 
 from __future__ import annotations
@@ -123,34 +124,17 @@ class PrunedSet:
 
 
 class CandidatePruner:
-    """Per-snapshot constant-predicate pruning by ordered id-set intersection.
-
-    This base implementation reads the reference
-    :class:`~repro.graph.model.PropertyGraph`'s dict-backed indexes — the
-    slower A/B oracle.  :class:`ColumnarCandidatePruner` overrides the two
-    column readers to serve straight off the columnar core.
+    """Constant-predicate pruning by ordered id-set intersection over one
+    snapshot's id columns (``graph.label_id_column`` /
+    ``graph.property_id_column``), memoized in ``graph.candidate_sets``.
     """
-
-    backend = "reference"
 
     def __init__(self, graph: Any):
         self.graph = graph
-        self._memo: Dict[PatternSignature, PrunedSet] = {}
-        #: How many distinct signatures were materialized (memo misses).
-        self.builds = 0
-        #: Total seconds spent in set construction — the ``vectorize``
-        #: observability stage.
+        self._memo: Dict[PatternSignature, PrunedSet] = graph.candidate_sets
+        #: Seconds this pruner spent in set construction (memo misses) —
+        #: the ``vectorize`` observability stage.
         self.build_seconds = 0.0
-
-    # -- column readers (backend-specific) --------------------------------
-
-    def _label_ids(self, label: str) -> Tuple[int, ...]:
-        return self.graph._by_label.get(label, ())
-
-    def _prop_ids(self, label: str, key: str, value_key: tuple) -> Tuple[int, ...]:
-        return self.graph._prop_buckets().get((label, key), {}).get(value_key, ())
-
-    # -- public API --------------------------------------------------------
 
     def pruned_set(self, node_pattern: ast.NodePattern) -> Optional[PrunedSet]:
         """The pruned candidate set for ``node_pattern``, memoized per
@@ -165,17 +149,15 @@ class CandidatePruner:
         started = time.perf_counter()
         result = self._build(signature)
         self.build_seconds += time.perf_counter() - started
-        self.builds += 1
         self._memo[signature] = result
         return result
 
-    # -- set construction --------------------------------------------------
-
     def _build(self, signature: PatternSignature) -> PrunedSet:
         labels, const_props = signature
+        graph = self.graph
         sources = []
         for label in labels:
-            ids = self._label_ids(label)
+            ids = graph.label_id_column(label)
             if not ids:
                 # Some label has no nodes at all: the intersection is
                 # empty, and so was the unpruned enumeration.
@@ -186,9 +168,9 @@ class CandidatePruner:
             # The property index is keyed per (label, key); any of the
             # pattern's labels anchors a sound bucket (every true match
             # carries all of them) — pick the rarest to keep it small.
-            anchor = min(labels, key=self.graph.label_count)
+            anchor = min(labels, key=graph.label_count)
             for key, value_key in const_props:
-                ids = self._prop_ids(anchor, key, value_key)
+                ids = graph.property_id_column(anchor, key, value_key)
                 if not ids:
                     return PrunedSet(frozenset(), (), base_count)
                 sources.append(ids)
@@ -205,47 +187,9 @@ class CandidatePruner:
             )
         else:
             kept = tuple(sources[0])
-        nodes = self.graph.nodes
+        nodes = graph.nodes
         return PrunedSet(
             frozenset(kept),
             tuple(nodes[node_id] for node_id in kept),
             base_count,
         )
-
-
-class ColumnarCandidatePruner(CandidatePruner):
-    """Pruner over :class:`~repro.graph.columnar.ColumnarGraph` columns."""
-
-    backend = "columnar"
-
-    def _label_ids(self, label: str) -> Tuple[int, ...]:
-        return self.graph.label_id_column(label)
-
-    def _prop_ids(self, label: str, key: str, value_key: tuple) -> Tuple[int, ...]:
-        return self.graph.property_id_column(label, key, value_key)
-
-
-def pruner_for(graph: Any) -> CandidatePruner:
-    """The snapshot's shared pruner, created and attached on first use.
-
-    Attaching to the graph object ties the memo's lifetime to the
-    snapshot: ``patched()`` and compaction build new graph objects, so a
-    stale memo can never leak across graph versions, and both backends'
-    ``__reduce__`` rebuild from elements, so the memo never crosses a
-    process boundary.  Graphs that refuse foreign attributes simply get a
-    fresh (unmemoized) pruner per evaluator — slower, never wrong.
-    """
-    pruner = getattr(graph, "_candidate_pruner", None)
-    if pruner is not None:
-        return pruner
-    cls = (
-        ColumnarCandidatePruner
-        if hasattr(graph, "label_id_column")
-        else CandidatePruner
-    )
-    pruner = cls(graph)
-    try:
-        object.__setattr__(graph, "_candidate_pruner", pruner)
-    except (AttributeError, TypeError):
-        pass
-    return pruner

@@ -112,13 +112,6 @@ class CypherEvaluationError(CypherError):
     """Runtime evaluation failure (unknown variable, bad aggregate, ...)."""
 
 
-class PhysicalPlanError(CypherError):
-    """A query cannot be lowered to a physical operator plan.
-
-    Raised at compile time only; the engine falls back to the interpreted
-    pipeline (results are identical either way)."""
-
-
 class SeraphError(ReproError):
     """Base class for Seraph language and engine errors."""
 

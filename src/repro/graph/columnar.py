@@ -247,7 +247,7 @@ class ColumnarGraph:
         "_prop_index",
         "_nodes_view", "_rels_view",
         "_expand_cache", "_labels_cache", "_seek_cache", "_typed_csr",
-        "_degree_cols", "_candidate_pruner",
+        "_degree_cols", "candidate_sets",
     )
 
     def __init__(
@@ -286,11 +286,11 @@ class ColumnarGraph:
         self._seek_cache: Dict[tuple, tuple] = {}
         self._typed_csr: Dict[Tuple[str, str], Tuple[array, array]] = {}
         self._degree_cols: Optional[Tuple[array, array]] = None
-        # Per-snapshot candidate pruner (repro.cypher.vectorized), attached
-        # lazily by pruner_for(); a new graph object — patched() overlay or
-        # compaction — starts with no pruner, which is what invalidates
-        # the pruned-set memo across graph versions.
-        self._candidate_pruner: Optional[object] = None
+        # Per-snapshot memo of repro.cypher.vectorized candidate sets (see
+        # PropertyGraph.candidate_sets): a new graph object — patched()
+        # overlay or compaction — starts empty, which is what invalidates
+        # the sets across graph versions.
+        self.candidate_sets: Dict[Any, Any] = {}
 
     # -- construction ------------------------------------------------------
 

@@ -48,6 +48,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.cypher.physical import PhysicalPlan, PlanProfile, execute_plan
+from repro.cypher.plan_cache import PLANS_PER_QUERY
 from repro.cypher.planner import pattern_cost
 from repro.errors import CheckpointError, EngineError, PartitionError
 from repro.graph.io import graph_from_dict, graph_to_dict
@@ -61,7 +63,6 @@ from repro.runtime.supervisor import (
     PoolSupervisor,
     SupervisorConfig,
 )
-from repro.seraph import semantics
 from repro.seraph.engine import SeraphEngine, _PendingEvaluation
 from repro.seraph.ast import SeraphMatch
 from repro.seraph.parser import parse_seraph
@@ -121,102 +122,77 @@ def _supervisor_config(max_worker_restarts, task_timeout) -> SupervisorConfig:
 
 # -- worker-side tasks --------------------------------------------------------
 #
-# Worker payloads carry query *text* (not ASTs): each worker keeps a
-# parse cache and a compiled-expression cache keyed by text, so repeated
-# evaluations of the same query reuse the same AST and compiled closures
-# across tasks (AST node identity is the expression-cache key).
-#
-# Compiled physical plans ride along the same way: the parent ships its
-# cached plan (pickled) with each task, tagged by its statistics band.
-# Workers keep the *first* unpickled copy per (text, band) and execute
-# that one on later tasks, so the plan's embedded AST nodes keep a
-# stable identity and the expression cache stays effective.
+# A task carries the parent's compiled plan (pickled).  Workers keep the
+# *first* unpickled copy per (query text, band) together with that
+# copy's compiled-expression cache and execute it on later tasks, so the
+# plan's embedded AST nodes keep a stable identity (AST node identity is
+# the expression-cache key) and expressions compile once per retained
+# plan.  Retention follows the parent's plan cache — PLANS_PER_QUERY
+# bands per text, oldest evicted — and an evicted plan's expression
+# cache goes with it.  A shipped plan that differs from the retained
+# copy of its band (the parent evicted and recompiled that band under
+# other statistics) replaces it: the worker must execute the plan the
+# parent would, or row order could differ from a serial run.
 
-_PARSE_CACHE: Dict[str, object] = {}
-_EXPR_CACHES: Dict[str, dict] = {}
-_PLAN_CACHE: Dict[str, Tuple[tuple, object]] = {}
-
-
-def _parse_cached(text: str):
-    query = _PARSE_CACHE.get(text)
-    if query is None:
-        query = parse_seraph(text)
-        _PARSE_CACHE[text] = query
-    return query
+_WORKER_PLANS: Dict[str, Dict[tuple, Tuple[PhysicalPlan, dict]]] = {}
 
 
-def _plan_cached(text: str, token: tuple, plan):
-    cached = _PLAN_CACHE.get(text)
-    if cached is not None and cached[0] == token:
-        return cached[1]
-    _PLAN_CACHE[text] = (token, plan)
-    return plan
+def _plan_cached(plan: PhysicalPlan) -> Tuple[PhysicalPlan, dict]:
+    """The worker's retained ``(plan, expression cache)`` for this
+    plan's (text, band); ``plan`` itself is retained on first sight."""
+    bands = _WORKER_PLANS.setdefault(plan.query_text, {})
+    entry = bands.get(plan.band)
+    if entry is None or entry[0] != plan:
+        bands.pop(plan.band, None)
+        if len(bands) >= PLANS_PER_QUERY:
+            del bands[next(iter(bands))]
+        entry = bands[plan.band] = (plan, {})
+    return entry
 
 
 def _worker_evaluate_group(
     payload,
 ) -> Tuple[int, float, List[Table], List[Tuple[float, float]],
-           List[Dict[int, int]], List[Dict[int, List[int]]]]:
+           List[PlanProfile]]:
     """Evaluate one shared-window group of full evaluations.
 
     ``payload`` is ``(graphs, tasks, vectorized)`` where ``graphs`` maps
     ``(stream, width)`` to the group's snapshot graphs (pickled once per
-    group) and each task is ``(query_text, interval_start, interval_end,
-    plan_entry)`` — ``plan_entry`` is ``(band, PhysicalPlan)`` when the
-    parent compiled one, else None (interpreted fallback).
+    group) and each task is ``(plan, interval_start, interval_end)``.
     ``vectorized`` mirrors the parent engine's flag: graph ``__reduce__``
-    drops the parent's candidate-pruner memo, so each worker rebuilds its
-    own pruner per unpickled snapshot (docs/VECTORIZED.md).  Pure: reads
-    the snapshots, returns the output tables plus one ``(start_offset,
-    duration)`` timing fragment, one per-operator row-count dict, and one
-    per-operator ``[candidates, pruned]`` dict per task — the parent
-    stitches timings into its trace as ``worker_evaluate`` spans and
-    merges the counters into the query's EXPLAIN ANALYZE totals, so one
-    trace covers both sides of the process boundary.
+    drops the parent's candidate-set memo, so each worker rebuilds its
+    own per unpickled snapshot (docs/VECTORIZED.md).  Pure: reads the
+    snapshots, returns the output tables plus, per task, one
+    ``(start_offset, duration)`` timing fragment and the execution's
+    :class:`~repro.cypher.physical.PlanProfile` — the parent stitches
+    timings into its trace as ``worker_evaluate`` spans and merges the
+    profiles into the query's EXPLAIN ANALYZE totals, so one trace covers
+    both sides of the process boundary.
     """
-    from repro.cypher.physical import execute_plan
-
     graphs, tasks, vectorized = payload
     started = time.perf_counter()
     tables: List[Table] = []
     timings: List[Tuple[float, float]] = []
-    rows_per_task: List[Dict[int, int]] = []
-    prunes_per_task: List[Dict[int, List[int]]] = []
-    for text, lo, hi, plan_entry in tasks:
+    profiles: List[PlanProfile] = []
+    for shipped, lo, hi in tasks:
         task_started = time.perf_counter()
-        rows: Dict[int, int] = {}
-        prunes: Dict[int, List[int]] = {}
-        if plan_entry is not None:
-            plan = _plan_cached(text, plan_entry[0], plan_entry[1])
-            tables.append(
-                execute_plan(
-                    plan,
-                    lambda stream, width: graphs[(stream, width)],
-                    TimeInterval(lo, hi),
-                    expr_cache=_EXPR_CACHES.setdefault(text, {}),
-                    rows=rows,
-                    vectorized=vectorized,
-                    prunes=prunes if vectorized else None,
-                )
+        plan, expr_cache = _plan_cached(shipped)
+        profile = PlanProfile()
+        tables.append(
+            execute_plan(
+                plan,
+                lambda stream, width: graphs[(stream, width)],
+                TimeInterval(lo, hi),
+                expr_cache=expr_cache,
+                vectorized=vectorized,
+                profile=profile,
             )
-        else:
-            query = _parse_cached(text)
-            tables.append(
-                semantics.execute_body(
-                    query,
-                    lambda stream, width: graphs[(stream, width)],
-                    TimeInterval(lo, hi),
-                    expr_cache=_EXPR_CACHES.setdefault(text, {}),
-                    vectorized=vectorized,
-                )
-            )
-        rows_per_task.append(rows)
-        prunes_per_task.append(prunes)
+        )
+        profiles.append(profile)
         timings.append(
             (task_started - started, time.perf_counter() - task_started)
         )
-    return (os.getpid(), time.perf_counter() - started, tables, timings,
-            rows_per_task, prunes_per_task)
+    return os.getpid(), time.perf_counter() - started, tables, timings, profiles
 
 
 def _worker_run_shard(payload):
@@ -261,7 +237,7 @@ class PoolExecutor:
 
     Emissions are byte-identical to an engine without an executor: only
     the pure snapshot evaluation
-    (:func:`repro.seraph.semantics.execute_body`) moves to a worker, and
+    (:func:`repro.cypher.physical.execute_plan`) moves to a worker, and
     results are applied in serial firing order.
 
     The pool lives behind a :class:`PoolSupervisor`:
@@ -408,18 +384,14 @@ class PoolExecutor:
             def stats_for(stream_name, width, _graphs=graphs):
                 return _graphs[(stream_name, width)]
 
-            tasks = []
-            for i in indices:
-                registered = pendings[i].registered
-                plan = engine._physical_plan(registered, stats_for)
-                tasks.append(
-                    (
-                        registered.query.text,
-                        pendings[i].interval.start,
-                        pendings[i].interval.end,
-                        (plan.band, plan) if plan is not None else None,
-                    )
+            tasks = [
+                (
+                    engine._plan(pendings[i].registered, stats_for),
+                    pendings[i].interval.start,
+                    pendings[i].interval.end,
                 )
+                for i in indices
+            ]
             payloads.append((graphs, tasks, engine.vectorized))
             group_indices.append(indices)
             # A stable, pickle-friendly label for failures: the group's
@@ -434,8 +406,7 @@ class PoolExecutor:
             _worker_evaluate_group, payloads, signatures
         )
         for result, indices in zip(results, group_indices):
-            (worker_pid, elapsed, group_tables, timings,
-             rows_per_task, prunes_per_task) = result
+            worker_pid, elapsed, group_tables, timings, profiles = result
             _observe_task(registry, worker_pid, elapsed)
             for position, (i, table) in enumerate(
                 zip(indices, group_tables)
@@ -448,10 +419,7 @@ class PoolExecutor:
                     registered.delta_state.invalidate()
                 engine._record_path(pendings[i], "full")
                 tables[i] = table
-                engine._merge_plan_counts(
-                    registered, rows_per_task[position],
-                    prunes_per_task[position],
-                )
+                engine._record_profile(registered, profiles[position])
                 registry.inc("parallel.offloaded_evaluations")
                 if obs.enabled:
                     offset, duration = timings[position]

@@ -11,7 +11,7 @@ from repro.seraph.dataflow import DERIVED_NODE_ID_BASE, StreamMaterializer
 from repro.seraph.engine import RegisteredQuery, SeraphEngine
 from repro.seraph.explain import explain, explain_analyze, explain_dataflow
 from repro.seraph.parser import SeraphParser, parse_seraph
-from repro.seraph.registry import DataflowGraph, QueryRegistry
+from repro.seraph.registry import DataflowGraph
 from repro.seraph.semantics import continuous_run, evaluate_at, execute_body
 from repro.seraph.sinks import CallbackSink, CollectingSink, Emission, PrintingSink
 
@@ -27,7 +27,6 @@ __all__ = [
     "GraphTemplate",
     "NodeSpec",
     "PrintingSink",
-    "QueryRegistry",
     "RegisteredQuery",
     "RelationshipSpec",
     "SeraphEngine",

@@ -46,7 +46,7 @@ from typing import FrozenSet, List, Optional, Set, Tuple
 from repro.cypher import ast as cypher_ast
 from repro.cypher.evaluator import QueryEvaluator
 from repro.cypher.matcher import Footprint
-from repro.cypher.planner import node_anchor_cost, plan_pattern
+from repro.cypher.planner import node_anchor_cost
 from repro.graph.model import PropertyGraph
 from repro.graph.table import Record, Table
 from repro.graph.values import Ternary
@@ -92,10 +92,6 @@ class DeltaStats:
     full_refresh: bool
     retained: int
     recomputed: int
-    #: Seconds the vectorized pruner spent building candidate sets during
-    #: this evaluation (0.0 with vectorization off or on memo hits) — the
-    #: engine's ``vectorize`` observability stage.
-    vectorize_seconds: float = 0.0
 
 
 @dataclass(slots=True)
@@ -218,10 +214,11 @@ def evaluate_delta(
     graph: PropertyGraph,
     delta: WindowDelta,
     interval: TimeInterval,
+    plan,
     expr_cache: Optional[dict] = None,
     span=None,
-    plan=None,
     vectorized: bool = False,
+    profile=None,
 ) -> Tuple[Table, DeltaStats]:
     """One evaluation through the incremental path.
 
@@ -233,14 +230,15 @@ def evaluate_delta(
     the chosen path (full refresh / no-op / anchored re-match) and its
     retain/recompute counts are annotated onto it.
 
-    ``plan`` is an optional compiled
-    :class:`~repro.cypher.physical.PhysicalPlan` for ``query``; when
-    given, its already-planned pattern (join order, orientation, seeks
-    baked in at compile time) replaces the per-evaluation
-    :func:`~repro.cypher.planner.plan_pattern` call.
+    ``plan`` is the query's compiled
+    :class:`~repro.cypher.physical.PhysicalPlan`: its MATCH stage supplies
+    the pattern to match (join order and orientation baked in at compile
+    time, or planned now when the plan is un-hoisted).
 
-    ``vectorized`` routes the matcher through the snapshot's shared
-    :class:`~repro.cypher.vectorized.CandidatePruner`.  The anchored
+    ``vectorized`` routes the matcher through a
+    :class:`~repro.cypher.vectorized.CandidatePruner` over the snapshot;
+    what it spent building candidate sets is added to ``profile`` (a
+    :class:`~repro.cypher.physical.PlanProfile`) when given.  The anchored
     re-match composes with it naturally: the matcher enumerates the
     pattern's *pruned* start candidates and the dirty neighbourhood
     arrives as ``first_candidates``, so each re-match start is one
@@ -251,16 +249,9 @@ def evaluate_delta(
     evaluator = QueryEvaluator(graph, base_scope=base_scope,
                                compile_cache=expr_cache,
                                vectorized=vectorized)
-    pruner = evaluator.matcher.pruner
-    pruner_seconds = pruner.build_seconds if pruner is not None else 0.0
     clause = query.body[0].match
     out_fields = frozenset(clause.pattern.free_variables())
-    if plan is not None:
-        pattern = plan.stages[0].pattern
-    else:
-        pattern = plan_pattern(
-            clause.pattern, graph, frozenset(base_scope)
-        )
+    pattern = plan.stages[0].planned(graph, frozenset(base_scope))
 
     where_fn = (
         evaluator._compiled(clause.where) if clause.where is not None else None
@@ -329,8 +320,9 @@ def evaluate_delta(
                 retained=len(retained),
                 recomputed=len(fresh),
             )
-    if pruner is not None:
-        stats.vectorize_seconds = pruner.build_seconds - pruner_seconds
+    pruner = evaluator.matcher.pruner
+    if profile is not None and pruner is not None:
+        profile.pruner_seconds += pruner.build_seconds
     if span is not None:
         if stats.full_refresh:
             path = "full_refresh"

@@ -39,14 +39,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.cypher.physical import PhysicalPlan, execute_plan
-from repro.cypher.plan_cache import PlanCache
-from repro.errors import (
-    EngineError,
-    PhysicalPlanError,
-    QueryRegistryError,
-    UnknownStreamError,
+from repro.cypher.physical import (
+    PhysicalPlan,
+    PlanProfile,
+    check_lowerable,
+    execute_plan,
 )
+from repro.cypher.plan_cache import PlanCache
+from repro.errors import EngineError, QueryRegistryError, UnknownStreamError
 from repro.obs import Observability
 from repro.obs.registry import Counter
 from repro.graph.model import PropertyGraph
@@ -258,15 +258,11 @@ class RegisteredQuery:
     delta_state: Optional[QueryDeltaState] = None
     delta_reason: Optional[str] = None  # why the delta path is off
     done: bool = False
-    #: Compiled physical plan (None until first full evaluation, or when
-    #: physical planning is off / the query cannot be lowered).
+    #: The compiled plan last executed (None until the first evaluation:
+    #: compiling reads the snapshot's statistics).
     physical_plan: Optional[PhysicalPlan] = None
-    #: Cumulative per-operator row counts for the current plan.
-    plan_rows: Dict[int, int] = field(default_factory=dict)
-    #: Cumulative per-operator ``[candidates, pruned]`` counters from the
-    #: vectorized pruner (empty when vectorization is off).
-    plan_prunes: Dict[int, List[int]] = field(default_factory=dict)
-    plan_failed: bool = False
+    #: What executing that plan has counted so far (EXPLAIN ANALYZE).
+    profile: PlanProfile = field(default_factory=PlanProfile)
     _last_version: Optional[Tuple] = None
     _last_table: Optional[Table] = None
     #: Per-query compiled-expression cache (see repro.cypher.expressions);
@@ -327,13 +323,15 @@ class SeraphEngine:
         neighbourhood only (:mod:`repro.seraph.delta`).  Semantically
         transparent; settable to False for the ablation.
     physical_plans:
-        Compile each registered query once into a physical operator plan
-        (:mod:`repro.cypher.physical`) and reuse it across evaluations
-        (True, default).  Plans are cached per (query text, statistics
-        band) and recompiled when label/type statistics drift across a
-        band boundary (:mod:`repro.cypher.plan_cache`); queries the
-        physical pipeline cannot lower fall back to interpretation.
-        Semantically transparent; settable to False for the ablation.
+        Hoist planning out of the evaluations (True, default): each query
+        compiles once per statistics band into a physical operator plan
+        (:mod:`repro.cypher.physical`) that fixes join order, orientation
+        and index seeks, and is recompiled only when label/type
+        statistics drift across a band boundary
+        (:mod:`repro.cypher.plan_cache`).  False (the ablation) compiles
+        the same stages un-hoisted: patterns are planned against each
+        evaluation's snapshot and no seek is taken.  Semantically
+        transparent.
     graph_backend:
         Snapshot-graph implementation: ``"reference"`` (the dict-based
         :class:`~repro.graph.model.PropertyGraph`) or ``"columnar"``
@@ -388,7 +386,7 @@ class SeraphEngine:
             bool(vectorized) if vectorized is not None
             else self.graph_backend == "columnar"
         )
-        self.plan_cache = PlanCache()
+        self.plan_cache = PlanCache(hoist=physical_plans)
         self._streams: Dict[str, _StreamState] = {}
         self.obs = obs if obs is not None else Observability.disabled()
         self._ingested = self.obs.registry.counter("engine.ingested")
@@ -432,10 +430,14 @@ class SeraphEngine:
         :class:`~repro.errors.SeraphSemanticError` on errors; warnings are
         recorded on the returned handle as ``handle.warnings``.  An
         ingress wraps the sink for fault isolation (``fallback`` takes
-        what it cannot) unless ``wrap_sink`` is false.
+        what it cannot) unless ``wrap_sink`` is false.  A (hand-built)
+        query with a body clause the plan compiler has no stage for is a
+        :class:`~repro.errors.SeraphSemanticError` whatever ``validate``
+        says: every registered query must compile.
         """
         if isinstance(query, str):
             query = parse_seraph(query)
+        check_lowerable(query)
         warnings: List = []
         if validate:
             from repro.seraph.validation import validate as validate_query
@@ -826,21 +828,20 @@ class SeraphEngine:
             window_state, delta = pending.deltas[0]
             with obs.stage(name, "match_delta", parent=pending.span) as stage:
                 snapshot = self._timed_graph(window_state, name, stage)
+                profile = PlanProfile()
                 table, stats = evaluate_delta(
                     registered.query,
                     registered.delta_state,
                     snapshot,
                     delta,
                     pending.interval,
+                    self._plan(registered, lambda _s, _w: snapshot),
                     expr_cache=registered._expr_cache,
                     span=stage,
-                    plan=self._physical_plan(
-                        registered, lambda _s, _w: snapshot
-                    ),
                     vectorized=self.vectorized,
+                    profile=profile,
                 )
-            if obs.enabled and self.vectorized:
-                obs.record_stage(name, "vectorize", stats.vectorize_seconds)
+            self._record_profile(registered, profile)
             self._record_path(
                 pending, "full_refresh" if stats.full_refresh else "delta"
             )
@@ -857,18 +858,17 @@ class SeraphEngine:
         self._record_path(pending, "full")
         with obs.stage(name, "match_full", parent=pending.span) as stage:
             provider = self._graph_provider(registered, stage)
-            plan = self._physical_plan(registered, provider)
-            if plan is not None:
-                return self._run_plan(
-                    registered, plan, provider, pending.interval
-                )
-            return semantics.execute_body(
-                registered.query,
+            profile = PlanProfile()
+            table = execute_plan(
+                self._plan(registered, provider),
                 provider,
                 pending.interval,
                 expr_cache=registered._expr_cache,
                 vectorized=self.vectorized,
+                profile=profile,
             )
+        self._record_profile(registered, profile)
+        return table
 
     def _record_path(self, pending: _PendingEvaluation, path: str) -> None:
         """Which way an evaluation went: reuse | delta | full_refresh |
@@ -980,86 +980,41 @@ class SeraphEngine:
 
         return graph_for
 
-    def _physical_plan(
-        self, registered: RegisteredQuery, stats_for
-    ) -> Optional[PhysicalPlan]:
-        """The cached compiled plan, or ``None`` (interpreted fallback)."""
-        if not self.physical_plans or registered.plan_failed:
-            return None
-        obs = self.obs
+    def _plan(self, registered: RegisteredQuery, stats_for) -> PhysicalPlan:
+        """The query's compiled plan under the current statistics band
+        (compiled on the first visit to a band)."""
         misses_before = self.plan_cache.misses
         started = time.perf_counter()
-        try:
-            plan = self.plan_cache.plan_for(registered.query, stats_for)
-        except PhysicalPlanError:
-            registered.plan_failed = True
-            return None
+        plan = self.plan_cache.plan_for(registered.query, stats_for)
         if self.plan_cache.misses != misses_before:
             registered.counters["plan_compiles"].inc()
-            if obs.enabled:
-                obs.record_stage(
+            if self.obs.enabled:
+                self.obs.record_stage(
                     registered.name,
                     "plan_compile",
                     time.perf_counter() - started,
                 )
         if registered.physical_plan is not plan:
             registered.physical_plan = plan
-            registered.plan_rows = {}
-            registered.plan_prunes = {}
+            registered.profile = PlanProfile()
         return plan
 
-    def _run_plan(
-        self,
-        registered: RegisteredQuery,
-        plan: PhysicalPlan,
-        graph_for,
-        interval,
-    ) -> Table:
-        """Execute a compiled plan, accumulating per-operator row counts
-        (and, when vectorized, candidate/pruned counters plus the
-        ``vectorize`` stage's set-construction time)."""
-        rows: Dict[int, int] = {}
-        prunes: Optional[dict] = {} if self.vectorized else None
-        prune_stats: Optional[dict] = {} if self.vectorized else None
-        table = execute_plan(
-            plan,
-            graph_for,
-            interval,
-            expr_cache=registered._expr_cache,
-            rows=rows,
-            vectorized=self.vectorized,
-            prunes=prunes,
-            prune_stats=prune_stats,
-        )
-        self._merge_plan_counts(registered, rows, prunes)
-        if self.obs.enabled and prune_stats is not None:
-            self.obs.record_stage(
-                registered.name,
-                "vectorize",
-                prune_stats.get("build_seconds", 0.0),
-            )
-        return table
-
-    def _merge_plan_counts(
-        self,
-        registered: RegisteredQuery,
-        rows: Dict[int, int],
-        prunes: Optional[Dict[int, List[int]]],
+    def _record_profile(
+        self, registered: RegisteredQuery, profile: PlanProfile
     ) -> None:
-        """Add one execution's per-operator row counts and ``[candidates,
-        pruned]`` pairs to the query's plan annotations."""
-        plan_rows = registered.plan_rows
+        """Add one execution's profile (computed here or in a worker) to
+        the query's cumulative one and to the registry."""
+        registered.profile.merge(profile)
         obs = self.obs
-        for op_id, count in rows.items():
-            plan_rows[op_id] = plan_rows.get(op_id, 0) + count
-            if obs.enabled:
+        if obs.enabled:
+            for op_id, count in profile.rows.items():
                 obs.registry.inc(
                     f"query.{registered.name}.op.{op_id}.rows", count
                 )
-        for op_id, (candidates, pruned) in (prunes or {}).items():
-            slot = registered.plan_prunes.setdefault(op_id, [0, 0])
-            slot[0] += candidates
-            slot[1] += pruned
+            if self.vectorized:
+                obs.record_stage(
+                    registered.name, "vectorize", profile.pruner_seconds
+                )
 
     def _evict(self) -> None:
         """Drop stream elements no future evaluation can reach, and shared
@@ -1185,7 +1140,6 @@ class SeraphEngine:
                         if registered.physical_plan is not None
                         else 0
                     ),
-                    "plan_failed": registered.plan_failed,
                 }
                 for name, registered in self._queries.items()
             },

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import List, Union
 
 from repro.cypher import ast as cypher_ast
-from repro.errors import EngineError, PhysicalPlanError
+from repro.errors import EngineError
 from repro.graph.temporal import format_datetime, format_duration
 from repro.seraph.ast import SeraphMatch, SeraphQuery
 from repro.seraph.parser import parse_seraph
@@ -105,12 +105,8 @@ def explain(query: Union[str, SeraphQuery], graph=None) -> str:
         from repro.cypher.physical import compile_query, render_plan
 
         lines.append("  physical    :")
-        try:
-            plan = compile_query(query, lambda _stream, _width: graph)
-        except PhysicalPlanError as exc:
-            lines.append(f"    (interpreted fallback: {exc})")
-        else:
-            lines.extend(_indent(render_plan(plan), "    "))
+        plan = compile_query(query, lambda _stream, _width: graph)
+        lines.extend(_indent(render_plan(plan), "    "))
     return "\n".join(lines)
 
 
@@ -138,21 +134,7 @@ def explain_analyze(engine, query_name: str) -> str:
             f"({registered.counters['plan_compiles'].value} compiles, "
             f"band {len(plan.band)} windows)"
         )
-        lines.extend(
-            _indent(
-                render_plan(
-                    plan,
-                    rows=registered.plan_rows,
-                    prunes=registered.plan_prunes or None,
-                ),
-                "    ",
-            )
-        )
-    elif registered.plan_failed:
-        lines.append(
-            "  physical    : interpreted fallback "
-            "(query not coverable by the physical pipeline)"
-        )
+        lines.extend(_indent(render_plan(plan, registered.profile), "    "))
     obs = engine.obs
     if not obs.enabled:
         lines.append(

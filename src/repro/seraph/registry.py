@@ -1,15 +1,4 @@
-"""Standalone named-query registry and the dataflow dependency graph.
-
-:class:`SeraphEngine` embeds registration directly; this module offers the
-same ``REGISTER QUERY`` contract (unique names, editing, deleting) as a
-separate component for tooling that manages query texts without running
-an engine — e.g. validating a catalog of continuous queries.
-
-The registry also fronts a :class:`~repro.cypher.plan_cache.PlanCache`:
-:meth:`QueryRegistry.physical_plan` compiles (and caches) the physical
-plan of a registered query under supplied statistics, so catalog tooling
-can inspect plans without an engine; replacing or deleting a query
-evicts its plan.
+"""The dataflow dependency graph over registered queries.
 
 :class:`DataflowGraph` tracks which registered query produces which
 derived stream (``EMIT ... INTO``) and which queries consume it, rejects
@@ -21,12 +10,9 @@ producer's emissions are visible to same-instant downstream evaluations
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from repro.cypher.plan_cache import PlanCache
-from repro.errors import DataflowCycleError, QueryRegistryError
-from repro.seraph.ast import SeraphQuery
-from repro.seraph.parser import parse_seraph
+from repro.errors import DataflowCycleError
 
 
 class DataflowGraph:
@@ -192,63 +178,3 @@ class DataflowGraph:
         for name in self._nodes:
             stage(name)
         self._stages = stages
-
-
-class QueryRegistry:
-    """Holds parsed Seraph queries by their registered name."""
-
-    def __init__(self, plan_cache: Optional[PlanCache] = None):
-        self._queries: Dict[str, SeraphQuery] = {}
-        self.plan_cache = plan_cache if plan_cache is not None \
-            else PlanCache()
-        self.dataflow = DataflowGraph()
-
-    def register(self, query: Union[str, SeraphQuery],
-                 replace: bool = False) -> SeraphQuery:
-        if isinstance(query, str):
-            query = parse_seraph(query)
-        if query.name in self._queries and not replace:
-            raise QueryRegistryError(
-                f"query {query.name!r} is already registered"
-            )
-        # Cycle validation first: a rejected registration must leave the
-        # catalog (and the plan cache) untouched.
-        self.dataflow.replace(
-            query.name, query.stream_names(),
-            query.emits_into if query.is_continuous else None,
-        )
-        if query.name in self._queries:
-            self.plan_cache.evict(self._queries[query.name])
-        self._queries[query.name] = query
-        return query
-
-    def get(self, name: str) -> SeraphQuery:
-        if name not in self._queries:
-            raise QueryRegistryError(f"no registered query named {name!r}")
-        return self._queries[name]
-
-    def physical_plan(self, name: str, stats_for):
-        """The cached physical plan of a registered query.
-
-        ``stats_for(stream, width)`` supplies planner statistics (a graph
-        or :class:`~repro.cypher.planner.GraphStatistics`) per window.
-        Raises :class:`~repro.errors.PhysicalPlanError` when the query
-        cannot be lowered."""
-        return self.plan_cache.plan_for(self.get(name), stats_for)
-
-    def delete(self, name: str) -> SeraphQuery:
-        if name not in self._queries:
-            raise QueryRegistryError(f"no registered query named {name!r}")
-        query = self._queries.pop(name)
-        self.plan_cache.evict(query)
-        self.dataflow.remove(name)
-        return query
-
-    def names(self) -> List[str]:
-        return list(self._queries)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._queries
-
-    def __len__(self) -> int:
-        return len(self._queries)

@@ -297,3 +297,30 @@ class TestRunFromExistingTable:
         )
         table = evaluator.run(query, seed)
         assert rows(table) == [{"name": "Carol"}]
+
+
+class TestLifetime:
+    def test_evaluator_is_freed_without_the_cyclic_collector(self, social_graph):
+        # One QueryEvaluator is built per evaluation; if it sat in a
+        # reference cycle every replaced snapshot graph would wait for the
+        # collector, whose pauses then land inside event latencies.
+        import gc
+        import weakref
+
+        query = parse_cypher(
+            "MATCH (p:Person) WHERE (p)-[:LIVES_IN]->() "
+            "RETURN p.name AS name ORDER BY name"
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            evaluator = QueryEvaluator(social_graph)
+            matcher = weakref.ref(evaluator.matcher)
+            # Pattern predicates still reach the matcher.
+            assert rows(evaluator.run(query)) == [
+                {"name": "Alice"}, {"name": "Carol"}
+            ]
+            del evaluator
+            assert matcher() is None
+        finally:
+            gc.enable()

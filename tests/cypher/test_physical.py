@@ -2,10 +2,10 @@
 
 The contract under test: ``execute_plan(compile_query(q, stats), ...)``
 produces the *byte-identical* table :func:`semantics.execute_body`
-would, for every coverable query — seeks are supersets the matcher
-re-checks, unindexable anchor values degrade to scans, and unsupported
-clause shapes refuse to compile (PhysicalPlanError) instead of
-guessing.
+would, hoisted or not, for every query ``register()`` accepts — seeks
+are supersets the matcher re-checks, unindexable anchor values degrade
+to scans, and a (hand-built) body clause no stage models is a typed
+SeraphSemanticError instead of a guess.
 """
 
 import pickle
@@ -14,6 +14,7 @@ import pytest
 
 from repro.cypher.physical import (
     PhysicalPlan,
+    PlanProfile,
     compile_query,
     execute_plan,
     render_plan,
@@ -24,7 +25,7 @@ from repro.cypher.plan_cache import (
     band_signature,
     stats_band,
 )
-from repro.errors import PhysicalPlanError
+from repro.errors import SeraphSemanticError
 from repro.graph.builder import GraphBuilder
 from repro.seraph import semantics
 from repro.seraph.parser import parse_seraph
@@ -62,9 +63,16 @@ def _both(text, graph, lo=0, hi=100):
     return plan, physical, interpreted
 
 
+def _profiled(plan, graph, **options):
+    profile = PlanProfile()
+    table = execute_plan(plan, lambda _s, _w: graph, TimeInterval(0, 100),
+                         profile=profile, **options)
+    return table, profile
+
+
 def _unsupported_query():
-    """A structurally valid SeraphQuery with a mid-body clause the
-    physical pipeline does not model (a bare Return)."""
+    """A structurally valid SeraphQuery with a mid-body clause no stage
+    models (a bare Return)."""
     import dataclasses
 
     from repro.seraph.semantics import terminal_clause
@@ -129,8 +137,30 @@ class TestCompilation:
         # clause, but programmatically-built queries can (e.g. a Return
         # mid-body); the compiler must refuse rather than guess.
         query = _unsupported_query()
-        with pytest.raises(PhysicalPlanError):
-            compile_query(query, lambda _s, _w: _graph())
+        for hoist in (True, False):
+            with pytest.raises(SeraphSemanticError):
+                compile_query(query, lambda _s, _w: _graph(), hoist=hoist)
+
+    def test_registration_rejects_what_cannot_compile(self):
+        """Compile totality, engine side: no registered query lacks a
+        plan, so the refusal happens at ``register()`` — with or without
+        the semantic validation pass — and leaves nothing behind."""
+        from repro.seraph import SeraphEngine
+
+        for physical_plans in (True, False):
+            engine = SeraphEngine(physical_plans=physical_plans)
+            for validate in (True, False):
+                with pytest.raises(SeraphSemanticError):
+                    engine.register(_unsupported_query(), validate=validate)
+            assert engine.query_names == []
+
+    def test_unhoisted_plan_reads_no_statistics(self):
+        plan = compile_query(parse_seraph(PIPELINE), None, hoist=False)
+        kinds = [op.kind for op in plan.operators()]
+        assert kinds == ["Match", "Filter", "Aggregate", "Project"]
+        stage = plan.stages[0]
+        assert stage.pattern is None and stage.seek is None
+        assert plan.band == ()
 
     def test_plan_is_picklable(self):
         plan = _compile(PIPELINE, _graph())
@@ -152,25 +182,33 @@ class TestExecution:
         assert physical == interpreted
         assert list(physical.records) == list(interpreted.records)
 
+    @pytest.mark.parametrize("text", [SIMPLE, PIPELINE])
+    def test_unhoisted_identical_to_interpreted(self, text):
+        graph = _graph()
+        plan = compile_query(parse_seraph(text), None, hoist=False)
+        table, profile = _profiled(plan, graph)
+        interpreted = semantics.execute_body(
+            parse_seraph(text), lambda _s, _w: graph, TimeInterval(0, 100)
+        )
+        assert list(table.records) == list(interpreted.records)
+        # The opaque Match op reports the matched rows.
+        assert profile.rows[plan.stages[0].ops["match"]] > 0
+
     def test_seek_counts_rows(self):
         graph = _graph()
         plan = _compile(SIMPLE, graph)
-        rows = {}
-        execute_plan(plan, lambda _s, _w: graph, TimeInterval(0, 100),
-                     rows=rows)
+        _table, profile = _profiled(plan, graph)
         seek_id = plan.stages[0].seek.op_id
-        assert rows[seek_id] == 1  # one p3 in the bucket
-        assert rows[plan.stages[0].match_op] == 1
+        assert profile.rows[seek_id] == 1  # one p3 in the bucket
+        assert profile.rows[plan.stages[0].ops[(0, 0)]] == 1
 
     def test_unindexable_anchor_value_falls_back_to_scan(self):
         graph = _graph()
         text = SIMPLE.replace("'p3'", "[1, 2]")
         plan = _compile(text, graph)
         assert plan.stages[0].seek is not None  # compiled optimistically
-        rows = {}
-        table = execute_plan(plan, lambda _s, _w: graph,
-                             TimeInterval(0, 100), rows=rows)
-        assert plan.stages[0].seek.op_id not in rows  # scan path taken
+        table, profile = _profiled(plan, graph)
+        assert plan.stages[0].seek.op_id not in profile.rows  # scan taken
         assert len(table) == 0  # no Person.name equals a list
 
     def test_null_anchor_value_matches_interpreted(self):
@@ -181,24 +219,21 @@ class TestExecution:
     def test_row_counts_flow_through_projection(self):
         graph = _graph()
         plan = _compile(PIPELINE, graph)
-        rows = {}
-        execute_plan(plan, lambda _s, _w: graph, TimeInterval(0, 100),
-                     rows=rows)
+        _table, profile = _profiled(plan, graph)
+        rows = profile.rows
         stage = plan.stages[0]
         aggregate = plan.stages[1]  # the WITH ... count(b) stage
         project = plan.stages[-1]  # the EMIT terminal
-        assert rows[stage.match_op] == 7  # KNOWS chain
-        assert rows[stage.filter_op] < rows[stage.match_op]
+        assert rows[stage.ops[(0, 0)]] == 7  # KNOWS chain
+        assert rows[stage.ops["filter"]] < rows[stage.ops[(0, 0)]]
         assert rows[aggregate.ops["aggregate"]] > 0
         assert rows[project.ops["project"]] == rows[aggregate.ops["aggregate"]]
 
     def test_render_plan_includes_rows(self):
         graph = _graph()
         plan = _compile(SIMPLE, graph)
-        rows = {}
-        execute_plan(plan, lambda _s, _w: graph, TimeInterval(0, 100),
-                     rows=rows)
-        rendered = render_plan(plan, rows=rows)
+        _table, profile = _profiled(plan, graph)
+        rendered = render_plan(plan, profile)
         assert "IndexSeek" in rendered
         assert "rows=" in rendered
         assert "[op 0]" in rendered
@@ -287,9 +322,18 @@ class TestPlanCache:
     def test_compile_failure_is_not_cached(self):
         graph = _graph()
         cache = PlanCache()
-        with pytest.raises(PhysicalPlanError):
+        with pytest.raises(SeraphSemanticError):
             cache.plan_for(_unsupported_query(), lambda _s, _w: graph)
         assert len(cache) == 0
+
+    def test_unhoisted_cache_holds_one_plan_per_query(self):
+        """Without hoisting nothing depends on statistics: one compile,
+        then hits, whatever the snapshots look like."""
+        cache = PlanCache(hoist=False)
+        query = parse_seraph(SIMPLE)
+        first = cache.plan_for(query, lambda _s, _w: _graph())
+        assert cache.plan_for(query, lambda _s, _w: _people(200)) is first
+        assert (cache.misses, cache.hits, len(cache)) == (1, 1, 1)
 
     def test_evict(self):
         graph = _graph()

@@ -16,13 +16,13 @@ from repro.cypher import ast
 from repro.cypher.evaluator import QueryEvaluator, run_cypher
 from repro.cypher.expressions import ExpressionEvaluator
 from repro.cypher.parser import parse_cypher
-from repro.cypher.physical import compile_query, execute_plan, render_plan
-from repro.cypher.vectorized import (
-    CandidatePruner,
-    ColumnarCandidatePruner,
-    pattern_signature,
-    pruner_for,
+from repro.cypher.physical import (
+    PlanProfile,
+    compile_query,
+    execute_plan,
+    render_plan,
 )
+from repro.cypher.vectorized import CandidatePruner, pattern_signature
 from repro.graph.columnar import ColumnarGraph
 from repro.graph.model import Node, PropertyGraph, Relationship
 from repro.seraph.parser import parse_seraph
@@ -90,7 +90,7 @@ class TestPrunedSets:
     @BOTH
     def test_label_only_set_equals_label_scan(self, backend):
         graph = _graph_for(backend)
-        pruned = pruner_for(graph).pruned_set(_node_pattern("(a:N:Hot)"))
+        pruned = CandidatePruner(graph).pruned_set(_node_pattern("(a:N:Hot)"))
         scan = list(graph.nodes_with_labels(["N", "Hot"]))
         assert list(pruned.nodes) == scan
         assert pruned.ids == {node.id for node in scan}
@@ -99,7 +99,7 @@ class TestPrunedSets:
     @BOTH
     def test_property_set_is_ordered_superset_of_matches(self, backend):
         graph = _graph_for(backend)
-        pruned = pruner_for(graph).pruned_set(
+        pruned = CandidatePruner(graph).pruned_set(
             _node_pattern("(a:N {flag: true})")
         )
         scan = [node.id for node in graph.nodes_with_labels(["N"])]
@@ -118,28 +118,17 @@ class TestPrunedSets:
     @BOTH
     def test_missing_label_yields_empty_set(self, backend):
         graph = _graph_for(backend)
-        pruned = pruner_for(graph).pruned_set(_node_pattern("(a:N:Ghost)"))
+        pruned = CandidatePruner(graph).pruned_set(_node_pattern("(a:N:Ghost)"))
         assert pruned.nodes == () and pruned.ids == frozenset()
 
     @BOTH
     def test_missing_property_bucket_yields_empty_set(self, backend):
         graph = _graph_for(backend)
-        pruned = pruner_for(graph).pruned_set(
+        pruned = CandidatePruner(graph).pruned_set(
             _node_pattern("(a:N {flag: 'nope'})")
         )
         assert pruned.nodes == ()
         assert pruned.base_count == len(list(graph.nodes_with_labels(["N"])))
-
-    @BOTH
-    def test_backend_picks_matching_pruner_class(self, backend):
-        graph = _graph_for(backend)
-        expected = (
-            ColumnarCandidatePruner if backend == "columnar"
-            else CandidatePruner
-        )
-        pruner = pruner_for(graph)
-        assert type(pruner) is expected
-        assert pruner.backend == backend
 
     def test_backends_agree_on_every_set(self):
         ref, col = _pair()
@@ -147,8 +136,8 @@ class TestPrunedSets:
                          "(a:N {flag: true})", "(a:N {score: 1})",
                          "(a:N {flag: false, score: 2})"]:
             pattern = _node_pattern(fragment)
-            left = pruner_for(ref).pruned_set(pattern)
-            right = pruner_for(col).pruned_set(pattern)
+            left = CandidatePruner(ref).pruned_set(pattern)
+            right = CandidatePruner(col).pruned_set(pattern)
             assert [node.id for node in left.nodes] \
                 == [node.id for node in right.nodes]
             assert left.base_count == right.base_count
@@ -156,31 +145,38 @@ class TestPrunedSets:
 
 class TestMemoLifecycle:
     @BOTH
-    def test_one_shared_pruner_per_snapshot(self, backend):
+    def test_pruners_over_one_snapshot_share_its_memo(self, backend):
         graph = _graph_for(backend)
-        assert pruner_for(graph) is pruner_for(graph)
+        pattern = _node_pattern("(a:N {flag: true})")
+        first = CandidatePruner(graph).pruned_set(pattern)
+        second_pruner = CandidatePruner(graph)
+        assert second_pruner.pruned_set(pattern) is first
+        # The second pruner built nothing: its timer never started.
+        assert second_pruner.build_seconds == 0.0
 
     @BOTH
     def test_repeated_sets_hit_the_memo(self, backend):
-        pruner = pruner_for(_graph_for(backend))
+        graph = _graph_for(backend)
+        pruner = CandidatePruner(graph)
         pattern = _node_pattern("(a:N {flag: true})")
         first = pruner.pruned_set(pattern)
         # A *distinct* AST node with the same constant part shares the
         # signature, so the memo serves the identical object.
         again = pruner.pruned_set(_node_pattern("(a:N {flag: true})"))
         assert again is first
-        assert pruner.builds == 1
+        assert len(graph.candidate_sets) == 1
         assert pruner.build_seconds >= 0.0
 
     @BOTH
     def test_patched_overlay_invalidates_by_construction(self, backend):
         graph = _graph_for(backend)
-        pruner = pruner_for(graph)
+        pruner = CandidatePruner(graph)
         stale = pruner.pruned_set(_node_pattern("(a:N {flag: true})"))
         patched = graph.patched(nodes=[n(50, ["N"], flag=True)])
-        fresh_pruner = pruner_for(patched)
-        assert fresh_pruner is not pruner
-        fresh = fresh_pruner.pruned_set(_node_pattern("(a:N {flag: true})"))
+        assert patched.candidate_sets == {}
+        fresh = CandidatePruner(patched).pruned_set(
+            _node_pattern("(a:N {flag: true})")
+        )
         assert 50 in fresh.ids and 50 not in stale.ids
         # The original snapshot's memo is untouched.
         assert pruner.pruned_set(_node_pattern("(a:N {flag: true})")) is stale
@@ -188,11 +184,10 @@ class TestMemoLifecycle:
     @BOTH
     def test_memo_never_crosses_a_pickle_boundary(self, backend):
         graph = _graph_for(backend)
-        pruner_for(graph).pruned_set(_node_pattern("(a:N)"))
+        CandidatePruner(graph).pruned_set(_node_pattern("(a:N)"))
+        assert graph.candidate_sets
         clone = pickle.loads(pickle.dumps(graph))
-        assert getattr(clone, "_candidate_pruner", None) is None
-        rebuilt = pruner_for(clone)
-        assert rebuilt.builds == 0  # a fresh memo, rebuilt on demand
+        assert clone.candidate_sets == {}  # rebuilt on demand
 
 
 QUERIES = [
@@ -277,22 +272,21 @@ REGISTER QUERY q STARTING AT 1970-01-01T00:00h
 class TestPlanCounters:
     def _execute(self, text, graph, vectorized):
         plan = compile_query(parse_seraph(text), lambda _s, _w: graph)
-        rows, prunes = {}, {}
+        profile = PlanProfile()
         table = execute_plan(
             plan, lambda _s, _w: graph, TimeInterval(0, 100),
-            rows=rows, vectorized=vectorized,
-            prunes=prunes if vectorized else None,
+            vectorized=vectorized, profile=profile,
         )
-        return plan, table, rows, prunes
+        assert bool(profile.prunes) == vectorized
+        return plan, table, profile
 
     @BOTH
     def test_prune_counters_reach_render_plan(self, backend):
         graph = _graph_for(backend)
-        plan, table, _rows, prunes = self._execute(
+        plan, table, profile = self._execute(
             SEEK_QUERY, graph, vectorized=True
         )
-        assert prunes  # at least one operator counted
-        text = render_plan(plan, prunes=prunes)
+        text = render_plan(plan, profile)
         assert "candidates=" in text and "pruned=" in text
         baseline = execute_plan(
             plan, lambda _s, _w: graph, TimeInterval(0, 100)
@@ -302,15 +296,14 @@ class TestPlanCounters:
     @BOTH
     def test_expand_probe_prunes_targets(self, backend):
         graph = _graph_for(backend)
-        plan, table, _rows, prunes = self._execute(
+        plan, table, profile = self._execute(
             "REGISTER QUERY q STARTING AT 1970-01-01T00:00h\n"
             "{ MATCH (a:N {flag: true})-[:R]->(b:N {flag: true}) "
             "WITHIN PT10S\n"
             "  EMIT id(a) AS a SNAPSHOT EVERY PT10S }",
             graph, vectorized=True,
         )
-        (_anchor_op, hop_ops), = plan.stages[0].hop_ops
-        candidates, pruned = prunes[hop_ops[0]]
+        candidates, pruned = profile.prunes[plan.stages[0].ops[(0, 0)]]
         # Whichever end the planner anchors on, the 4 flagged starts each
         # expand to one ring neighbour, and every neighbour fails the
         # membership probe into the other end's pruned set.
@@ -320,25 +313,25 @@ class TestPlanCounters:
     @BOTH
     def test_var_length_rows_count_expanded_before_filtering(self, backend):
         graph = _graph_for(backend)
-        plan, table, rows, _prunes = self._execute(
+        plan, table, profile = self._execute(
             VARLEN_QUERY, graph, vectorized=False
         )
-        (_anchor_op, hop_ops), = plan.stages[0].hop_ops
+        expanded = profile.rows[plan.stages[0].ops[(0, 0)]]
         # Every hop-1 and hop-2 expansion is accounted, not just the ones
         # whose terminal node passes the (b:N {flag: true}) filter.
-        assert rows[hop_ops[0]] == 8  # 4 Hot starts x 2 depths x 1 neighbour
-        assert len(table) < rows[hop_ops[0]]
+        assert expanded == 8  # 4 Hot starts x 2 depths x 1 neighbour
+        assert len(table) < expanded
 
     @BOTH
     def test_counters_are_identical_with_and_without_pruning(self, backend):
         graph = _graph_for(backend)
-        _plan, _table, plain_rows, _ = self._execute(
+        _plan, _table, plain = self._execute(
             VARLEN_QUERY, graph, vectorized=False
         )
-        _plan, _table, pruned_rows, _ = self._execute(
+        _plan, _table, pruned = self._execute(
             VARLEN_QUERY, graph, vectorized=True
         )
-        assert plain_rows == pruned_rows
+        assert plain.rows == pruned.rows
 
 
 class TestEngineWiring:

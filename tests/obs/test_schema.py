@@ -30,7 +30,7 @@ HISTOGRAM_KEYS = {"count", "sum", "min", "max", "mean", "p50", "p95", "p99"}
 GOLDEN_QUERY_KEYS = {
     "assignments_recomputed", "assignments_retained", "delta",
     "delta_full_refreshes", "delta_reason", "done", "evaluations",
-    "next_eval", "plan_compiles", "plan_failed", "plan_operators",
+    "next_eval", "plan_compiles", "plan_operators",
     "reused", "warnings",
 }
 

@@ -157,6 +157,47 @@ class TestFreezeOracle:
 
     @given(steps=mutation_script())
     @settings(max_examples=60, deadline=None)
+    def test_matcher_read_contract_is_backend_independent(self, steps):
+        """The three reads the matcher and the candidate pruner use —
+        ``expand_pairs``, ``label_id_column``, ``property_id_column`` —
+        return equal sequences from both backends, on built graphs and
+        after every ``patched()`` freeze."""
+        from repro.graph.values import property_index_key
+
+        def reads(graph):
+            return {
+                "expand": {
+                    (nid, direction, types): [
+                        (rel.id, node.id) for rel, node
+                        in graph.expand_pairs(nid, direction, types)
+                    ]
+                    for nid in graph.nodes
+                    for direction in ("out", "in", "any")
+                    for types in ((), ("KNOWS",), ("LIKES", "KNOWS"))
+                },
+                "labels": {label: tuple(graph.label_id_column(label))
+                           for label in LABELS},
+                "buckets": {
+                    (label, key, repr(value)): tuple(
+                        graph.property_id_column(
+                            label, key, property_index_key(value)
+                        )
+                    )
+                    for label in LABELS for key in KEYS for value in VALUES
+                },
+            }
+
+        reference = apply_script(GraphStore(), steps)
+        columnar = apply_script(ColumnarStore(), steps)
+        for ref, col in zip(reference, columnar):
+            assert reads(ref) == reads(col)
+            # The contract's order is the one the accessors define.
+            for nid in ref.nodes:
+                assert [rel.id for rel, _ in ref.expand_pairs(nid, "any", ())] \
+                    == [rel.id for rel in ref.incident(nid)]
+
+    @given(steps=mutation_script())
+    @settings(max_examples=60, deadline=None)
     def test_columnar_incremental_equals_columnar_rebuild(self, steps):
         incremental = ColumnarStore()
         rebuilt = ColumnarStore()

@@ -178,6 +178,85 @@ class TestByteIdenticalEmissions:
             == counter(engine, "offloaded_evaluations") > 0
 
 
+class TestWorkerPlanCache:
+    """The worker function driven in-process: what a pool worker retains
+    across tasks is bounded like the parent's plan cache."""
+
+    @staticmethod
+    def _task(plan, graph):
+        import pickle
+
+        # Every task delivers a freshly unpickled copy, as the pool does.
+        shipped = pickle.loads(pickle.dumps(plan))
+        return ({plan.stages[0].window_key: graph}, [(shipped, 0, 60)],
+                False)
+
+    @pytest.fixture()
+    def worker(self, monkeypatch):
+        from repro.runtime import parallel
+
+        monkeypatch.setattr(parallel, "_WORKER_PLANS", {})
+        return parallel
+
+    def _plans(self, graph, count):
+        from repro.cypher.physical import compile_query
+        from repro.seraph.parser import parse_seraph
+
+        query = parse_seraph(ROUTE_QUERY)
+        return [
+            compile_query(query, lambda _s, _w: graph, band=(index,))
+            for index in range(count)
+        ]
+
+    def test_alternating_bands_do_not_grow_the_cache(self, worker, stream):
+        graph = stream[0].graph
+        plans = self._plans(graph, 2)
+
+        def retained():
+            bands = worker._WORKER_PLANS[plans[0].query_text]
+            return len(bands), sum(
+                len(expr_cache) for _plan, expr_cache in bands.values()
+            )
+
+        sizes = []
+        for task in range(40):
+            _pid, _elapsed, (table,), _timings, (profile,) = \
+                worker._worker_evaluate_group(
+                    self._task(plans[task % 2], graph)
+                )
+            assert sum(profile.rows.values()) > 0
+            sizes.append(retained())
+        # One plan copy and one expression cache per band, filled by the
+        # band's first task and only read afterwards.
+        assert sizes[1][0] == 2 and sizes[1][1] > 0
+        assert sizes[2:] == [sizes[1]] * 38
+
+    def test_retention_is_the_parents_bound(self, worker, stream):
+        from repro.cypher.plan_cache import PLANS_PER_QUERY
+
+        graph = stream[0].graph
+        plans = self._plans(graph, PLANS_PER_QUERY + 3)
+        for plan in plans:
+            worker._worker_evaluate_group(self._task(plan, graph))
+        bands = worker._WORKER_PLANS[plans[0].query_text]
+        assert list(bands) == [plan.band for plan in plans[3:]]
+
+    def test_a_recompiled_band_replaces_the_retained_copy(self, worker,
+                                                          stream):
+        """Bands are retained per worker in the order *it* saw them, so a
+        worker can still hold a plan the parent evicted and recompiled
+        under other statistics; it must run the plan it was sent."""
+        import dataclasses
+
+        graph = stream[0].graph
+        (plan,) = self._plans(graph, 1)
+        worker._worker_evaluate_group(self._task(plan, graph))
+        recompiled = dataclasses.replace(plan, op_count=plan.op_count + 1)
+        worker._worker_evaluate_group(self._task(recompiled, graph))
+        (kept, _expr_cache), = worker._WORKER_PLANS[plan.query_text].values()
+        assert kept == recompiled
+
+
 class TestCheckpoint:
     def test_roundtrip_preserves_parallelism(self, stream):
         with pooled(3) as engine:

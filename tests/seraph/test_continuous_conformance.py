@@ -147,6 +147,30 @@ def test_continuous_conformance(stream, case_id, body, expected, mode):
         )
 
 
+@pytest.mark.parametrize("hoist", [True, False])
+@BY_CASE
+def test_every_case_compiles_to_a_plan(stream, case_id, body, expected, hoist):
+    """Compile totality: every corpus query lowers to a physical plan,
+    hoisted and un-hoisted, and the plan computes — row for row — what
+    the reference pipeline does on the same snapshot."""
+    from repro.cypher.physical import compile_query, execute_plan
+    from repro.seraph.parser import parse_seraph
+    from repro.seraph.semantics import execute_body
+    from repro.stream.snapshot import snapshot_graph
+    from repro.stream.timeline import TimeInterval
+
+    query = parse_seraph(wrap(body))
+    graph = snapshot_graph(stream)
+    interval = TimeInterval(0, 600)
+    plan = compile_query(query, lambda _s, _w: graph, hoist=hoist)
+    table = execute_plan(plan, lambda _s, _w: graph, interval)
+    reference = execute_body(query, lambda _s, _w: graph, interval)
+    if hoist:
+        assert table.bag_equals(reference)
+    else:
+        assert list(table.records) == list(reference.records)
+
+
 @BY_CASE
 def test_backend_and_pruning_modes_are_byte_identical(
     stream, case_id, body, expected

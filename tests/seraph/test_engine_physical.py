@@ -3,17 +3,15 @@
 The engine compiles each registered query once (per statistics band),
 executes the compiled plan on full evaluations, feeds its pre-planned
 pattern to the delta path, and surfaces compiles / cache hit-rate /
-per-operator row counts through ``status()`` and ``EXPLAIN ANALYZE``.
-``physical_plans=False`` restores the interpreted pipeline with
-identical results.
+the per-operator ``PlanProfile`` through ``status()`` and ``EXPLAIN
+ANALYZE``.  ``physical_plans=False`` compiles the same stages un-hoisted
+(planned per evaluation) with identical results.
 """
 
 import pytest
 
 from repro import EngineConfig, build_engine
-from repro.cypher import physical as physical_module
 from repro.cypher.plan_cache import PLANS_PER_QUERY
-from repro.errors import PhysicalPlanError
 from repro.seraph import CollectingSink, SeraphEngine
 from repro.seraph.explain import explain, explain_analyze
 from repro.usecases.micromobility import _t, figure1_stream
@@ -63,8 +61,8 @@ class TestEnginePlans:
         engine = SeraphEngine(delta_eval=False)
         _run(engine)
         registered = engine.registered("rentals")
-        assert registered.plan_rows  # per-operator totals collected
-        assert sum(registered.plan_rows.values()) > 0
+        assert registered.profile.rows  # per-operator totals collected
+        assert sum(registered.profile.rows.values()) > 0
 
     def test_physical_off_matches_physical_on(self):
         on = _run(SeraphEngine(physical_plans=True))
@@ -74,11 +72,16 @@ class TestEnginePlans:
             assert left.instant == right.instant
             assert left.table.bag_equals(right.table)
 
-    def test_physical_off_never_compiles(self):
-        engine = SeraphEngine(physical_plans=False)
+    def test_physical_off_compiles_one_unhoisted_plan(self):
+        engine = SeraphEngine(physical_plans=False, delta_eval=False)
         _run(engine)
-        assert engine.registered("rentals").physical_plan is None
-        assert engine.plan_cache.stats()["misses"] == 0
+        registered = engine.registered("rentals")
+        plan = registered.physical_plan
+        assert plan.stages[0].pattern is None  # planned per evaluation
+        assert [op.kind for op in plan.operators()] == ["Match", "Aggregate"]
+        assert engine.plan_cache.stats()["misses"] == 1
+        assert registered.counters["plan_compiles"].value == 1
+        assert registered.profile.rows[plan.stages[0].ops["match"]] > 0
 
     def test_seek_query_counts_index_rows(self):
         engine = SeraphEngine(delta_eval=False)
@@ -87,24 +90,7 @@ class TestEnginePlans:
         seek = registered.physical_plan.stages[0].seek
         assert seek is not None
         assert seek.label == "Station" and seek.key == "id"
-        assert registered.plan_rows.get(seek.op_id, 0) > 0
-
-    def test_compile_failure_falls_back_to_interpreted(self, monkeypatch):
-        def boom(*_args, **_kwargs):
-            raise PhysicalPlanError("forced")
-
-        monkeypatch.setattr(physical_module, "compile_query", boom)
-        monkeypatch.setattr(
-            "repro.cypher.plan_cache.compile_query", boom
-        )
-        engine = SeraphEngine()
-        sink = _run(engine)
-        registered = engine.registered("rentals")
-        assert registered.plan_failed
-        assert registered.physical_plan is None
-        reference = _run(SeraphEngine(physical_plans=False))
-        assert [e.render() for e in sink.emissions] == \
-            [e.render() for e in reference.emissions]
+        assert registered.profile.rows.get(seek.op_id, 0) > 0
 
     def test_deregister_evicts_plan(self):
         engine = SeraphEngine()
@@ -123,7 +109,7 @@ class TestEnginePlans:
         query_info = engine.status()["queries"]["rentals"]
         assert query_info["plan_compiles"] >= 1
         assert query_info["plan_operators"] > 0
-        assert query_info["plan_failed"] is False
+        assert "plan_failed" not in query_info  # every query has a plan
 
 
 class TestExplainPhysical:
@@ -148,16 +134,13 @@ class TestExplainPhysical:
         assert "rows=" in text
         assert "plan_compile" in text  # the compile stage histogram
 
-    def test_explain_analyze_interpreted_fallback_note(self, monkeypatch):
-        def boom(*_args, **_kwargs):
-            raise PhysicalPlanError("forced")
-
-        monkeypatch.setattr(
-            "repro.cypher.plan_cache.compile_query", boom
-        )
-        engine = build_engine(EngineConfig(observability=True))
-        _run(engine)
-        assert "interpreted fallback" in explain_analyze(engine, "rentals")
+    def test_explain_analyze_unhoisted_shows_the_opaque_match(self):
+        engine = build_engine(EngineConfig(physical_plans=False,
+                                           delta_eval=False))
+        _run(engine, query=SEEK_QUERY)
+        text = explain_analyze(engine, "anna_rentals")
+        assert "+- Match(" in text and "IndexSeek" not in text
+        assert "rows=" in text
 
     def test_unified_status_hit_rate(self):
         engine = build_engine(EngineConfig(observability=True))
@@ -167,24 +150,37 @@ class TestExplainPhysical:
         assert planner["hit_rate"] > 0.0
 
 
-def _pooled():
+def _pooled(**options):
     from repro.runtime.parallel import PoolExecutor
 
     return SeraphEngine(
         delta_eval=False,
         executor=PoolExecutor(2, offload_threshold=0.0),
+        **options,
     )
 
 
 class TestParallelPlans:
-    def test_offloaded_evaluations_report_plan_rows(self):
-        with _pooled() as engine:
-            sink = _run(engine)
+    @pytest.mark.parametrize("options", [
+        {}, {"vectorized": True}, {"physical_plans": False},
+    ])
+    def test_offloaded_profiles_equal_in_parent_profiles(self, options):
+        """The worker returns each execution's PlanProfile and the parent
+        accumulates it exactly as it does its own: the same stream
+        in-parent and through the pool ends with equal cumulative
+        profiles (rows and, vectorized, candidates/pruned per op)."""
+        serial = SeraphEngine(delta_eval=False, **options)
+        _run(serial, query=SEEK_QUERY)
+        with _pooled(**options) as engine:
+            sink = _run(engine, query=SEEK_QUERY)
         assert sink.emissions
-        registered = engine.registered("rentals")
         assert engine.status()["parallel"]["offloaded_evaluations"] > 0
-        assert registered.physical_plan is not None
-        assert sum(registered.plan_rows.values()) > 0
+        pooled = engine.registered("anna_rentals").profile
+        assert sum(pooled.rows.values()) > 0
+        assert bool(pooled.prunes) == bool(options.get("vectorized"))
+        assert pooled == serial.registered("anna_rentals").profile
+        assert explain_analyze(engine, "anna_rentals") \
+            == explain_analyze(serial, "anna_rentals")
 
     def test_parallel_matches_serial_byte_for_byte(self):
         serial = _run(SeraphEngine(delta_eval=False))

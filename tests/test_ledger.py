@@ -41,7 +41,6 @@ ENGINE_PATHS = {
     "queries.student_trick.delta_reason", "queries.student_trick.done",
     "queries.student_trick.evaluations", "queries.student_trick.next_eval",
     "queries.student_trick.plan_compiles",
-    "queries.student_trick.plan_failed",
     "queries.student_trick.plan_operators", "queries.student_trick.reused",
     "queries.student_trick.warnings", "shared_window_states", "streams",
     "streams.default", "streams.default.head", "streams.default.retained",
