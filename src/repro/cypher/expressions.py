@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Any, Callable, Iterable, Mapping, Optional, Tuple
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.cypher import ast
 from repro.cypher.functions import AGGREGATE_NAMES, call_function
@@ -41,69 +41,104 @@ def contains_aggregate(expression: ast.Expression) -> bool:
     """True when the expression tree contains an aggregate call."""
     if isinstance(expression, ast.CountStar):
         return True
-    if isinstance(expression, ast.FunctionCall):
-        if expression.name in AGGREGATE_NAMES:
-            return True
-        return any(contains_aggregate(arg) for arg in expression.args)
-    if isinstance(expression, (ast.And, ast.Or, ast.Xor)):
-        return contains_aggregate(expression.left) or contains_aggregate(
-            expression.right
-        )
-    if isinstance(expression, ast.Not):
-        return contains_aggregate(expression.operand)
-    if isinstance(expression, ast.UnaryOp):
-        return contains_aggregate(expression.operand)
-    if isinstance(expression, ast.BinaryOp):
-        return contains_aggregate(expression.left) or contains_aggregate(
-            expression.right
-        )
-    if isinstance(expression, ast.Comparison):
-        return contains_aggregate(expression.first) or any(
-            contains_aggregate(operand) for _op, operand in expression.rest
-        )
-    if isinstance(expression, ast.IsNull):
-        return contains_aggregate(expression.operand)
-    if isinstance(expression, ast.InList):
-        return contains_aggregate(expression.item) or contains_aggregate(
-            expression.container
-        )
-    if isinstance(expression, ast.StringPredicate):
-        return contains_aggregate(expression.left) or contains_aggregate(
-            expression.right
-        )
+    if isinstance(expression, ast.FunctionCall) and (
+        expression.name in AGGREGATE_NAMES
+    ):
+        return True
+    return any(contains_aggregate(child) for child in _children(expression))
+
+
+def expression_variables(
+    expression: ast.Expression, local: frozenset = frozenset()
+) -> Iterator[str]:
+    """Free variable names of an expression (comprehension/quantifier
+    binders are local and excluded)."""
+    if isinstance(expression, ast.Variable):
+        if expression.name not in local:
+            yield expression.name
+        return
+    if isinstance(expression, ast.PatternPredicate):
+        # Unbound names inside a pattern predicate are existential.
+        pattern = expression.pattern
+        yield from property_variables(pattern.nodes + pattern.relationships, local)
+        return
+    source, inner = None, local
+    if isinstance(expression, (ast.ListComprehension, ast.Quantifier)):
+        # The binder is local everywhere but in the source.
+        source, inner = expression.source, local | {expression.variable}
+    for child in _children(expression):
+        yield from expression_variables(child, local if child is source else inner)
+
+
+def property_variables(
+    elements: Iterable[Any], local: frozenset = frozenset()
+) -> Iterator[str]:
+    """Free variable names of the property maps of node and relationship
+    patterns."""
+    for element in elements:
+        for _key, value in element.properties:
+            yield from expression_variables(value, local)
+
+
+def _children(expression: ast.Expression) -> Iterator[ast.Expression]:
+    """The direct sub-expressions (a pattern predicate has none)."""
     if isinstance(expression, ast.PropertyAccess):
-        return contains_aggregate(expression.subject)
-    if isinstance(expression, ast.Index):
-        return contains_aggregate(expression.subject) or contains_aggregate(
-            expression.index
-        )
-    if isinstance(expression, ast.Slice):
-        return any(
-            contains_aggregate(part)
-            for part in (expression.subject, expression.lower, expression.upper)
-            if part is not None
-        )
-    if isinstance(expression, ast.ListLiteral):
-        return any(contains_aggregate(item) for item in expression.items)
-    if isinstance(expression, ast.MapLiteral):
-        return any(contains_aggregate(value) for _key, value in expression.entries)
-    if isinstance(expression, ast.ListComprehension):
-        return any(
-            contains_aggregate(part)
-            for part in (expression.source, expression.predicate,
-                         expression.projection)
-            if part is not None
-        )
-    if isinstance(expression, ast.Quantifier):
-        return contains_aggregate(expression.source) or contains_aggregate(
-            expression.predicate
-        )
-    if isinstance(expression, ast.CaseExpression):
-        parts = [expression.operand, expression.default]
+        yield expression.subject
+    elif isinstance(expression, (ast.And, ast.Or, ast.Xor)):
+        yield expression.left
+        yield expression.right
+    elif isinstance(expression, ast.Not):
+        yield expression.operand
+    elif isinstance(expression, ast.UnaryOp):
+        yield expression.operand
+    elif isinstance(expression, ast.BinaryOp):
+        yield expression.left
+        yield expression.right
+    elif isinstance(expression, ast.Comparison):
+        yield expression.first
+        for _op, operand in expression.rest:
+            yield operand
+    elif isinstance(expression, ast.IsNull):
+        yield expression.operand
+    elif isinstance(expression, ast.InList):
+        yield expression.item
+        yield expression.container
+    elif isinstance(expression, ast.StringPredicate):
+        yield expression.left
+        yield expression.right
+    elif isinstance(expression, ast.FunctionCall):
+        yield from expression.args
+    elif isinstance(expression, ast.ListLiteral):
+        yield from expression.items
+    elif isinstance(expression, ast.MapLiteral):
+        for _key, value in expression.entries:
+            yield value
+    elif isinstance(expression, ast.Index):
+        yield expression.subject
+        yield expression.index
+    elif isinstance(expression, ast.Slice):
+        yield expression.subject
+        if expression.lower is not None:
+            yield expression.lower
+        if expression.upper is not None:
+            yield expression.upper
+    elif isinstance(expression, ast.ListComprehension):
+        yield expression.source
+        if expression.predicate is not None:
+            yield expression.predicate
+        if expression.projection is not None:
+            yield expression.projection
+    elif isinstance(expression, ast.Quantifier):
+        yield expression.source
+        yield expression.predicate
+    elif isinstance(expression, ast.CaseExpression):
+        if expression.operand is not None:
+            yield expression.operand
         for when, then in expression.alternatives:
-            parts.extend((when, then))
-        return any(contains_aggregate(part) for part in parts if part is not None)
-    return False
+            yield when
+            yield then
+        if expression.default is not None:
+            yield expression.default
 
 
 def apply_binary(op: str, left: Any, right: Any) -> Any:

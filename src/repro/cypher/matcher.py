@@ -26,6 +26,7 @@ to the dirty neighbourhood.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import (
     AbstractSet,
     Any,
@@ -36,11 +37,12 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Set,
     Tuple,
 )
 
 from repro.cypher import ast
-from repro.cypher.expressions import ExpressionEvaluator
+from repro.cypher.expressions import ExpressionEvaluator, property_variables
 from repro.errors import CypherEvaluationError
 from repro.graph.model import Node, Path, PropertyGraph, Relationship
 from repro.graph.values import NULL, Ternary, cypher_equals
@@ -52,6 +54,10 @@ EntityRef = Tuple[str, int]
 #: All entities one embedding of a pattern traverses.
 Footprint = FrozenSet[EntityRef]
 
+#: One walk of a shortest-path search: (relationship ids, nodes,
+#: relationships), all three in source orientation.
+Walk = Tuple[Tuple[int, ...], Tuple[Node, ...], Tuple[Relationship, ...]]
+
 _EMPTY_FOOTPRINT: Footprint = frozenset()
 
 #: Pattern orientation -> the graph read contract's ``expand_pairs`` tag.
@@ -62,8 +68,13 @@ _DIRECTION_TAGS = {
 }
 
 
-def footprint_of(nodes: Iterator[Node], rels: Iterator[Relationship]) -> Footprint:
-    """The footprint of an explicit node/relationship traversal."""
+def footprint_of(
+    nodes: Iterable[Node], rels: Iterable[Relationship], traced: bool
+) -> Footprint:
+    """The footprint of an explicit node/relationship traversal — built
+    only for a ``traced`` match (the delta path), the one reader."""
+    if not traced:
+        return _EMPTY_FOOTPRINT
     entries: List[EntityRef] = [("n", node.id) for node in nodes]
     entries.extend(("r", rel.id) for rel in rels)
     return frozenset(entries)
@@ -92,7 +103,8 @@ class PatternMatcher:
         #: Per-(path, hop) candidate/pruned counters, activated by the
         #: physical plan's execute loop: ``{(path_idx, hop): [candidates,
         #: pruned]}`` with hop ``-1`` for start enumeration and hop ``k``
-        #: for the k-th relationship pattern.  ``None`` disables counting.
+        #: for the k-th relationship pattern (a shortestPath path has only
+        #: hop ``0``: what its searches expanded).  ``None`` disables counting.
         self.hop_counts: Optional[Dict[Tuple[int, int], List[int]]] = None
         self._path_index: Dict[int, Tuple[ast.PathPattern, int]] = {}
         # Per-pattern hoists, keyed by id() with the keyed object kept
@@ -184,16 +196,10 @@ class PatternMatcher:
         is ignored when the first path is a shortestPath or its start
         variable is already bound in ``scope``.
         """
-        initial = frozenset(scope)
-        if self.hop_counts is not None:
-            self._register_paths(pattern)
-        for bindings, _used, _footprint in self._match_paths(
-            list(pattern.paths), dict(scope), frozenset(), _EMPTY_FOOTPRINT,
-            anchor_nodes=anchor_nodes,
+        for new, _footprint in self._matches(
+            pattern, scope, None, anchor_nodes, traced=False
         ):
-            yield {
-                name: value for name, value in bindings.items() if name not in initial
-            }
+            yield new
 
     def match_pattern_traced(
         self,
@@ -211,28 +217,39 @@ class PatternMatcher:
         re-matching explores only embeddings that can possibly touch a
         changed entity instead of the whole snapshot.
         """
+        return self._matches(
+            pattern, scope, first_candidates, anchor_nodes, traced=True
+        )
+
+    def _matches(
+        self,
+        pattern: ast.Pattern,
+        scope: Mapping[str, Any],
+        first_candidates: Optional[AbstractSet[int]],
+        anchor_nodes: Optional[Iterable[Node]],
+        traced: bool,
+    ) -> Iterator[Tuple[Bindings, Footprint]]:
+        """Both entry points: footprints are built only when ``traced``
+        (only the traced entry point reads them)."""
         initial = frozenset(scope)
         if self.hop_counts is not None:
             self._register_paths(pattern)
         for bindings, _used, footprint in self._match_paths(
-            list(pattern.paths),
-            dict(scope),
-            frozenset(),
-            _EMPTY_FOOTPRINT,
-            first_candidates=first_candidates,
-            anchor_nodes=anchor_nodes,
+            list(pattern.paths), dict(scope), frozenset(), _EMPTY_FOOTPRINT,
+            first_candidates=first_candidates, anchor_nodes=anchor_nodes,
+            traced=traced,
         ):
             new = {
-                name: value
-                for name, value in bindings.items()
-                if name not in initial
+                name: value for name, value in bindings.items() if name not in initial
             }
             yield new, footprint
 
     def has_match(self, path: ast.PathPattern, scope: Mapping[str, Any]) -> bool:
         """Existence check for pattern predicates (no uniqueness sharing
         with the enclosing MATCH, per Cypher)."""
-        for _ in self._match_single_path(path, dict(scope), frozenset()):
+        for _ in self._match_single_path(
+            path, dict(scope), frozenset(), traced=False
+        ):
             return True
         return False
 
@@ -246,6 +263,8 @@ class PatternMatcher:
         footprint: Footprint,
         first_candidates: Optional[AbstractSet[int]] = None,
         anchor_nodes: Optional[Iterable[Node]] = None,
+        *,
+        traced: bool,
     ) -> Iterator[Tuple[Bindings, UsedRels, Footprint]]:
         if not paths:
             yield bindings, used, footprint
@@ -253,10 +272,12 @@ class PatternMatcher:
         head, tail = paths[0], paths[1:]
         for new_bindings, new_used, path_footprint in self._match_single_path(
             head, bindings, used, start_candidates=first_candidates,
-            anchor_nodes=anchor_nodes,
+            anchor_nodes=anchor_nodes, traced=traced,
         ):
             yield from self._match_paths(
-                tail, new_bindings, new_used, footprint | path_footprint
+                tail, new_bindings, new_used,
+                footprint | path_footprint if traced else footprint,
+                traced=traced,
             )
 
     # -- single path pattern ----------------------------------------------------
@@ -268,9 +289,11 @@ class PatternMatcher:
         used: UsedRels,
         start_candidates: Optional[AbstractSet[int]] = None,
         anchor_nodes: Optional[Iterable[Node]] = None,
+        *,
+        traced: bool,
     ) -> Iterator[Tuple[Bindings, UsedRels, Footprint]]:
         if path.shortest is not None:
-            yield from self._match_shortest(path, bindings, used)
+            yield from self._match_shortest(path, bindings, used, traced)
             return
         start_pattern = path.nodes[0]
         start_unbound = not (
@@ -309,7 +332,7 @@ class PatternMatcher:
             if start_bindings is None:
                 continue
             yield from self._walk(
-                path, 0, start, start_bindings, used, [start], []
+                path, 0, start, start_bindings, used, [start], [], traced
             )
 
     def _walk(
@@ -321,6 +344,7 @@ class PatternMatcher:
         used: UsedRels,
         trav_nodes: List[Node],
         trav_rels: List[Relationship],
+        traced: bool,
     ) -> Iterator[Tuple[Bindings, UsedRels, Footprint]]:
         if step == len(path.relationships):
             final = bindings
@@ -335,22 +359,20 @@ class PatternMatcher:
                 else:
                     final = dict(bindings)
                     final[path.variable] = path_value
-            yield final, used, footprint_of(iter(trav_nodes), iter(trav_rels))
+            yield final, used, footprint_of(trav_nodes, trav_rels, traced)
             return
 
         rel_pattern = path.relationships[step]
         next_pattern = path.nodes[step + 1]
 
-        if rel_pattern.var_length is None:
-            yield from self._walk_single_hop(
-                path, step, rel_pattern, next_pattern, current, bindings, used,
-                trav_nodes, trav_rels,
-            )
-        else:
-            yield from self._walk_var_length(
-                path, step, rel_pattern, next_pattern, current, bindings, used,
-                trav_nodes, trav_rels,
-            )
+        walk_hop = (
+            self._walk_single_hop if rel_pattern.var_length is None
+            else self._walk_var_length
+        )
+        yield from walk_hop(
+            path, step, rel_pattern, next_pattern, current, bindings, used,
+            trav_nodes, trav_rels, traced,
+        )
 
     def _walk_single_hop(
         self,
@@ -363,6 +385,7 @@ class PatternMatcher:
         used: UsedRels,
         trav_nodes: List[Node],
         trav_rels: List[Relationship],
+        traced: bool,
     ) -> Iterator[Tuple[Bindings, UsedRels, Footprint]]:
         bound_rel = None
         if rel_pattern.variable is not None and rel_pattern.variable in bindings:
@@ -400,6 +423,7 @@ class PatternMatcher:
                 used | {rel.id},
                 trav_nodes + [next_node],
                 trav_rels + [rel],
+                traced,
             )
 
     def _walk_var_length(
@@ -413,6 +437,7 @@ class PatternMatcher:
         used: UsedRels,
         trav_nodes: List[Node],
         trav_rels: List[Relationship],
+        traced: bool,
     ) -> Iterator[Tuple[Bindings, UsedRels, Footprint]]:
         low, high = rel_pattern.var_length
         low = 1 if low is None else low
@@ -422,37 +447,57 @@ class PatternMatcher:
         slot = self._count_slot(path, step)
         pruned = self._pruned_set(next_pattern)
         probe = pruned.ids if pruned is not None else None
-
-        def finalize(
-            node: Node,
-            seg_rels: List[Relationship],
-            seg_nodes: List[Node],
-            seg_used: UsedRels,
-        ) -> Iterator[Tuple[Bindings, UsedRels, Footprint]]:
+        # Depth-first over trails, pre-order, on an explicit stack of
+        # expansion iterators (a recursive closure refers to itself
+        # through its cell: cyclic garbage per evaluation).  The bottom
+        # entry is the zero-length segment: no relationship to append.
+        stack: List[tuple] = [(iter(((None, current),)), [], [], used, -1)]
+        while stack:
+            pairs, seg_rels, seg_nodes, seg_used, depth = stack[-1]
+            pair = next(pairs, None)
+            if pair is None:
+                stack.pop()
+                continue
+            rel, node = pair
+            depth += 1
+            if rel is not None:
+                if slot is not None:
+                    # Expanded candidates before filtering — one per
+                    # traversed edge at every depth.
+                    slot[0] += 1
+                seg_rels = seg_rels + [rel]
+                seg_nodes = seg_nodes + [node]
+                seg_used = seg_used | {rel.id}
+            if high is None or depth < high:
+                # Consumed only after this segment's own matches below.
+                stack.append((
+                    self._expand(node, rel_pattern, bindings, seg_used),
+                    seg_rels, seg_nodes, seg_used, depth,
+                ))
+            if depth < low:
+                continue
             if probe is not None and node.id not in probe:
                 # Target outside the pruned superset: no residual check
                 # can succeed, reject before binding.
                 if slot is not None:
                     slot[1] += 1
-                return
+                continue
             # Planner-reversed walk: the bound list keeps source order.
             rel_list = (
                 list(reversed(seg_rels)) if path.flipped else list(seg_rels)
             )
+            new_bindings = bindings
             if bound_value is not None:
                 if not isinstance(bound_value, list) or [
                     item.id for item in bound_value if isinstance(item, Relationship)
                 ] != [rel.id for rel in rel_list]:
-                    return
-                new_bindings = bindings
+                    continue
             elif rel_pattern.variable is not None:
                 new_bindings = dict(bindings)
                 new_bindings[rel_pattern.variable] = rel_list
-            else:
-                new_bindings = bindings
             node_bindings = self._bind_node(next_pattern, node, new_bindings)
             if node_bindings is None:
-                return
+                continue
             yield from self._walk(
                 path,
                 step + 1,
@@ -461,33 +506,8 @@ class PatternMatcher:
                 seg_used,
                 trav_nodes + seg_nodes,
                 trav_rels + seg_rels,
+                traced,
             )
-
-        def extend(
-            node: Node,
-            seg_rels: List[Relationship],
-            seg_nodes: List[Node],
-            seg_used: UsedRels,
-            depth: int,
-        ) -> Iterator[Tuple[Bindings, UsedRels, Footprint]]:
-            if depth >= low:
-                yield from finalize(node, seg_rels, seg_nodes, seg_used)
-            if high is not None and depth >= high:
-                return
-            for rel, nxt in self._expand(node, rel_pattern, bindings, seg_used):
-                if slot is not None:
-                    # Expanded candidates before filtering — one per
-                    # traversed edge at every depth.
-                    slot[0] += 1
-                yield from extend(
-                    nxt,
-                    seg_rels + [rel],
-                    seg_nodes + [nxt],
-                    seg_used | {rel.id},
-                    depth + 1,
-                )
-
-        yield from extend(current, [], [], used, 0)
 
     # -- expansion and candidate generation ------------------------------------
 
@@ -578,9 +598,35 @@ class PatternMatcher:
 
     # -- shortest paths ----------------------------------------------------------
 
+    def _bound_candidates(
+        self, node_pattern: ast.NodePattern, bindings: Bindings
+    ) -> List[Tuple[Node, Bindings]]:
+        """One endpoint side of a shortestPath: every node that matches
+        ``node_pattern`` under ``bindings``, in global node order, with
+        the bindings extended by its variable."""
+        return [
+            (node, bound)
+            for node in self._node_candidates(node_pattern, bindings)
+            if (bound := self._bind_node(node_pattern, node, bindings)) is not None
+        ]
+
     def _match_shortest(
-        self, path: ast.PathPattern, bindings: Bindings, used: UsedRels
+        self, path: ast.PathPattern, bindings: Bindings, used: UsedRels,
+        traced: bool,
     ) -> Iterator[Tuple[Bindings, UsedRels, Footprint]]:
+        """``shortestPath`` / ``allShortestPaths``, a set at a time
+        (docs/PLANNING.md).
+
+        Each endpoint side is enumerated and bound once, the search is
+        rooted on the side with fewer candidates (the end side walks the
+        relationship pattern reversed) and :meth:`_shortest_from` answers
+        every target of a root from one breadth-first search.  Rows are
+        start-major, end-minor, both in global node order, whichever
+        side was the root.  When the search depends on the pair — a
+        relationship property reads an endpoint variable, the end pattern
+        reads the start variable or *is* it — ends are enumerated per
+        start and each pair is the one-target case of the same routine.
+        """
         if len(path.relationships) != 1:
             raise CypherEvaluationError(
                 "shortestPath() requires a single relationship pattern"
@@ -590,121 +636,195 @@ class PatternMatcher:
             rel_pattern.var_length if rel_pattern.var_length is not None else (1, 1)
         )
         low = 1 if low is None else low
-        want_all = path.shortest == "allShortestPaths"
-        for start in self._node_candidates(path.nodes[0], bindings):
-            start_bindings = self._bind_node(path.nodes[0], start, bindings)
-            if start_bindings is None:
-                continue
-            for end in self._node_candidates(path.nodes[1], start_bindings):
-                end_bindings = self._bind_node(path.nodes[1], end, start_bindings)
-                if end_bindings is None:
-                    continue
-                shortest = self._bfs_shortest(
-                    start, end, rel_pattern, end_bindings, used, low, high
-                )
-                if not shortest:
-                    continue
-                emitted = shortest if want_all else shortest[:1]
-                for path_value in emitted:
-                    final = end_bindings
-                    new_used = used | {rel.id for rel in path_value.relationships}
-                    if rel_pattern.variable is not None:
-                        final = dict(final)
-                        final[rel_pattern.variable] = list(path_value.relationships)
-                    if path.variable is not None:
-                        final = dict(final)
-                        final[path.variable] = path_value
-                    yield final, new_used, footprint_of(
-                        iter(path_value.nodes), iter(path_value.relationships)
-                    )
-
-    def _bfs_shortest(
-        self,
-        start: Node,
-        end: Node,
-        rel_pattern: ast.RelationshipPattern,
-        scope: Mapping[str, Any],
-        used: UsedRels,
-        low: int,
-        high: Optional[int],
-    ) -> List[Path]:
-        """All shortest paths from start to end of length in [low, high].
-
-        Paths are trails (relationship-unique).  The search runs
-        breadth-first over ``(node, depth)`` states rather than plain node
-        levels: a node — including the target — may be revisited at a
-        greater depth, which is what makes a lower bound beyond the
-        plain shortest distance reachable (``shortestPath((a)-[*3..]->(b))``
-        must keep exploring after seeing ``b`` at depth 1 or 2).
-        Relationship uniqueness is enforced during path enumeration.
-        """
-        if start.id == end.id and low == 0:
-            return [Path((start,), ())]
-        # A trail cannot repeat a relationship, so its length is bounded
-        # by the graph size even when the pattern is unbounded above.
+        # A trail repeats no relationship, so the graph size bounds its
+        # length even when the pattern is unbounded above.
         max_depth = len(self.graph.relationships)
         if high is not None:
             max_depth = min(max_depth, high)
-        frontier = {start.id}
-        parents: Dict[Tuple[int, int], List[Tuple[int, Relationship]]] = {}
-        depth = 0
-        while frontier and depth < max_depth:
-            next_frontier = set()
-            for node_id in frontier:
-                node = self.graph.node(node_id)
-                for rel, nxt in self._expand(node, rel_pattern, scope, used):
-                    state = (nxt.id, depth + 1)
-                    if state not in parents:
-                        next_frontier.add(nxt.id)
-                    parents.setdefault(state, []).append((node_id, rel))
-            frontier = next_frontier
-            depth += 1
-            if depth >= low and (end.id, depth) in parents:
-                paths = self._enumerate_trails(start, end, parents, depth)
-                if paths:
-                    # Deterministic ordering: by the relationship-id sequence.
-                    paths.sort(
-                        key=lambda p: tuple(rel.id for rel in p.relationships)
+        start_pattern, end_pattern = path.nodes
+        start_var, end_var = start_pattern.variable, end_pattern.variable
+        search = partial(
+            self._shortest_from, used=used, low=low, max_depth=max_depth,
+            slot=self._count_slot(path, 0),
+        )
+        starts = self._bound_candidates(start_pattern, bindings)
+
+        if {start_var, end_var} & set(property_variables([rel_pattern])) or (
+            start_var is not None
+            and (
+                start_var == end_var
+                or start_var in property_variables([end_pattern])
+            )
+        ):
+            for start, start_bindings in starts:
+                for end, end_bindings in self._bound_candidates(
+                    end_pattern, start_bindings
+                ):
+                    found = search(start, [end], rel_pattern, end_bindings)
+                    yield from self._shortest_rows(
+                        path, start_bindings, end_bindings,
+                        found.get(end.id, ()), used, traced,
                     )
-                    return paths
-                # Every walk of this length repeats a relationship — not a
-                # valid trail; keep searching deeper.
-        return []
+            return
 
-    def _enumerate_trails(
-        self,
-        start: Node,
-        end: Node,
-        parents: Dict[Tuple[int, int], List[Tuple[int, Relationship]]],
-        found_depth: int,
-    ) -> List[Path]:
-        """All relationship-unique walks of exactly ``found_depth`` hops
-        from ``start`` to ``end``, read backward off the BFS parents."""
-        paths: List[Path] = []
-
-        def backtrack(
-            node_id: int,
-            depth: int,
-            suffix_nodes: List[Node],
-            suffix_rels: List[Relationship],
-            used_ids: FrozenSet[int],
-        ) -> None:
-            if depth == 0:
-                if node_id == start.id:
-                    nodes = [start] + list(reversed(suffix_nodes))
-                    rels = list(reversed(suffix_rels))
-                    paths.append(Path(tuple(nodes), tuple(rels)))
-                return
-            for prev_id, rel in parents.get((node_id, depth), []):
-                if rel.id in used_ids:
-                    continue
-                backtrack(
-                    prev_id,
-                    depth - 1,
-                    suffix_nodes + [self.graph.node(node_id)],
-                    suffix_rels + [rel],
-                    used_ids | {rel.id},
+        ends = self._bound_candidates(end_pattern, bindings)
+        from_end = None
+        if len(ends) < len(starts):
+            backward = path.reversed_pattern().relationships[0]
+            start_nodes = [start for start, _ in starts]
+            from_end = {
+                end.id: search(
+                    end, start_nodes, backward, bindings, rooted_at_end=True
                 )
+                for end, _ in ends
+            }
+        else:
+            end_nodes = [end for end, _ in ends]
+        for start, start_bindings in starts:
+            if from_end is None:
+                found = search(start, end_nodes, rel_pattern, bindings)
+            for end, end_bindings in ends:
+                walks = (
+                    found.get(end.id) if from_end is None
+                    else from_end[end.id].get(start.id)
+                )
+                if walks:
+                    yield from self._shortest_rows(
+                        path, start_bindings, end_bindings, walks, used, traced
+                    )
 
-        backtrack(end.id, found_depth, [], [], frozenset())
-        return paths
+    def _shortest_rows(
+        self,
+        path: ast.PathPattern,
+        start_bindings: Bindings,
+        end_bindings: Bindings,
+        walks: List[Walk],
+        used: UsedRels,
+        traced: bool,
+    ) -> Iterator[Tuple[Bindings, UsedRels, Footprint]]:
+        """The output rows of one ``(start, end)`` pair from its ordered
+        shortest walks — the first only for ``shortestPath``: the start's
+        bindings, then the end's, the relationship list, the path."""
+        rel_variable = path.relationships[0].variable
+        for ids, nodes, rels in (
+            walks if path.shortest == "allShortestPaths" else walks[:1]
+        ):
+            final = {**start_bindings, **end_bindings}
+            if rel_variable is not None:
+                final[rel_variable] = list(rels)
+            if path.variable is not None:
+                final[path.variable] = Path(nodes, rels)
+            yield final, used.union(ids), footprint_of(nodes, rels, traced)
+
+    def _shortest_from(
+        self,
+        root: Node,
+        targets: List[Node],
+        rel_pattern: ast.RelationshipPattern,
+        scope: Mapping[str, Any],
+        rooted_at_end: bool = False,
+        *,
+        used: UsedRels,
+        low: int,
+        max_depth: int,
+        slot: Optional[List[int]],
+    ) -> Dict[int, List[Walk]]:
+        """Every target of one root answered from one search: ``{target
+        id: its shortest trails of length in [low, max_depth]}``, each
+        list in source orientation, ordered by relationship-id sequence.
+        Targets without a trail are absent.
+
+        ``rel_pattern`` is walked away from ``root`` (reversed by the
+        caller when the root is the pattern's end), level by level.  The
+        first pass enters each node once, at its distance, and records
+        the parents of every shortest walk: a target first reached at
+        depth ≥ ``low`` is answered from those (a shortest walk repeats
+        no node, hence no relationship — it is a trail), one never
+        reached has no trail of any length.  Only a target nearer than
+        ``low`` (``*3..`` with a 1-hop shortcut, or the root itself)
+        needs trails that revisit nodes: a second pass of the same loop
+        keyed by ``(node, depth)`` states, reading off at each depth the
+        walks that repeat no relationship.
+        """
+        found: Dict[int, List[Walk]] = {}
+        pending = {target.id for target in targets}
+        if low == 0 and root.id in pending:
+            pending.discard(root.id)
+            found[root.id] = [((), (root,), ())]
+        for enter_once in (True, False):
+            if not pending:
+                break
+            near: Set[int] = set()
+            if enter_once and root.id in pending:
+                pending.discard(root.id)
+                near.add(root.id)
+            root_key = root.id if enter_once else (root.id, 0)
+            # key -> [(parent key, parent node, relationship)], one entry
+            # per walk step of minimal depth into that key.
+            parents: Dict[Any, List[tuple]] = {root_key: []}
+            frontier = [(root_key, root)]
+            depth = 0
+            while frontier and pending and depth < max_depth:
+                depth += 1
+                entered: Dict[Any, Node] = {}
+                for key, node in frontier:
+                    for rel, nxt in self._expand(node, rel_pattern, scope, used):
+                        if slot is not None:
+                            slot[0] += 1
+                        nxt_key = nxt.id if enter_once else (nxt.id, depth)
+                        if nxt_key in entered:
+                            parents[nxt_key].append((key, node, rel))
+                        elif nxt_key not in parents:
+                            entered[nxt_key] = nxt
+                            parents[nxt_key] = [(key, node, rel)]
+                frontier = list(entered.items())
+                for target_id in list(pending):
+                    key = target_id if enter_once else (target_id, depth)
+                    if key not in entered:
+                        continue
+                    if depth < low:
+                        if enter_once:
+                            pending.discard(target_id)
+                            near.add(target_id)
+                        continue
+                    trails = self._trails(
+                        parents, key, entered[key], rooted_at_end
+                    )
+                    if trails:
+                        pending.discard(target_id)
+                        found[target_id] = trails
+            pending = near
+        return found
+
+    @staticmethod
+    def _trails(
+        parents: Dict[Any, List[tuple]],
+        key: Any,
+        target: Node,
+        rooted_at_end: bool,
+    ) -> List[Walk]:
+        """The relationship-unique walks from the search root to ``key``,
+        read backward off the BFS ``parents``, in source orientation,
+        ordered by relationship-id sequence."""
+        walks: List[Walk] = []
+        # (key, nodes, relationships, relationship ids), target first.
+        stack = [(key, (target,), (), ())]
+        while stack:
+            key, nodes, rels, ids = stack.pop()
+            steps = parents[key]
+            if not steps:  # the root: only it was entered by no step
+                if not rooted_at_end:
+                    nodes, rels, ids = nodes[::-1], rels[::-1], ids[::-1]
+                walks.append((ids, nodes, rels))
+                continue
+            for parent_key, parent, rel in steps:
+                if rel.id not in ids:
+                    stack.append((
+                        parent_key, nodes + (parent,), rels + (rel,),
+                        ids + (rel.id,),
+                    ))
+        # The deterministic pick: smallest relationship-id sequence as
+        # the pattern is written, whichever end the search started from.
+        walks.sort(key=lambda walk: walk[0])
+        return walks
+

@@ -129,8 +129,10 @@ class MatchStage:
     evaluator's ``"match"`` / ``"filter"`` row counts and, for a hoisted
     pattern, the matcher's per-``(path, hop)`` candidate counts — hop
     ``-1`` is a path's start enumeration (its anchor op), hop ``k`` its
-    k-th relationship pattern.  A shortestPath path has no entries (the
-    matcher does not count it).
+    k-th relationship pattern.  A shortestPath path has the one entry
+    ``(path, 0)``, with the meaning every hop has: candidates expanded
+    before target filtering, i.e. the relationships its searches
+    expanded.
     """
 
     clause: ast.Match
@@ -295,9 +297,10 @@ def _pattern_ops(
                 detail=path.render(),
                 children=children,
             )
+            ops[(index, 0)] = current.op_id
             continue
         start = path.nodes[0]
-        children = (current,) if current is not None else ()
+        kind, detail = "AllNodesScan", start.render()
         if start.variable is not None and (
             start.variable in bound
             or any(
@@ -305,37 +308,20 @@ def _pattern_ops(
                 for p in pattern.paths[:index]
             )
         ):
-            anchor = PhysicalOp(
-                op_id=next_id(),
-                kind="BoundAnchor",
-                detail=start.render(),
-                children=children,
-            )
+            kind = "BoundAnchor"
         elif index == 0 and seek is not None:
-            anchor = PhysicalOp(
-                op_id=seek.op_id,
-                kind="IndexSeek",
-                detail=(
-                    f"{start.render()} via "
-                    f"(:{seek.label}).{seek.key} = "
-                    f"{seek.value_expr.render()}"
-                ),
-                children=children,
+            kind = "IndexSeek"
+            detail += (
+                f" via (:{seek.label}).{seek.key} = {seek.value_expr.render()}"
             )
         elif start.labels:
-            anchor = PhysicalOp(
-                op_id=next_id(),
-                kind="LabelScan",
-                detail=start.render(),
-                children=children,
-            )
-        else:
-            anchor = PhysicalOp(
-                op_id=next_id(),
-                kind="AllNodesScan",
-                detail=start.render(),
-                children=children,
-            )
+            kind = "LabelScan"
+        anchor = PhysicalOp(
+            op_id=seek.op_id if kind == "IndexSeek" else next_id(),
+            kind=kind,
+            detail=detail,
+            children=(current,) if current is not None else (),
+        )
         current = anchor
         ops[(index, -1)] = anchor.op_id
         for hop, rel in enumerate(path.relationships):

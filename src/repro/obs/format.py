@@ -1,8 +1,7 @@
 """The one human-readable formatter for every metrics surface.
 
-The CLI's run summaries, ``PoolSupervisor.render()``, the registry's
-``render()`` exporter, and the unified status renderer all delegate
-here, so counter formatting (``name=value`` pairs, millisecond
+The CLI's run summaries, ``PoolSupervisor.render()`` and the registry's
+``render()`` exporter all delegate here, so counter formatting (``name=value`` pairs, millisecond
 latencies) is decided in exactly one place.
 """
 
@@ -63,52 +62,3 @@ def render_registry(snapshot: Mapping[str, Any]) -> str:
         lines.append("  " + render_histogram(name, hist))
     return "\n".join(lines) if lines else "metrics: no data"
 
-
-def render_status(status: Mapping[str, Any]) -> str:
-    """Human summary of a unified status document
-    (:func:`repro.obs.schema.unified_status`)."""
-    lines: List[str] = []
-    engine = status.get("engine", {})
-    queries = engine.get("queries", {})
-    lines.append(
-        render_counters(
-            "engine",
-            {
-                "queries": len(queries),
-                "watermark": engine.get("watermark"),
-                "policy": engine.get("policy"),
-                "delta_eval": engine.get("delta_eval"),
-            },
-        )
-    )
-    for name, info in queries.items():
-        lines.append(
-            "  " + render_counters(
-                f"query.{name}",
-                {
-                    key: info[key]
-                    for key in (
-                        "evaluations", "reused", "delta", "done",
-                    )
-                    if key in info
-                },
-            )
-        )
-    for section in ("parallel", "resilience"):
-        fields = status.get(section)
-        if fields:
-            lines.append(render_counters(section, fields))
-    obs = status.get("obs") or {}
-    if obs.get("enabled"):
-        trace = obs.get("trace") or {}
-        lines.append(
-            render_counters(
-                "obs",
-                {"spans": trace.get("spans", 0),
-                 "dropped": trace.get("dropped", 0)},
-            )
-        )
-        metrics = obs.get("metrics") or {}
-        for name, hist in (metrics.get("histograms") or {}).items():
-            lines.append("  " + render_histogram(name, hist))
-    return "\n".join(lines)

@@ -19,10 +19,14 @@ checks an implementation wants *before* a query starts running forever:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Set, Tuple, Union
+from typing import List, Optional, Set, Tuple, Union
 
 from repro.cypher import ast as cypher_ast
-from repro.cypher.expressions import contains_aggregate
+from repro.cypher.expressions import (
+    contains_aggregate,
+    expression_variables,
+    property_variables,
+)
 from repro.errors import DataflowCycleError, SeraphSemanticError
 from repro.graph.temporal import format_duration
 from repro.seraph.ast import SeraphMatch, SeraphQuery
@@ -41,104 +45,6 @@ class Issue:
 
     def __str__(self) -> str:
         return f"{self.severity}: {self.message}"
-
-
-def expression_variables(expression: cypher_ast.Expression,
-                         local: frozenset = frozenset()) -> Iterator[str]:
-    """Free variable names of an expression (comprehension/quantifier
-    binders are local and excluded)."""
-    if isinstance(expression, cypher_ast.Variable):
-        if expression.name not in local:
-            yield expression.name
-        return
-    if isinstance(expression, cypher_ast.ListComprehension):
-        yield from expression_variables(expression.source, local)
-        inner = local | {expression.variable}
-        if expression.predicate is not None:
-            yield from expression_variables(expression.predicate, inner)
-        if expression.projection is not None:
-            yield from expression_variables(expression.projection, inner)
-        return
-    if isinstance(expression, cypher_ast.Quantifier):
-        yield from expression_variables(expression.source, local)
-        inner = local | {expression.variable}
-        yield from expression_variables(expression.predicate, inner)
-        return
-    if isinstance(expression, cypher_ast.PatternPredicate):
-        # Unbound names inside a pattern predicate are existential.
-        for node in expression.pattern.nodes:
-            for _key, value in node.properties:
-                yield from expression_variables(value, local)
-        for rel in expression.pattern.relationships:
-            for _key, value in rel.properties:
-                yield from expression_variables(value, local)
-        return
-    for child in _children(expression):
-        yield from expression_variables(child, local)
-
-
-def _children(expression: cypher_ast.Expression) \
-        -> Iterator[cypher_ast.Expression]:
-    if isinstance(expression, cypher_ast.PropertyAccess):
-        yield expression.subject
-    elif isinstance(expression, (cypher_ast.And, cypher_ast.Or,
-                                 cypher_ast.Xor)):
-        yield expression.left
-        yield expression.right
-    elif isinstance(expression, cypher_ast.Not):
-        yield expression.operand
-    elif isinstance(expression, cypher_ast.UnaryOp):
-        yield expression.operand
-    elif isinstance(expression, cypher_ast.BinaryOp):
-        yield expression.left
-        yield expression.right
-    elif isinstance(expression, cypher_ast.Comparison):
-        yield expression.first
-        for _op, operand in expression.rest:
-            yield operand
-    elif isinstance(expression, cypher_ast.IsNull):
-        yield expression.operand
-    elif isinstance(expression, cypher_ast.InList):
-        yield expression.item
-        yield expression.container
-    elif isinstance(expression, cypher_ast.StringPredicate):
-        yield expression.left
-        yield expression.right
-    elif isinstance(expression, cypher_ast.FunctionCall):
-        yield from expression.args
-    elif isinstance(expression, cypher_ast.ListLiteral):
-        yield from expression.items
-    elif isinstance(expression, cypher_ast.MapLiteral):
-        for _key, value in expression.entries:
-            yield value
-    elif isinstance(expression, cypher_ast.Index):
-        yield expression.subject
-        yield expression.index
-    elif isinstance(expression, cypher_ast.Slice):
-        yield expression.subject
-        if expression.lower is not None:
-            yield expression.lower
-        if expression.upper is not None:
-            yield expression.upper
-    elif isinstance(expression, cypher_ast.CaseExpression):
-        if expression.operand is not None:
-            yield expression.operand
-        for when, then in expression.alternatives:
-            yield when
-            yield then
-        if expression.default is not None:
-            yield expression.default
-
-
-def _pattern_expression_variables(pattern: cypher_ast.Pattern) \
-        -> Iterator[str]:
-    for path in pattern.paths:
-        for node in path.nodes:
-            for _key, value in node.properties:
-                yield from expression_variables(value)
-        for rel in path.relationships:
-            for _key, value in rel.properties:
-                yield from expression_variables(value)
 
 
 def check(query: SeraphQuery) -> List[Issue]:
@@ -176,7 +82,10 @@ def check(query: SeraphQuery) -> List[Issue]:
 
     for clause in query.body:
         if isinstance(clause, SeraphMatch):
-            for name in _pattern_expression_variables(clause.match.pattern):
+            for name in (
+                name for path in clause.match.pattern.paths
+                for name in property_variables(path.nodes + path.relationships)
+            ):
                 if name not in scope and name not in ever_bound:
                     issues.append(Issue(
                         "error",

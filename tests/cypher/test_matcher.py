@@ -256,6 +256,213 @@ class TestShortestPath:
         assert rows == []
 
 
+class TestShortestPathSetAtATime:
+    """The contract the set-at-a-time operator keeps: one regression per
+    rule, on a graph where the search is rooted at the end side (two
+    starts, one end) so that both orientations are exercised."""
+
+    @pytest.fixture
+    def funnel(self):
+        """s1, s2 (:S) reach t (:T) through m1, m2; relationship ids make
+        the smallest sequence differ between the two orientations:
+        s1-m1-t is (1, 4) as written but (4, 1) from t, s1-m2-t is (2, 3)
+        as written but (3, 2) from t."""
+        builder = GraphBuilder()
+        s1 = builder.add_node(["S"], {"name": "s1"}, node_id=1)
+        s2 = builder.add_node(["S"], {"name": "s2"}, node_id=2)
+        m1 = builder.add_node(["M"], {"name": "m1"}, node_id=3)
+        m2 = builder.add_node(["M"], {"name": "m2"}, node_id=4)
+        t = builder.add_node(["T"], {"name": "t"}, node_id=5)
+        builder.add_relationship(s1, "R", m1, {"via": "m1"}, rel_id=1)
+        builder.add_relationship(s1, "R", m2, {"via": "m2"}, rel_id=2)
+        builder.add_relationship(m2, "R", t, {"via": "m2"}, rel_id=3)
+        builder.add_relationship(m1, "R", t, {"via": "m1"}, rel_id=4)
+        builder.add_relationship(s2, "R", m1, {"via": "m1"}, rel_id=5)
+        builder.add_node(["S", "T"], {"name": "lonely"}, node_id=6)
+        return builder.build()
+
+    @staticmethod
+    def summary(rows):
+        return [
+            (row["a"].property("name"), row["b"].property("name"),
+             [rel.id for rel in row["p"].relationships])
+            for row in rows
+        ]
+
+    def test_pick_is_smallest_sequence_as_written_when_rooted_at_end(self, funnel):
+        rows = matches(funnel, "p = shortestPath((a:S)-[:R*]->(b:T {name:'t'}))")
+        assert self.summary(rows) == [("s1", "t", [1, 4]), ("s2", "t", [5, 4])]
+
+    def test_all_shortest_paths_in_that_order(self, funnel):
+        rows = matches(
+            funnel, "p = allShortestPaths((a:S)-[:R*]-(b:T {name:'t'}))"
+        )
+        assert self.summary(rows) == [
+            ("s1", "t", [1, 4]), ("s1", "t", [2, 3]), ("s2", "t", [5, 4]),
+        ]
+
+    def test_rows_are_start_major_end_minor_in_node_order(self, funnel):
+        # Three starts against four ends (rooted at the starts), then
+        # four starts against three ends (rooted at the ends).
+        rows = matches(funnel, "p = shortestPath((a:S)-[:R*0..]-(b))")
+        assert [(row["a"].id, row["b"].id) for row in rows] == [
+            (1, 1), (1, 2), (1, 3), (1, 4), (1, 5),
+            (2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+            (6, 6),
+        ]
+        rows = matches(funnel, "p = shortestPath((a)-[:R*0..]-(b:S))")
+        assert [(row["a"].id, row["b"].id) for row in rows] == [
+            (1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2),
+            (4, 1), (4, 2), (5, 1), (5, 2), (6, 6),
+        ]
+
+    def test_relationship_list_and_path_keep_source_orientation(self, funnel):
+        rows = matches(
+            funnel, "p = shortestPath((a:S)<-[rs:R*]-(b:M {name:'m1'}))"
+        )
+        assert rows == []  # every R points away from the S side
+        rows = matches(
+            funnel, "p = shortestPath((a:T {name:'t'})<-[rs:R*]-(b:S))"
+        )
+        assert [[rel.id for rel in row["rs"]] for row in rows] == [[3, 2], [4, 5]]
+        for row in rows:
+            assert row["p"].start.id == row["a"].id == 5
+            assert row["p"].end.id == row["b"].id
+            assert list(row["p"].relationships) == row["rs"]
+            assert list(row) == ["a", "b", "rs", "p"]
+
+    def test_zero_length_and_start_equals_end(self, funnel):
+        rows = matches(funnel, "p = shortestPath((a:S)-[:R*0..]-(b:S))")
+        assert self.summary(rows) == [
+            ("s1", "s1", []), ("s1", "s2", [1, 5]),
+            ("s2", "s1", [5, 1]), ("s2", "s2", []),
+            ("lonely", "lonely", []),
+        ]
+        # With a lower bound of one a node reaches itself only by a cycle.
+        rows = matches(funnel, "p = shortestPath((a:S)-[:R*1..]-(b:S))")
+        assert self.summary(rows) == [
+            ("s1", "s1", [1, 4, 3, 2]), ("s1", "s2", [1, 5]), ("s2", "s1", [5, 1]),
+        ]
+
+    def test_same_variable_on_both_ends(self, funnel):
+        rows = matches(funnel, "p = shortestPath((a)-[:R*]-(a))")
+        assert [
+            (row["a"].id, [rel.id for rel in row["p"].relationships])
+            for row in rows
+        ] == [
+            (1, [1, 4, 3, 2]), (3, [1, 2, 3, 4]), (4, [2, 1, 4, 3]),
+            (5, [3, 2, 1, 4]),
+        ]
+        assert all(list(row) == ["a", "p"] for row in rows)
+
+    def test_bound_endpoints(self, funnel):
+        scope = {"a": funnel.node(2), "b": funnel.node(5)}
+        rows = matches(funnel, "p = shortestPath((a)-[:R*]-(b))", scope)
+        assert [list(row) for row in rows] == [["p"]]
+        assert [rel.id for rel in rows[0]["p"].relationships] == [5, 4]
+        rows = matches(funnel, "p = shortestPath((a:S)-[:R*]-(b))", {"b": funnel.node(5)})
+        assert [(row["a"].id, list(row)) for row in rows] == [
+            (1, ["a", "p"]), (2, ["a", "p"]),
+        ]
+        assert matches(
+            funnel, "p = shortestPath((a)-[:R*]-(b))", {"a": funnel.node(6)}
+        ) == []
+
+    def test_end_pattern_reading_the_start_variable(self, funnel):
+        rows = matches(
+            funnel, "p = shortestPath((a:M)-[:R*..3]-(b:M {name: a.name}))"
+        )
+        assert rows == []  # m1 reaches m1 only by the 4-cycle
+        rows = matches(
+            funnel, "p = shortestPath((a:M)-[:R*]-(b:M {name: a.name}))"
+        )
+        assert self.summary(rows) == [
+            ("m1", "m1", [1, 2, 3, 4]), ("m2", "m2", [2, 1, 4, 3]),
+        ]
+
+    def test_relationship_property_reading_an_endpoint_variable(self, funnel):
+        # Each middle node is reached only over relationships tagged
+        # with its own name: the search differs per pair.
+        rows = matches(
+            funnel, "p = shortestPath((a:S)-[:R* {via: b.name}]-(b:M))"
+        )
+        assert self.summary(rows) == [
+            ("s1", "m1", [1]), ("s1", "m2", [2]), ("s2", "m1", [5]),
+        ]
+        rows = matches(
+            funnel, "p = shortestPath((a:M)-[:R* {via: a.name}]-(b:S))"
+        )
+        assert self.summary(rows) == [
+            ("m1", "s1", [1]), ("m1", "s2", [5]), ("m2", "s1", [2]),
+        ]
+
+    def test_earlier_path_consuming_the_only_shortest_route(self, funnel):
+        # (x)-[e]->(y) takes relationship 5, s2's only way out.
+        rows = matches(
+            funnel,
+            "(x {name:'s2'})-[e]->(y), "
+            "p = shortestPath((a:S)-[:R*]-(b:T {name:'t'}))",
+        )
+        assert self.summary(rows) == [("s1", "t", [1, 4])]
+        # Taking relationship 1 instead leaves s1 the longer-id route and
+        # s2 a detour through it.
+        rows = matches(
+            funnel,
+            "(x {name:'s1'})-[e]->(y {name:'m1'}), "
+            "p = shortestPath((a:S)-[:R*]-(b:T {name:'t'}))",
+        )
+        assert self.summary(rows) == [("s1", "t", [2, 3]), ("s2", "t", [5, 4])]
+
+    def test_unreachable_target_ends_the_search_after_one_pass(self):
+        # An isolated endpoint used to be the most expensive case: the
+        # (node, depth) search re-expanded every relationship at every
+        # level up to |R|.  Pinned by the operator's own counter.
+        import random
+
+        rng = random.Random(5)
+        builder = GraphBuilder()
+        nodes = [
+            builder.add_node(["N"], {"k": index}, node_id=index + 1)
+            for index in range(151)
+        ]
+        for rel_id in range(1, 301):
+            src, trg = rng.sample(nodes[:150], 2)
+            builder.add_relationship(src, "R", trg, rel_id=rel_id)
+        graph = builder.build()
+        pattern = pattern_of("p = shortestPath((a:N {k:0})-[:R*]-(b:N {k:150}))")
+        matcher = matcher_for(graph)
+        matcher.hop_counts = {}
+        assert list(matcher.match_pattern(pattern, {})) == []
+        expanded, _pruned = matcher.hop_counts[(0, 0)]
+        assert 0 < expanded <= 2 * len(graph.relationships)
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("text", [
+        "p = (a {name:'a'})-[rs:R*1..3]->(b)",
+        "p = shortestPath((a {name:'a'})-[rs:R*2..]->(b))",
+        "p = allShortestPaths((a)-[:R*]-(b {name:'c'}))",
+    ])
+    def test_a_match_leaves_nothing_for_the_cyclic_collector(self, triangle, text):
+        # Variable-length and shortest-path matching run once per full
+        # evaluation; a closure that refers to itself through its own
+        # cell would leave cyclic garbage every time, whose collection
+        # pauses then land inside event latencies.
+        import gc
+
+        pattern = pattern_of(text)
+        gc.collect()
+        gc.disable()
+        try:
+            matcher = matcher_for(triangle)
+            assert list(matcher.match_pattern(pattern, {}))
+            assert list(matcher.match_pattern_traced(pattern, {}))
+            del matcher
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestHasMatch:
     def test_pattern_predicate_existence(self, social_graph):
         matcher = matcher_for(social_graph)

@@ -35,6 +35,16 @@ REGISTER QUERY rentals STARTING AT 2022-08-01T14:45
 """
 
 
+SHORTEST_QUERY = """
+REGISTER QUERY routes STARTING AT 2022-08-01T14:45
+{
+  MATCH p = shortestPath((b:Bike)-[*..4]-(s:Station)) WITHIN PT1H
+  EMIT id(b) AS bike, id(s) AS station, length(p) AS hops
+  SNAPSHOT EVERY PT5M
+}
+"""
+
+
 def _run(engine, query=COUNT_QUERY):
     sink = CollectingSink()
     engine.register(query, sink=sink)
@@ -161,26 +171,43 @@ def _pooled(**options):
 
 
 class TestParallelPlans:
+    @pytest.mark.parametrize("query, name", [
+        (SEEK_QUERY, "anna_rentals"), (SHORTEST_QUERY, "routes"),
+    ], ids=["seek", "shortest"])
     @pytest.mark.parametrize("options", [
         {}, {"vectorized": True}, {"physical_plans": False},
     ])
-    def test_offloaded_profiles_equal_in_parent_profiles(self, options):
+    def test_offloaded_profiles_equal_in_parent_profiles(
+        self, options, query, name
+    ):
         """The worker returns each execution's PlanProfile and the parent
         accumulates it exactly as it does its own: the same stream
         in-parent and through the pool ends with equal cumulative
         profiles (rows and, vectorized, candidates/pruned per op)."""
         serial = SeraphEngine(delta_eval=False, **options)
-        _run(serial, query=SEEK_QUERY)
+        _run(serial, query=query)
         with _pooled(**options) as engine:
-            sink = _run(engine, query=SEEK_QUERY)
+            sink = _run(engine, query=query)
         assert sink.emissions
         assert engine.status()["parallel"]["offloaded_evaluations"] > 0
-        pooled = engine.registered("anna_rentals").profile
+        pooled = engine.registered(name).profile
         assert sum(pooled.rows.values()) > 0
         assert bool(pooled.prunes) == bool(options.get("vectorized"))
-        assert pooled == serial.registered("anna_rentals").profile
-        assert explain_analyze(engine, "anna_rentals") \
-            == explain_analyze(serial, "anna_rentals")
+        assert pooled == serial.registered(name).profile
+        assert explain_analyze(engine, name) == explain_analyze(serial, name)
+
+    def test_shortest_path_operator_counts_expanded_relationships(self):
+        """``ShortestPath ... rows=`` is the relationships its searches
+        expanded (it used to print ``rows=0`` for ever)."""
+        engine = SeraphEngine()
+        sink = _run(engine, query=SHORTEST_QUERY)
+        assert any(len(emission.table) for emission in sink.emissions)
+        plan = engine.registered("routes").physical_plan
+        (op,) = [op for op in plan.operators() if op.kind == "ShortestPath"]
+        expanded = engine.registered("routes").profile.rows[op.op_id]
+        assert expanded > 0
+        analyzed = explain_analyze(engine, "routes")
+        assert f"[op {op.op_id}] rows={expanded}" in analyzed
 
     def test_parallel_matches_serial_byte_for_byte(self):
         serial = _run(SeraphEngine(delta_eval=False))

@@ -1,9 +1,12 @@
 """Interleaved A/B of one benchmark workload: BASE revision vs this tree.
 
-``make bench-ab BASE=<rev> WORKLOAD=<w> [PAIRS=10] [SEED=7]``: ``git archive``
-BASE into a temporary directory, run ``BENCHMARK.json``'s command in the two
-trees alternately, read only its last stdout line.  A side is *better* when it
-wins nine tenths of the pairs and the medians differ by over the base's q3-q1.
+``make bench-ab BASE=<rev> WORKLOAD=<w>|all [PAIRS=10] [SEED=7]``: ``git
+archive`` BASE into a temporary directory, run ``BENCHMARK.json``'s command in
+the two trees alternately, read only its last stdout line.  A side is *better*
+when it wins nine tenths of the pairs and the medians differ by over the base's
+q3-q1.  After the pairs, one traced pass per side says *where* a metric moved:
+the stage seconds per evaluation that was not a reuse tick, beside the counts
+that must repeat exactly on both sides.
 """
 
 import argparse
@@ -17,14 +20,16 @@ from statistics import quantiles
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 quartiles = partial(quantiles, n=4, method="inclusive")
+STAGES = ("stage.match_full_s", "stage.snapshot_build_s", "stage.window_advance_s")
+COUNTS = ("seraph.evaluations", "seraph.emission_rows", "seraph.reuse_share")
 
 
-def run_once(tree, workload, seed):
-    """One untraced run in ``tree``; the metrics of its last stdout line."""
+def run_once(tree, workload, seed, trace=0):
+    """One run in ``tree``; the metrics of its last stdout line."""
     line = subprocess.run(
         [sys.executable, os.path.join(tree, "benchmarks/e2e/run.py"),
          "--workload", workload, "--seed", str(seed),
-         "--seconds", "12", "--trace", "0"],
+         "--seconds", "12", "--trace", str(trace)],
         cwd=tree, check=True, capture_output=True, text=True,
     ).stdout.strip().splitlines()[-1]
     result = json.loads(line)
@@ -44,27 +49,14 @@ def verdict(base, change, sign):
     return wins, "unresolved"
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", required=True)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
-        declared = json.load(handle)["end_to_end"]
-    runs = {"base": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="bench-ab-") as base_tree:
-        archive = subprocess.run(["git", "-C", ROOT, "archive", args.base],
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", base_tree], input=archive, check=True)
-        trees = [("base", base_tree), ("change", ROOT)]
-        pairs = max(2, args.pairs)
-        for pair in range(pairs):
-            for side, tree in trees[::1 if pair % 2 == 0 else -1]:
-                runs[side].append(run_once(tree, args.workload, args.seed))
-            print(f"pair {pair + 1}/{pairs} done", file=sys.stderr)
-    print(f"{args.workload} seed {args.seed}: {args.base} vs working tree, "
+def compare(trees, workload, pairs, seed, declared, base):
+    """Alternating pairs of ``workload``, then the traced pass; prints both."""
+    runs = {side: [] for side, _ in trees}
+    for pair in range(pairs):
+        for side, tree in trees[::1 if pair % 2 == 0 else -1]:
+            runs[side].append(run_once(tree, workload, seed))
+        print(f"{workload} pair {pair + 1}/{pairs} done", file=sys.stderr)
+    print(f"{workload} seed {seed}: {base} vs working tree, "
           f"{pairs} alternating pairs; cells are q1/median/q3\n"
           f"{'metric':18} {'base':>30} {'change':>30}  wins  verdict")
     for entry in declared:
@@ -74,6 +66,41 @@ def main():
                  for side in sides]
         print(f"{entry['name']:18} {cells[0]:>30} {cells[1]:>30}  "
               f"{wins:>2}/{pairs}  {word}")
+    traced = [run_once(tree, workload, seed, trace=1) for _, tree in trees]
+    print("traced pass, one per side; stages in ms per non-reused evaluation")
+    for name in COUNTS:
+        values = [run[name] for run in traced]
+        print(f"{name:26} {values[0]:>12g} {values[1]:>12g}  "
+              f"{'identical' if values[0] == values[1] else 'DIFFERENT'}")
+    for name in STAGES:
+        per_full = [
+            1e3 * run[name] / max(
+                1.0, run["seraph.evaluations"] * (1 - run["seraph.reuse_share"]))
+            for run in traced
+        ]
+        print(f"{name:26} {per_full[0]:>12.4f} {per_full[1]:>12.4f}", flush=True)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload of BENCHMARK.json, or 'all'")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args()
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        benchmark = json.load(handle)
+    workloads = [args.workload] if args.workload != "all" else [
+        workload["name"] for workload in benchmark["workloads"]]
+    with tempfile.TemporaryDirectory(prefix="bench-ab-") as base_tree:
+        archive = subprocess.run(["git", "-C", ROOT, "archive", args.base],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", base_tree], input=archive, check=True)
+        for workload in workloads:
+            compare([("base", base_tree), ("change", ROOT)], workload,
+                    max(2, args.pairs), args.seed, benchmark["end_to_end"],
+                    args.base)
 
 
 if __name__ == "__main__":
