@@ -22,6 +22,7 @@ from repro.cypher.expressions import (
     compile_expression,
     contains_aggregate,
     index_value,
+    is_true,
     slice_value,
 )
 from repro.cypher.functions import AGGREGATE_NAMES
@@ -30,7 +31,7 @@ from repro.cypher.vectorized import CandidatePruner
 from repro.errors import CypherEvaluationError
 from repro.graph.model import PropertyGraph
 from repro.graph.table import Record, Table
-from repro.graph.values import NULL, Ternary, hashable, order_key
+from repro.graph.values import NULL, hashable, order_key
 
 
 class QueryEvaluator:
@@ -197,12 +198,10 @@ class QueryEvaluator:
                 # so merged.domain == out_fields by construction.
                 matched += 1
                 merged = record.merged(Record(new_bindings))
-                if where_fn is not None:
-                    verdict = Ternary.of(
-                        where_fn(self.evaluator, self._scope(merged))
-                    )
-                    if verdict is not Ternary.TRUE:
-                        continue
+                if where_fn is not None and not is_true(
+                    where_fn(self.evaluator, self._scope(merged))
+                ):
+                    continue
                 survivors.append(merged.project(out_fields))
             if count is not None:
                 count("match", matched)
@@ -262,7 +261,7 @@ class QueryEvaluator:
             kept = []
             for out_record, in_record in pair_rows:
                 scope = self._order_scope(out_record, in_record)
-                if Ternary.of(where_fn(self.evaluator, scope)) is Ternary.TRUE:
+                if is_true(where_fn(self.evaluator, scope)):
                     kept.append((out_record, in_record))
             pair_rows = kept
             if count is not None:

@@ -5,23 +5,26 @@
 Seraph's reserved window fields) and a property graph (needed for pattern
 predicates and ``startNode``/``endNode``).
 
-Every expression runs as a closure built once by
+Every expression runs as one tree of closures built once by
 :func:`compile_expression`.  The operators' value-level semantics — null
 propagation, 3-valued comparison chains, indexing — are the module
 functions below (:func:`apply_binary`, :func:`apply_unary`,
-:func:`compare_chain`, :func:`index_value`, :func:`slice_value`), shared
-with the aggregate evaluator, which applies them to already-aggregated
-operands.
+:func:`compare`, :func:`compare_chain`, :func:`index_value`,
+:func:`slice_value`): the closures' fallback for any operand pair their
+native fast path does not take, and shared with the aggregate evaluator,
+which applies them to already-aggregated operands.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 import sys
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.cypher import ast
-from repro.cypher.functions import AGGREGATE_NAMES, call_function
+from repro.cypher.functions import AGGREGATE_NAMES, FUNCTIONS, call_function
 from repro.errors import CypherEvaluationError, CypherTypeError
 from repro.graph.model import PropertyGraph, Node, Relationship
 from repro.graph.values import (
@@ -32,8 +35,6 @@ from repro.graph.values import (
     cypher_equals,
     is_numeric,
     not3,
-    or3,
-    xor3,
 )
 
 
@@ -141,12 +142,33 @@ def _children(expression: ast.Expression) -> Iterator[ast.Expression]:
             yield expression.default
 
 
+def _divide(left: Any, right: Any) -> Any:
+    if isinstance(left, int) and isinstance(right, int):
+        # Cypher truncates toward zero; exactly, not through a float.
+        quotient = abs(left) // abs(right)
+        return quotient if (left < 0) == (right < 0) else -quotient
+    return left / right
+
+
+def _modulo(left: Any, right: Any) -> Any:
+    # Cypher % keeps the dividend's sign (like Java), not Python's.
+    result = abs(left) % abs(right)
+    return -result if left < 0 else result
+
+
+_ARITHMETIC = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _divide, "%": _modulo, "^": math.pow,
+}
+
+
 def apply_binary(op: str, left: Any, right: Any) -> Any:
     """Apply a binary arithmetic/concatenation operator (null in, null
-    out)."""
+    out).  A division by zero, a result beyond the float range or a
+    power without a real result is a :class:`CypherEvaluationError`."""
     if left is NULL or right is NULL:
         return NULL
-    if op == "+":
+    if op == "+" and not (is_numeric(left) and is_numeric(right)):
         if isinstance(left, str) and isinstance(right, str):
             return left + right
         if isinstance(left, list) and isinstance(right, list):
@@ -155,38 +177,19 @@ def apply_binary(op: str, left: Any, right: Any) -> Any:
             return left + [right]
         if isinstance(right, list):
             return [left] + right
-        _require_numbers(op, left, right)
-        return left + right
-    _require_numbers(op, left, right)
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            raise CypherEvaluationError("division by zero")
-        if isinstance(left, int) and isinstance(right, int):
-            return int(left / right)  # Cypher truncates toward zero
-        return left / right
-    if op == "%":
-        if right == 0:
-            raise CypherEvaluationError("modulo by zero")
-        # Cypher % keeps the dividend's sign (like Java), not Python's.
-        result = abs(left) % abs(right)
-        result = -result if left < 0 else result
-        if isinstance(left, int) and isinstance(right, int):
-            return int(result)
-        return result
-    if op == "^":
-        return float(left) ** float(right)
-    raise CypherEvaluationError(f"unknown operator {op}")
-
-
-def _require_numbers(op: str, left: Any, right: Any) -> None:
     if not is_numeric(left) or not is_numeric(right):
         raise CypherTypeError(
             f"operator {op} expects numbers, got {left!r} and {right!r}"
         )
+    arithmetic = _ARITHMETIC.get(op)
+    if arithmetic is None:
+        raise CypherEvaluationError(f"unknown operator {op}")
+    try:
+        return arithmetic(left, right)
+    except (ArithmeticError, ValueError) as error:
+        raise CypherEvaluationError(
+            f"{left!r} {op} {right!r}: {error}"
+        ) from None
 
 
 def apply_unary(op: str, operand: Any) -> Any:
@@ -256,7 +259,24 @@ def slice_value(subject: Any, lower: Any = 0, upper: Any = OPEN_END) -> Any:
         raise CypherTypeError(f"cannot slice {subject!r}")
     if lower is NULL or upper is NULL:
         return NULL
+    for bound in (lower, upper):
+        if not isinstance(bound, int) or isinstance(bound, bool):
+            raise CypherTypeError(f"slice bounds must be integers, got {bound!r}")
     return subject[lower:upper]
+
+
+def is_true(value: Any) -> bool:
+    """A predicate's verdict: true keeps a row; false and null drop it;
+    anything else is a type error (Cypher truth-tests no other value)."""
+    if value is True:
+        return True
+    if value is False or value is NULL:
+        return False
+    return _not_boolean(value)
+
+
+def _not_boolean(value: Any) -> Any:
+    raise CypherTypeError(f"expected a boolean or null, got {value!r}")
 
 
 class ExpressionEvaluator:
@@ -281,156 +301,65 @@ class ExpressionEvaluator:
             compile_cache if compile_cache is not None else {}
         )
 
-    # -- public API --------------------------------------------------------------
-
     def evaluate(self, expression: ast.Expression, scope: Mapping[str, Any]) -> Any:
         return compile_expression(expression, self.compile_cache)(self, scope)
 
-    def truth(self, expression: ast.Expression, scope: Mapping[str, Any]) -> Ternary:
-        """Evaluate as a predicate (for WHERE and friends)."""
-        return Ternary.of(self.evaluate(expression, scope))
-
     def call(self, name: str, args: list) -> Any:
-        """Apply a (non-aggregate) function to evaluated arguments."""
-        if name in ("startnode", "endnode"):
-            # Graph-aware functions need endpoint resolution.
-            rel = args[0]
-            if rel is NULL:
-                return NULL
-            if not isinstance(rel, Relationship):
-                raise CypherTypeError(
-                    f"{name}() expects a relationship, got {rel!r}"
-                )
-            return self.graph.node(rel.src if name == "startnode" else rel.trg)
-        return call_function(name, args)
-
-    # -- node kinds without a closure of their own ---------------------------------
-    #
-    # Rare or structurally complex kinds: :func:`compile_expression`
-    # wraps these methods instead of unrolling them.
-
-    def _eval_MapLiteral(self, node: ast.MapLiteral, scope: Mapping[str, Any]) -> Any:
-        return {key: self.evaluate(value, scope) for key, value in node.entries}
-
-    def _eval_Index(self, node: ast.Index, scope: Mapping[str, Any]) -> Any:
-        return index_value(
-            self.evaluate(node.subject, scope), self.evaluate(node.index, scope)
-        )
-
-    def _eval_Slice(self, node: ast.Slice, scope: Mapping[str, Any]) -> Any:
-        return slice_value(
-            self.evaluate(node.subject, scope),
-            self.evaluate(node.lower, scope) if node.lower else 0,
-            self.evaluate(node.upper, scope) if node.upper else OPEN_END,
-        )
-
-    def _eval_Quantifier(self, node: ast.Quantifier, scope: Mapping[str, Any]) -> Any:
-        source = self.evaluate(node.source, scope)
-        if source is NULL:
-            return NULL
-        if not isinstance(source, list):
-            raise CypherTypeError(f"{node.kind} expects a list, got {source!r}")
-        verdicts = []
-        for element in source:
-            inner = dict(scope)
-            inner[node.variable] = element
-            verdicts.append(self.truth(node.predicate, inner))
-        true_count = sum(1 for verdict in verdicts if verdict is Ternary.TRUE)
-        unknown = any(verdict is Ternary.UNKNOWN for verdict in verdicts)
-        if node.kind == "ALL":
-            if any(verdict is Ternary.FALSE for verdict in verdicts):
-                return False
-            return NULL if unknown else True
-        if node.kind == "ANY":
-            if true_count:
-                return True
-            return NULL if unknown else False
-        if node.kind == "NONE":
-            if true_count:
-                return False
-            return NULL if unknown else True
-        if node.kind == "SINGLE":
-            if true_count > 1:
-                return False
-            if unknown:
-                return NULL
-            return true_count == 1
-        raise CypherEvaluationError(f"unknown quantifier {node.kind}")
-
-    def _eval_ListComprehension(
-        self, node: ast.ListComprehension, scope: Mapping[str, Any]
-    ) -> Any:
-        source = self.evaluate(node.source, scope)
-        if source is NULL:
-            return NULL
-        if not isinstance(source, list):
-            raise CypherTypeError(
-                f"list comprehension expects a list, got {source!r}"
-            )
-        out = []
-        for element in source:
-            inner = dict(scope)
-            inner[node.variable] = element
-            if node.predicate is not None:
-                if self.truth(node.predicate, inner) is not Ternary.TRUE:
-                    continue
-            if node.projection is not None:
-                out.append(self.evaluate(node.projection, inner))
-            else:
-                out.append(element)
-        return out
-
-    def _eval_CaseExpression(
-        self, node: ast.CaseExpression, scope: Mapping[str, Any]
-    ) -> Any:
-        if node.operand is not None:
-            operand = self.evaluate(node.operand, scope)
-            for when, then in node.alternatives:
-                verdict = cypher_equals(operand, self.evaluate(when, scope))
-                if verdict is Ternary.TRUE:
-                    return self.evaluate(then, scope)
-        else:
-            for when, then in node.alternatives:
-                if self.truth(when, scope) is Ternary.TRUE:
-                    return self.evaluate(then, scope)
-        if node.default is not None:
-            return self.evaluate(node.default, scope)
-        return NULL
-
-    def _eval_FunctionCall(
-        self, node: ast.FunctionCall, scope: Mapping[str, Any]
-    ) -> Any:
-        # Only aggregates get here; plain calls have a closure.
-        raise CypherEvaluationError(
-            f"aggregate {node.name}() is only allowed in WITH/RETURN items"
-        )
-
-    def _eval_CountStar(self, node: ast.CountStar, scope: Mapping[str, Any]) -> Any:
-        raise CypherEvaluationError("count(*) is only allowed in WITH/RETURN items")
-
-    def _eval_PatternPredicate(
-        self, node: ast.PatternPredicate, scope: Mapping[str, Any]
-    ) -> Any:
-        if self._pattern_checker is None:
-            raise CypherEvaluationError(
-                "pattern predicates are not available in this context"
-            )
-        return self._pattern_checker(node.pattern, scope)
+        """Apply a (non-aggregate) function to evaluated arguments;
+        ``startNode``/``endNode`` resolve their endpoint id in the graph."""
+        value = call_function(name, args)
+        if name in ("startnode", "endnode") and value is not NULL:
+            return self.graph.node(value)
+        return value
 
 
 # -- compiled expressions -----------------------------------------------------
 #
-# An expression is compiled once into a closure ``fn(ev, scope)`` —
-# ``ev`` is the ExpressionEvaluator carrying graph/parameters, so one
+# An expression is compiled once into a tree of closures ``fn(ev, scope)``
+# — ``ev`` is the ExpressionEvaluator carrying graph/parameters, so one
 # compiled tree is reusable across evaluation instants and snapshots.
-# Node kinds with rare or complex semantics wrap the evaluator's
-# ``_eval_*`` method for that kind.
+# Every node kind has its closure: evaluating a row never re-enters
+# :func:`compile_expression`.  Predicates work on ``True``/``False``/
+# ``None`` directly; a single comparison of two ints, two strings, or two
+# non-NaN numbers runs natively, any other pair through :func:`compare`.
 
 CompiledExpr = Callable[["ExpressionEvaluator", Mapping[str, Any]], Any]
 
 #: Cache shape: ``id(ast_node) -> (ast_node, compiled_fn)``.  The strong
 #: reference to the node keeps the id() key from being recycled.
 ExprCache = "dict[int, tuple[ast.Expression, CompiledExpr]]"
+
+_NATIVE_COMPARE = {
+    "=": operator.eq, "<>": operator.ne, "<": operator.lt,
+    ">": operator.gt, "<=": operator.le, ">=": operator.ge,
+}
+_REALS = (int, float)
+
+
+def _and(left: Any, right: Any) -> Any:
+    if left is False or right is False:
+        return False
+    return NULL if left is NULL or right is NULL else True
+
+
+def _or(left: Any, right: Any) -> Any:
+    if left is True or right is True:
+        return True
+    return NULL if left is NULL or right is NULL else False
+
+
+def _xor(left: Any, right: Any) -> Any:
+    return NULL if left is NULL or right is NULL else left is not right
+
+
+#: A quantifier's verdict from its element counts: (true, null, false).
+_QUANTIFIERS = {
+    "ALL": lambda true, null, false: False if false else NULL if null else True,
+    "ANY": lambda true, null, false: True if true else NULL if null else False,
+    "NONE": lambda true, null, false: False if true else NULL if null else True,
+    "SINGLE": lambda true, null, false:
+        False if true > 1 else NULL if null else true == 1,
+}
 
 
 def compile_expression(
@@ -455,6 +384,11 @@ def compile_expression(
 
 
 def _compile(node: ast.Expression, cache: Optional[dict]) -> CompiledExpr:
+    def sub(child: Optional[ast.Expression], absent: Any = NULL) -> CompiledExpr:
+        if child is None:
+            return lambda ev, scope: absent
+        return compile_expression(child, cache)
+
     if isinstance(node, ast.Literal):
         value = node.value
         return lambda ev, scope: value
@@ -462,34 +396,34 @@ def _compile(node: ast.Expression, cache: Optional[dict]) -> CompiledExpr:
     if isinstance(node, ast.Variable):
         name = node.name
 
-        def var_fn(ev, scope, _name=name):
+        def var_fn(ev, scope):
             try:
-                return scope[_name]
+                return scope[name]
             except KeyError:
-                raise CypherEvaluationError(f"unknown variable {_name}") from None
+                raise CypherEvaluationError(f"unknown variable {name}") from None
 
         return var_fn
 
     if isinstance(node, ast.Parameter):
         name = node.name
 
-        def param_fn(ev, scope, _name=name):
-            if _name not in ev.parameters:
-                raise CypherEvaluationError(f"missing parameter ${_name}")
-            return ev.parameters[_name]
+        def param_fn(ev, scope):
+            if name not in ev.parameters:
+                raise CypherEvaluationError(f"missing parameter ${name}")
+            return ev.parameters[name]
 
         return param_fn
 
     if isinstance(node, ast.PropertyAccess):
-        subject_fn = compile_expression(node.subject, cache)
+        subject_fn = sub(node.subject)
         key = node.key
 
         def prop_fn(ev, scope):
             subject = subject_fn(ev, scope)
+            if isinstance(subject, (Node, Relationship)):
+                return subject.properties.get(key)
             if subject is NULL:
                 return NULL
-            if isinstance(subject, (Node, Relationship)):
-                return subject.property(key)
             if isinstance(subject, dict):
                 return subject.get(key, NULL)
             raise CypherTypeError(
@@ -499,16 +433,24 @@ def _compile(node: ast.Expression, cache: Optional[dict]) -> CompiledExpr:
         return prop_fn
 
     if isinstance(node, ast.Comparison):
-        first_fn = compile_expression(node.first, cache)
-        rest = tuple(
-            (op, compile_expression(operand, cache)) for op, operand in node.rest
-        )
-        if len(rest) == 1:
-            # The common case, without the chain's generator.
+        first_fn = sub(node.first)
+        rest = tuple((op, sub(operand)) for op, operand in node.rest)
+        if len(rest) == 1 and rest[0][0] in _NATIVE_COMPARE:
             (op, right_fn), = rest
-            return lambda ev, scope: compare(
-                op, first_fn(ev, scope), right_fn(ev, scope)
-            ).to_value()
+            native = _NATIVE_COMPARE[op]
+
+            def compare_fn(ev, scope):
+                left = first_fn(ev, scope)
+                right = right_fn(ev, scope)
+                kind = type(left)
+                if kind is type(right) and (kind is int or kind is str) or (
+                    kind in _REALS and type(right) in _REALS
+                    and left == left and right == right  # NaN is unordered
+                ):
+                    return native(left, right)
+                return compare(op, left, right).to_value()
+
+            return compare_fn
 
         def chain_fn(ev, scope):
             return compare_chain(
@@ -519,34 +461,41 @@ def _compile(node: ast.Expression, cache: Optional[dict]) -> CompiledExpr:
         return chain_fn
 
     if isinstance(node, (ast.And, ast.Or, ast.Xor)):
-        op3 = {ast.And: and3, ast.Or: or3, ast.Xor: xor3}[type(node)]
-        left_fn = compile_expression(node.left, cache)
-        right_fn = compile_expression(node.right, cache)
+        combine = {ast.And: _and, ast.Or: _or, ast.Xor: _xor}[type(node)]
+        left_fn = sub(node.left)
+        right_fn = sub(node.right)
 
         def logic_fn(ev, scope):
-            return op3(
-                Ternary.of(left_fn(ev, scope)), Ternary.of(right_fn(ev, scope))
-            ).to_value()
+            # Both operands, left first, each checked before the next runs.
+            left = left_fn(ev, scope)
+            if left is not NULL and type(left) is not bool:
+                _not_boolean(left)
+            right = right_fn(ev, scope)
+            if right is not NULL and type(right) is not bool:
+                _not_boolean(right)
+            return combine(left, right)
 
         return logic_fn
 
     if isinstance(node, ast.Not):
-        operand_fn = compile_expression(node.operand, cache)
-        return lambda ev, scope: not3(Ternary.of(operand_fn(ev, scope))).to_value()
+        operand_fn = sub(node.operand)
+
+        def not_fn(ev, scope):
+            value = operand_fn(ev, scope)
+            if value is NULL:
+                return NULL
+            return not value if type(value) is bool else _not_boolean(value)
+
+        return not_fn
 
     if isinstance(node, ast.IsNull):
-        operand_fn = compile_expression(node.operand, cache)
+        operand_fn = sub(node.operand)
         negated = node.negated
-
-        def isnull_fn(ev, scope):
-            result = operand_fn(ev, scope) is NULL
-            return (not result) if negated else result
-
-        return isnull_fn
+        return lambda ev, scope: (operand_fn(ev, scope) is NULL) != negated
 
     if isinstance(node, ast.InList):
-        item_fn = compile_expression(node.item, cache)
-        container_fn = compile_expression(node.container, cache)
+        item_fn = sub(node.item)
+        container_fn = sub(node.container)
 
         def inlist_fn(ev, scope):
             item = item_fn(ev, scope)
@@ -567,8 +516,8 @@ def _compile(node: ast.Expression, cache: Optional[dict]) -> CompiledExpr:
         return inlist_fn
 
     if isinstance(node, ast.StringPredicate):
-        left_fn = compile_expression(node.left, cache)
-        right_fn = compile_expression(node.right, cache)
+        left_fn = sub(node.left)
+        right_fn = sub(node.right)
         kind = node.kind
         if (
             kind == "=~"
@@ -614,39 +563,161 @@ def _compile(node: ast.Expression, cache: Optional[dict]) -> CompiledExpr:
         return strpred_fn
 
     if isinstance(node, ast.BinaryOp):
-        left_fn = compile_expression(node.left, cache)
-        right_fn = compile_expression(node.right, cache)
+        left_fn = sub(node.left)
+        right_fn = sub(node.right)
         op = node.op
         return lambda ev, scope: apply_binary(
             op, left_fn(ev, scope), right_fn(ev, scope)
         )
 
     if isinstance(node, ast.UnaryOp):
-        operand_fn = compile_expression(node.operand, cache)
+        operand_fn = sub(node.operand)
         op = node.op
         return lambda ev, scope: apply_unary(op, operand_fn(ev, scope))
 
     if isinstance(node, ast.ListLiteral):
-        item_fns = tuple(compile_expression(item, cache) for item in node.items)
+        item_fns = tuple(sub(item) for item in node.items)
         return lambda ev, scope: [fn(ev, scope) for fn in item_fns]
 
+    if isinstance(node, ast.MapLiteral):
+        entry_fns = tuple((key, sub(value)) for key, value in node.entries)
+        return lambda ev, scope: {key: fn(ev, scope) for key, fn in entry_fns}
+
+    if isinstance(node, ast.Index):
+        subject_fn, index_fn = sub(node.subject), sub(node.index)
+        return lambda ev, scope: index_value(
+            subject_fn(ev, scope), index_fn(ev, scope)
+        )
+
+    if isinstance(node, ast.Slice):
+        subject_fn = sub(node.subject)
+        lower_fn, upper_fn = sub(node.lower, 0), sub(node.upper, OPEN_END)
+        return lambda ev, scope: slice_value(
+            subject_fn(ev, scope), lower_fn(ev, scope), upper_fn(ev, scope)
+        )
+
+    if isinstance(node, (ast.Quantifier, ast.ListComprehension)):
+        return _compile_iteration(node, sub)
+
+    if isinstance(node, ast.CaseExpression):
+        operand_fn = sub(node.operand) if node.operand is not None else None
+        alternatives = tuple((sub(when), sub(then))
+                             for when, then in node.alternatives)
+        default_fn = sub(node.default)
+
+        def case_fn(ev, scope):
+            if operand_fn is not None:
+                operand = operand_fn(ev, scope)
+                for when_fn, then_fn in alternatives:
+                    if cypher_equals(operand, when_fn(ev, scope)) is Ternary.TRUE:
+                        return then_fn(ev, scope)
+            else:
+                for when_fn, then_fn in alternatives:
+                    if is_true(when_fn(ev, scope)):
+                        return then_fn(ev, scope)
+            return default_fn(ev, scope)
+
+        return case_fn
+
     if isinstance(node, ast.FunctionCall) and node.name not in AGGREGATE_NAMES:
-        arg_fns = tuple(compile_expression(arg, cache) for arg in node.args)
+        arg_fns = tuple(sub(arg) for arg in node.args)
         name = node.name
-        if name in ("startnode", "endnode"):
+        function = FUNCTIONS.get(name)
+        if function is None or name in ("startnode", "endnode"):
+            # Unknown functions raise once their arguments are evaluated.
             return lambda ev, scope: ev.call(
                 name, [fn(ev, scope) for fn in arg_fns]
             )
-        return lambda ev, scope: call_function(
-            name, [fn(ev, scope) for fn in arg_fns]
-        )
+        if len(arg_fns) == 1:
+            (arg_fn,) = arg_fns
+            return lambda ev, scope: function(arg_fn(ev, scope))
+        return lambda ev, scope: function(*[fn(ev, scope) for fn in arg_fns])
 
-    # Everything else (maps, indexing, slices, quantifiers, CASE,
-    # comprehensions, pattern predicates, aggregates-in-wrong-place
-    # errors): the evaluator's method for the kind.
-    method = getattr(ExpressionEvaluator, f"_eval_{type(node).__name__}", None)
-    if method is None:
-        raise CypherEvaluationError(
-            f"cannot evaluate expression node {type(node).__name__}"
-        )
-    return lambda ev, scope: method(ev, node, scope)
+    if isinstance(node, ast.PatternPredicate):
+        pattern = node.pattern
+
+        def pattern_fn(ev, scope):
+            if ev._pattern_checker is None:
+                raise CypherEvaluationError(
+                    "pattern predicates are not available in this context"
+                )
+            return ev._pattern_checker(pattern, scope)
+
+        return pattern_fn
+
+    if isinstance(node, (ast.FunctionCall, ast.CountStar)):
+        what = ("count(*)" if isinstance(node, ast.CountStar)
+                else f"aggregate {node.name}()")
+
+        def aggregate_fn(ev, scope):
+            raise CypherEvaluationError(
+                f"{what} is only allowed in WITH/RETURN items"
+            )
+
+        return aggregate_fn
+
+    raise CypherEvaluationError(
+        f"cannot evaluate expression node {type(node).__name__}"
+    )
+
+
+def _compile_iteration(
+    node: "ast.Quantifier | ast.ListComprehension",
+    sub: Callable[..., CompiledExpr],
+) -> CompiledExpr:
+    """A quantifier or list comprehension: the variable is bound into one
+    inner scope per evaluation, rebound per element."""
+    source_fn = sub(node.source)
+    variable = node.variable
+    quantifier = isinstance(node, ast.Quantifier)
+    what = node.kind if quantifier else "list comprehension"
+    predicate_fn = sub(node.predicate) if node.predicate is not None else None
+
+    def elements(ev, scope):
+        source = source_fn(ev, scope)
+        if source is not NULL and not isinstance(source, list):
+            raise CypherTypeError(f"{what} expects a list, got {source!r}")
+        return source
+
+    if quantifier:
+        decide = _QUANTIFIERS.get(node.kind)
+        if decide is None:
+            raise CypherEvaluationError(f"unknown quantifier {node.kind}")
+
+        def quantifier_fn(ev, scope):
+            source = elements(ev, scope)
+            if source is NULL:
+                return NULL
+            inner = dict(scope)
+            true = null = 0
+            # Every element is evaluated before the verdict.
+            for element in source:
+                inner[variable] = element
+                verdict = predicate_fn(ev, inner)
+                if verdict is True:
+                    true += 1
+                elif verdict is NULL:
+                    null += 1
+                elif verdict is not False:
+                    _not_boolean(verdict)
+            return decide(true, null, len(source) - true - null)
+
+        return quantifier_fn
+
+    projection_fn = sub(node.projection) if node.projection is not None else None
+
+    def comprehension_fn(ev, scope):
+        source = elements(ev, scope)
+        if source is NULL:
+            return NULL
+        inner = dict(scope)
+        out = []
+        for element in source:
+            inner[variable] = element
+            if predicate_fn is not None and not is_true(predicate_fn(ev, inner)):
+                continue
+            out.append(element if projection_fn is None
+                       else projection_fn(ev, inner))
+        return out
+
+    return comprehension_fn

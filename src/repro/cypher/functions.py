@@ -1,9 +1,14 @@
 """Scalar and list functions available in expressions.
 
-The registry maps lower-case function names to plain Python callables
-taking already-evaluated argument values.  Null handling follows Cypher:
-most functions are null-propagating (null in → null out); exceptions like
-``coalesce`` are implemented explicitly.
+The registry maps lower-case function names to callables taking
+already-evaluated argument values.  Each entry is declared with the kinds
+of its arguments and bound once by :func:`_bind`, the one place arguments
+are checked, in this order: a ``null`` argument makes the result ``null``
+(every function but ``coalesce`` and ``exists``), a wrong argument count is
+a :class:`CypherEvaluationError`, an argument of the wrong kind a
+:class:`CypherTypeError`.  A result outside the float range or an argument
+outside a function's domain (``sqrt(-1)``, ``log(0)``, ``exp(1000)``,
+``toInteger(1e400)``, ``split(s, '')``) is a :class:`CypherEvaluationError`.
 """
 
 from __future__ import annotations
@@ -13,286 +18,158 @@ from typing import Any, Callable, Dict, List, Sequence
 
 from repro.errors import CypherEvaluationError, CypherTypeError
 from repro.graph.model import Node, Path, Relationship
-from repro.graph.values import NULL, is_numeric
+from repro.graph.values import NULL
+
+#: Argument kinds: the accepted types and how an error names them.  A
+#: boolean is never a number, though ``bool`` subclasses ``int``.
+ANY = ((object,), "a value")
+NUMBER = ((int, float), "a number")
+INTEGER = ((int,), "an integer")
+STRING = ((str,), "a string")
+LIST = ((list,), "a list")
+PATH = ((Path,), "a path")
+RELATIONSHIP = ((Relationship,), "a relationship")
+ENTITY_OR_MAP = ((Node, Relationship, dict), "a node, relationship or map")
 
 
-def _null_propagating(fn: Callable) -> Callable:
-    def wrapper(*args: Any) -> Any:
-        if any(arg is NULL for arg in args):
-            return NULL
-        return fn(*args)
+def _bind(name: str, fn: Callable, *kinds: tuple, optional: int = 0,
+          nulls: bool = True, variadic: bool = False) -> Callable:
+    """``fn`` behind the checks of ``name``'s arguments.
 
-    return wrapper
+    ``optional`` trailing kinds may be left out, ``variadic`` admits any
+    number of further arguments, ``nulls=False`` passes ``null`` through.
+    """
+    low, high = len(kinds) - optional, math.inf if variadic else len(kinds)
+    arity = f"{low}" if low == high else f"{low} to {high}"
+    checks = tuple(
+        (types, int in types and bool not in types, description)
+        for types, description in kinds
+    )
 
+    def bound(*args: Any) -> Any:
+        for value in args if nulls else ():
+            if value is NULL:  # not ``in``: that calls each value's __eq__
+                return NULL
+        if not low <= len(args) <= high:
+            raise CypherEvaluationError(
+                f"{name}() takes {arity} arguments, got {len(args)}"
+            )
+        for value, (types, strict, description) in zip(args, checks):
+            if not isinstance(value, types) or strict and type(value) is bool:
+                raise CypherTypeError(
+                    f"{name}() expects {description}, got {value!r}"
+                )
+        try:
+            return fn(*args)
+        except (ArithmeticError, ValueError) as error:
+            raise CypherEvaluationError(f"{name}(): {error}") from None
 
-def _fn_labels(node: Any) -> Any:
-    if not isinstance(node, Node):
-        raise CypherTypeError(f"labels() expects a node, got {node!r}")
-    return sorted(node.labels)
-
-
-def _fn_type(rel: Any) -> Any:
-    if not isinstance(rel, Relationship):
-        raise CypherTypeError(f"type() expects a relationship, got {rel!r}")
-    return rel.type
-
-
-def _fn_id(entity: Any) -> Any:
-    if isinstance(entity, (Node, Relationship)):
-        return entity.id
-    raise CypherTypeError(f"id() expects a node or relationship, got {entity!r}")
-
-
-def _fn_nodes(path: Any) -> Any:
-    if not isinstance(path, Path):
-        raise CypherTypeError(f"nodes() expects a path, got {path!r}")
-    return list(path.nodes)
-
-
-def _fn_relationships(path: Any) -> Any:
-    if not isinstance(path, Path):
-        raise CypherTypeError(f"relationships() expects a path, got {path!r}")
-    return list(path.relationships)
+    return bound
 
 
-def _fn_length(value: Any) -> Any:
-    if isinstance(value, Path):
-        return value.length
-    if isinstance(value, (list, str)):
-        # length() on lists/strings is legacy Cypher; accepted for R4.
-        return len(value)
-    raise CypherTypeError(f"length() expects a path, got {value!r}")
-
-
-def _fn_size(value: Any) -> Any:
-    if isinstance(value, (list, str, dict)):
-        return len(value)
-    raise CypherTypeError(f"size() expects a list, string or map, got {value!r}")
-
-
-def _fn_head(value: Any) -> Any:
-    if not isinstance(value, list):
-        raise CypherTypeError(f"head() expects a list, got {value!r}")
-    return value[0] if value else NULL
-
-
-def _fn_last(value: Any) -> Any:
-    if not isinstance(value, list):
-        raise CypherTypeError(f"last() expects a list, got {value!r}")
-    return value[-1] if value else NULL
-
-
-def _fn_tail(value: Any) -> Any:
-    if not isinstance(value, list):
-        raise CypherTypeError(f"tail() expects a list, got {value!r}")
-    return value[1:]
-
-
-def _fn_reverse(value: Any) -> Any:
-    if isinstance(value, list):
-        return list(reversed(value))
-    if isinstance(value, str):
-        return value[::-1]
-    raise CypherTypeError(f"reverse() expects a list or string, got {value!r}")
-
-
-def _fn_keys(value: Any) -> Any:
-    if isinstance(value, (Node, Relationship)):
-        return sorted(value.properties.keys())
-    if isinstance(value, dict):
-        return sorted(value.keys())
-    raise CypherTypeError(f"keys() expects an entity or map, got {value!r}")
-
-
-def _fn_properties(value: Any) -> Any:
-    if isinstance(value, (Node, Relationship)):
-        return dict(value.properties)
-    if isinstance(value, dict):
-        return dict(value)
-    raise CypherTypeError(f"properties() expects an entity or map, got {value!r}")
-
-
-def _fn_start_node(rel: Any) -> Any:
-    if not isinstance(rel, Relationship):
-        raise CypherTypeError(f"startNode() expects a relationship, got {rel!r}")
-    return rel.src
-
-
-def _fn_end_node(rel: Any) -> Any:
-    if not isinstance(rel, Relationship):
-        raise CypherTypeError(f"endNode() expects a relationship, got {rel!r}")
-    return rel.trg
-
-
-def _fn_range(*args: Any) -> Any:
-    if len(args) == 2:
-        start, stop, step = args[0], args[1], 1
-    elif len(args) == 3:
-        start, stop, step = args
-    else:
-        raise CypherEvaluationError("range() takes 2 or 3 arguments")
+def _fn_range(start: int, stop: int, step: int = 1) -> List[int]:
     if step == 0:
         raise CypherEvaluationError("range() step must not be zero")
-    out: List[int] = []
-    current = start
-    if step > 0:
-        while current <= stop:
-            out.append(current)
-            current += step
-    else:
-        while current >= stop:
-            out.append(current)
-            current += step
-    return out
+    return list(range(start, stop + (1 if step > 0 else -1), step))
 
 
 def _fn_to_integer(value: Any) -> Any:
-    if isinstance(value, bool):
-        return 1 if value else 0
-    if is_numeric(value):
-        return int(value)
     if isinstance(value, str):
         try:
             return int(float(value)) if "." in value else int(value)
         except ValueError:
             return NULL
-    raise CypherTypeError(f"toInteger() cannot convert {value!r}")
+    return int(value)
 
 
 def _fn_to_float(value: Any) -> Any:
-    if is_numeric(value):
+    try:
         return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            return NULL
-    raise CypherTypeError(f"toFloat() cannot convert {value!r}")
+    except ValueError:
+        return NULL
 
 
 def _fn_to_string(value: Any) -> Any:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if is_numeric(value) or isinstance(value, str):
-        return str(value)
-    raise CypherTypeError(f"toString() cannot convert {value!r}")
+    return str(value)
 
 
 def _fn_to_boolean(value: Any) -> Any:
     if isinstance(value, bool):
         return value
-    if isinstance(value, str):
-        lowered = value.lower()
-        if lowered == "true":
-            return True
-        if lowered == "false":
-            return False
-        return NULL
-    raise CypherTypeError(f"toBoolean() cannot convert {value!r}")
+    return {"true": True, "false": False}.get(value.lower(), NULL)
 
 
-def _numeric_unary(name: str, fn: Callable[[float], float],
-                   integer_preserving: bool = False) -> Callable:
-    def wrapper(value: Any) -> Any:
-        if not is_numeric(value):
-            raise CypherTypeError(f"{name}() expects a number, got {value!r}")
-        result = fn(value)
-        if integer_preserving and isinstance(value, int):
-            return int(result)
-        return result
-
-    return wrapper
+def _properties(value: Any) -> Any:
+    return value if isinstance(value, dict) else value.properties
 
 
-def _fn_round(value: Any) -> Any:
-    if not is_numeric(value):
-        raise CypherTypeError(f"round() expects a number, got {value!r}")
-    return float(math.floor(value + 0.5))
-
-
-def _fn_split(text: Any, sep: Any) -> Any:
-    if not isinstance(text, str) or not isinstance(sep, str):
-        raise CypherTypeError("split() expects two strings")
-    return text.split(sep)
-
-
-def _fn_substring(*args: Any) -> Any:
-    if len(args) == 2:
-        text, start = args
-        return text[start:]
-    if len(args) == 3:
-        text, start, length = args
-        return text[start : start + length]
-    raise CypherEvaluationError("substring() takes 2 or 3 arguments")
-
-
-def _fn_coalesce(*args: Any) -> Any:
-    for arg in args:
-        if arg is not NULL:
-            return arg
-    return NULL
-
-
-def _fn_exists(value: Any) -> Any:
-    return value is not NULL
-
-
-def _fn_abs(value: Any) -> Any:
-    if not is_numeric(value):
-        raise CypherTypeError(f"abs() expects a number, got {value!r}")
-    return abs(value)
-
-
-def _fn_sign(value: Any) -> Any:
-    if not is_numeric(value):
-        raise CypherTypeError(f"sign() expects a number, got {value!r}")
-    return (value > 0) - (value < 0)
-
+_DECLARED: Dict[str, tuple] = {
+    "labels": (lambda node: sorted(node.labels), ((Node,), "a node")),
+    "type": (lambda rel: rel.type, RELATIONSHIP),
+    "id": (lambda entity: entity.id,
+           ((Node, Relationship), "a node or relationship")),
+    "nodes": (lambda path: list(path.nodes), PATH),
+    "relationships": (lambda path: list(path.relationships), PATH),
+    "rels": (lambda path: list(path.relationships), PATH),
+    # length() on lists/strings is legacy Cypher; accepted for R4.
+    "length": (lambda value: value.length if isinstance(value, Path)
+               else len(value), ((Path, list, str), "a path")),
+    "size": (len, ((list, str, dict), "a list, string or map")),
+    "head": (lambda items: items[0] if items else NULL, LIST),
+    "last": (lambda items: items[-1] if items else NULL, LIST),
+    "tail": (lambda items: items[1:], LIST),
+    "reverse": (lambda items: items[::-1], ((list, str), "a list or string")),
+    "keys": (lambda value: sorted(_properties(value)), ENTITY_OR_MAP),
+    "properties": (lambda value: dict(_properties(value)), ENTITY_OR_MAP),
+    # Endpoint ids; the expression evaluator resolves them to nodes.
+    "startnode": (lambda rel: rel.src, RELATIONSHIP),
+    "endnode": (lambda rel: rel.trg, RELATIONSHIP),
+    "tointeger": (_fn_to_integer,
+                  ((bool, int, float, str), "a boolean, number or string")),
+    "tofloat": (_fn_to_float, ((int, float, str), "a number or string")),
+    "tostring": (_fn_to_string,
+                 ((bool, int, float, str), "a boolean, number or string")),
+    "toboolean": (_fn_to_boolean, ((bool, str), "a boolean or string")),
+    "abs": (abs, NUMBER),
+    "sign": (lambda value: (value > 0) - (value < 0), NUMBER),
+    "sqrt": (math.sqrt, NUMBER),
+    "floor": (math.floor, NUMBER),
+    "ceil": (math.ceil, NUMBER),
+    "round": (lambda value: float(math.floor(value + 0.5)), NUMBER),
+    "exp": (math.exp, NUMBER),
+    "log": (math.log, NUMBER),
+    "log10": (math.log10, NUMBER),
+    "tolower": (str.lower, STRING),
+    "toupper": (str.upper, STRING),
+    "trim": (str.strip, STRING),
+    "ltrim": (str.lstrip, STRING),
+    "rtrim": (str.rstrip, STRING),
+    "replace": (str.replace, STRING, STRING, STRING),
+    "split": (str.split, STRING, STRING),
+    "left": (lambda text, count: text[:count], STRING, INTEGER),
+    "right": (lambda text, count: text[-count:] if count else "",
+              STRING, INTEGER),
+}
 
 FUNCTIONS: Dict[str, Callable] = {
-    "labels": _null_propagating(_fn_labels),
-    "type": _null_propagating(_fn_type),
-    "id": _null_propagating(_fn_id),
-    "nodes": _null_propagating(_fn_nodes),
-    "relationships": _null_propagating(_fn_relationships),
-    "rels": _null_propagating(_fn_relationships),
-    "length": _null_propagating(_fn_length),
-    "size": _null_propagating(_fn_size),
-    "head": _null_propagating(_fn_head),
-    "last": _null_propagating(_fn_last),
-    "tail": _null_propagating(_fn_tail),
-    "reverse": _null_propagating(_fn_reverse),
-    "keys": _null_propagating(_fn_keys),
-    "properties": _null_propagating(_fn_properties),
-    "startnode": _null_propagating(_fn_start_node),
-    "endnode": _null_propagating(_fn_end_node),
-    "range": _null_propagating(_fn_range),
-    "tointeger": _null_propagating(_fn_to_integer),
-    "tofloat": _null_propagating(_fn_to_float),
-    "tostring": _null_propagating(_fn_to_string),
-    "toboolean": _null_propagating(_fn_to_boolean),
-    "abs": _null_propagating(_fn_abs),
-    "sign": _null_propagating(_fn_sign),
-    "sqrt": _null_propagating(_numeric_unary("sqrt", math.sqrt)),
-    "floor": _null_propagating(_numeric_unary("floor", math.floor)),
-    "ceil": _null_propagating(_numeric_unary("ceil", math.ceil)),
-    "round": _null_propagating(_fn_round),
-    "exp": _null_propagating(_numeric_unary("exp", math.exp)),
-    "log": _null_propagating(_numeric_unary("log", math.log)),
-    "log10": _null_propagating(_numeric_unary("log10", math.log10)),
-    "tolower": _null_propagating(lambda s: s.lower()),
-    "toupper": _null_propagating(lambda s: s.upper()),
-    "trim": _null_propagating(lambda s: s.strip()),
-    "ltrim": _null_propagating(lambda s: s.lstrip()),
-    "rtrim": _null_propagating(lambda s: s.rstrip()),
-    "replace": _null_propagating(lambda s, old, new: s.replace(old, new)),
-    "split": _null_propagating(_fn_split),
-    "substring": _null_propagating(_fn_substring),
-    "left": _null_propagating(lambda s, n: s[:n]),
-    "right": _null_propagating(lambda s, n: s[-n:] if n else ""),
-    "coalesce": _fn_coalesce,
-    "exists": _fn_exists,
+    name: _bind(name, *spec) for name, spec in _DECLARED.items()
 }
+FUNCTIONS.update(
+    range=_bind("range", _fn_range, INTEGER, INTEGER, INTEGER, optional=1),
+    substring=_bind(
+        "substring", lambda text, start, length=None: text[start:]
+        if length is None else text[start:start + length],
+        STRING, INTEGER, INTEGER, optional=1,
+    ),
+    coalesce=_bind(
+        "coalesce",
+        lambda *args: next((arg for arg in args if arg is not NULL), NULL),
+        ANY, optional=1, nulls=False, variadic=True,
+    ),
+    exists=_bind("exists", lambda value: value is not NULL, ANY, nulls=False),
+)
 
 #: Aggregate function names — these are *not* in FUNCTIONS; the evaluator
 #: routes them through :mod:`repro.cypher.aggregates`.

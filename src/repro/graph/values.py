@@ -91,6 +91,11 @@ def xor3(left: Ternary, right: Ternary) -> Ternary:
     return Ternary.FALSE
 
 
+#: Types two values of which compare natively: the front door of
+#: :func:`cypher_equals` and :func:`cypher_compare` (NaN aside).
+_NATIVE = frozenset({int, float, str})
+
+
 def is_numeric(value: Any) -> bool:
     """True for Cypher numbers (int/float but *not* bool)."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -105,6 +110,9 @@ def cypher_equals(left: Any, right: Any) -> Ternary:
     openCypher behaviour: equality of containers with nulls is UNKNOWN
     unless lengths/keys differ, which yields FALSE).
     """
+    kind = type(left)
+    if kind is type(right) and kind in _NATIVE:
+        return Ternary.TRUE if left == right else Ternary.FALSE
     if left is NULL or right is NULL:
         return Ternary.UNKNOWN
     if isinstance(left, bool) or isinstance(right, bool):
@@ -146,28 +154,26 @@ def cypher_equals(left: Any, right: Any) -> Ternary:
 _TYPE_ORDER = {"map": 0, "node": 1, "relationship": 2, "list": 3, "path": 4,
                "string": 5, "boolean": 6, "number": 7}
 
+#: Ordering class by exact type; a graph entity's type joins on first sight.
+_ORDER_CLASSES = {bool: "boolean", int: "number", float: "number",
+                  str: "string", list: "list", dict: "map"}
+
 
 def _order_class(value: Any) -> str:
-    # Imported lazily to avoid a circular dependency with graph.model.
-    from repro.graph.model import Node, Path, Relationship
+    cls = _ORDER_CLASSES.get(type(value))
+    if cls is None:
+        # Imported here: graph.model imports this module.
+        from repro.graph.model import Node, Path, Relationship
 
-    if isinstance(value, Node):
-        return "node"
-    if isinstance(value, Relationship):
-        return "relationship"
-    if isinstance(value, Path):
-        return "path"
-    if isinstance(value, bool):
-        return "boolean"
-    if is_numeric(value):
-        return "number"
-    if isinstance(value, str):
-        return "string"
-    if isinstance(value, list):
-        return "list"
-    if isinstance(value, dict):
-        return "map"
-    raise CypherTypeError(f"unorderable value {value!r}")
+        for types, cls in ((Node, "node"), (Relationship, "relationship"),
+                           (Path, "path"), (bool, "boolean"),
+                           ((int, float), "number"), (str, "string"),
+                           (list, "list"), (dict, "map")):
+            if isinstance(value, types):
+                _ORDER_CLASSES[type(value)] = cls
+                return cls
+        raise CypherTypeError(f"unorderable value {value!r}")
+    return cls
 
 
 def cypher_compare(left: Any, right: Any) -> Optional[int]:
@@ -177,6 +183,11 @@ def cypher_compare(left: Any, right: Any) -> Optional[int]:
     comparison is undefined (null involved, or incomparable types under
     Cypher's comparability rules).
     """
+    kind = type(left)
+    if kind is type(right) and kind in _NATIVE:
+        if left == left and right == right:  # NaN is unordered
+            return (left > right) - (left < right)
+        return None
     if left is NULL or right is NULL:
         return None
     left_class, right_class = _order_class(left), _order_class(right)
@@ -214,7 +225,7 @@ def order_key(value: Any) -> tuple:
     if cls == "number":
         if isinstance(value, float) and math.isnan(value):
             return (1, 0, 0)
-        return (0, _TYPE_ORDER[cls], float(value))
+        return (0, _TYPE_ORDER[cls], value)  # int/float compare exactly
     if cls in ("string",):
         return (0, _TYPE_ORDER[cls], value)
     if cls == "boolean":
@@ -245,8 +256,9 @@ def hashable(value: Any) -> Any:
     if isinstance(value, bool):
         return ("\x00bool", value)
     if is_numeric(value):
-        # 1 and 1.0 are the same Cypher value.
-        return ("\x00num", float(value))
+        # 1 and 1.0 are the same Cypher value, and Python hashes equal
+        # numbers alike; float(value) would merge distinct large integers.
+        return ("\x00num", value)
     return value
 
 

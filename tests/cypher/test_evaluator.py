@@ -125,6 +125,33 @@ class TestProjection:
         )
         assert [record["name"] for record in table] == ["Bob", "Carol"]
 
+    def test_distinct_keeps_integers_a_float_cannot_tell_apart(self):
+        # 2**53 + 1 and 2**53 round to the same float, yet are unequal.
+        table = run_cypher(
+            "UNWIND [9007199254740993, 9007199254740992, 9007199254740992.0] "
+            "AS x RETURN DISTINCT x",
+            PropertyGraph.empty(),
+        )
+        assert [record["x"] for record in table] == [
+            9007199254740993, 9007199254740992,
+        ]
+
+    def test_grouping_keeps_integers_a_float_cannot_tell_apart(self):
+        table = run_cypher(
+            "UNWIND [9007199254740993, 9007199254740992, 9007199254740993] "
+            "AS x RETURN x, count(*) AS n",
+            PropertyGraph.empty(),
+        )
+        assert rows(table) == [
+            {"x": 9007199254740993, "n": 2}, {"x": 9007199254740992, "n": 1},
+        ]
+
+    def test_entering_diff_keeps_integers_a_float_cannot_tell_apart(self):
+        # ON ENTERING is a bag difference on the same key.
+        now = Table([Record(x=2**53 + 1)], fields={"x"})
+        before = Table([Record(x=2**53)], fields={"x"})
+        assert rows(now.bag_difference(before)) == [{"x": 2**53 + 1}]
+
     def test_skip_limit(self):
         table = run_cypher(
             "UNWIND [3,1,2] AS x RETURN x ORDER BY x SKIP 1 LIMIT 1",

@@ -55,6 +55,14 @@ class TestArithmetic:
         assert run(evaluator, "7 / 2") == 3
         assert run(evaluator, "-7 / 2") == -3
 
+    def test_integer_division_is_exact(self, evaluator):
+        # Through a float, 2**62 + 1 would come back as 2**62.
+        assert run(evaluator, "4611686018427387905 / 1") == 4611686018427387905
+        assert run(evaluator, "-4611686018427387905 / 1") == -4611686018427387905
+        assert run(evaluator, "4611686018427387905 / -2") == -2305843009213693952
+        assert run(evaluator, "-9007199254740993 / -1") == 9007199254740993
+        assert run(evaluator, "-7 / -2") == 3
+
     def test_float_division(self, evaluator):
         assert run(evaluator, "7.0 / 2") == 3.5
 

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.cypher.expressions import ExpressionEvaluator
 from repro.cypher.functions import call_function
+from repro.cypher.parser import parse_cypher_expression
 from repro.errors import CypherEvaluationError, CypherTypeError
-from repro.graph.model import Node, Path, Relationship
+from repro.graph.model import Node, Path, PropertyGraph, Relationship
 from repro.graph.values import NULL
 
 ALICE = Node(id=1, labels={"Person"}, properties={"name": "Alice"})
@@ -125,3 +127,31 @@ class TestNullHandling:
     def test_unknown_function(self):
         with pytest.raises(CypherEvaluationError):
             call_function("frobnicate", [1])
+
+
+#: Calls that raised a raw Python exception before their arguments were
+#: checked in one place (the compile-time binding): each is now typed.
+ONCE_UNTYPED = [
+    ("substring('abc', 'x')", CypherTypeError),  # TypeError
+    ("left('abc', 'x')", CypherTypeError),  # TypeError
+    ("[1, 2][0..'a']", CypherTypeError),  # TypeError
+    ("range(1, 'a')", CypherTypeError),  # TypeError
+    ("toLower(3)", CypherTypeError),  # AttributeError
+    ("replace(1, 'a', 'b')", CypherTypeError),  # AttributeError
+    ("toInteger(1e400)", CypherEvaluationError),  # OverflowError
+    ("2 ^ 10000", CypherEvaluationError),  # OverflowError
+    ("exp(1000)", CypherEvaluationError),  # OverflowError
+    ("sqrt(-1)", CypherEvaluationError),  # ValueError
+    ("log(0)", CypherEvaluationError),  # ValueError
+    ("(-8) ^ 0.5", CypherEvaluationError),  # a complex number
+    ("split('a', '')", CypherEvaluationError),  # ValueError
+    ("toLower('a', 'b')", CypherEvaluationError),  # TypeError
+    ("startNode()", CypherEvaluationError),  # IndexError
+]
+
+
+@pytest.mark.parametrize("text,error", ONCE_UNTYPED)
+def test_no_untyped_exception(text, error):
+    evaluator = ExpressionEvaluator(PropertyGraph.empty())
+    with pytest.raises(error):
+        evaluator.evaluate(parse_cypher_expression(text), {})

@@ -6,7 +6,8 @@ the two trees alternately, read only its last stdout line.  A side is *better*
 when it wins nine tenths of the pairs and the medians differ by over the base's
 q3-q1.  After the pairs, one traced pass per side says *where* a metric moved:
 the stage seconds per evaluation that was not a reuse tick, beside the counts
-that must repeat exactly on both sides.
+that must repeat exactly on both sides.  Every median row and stage row
+carries the change/base ratio.
 """
 
 import argparse
@@ -20,7 +21,8 @@ from statistics import quantiles
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 quartiles = partial(quantiles, n=4, method="inclusive")
-STAGES = ("stage.match_full_s", "stage.snapshot_build_s", "stage.window_advance_s")
+STAGES = ("stage.match_full_s", "stage.match_delta_s", "stage.match_self_s",
+          "stage.snapshot_build_s", "stage.window_advance_s", "stage.report_s")
 COUNTS = ("seraph.evaluations", "seraph.emission_rows", "seraph.reuse_share")
 
 
@@ -36,6 +38,10 @@ def run_once(tree, workload, seed, trace=0):
     if not result["correct"] or result["failed"]:
         sys.exit(f"{tree}: wrong or failed run: {line}")
     return {name: entry["value"] for name, entry in result["metrics"].items()}
+
+
+def ratio(base, change):
+    return f"{change / base:.3f}" if base else "-"
 
 
 def verdict(base, change, sign):
@@ -58,16 +64,18 @@ def compare(trees, workload, pairs, seed, declared, base):
         print(f"{workload} pair {pair + 1}/{pairs} done", file=sys.stderr)
     print(f"{workload} seed {seed}: {base} vs working tree, "
           f"{pairs} alternating pairs; cells are q1/median/q3\n"
-          f"{'metric':18} {'base':>30} {'change':>30}  wins  verdict")
+          f"{'metric':18} {'base':>30} {'change':>30}  change/base  wins  verdict")
     for entry in declared:
         sides = [[run[entry["name"]] for run in side] for side in runs.values()]
         wins, word = verdict(*sides, 1 if entry["better"] == "higher" else -1)
         cells = ["/".join(f"{value:.3f}" for value in quartiles(side))
                  for side in sides]
+        medians = [quartiles(side)[1] for side in sides]
         print(f"{entry['name']:18} {cells[0]:>30} {cells[1]:>30}  "
-              f"{wins:>2}/{pairs}  {word}")
+              f"{ratio(*medians):>11}  {wins:>2}/{pairs}  {word}")
     traced = [run_once(tree, workload, seed, trace=1) for _, tree in trees]
-    print("traced pass, one per side; stages in ms per non-reused evaluation")
+    print("traced pass, one per side; stages in ms per non-reused evaluation"
+          f"\n{'':26} {'base':>12} {'change':>12}  change/base")
     for name in COUNTS:
         values = [run[name] for run in traced]
         print(f"{name:26} {values[0]:>12g} {values[1]:>12g}  "
@@ -78,7 +86,8 @@ def compare(trees, workload, pairs, seed, declared, base):
                 1.0, run["seraph.evaluations"] * (1 - run["seraph.reuse_share"]))
             for run in traced
         ]
-        print(f"{name:26} {per_full[0]:>12.4f} {per_full[1]:>12.4f}", flush=True)
+        print(f"{name:26} {per_full[0]:>12.4f} {per_full[1]:>12.4f}  "
+              f"{ratio(*per_full):>11}", flush=True)
 
 
 def main():
