@@ -409,8 +409,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         try:
-            assert service._server is not None
-            await service._server.serve_forever()
+            # until Ctrl-C (see SeraphService.serve_forever)
+            await asyncio.get_running_loop().create_future()
         except (KeyboardInterrupt, asyncio.CancelledError):
             pass
         finally:

@@ -1,18 +1,30 @@
 """A minimal asyncio client for the service (tests + smoke checks).
 
-Deliberately tiny and dependency-free: one connection per request
-(mirroring the server's ``Connection: close`` contract), JSON bodies in
-and out, and an SSE consumer that parses ``text/event-stream`` frames
-incrementally.  This is *not* a production client — it exists so the
-integration tests and ``make serve-smoke`` can exercise the real wire
-protocol without pulling in an HTTP library.
+Deliberately tiny and dependency-free: persistent HTTP/1.1 connections
+(a stack of idle ones, never shared by two requests in flight), JSON
+bodies in and out, and an SSE consumer that parses
+``text/event-stream`` frames incrementally.  This is *not* a production
+client — it exists so the integration tests and ``make serve-smoke``
+can exercise the real wire protocol without pulling in an HTTP library.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, AsyncIterator, Dict, Optional, Tuple
+from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
+
+
+def parse_head(head: bytes) -> Tuple[str, Dict[str, str]]:
+    """An HTTP message head, through its blank line, as the start line
+    and the headers keyed by lower-cased name (the server's parser too)."""
+    start_line, *lines = head.decode("latin-1").lstrip("\r\n").split("\r\n")
+    headers: Dict[str, str] = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        if name:
+            headers[name.strip().lower()] = value.strip()
+    return start_line, headers
 
 
 class ServiceResponse:
@@ -45,12 +57,18 @@ class SseEvent:
 
 
 class ServiceClient:
-    """Issue requests against one running :class:`SeraphService`."""
+    """Issue requests against one running :class:`SeraphService`.
+
+    A request takes an idle connection (or opens one) and gives it back
+    once it has read the whole response, unless the response said
+    ``Connection: close``.  :meth:`close` closes the idle connections.
+    """
 
     def __init__(self, host: str, port: int, token: Optional[str] = None):
         self.host = host
         self.port = port
         self.token = token
+        self._idle: List[tuple] = []  # (reader, writer), newest last
 
     def _headers(self, extra: Optional[Dict[str, str]]) -> Dict[str, str]:
         headers: Dict[str, str] = {}
@@ -60,41 +78,20 @@ class ServiceClient:
             headers.update(extra)
         return headers
 
-    async def _connect(
-        self,
-    ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        return await asyncio.open_connection(self.host, self.port)
-
-    async def _send(
-        self,
-        writer: asyncio.StreamWriter,
-        method: str,
-        path: str,
-        body: bytes,
-        headers: Dict[str, str],
-    ) -> None:
+    def _message(self, method: str, path: str, body: bytes,
+                 headers: Dict[str, str]) -> bytes:
         lines = [f"{method} {path} HTTP/1.1",
                  f"Host: {self.host}:{self.port}",
                  f"Content-Length: {len(body)}"]
         lines.extend(f"{name}: {value}" for name, value in headers.items())
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
-        writer.write(body)
-        await writer.drain()
+        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
     @staticmethod
     async def _read_head(
         reader: asyncio.StreamReader,
     ) -> Tuple[int, Dict[str, str]]:
-        status_line = await reader.readline()
-        status = int(status_line.split()[1])
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        return status, headers
+        status_line, headers = parse_head(await reader.readuntil(b"\r\n\r\n"))
+        return int(status_line.split()[1]), headers
 
     async def request(
         self,
@@ -104,7 +101,9 @@ class ServiceClient:
         body: Optional[bytes] = None,
         headers: Optional[Dict[str, str]] = None,
     ) -> ServiceResponse:
-        """One request/response round trip (JSON payload or raw body)."""
+        """One request/response round trip (JSON payload or raw body).
+        One sent on a reused connection that ends before any byte of the
+        response (closed while idle) is sent once more on a fresh one."""
         request_headers = self._headers(headers)
         if body is None:
             if payload is not None:
@@ -114,19 +113,50 @@ class ServiceClient:
                 )
             else:
                 body = b""
-        reader, writer = await self._connect()
+        message = self._message(method, path, body, request_headers)
+        while self._idle:
+            reader, writer = self._idle.pop()
+            if reader.at_eof():
+                writer.close()  # the server closed it while idle
+                continue
+            response = await self._exchange(reader, writer, message, True)
+            if response is not None:
+                return response
+            break
+        reader, writer = await asyncio.open_connection(self.host, self.port)
+        return await self._exchange(reader, writer, message, False)
+
+    async def _exchange(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
+        message: bytes, reused: bool,
+    ) -> Optional[ServiceResponse]:
+        """Send ``message`` and read the whole response; ``None`` when a
+        ``reused`` connection ended before any byte of the response."""
+        status = None
         try:
-            await self._send(writer, method, path, body, request_headers)
-            status, response_headers = await self._read_head(reader)
-            length = int(response_headers.get("content-length", "0") or 0)
+            writer.write(message)
+            await writer.drain()
+            status, headers = await self._read_head(reader)
+            length = int(headers.get("content-length", "0") or 0)
             data = await reader.readexactly(length) if length else b""
-            return ServiceResponse(status, response_headers, data)
-        finally:
+        except BaseException as exc:
             writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            unanswered = isinstance(exc, ConnectionError) or isinstance(
+                exc, asyncio.IncompleteReadError) and not exc.partial
+            if reused and status is None and unanswered:
+                return None
+            raise
+        if headers.get("connection", "").lower() == "close":
+            writer.close()
+        else:
+            self._idle.append((reader, writer))
+        return ServiceResponse(status, headers, data)
+
+    async def close(self) -> None:
+        """Close every idle connection."""
+        idle, self._idle = self._idle, []
+        for _reader, writer in idle:
+            writer.close()
 
     # -- SSE ---------------------------------------------------------------
 
@@ -136,13 +166,14 @@ class ServiceClient:
         last_event_id: Optional[int] = None,
         headers: Optional[Dict[str, str]] = None,
     ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        """Open an emissions stream; returns the live (reader, writer)
-        after the 200 response head (caller owns closing the writer)."""
+        """Open an emissions stream on a connection of its own; returns
+        the live (reader, writer) after the 200 response head (caller
+        owns closing the writer)."""
         request_headers = self._headers(headers)
         if last_event_id is not None:
             request_headers["Last-Event-ID"] = str(last_event_id)
-        reader, writer = await self._connect()
-        await self._send(writer, "GET", path, b"", request_headers)
+        reader, writer = await asyncio.open_connection(self.host, self.port)
+        writer.write(self._message("GET", path, b"", request_headers))
         status, response_headers = await self._read_head(reader)
         if status != 200:
             length = int(response_headers.get("content-length", "0") or 0)

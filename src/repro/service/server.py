@@ -52,6 +52,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.runtime.ingress import decode_item
+from repro.service.client import parse_head
 from repro.service.sse import HEARTBEAT_FRAME, format_event
 from repro.service.tenants import (
     TenantManager,
@@ -66,6 +67,7 @@ _REASONS = {
     400: "Bad Request", 401: "Unauthorized", 403: "Forbidden",
     404: "Not Found", 405: "Method Not Allowed", 409: "Conflict",
     413: "Payload Too Large", 429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
 
@@ -192,9 +194,10 @@ class ServiceConfig:
 class _HttpRequest:
     """One parsed request (method, path parts, headers, body, query)."""
 
-    __slots__ = ("method", "path", "parts", "headers", "body", "params")
+    __slots__ = ("method", "path", "parts", "headers", "body", "params",
+                 "keep_alive")
 
-    def __init__(self, method: str, target: str,
+    def __init__(self, method: str, target: str, version: str,
                  headers: Dict[str, str], body: bytes):
         self.method = method
         split = urlsplit(target)
@@ -204,6 +207,10 @@ class _HttpRequest:
         self.headers = headers
         self.body = body
         self.params = parse_qs(split.query)
+        # RFC 9112 §9.3: HTTP/1.1 persists unless either side says close.
+        self.keep_alive = version == "HTTP/1.1" and "close" not in (
+            headers.get("connection", "").lower().replace(" ", "").split(",")
+        )
 
     def param(self, name: str) -> Optional[str]:
         values = self.params.get(name)
@@ -229,6 +236,10 @@ def _error_status(exc: Exception) -> int:
     if isinstance(exc, QueryRegistryError):
         return 409
     return 500
+
+
+def _error_body(exc: Exception) -> Dict[str, str]:
+    return {"error": str(exc), "type": type(exc).__name__}
 
 
 class SeraphService:
@@ -267,30 +278,29 @@ class SeraphService:
         )
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, wake + close every SSE
-        consumer, release tenant engines (worker pools included)."""
+        """Graceful shutdown: stop accepting, end every connection (idle,
+        mid-request or SSE) *before* ``wait_closed``, which waits for them
+        since Python 3.12, release tenant engines (worker pools included)."""
         self._running = False
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for tenant in self.manager.tenants.values():
-            for log in tenant.logs.values():
-                log.close()
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
         for task in list(self._connections):
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
-        self._connections.clear()
+        if server is not None:
+            await server.wait_closed()
         self.manager.close()
 
     async def serve_forever(self) -> None:
+        """Serve until this task is cancelled (Ctrl-C under
+        ``asyncio.run``), then :meth:`stop`."""
         await self.start()
-        assert self._server is not None
         try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
+            # Not Server.serve_forever: on cancellation it awaits
+            # wait_closed before stop() could end the connections.
+            await asyncio.get_running_loop().create_future()
         finally:
             await self.stop()
 
@@ -302,7 +312,8 @@ class SeraphService:
         task = asyncio.current_task()
         self._connections.add(task)
         try:
-            await self._handle_connection(reader, writer)
+            if self._running:  # else accepted just before stop()
+                await self._handle_connection(reader, writer)
         except (ConnectionError, asyncio.IncompleteReadError,
                 asyncio.TimeoutError, asyncio.CancelledError):
             pass
@@ -317,51 +328,61 @@ class SeraphService:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        request = await self._read_request(reader, writer)
-        if request is None:
-            return
-        try:
-            await self._dispatch(request, writer)
-        except ReproError as exc:
-            self._respond_error(writer, exc)
-        await writer.drain()
+        """The per-connection request loop (RFC 9112 §9.3): answer in
+        order until a request asks to close, a framing error is answered,
+        an SSE stream takes the connection, or no request head arrives
+        within ``request_timeout`` (closed without a response)."""
+        keep_alive = True
+        while keep_alive:
+            request = await self._read_request(reader, writer)
+            if request is None:
+                break
+            keep_alive = request.keep_alive
+            try:
+                response = await self._dispatch(request, writer)
+            except ReproError as exc:
+                response = _error_status(exc), _error_body(exc)
+            if response is None:
+                break  # an SSE stream owned the connection to its end
+            self._respond(writer, *response, close=not keep_alive)
+            await writer.drain()
 
     async def _read_request(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> Optional[_HttpRequest]:
+        """The next request; ``None`` once a framing error is answered."""
         timeout = self.config.request_timeout
-        line = await asyncio.wait_for(reader.readline(), timeout)
-        if not line or not line.strip():
-            return None
         try:
-            method, target, _version = line.decode("latin-1").split()
-        except ValueError:
-            self._respond(writer, 400, {"error": "malformed request line"})
-            return None
-        headers: Dict[str, str] = {}
-        while True:
-            header_line = await asyncio.wait_for(reader.readline(), timeout)
-            if header_line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header_line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        if "chunked" in headers.get("transfer-encoding", "").lower():
-            self._respond(
-                writer, 400,
-                {"error": "chunked transfer encoding is not supported"},
+            head = await asyncio.wait_for(
+                reader.readuntil(b"\r\n\r\n"), timeout
             )
-            return None
-        length = int(headers.get("content-length", "0") or 0)
+        except asyncio.LimitOverrunError:
+            return self._reject(writer, 431, "request head too large")
+        request_line, headers = parse_head(head)
+        try:
+            method, target, version = request_line.split()
+        except ValueError:
+            return self._reject(writer, 400, "malformed request line")
+        if "chunked" in headers.get("transfer-encoding", "").lower():
+            return self._reject(
+                writer, 400, "chunked transfer encoding is not supported"
+            )
+        raw_length = headers.get("content-length", "0")
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            return self._reject(
+                writer, 400, f"invalid Content-Length {raw_length!r}"
+            )
+        length = int(raw_length)
         if length > self.config.max_body_bytes:
-            self._respond(writer, 413, {
-                "error": f"body of {length} bytes exceeds the "
+            # The body stays unread, so the connection cannot be reused.
+            return self._reject(
+                writer, 413, f"body of {length} bytes exceeds the "
                 f"{self.config.max_body_bytes}-byte limit"
-            })
-            return None
+            )
         body = await asyncio.wait_for(
             reader.readexactly(length), timeout
         ) if length else b""
-        return _HttpRequest(method.upper(), target, headers, body)
+        return _HttpRequest(method.upper(), target, version, headers, body)
 
     # -- responses ---------------------------------------------------------
 
@@ -371,41 +392,40 @@ class SeraphService:
         status: int,
         payload: Any,
         content_type: str = "application/json",
+        close: bool = False,
     ) -> None:
         body = (
             payload if isinstance(payload, bytes)
             else json.dumps(payload, sort_keys=True).encode("utf-8")
         )
+        connection = "Connection: close\r\n" if close else ""
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
-            "Connection: close\r\n"
-            "\r\n"
+            f"{connection}\r\n"
         )
         writer.write(head.encode("latin-1") + body)
 
-    def _respond_error(
-        self, writer: asyncio.StreamWriter, exc: Exception
+    def _reject(
+        self, writer: asyncio.StreamWriter, status: int, message: str
     ) -> None:
-        status = _error_status(exc)
-        self._respond(writer, status, {
-            "error": str(exc), "type": type(exc).__name__,
-        })
+        """Answer a framing error; the connection closes after it."""
+        self._respond(writer, status, {"error": message}, close=True)
 
     # -- routing -----------------------------------------------------------
 
     async def _dispatch(
         self, request: _HttpRequest, writer: asyncio.StreamWriter
-    ) -> None:
+    ) -> Optional[tuple]:
+        """``(status, payload[, content_type])`` to answer with, or
+        ``None`` when an SSE handler wrote to the connection itself."""
         parts = request.parts
         method = request.method
         if parts == ["healthz"] and method == "GET":
-            self._respond(writer, 200, {"ok": True})
-            return
+            return 200, {"ok": True}
         if parts == ["status"] and method == "GET":
-            self._respond(writer, 200, self._service_status())
-            return
+            return 200, self._service_status()
         if len(parts) >= 2 and parts[0] == "tenants":
             tenant = self.manager.authorize(
                 parts[1], request.headers.get("authorization")
@@ -413,11 +433,8 @@ class SeraphService:
             rest = parts[2:]
             handler = self._tenant_route(method, rest)
             if handler is not None:
-                await handler(request, writer, tenant, rest)
-                return
-        self._respond(writer, 404, {
-            "error": f"no route for {method} {request.path}"
-        })
+                return await handler(request, writer, tenant, rest)
+        return 404, {"error": f"no route for {method} {request.path}"}
 
     def _tenant_route(self, method: str, rest: List[str]):
         if rest == ["queries"] and method == "POST":
@@ -449,11 +466,11 @@ class SeraphService:
             return self._handle_restore
         return None
 
-    # -- handlers ----------------------------------------------------------
+    # -- handlers (each returns what ``_dispatch`` returns) -----------------
 
     async def _handle_register(
         self, request: _HttpRequest, writer, tenant: TenantState, rest
-    ) -> None:
+    ) -> tuple:
         content_type = request.headers.get("content-type", "")
         if "json" in content_type:
             payload = request.json()
@@ -467,45 +484,42 @@ class SeraphService:
             text = request.body.decode("utf-8")
             skip_empty = False
         handle = tenant.register_query(text, skip_empty=skip_empty)
-        self._respond(writer, 201, {
+        return 201, {
             "query": handle.name,
             "tenant": tenant.name,
             "warnings": [str(warning) for warning in handle.warnings],
             "delta_reason": handle.delta_reason,
-        })
+        }
 
     async def _handle_list_queries(
         self, request, writer, tenant: TenantState, rest
-    ) -> None:
-        self._respond(writer, 200, {
+    ) -> tuple:
+        return 200, {
             "tenant": tenant.name,
             "queries": tenant.service_status()["queries"],
-        })
+        }
 
     async def _handle_list_streams(
         self, request, writer, tenant: TenantState, rest
-    ) -> None:
-        self._respond(writer, 200, {
+    ) -> tuple:
+        return 200, {
             "tenant": tenant.name,
             "streams": tenant.derived_streams(),
-        })
+        }
 
     async def _handle_deregister(
         self, request, writer, tenant: TenantState, rest
-    ) -> None:
+    ) -> tuple:
         name = rest[1]
         try:
             tenant.deregister_query(name)
         except QueryRegistryError as exc:
-            self._respond(writer, 404, {
-                "error": str(exc), "type": type(exc).__name__,
-            })
-            return
-        self._respond(writer, 200, {"deregistered": name})
+            return 404, _error_body(exc)
+        return 200, {"deregistered": name}
 
     async def _handle_events(
         self, request: _HttpRequest, writer, tenant: TenantState, rest
-    ) -> None:
+    ) -> tuple:
         stream = rest[1]
         raw = request.body.decode("utf-8")
         try:
@@ -528,20 +542,17 @@ class SeraphService:
                 tenant.push(element, stream)
                 ingested += 1
         except ReproError as exc:
-            self._respond(writer, _error_status(exc), {
-                "error": str(exc), "type": type(exc).__name__,
-                "ingested": ingested,
-            })
-            return
-        self._respond(writer, 202, {
+            return _error_status(exc), {**_error_body(exc),
+                                        "ingested": ingested}
+        return 202, {
             "ingested": ingested,
             "stream": stream,
             "watermark": tenant.engine.watermark,
-        })
+        }
 
     async def _handle_advance(
         self, request: _HttpRequest, writer, tenant: TenantState, rest
-    ) -> None:
+    ) -> tuple:
         payload = request.json()
         if not isinstance(payload, dict) or not isinstance(
                 payload.get("until"), int):
@@ -549,57 +560,53 @@ class SeraphService:
                 'advance payloads need an integer "until" field'
             )
         tenant.advance(payload["until"])
-        self._respond(writer, 200, {"advanced_to": payload["until"]})
+        return 200, {"advanced_to": payload["until"]}
 
     async def _handle_tenant_status(
         self, request, writer, tenant: TenantState, rest
-    ) -> None:
-        self._respond(writer, 200, tenant.status())
+    ) -> tuple:
+        return 200, tenant.status()
 
     async def _handle_tenant_metrics(
         self, request, writer, tenant: TenantState, rest
-    ) -> None:
+    ) -> tuple:
         # Imported here: ``python -m repro.obs.schema`` must not find
         # its module already loaded through ``import repro``.
         from repro.obs.export import to_prometheus
 
-        self._respond(
-            writer, 200,
-            to_prometheus(tenant.obs.registry).encode("utf-8"),
-            content_type="text/plain; version=0.0.4; charset=utf-8",
+        return (
+            200, to_prometheus(tenant.obs.registry).encode("utf-8"),
+            "text/plain; version=0.0.4; charset=utf-8",
         )
 
     async def _handle_checkpoint(
         self, request, writer, tenant: TenantState, rest
-    ) -> None:
-        self._respond(writer, 200, tenant.checkpoint())
+    ) -> tuple:
+        return 200, tenant.checkpoint()
 
     async def _handle_restore(
         self, request: _HttpRequest, writer, tenant: TenantState, rest
-    ) -> None:
+    ) -> tuple:
         document = request.json()
         if not isinstance(document, dict):
             raise PoisonMessageError("restore payload is not an object")
         tenant.restore(document)
-        self._respond(writer, 200, {
+        return 200, {
             "restored": tenant.name,
             "queries": tenant.query_names,
-        })
+        }
 
     # -- SSE ---------------------------------------------------------------
 
     async def _handle_emissions(
         self, request: _HttpRequest, writer: asyncio.StreamWriter,
         tenant: TenantState, rest: List[str],
-    ) -> None:
+    ) -> Optional[tuple]:
         query_name = rest[1]
         try:
             log = tenant.log_for(query_name)
         except ReproError as exc:
-            self._respond(writer, 404, {
-                "error": str(exc), "type": type(exc).__name__,
-            })
-            return
+            return 404, _error_body(exc)
         await self._serve_sse(request, writer, tenant, log)
 
     async def _handle_stream_emissions(

@@ -96,6 +96,7 @@ async def run_smoke() -> int:
         assert service_section["metrics"]["events"] == len(figure1_stream())
         assert service_section["metrics"]["emissions"] >= len(expected)
     finally:
+        await client.close()
         await service.stop()
 
     lingering = [

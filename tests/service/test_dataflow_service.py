@@ -120,6 +120,7 @@ def test_streams_listing_names_producers_consumers_and_cursor():
         assert pairs["consumers"] == ["enrich"]
         assert pairs["cursor"] > 0
         assert pairs["rows"] >= pairs["cursor"]
+        await client.close()
         await service.stop()
 
     run(scenario())
@@ -143,6 +144,7 @@ def test_cycle_registration_rejected_with_409():
         listing = await client.request("GET", "/tenants/t/queries")
         assert sorted(listing.json()["queries"]) == \
             ["detect", "enrich_hot"]
+        await client.close()
         await service.stop()
 
     run(scenario())
@@ -158,6 +160,7 @@ def test_unknown_derived_stream_404s():
         )
         assert response.status == 404, response.body
         assert response.json()["type"] == "UnknownStreamError"
+        await client.close()
         await service.stop()
 
     run(scenario())
@@ -183,6 +186,7 @@ def test_derived_stream_sse_is_byte_identical_to_offline_run():
             streamed.append(frame.data)
         assert streamed == expected
         writer.close()
+        await client.close()
         await service.stop()
 
     run(scenario())

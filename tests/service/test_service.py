@@ -89,6 +89,7 @@ class TestLifecycle:
                 "name": "repro.service", "version": 1,
             }
             assert document["tenants"] == {}
+            await client.close()
             await service.stop()
 
         run(scenario())
@@ -99,6 +100,7 @@ class TestLifecycle:
             client = ServiceClient("127.0.0.1", service.port)
             response = await client.request("GET", "/nope")
             assert response.status == 404
+            await client.close()
             await service.stop()
 
         run(scenario())
@@ -128,6 +130,9 @@ class TestAuth:
             )).status == 200
             assert service.manager.tenants[
                 "locked"].service_status()["metrics"]["auth_failures"] == 2
+            await bare.close()
+            await wrong.close()
+            await good.close()
             await service.stop()
 
         run(scenario())
@@ -164,6 +169,8 @@ class TestAuth:
                 "repro_query_student_trick_evaluations_total"][""] == 3
             assert samples[
                 "repro_service_tenant_locked_auth_failures_total"][""] == 1
+            await bare.close()
+            await good.close()
             await service.stop()
 
         run(scenario())
@@ -175,6 +182,7 @@ class TestAuth:
             response = await client.request("GET", "/tenants/ghost/status")
             assert response.status == 404
             assert response.json()["type"] == "UnknownTenantError"
+            await client.close()
             await service.stop()
 
         run(scenario())
@@ -186,6 +194,7 @@ class TestAuth:
             response = await client.request("GET", "/tenants/fresh/status")
             assert response.status == 200
             assert "fresh" in service.manager.tenants
+            await client.close()
             await service.stop()
 
         run(scenario())
@@ -234,6 +243,8 @@ class TestByteIdentity:
                     streamed.append(frame.data)
                 assert streamed == expected
                 writer.close()
+            await alpha.close()
+            await beta.close()
             await service.stop()
 
         run(scenario())
@@ -264,6 +275,7 @@ class TestByteIdentity:
             ):
                 streamed.append(frame.data)
             assert streamed == expected
+            await client.close()
             await service.stop()
 
         run(scenario())
@@ -280,6 +292,7 @@ class TestByteIdentity:
             )
             assert response.status == 202
             assert response.json()["ingested"] == 5
+            await client.close()
             await service.stop()
 
         run(scenario())
@@ -298,6 +311,7 @@ class TestByteIdentity:
             # Nothing from the batch reached the engine.
             status = await client.request("GET", "/tenants/t/status")
             assert status.json()["service"]["metrics"]["events"] == 0
+            await client.close()
             await service.stop()
 
         run(scenario())
@@ -323,6 +337,7 @@ class TestQuotas:
             assert rejected.json()["type"] == "QuotaExceededError"
             status = await client.request("GET", "/tenants/t/status")
             assert status.json()["service"]["metrics"]["throttled"] == 1
+            await client.close()
             await service.stop()
 
         run(scenario())
@@ -341,6 +356,7 @@ class TestQuotas:
                 )},
             )
             assert response.status == 429
+            await client.close()
             await service.stop()
 
         run(scenario())
@@ -386,6 +402,7 @@ class TestSse:
             assert combined == expected
             ids = [f.event_id for f in first_two + resumed]
             assert ids == list(range(len(expected)))
+            await client.close()
             await service.stop()
 
         run(scenario())
@@ -405,6 +422,7 @@ class TestSse:
             )
             assert frame.event == "heartbeat"
             writer.close()
+            await client.close()
             await service.stop()
 
         run(scenario())
@@ -467,6 +485,8 @@ class TestSse:
             assert other_status.json()["service"]["metrics"][
                 "shed_consumers"] == 0
             writer_o.close()
+            await small.close()
+            await other.close()
             await service.stop()
 
         run(scenario())
@@ -525,6 +545,7 @@ class TestCheckpointRestore:
                 document["queries"][query]["next_event_id"],
             ):
                 head.append(frame.data)
+            await client.close()
             await service.stop()
 
             # A brand-new process: fresh service, same tenant spec.
@@ -551,6 +572,7 @@ class TestCheckpointRestore:
             ):
                 tail.append(frame.data)
             assert head + tail == expected
+            await client.close()
             await revived.stop()
 
         run(scenario())
@@ -564,6 +586,7 @@ class TestCheckpointRestore:
             )
             assert response.status == 400
             assert response.json()["type"] == "CheckpointError"
+            await client.close()
             await service.stop()
 
         run(scenario())
@@ -579,6 +602,7 @@ class TestErrors:
                 payload={"query": "REGISTER QUERY broken {"},
             )
             assert response.status == 400
+            await client.close()
             await service.stop()
 
         run(scenario())
@@ -594,6 +618,7 @@ class TestErrors:
             )
             assert response.status == 409
             assert response.json()["type"] == "QueryRegistryError"
+            await client.close()
             await service.stop()
 
         run(scenario())
@@ -611,6 +636,7 @@ class TestErrors:
                 "DELETE", f"/tenants/t/queries/{query}"
             )
             assert again.status == 404
+            await client.close()
             await service.stop()
 
         run(scenario())
@@ -626,6 +652,7 @@ class TestErrors:
                 body=b"x" * 100,
             )
             assert response.status == 413
+            await client.close()
             await service.stop()
 
         run(scenario())
@@ -638,6 +665,7 @@ class TestErrors:
                 "POST", "/tenants/t/advance", payload={"until": "later"},
             )
             assert response.status == 400
+            await client.close()
             await service.stop()
 
         run(scenario())
@@ -653,6 +681,7 @@ class TestNoLeakedTasks:
             reader, writer = await client.open_sse(
                 f"/tenants/t/queries/{query}/emissions"
             )
+            await client.close()
             await service.stop()
             writer.close()
             lingering = [

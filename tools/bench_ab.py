@@ -6,8 +6,9 @@ the two trees alternately, read only its last stdout line.  A side is *better*
 when it wins nine tenths of the pairs and the medians differ by over the base's
 q3-q1.  After the pairs, one traced pass per side says *where* a metric moved:
 the stage seconds per evaluation that was not a reuse tick, beside the counts
-that must repeat exactly on both sides.  Every median row and stage row
-carries the change/base ratio.
+that must repeat exactly on both sides, and, where the run has them, the
+``service.*`` wire rows (request round trips, SSE lag, open-loop latency).
+Every median row, stage row and wire row carries the change/base ratio.
 """
 
 import argparse
@@ -22,8 +23,12 @@ from statistics import quantiles
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 quartiles = partial(quantiles, n=4, method="inclusive")
 STAGES = ("stage.match_full_s", "stage.match_delta_s", "stage.match_self_s",
-          "stage.snapshot_build_s", "stage.window_advance_s", "stage.report_s")
+          "stage.snapshot_build_s", "stage.window_advance_s", "stage.report_s",
+          "stage.total_s")
 COUNTS = ("seraph.evaluations", "seraph.emission_rows", "seraph.reuse_share")
+WIRE = ("service.push_rtt_p50_ms", "service.advance_rtt_p50_ms",
+        "service.sse_lag_p50_ms", "service.open_latency_p50_ms",
+        "service.open_latency_p90_ms")
 
 
 def run_once(tree, workload, seed, trace=0):
@@ -75,10 +80,10 @@ def compare(trees, workload, pairs, seed, declared, base):
               f"{ratio(*medians):>11}  {wins:>2}/{pairs}  {word}")
     traced = [run_once(tree, workload, seed, trace=1) for _, tree in trees]
     print("traced pass, one per side; stages in ms per non-reused evaluation"
-          f"\n{'':26} {'base':>12} {'change':>12}  change/base")
+          f"\n{'':27} {'base':>12} {'change':>12}  change/base")
     for name in COUNTS:
         values = [run[name] for run in traced]
-        print(f"{name:26} {values[0]:>12g} {values[1]:>12g}  "
+        print(f"{name:27} {values[0]:>12g} {values[1]:>12g}  "
               f"{'identical' if values[0] == values[1] else 'DIFFERENT'}")
     for name in STAGES:
         per_full = [
@@ -86,8 +91,14 @@ def compare(trees, workload, pairs, seed, declared, base):
                 1.0, run["seraph.evaluations"] * (1 - run["seraph.reuse_share"]))
             for run in traced
         ]
-        print(f"{name:26} {per_full[0]:>12.4f} {per_full[1]:>12.4f}  "
+        print(f"{name:27} {per_full[0]:>12.4f} {per_full[1]:>12.4f}  "
               f"{ratio(*per_full):>11}", flush=True)
+    for name in WIRE:
+        values = [run.get(name, 0.0) for run in traced]
+        if not any(values):  # an in-process workload reports 0.0
+            continue
+        print(f"{name:27} {values[0]:>12.4f} {values[1]:>12.4f}  "
+              f"{ratio(*values):>11}", flush=True)
 
 
 def main():
