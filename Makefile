@@ -48,7 +48,9 @@ bench-smoke:
 # Interleaved A/B against another revision, from outside the frozen
 # benchmark directory: make bench-ab BASE=HEAD~1 WORKLOAD=net_paths
 # [PAIRS=10] [SEED=7] (tools/bench_ab.py; ~25 s per pair; WORKLOAD=all
-# loops every workload of BENCHMARK.json).
+# loops every workload of BENCHMARK.json).  For a same-revision A/B under
+# another engine config, call the tool directly: --change <rev>
+# --config-b KEY=VALUE.
 bench-ab:
 	$(PYTHON) tools/bench_ab.py --base $(BASE) --workload $(WORKLOAD) \
 		--pairs $(or $(PAIRS),10) --seed $(or $(SEED),7)

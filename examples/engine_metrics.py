@@ -3,13 +3,14 @@
 
 Runs the fraud-detection query over a synthetic RideAnywhere day and
 prints the measurements a systems evaluation would report — comparing
-the engine with and without the unchanged-window reuse optimization
-(the P7 experiment, interactively).
+the production engine (incremental snapshots, unchanged-window reuse,
+the delta path, hoisted plans) with its from-scratch reference twin.
 
 Run:  python examples/engine_metrics.py
 """
 
 from repro import EngineConfig, build_engine
+from repro.api import REFERENCE_MODE
 from repro.obs import stage_metric
 from repro.usecases.micromobility import (
     RentalStreamConfig,
@@ -18,11 +19,10 @@ from repro.usecases.micromobility import (
 )
 
 
-def run(reuse: bool, stream) -> str:
+def run(reference: bool, stream) -> str:
     """One observed run; the report is read off the engine's registry."""
-    engine = build_engine(EngineConfig(
-        reuse_unchanged_windows=reuse, observability=True
-    ))
+    modes = REFERENCE_MODE if reference else {}
+    engine = build_engine(EngineConfig(**modes, observability=True))
     name = engine.register(student_trick_query(every="PT1M")).name
     engine.run_stream(stream)
     registry = engine.obs.registry
@@ -55,14 +55,14 @@ def main():
           f"{len(generator.fraud_users)} planted fraudster(s); "
           "evaluation every minute, window 1h.\n")
 
-    for reuse in (False, True):
-        label = "with reuse   " if reuse else "without reuse"
-        print(f"{label}: {run(reuse, stream)}")
+    for reference in (True, False):
+        label = "reference twin" if reference else "production    "
+        print(f"{label}: {run(reference, stream)}")
 
-    print("\n(The reuse arm skips re-evaluation whenever no event arrived "
-          "since the last ET instant — identical emissions, lower mean "
-          "latency; tests/seraph/test_extensions.py pins the "
-          "transparency.)")
+    print("\n(Production skips re-evaluation whenever no window content "
+          "changed since the last ET instant — identical emissions, lower "
+          "mean latency; tests/modes.py runs both against the "
+          "denotational semantics.)")
 
 
 if __name__ == "__main__":

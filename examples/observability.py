@@ -36,7 +36,6 @@ from repro.usecases.micromobility import (
 
 def main():
     engine = build_engine(EngineConfig(
-        delta_eval=True,
         resilient=True,
         observability=True,
     ))

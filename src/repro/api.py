@@ -11,7 +11,6 @@ engine's :class:`~repro.obs.Observability` (tracer + metrics registry)::
     from repro import EngineConfig, build_engine
 
     engine = build_engine(EngineConfig(
-        delta_eval=True,
         parallel_workers=4,
         resilient=True,
         allowed_lateness=2,
@@ -28,10 +27,9 @@ on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Union
+from typing import Any, Callable, Mapping, Optional, Union
 
-from repro.errors import EngineError
-from repro.graph.columnar import resolve_backend_name
+from repro.errors import EngineError, EngineModeError
 from repro.graph.model import PropertyGraph
 from repro.obs import Observability
 from repro.runtime.faults import ChaosConfig
@@ -42,27 +40,78 @@ from repro.seraph.engine import SeraphEngine
 from repro.stream.window import ActiveSubstreamPolicy
 
 
+#: The six mode names at their production values (what a checkpoint
+#: writes for a production engine).  ``vectorized=None`` reads as False.
+PRODUCTION_MODE = {
+    "incremental": True, "reuse_unchanged_windows": True,
+    "delta_eval": True, "physical_plans": True,
+    "graph_backend": "reference", "vectorized": False,
+}
+#: The reference twin: every optimisation off.
+REFERENCE_MODE = {
+    "incremental": False, "reuse_unchanged_windows": False,
+    "delta_eval": False, "physical_plans": False,
+    "graph_backend": "reference", "vectorized": False,
+}
+MODE_FIELDS = tuple(PRODUCTION_MODE)
+_REMOVED = {
+    "graph_backend": "the columnar graph backend was removed: it was "
+                     "slower end to end than the one graph left",
+    "vectorized": "candidate pruning (vectorized=True) was removed: it "
+                  "moved no workload's throughput",
+}
+
+
+def reference_mode(modes: Mapping[str, Any]) -> bool:
+    """The one reader of the six mode names: ``False`` for production
+    (every name absent or at its default), ``True`` for the reference
+    twin (exactly :data:`REFERENCE_MODE`).  Other keys of ``modes`` are
+    ignored.  Anything else is a partial ablation or a removed backend:
+    :class:`~repro.errors.EngineModeError` naming the offending fields
+    and the two allowed forms."""
+    values = {name: modes.get(name, default)
+              for name, default in PRODUCTION_MODE.items()}
+    if values["vectorized"] is None:
+        values["vectorized"] = False
+    off = [
+        [name for name, wanted in form.items()
+         if type(values[name]) is not type(wanted) or values[name] != wanted]
+        for form in (PRODUCTION_MODE, REFERENCE_MODE)
+    ]
+    if not off[0]:
+        return False
+    if not off[1]:
+        return True
+    named = min(off, key=len)
+    why = [_REMOVED[name] for name in named if name in _REMOVED]
+    raise EngineModeError(
+        "engine mode fields "
+        + ", ".join(f"{name}={values[name]!r}" for name in named)
+        + " select neither production (every mode field at its default) "
+        "nor the reference twin ("
+        + ", ".join(f"{name}={value!r}"
+                    for name, value in REFERENCE_MODE.items())
+        + "); partial ablations are not supported"
+        + "".join(f"; {reason}" for reason in why)
+    )
+
+
 @dataclass
 class EngineConfig:
     """Declarative description of one engine stack.
 
     Core evaluation
     ---------------
-    ``policy``, ``incremental``, ``static_graph``,
-    ``reuse_unchanged_windows``, ``delta_eval``, ``physical_plans``,
-    ``graph_backend``, ``vectorized`` map one-to-one onto
-    :class:`~repro.seraph.engine.SeraphEngine` knobs
-    (``physical_plans=False`` compiles plans without hoisting: patterns
-    are planned per evaluation and no index seek is taken — results are
-    identical, hoisting is a pure optimization;
-    ``graph_backend="columnar"`` swaps window snapshots to the
-    interned, array-backed :class:`~repro.graph.columnar.ColumnarGraph`
-    — emissions stay byte-identical; ``vectorized`` enables
-    set-at-a-time candidate pruning in the matcher
-    (docs/VECTORIZED.md) — ``None`` means on under the columnar
-    backend, off under the reference one).  These fields are the only
-    way to select an execution mode: nothing ambient (environment
-    variables, CLI flags) can.
+    ``policy`` and ``static_graph`` go to the engine as they are.  The
+    six mode fields ``incremental``, ``reuse_unchanged_windows``,
+    ``delta_eval``, ``physical_plans``, ``graph_backend`` and
+    ``vectorized`` name one of two behaviours (:func:`reference_mode`):
+    every field at its default is **production**; exactly the values of
+    :data:`REFERENCE_MODE` are the **reference** twin, the from-scratch
+    test oracle; anything else raises
+    :class:`~repro.errors.EngineModeError`.  Both emit the same bag at
+    every instant.  These fields are the only way to select a mode:
+    nothing ambient (environment variables, CLI flags) can.
 
     Parallelism
     -----------
@@ -147,7 +196,7 @@ class EngineConfig:
             raise EngineError(
                 f"chaos must be a ChaosConfig, got {type(self.chaos).__name__}"
             )
-        resolve_backend_name(self.graph_backend)  # raises on unknown
+        reference_mode(vars(self))  # raises on any other combination
         if self.allowed_lateness < 0:
             raise EngineError("allowed_lateness must be >= 0")
         if self.span_limit < 0 or self.reservoir < 1:
@@ -177,8 +226,8 @@ def build_engine(
     """Build the engine ``config`` describes.
 
     ``overrides`` are field-level shortcuts —
-    ``build_engine(delta_eval=False)`` equals
-    ``build_engine(EngineConfig(delta_eval=False))``.  Always a
+    ``build_engine(resilient=True)`` equals
+    ``build_engine(EngineConfig(resilient=True))``.  Always a
     :class:`~repro.seraph.engine.SeraphEngine`; ``resilient`` and
     ``parallel_workers`` decide which optional parts it owns
     (``engine.ingress``, ``engine.executor``).
@@ -218,13 +267,8 @@ def build_engine(
         )
     return SeraphEngine(
         policy=config.policy,
-        incremental=config.incremental,
         static_graph=config.static_graph,
-        reuse_unchanged_windows=config.reuse_unchanged_windows,
-        delta_eval=config.delta_eval,
-        physical_plans=config.physical_plans,
-        graph_backend=config.graph_backend,
-        vectorized=config.vectorized,
+        reference=reference_mode(vars(config)),
         obs=config.resolve_observability(),
         ingress=ingress,
         executor=executor,

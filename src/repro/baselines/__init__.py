@@ -1,16 +1,8 @@
-"""Baselines: the Cypher polling workaround and snapshot-maintenance arms."""
+"""Baselines: the Cypher polling workaround (Section 3.3)."""
 
 from repro.baselines.polling import CypherPollingBaseline, PollResult
-from repro.baselines.recompute import (
-    incremental_engine,
-    naive_executor,
-    recompute_engine,
-)
 
 __all__ = [
     "CypherPollingBaseline",
     "PollResult",
-    "incremental_engine",
-    "naive_executor",
-    "recompute_engine",
 ]

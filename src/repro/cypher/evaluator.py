@@ -27,7 +27,6 @@ from repro.cypher.expressions import (
 )
 from repro.cypher.functions import AGGREGATE_NAMES
 from repro.cypher.matcher import PatternMatcher
-from repro.cypher.vectorized import CandidatePruner
 from repro.errors import CypherEvaluationError
 from repro.graph.model import PropertyGraph
 from repro.graph.table import Record, Table
@@ -45,14 +44,6 @@ class QueryEvaluator:
     (see :func:`repro.cypher.expressions.compile_expression`): the Seraph
     engine passes one dict per registered query so hot-path expressions
     are compiled once per query lifetime, not once per snapshot.
-
-    ``vectorized=True`` hands the matcher a
-    :class:`~repro.cypher.vectorized.CandidatePruner` over the snapshot's
-    shared candidate-set memo: constant pattern
-    predicates are evaluated once per snapshot as ordered id-set
-    intersections and candidate loops collapse to membership probes.
-    Results are byte-identical either way (superset rule + residual
-    checks — see docs/VECTORIZED.md).
     """
 
     def __init__(
@@ -62,20 +53,17 @@ class QueryEvaluator:
         base_scope: Optional[Mapping[str, Any]] = None,
         optimize: bool = True,
         compile_cache: Optional[dict] = None,
-        vectorized: bool = False,
     ):
         self.graph = graph
         self.base_scope = dict(base_scope or {})
         self.optimize = optimize
-        self.vectorized = bool(vectorized)
         self._compile_cache: dict = (
             compile_cache if compile_cache is not None else {}
         )
         self.evaluator = ExpressionEvaluator(
             graph, parameters=parameters, compile_cache=self._compile_cache
         )
-        pruner = CandidatePruner(graph) if vectorized else None
-        self.matcher = PatternMatcher(graph, self.evaluator, pruner=pruner)
+        self.matcher = PatternMatcher(graph, self.evaluator)
         # Pattern predicates reach the matcher through a weak reference:
         # a strong one closes the cycle evaluator -> matcher -> evaluator.
         # One QueryEvaluator is built per evaluation, so the cycle would
@@ -469,14 +457,11 @@ def run_cypher(
     parameters: Optional[Mapping[str, Any]] = None,
     base_scope: Optional[Mapping[str, Any]] = None,
     optimize: bool = True,
-    vectorized: bool = False,
 ) -> Table:
     """Parse (if needed) and evaluate a core-Cypher query over a graph.
 
     This is ``output(Q, G)`` of Section 3.2.  ``optimize=False`` disables
-    the pattern planner (the ablation arm; results are identical), and
-    ``vectorized=True`` enables set-at-a-time candidate pruning
-    (docs/VECTORIZED.md; also identical).
+    the pattern planner (the ablation arm; results are identical).
     """
     from repro.cypher.parser import parse_cypher
 
@@ -484,5 +469,4 @@ def run_cypher(
         query = parse_cypher(query)
     return QueryEvaluator(
         graph, parameters=parameters, base_scope=base_scope, optimize=optimize,
-        vectorized=vectorized,
     ).run(query)

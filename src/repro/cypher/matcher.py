@@ -83,36 +83,21 @@ def footprint_of(
 class PatternMatcher:
     """Matches patterns against one property graph."""
 
-    def __init__(
-        self,
-        graph: PropertyGraph,
-        evaluator: ExpressionEvaluator,
-        pruner: Optional[Any] = None,
-    ):
+    def __init__(self, graph: PropertyGraph, evaluator: ExpressionEvaluator):
         self.graph = graph
         self.evaluator = evaluator
-        # Vectorized candidate pruning (repro.cypher.vectorized): a
-        # CandidatePruner over the snapshot turns each pattern's constant
-        # label/property predicates into one ordered id-set, consumed
-        # here as pre-pruned start enumerations and as one membership
-        # probe per expansion target.  Pruned sets are exact-or-superset
-        # in global node order and every survivor still runs the
-        # residual _bind_node checks, so enumeration order and results
-        # are byte-identical with the pruner on or off.
-        self.pruner = pruner
-        #: Per-(path, hop) candidate/pruned counters, activated by the
-        #: physical plan's execute loop: ``{(path_idx, hop): [candidates,
-        #: pruned]}`` with hop ``-1`` for start enumeration and hop ``k``
-        #: for the k-th relationship pattern (a shortestPath path has only
-        #: hop ``0``: what its searches expanded).  ``None`` disables counting.
+        #: Per-(path, hop) candidate counters, activated by the physical
+        #: plan's execute loop: ``{(path_idx, hop): [candidates]}`` with
+        #: hop ``-1`` for start enumeration and hop ``k`` for the k-th
+        #: relationship pattern (a shortestPath path has only hop ``0``:
+        #: what its searches expanded).  ``None`` disables counting.
         self.hop_counts: Optional[Dict[Tuple[int, int], List[int]]] = None
         self._path_index: Dict[int, Tuple[ast.PathPattern, int]] = {}
         # Per-pattern hoists, keyed by id() with the keyed object kept
         # alive in the value so a recycled id can never alias:
-        # label frozensets, constant-property evaluations, pruned sets.
+        # label frozensets, constant-property evaluations.
         self._label_sets: Dict[int, Tuple[Any, FrozenSet[str]]] = {}
         self._const_props: Dict[int, Tuple[Any, Tuple[Tuple[str, bool, Any], ...]]] = {}
-        self._pruned_sets: Dict[int, Tuple[Any, Optional[Any]]] = {}
 
     # -- per-pattern hoists -------------------------------------------------
 
@@ -146,17 +131,6 @@ class PatternMatcher:
             self._const_props[id(properties)] = entry
         return entry[1]
 
-    def _pruned_set(self, node_pattern: ast.NodePattern) -> Optional[Any]:
-        """The pruner's candidate set for ``node_pattern`` (memoized),
-        or ``None`` when pruning is off or the pattern is unprunable."""
-        if self.pruner is None:
-            return None
-        entry = self._pruned_sets.get(id(node_pattern))
-        if entry is None:
-            entry = (node_pattern, self.pruner.pruned_set(node_pattern))
-            self._pruned_sets[id(node_pattern)] = entry
-        return entry[1]
-
     def _count_slot(
         self, path: ast.PathPattern, hop: int
     ) -> Optional[List[int]]:
@@ -169,7 +143,7 @@ class PatternMatcher:
         key = (indexed[1], hop)
         slot = counts.get(key)
         if slot is None:
-            slot = [0, 0]
+            slot = [0]
             counts[key] = slot
         return slot
 
@@ -301,22 +275,9 @@ class PatternMatcher:
             and start_pattern.variable in bindings
         )
         slot = self._count_slot(path, -1)
-        pruned = self._pruned_set(start_pattern) if start_unbound else None
-        probe = None
         if anchor_nodes is not None and start_unbound:
             # Physical index seek: an ordered superset of the matches.
-            # The pruned set (also a superset) sharpens it — a candidate
-            # outside the set cannot match, so probing is sound.
             starts: Iterable[Node] = anchor_nodes
-            probe = pruned.ids if pruned is not None else None
-        elif pruned is not None:
-            # Vectorized start enumeration: the pre-pruned ordered
-            # candidate array replaces the label scan.  Candidates the
-            # set operations eliminated are counted as pruned without
-            # ever being enumerated.
-            starts = pruned.nodes
-            if slot is not None:
-                slot[1] += pruned.pruned
         else:
             starts = self._node_candidates(start_pattern, bindings)
         for start in starts:
@@ -324,10 +285,6 @@ class PatternMatcher:
                 continue
             if slot is not None:
                 slot[0] += 1
-            if probe is not None and start.id not in probe:
-                if slot is not None:
-                    slot[1] += 1
-                continue
             start_bindings = self._bind_node(path.nodes[0], start, bindings)
             if start_bindings is None:
                 continue
@@ -393,20 +350,11 @@ class PatternMatcher:
             if not isinstance(bound_rel, Relationship):
                 return
         slot = self._count_slot(path, step)
-        pruned = self._pruned_set(next_pattern)
-        probe = pruned.ids if pruned is not None else None
         for rel, next_node in self._expand(current, rel_pattern, bindings, used):
             if slot is not None:
                 # Expanded candidates, counted before any target filter.
                 slot[0] += 1
             if bound_rel is not None and rel.id != bound_rel.id:
-                continue
-            if probe is not None and next_node.id not in probe:
-                # One set-membership probe replaces the per-neighbour
-                # label/constant-property checks: the pruned set is a
-                # superset of the matches, so absence is definitive.
-                if slot is not None:
-                    slot[1] += 1
                 continue
             new_bindings = bindings
             if rel_pattern.variable is not None and bound_rel is None:
@@ -445,8 +393,6 @@ class PatternMatcher:
         if rel_pattern.variable is not None and rel_pattern.variable in bindings:
             bound_value = bindings[rel_pattern.variable]
         slot = self._count_slot(path, step)
-        pruned = self._pruned_set(next_pattern)
-        probe = pruned.ids if pruned is not None else None
         # Depth-first over trails, pre-order, on an explicit stack of
         # expansion iterators (a recursive closure refers to itself
         # through its cell: cyclic garbage per evaluation).  The bottom
@@ -475,12 +421,6 @@ class PatternMatcher:
                     seg_rels, seg_nodes, seg_used, depth,
                 ))
             if depth < low:
-                continue
-            if probe is not None and node.id not in probe:
-                # Target outside the pruned superset: no residual check
-                # can succeed, reject before binding.
-                if slot is not None:
-                    slot[1] += 1
                 continue
             # Planner-reversed walk: the bound list keeps source order.
             rel_list = (
@@ -520,10 +460,9 @@ class PatternMatcher:
     ) -> Iterator[Tuple[Relationship, Node]]:
         """Candidate (relationship, next node) pairs from ``node``.
 
-        Both graph backends serve ``expand_pairs`` in the same traversal
-        order (the columnar one straight off its CSR arrays, memoized per
-        snapshot); the filters that depend on the match state —
-        relationship uniqueness, pattern properties — run here.
+        The graph serves ``expand_pairs`` in traversal order; the filters
+        that depend on the match state — relationship uniqueness, pattern
+        properties — run here.
         """
         for rel, next_node in self.graph.expand_pairs(
             node.id, _DIRECTION_TAGS[rel_pattern.direction], rel_pattern.types
@@ -543,15 +482,7 @@ class PatternMatcher:
                 yield self.graph.node(value.id)
             return
         if node_pattern.labels:
-            pruned = self._pruned_set(node_pattern)
-            if pruned is not None:
-                # Pre-pruned ordered candidates (also serves the
-                # shortestPath endpoint enumerations): a subsequence of
-                # the label scan in global node order, missing only
-                # candidates the residual checks would reject.
-                yield from pruned.nodes
-            else:
-                yield from self.graph.nodes_with_labels(node_pattern.labels)
+            yield from self.graph.nodes_with_labels(node_pattern.labels)
         else:
             yield from self.graph.nodes.values()
 

@@ -14,8 +14,8 @@ The plan is *total* and the only body executor in production: every
 query ``SeraphEngine.register`` accepts compiles (:func:`check_lowerable`
 rejects the rest at registration), and the engine's full path, the pool
 worker and the delta path all run a :class:`PhysicalPlan`.
-``compile_query(..., hoist=False)`` — the ``physical_plans=False``
-ablation — compiles the same stages without hoisting anything out of the
+``compile_query(..., hoist=False)`` — what the reference twin runs —
+compiles the same stages without hoisting anything out of the
 evaluation: each pattern is planned against the live snapshot and no
 seek is taken, step for step what the reference pipeline does.  What an
 execution counted travels in one :class:`PlanProfile`.
@@ -37,14 +37,6 @@ reference pipeline:
 Plans are plain frozen dataclasses over AST nodes: picklable, so the
 parallel engine ships them to workers, and statistics-free, so one plan
 object serves every snapshot until the plan cache invalidates it.
-
-The operators are backend-agnostic: they consume the public graph API
-(``nodes_with_property``, ``nodes_with_labels``, ``expand_pairs``), so
-under ``graph_backend="columnar"`` an IndexSeek is served from interned
-property columns and ExpandHop / VarLengthExpand walk CSR adjacency
-arrays with no operator changes — the global-node-order rule above is
-exactly what makes the two backends emit byte-identical rows
-(docs/COLUMNAR.md).
 """
 
 from __future__ import annotations
@@ -200,29 +192,16 @@ class PhysicalPlan:
 @dataclass
 class PlanProfile:
     """What executing a plan counted, by operator id — the one accounting
-    value: :func:`execute_plan` and the delta path fill it, pool workers
+    value: :func:`execute_plan` fills it, pool workers
     return it, ``RegisteredQuery.profile`` accumulates it with
     :meth:`merge`, :func:`render_plan` prints it.  Plain data: picklable.
     """
 
     #: Rows each operator produced.
     rows: Dict[int, int] = field(default_factory=dict)
-    #: ``[candidates, pruned]`` per operator: how many candidates the
-    #: matcher consumed there and how many the vectorized pruner's set
-    #: operations eliminated (filled by vectorized executions only).
-    prunes: Dict[int, List[int]] = field(default_factory=dict)
-    #: Seconds spent building pruned candidate sets (the ``vectorize``
-    #: stage).  A timing, so two profiles of the same work still compare
-    #: equal.
-    pruner_seconds: float = field(default=0.0, compare=False)
 
     def add_rows(self, op_id: int, count: int) -> None:
         self.rows[op_id] = self.rows.get(op_id, 0) + count
-
-    def add_candidates(self, op_id: int, candidates: int, pruned: int) -> None:
-        slot = self.prunes.setdefault(op_id, [0, 0])
-        slot[0] += candidates
-        slot[1] += pruned
 
     def counter(self, ops: Mapping[Any, int]) -> Callable[[Any, int], None]:
         """A ``count(step, rows)`` callback for the evaluator: adds to
@@ -238,9 +217,6 @@ class PlanProfile:
     def merge(self, other: "PlanProfile") -> None:
         for op_id, count in other.rows.items():
             self.add_rows(op_id, count)
-        for op_id, (candidates, pruned) in other.prunes.items():
-            self.add_candidates(op_id, candidates, pruned)
-        self.pruner_seconds += other.pruner_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +519,7 @@ def _anchor_factory(
     op's rows count *index-served* candidates only (a scan fallback
     leaves the op absent — the observable that seeks are being taken);
     the matcher's own start-enumeration accounting covers the scan
-    anchors and the pruned/candidate counters.
+    anchors.
     """
     value_fn = evaluator._compiled(seek.value_expr)
     graph = evaluator.graph
@@ -566,7 +542,6 @@ def execute_plan(
     graph_for: Callable[[str, int], PropertyGraph],
     interval: TimeInterval,
     expr_cache: Optional[dict] = None,
-    vectorized: bool = False,
     profile: Optional[PlanProfile] = None,
 ) -> Table:
     """Run a compiled plan over per-window snapshot graphs.
@@ -575,13 +550,8 @@ def execute_plan(
     injection and result as the reference
     :func:`repro.seraph.semantics.execute_body` — but (for a hoisted
     plan) no per-evaluation planning, and index-seek anchors where the
-    plan provides them.
-
-    ``vectorized=True`` routes every evaluator through a
-    :class:`~repro.cypher.vectorized.CandidatePruner` over its snapshot.
-    ``profile`` receives what the run counted: rows per operator,
-    ``[candidates, pruned]`` per operator (vectorized runs) and the
-    pruner's set-construction seconds.
+    plan provides them.  ``profile`` receives the rows each operator
+    produced.
     """
     if profile is None:
         profile = PlanProfile()
@@ -595,7 +565,6 @@ def execute_plan(
                 graph_for(*stage.window_key),
                 base_scope=base_scope,
                 compile_cache=expr_cache,
-                vectorized=vectorized,
             )
         count = profile.counter(stage.ops)
         if isinstance(stage, MatchStage):
@@ -618,12 +587,10 @@ def execute_plan(
                 count=count,
             )
             evaluator.matcher.hop_counts = None
-            for key, (candidates, pruned) in (hops or {}).items():
+            for key, (candidates,) in (hops or {}).items():
                 op_id = stage.ops[key]
                 if stage.seek is None or op_id != stage.seek.op_id:
                     profile.add_rows(op_id, candidates)
-                if vectorized:
-                    profile.add_candidates(op_id, candidates, pruned)
         elif isinstance(stage, UnwindStage):
             table = evaluator._apply_unwind(stage.clause, table)
             count("unwind", len(table))
@@ -640,10 +607,6 @@ def execute_plan(
                 where=getattr(clause, "where", None),
                 count=count,
             )
-    for evaluator in evaluators.values():
-        pruner = evaluator.matcher.pruner
-        if pruner is not None:
-            profile.pruner_seconds += pruner.build_seconds
     return table
 
 
@@ -656,10 +619,7 @@ def render_plan(
     plan: PhysicalPlan, profile: Optional[PlanProfile] = None
 ) -> str:
     """Indented operator tree, annotated from ``profile`` (when given)
-    with each operator's ``rows=`` and — where a vectorized run counted
-    them — ``candidates=``/``pruned=``: how many candidates the matcher
-    consumed at that operator, and how many the set operations
-    eliminated."""
+    with each operator's ``rows=``."""
     lines: List[str] = []
 
     def walk(op: PhysicalOp, depth: int) -> None:
@@ -669,9 +629,6 @@ def render_plan(
         suffix = f" [op {op.op_id}]"
         if profile is not None:
             suffix += f" rows={profile.rows.get(op.op_id, 0)}"
-            if op.op_id in profile.prunes:
-                candidates, pruned = profile.prunes[op.op_id]
-                suffix += f" candidates={candidates} pruned={pruned}"
         lines.append("  " * depth + "+- " + label + suffix)
         for child in op.children:
             walk(child, depth + 1)

@@ -17,7 +17,7 @@ Plans are retained per ``(query text, band)``, a few bands per query: a
 statistic that oscillates across a boundary flips between two cached
 plans instead of recompiling on every crossing.
 
-``PlanCache(hoist=False)`` (the ``physical_plans=False`` ablation) holds
+``PlanCache(hoist=False)`` (the reference twin's cache) holds
 un-hoisted plans, which read no statistics: one plan per query, under
 the empty band.
 """

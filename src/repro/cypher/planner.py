@@ -25,7 +25,7 @@ from repro.cypher import ast
 from repro.graph.model import PropertyGraph
 
 #: Selectivity bonus for a property map (can't estimate better without
-#: value statistics; any equality constraint usually prunes hard).
+#: value statistics; any equality constraint usually filters hard).
 _PROPERTY_FACTOR = 0.1
 
 #: Floor for anchor estimates.  An empty label must not collapse the

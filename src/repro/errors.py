@@ -132,6 +132,14 @@ class EngineError(SeraphError):
     """Continuous engine runtime failure."""
 
 
+class EngineModeError(EngineError):
+    """The six mode fields name neither production nor the reference twin
+    (:func:`repro.api.reference_mode`).  A configuration error, so the
+    service answers it with HTTP 400."""
+
+    status = 400
+
+
 class ParallelExecutionError(EngineError):
     """The parallel execution substrate failed beyond recovery.
 

@@ -1,13 +1,6 @@
 """Property graph substrate: values, graphs, tables, union, IO."""
 
 from repro.graph.builder import GraphBuilder
-from repro.graph.columnar import (
-    GRAPH_BACKENDS,
-    ColumnarGraph,
-    ColumnarStore,
-    resolve_backend,
-    resolve_backend_name,
-)
 from repro.graph.model import Node, Path, PropertyGraph, Relationship
 from repro.graph.store import GraphStore
 from repro.graph.table import EMPTY_RECORD, Record, Table
@@ -16,9 +9,6 @@ from repro.graph.values import NULL, Ternary
 
 __all__ = [
     "EMPTY_RECORD",
-    "GRAPH_BACKENDS",
-    "ColumnarGraph",
-    "ColumnarStore",
     "GraphBuilder",
     "GraphStore",
     "NULL",
@@ -31,8 +21,6 @@ __all__ = [
     "Ternary",
     "consistent",
     "merge",
-    "resolve_backend",
-    "resolve_backend_name",
     "union",
     "union_all",
 ]

@@ -173,14 +173,6 @@ class PropertyGraph:
     _prop_index: Optional[
         Dict[Tuple[str, str], Dict[tuple, Tuple[NodeId, ...]]]
     ] = field(default=None, repr=False, compare=False)
-    #: Per-snapshot memo of the candidate sets
-    #: :class:`repro.cypher.vectorized.CandidatePruner` builds, keyed by
-    #: pattern signature.  It belongs to this graph *object*:
-    #: :meth:`patched` and unpickling make new objects with an empty memo,
-    #: so a stale set never outlives its snapshot.
-    candidate_sets: Dict[Any, Any] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @staticmethod
     def of(
@@ -511,10 +503,10 @@ class PropertyGraph:
         value_key = property_index_key(value)
         if value_key is None:
             return None
-        ids = self.property_id_column(label, key, value_key)
+        ids = self._prop_buckets().get((label, key), {}).get(value_key, ())
         return tuple(self.nodes[node_id] for node_id in ids)
 
-    # -- the matcher's read contract (shared with ColumnarGraph) -----------
+    # -- the matcher's read contract ------------------------------------------
 
     def expand_pairs(
         self, node_id: NodeId, direction: str, types: Tuple[str, ...]
@@ -543,22 +535,6 @@ class PropertyGraph:
                     continue  # self-loop: the outgoing pass yielded it
                 if not types or rel.type in types:
                     yield rel, nodes[rel.src]
-
-    def label_id_column(self, label: str) -> Tuple[NodeId, ...]:
-        """The ids of the nodes carrying ``label``, in global node order
-        (exact: every carrier, nothing else)."""
-        return self._by_label.get(label, ())
-
-    def property_id_column(
-        self, label: str, key: str, value_key: tuple
-    ) -> Tuple[NodeId, ...]:
-        """One equality-index bucket's node ids, in global node order.
-
-        ``value_key`` comes from
-        :func:`~repro.graph.values.property_index_key`; same superset
-        contract as :meth:`nodes_with_property`.
-        """
-        return self._prop_buckets().get((label, key), {}).get(value_key, ())
 
     def rel_type_count(self, rel_type: str) -> int:
         """Number of relationships of ``rel_type`` (cheap statistic)."""

@@ -43,12 +43,6 @@ _MISSING = object()
 class GraphStore:
     """Mutable node/relationship state with Cypher write semantics."""
 
-    #: The snapshot class ``graph()`` freezes into.  Subclasses swap in a
-    #: different backend (e.g. ``ColumnarStore`` →
-    #: :class:`~repro.graph.columnar.ColumnarGraph`); any class with the
-    #: ``empty``/``of``/``patched`` trio works.
-    _graph_cls = PropertyGraph
-
     def __init__(self, graph: Optional[PropertyGraph] = None):
         self._nodes: Dict[NodeId, _NodeState] = {}
         self._relationships: Dict[RelationshipId, _RelationshipState] = {}
@@ -59,7 +53,7 @@ class GraphStore:
         self._next_rel_id = 1
         self._dirty = True
         self._full_rebuild = True
-        self._cached = self._graph_cls.empty()
+        self._cached = PropertyGraph.empty()
         # Epoch deltas since the last freeze; insertion-ordered so the
         # incremental freeze applies upserts deterministically.
         self._touched_nodes: Dict[NodeId, None] = {}
@@ -118,7 +112,7 @@ class GraphStore:
                    + len(self._removed_nodes) + len(self._removed_rels))
         live = len(self._nodes) + len(self._relationships)
         if self._full_rebuild or 2 * touched >= max(live, 1):
-            self._cached = self._graph_cls.of(
+            self._cached = PropertyGraph.of(
                 (self._freeze_node(node_id) for node_id in self._nodes),
                 (self._freeze_relationship(rel_id)
                  for rel_id in self._relationships),

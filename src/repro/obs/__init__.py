@@ -51,7 +51,6 @@ STAGES = (
     "window_advance",
     "snapshot_build",
     "plan_compile",
-    "vectorize",
     "reuse",
     "match_delta",
     "match_full",

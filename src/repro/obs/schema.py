@@ -10,7 +10,7 @@ is a read of the engine's metrics registry:
     any breaking key change.
 ``engine.*``
     The core engine surface: per-query counters, per-stream retention,
-    watermark, and the optimization toggles.
+    watermark, and ``mode`` — ``"production"`` or ``"reference"``.
 ``parallel.*``
     ``None`` on an engine without an executor; otherwise the
     ``parallel.*`` counters plus ``workers``.
@@ -135,6 +135,10 @@ def validate_status(document: Mapping[str, Any]) -> None:
     for name, info in engine["queries"].items():
         for key in ("evaluations", "reused", "delta", "done"):
             _require(key in info, f"query {name!r} misses {key!r}")
+    # 'mode' replaced the per-field mode keys: validate it when present,
+    # tolerate its absence on documents written before it.
+    _require(engine.get("mode", "production") in ("production", "reference"),
+             f"unknown engine mode {engine.get('mode')!r}")
     # 'dataflow' arrived with EMIT ... INTO chaining: validate it when
     # present, tolerate its absence on documents written before it.
     dataflow = engine.get("dataflow")

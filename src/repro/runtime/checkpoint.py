@@ -5,10 +5,13 @@ continue a continuous run with emissions bag-equal to the uninterrupted
 run (the property the tests assert).  One document, version 2, for every
 engine:
 
-* ``config`` — policy, the static background graph, **every** execution
-  mode field, the pool size (``parallel_workers``) and whether tracing
-  was on.  Each mode field is read with its default when absent, so a
-  field can leave the engine later without another version bump;
+* ``config`` — policy, the static background graph, the six mode
+  fields, the pool size (``parallel_workers``) and whether tracing was
+  on.  The mode fields are written as production's or the reference
+  twin's values and read back by :func:`repro.api.reference_mode`
+  (absent ones at their defaults), so a document naming a partial
+  ablation or a removed backend is an
+  :class:`~repro.errors.EngineModeError`;
 * per-stream retained elements **with their eviction bookkeeping**
   (``base_seq``), so restored window states catch up over exactly the
   surviving history;
@@ -59,17 +62,6 @@ from repro.seraph.sinks import Sink
 from repro.stream.window import ActiveSubstreamPolicy
 
 CHECKPOINT_VERSION = 2
-
-#: ``config`` keys that map one-to-one onto ``SeraphEngine`` mode
-#: parameters, with the value a document that lacks the key restores.
-_MODE_DEFAULTS = {
-    "incremental": True,
-    "reuse_unchanged_windows": True,
-    "delta_eval": True,
-    "physical_plans": True,
-    "graph_backend": "reference",
-    "vectorized": None,  # re-derived from the backend
-}
 
 
 # -- value / table codec -----------------------------------------------------
@@ -150,11 +142,13 @@ def table_from_dict(data: Dict[str, Any]) -> Table:
 
 def engine_to_dict(engine: SeraphEngine) -> Dict[str, Any]:
     """Serialize a mid-run engine to a JSON-safe checkpoint document."""
+    from repro.api import PRODUCTION_MODE, REFERENCE_MODE  # import cycle
+
     document: Dict[str, Any] = {
         "version": CHECKPOINT_VERSION,
         "config": {
             "policy": engine.policy.name,
-            **{name: getattr(engine, name) for name in _MODE_DEFAULTS},
+            **(REFERENCE_MODE if engine.reference else PRODUCTION_MODE),
             "static_graph": (
                 graph_to_dict(engine.static_graph)
                 if engine.static_graph is not None else None
@@ -220,6 +214,8 @@ def engine_from_dict(
     ``tuning`` goes to the restored :class:`Ingress` — what a document
     cannot carry (retry, clock, sleep, factories), or policy overrides.
     """
+    from repro.api import reference_mode  # import cycle
+
     try:
         version = data["version"]
         if version != CHECKPOINT_VERSION:
@@ -244,8 +240,7 @@ def engine_from_dict(
             ingress=Ingress.from_dict(runtime, **tuning)
             if runtime is not None else None,
             executor=PoolExecutor(workers) if workers is not None else None,
-            **{name: config.get(name, default)
-               for name, default in _MODE_DEFAULTS.items()},
+            reference=reference_mode(config),
         )
         if runtime is not None:
             engine.ingress.restore_state(runtime)

@@ -156,20 +156,17 @@ def _worker_evaluate_group(
            List[PlanProfile]]:
     """Evaluate one shared-window group of full evaluations.
 
-    ``payload`` is ``(graphs, tasks, vectorized)`` where ``graphs`` maps
+    ``payload`` is ``(graphs, tasks)`` where ``graphs`` maps
     ``(stream, width)`` to the group's snapshot graphs (pickled once per
     group) and each task is ``(plan, interval_start, interval_end)``.
-    ``vectorized`` mirrors the parent engine's flag: graph ``__reduce__``
-    drops the parent's candidate-set memo, so each worker rebuilds its
-    own per unpickled snapshot (docs/VECTORIZED.md).  Pure: reads the
-    snapshots, returns the output tables plus, per task, one
+    Pure: reads the snapshots, returns the output tables plus, per task, one
     ``(start_offset, duration)`` timing fragment and the execution's
     :class:`~repro.cypher.physical.PlanProfile` — the parent stitches
     timings into its trace as ``worker_evaluate`` spans and merges the
     profiles into the query's EXPLAIN ANALYZE totals, so one trace covers
     both sides of the process boundary.
     """
-    graphs, tasks, vectorized = payload
+    graphs, tasks = payload
     started = time.perf_counter()
     tables: List[Table] = []
     timings: List[Tuple[float, float]] = []
@@ -184,7 +181,6 @@ def _worker_evaluate_group(
                 lambda stream, width: graphs[(stream, width)],
                 TimeInterval(lo, hi),
                 expr_cache=expr_cache,
-                vectorized=vectorized,
                 profile=profile,
             )
         )
@@ -392,7 +388,7 @@ class PoolExecutor:
                 )
                 for i in indices
             ]
-            payloads.append((graphs, tasks, engine.vectorized))
+            payloads.append((graphs, tasks))
             group_indices.append(indices)
             # A stable, pickle-friendly label for failures: the group's
             # window keys plus the evaluation instant.
@@ -412,11 +408,6 @@ class PoolExecutor:
                 zip(indices, group_tables)
             ):
                 registered = pendings[i].registered
-                if registered.delta_state is not None:
-                    # Same bookkeeping the in-parent full path performs:
-                    # an eligible query evaluated outside the delta path
-                    # no longer tracks the window content.
-                    registered.delta_state.invalidate()
                 engine._record_path(pendings[i], "full")
                 tables[i] = table
                 engine._record_profile(registered, profiles[position])

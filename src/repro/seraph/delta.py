@@ -100,17 +100,12 @@ class QueryDeltaState:
 
     ``assignments`` pairs each matched record (projected to the pattern's
     free variables) with its embedding footprint.  ``valid`` is False
-    until the first (full) refresh and whenever the query was evaluated
-    outside the delta path.
+    until the first (full) refresh.
     """
 
     assignments: List[Tuple[Record, Footprint]] = field(default_factory=list)
     fields: FrozenSet[str] = frozenset()
     valid: bool = False
-
-    def invalidate(self) -> None:
-        self.valid = False
-        self.assignments = []
 
 
 def _contains_type(obj: object, target: type) -> bool:
@@ -217,8 +212,6 @@ def evaluate_delta(
     plan,
     expr_cache: Optional[dict] = None,
     span=None,
-    vectorized: bool = False,
-    profile=None,
 ) -> Tuple[Table, DeltaStats]:
     """One evaluation through the incremental path.
 
@@ -234,21 +227,10 @@ def evaluate_delta(
     :class:`~repro.cypher.physical.PhysicalPlan`: its MATCH stage supplies
     the pattern to match (join order and orientation baked in at compile
     time, or planned now when the plan is un-hoisted).
-
-    ``vectorized`` routes the matcher through a
-    :class:`~repro.cypher.vectorized.CandidatePruner` over the snapshot;
-    what it spent building candidate sets is added to ``profile`` (a
-    :class:`~repro.cypher.physical.PlanProfile`) when given.  The anchored
-    re-match composes with it naturally: the matcher enumerates the
-    pattern's *pruned* start candidates and the dirty neighbourhood
-    arrives as ``first_candidates``, so each re-match start is one
-    dirty-set membership probe over the already-pruned ordered array —
-    the intersection of the two supersets, never a full scan of either.
     """
     base_scope = {WIN_START: interval.start, WIN_END: interval.end}
     evaluator = QueryEvaluator(graph, base_scope=base_scope,
-                               compile_cache=expr_cache,
-                               vectorized=vectorized)
+                               compile_cache=expr_cache)
     clause = query.body[0].match
     out_fields = frozenset(clause.pattern.free_variables())
     pattern = plan.stages[0].planned(graph, frozenset(base_scope))
@@ -320,9 +302,6 @@ def evaluate_delta(
                 retained=len(retained),
                 recomputed=len(fresh),
             )
-    pruner = evaluator.matcher.pruner
-    if profile is not None and pruner is not None:
-        profile.pruner_seconds += pruner.build_seconds
     if span is not None:
         if stats.full_refresh:
             path = "full_refresh"

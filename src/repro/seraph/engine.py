@@ -102,23 +102,23 @@ class _StreamState(PropertyGraphStream):
 
 
 class _WindowState:
-    """Incrementally maintained window content for one (stream, width)."""
+    """Window content for one (stream, width): maintained incrementally in
+    production, re-unioned from scratch per evaluation by the reference
+    twin."""
 
     def __init__(
         self,
         config: WindowConfig,
         policy: ActiveSubstreamPolicy,
-        incremental: bool,
+        reference: bool,
         static_graph: Optional[PropertyGraph],
-        graph_cls: type = PropertyGraph,
     ):
         self.config = config
         self.policy = policy
-        self.incremental = incremental
+        self.reference = reference
         self.static_graph = static_graph
-        self.graph_cls = graph_cls
-        self.maintainer = SnapshotMaintainer(graph_cls=graph_cls)
-        if incremental and static_graph is not None:
+        self.maintainer = SnapshotMaintainer()
+        if not reference and static_graph is not None:
             # The static graph is a permanent, never-evicted contribution.
             self.maintainer.add(
                 StreamElement(graph=static_graph, instant=0)
@@ -185,7 +185,7 @@ class _WindowState:
             index += 1
             self.next_seq += 1
         maintainer = self.maintainer
-        if self.incremental:
+        if not self.reference:
             for element in added:
                 maintainer.add(element)
             for element in removed:
@@ -200,28 +200,22 @@ class _WindowState:
 
     def version(self):
         """Identifies the current window content: equal versions ⇒ equal
-        snapshot graphs.  The maintainer's content version; without one
-        (``incremental=False``) the contiguous sequence range."""
-        if self.incremental:
+        snapshot graphs.  The maintainer's content version; for the
+        reference twin (no maintainer) the contiguous sequence range."""
+        if not self.reference:
             return self.maintainer.version
         if not self.content_seqs:
             return (-1, -1)
         return (self.content_seqs[0], self.content_seqs[-1])
 
     def graph(self) -> PropertyGraph:
-        if self.incremental:
+        if not self.reference:
             return self.maintainer.graph()
         from repro.graph.union import union as graph_union
 
         graph = snapshot_graph(self.content)
         if self.static_graph is not None:
             graph = graph_union(self.static_graph, graph)
-        if self.graph_cls is not PropertyGraph:
-            # The ablation path folds unions with the reference type;
-            # convert so the configured backend serves every read.
-            graph = self.graph_cls.of(
-                graph.nodes.values(), graph.relationships.values()
-            )
         return graph
 
 
@@ -305,46 +299,22 @@ class SeraphEngine:
     policy:
         Active-substream selection policy (DESIGN.md §3).  The default
         TRAILING reproduces the paper's worked example.
-    incremental:
-        Maintain snapshot graphs incrementally (True, default) or
-        recompute the union per evaluation (False; the ablation baseline).
     static_graph:
         Optional background property graph unioned into every snapshot
         (the paper's future-work item iii).
-    reuse_unchanged_windows:
-        Skip re-evaluation when no window content changed since the last
-        evaluation and the query does not reference win_start/win_end
-        (Section 6's "avoidable re-executions on equal window contents").
-        Semantically transparent; settable to False for the ablation.
-    delta_eval:
-        Evaluate delta-eligible queries incrementally (True, default):
-        retain previous-assignment matches whose footprint avoids the
-        window delta's dirty entities and re-match anchored on the dirty
-        neighbourhood only (:mod:`repro.seraph.delta`).  Semantically
-        transparent; settable to False for the ablation.
-    physical_plans:
-        Hoist planning out of the evaluations (True, default): each query
-        compiles once per statistics band into a physical operator plan
-        (:mod:`repro.cypher.physical`) that fixes join order, orientation
-        and index seeks, and is recompiled only when label/type
-        statistics drift across a band boundary
-        (:mod:`repro.cypher.plan_cache`).  False (the ablation) compiles
-        the same stages un-hoisted: patterns are planned against each
-        evaluation's snapshot and no seek is taken.  Semantically
-        transparent.
-    graph_backend:
-        Snapshot-graph implementation: ``"reference"`` (the dict-based
-        :class:`~repro.graph.model.PropertyGraph`) or ``"columnar"``
-        (the interned, array-backed
-        :class:`~repro.graph.columnar.ColumnarGraph` — see
-        docs/COLUMNAR.md).  Semantically transparent: emissions are
-        byte-identical across backends.
-    vectorized:
-        Set-at-a-time candidate pruning in the matcher
-        (docs/VECTORIZED.md).  ``None`` (default) means on under the
-        columnar backend, whose columns the pruner reads, and off under
-        the reference one.  Semantically transparent (superset rule +
-        residual checks).
+    reference:
+        False (default): **production** — snapshots maintained
+        incrementally, an evaluation whose window content did not change
+        reuses the previous table (Section 6's "avoidable re-executions
+        on equal window contents"), delta-eligible queries re-match only
+        the dirty neighbourhood (:mod:`repro.seraph.delta`), and plans
+        are compiled once per statistics band
+        (:mod:`repro.cypher.plan_cache`).  True: the **reference** twin,
+        the test oracle — every snapshot re-unioned from its window,
+        every evaluation from scratch, every pattern planned against its
+        snapshot.  Both emit the same bag at every instant;
+        :func:`repro.api.reference_mode` maps ``EngineConfig``'s six mode
+        fields onto this flag.
     obs:
         An :class:`repro.obs.Observability` bundle (tracer + metrics
         registry).  ``None`` (default): tracing off, counters counted in
@@ -361,32 +331,16 @@ class SeraphEngine:
     def __init__(
         self,
         policy: ActiveSubstreamPolicy = ActiveSubstreamPolicy.TRAILING,
-        incremental: bool = True,
         static_graph: Optional[PropertyGraph] = None,
-        reuse_unchanged_windows: bool = True,
-        delta_eval: bool = True,
-        physical_plans: bool = True,
-        graph_backend: str = "reference",
-        vectorized: Optional[bool] = None,
+        reference: bool = False,
         obs: Optional[Observability] = None,
         ingress=None,
         executor=None,
     ):
-        from repro.graph.columnar import GRAPH_BACKENDS, resolve_backend_name
-
         self.policy = policy
-        self.incremental = incremental
         self.static_graph = static_graph
-        self.reuse_unchanged_windows = reuse_unchanged_windows
-        self.delta_eval = delta_eval
-        self.physical_plans = physical_plans
-        self.graph_backend = resolve_backend_name(graph_backend)
-        self._graph_cls = GRAPH_BACKENDS[self.graph_backend]
-        self.vectorized = (
-            bool(vectorized) if vectorized is not None
-            else self.graph_backend == "columnar"
-        )
-        self.plan_cache = PlanCache(hoist=physical_plans)
+        self.reference = reference
+        self.plan_cache = PlanCache(hoist=not reference)
         self._streams: Dict[str, _StreamState] = {}
         self.obs = obs if obs is not None else Observability.disabled()
         self._ingested = self.obs.registry.counter("engine.ingested")
@@ -465,18 +419,14 @@ class SeraphEngine:
                 windows[(stream_name, width)] = shared
                 continue
             state = _WindowState(
-                config,
-                self.policy,
-                self.incremental,
-                self.static_graph,
-                self._graph_cls,
+                config, self.policy, self.reference, self.static_graph
             )
             if shared is None:
                 self._shared_windows[share_key] = state
             windows[(stream_name, width)] = state
         delta_reason = delta_ineligibility(query)
-        if delta_reason is None and not self.incremental:
-            delta_reason = "non-incremental windows keep no net-change record"
+        if delta_reason is None and self.reference:
+            delta_reason = "the reference twin keeps no net-change record"
         if sink is None:
             sink = CollectingSink()
         if self.ingress is not None and wrap_sink:
@@ -796,7 +746,7 @@ class SeraphEngine:
             state.version() for state in registered.windows.values()
         )
         reusable = (
-            self.reuse_unchanged_windows
+            not self.reference
             and not registered.uses_window_bounds
             and registered._last_table is not None
             and version == registered._last_version
@@ -807,9 +757,10 @@ class SeraphEngine:
             interval=interval,
             version=version,
             reusable=reusable,
+            # Only a production engine keeps delta state, and only for a
+            # single-MATCH body: one window.
             takes_delta_path=(
-                self.delta_eval and not reusable
-                and registered.delta_state is not None and len(deltas) == 1
+                not reusable and registered.delta_state is not None
             ),
             deltas=deltas,
             span=span,
@@ -828,7 +779,6 @@ class SeraphEngine:
             window_state, delta = pending.deltas[0]
             with obs.stage(name, "match_delta", parent=pending.span) as stage:
                 snapshot = self._timed_graph(window_state, name, stage)
-                profile = PlanProfile()
                 table, stats = evaluate_delta(
                     registered.query,
                     registered.delta_state,
@@ -838,10 +788,7 @@ class SeraphEngine:
                     self._plan(registered, lambda _s, _w: snapshot),
                     expr_cache=registered._expr_cache,
                     span=stage,
-                    vectorized=self.vectorized,
-                    profile=profile,
                 )
-            self._record_profile(registered, profile)
             self._record_path(
                 pending, "full_refresh" if stats.full_refresh else "delta"
             )
@@ -850,11 +797,6 @@ class SeraphEngine:
                 stats.recomputed
             )
             return table
-        if registered.delta_state is not None:
-            # An eligible query evaluated outside the delta path (e.g.
-            # delta_eval toggled off): its assignment set no longer
-            # tracks the window content.
-            registered.delta_state.invalidate()
         self._record_path(pending, "full")
         with obs.stage(name, "match_full", parent=pending.span) as stage:
             provider = self._graph_provider(registered, stage)
@@ -864,7 +806,6 @@ class SeraphEngine:
                 provider,
                 pending.interval,
                 expr_cache=registered._expr_cache,
-                vectorized=self.vectorized,
                 profile=profile,
             )
         self._record_profile(registered, profile)
@@ -1011,10 +952,6 @@ class SeraphEngine:
                 obs.registry.inc(
                     f"query.{registered.name}.op.{op_id}.rows", count
                 )
-            if self.vectorized:
-                obs.record_stage(
-                    registered.name, "vectorize", profile.pruner_seconds
-                )
 
     def _evict(self) -> None:
         """Drop stream elements no future evaluation can reach, and shared
@@ -1143,10 +1080,7 @@ class SeraphEngine:
                 }
                 for name, registered in self._queries.items()
             },
-            "planner": {
-                "physical_plans": self.physical_plans,
-                **self.plan_cache.stats(),
-            },
+            "planner": self.plan_cache.stats(),
             "streams": {
                 name: {
                     "retained": len(state),
@@ -1156,10 +1090,7 @@ class SeraphEngine:
             },
             "watermark": self._watermark,
             "policy": self.policy.value,
-            "incremental": self.incremental,
-            "delta_eval": self.delta_eval,
-            "graph_backend": self.graph_backend,
-            "vectorized": self.vectorized,
+            "mode": "reference" if self.reference else "production",
             "shared_window_states": len(self._shared_windows),
             "dataflow": self.dataflow_status(),
         }

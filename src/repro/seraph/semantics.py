@@ -62,7 +62,6 @@ def execute_body(
     graph_for: Callable[[str, int], PropertyGraph],
     interval: TimeInterval,
     expr_cache: Optional[dict] = None,
-    vectorized: bool = False,
 ) -> Table:
     """Run the clause pipeline with per-MATCH snapshot graphs.
 
@@ -72,8 +71,6 @@ def execute_body(
     ``expr_cache`` (optional) is a compiled-expression cache shared across
     evaluations of the same query — see
     :func:`repro.cypher.expressions.compile_expression`.
-    ``vectorized`` enables set-at-a-time candidate pruning
-    (docs/VECTORIZED.md; results are byte-identical either way).
     """
     base_scope = {WIN_START: interval.start, WIN_END: interval.end}
     evaluators: Dict[tuple, QueryEvaluator] = {}
@@ -85,7 +82,6 @@ def execute_body(
                 graph_for(stream, width),
                 base_scope=base_scope,
                 compile_cache=expr_cache,
-                vectorized=vectorized,
             )
         return evaluators[key]
 

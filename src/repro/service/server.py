@@ -37,12 +37,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from repro.api import EngineConfig
+from repro.api import MODE_FIELDS, EngineConfig
 from repro.errors import (
     CheckpointError,
     ConsumerLagError,
     DataflowError,
     EngineError,
+    EngineModeError,
     OutOfOrderEventError,
     PoisonMessageError,
     QueryRegistryError,
@@ -76,15 +77,11 @@ SERVICE_SCHEMA = {"name": "repro.service", "version": 1}
 
 _NUMBER = (int, float)
 #: The JSON-settable :class:`EngineConfig` fields and the JSON types each
-#: takes (``None`` = the field also accepts ``null``).  Everything else
-#: on the dataclass (graphs, callables, policy objects) has no JSON form.
+#: takes (``None`` = the field also accepts ``null``).  The six mode
+#: fields are settable too; :func:`repro.api.reference_mode` is their one
+#: reader.  Everything else on the dataclass (graphs, callables, policy
+#: objects) has no JSON form.
 _ENGINE_JSON_FIELDS: Dict[str, tuple] = {
-    "incremental": (bool,),
-    "reuse_unchanged_windows": (bool,),
-    "delta_eval": (bool,),
-    "physical_plans": (bool,),
-    "graph_backend": (str,),
-    "vectorized": (bool, None),
     "parallel_workers": (int, None),
     "offload_threshold": (*_NUMBER, None),
     "max_worker_restarts": (int, None),
@@ -101,8 +98,10 @@ _ENGINE_JSON_FIELDS: Dict[str, tuple] = {
 def engine_config_from_dict(data: Dict[str, Any]) -> EngineConfig:
     """An :class:`EngineConfig` from a JSON configuration fragment.
 
-    Accepts ``policy`` by name plus the JSON-scalar config fields, each
-    with its field's type; anything else raises :class:`EngineError`.
+    Accepts ``policy`` by name, the six mode fields (checked by
+    :func:`repro.api.reference_mode`) plus the JSON-scalar config fields,
+    each with its field's type; anything else raises
+    :class:`EngineError`.
     """
     if not isinstance(data, dict):
         raise EngineError(
@@ -110,12 +109,14 @@ def engine_config_from_dict(data: Dict[str, Any]) -> EngineConfig:
         )
     overrides = dict(data)
     policy = overrides.pop("policy", None)
-    unknown = set(overrides) - set(_ENGINE_JSON_FIELDS)
+    unknown = set(overrides) - set(_ENGINE_JSON_FIELDS) - set(MODE_FIELDS)
     if unknown:
         raise EngineError(
             f"engine config fields not settable from JSON: {sorted(unknown)}"
         )
     for name, value in overrides.items():
+        if name in MODE_FIELDS:
+            continue
         # bool is an int subclass, so match the exact JSON type.
         kind = None if value is None else type(value)
         if kind not in _ENGINE_JSON_FIELDS[name]:
@@ -224,10 +225,9 @@ class _HttpRequest:
 
 
 def _error_status(exc: Exception) -> int:
-    if isinstance(exc, ServiceError):
+    if isinstance(exc, (ServiceError, DataflowError, EngineModeError)):
+        # DataflowError: 409 cycles, 404 unknown streams, else 400.
         return exc.status
-    if isinstance(exc, DataflowError):
-        return exc.status  # 409 cycles, 404 unknown streams, else 400
     if isinstance(exc, (CypherError, SeraphSemanticError,
                         PoisonMessageError, CheckpointError)):
         return 400

@@ -46,15 +46,9 @@ class SnapshotMaintainer:
     contribution key appears for the first time or disappears for the
     last.  A count bump on a key that is already live changes nothing a
     merge reads, so it marks nothing and leaves :attr:`version` alone.
-
-    ``graph_cls`` selects the snapshot implementation — the reference
-    :class:`~repro.graph.model.PropertyGraph` (default) or any class
-    with the same ``of``/``patched``/``empty`` contract, e.g. the
-    columnar backend (:class:`~repro.graph.columnar.ColumnarGraph`).
     """
 
-    def __init__(self, graph_cls: type = PropertyGraph):
-        self._graph_cls = graph_cls
+    def __init__(self):
         self._node_contribs: Dict[int, Dict[Tuple, int]] = {}
         self._rel_contribs: Dict[int, Dict[Tuple, int]] = {}
         # id(element) → (element, node keys, relationship keys): computed
@@ -69,7 +63,7 @@ class SnapshotMaintainer:
         self.changed_rels: Set[int] = set()
         self.changed_endpoints: Set[int] = set()
         self._has_cache = False
-        self._cached: PropertyGraph = graph_cls.empty()
+        self._cached: PropertyGraph = PropertyGraph.empty()
 
     # -- mutation ------------------------------------------------------------
 
@@ -213,7 +207,7 @@ class SnapshotMaintainer:
                 self._merge_rel(rel_id, contribs)
                 for rel_id, contribs in self._rel_contribs.items()
             ]
-            self._cached = self._graph_cls.of(nodes, relationships)
+            self._cached = PropertyGraph.of(nodes, relationships)
         else:
             self._cached = self._cached.patched(
                 nodes=[

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.cypher import ast
+from repro.cypher.evaluator import QueryEvaluator, run_cypher
 from repro.cypher.expressions import ExpressionEvaluator
 from repro.cypher.matcher import PatternMatcher
 from repro.cypher.parser import CypherParser
 from repro.graph.builder import GraphBuilder
-from repro.graph.model import Path
+from repro.graph.model import Node, Path, PropertyGraph, Relationship
 
 
 def pattern_of(text):
@@ -433,7 +435,7 @@ class TestShortestPathSetAtATime:
         matcher = matcher_for(graph)
         matcher.hop_counts = {}
         assert list(matcher.match_pattern(pattern, {})) == []
-        expanded, _pruned = matcher.hop_counts[(0, 0)]
+        [expanded] = matcher.hop_counts[(0, 0)]
         assert 0 < expanded <= 2 * len(graph.relationships)
 
 
@@ -471,3 +473,48 @@ class TestHasMatch:
         bob = social_graph.node(2)
         assert matcher.has_match(path, {"a": alice})
         assert not matcher.has_match(path, {"a": bob})
+
+
+def _flagged_ring():
+    """12 ``N`` nodes on an ``R`` ring, every third also ``Hot`` and
+    ``flag: true``."""
+    nodes = [
+        Node(id=i, labels=frozenset(["N", "Hot"] if i % 3 == 0 else ["N"]),
+             properties={"flag": i % 3 == 0, "score": i % 4})
+        for i in range(12)
+    ]
+    rels = [Relationship(id=100 + i, type="R", src=i, trg=(i + 1) % 12,
+                         properties={})
+            for i in range(12)]
+    return PropertyGraph.of(nodes, rels)
+
+
+class TestConstantPropertyHoist:
+    def test_literal_evaluated_once_per_pattern_not_per_candidate(
+        self, monkeypatch
+    ):
+        literal_evals = []
+        original = ExpressionEvaluator.evaluate
+
+        def counting(self, expression, scope):
+            if isinstance(expression, ast.Literal):
+                literal_evals.append(expression)
+            return original(self, expression, scope)
+
+        monkeypatch.setattr(ExpressionEvaluator, "evaluate", counting)
+        table = run_cypher(
+            "MATCH (a:N {flag: true}) RETURN id(a)", _flagged_ring()
+        )
+        assert len(table) == 4  # 12 N-candidates walked
+        # Hoisted: one evaluation for the pattern's literal, not one per
+        # candidate the label scan enumerates.
+        assert len(literal_evals) == 1
+
+    def test_hoist_cache_is_per_matcher_and_id_safe(self):
+        evaluator = QueryEvaluator(_flagged_ring())
+        properties = pattern_of("(a:N {flag: true})").paths[0].nodes[0] \
+            .properties
+        first = evaluator.matcher._const_entries(properties)
+        assert evaluator.matcher._const_entries(properties) is first
+        key, is_const, value = first[0]
+        assert (key, is_const, value) == ("flag", True, True)

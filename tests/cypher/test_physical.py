@@ -147,8 +147,8 @@ class TestCompilation:
         the semantic validation pass — and leaves nothing behind."""
         from repro.seraph import SeraphEngine
 
-        for physical_plans in (True, False):
-            engine = SeraphEngine(physical_plans=physical_plans)
+        for reference in (False, True):
+            engine = SeraphEngine(reference=reference)
             for validate in (True, False):
                 with pytest.raises(SeraphSemanticError):
                     engine.register(_unsupported_query(), validate=validate)
@@ -342,3 +342,34 @@ class TestPlanCache:
         cache.plan_for(query, lambda _s, _w: graph)
         cache.evict(query)
         assert len(cache) == 0
+
+
+VARLEN_QUERY = """
+REGISTER QUERY q STARTING AT 1970-01-01T00:00h
+{
+  MATCH (a:Hot)-[*1..2]->(b:N {flag: true})
+  WITHIN PT10S
+  EMIT id(a) AS a, id(b) AS b
+  SNAPSHOT EVERY PT10S
+}
+"""
+
+
+def test_var_length_rows_count_expanded_before_filtering():
+    from repro.graph.model import Node, PropertyGraph, Relationship
+
+    graph = PropertyGraph.of(
+        [Node(id=i, labels=frozenset(["N", "Hot"] if i % 3 == 0 else ["N"]),
+              properties={"flag": i % 3 == 0}) for i in range(12)],
+        [Relationship(id=100 + i, type="R", src=i, trg=(i + 1) % 12,
+                      properties={}) for i in range(12)],
+    )
+    plan = compile_query(parse_seraph(VARLEN_QUERY), lambda _s, _w: graph)
+    profile = PlanProfile()
+    table = execute_plan(plan, lambda _s, _w: graph, TimeInterval(0, 100),
+                         profile=profile)
+    expanded = profile.rows[plan.stages[0].ops[(0, 0)]]
+    # Every hop-1 and hop-2 expansion is accounted, not just the ones
+    # whose terminal node passes the (b:N {flag: true}) filter.
+    assert expanded == 8  # 4 Hot starts x 2 depths x 1 neighbour
+    assert len(table) < expanded

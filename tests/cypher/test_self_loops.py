@@ -5,17 +5,14 @@ docstring/behavior mismatch).
 self-loop is yielded exactly once; an undirected pattern therefore
 produces one candidate for a self-loop, while a directed pattern
 matched in both orientations (outgoing and incoming anchors) sees it
-once per direction.  Both backends must agree.
+once per direction.
 """
 
-import pytest
-
 from repro.cypher import run_cypher
-from repro.graph.columnar import ColumnarGraph
 from repro.graph.model import Node, PropertyGraph, Relationship
 
 
-def loop_graph(graph_cls):
+def loop_graph():
     nodes = [
         Node(id=1, labels=frozenset({"Person"}), properties={"name": "Ann"}),
         Node(id=2, labels=frozenset({"Person"}), properties={"name": "Bob"}),
@@ -24,20 +21,16 @@ def loop_graph(graph_cls):
         Relationship(id=10, type="KNOWS", src=1, trg=1, properties={}),
         Relationship(id=11, type="KNOWS", src=1, trg=2, properties={}),
     ]
-    return graph_cls.of(nodes, rels)
+    return PropertyGraph.of(nodes, rels)
 
 
-BACKENDS = [PropertyGraph, ColumnarGraph]
-
-
-@pytest.mark.parametrize("graph_cls", BACKENDS, ids=["reference", "columnar"])
 class TestSelfLoopMatching:
-    def test_incident_yields_self_loop_once(self, graph_cls):
-        graph = loop_graph(graph_cls)
+    def test_incident_yields_self_loop_once(self):
+        graph = loop_graph()
         assert [rel.id for rel in graph.incident(1)] == [10, 11]
 
-    def test_undirected_matches_self_loop_once(self, graph_cls):
-        graph = loop_graph(graph_cls)
+    def test_undirected_matches_self_loop_once(self):
+        graph = loop_graph()
         table = run_cypher(
             "MATCH (a)-[r:KNOWS]-(b) WHERE id(a) = id(b) "
             "RETURN id(a) AS a, id(r) AS r",
@@ -45,8 +38,8 @@ class TestSelfLoopMatching:
         )
         assert [tuple(row.values()) for row in table] == [(1, 10)]
 
-    def test_directed_matches_self_loop_once_per_direction(self, graph_cls):
-        graph = loop_graph(graph_cls)
+    def test_directed_matches_self_loop_once_per_direction(self):
+        graph = loop_graph()
         out = run_cypher(
             "MATCH (a)-[r:KNOWS]->(b) WHERE id(a) = id(b) "
             "RETURN id(r) AS r",
@@ -60,8 +53,8 @@ class TestSelfLoopMatching:
         assert [tuple(row.values()) for row in out] == [(10,)]
         assert [tuple(row.values()) for row in inc] == [(10,)]
 
-    def test_undirected_two_hop_does_not_duplicate_loop(self, graph_cls):
-        graph = loop_graph(graph_cls)
+    def test_undirected_two_hop_does_not_duplicate_loop(self):
+        graph = loop_graph()
         table = run_cypher(
             "MATCH (a)-[r]-(b) RETURN id(a) AS a, id(r) AS r, id(b) AS b",
             graph,
@@ -70,10 +63,3 @@ class TestSelfLoopMatching:
         # The self-loop appears once from its node; rel 11 appears once
         # per orientation (two distinct endpoint bindings).
         assert rows == [(1, 10, 1), (1, 11, 2), (2, 11, 1)]
-
-    def test_backends_agree_on_loops(self, graph_cls):
-        graph = loop_graph(graph_cls)
-        reference = loop_graph(PropertyGraph)
-        query = "MATCH (a)-[r]-(b) RETURN id(a) AS a, id(r) AS r, id(b) AS b"
-        assert [tuple(row.values()) for row in run_cypher(query, graph)] == \
-            [tuple(row.values()) for row in run_cypher(query, reference)]

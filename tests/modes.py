@@ -1,9 +1,10 @@
 """The explicit execution-mode matrix.
 
 Every optimised path must produce what the denotational semantics
-produce (snapshot reducibility, PAPER.md Defs. 5.8-5.11), so N modes need
-one oracle — :func:`repro.seraph.semantics.continuous_run` — not N×N
-cross-checks and not a rerun of the whole suite per mode.  The corpus
+produce (snapshot reducibility, PAPER.md Defs. 5.8-5.11), so the two
+behaviours — production and its reference twin — answer to one oracle,
+:func:`repro.seraph.semantics.continuous_run`, not to each other and not
+to a rerun of the whole suite per mode.  The corpus
 tests (``tests/seraph/test_continuous_conformance.py``, the Figure 1 /
 Listing 5 running example) parametrise over :data:`MODES`; a mode can
 only be selected here the way it can anywhere: through explicit
@@ -14,6 +15,7 @@ stages of the one pipeline, so every stack answers to the same oracle.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Dict, List, Optional, Sequence
 
 from repro import EngineConfig, build_engine
@@ -23,8 +25,10 @@ from repro.seraph.semantics import continuous_run
 from repro.stream.stream import PropertyGraphStream, StreamElement
 from repro.stream.window import ActiveSubstreamPolicy
 
-#: The slow twin: every optimisation off, reference graph backend.  The
-#: same six names ``benchmarks/e2e/check.py`` builds its oracle from.
+#: The slow twin: every optimisation off.  The same six names
+#: ``benchmarks/e2e/check.py`` builds its oracle from; exactly these
+#: values select the reference engine, every name at its default the
+#: production one, and anything else is an ``EngineModeError``.
 SLOW_TWIN = {
     "incremental": False, "delta_eval": False, "physical_plans": False,
     "reuse_unchanged_windows": False, "vectorized": False,
@@ -32,13 +36,8 @@ SLOW_TWIN = {
 }
 
 MODES: Dict[str, dict] = {
-    "default": {},
-    "slow-twin": SLOW_TWIN,
-    "columnar": {"graph_backend": "columnar"},  # pruning on (derived)
-    "columnar-unpruned": {"graph_backend": "columnar", "vectorized": False},
-    "reference-pruned": {"vectorized": True},
-    "no-delta": {"delta_eval": False},
-    "interpreted": {"physical_plans": False},
+    "production": {},
+    "reference": SLOW_TWIN,
 }
 
 #: The parts an engine can own.  ``offload_threshold=0`` so the pool
@@ -51,11 +50,61 @@ STACKS: Dict[str, dict] = {
                        "offload_threshold": 0.0},
 }
 
-#: Modes that differ from the default only in graph backend / candidate
-#: pruning promise the default's row *order* too, so their rendered
-#: emissions are byte-identical, not merely bag-equal.
-SAME_ROW_ORDER = ("default", "columnar", "columnar-unpruned",
-                  "reference-pruned")
+
+_FLAGS = ("incremental", "reuse_unchanged_windows", "delta_eval",
+          "physical_plans")
+
+#: Every settable value of the six mode names: the four flags on or off,
+#: either graph backend name, and the ``vectorized`` tri-state — 96
+#: selections.  Every reader of the names (``EngineConfig``, the
+#: service's JSON config, checkpoint restore) answers each one as
+#: :func:`expected_mode` says.
+MODE_SELECTIONS: List[dict] = [
+    {**dict(zip(_FLAGS, flags)), "graph_backend": backend,
+     "vectorized": vectorized}
+    for flags in product((True, False), repeat=len(_FLAGS))
+    for backend in ("reference", "columnar")
+    for vectorized in (None, False, True)
+]
+
+
+def selection_id(selection: dict) -> str:
+    return "-".join(
+        [f"{name}={int(selection[name])}" for name in _FLAGS]
+        + [selection["graph_backend"], f"vectorized={selection['vectorized']}"]
+    )
+
+
+def expected_mode(selection: dict) -> Optional[str]:
+    """``"production"`` when every flag is on, ``"reference"`` when every
+    flag is off — both only on the reference graph without pruning — and
+    ``None`` (a typed error) for anything else."""
+    if selection["graph_backend"] != "reference" or selection["vectorized"]:
+        return None
+    flags = {selection[name] for name in _FLAGS}
+    return {frozenset([True]): "production",
+            frozenset([False]): "reference"}.get(frozenset(flags))
+
+
+def assert_names_the_offending_fields(selection: dict, message: str) -> None:
+    """The error names every field of the nearer allowed form that the
+    selection misses, and says why when a removed selection is among
+    them."""
+    vectorized = bool(selection["vectorized"])
+    misses = [
+        [name for name in _FLAGS if selection[name] is not flag]
+        + (["graph_backend"] if selection["graph_backend"] != "reference"
+           else [])
+        + (["vectorized"] if vectorized else [])
+        for flag in (True, False)
+    ]
+    nearest = min(map(len, misses))
+    assert any(
+        all(f"{name}=" in message for name in missed)
+        for missed in misses if len(missed) == nearest
+    ), message
+    removed = selection["graph_backend"] == "columnar" or vectorized
+    assert ("was removed" in message) is removed, message
 
 
 def run_mode(

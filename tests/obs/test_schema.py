@@ -35,7 +35,7 @@ GOLDEN_QUERY_KEYS = {
 }
 
 GOLDEN_PLANNER_KEYS = {
-    "physical_plans", "plans", "hits", "misses", "invalidations",
+    "plans", "hits", "misses", "invalidations",
     "hit_rate",
 }
 
@@ -76,10 +76,10 @@ class TestGoldenStatusShape:
     def test_engine_section_keys(self, serial_status):
         engine = serial_status["engine"]
         assert set(engine) == {
-            "policy", "incremental", "delta_eval", "graph_backend",
-            "vectorized", "watermark", "shared_window_states", "queries",
+            "policy", "mode", "watermark", "shared_window_states", "queries",
             "streams", "planner", "dataflow",
         }
+        assert engine["mode"] == "production"
         assert set(engine["dataflow"]) == {
             "streams", "order", "stages", "edges",
         }
@@ -187,6 +187,13 @@ class TestValidators:
         del status["engine"]["queries"]["student_trick"]["delta"]
         with pytest.raises(ObservabilityError, match="delta"):
             validate_status(status)
+
+    def test_unknown_engine_mode_rejected(self, status):
+        status["engine"]["mode"] = "columnar"
+        with pytest.raises(ObservabilityError, match="engine mode"):
+            validate_status(status)
+        del status["engine"]["mode"]  # a document from before the key
+        validate_status(status)
 
     def test_boolean_counter_rejected(self, status):
         status["obs"]["metrics"]["counters"]["engine.ingested"] = True

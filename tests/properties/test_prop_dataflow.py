@@ -5,9 +5,8 @@ fused into ONE engine emits, at every stage, exactly what the
 hand-composed two-engine run emits — the upstream engine's emissions
 materialized by a standalone :class:`StreamMaterializer` and fed to a
 second engine in lockstep.  Across random streams and window shapes the
-equality must hold through the whole execution matrix: delta evaluation
-on/off × serial/parallel runtime × reference/columnar backend ×
-vectorized pruning on/off.
+equality must hold through the whole execution matrix: production or
+the reference twin × serial/parallel runtime.
 
 Rendered-text equality is asserted, which implies order- and
 bag-equality of the emissions.
@@ -65,11 +64,9 @@ def scenario(draw):
         width=DURATIONS[draw(st.sampled_from([120, 180, 300]))],
         slide=DURATIONS[draw(st.sampled_from([60, 120]))],
     )
-    delta_eval = draw(st.booleans())
+    reference = draw(st.booleans())
     parallel = draw(st.booleans())
-    backend = draw(st.sampled_from(["reference", "columnar"]))
-    vectorized = draw(st.booleans())
-    return elements, detect, enrich, delta_eval, parallel, backend, vectorized
+    return elements, detect, enrich, reference, parallel
 
 
 @pytest.fixture(scope="module")
@@ -82,14 +79,14 @@ def _rendered(sink):
     return [emission.render() for emission in sink.emissions]
 
 
-def _run_hand_composed(elements, detect, enrich, delta_eval):
-    """The reference composition: two serial engines glued by a
+def _run_hand_composed(elements, detect, enrich, reference):
+    """The glued composition: two serial engines joined by a
     materializer, advanced in lockstep (the delivery schedule the fused
-    staged scheduler guarantees).  The delta axis is applied to both
-    compositions — delta and full evaluation order rows differently, and
-    the property under test is fused-vs-glued, not delta-vs-full."""
-    upstream = SeraphEngine(delta_eval=delta_eval)
-    downstream = SeraphEngine(delta_eval=delta_eval)
+    staged scheduler guarantees).  The mode is applied to both
+    compositions — production and the reference twin order rows
+    differently, and the property under test is fused-vs-glued."""
+    upstream = SeraphEngine(reference=reference)
+    downstream = SeraphEngine(reference=reference)
     detect_sink, enrich_sink = CollectingSink(), CollectingSink()
     upstream.register(detect.replace("\n  INTO pairs", ""), sink=detect_sink)
     downstream.register(enrich, sink=enrich_sink)
@@ -116,22 +113,14 @@ def _run_hand_composed(elements, detect, enrich, delta_eval):
 @given(data=scenario())
 @settings(max_examples=30, deadline=None)
 def test_fused_pipeline_equals_hand_composed(data, pool):
-    elements, detect, enrich, delta_eval, parallel, backend, vectorized = data
-    reference = _run_hand_composed(elements, detect, enrich, delta_eval)
-    if parallel:
-        engine = SeraphEngine(
-            executor=PoolExecutor(2, pool=pool, offload_threshold=0.0),
-            delta_eval=delta_eval, graph_backend=backend,
-            vectorized=vectorized,
-        )
-    else:
-        engine = SeraphEngine(
-            delta_eval=delta_eval, graph_backend=backend,
-            vectorized=vectorized,
-        )
+    elements, detect, enrich, reference, parallel = data
+    glued = _run_hand_composed(elements, detect, enrich, reference)
+    executor = (PoolExecutor(2, pool=pool, offload_threshold=0.0)
+                if parallel else None)
+    engine = SeraphEngine(executor=executor, reference=reference)
     detect_sink, enrich_sink = CollectingSink(), CollectingSink()
     engine.register(detect, sink=detect_sink)
     engine.register(enrich, sink=enrich_sink)
     engine.run_stream(elements)
     fused = [_rendered(detect_sink), _rendered(enrich_sink)]
-    assert fused == reference
+    assert fused == glued

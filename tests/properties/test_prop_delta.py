@@ -1,5 +1,5 @@
 """Property-based correctness of the delta-driven incremental path:
-with ``delta_eval`` enabled, engine emissions must bag-equal the
+production engine emissions (delta path included) must bag-equal the
 denotational :func:`continuous_run` on random streams and random window
 configurations — the same contract the full-evaluation engine carries.
 """
@@ -93,7 +93,7 @@ class TestDeltaPathEqualsDenotational:
     @settings(max_examples=60, deadline=None)
     def test_engine_with_delta_matches_continuous_run(self, data):
         elements, query = data
-        engine = SeraphEngine(delta_eval=True)
+        engine = SeraphEngine()
         sink = CollectingSink()
         engine.register(query, sink=sink)
         engine.run_stream(elements)
@@ -108,11 +108,11 @@ class TestDeltaPathEqualsDenotational:
 
     @given(data=scenario())
     @settings(max_examples=30, deadline=None)
-    def test_delta_on_and_off_agree(self, data):
+    def test_production_and_reference_agree(self, data):
         elements, query = data
         results = []
-        for delta_eval in (True, False):
-            engine = SeraphEngine(delta_eval=delta_eval)
+        for reference in (False, True):
+            engine = SeraphEngine(reference=reference)
             sink = CollectingSink()
             engine.register(query, sink=sink)
             engine.run_stream(elements)

@@ -1,6 +1,6 @@
 """Property: observation never changes what the engine computes.
 
-Across random streams/queries and the delta × parallel × resilient
+Across random streams/queries and the mode × parallel × resilient
 composition matrix, a ``build_engine`` stack with observability enabled
 must emit exactly what the untraced serial engine emits — and actually
 record the run (every emission is covered by an ``evaluate`` root span).
@@ -41,12 +41,10 @@ def _run_traced(elements, texts, engine):
 def test_traced_stack_is_emission_equal_to_the_untraced_serial_engine(
     data, parallel, resilient, pool
 ):
-    elements, texts, delta_eval, backend, vectorized = data
-    baseline = _run_serial(elements, texts, delta_eval)
+    elements, texts, reference = data
+    baseline = _run_serial(elements, texts, reference)
     engine = SeraphEngine(
-        delta_eval=delta_eval,
-        graph_backend=backend,
-        vectorized=vectorized,
+        reference=reference,
         obs=Observability.create(),
         ingress=Ingress() if resilient else None,
         # The module pool, not one spawned per example.

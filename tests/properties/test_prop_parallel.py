@@ -6,8 +6,8 @@ window configurations, and random shard counts:
 
 * an engine with a :class:`PoolExecutor` emits **order-equal and bag-equal**
   (we assert rendered-text equality, which implies both) to the serial
-  engine — including through the delta_eval × parallel × resilient
-  composition matrix;
+  engine — in production and in the reference twin, through the
+  parallel × resilient composition matrix;
 * :class:`ShardedEngine` is deterministic: the worker path equals the
   inline path, and on classifier-decomposable workloads the merged
   emissions bag-match the single-engine union run.
@@ -87,17 +87,10 @@ def scenario(draw):
                 slide=DURATIONS[slide],
             )
         )
-    delta_eval = draw(st.booleans())
-    # Backend axis: the parallel/resilient engine under test runs on
-    # either snapshot implementation; the serial baseline always runs
-    # the reference backend, so every comparison also asserts the
-    # columnar core emits byte-identically.
-    backend = draw(st.sampled_from(["reference", "columnar"]))
-    # Vectorized axis: candidate pruning on the engine under test while
-    # the serial baseline stays unpruned — byte-identity across the
-    # vectorized x backend x delta x parallel matrix.
-    vectorized = draw(st.booleans())
-    return elements, texts, delta_eval, backend, vectorized
+    # The reference twin has no delta path: every evaluation crosses the
+    # pool, delta-eligible shapes included.
+    reference = draw(st.booleans())
+    return elements, texts, reference
 
 
 @pytest.fixture(scope="module")
@@ -106,8 +99,8 @@ def pool():
         yield executor
 
 
-def _run_serial(elements, texts, delta_eval):
-    engine = SeraphEngine(delta_eval=delta_eval)
+def _run_serial(elements, texts, reference):
+    engine = SeraphEngine(reference=reference)
     sinks = [CollectingSink() for _ in texts]
     for text, sink in zip(texts, sinks):
         engine.register(text, sink=sink)
@@ -119,12 +112,11 @@ class TestParallelEqualsSerial:
     @given(data=scenario())
     @settings(max_examples=40, deadline=None)
     def test_forced_offload_order_and_bag_equal(self, data, pool):
-        elements, texts, delta_eval, backend, vectorized = data
-        serial = _run_serial(elements, texts, delta_eval)
+        elements, texts, reference = data
+        serial = _run_serial(elements, texts, reference)
         engine = SeraphEngine(
             executor=PoolExecutor(2, pool=pool, offload_threshold=0.0),
-            delta_eval=delta_eval, graph_backend=backend,
-            vectorized=vectorized,
+            reference=reference,
         )
         sinks = [CollectingSink() for _ in texts]
         for text, sink in zip(texts, sinks):
@@ -137,15 +129,14 @@ class TestParallelEqualsSerial:
     @settings(max_examples=25, deadline=None)
     def test_resilient_parallel_delta_matrix(self, data, pool):
         """The full composition: an engine owning both an ingress and a
-        pool executor, delta path on or off, must replay the serial
+        pool executor, production or reference, must replay the serial
         run."""
-        elements, texts, delta_eval, backend, vectorized = data
-        serial = _run_serial(elements, texts, delta_eval)
+        elements, texts, reference = data
+        serial = _run_serial(elements, texts, reference)
         engine = SeraphEngine(
             ingress=Ingress(),
             executor=PoolExecutor(2, pool=pool, offload_threshold=0.0),
-            delta_eval=delta_eval, graph_backend=backend,
-            vectorized=vectorized,
+            reference=reference,
         )
         for text in texts:
             engine.register(text)

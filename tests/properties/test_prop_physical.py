@@ -3,15 +3,15 @@
 Two contracts, across random streams, random query sets, and random
 window configurations:
 
-* a physical-plans-on serial engine is **bag-equal per emission** to the
-  interpreted (physical-plans-off) engine — band-quantized compile-time
-  planning may pick a different join order than the per-evaluation
-  interpreted planner, so row order inside a table can differ, never
+* the production engine (hoisted plans) is **bag-equal per emission**
+  to the reference twin (un-hoisted plans) — band-quantized
+  compile-time planning may pick a different join order than the
+  per-evaluation planner, so row order inside a table can differ, never
   the bag;
-* with physical plans on (the default), the delta_eval x parallel x
-  resilient composition matrix stays **byte-identical** to the serial
-  physical-on run — compiled plans ship to workers and feed the delta
-  path without changing a single rendered emission.
+* in either mode, the parallel x resilient composition matrix stays
+  **byte-identical** to the serial run in that mode — compiled plans
+  ship to workers and feed the delta path without changing a single
+  rendered emission.
 
 The query pool deliberately includes a property-map anchor
 (``{weight: 42}``) so IndexSeek runs against randomly generated data
@@ -85,8 +85,8 @@ def scenario(draw):
                 slide=DURATIONS[slide],
             )
         )
-    delta_eval = draw(st.booleans())
-    return elements, texts, delta_eval
+    reference = draw(st.booleans())
+    return elements, texts, reference
 
 
 @pytest.fixture(scope="module")
@@ -107,13 +107,10 @@ class TestPhysicalEqualsInterpreted:
     @given(data=scenario())
     @settings(max_examples=40, deadline=None)
     def test_bag_equal_per_emission(self, data):
-        elements, texts, delta_eval = data
-        on_engine = SeraphEngine(physical_plans=True, delta_eval=delta_eval)
+        elements, texts, _reference = data
+        on_engine = SeraphEngine()
         on = _run(on_engine, elements, texts)
-        off = _run(
-            SeraphEngine(physical_plans=False, delta_eval=delta_eval),
-            elements, texts,
-        )
+        off = _run(SeraphEngine(reference=True), elements, texts)
         for sink_on, sink_off in zip(on, off):
             assert len(sink_on.emissions) == len(sink_off.emissions)
             for left, right in zip(sink_on.emissions, sink_off.emissions):
@@ -129,13 +126,13 @@ class TestPhysicalMatrix:
     @given(data=scenario())
     @settings(max_examples=25, deadline=None)
     def test_parallel_byte_identical(self, data, pool):
-        elements, texts, delta_eval = data
+        elements, texts, reference = data
         serial = _run(
-            SeraphEngine(delta_eval=delta_eval), elements, texts
+            SeraphEngine(reference=reference), elements, texts
         )
         engine = SeraphEngine(
             executor=PoolExecutor(2, pool=pool, offload_threshold=0.0),
-            delta_eval=delta_eval,
+            reference=reference,
         )
         parallel = _run(engine, elements, texts)
         assert [e.render() for sink in parallel for e in sink.emissions] \
@@ -144,14 +141,14 @@ class TestPhysicalMatrix:
     @given(data=scenario())
     @settings(max_examples=25, deadline=None)
     def test_resilient_parallel_delta_matrix(self, data, pool):
-        elements, texts, delta_eval = data
+        elements, texts, reference = data
         serial = _run(
-            SeraphEngine(delta_eval=delta_eval), elements, texts
+            SeraphEngine(reference=reference), elements, texts
         )
         engine = SeraphEngine(
             ingress=Ingress(),
             executor=PoolExecutor(2, pool=pool, offload_threshold=0.0),
-            delta_eval=delta_eval,
+            reference=reference,
         )
         for text in texts:
             engine.register(text)

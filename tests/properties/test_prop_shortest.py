@@ -7,20 +7,16 @@ is checked against rows *derived* from the plain variable-length match
 depth-first enumeration of every trail) — grouped per ``(a, b)`` by minimum
 length.  Same rows, same order (start-major, end-minor, both in global node
 order), same picked path (smallest relationship-id sequence as the pattern
-is written), on both graph backends.
+is written).
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cypher.expressions import ExpressionEvaluator
 from repro.cypher.matcher import PatternMatcher
 from repro.cypher.parser import CypherParser
-from repro.graph.columnar import ColumnarGraph
 from repro.graph.model import Node, PropertyGraph, Relationship
-
-BACKENDS = [PropertyGraph, ColumnarGraph]
 
 
 @st.composite
@@ -43,9 +39,9 @@ def multigraphs(draw):
     return nodes, rels
 
 
-def build(backend, spec):
+def build(spec):
     nodes, rels = spec
-    return backend.of(
+    return PropertyGraph.of(
         [Node(node_id, labels, {"k": k}) for node_id, labels, k in nodes],
         [
             Relationship(rel_id, rel_type, src, trg)
@@ -106,14 +102,13 @@ def derived_rows(graph, function, body):
     return expected
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda cls: cls.__name__)
 @given(spec=multigraphs(), shape=shortest_patterns())
 @settings(max_examples=250, deadline=None)
 def test_shortest_rows_equal_rows_derived_from_the_variable_length_match(
-    backend, spec, shape
+    spec, shape
 ):
     function, start_filter, detail, (left, right), end_filter = shape
-    graph = build(backend, spec)
+    graph = build(spec)
     body = f"(a{start_filter}){left}[rs{detail}]{right}(b{end_filter})"
     actual = [row_key(row) for row in match(graph, f"p = {function}({body})")]
     assert actual == derived_rows(graph, function, body)

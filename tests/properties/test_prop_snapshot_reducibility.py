@@ -95,36 +95,23 @@ class TestSnapshotReducibility:
 
 class TestEngineEqualsDenotation:
     @given(data=scenario(),
-           incremental=st.booleans(),
+           reference=st.booleans(),
            policy=st.sampled_from(list(ActiveSubstreamPolicy)))
     @settings(max_examples=40, deadline=None)
-    def test_engine_matches_reference(self, data, incremental, policy):
+    def test_engine_matches_reference(self, data, reference, policy):
+        """Production (incremental snapshots, reuse, delta path) and the
+        reference twin both equal the denotation."""
         elements, query = data
         until = elements[-1].instant
-        engine = SeraphEngine(policy=policy, incremental=incremental)
+        engine = SeraphEngine(policy=policy, reference=reference)
         sink = CollectingSink()
         engine.register(query, sink=sink)
         engine.run_stream(elements, until=until)
-        reference = continuous_run(
+        denotation = continuous_run(
             query, PropertyGraphStream(elements), until, policy
         )
-        assert len(sink.emissions) == len(reference)
-        for emission, expected in zip(sink.emissions, reference):
-            assert emission.table.bag_equals(expected)
-
-    @given(data=scenario(), reuse=st.booleans())
-    @settings(max_examples=30, deadline=None)
-    def test_reuse_optimization_transparent(self, data, reuse):
-        elements, query = data
-        until = elements[-1].instant
-        engine = SeraphEngine(reuse_unchanged_windows=reuse)
-        sink = CollectingSink()
-        engine.register(query, sink=sink)
-        engine.run_stream(elements, until=until)
-        reference = continuous_run(
-            query, PropertyGraphStream(elements), until
-        )
-        for emission, expected in zip(sink.emissions, reference):
+        assert len(sink.emissions) == len(denotation)
+        for emission, expected in zip(sink.emissions, denotation):
             assert emission.table.bag_equals(expected)
 
 

@@ -26,6 +26,7 @@ from repro.runtime.faults import FlakySink, FlakySource
 from repro.runtime.resilient_sink import RetryPolicy
 from repro.seraph import CollectingSink, SeraphEngine
 
+from tests.modes import SLOW_TWIN
 from tests.runtime.test_parallel import (
     CHAIN_QUERY,
     ROUTE_QUERY,
@@ -54,9 +55,10 @@ def _run(engine, stream, queries=(CHAIN_QUERY, ROUTE_QUERY)):
 
 
 def _pooled(supervisor=None, ingress=None):
-    """A delta-off engine whose every full evaluation is offloaded."""
+    """A reference engine (no delta path, no reuse) whose every
+    evaluation is offloaded."""
     return SeraphEngine(
-        delta_eval=False, ingress=ingress,
+        reference=True, ingress=ingress,
         executor=PoolExecutor(
             2, offload_threshold=0.0, supervisor=supervisor
         ),
@@ -77,7 +79,7 @@ class TestChaosByteIdentical:
     """The headline property: emissions survive murdered workers."""
 
     def test_kills_and_poison_keep_emissions_byte_identical(self):
-        serial = _run(SeraphEngine(delta_eval=False), _stream())
+        serial = _run(SeraphEngine(reference=True), _stream())
         engine = _pooled(
             _chaotic_supervisor(KILL_AND_POISON, max_restarts=50),
         )
@@ -93,7 +95,7 @@ class TestChaosByteIdentical:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_any_seed_converges_to_serial(self, seed):
-        serial = _run(SeraphEngine(delta_eval=False), _stream())
+        serial = _run(SeraphEngine(reference=True), _stream())
         engine = _pooled(
             _chaotic_supervisor(
                 ChaosConfig(
@@ -135,7 +137,7 @@ class TestChaosByteIdentical:
 
 class TestCrashBudget:
     def test_exceeding_the_budget_degrades_instead_of_raising(self):
-        serial = _run(SeraphEngine(delta_eval=False), _stream())
+        serial = _run(SeraphEngine(reference=True), _stream())
         engine = _pooled(
             _chaotic_supervisor(
                 ChaosConfig(seed=0, worker_kill_rate=1.0), max_restarts=1
@@ -173,7 +175,7 @@ class TestCheckpointAcrossPoolCrash:
         elements = _stream(8)
         head, tail = elements[:4], elements[4:]
 
-        serial = SeraphEngine(delta_eval=False, ingress=Ingress())
+        serial = SeraphEngine(reference=True, ingress=Ingress())
         serial.register(ROUTE_QUERY)
         serial_head = [e.render() for e in serial.run_stream(
             head, until=head[-1].instant
@@ -283,7 +285,7 @@ class TestEngineConfigChaosPath:
 
     def test_full_profile_end_to_end_through_build_engine(self):
         engine = build_engine(EngineConfig(
-            parallel_workers=2, offload_threshold=0.0, delta_eval=False,
+            parallel_workers=2, offload_threshold=0.0, **SLOW_TWIN,
             resilient=True, allowed_lateness=30,
             max_worker_restarts=50,
             chaos=ChaosConfig(
@@ -294,7 +296,7 @@ class TestEngineConfigChaosPath:
                               max_delay=0.0, jitter=0.0),
         ))
         clean = build_engine(EngineConfig(
-            resilient=True, delta_eval=False,
+            resilient=True, **SLOW_TWIN,
         ))
         for target in (engine, clean):
             target.register(CHAIN_QUERY)

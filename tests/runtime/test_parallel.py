@@ -117,21 +117,21 @@ class TestConstruction:
         assert PoolExecutor(0).workers >= 1
 
     def test_direct_construction_keeps_engine_options(self):
-        engine = pooled(3, delta_eval=False)
+        engine = pooled(3, reference=True)
         assert engine.executor.workers == 3
-        assert engine.delta_eval is False
+        assert engine.reference is True
         engine.close()
 
 
 class TestByteIdenticalEmissions:
-    @pytest.mark.parametrize("delta_eval", [True, False])
-    def test_forced_offload_equals_serial(self, stream, pool, delta_eval):
-        serial = _run(SeraphEngine(delta_eval=delta_eval), stream)
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_forced_offload_equals_serial(self, stream, pool, reference):
+        serial = _run(SeraphEngine(reference=reference), stream)
         engine = pooled(pool=pool, offload_threshold=0.0,
-                        delta_eval=delta_eval)
+                        reference=reference)
         assert _run(engine, stream) == serial
         assert counter(engine, "offloaded_evaluations") > 0
-        if delta_eval:
+        if not reference:
             # The delta-eligible query stays on its in-parent delta path;
             # only the shortestPath query crosses the process boundary.
             assert counter(engine, "inline_evaluations") == 0
@@ -188,8 +188,7 @@ class TestWorkerPlanCache:
 
         # Every task delivers a freshly unpickled copy, as the pool does.
         shipped = pickle.loads(pickle.dumps(plan))
-        return ({plan.stages[0].window_key: graph}, [(shipped, 0, 60)],
-                False)
+        return ({plan.stages[0].window_key: graph}, [(shipped, 0, 60)])
 
     @pytest.fixture()
     def worker(self, monkeypatch):

@@ -14,10 +14,9 @@ The fixture stream (period 60s, instants 60..300):
     t=240 : (a:User {id:1})-[:PING {n:3}]->(s:Server {id:9})
     t=300 : (a:User {id:3})-[:PING {n:4}]->(s:Server {id:9})
 
-Every case runs under every explicit execution mode of
-``tests/modes.py`` and must also equal the denotational run
-(``semantics.continuous_run``) — the check that replaced rerunning the
-whole suite once per ``REPRO_*`` setting.
+Every case runs under both behaviours of ``tests/modes.py``
+(production and the reference twin) and must equal the denotational run
+(``semantics.continuous_run``).
 """
 
 import pytest
@@ -28,7 +27,6 @@ from repro.stream.window import ActiveSubstreamPolicy
 
 from ..modes import (
     MODES,
-    SAME_ROW_ORDER,
     STACKS,
     assert_equals_denotation,
     renders,
@@ -171,22 +169,9 @@ def test_every_case_compiles_to_a_plan(stream, case_id, body, expected, hoist):
         assert list(table.records) == list(reference.records)
 
 
-@BY_CASE
-def test_backend_and_pruning_modes_are_byte_identical(
-    stream, case_id, body, expected
-):
-    until = max(expected)
-    default, *others = (
-        renders(run_mode(mode, wrap(body), stream, until))
-        for mode in SAME_ROW_ORDER
-    )
-    for mode, rendered in zip(SAME_ROW_ORDER[1:], others):
-        assert rendered == default, mode
-
-
-#: "no-delta" too: with the delta path on, delta-eligible queries never
+#: The reference twin too: in production, delta-eligible queries never
 #: leave the parent, so only there does every case cross the pool.
-@pytest.mark.parametrize("mode", ["default", "no-delta"])
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("stack", [s for s in STACKS if s != "plain"])
 @BY_CASE
 def test_every_stack_equals_the_denotation_and_the_plain_engine(

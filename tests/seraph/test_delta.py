@@ -15,13 +15,7 @@ from repro.seraph.delta import (
 from repro.stream.snapshot import SnapshotMaintainer
 from repro.stream.stream import StreamElement
 
-from ..modes import (
-    MODES,
-    SAME_ROW_ORDER,
-    assert_equals_denotation,
-    renders,
-    run_mode,
-)
+from ..modes import MODES, assert_equals_denotation, run_mode
 
 
 def query_of(body):
@@ -184,16 +178,16 @@ class TestEngineDeltaPath:
     }
     """
 
-    def run(self, delta_eval):
-        engine = SeraphEngine(delta_eval=delta_eval)
+    def run(self, reference):
+        engine = SeraphEngine(reference=reference)
         sink = CollectingSink()
         registered = engine.register(self.QUERY, sink=sink)
         engine.run_stream([knows_element(i) for i in range(1, 30)], until=30)
         return registered, sink
 
     def test_delta_counters_and_transparency(self):
-        with_delta, sink_delta = self.run(True)
-        without, sink_full = self.run(False)
+        with_delta, sink_delta = self.run(False)
+        without, sink_full = self.run(True)
         assert with_delta.delta_reason is None
         assert with_delta.counters["path.delta"].value > 0
         assert with_delta.counters["assignments_retained"].value > 0
@@ -203,16 +197,15 @@ class TestEngineDeltaPath:
             assert left.table.bag_equals(right.table)
 
     def test_status_reports_delta_counters(self):
-        registered, _ = self.run(True)
         engine_status_keys = {"delta", "delta_full_refreshes", "delta_reason"}
-        engine = SeraphEngine(delta_eval=True)
+        engine = SeraphEngine()
         engine.register(self.QUERY, sink=CollectingSink())
         status = engine.status()
         assert engine_status_keys <= set(status["queries"]["q"])
-        assert status["delta_eval"] is True
+        assert status["mode"] == "production"
 
     def test_ineligible_query_falls_back(self):
-        engine = SeraphEngine(delta_eval=True)
+        engine = SeraphEngine()
         sink = CollectingSink()
         registered = engine.register(
             """
@@ -230,41 +223,14 @@ class TestEngineDeltaPath:
         assert registered.counters["path.delta"].value == 0
         assert any(not emission.is_empty() for emission in sink.emissions)
 
-    def test_toggling_delta_eval_off_invalidates_state(self):
-        engine = SeraphEngine(delta_eval=True)
-        sink = CollectingSink()
-        registered = engine.register(self.QUERY, sink=sink)
-        elements = [knows_element(i) for i in range(1, 30)]
-        for element in elements[:10]:
-            engine.advance_to(element.instant - 1)
-            engine.ingest_element(element)
-        engine.advance_to(10)
-        assert registered.delta_state.valid
-        engine.delta_eval = False
-        for element in elements[10:20]:
-            engine.advance_to(element.instant - 1)
-            engine.ingest_element(element)
-        engine.advance_to(20)
-        assert not registered.delta_state.valid
-        engine.delta_eval = True
-        for element in elements[20:]:
-            engine.advance_to(element.instant - 1)
-            engine.ingest_element(element)
-        emissions = engine.advance_to(30)
-        assert registered.delta_state.valid
-        # Still bag-equal to the always-full run.
-        _, full_sink = self.run(False)
-        assert len(sink.emissions) == len(full_sink.emissions)
-        for left, right in zip(sink.emissions, full_sink.emissions):
-            assert left.table.bag_equals(right.table)
-
-    def test_checkpoint_roundtrip_preserves_delta_config(self):
+    def test_checkpoint_roundtrip_preserves_the_reference_twin(self):
         from repro.runtime.checkpoint import engine_from_json, checkpoint_to_json
 
-        engine = SeraphEngine(delta_eval=False)
+        engine = SeraphEngine(reference=True)
         engine.register(self.QUERY, sink=CollectingSink())
         restored = engine_from_json(checkpoint_to_json(engine))
-        assert restored.delta_eval is False
+        assert restored.reference is True
+        assert restored.registered("q").delta_state is None
 
     def test_checkpoint_without_delta_key_defaults_on(self):
         import json
@@ -276,7 +242,7 @@ class TestEngineDeltaPath:
         document = json.loads(checkpoint_to_json(engine))
         del document["config"]["delta_eval"]
         restored = engine_from_json(json.dumps(document))
-        assert restored.delta_eval is True
+        assert restored.reference is False
 
 
 def overlapping_stream(count):
@@ -305,7 +271,7 @@ def overlapping_stream(count):
 
 class TestNetDirtyDeltaAcrossModes:
     """The delta path driven by net change, per instant against the
-    denotation, under every execution mode."""
+    denotation, in production and in the reference twin."""
 
     TEMPLATE = """
     REGISTER QUERY q STARTING AT 1970-01-01T00:00:00
@@ -348,10 +314,6 @@ class TestNetDirtyDeltaAcrossModes:
         assert any(not emission.is_empty() for emission in sink.emissions)
         assert_equals_denotation(sink, text, elements, 30,
                                  static_graph=static_graph)
-        if mode in SAME_ROW_ORDER:
-            default = run_mode("default", text, elements, 30,
-                               static_graph=static_graph)
-            assert renders(sink) == renders(default)
 
     def test_count_bumps_keep_assignments(self):
         """On the default path the overlapping stream is served by
@@ -363,8 +325,8 @@ class TestNetDirtyDeltaAcrossModes:
         assert registered.counters["path.delta"].value > 0
         assert registered.counters["assignments_retained"].value > 0
 
-    def test_non_incremental_windows_take_the_full_path(self):
-        engine = SeraphEngine(incremental=False)
+    def test_the_reference_twin_takes_the_full_path(self):
+        engine = SeraphEngine(reference=True)
         registered = engine.register(self.TEMPLATE.format(
             width="PT10S", slide="PT2S", policy="SNAPSHOT"))
         assert registered.delta_state is None

@@ -68,9 +68,9 @@ class TestIngestionAndFiring:
 
 
 class TestEngineMatchesDenotationalSemantics:
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_listing5_both_modes(self, rental_stream, incremental):
-        engine = SeraphEngine(incremental=incremental)
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_listing5_both_modes(self, rental_stream, reference):
+        engine = SeraphEngine(reference=reference)
         sink = CollectingSink()
         engine.register(LISTING5_SERAPH, sink=sink)
         engine.run_stream(rental_stream, until=_t("15:40"))

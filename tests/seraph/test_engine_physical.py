@@ -4,7 +4,7 @@ The engine compiles each registered query once (per statistics band),
 executes the compiled plan on full evaluations, feeds its pre-planned
 pattern to the delta path, and surfaces compiles / cache hit-rate /
 the per-operator ``PlanProfile`` through ``status()`` and ``EXPLAIN
-ANALYZE``.  ``physical_plans=False`` compiles the same stages un-hoisted
+ANALYZE``.  The reference twin compiles the same stages un-hoisted
 (planned per evaluation) with identical results.
 """
 
@@ -16,11 +16,15 @@ from repro.seraph import CollectingSink, SeraphEngine
 from repro.seraph.explain import explain, explain_analyze
 from repro.usecases.micromobility import _t, figure1_stream
 
+from ..modes import SLOW_TWIN
+
+#: Reading ``win_end`` keeps it off the delta path and off reuse: every
+#: evaluation runs the compiled plan, seek included.
 SEEK_QUERY = """
 REGISTER QUERY anna_rentals STARTING AT 2022-08-01T14:45
 {
   MATCH (b:Bike)-[r:rentedAt]->(s:Station {id: 1}) WITHIN PT1H
-  EMIT id(b) AS bike, r.user_id AS user
+  EMIT id(b) AS bike, r.user_id AS user, win_end AS until
   SNAPSHOT EVERY PT5M
 }
 """
@@ -68,22 +72,22 @@ class TestEnginePlans:
         assert 0.0 < stats["hit_rate"] <= 1.0
 
     def test_plan_rows_accumulate(self):
-        engine = SeraphEngine(delta_eval=False)
+        engine = SeraphEngine(reference=True)
         _run(engine)
         registered = engine.registered("rentals")
         assert registered.profile.rows  # per-operator totals collected
         assert sum(registered.profile.rows.values()) > 0
 
-    def test_physical_off_matches_physical_on(self):
-        on = _run(SeraphEngine(physical_plans=True))
-        off = _run(SeraphEngine(physical_plans=False))
+    def test_reference_matches_production(self):
+        on = _run(SeraphEngine())
+        off = _run(SeraphEngine(reference=True))
         assert len(on.emissions) == len(off.emissions)
         for left, right in zip(on.emissions, off.emissions):
             assert left.instant == right.instant
             assert left.table.bag_equals(right.table)
 
-    def test_physical_off_compiles_one_unhoisted_plan(self):
-        engine = SeraphEngine(physical_plans=False, delta_eval=False)
+    def test_reference_compiles_one_unhoisted_plan(self):
+        engine = SeraphEngine(reference=True)
         _run(engine)
         registered = engine.registered("rentals")
         plan = registered.physical_plan
@@ -94,7 +98,7 @@ class TestEnginePlans:
         assert registered.profile.rows[plan.stages[0].ops["match"]] > 0
 
     def test_seek_query_counts_index_rows(self):
-        engine = SeraphEngine(delta_eval=False)
+        engine = SeraphEngine()
         _run(engine, query=SEEK_QUERY)
         registered = engine.registered("anna_rentals")
         seek = registered.physical_plan.stages[0].seek
@@ -113,7 +117,6 @@ class TestEnginePlans:
         engine = SeraphEngine()
         _run(engine)
         planner = engine.status()["planner"]
-        assert planner["physical_plans"] is True
         # One plan per statistics band visited, a bounded few per query.
         assert 1 <= planner["plans"] <= PLANS_PER_QUERY
         query_info = engine.status()["queries"]["rentals"]
@@ -135,8 +138,7 @@ class TestExplainPhysical:
         assert "physical" not in explain(COUNT_QUERY)
 
     def test_explain_analyze_renders_rows(self):
-        engine = build_engine(EngineConfig(observability=True,
-                                           delta_eval=False))
+        engine = build_engine(EngineConfig(observability=True))
         _run(engine, query=SEEK_QUERY)
         text = explain_analyze(engine, "anna_rentals")
         assert "physical    :" in text
@@ -145,8 +147,7 @@ class TestExplainPhysical:
         assert "plan_compile" in text  # the compile stage histogram
 
     def test_explain_analyze_unhoisted_shows_the_opaque_match(self):
-        engine = build_engine(EngineConfig(physical_plans=False,
-                                           delta_eval=False))
+        engine = build_engine(EngineConfig(**SLOW_TWIN))
         _run(engine, query=SEEK_QUERY)
         text = explain_analyze(engine, "anna_rentals")
         assert "+- Match(" in text and "IndexSeek" not in text
@@ -164,9 +165,7 @@ def _pooled(**options):
     from repro.runtime.parallel import PoolExecutor
 
     return SeraphEngine(
-        delta_eval=False,
-        executor=PoolExecutor(2, offload_threshold=0.0),
-        **options,
+        executor=PoolExecutor(2, offload_threshold=0.0), **options,
     )
 
 
@@ -174,17 +173,15 @@ class TestParallelPlans:
     @pytest.mark.parametrize("query, name", [
         (SEEK_QUERY, "anna_rentals"), (SHORTEST_QUERY, "routes"),
     ], ids=["seek", "shortest"])
-    @pytest.mark.parametrize("options", [
-        {}, {"vectorized": True}, {"physical_plans": False},
-    ])
+    @pytest.mark.parametrize("options", [{}, {"reference": True}])
     def test_offloaded_profiles_equal_in_parent_profiles(
         self, options, query, name
     ):
         """The worker returns each execution's PlanProfile and the parent
         accumulates it exactly as it does its own: the same stream
         in-parent and through the pool ends with equal cumulative
-        profiles (rows and, vectorized, candidates/pruned per op)."""
-        serial = SeraphEngine(delta_eval=False, **options)
+        profiles (rows per op)."""
+        serial = SeraphEngine(**options)
         _run(serial, query=query)
         with _pooled(**options) as engine:
             sink = _run(engine, query=query)
@@ -192,7 +189,6 @@ class TestParallelPlans:
         assert engine.status()["parallel"]["offloaded_evaluations"] > 0
         pooled = engine.registered(name).profile
         assert sum(pooled.rows.values()) > 0
-        assert bool(pooled.prunes) == bool(options.get("vectorized"))
         assert pooled == serial.registered(name).profile
         assert explain_analyze(engine, name) == explain_analyze(serial, name)
 
@@ -210,8 +206,8 @@ class TestParallelPlans:
         assert f"[op {op.op_id}] rows={expanded}" in analyzed
 
     def test_parallel_matches_serial_byte_for_byte(self):
-        serial = _run(SeraphEngine(delta_eval=False))
-        with _pooled() as engine:
+        serial = _run(SeraphEngine(reference=True))
+        with _pooled(reference=True) as engine:
             parallel = _run(engine)
         assert [e.render() for e in parallel.emissions] == \
             [e.render() for e in serial.emissions]

@@ -200,11 +200,11 @@ class TestStaticGraphIntegration:
         for emission, expected in zip(sink.emissions, reference):
             assert emission.table.bag_equals(expected)
 
-    @pytest.mark.parametrize("incremental", [True, False])
+    @pytest.mark.parametrize("reference", [False, True])
     def test_both_maintenance_modes_support_static(self, rental_stream,
-                                                   incremental):
+                                                   reference):
         engine = SeraphEngine(static_graph=self.zones_graph(),
-                              incremental=incremental)
+                              reference=reference)
         sink = CollectingSink()
         engine.register(self.STATIC_QUERY, sink=sink)
         engine.run_stream(rental_stream, until=_t("15:40"))
@@ -213,7 +213,7 @@ class TestStaticGraphIntegration:
 
 class TestReuseUnchangedWindows:
     def test_reuse_counts_skipped_evaluations(self, rental_stream):
-        engine = SeraphEngine(reuse_unchanged_windows=True)
+        engine = SeraphEngine()
         registered = engine.register(LISTING5_SERAPH)
         engine.run_stream(rental_stream, until=_t("15:40"))
         # Events arrive at 5 of the 12 ET instants; evaluations between
@@ -222,8 +222,8 @@ class TestReuseUnchangedWindows:
         assert registered.counters["path.reuse"].value >= 5
 
     def test_reuse_produces_identical_emissions(self, rental_stream):
-        with_reuse = SeraphEngine(reuse_unchanged_windows=True)
-        without = SeraphEngine(reuse_unchanged_windows=False)
+        with_reuse = SeraphEngine()
+        without = SeraphEngine(reference=True)
         sink_a = CollectingSink()
         sink_b = CollectingSink()
         with_reuse.register(LISTING5_SERAPH, sink=sink_a)
@@ -243,7 +243,7 @@ class TestReuseUnchangedWindows:
           SNAPSHOT EVERY PT5M
         }
         """
-        engine = SeraphEngine(reuse_unchanged_windows=True)
+        engine = SeraphEngine()
         registered = engine.register(query)
         engine.run_stream(rental_stream, until=_t("15:40"))
         assert registered.uses_window_bounds
@@ -293,7 +293,7 @@ class TestReuseUnchangedWindows:
         REGISTER QUERY short STARTING AT 2022-08-01T10:05
         { MATCH (n) WITHIN PT5M EMIT count(*) AS n SNAPSHOT EVERY PT5M }
         """
-        engine = SeraphEngine(reuse_unchanged_windows=True)
+        engine = SeraphEngine()
         sink = CollectingSink()
         engine.register(query, sink=sink)
         engine.run_stream(

@@ -13,11 +13,11 @@ class TestR1DeclarativeSemantics:
     """R1: the query's meaning is independent of the execution strategy —
     every engine configuration produces the denotational result."""
 
-    @pytest.mark.parametrize("incremental", [True, False])
+    @pytest.mark.parametrize("reference", [False, True])
     def test_engine_configurations_agree_with_denotation(
-        self, rental_stream, incremental
+        self, rental_stream, reference
     ):
-        engine = SeraphEngine(incremental=incremental)
+        engine = SeraphEngine(reference=reference)
         sink = CollectingSink()
         engine.register(LISTING5_SERAPH, sink=sink)
         engine.run_stream(rental_stream, until=_t("15:40"))

@@ -4,7 +4,8 @@ Covers Figure 1 (the stream), Figure 2 (the merged graph), Table 2 (the
 one-time Cypher result), Table 4 (its time-annotated extension), and
 Tables 5/6 (the Seraph outputs at 15:15h and 15:40h) — plus the full
 evaluation narrative of Section 5.4.  The Listing 5 run is repeated
-under every explicit execution mode of ``tests/modes.py``.
+under both behaviours of ``tests/modes.py`` (production and the
+reference twin).
 """
 
 import pytest
@@ -29,7 +30,6 @@ from repro.usecases.micromobility import (
 
 from ..modes import (
     MODES,
-    SAME_ROW_ORDER,
     STACKS,
     assert_equals_denotation,
     renders,
@@ -145,28 +145,18 @@ class TestTables5And6:
         assert_equals_denotation(run_listing5, LISTING5_SERAPH,
                                  rental_stream, _t("15:40"))
 
-    def test_backend_and_pruning_modes_are_byte_identical(
-        self, rental_stream
-    ):
-        default, *others = (
-            renders(run_mode(mode, LISTING5_SERAPH, rental_stream,
-                             _t("15:40")))
-            for mode in SAME_ROW_ORDER
-        )
-        assert all(rendered == default for rendered in others)
-
     @pytest.mark.parametrize("stack", [s for s in STACKS if s != "plain"])
     def test_every_stack_is_byte_identical_to_the_plain_engine(
         self, rental_stream, stack
     ):
         """Listing 5 is delta-ineligible: on the pool stacks every
         evaluation that is not a reuse crosses the process boundary."""
-        sink = run_mode("default", LISTING5_SERAPH, rental_stream,
+        sink = run_mode("production", LISTING5_SERAPH, rental_stream,
                         _t("15:40"), stack=stack)
         assert_equals_denotation(sink, LISTING5_SERAPH, rental_stream,
                                  _t("15:40"))
         assert renders(sink) == renders(run_mode(
-            "default", LISTING5_SERAPH, rental_stream, _t("15:40")))
+            "production", LISTING5_SERAPH, rental_stream, _t("15:40")))
 
     def test_evaluation_count(self, run_listing5):
         # Every 5 minutes from 14:45 through 15:40 inclusive: 12 instants.

@@ -591,6 +591,25 @@ class TestCheckpointRestore:
 
         run(scenario())
 
+    def test_restore_of_a_removed_backend_answers_a_typed_400(self):
+        async def scenario():
+            service = await start_service(tenants={"t": spec("t")})
+            client = ServiceClient("127.0.0.1", service.port)
+            document = (await client.request(
+                "GET", "/tenants/t/checkpoint"
+            )).json()
+            document["engine"]["config"]["graph_backend"] = "columnar"
+            response = await client.request(
+                "POST", "/tenants/t/restore", payload=document,
+            )
+            assert response.status == 400
+            assert response.json()["type"] == "EngineModeError"
+            assert "graph_backend" in response.json()["error"]
+            await client.close()
+            await service.stop()
+
+        run(scenario())
+
 
 class TestErrors:
     def test_bad_query_answers_400(self):

@@ -6,8 +6,13 @@ import asyncio
 
 import pytest
 
-from repro.api import EngineConfig
-from repro.errors import AuthenticationError, ConsumerLagError, EngineError
+from repro.api import EngineConfig, reference_mode
+from repro.errors import (
+    AuthenticationError,
+    ConsumerLagError,
+    EngineError,
+    EngineModeError,
+)
 from repro.service.admission import TokenBucket
 from repro.service.auth import Authenticator, parse_bearer
 from repro.service.server import engine_config_from_dict
@@ -17,6 +22,13 @@ from repro.service.sse import (
     ServiceSink,
     emission_json,
     format_event,
+)
+
+from ..modes import (
+    MODE_SELECTIONS,
+    assert_names_the_offending_fields,
+    expected_mode,
+    selection_id,
 )
 
 
@@ -194,13 +206,43 @@ class TestEngineConfigFromDict:
     def test_scalar_fields_and_policy_by_name(self):
         config = engine_config_from_dict({
             "policy": "trailing", "resilient": True,
-            "allowed_lateness": 600, "graph_backend": "columnar",
+            "allowed_lateness": 600, "graph_backend": "reference",
             "vectorized": None, "offload_threshold": 2,
         })
         assert config == EngineConfig(
-            resilient=True, allowed_lateness=600, graph_backend="columnar",
-            offload_threshold=2,
+            resilient=True, allowed_lateness=600, offload_threshold=2,
         )
+
+    def test_the_slow_twin_is_settable_from_json(self):
+        twin = {"incremental": False, "reuse_unchanged_windows": False,
+                "delta_eval": False, "physical_plans": False,
+                "graph_backend": "reference", "vectorized": False}
+        assert engine_config_from_dict(twin) == EngineConfig(**twin)
+
+    @pytest.mark.parametrize("fragment,field", [
+        ({"graph_backend": "columnar"}, "graph_backend"),
+        ({"vectorized": True}, "vectorized"),
+        ({"delta_eval": False}, "delta_eval"),
+    ])
+    def test_a_removed_or_partial_mode_is_a_typed_400(self, fragment, field):
+        with pytest.raises(EngineModeError, match=field) as raised:
+            engine_config_from_dict(fragment)
+        assert raised.value.status == 400
+
+    @pytest.mark.parametrize("selection", MODE_SELECTIONS, ids=selection_id)
+    def test_every_mode_selection_answers_as_engine_config_does(
+        self, selection
+    ):
+        mode = expected_mode(selection)
+        if mode is None:
+            with pytest.raises(EngineModeError) as raised:
+                engine_config_from_dict(dict(selection))
+            assert raised.value.status == 400
+            assert_names_the_offending_fields(selection, str(raised.value))
+        else:
+            config = engine_config_from_dict(dict(selection))
+            assert config == EngineConfig(**selection)
+            assert reference_mode(vars(config)) is (mode == "reference")
 
     def test_observability_flag_the_benchmarks_traced_server_sends(self):
         assert engine_config_from_dict(

@@ -3,21 +3,29 @@
 import pytest
 
 from repro import EngineConfig, Observability, build_engine
-from repro.errors import EngineError
+from repro.api import PRODUCTION_MODE, REFERENCE_MODE, reference_mode
+from repro.errors import EngineError, EngineModeError
 from repro.runtime import Ingress, PoolExecutor
 from repro.runtime.policies import FaultPolicy
 from repro.seraph import SeraphEngine
 from repro.stream.window import ActiveSubstreamPolicy
 from repro.usecases.micromobility import LISTING5_SERAPH, _t, figure1_stream
 
-from .modes import STACKS
+from .modes import (
+    MODE_SELECTIONS,
+    SLOW_TWIN,
+    STACKS,
+    assert_names_the_offending_fields,
+    expected_mode,
+    selection_id,
+)
 
 
 class TestEngineConfig:
     def test_defaults_describe_the_plain_serial_engine(self):
         config = EngineConfig()
         assert config.policy is ActiveSubstreamPolicy.TRAILING
-        assert config.delta_eval is True
+        assert reference_mode(vars(config)) is False
         assert config.parallel_workers is None
         assert config.resilient is False
         assert config.observability is False
@@ -28,6 +36,7 @@ class TestEngineConfig:
         dict(span_limit=-1),
         dict(reservoir=0),
         dict(graph_backend="bogus"),
+        dict(delta_eval=False),
     ])
     def test_invalid_fields_raise_at_construction(self, bad):
         with pytest.raises(EngineError):
@@ -84,11 +93,80 @@ class TestNothingAmbientSelectsAMode:
         monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "2")
         for engine in (SeraphEngine(), build_engine()):
             assert type(engine) is SeraphEngine
-            status = engine.status()
-            assert status["graph_backend"] == "reference"
-            assert status["vectorized"] is False
-            assert status["delta_eval"] is True
-            assert status["planner"]["physical_plans"] is True
+            assert engine.status()["mode"] == "production"
+
+
+class TestModeNormaliser:
+    """Six mode names, two behaviours: every name at its default is
+    production, exactly the slow twin's values are the reference engine,
+    anything else is a typed error naming the offending fields."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("delta_eval", False),
+        ("incremental", False),
+        ("reuse_unchanged_windows", False),
+        ("physical_plans", False),
+        ("graph_backend", "columnar"),
+        ("vectorized", True),
+    ])
+    def test_a_partial_ablation_is_a_typed_error_naming_the_field(
+        self, field, value
+    ):
+        with pytest.raises(EngineModeError, match=field) as raised:
+            EngineConfig(**{field: value})
+        assert isinstance(raised.value, EngineError)
+        assert "reference twin" in str(raised.value)
+
+    @pytest.mark.parametrize("field", ["graph_backend", "vectorized"])
+    def test_the_removed_selections_say_they_were_removed(self, field):
+        value = {"graph_backend": "columnar", "vectorized": True}[field]
+        with pytest.raises(EngineModeError, match="was removed"):
+            EngineConfig(**{field: value})
+        with pytest.raises(EngineModeError, match="was removed"):
+            EngineConfig(**{**SLOW_TWIN, field: value})
+
+    def test_one_field_off_the_slow_twin_names_that_field(self):
+        with pytest.raises(EngineModeError,
+                           match="physical_plans=True select neither"):
+            EngineConfig(**{**SLOW_TWIN, "physical_plans": True})
+
+    def test_the_slow_twin_builds_the_reference_engine(self):
+        engine = build_engine(EngineConfig(**SLOW_TWIN))
+        assert engine.reference is True
+        assert engine.status()["mode"] == "reference"
+        assert engine.plan_cache.hoist is False
+
+    def test_defaults_build_the_production_engine(self):
+        for config in (EngineConfig(), EngineConfig(vectorized=False),
+                       EngineConfig(**PRODUCTION_MODE)):
+            engine = build_engine(config)
+            assert engine.reference is False
+            assert engine.status()["mode"] == "production"
+
+    def test_reference_mode_reads_only_the_six_names(self):
+        assert reference_mode({}) is False
+        assert reference_mode({"policy": "x", "vectorized": None}) is False
+        assert reference_mode(REFERENCE_MODE) is True
+        assert reference_mode({**REFERENCE_MODE, "vectorized": None}) is True
+
+    @pytest.mark.parametrize("selection", MODE_SELECTIONS, ids=selection_id)
+    def test_every_selection_is_production_reference_or_a_typed_error(
+        self, selection
+    ):
+        mode = expected_mode(selection)
+        if mode is None:
+            with pytest.raises(EngineModeError) as raised:
+                EngineConfig(**selection)
+            assert_names_the_offending_fields(selection, str(raised.value))
+        else:
+            engine = build_engine(EngineConfig(**selection))
+            assert engine.status()["mode"] == mode
+            assert engine.plan_cache.hoist is (mode == "production")
+
+    @pytest.mark.parametrize("value", [0, 1, "false", None])
+    def test_a_mode_flag_must_be_a_boolean(self, value):
+        with pytest.raises(EngineModeError, match="incremental"):
+            reference_mode({"incremental": value})
 
 
 class TestBuildEngine:
@@ -122,8 +200,8 @@ class TestBuildEngine:
         assert engine.ingress.late_policy is FaultPolicy.SKIP
 
     def test_overrides_are_field_level_shortcuts(self):
-        engine = build_engine(delta_eval=False)
-        assert engine.delta_eval is False
+        engine = build_engine(**SLOW_TWIN)
+        assert engine.reference is True
 
     def test_overrides_layer_on_top_of_a_config(self):
         config = EngineConfig(resilient=True)
@@ -133,21 +211,10 @@ class TestBuildEngine:
 
     def test_core_knobs_reach_the_engine(self):
         engine = build_engine(EngineConfig(
-            policy=ActiveSubstreamPolicy.EARLIEST_CONTAINING,
-            reuse_unchanged_windows=False,
-            delta_eval=False,
+            policy=ActiveSubstreamPolicy.EARLIEST_CONTAINING, **SLOW_TWIN,
         ))
         assert engine.policy is ActiveSubstreamPolicy.EARLIEST_CONTAINING
-        assert engine.reuse_unchanged_windows is False
-        assert engine.delta_eval is False
-
-    def test_graph_backend_reaches_the_engine_and_status(self):
-        engine = build_engine(EngineConfig(graph_backend="columnar"))
-        assert engine.graph_backend == "columnar"
-        assert engine.status()["graph_backend"] == "columnar"
-        from repro.graph.columnar import ColumnarGraph
-
-        assert engine._graph_cls is ColumnarGraph
+        assert engine.reference is True
 
     def test_every_part_shares_one_observability_bundle(self):
         with build_engine(EngineConfig(
@@ -186,6 +253,6 @@ class TestPartsConstructDirectly:
             assert engine.executor.workers == 2
 
     def test_an_ingress_is_passed_to_the_engine(self):
-        engine = SeraphEngine(delta_eval=False, ingress=Ingress())
-        assert engine.delta_eval is False
+        engine = SeraphEngine(reference=True, ingress=Ingress())
+        assert engine.reference is True
         assert engine.status()["resilience"]["allowed_lateness"] == 0

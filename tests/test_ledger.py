@@ -29,10 +29,10 @@ from .modes import STACKS
 
 ENGINE_PATHS = {
     "dataflow", "dataflow.edges", "dataflow.order", "dataflow.stages",
-    "dataflow.stages.student_trick", "dataflow.streams", "delta_eval",
-    "graph_backend", "incremental", "planner", "planner.hit_rate",
+    "dataflow.stages.student_trick", "dataflow.streams", "mode",
+    "planner", "planner.hit_rate",
     "planner.hits", "planner.invalidations", "planner.misses",
-    "planner.physical_plans", "planner.plans", "policy", "queries",
+    "planner.plans", "policy", "queries",
     "queries.student_trick",
     "queries.student_trick.assignments_recomputed",
     "queries.student_trick.assignments_retained",
@@ -44,7 +44,7 @@ ENGINE_PATHS = {
     "queries.student_trick.plan_operators", "queries.student_trick.reused",
     "queries.student_trick.warnings", "shared_window_states", "streams",
     "streams.default", "streams.default.head", "streams.default.retained",
-    "vectorized", "watermark",
+    "watermark",
 }
 PARALLEL_PATHS = {
     "parallel", "parallel.batches", "parallel.inline_evaluations",
@@ -126,7 +126,6 @@ class TestEveryStatusCountIsARegistryRead:
             sink_failure_rate=0.2,
         )
         engine = SeraphEngine(
-            delta_eval=False,
             ingress=Ingress(
                 allowed_lateness=1200, chaos=chaos, sleep=lambda _s: None,
                 retry=RetryPolicy(max_attempts=6, base_delay=0.0,

@@ -9,6 +9,12 @@ the stage seconds per evaluation that was not a reuse tick, beside the counts
 that must repeat exactly on both sides, and, where the run has them, the
 ``service.*`` wire rows (request round trips, SSE lag, open-loop latency).
 Every median row, stage row and wire row carries the change/base ratio.
+
+``--change <rev>`` archives a second revision in place of the working tree;
+``--config-a KEY=VALUE`` / ``--config-b KEY=VALUE`` (repeatable) pass
+``--engine-config`` to the base / change side.  With ``--base R --change R
+--config-b graph_backend=columnar`` the A/B is one revision against itself
+under another engine configuration.
 """
 
 import argparse
@@ -31,13 +37,16 @@ WIRE = ("service.push_rtt_p50_ms", "service.advance_rtt_p50_ms",
         "service.open_latency_p90_ms")
 
 
-def run_once(tree, workload, seed, trace=0):
-    """One run in ``tree``; the metrics of its last stdout line."""
+def run_once(tree, workload, seed, config, trace=0):
+    """One run in ``tree`` under the ``config`` overrides; the metrics of
+    its last stdout line."""
+    command = [sys.executable, os.path.join(tree, "benchmarks/e2e/run.py"),
+               "--workload", workload, "--seed", str(seed),
+               "--seconds", "12", "--trace", str(trace)]
+    for pair in config:
+        command += ["--engine-config", pair]
     line = subprocess.run(
-        [sys.executable, os.path.join(tree, "benchmarks/e2e/run.py"),
-         "--workload", workload, "--seed", str(seed),
-         "--seconds", "12", "--trace", str(trace)],
-        cwd=tree, check=True, capture_output=True, text=True,
+        command, cwd=tree, check=True, capture_output=True, text=True,
     ).stdout.strip().splitlines()[-1]
     result = json.loads(line)
     if not result["correct"] or result["failed"]:
@@ -60,25 +69,28 @@ def verdict(base, change, sign):
     return wins, "unresolved"
 
 
-def compare(trees, workload, pairs, seed, declared, base):
-    """Alternating pairs of ``workload``, then the traced pass; prints both."""
-    runs = {side: [] for side, _ in trees}
+def compare(sides, workload, pairs, seed, declared, labels):
+    """Alternating pairs of ``workload``, then the traced pass; prints both.
+    ``sides`` is ``[(tree, config)]`` for base then change."""
+    runs = [[], []]
     for pair in range(pairs):
-        for side, tree in trees[::1 if pair % 2 == 0 else -1]:
-            runs[side].append(run_once(tree, workload, seed))
+        for index in (0, 1) if pair % 2 == 0 else (1, 0):
+            tree, config = sides[index]
+            runs[index].append(run_once(tree, workload, seed, config))
         print(f"{workload} pair {pair + 1}/{pairs} done", file=sys.stderr)
-    print(f"{workload} seed {seed}: {base} vs working tree, "
+    print(f"{workload} seed {seed}: {labels[0]} vs {labels[1]}, "
           f"{pairs} alternating pairs; cells are q1/median/q3\n"
           f"{'metric':18} {'base':>30} {'change':>30}  change/base  wins  verdict")
     for entry in declared:
-        sides = [[run[entry["name"]] for run in side] for side in runs.values()]
-        wins, word = verdict(*sides, 1 if entry["better"] == "higher" else -1)
+        values = [[run[entry["name"]] for run in side] for side in runs]
+        wins, word = verdict(*values, 1 if entry["better"] == "higher" else -1)
         cells = ["/".join(f"{value:.3f}" for value in quartiles(side))
-                 for side in sides]
-        medians = [quartiles(side)[1] for side in sides]
+                 for side in values]
+        medians = [quartiles(side)[1] for side in values]
         print(f"{entry['name']:18} {cells[0]:>30} {cells[1]:>30}  "
               f"{ratio(*medians):>11}  {wins:>2}/{pairs}  {word}")
-    traced = [run_once(tree, workload, seed, trace=1) for _, tree in trees]
+    traced = [run_once(tree, workload, seed, config, trace=1)
+              for tree, config in sides]
     print("traced pass, one per side; stages in ms per non-reused evaluation"
           f"\n{'':27} {'base':>12} {'change':>12}  change/base")
     for name in COUNTS:
@@ -101,9 +113,28 @@ def compare(trees, workload, pairs, seed, declared, base):
               f"{ratio(*values):>11}", flush=True)
 
 
+def extract(revision, into):
+    """``git archive`` one revision of this repository into ``into``."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", revision],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", into], input=archive, check=True)
+
+
+def label(revision, config):
+    return revision + "".join(f" {pair}" for pair in config)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True)
+    parser.add_argument("--change", default=None,
+                        help="a revision to archive in place of the working tree")
+    parser.add_argument("--config-a", action="append", default=[],
+                        metavar="KEY=VALUE",
+                        help="--engine-config for the base side (repeatable)")
+    parser.add_argument("--config-b", action="append", default=[],
+                        metavar="KEY=VALUE",
+                        help="--engine-config for the change side (repeatable)")
     parser.add_argument("--workload", required=True,
                         help="a workload of BENCHMARK.json, or 'all'")
     parser.add_argument("--pairs", type=int, default=10)
@@ -113,14 +144,21 @@ def main():
         benchmark = json.load(handle)
     workloads = [args.workload] if args.workload != "all" else [
         workload["name"] for workload in benchmark["workloads"]]
-    with tempfile.TemporaryDirectory(prefix="bench-ab-") as base_tree:
-        archive = subprocess.run(["git", "-C", ROOT, "archive", args.base],
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", base_tree], input=archive, check=True)
+    with tempfile.TemporaryDirectory(prefix="bench-ab-") as scratch:
+        base_tree = os.path.join(scratch, "base")
+        change_tree = ROOT
+        os.mkdir(base_tree)
+        extract(args.base, base_tree)
+        if args.change is not None:
+            change_tree = os.path.join(scratch, "change")
+            os.mkdir(change_tree)
+            extract(args.change, change_tree)
+        sides = [(base_tree, args.config_a), (change_tree, args.config_b)]
+        labels = [label(args.base, args.config_a),
+                  label(args.change or "working tree", args.config_b)]
         for workload in workloads:
-            compare([("base", base_tree), ("change", ROOT)], workload,
-                    max(2, args.pairs), args.seed, benchmark["end_to_end"],
-                    args.base)
+            compare(sides, workload, max(2, args.pairs), args.seed,
+                    benchmark["end_to_end"], labels)
 
 
 if __name__ == "__main__":
