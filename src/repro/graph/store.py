@@ -98,10 +98,11 @@ class GraphStore:
     def graph(self) -> PropertyGraph:
         """Freeze the current state (cached until the next mutation).
 
+        Snapshots are persistent: a graph returned earlier never changes.
         When only a small fraction of the store changed since the last
-        freeze, the new snapshot is derived from the previous one with
-        :meth:`PropertyGraph.patched` — O(delta) index maintenance that
-        also carries the previous snapshot's property-value index forward
+        freeze, the new snapshot is the previous one copied and then
+        mutated by the epoch delta (:meth:`PropertyGraph.patched`), which
+        carries the previous snapshot's property-value index forward
         instead of discarding it.  Bulk loads and large epochs fall back
         to a full rebuild.
         """
@@ -151,12 +152,13 @@ class GraphStore:
 
     def _touch_node(self, node_id: NodeId) -> None:
         # Move the node to the end of both the live order and the epoch
-        # order: PropertyGraph.patched moves every upsert to the end of
-        # the global node order, so keeping the store's own order in
+        # order: the graph mutator moves every upsert to the end of the
+        # global node order, so keeping the store's own order in
         # lockstep makes the incremental freeze and a forced full
         # rebuild enumerate byte-identically regardless of which path
-        # graph() takes.  (Relationships keep their position on upsert,
-        # so _touch_relationship intentionally does not move.)
+        # graph() takes.  (Relationships keep their position unless their
+        # endpoints change, which no store write does, so
+        # _touch_relationship intentionally does not move.)
         self._nodes[node_id] = self._nodes.pop(node_id)
         self._touched_nodes.pop(node_id, None)
         self._touched_nodes[node_id] = None

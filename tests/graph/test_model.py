@@ -1,5 +1,7 @@
 """Unit tests for the property graph model (Definition 3.1)."""
 
+import pickle
+
 import pytest
 
 from repro.errors import GraphConsistencyError
@@ -238,6 +240,43 @@ class TestPatched:
         )
         assert [r.id for r in patched.outgoing(1)] == []
         assert sorted(r.id for r in patched.outgoing(3)) == [1]
+
+    def test_endpoint_change_moves_the_relationship_to_the_end(self):
+        """An endpoint-changing upsert moves the relationship to the end of
+        ``relationships`` as well as of its adjacency, so a pickled copy
+        (rebuilt from ``relationships`` order) expands in the same order."""
+        graph = PropertyGraph.of(
+            [Node(id=i) for i in (1, 2, 3)],
+            [Relationship(id=10, type="T", src=1, trg=2),
+             Relationship(id=11, type="T", src=1, trg=3),
+             Relationship(id=12, type="T", src=1, trg=2)],
+        )
+        moved = graph.patched(
+            relationships=[Relationship(id=10, type="T", src=1, trg=3)]
+        )
+        clone = pickle.loads(pickle.dumps(moved))
+        for copy in (moved, clone):
+            assert [rel.id for rel, _ in copy.expand_pairs(1, "out", ())] \
+                == [11, 12, 10]
+            assert [rel.id for rel in copy.incoming(3)] == [11, 10]
+        assert list(moved.relationships) == [11, 12, 10]
+
+    def test_failed_patch_leaves_both_graphs_as_they_were(self):
+        base = self._base()
+        with pytest.raises(GraphConsistencyError):
+            base.patched(
+                nodes=[Node(id=4)],
+                removed_rels=[1],
+                relationships=[Relationship(id=9, type="R", src=1, trg=99)],
+            )
+        live = base._thawed()
+        with pytest.raises(GraphConsistencyError):
+            live._apply(nodes=[Node(id=4)], removed_rels=[1],
+                        removed_nodes=[2])
+        for graph in (base, live):
+            assert graph == self._base()
+            assert [r.id for r in graph.outgoing(1)] == [1]
+            assert list(graph.nodes) == [1, 2, 3]
 
     def test_remove_node_with_live_relationship_raises(self):
         with pytest.raises(GraphConsistencyError):

@@ -31,7 +31,11 @@ quartiles = partial(quantiles, n=4, method="inclusive")
 STAGES = ("stage.match_full_s", "stage.match_delta_s", "stage.match_self_s",
           "stage.snapshot_build_s", "stage.window_advance_s", "stage.report_s",
           "stage.total_s")
-COUNTS = ("seraph.evaluations", "seraph.emission_rows", "seraph.reuse_share")
+#: Every exact-repeat row of ``benchmarks/e2e/compare.py`` plus the reuse
+#: share: functions of the input, so they must read ``identical``.
+COUNTS = ("seraph.evaluations", "seraph.emission_rows", "seraph.reuse_share",
+          "stream.window_elements_mean", "graph.snapshot_nodes_mean",
+          "graph.snapshot_rels_mean")
 WIRE = ("service.push_rtt_p50_ms", "service.advance_rtt_p50_ms",
         "service.sse_lag_p50_ms", "service.open_latency_p50_ms",
         "service.open_latency_p90_ms")
