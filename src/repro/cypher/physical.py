@@ -27,9 +27,10 @@ reference pipeline:
   *enumeration* of the first path; the matcher still checks every label
   and property on the pattern, so an index bucket that over-approximates
   (mixed ``1``/``1.0`` buckets) cannot change results.
-* **Global node order** — :meth:`PropertyGraph.patched` keeps one total
-  node order shared by node scans, label buckets, and property buckets,
-  so a seek enumerates the same subsequence a scan would.
+* **Global node order** — the graph mutator
+  (:meth:`PropertyGraph._apply`) keeps one total node order shared by
+  node scans, label buckets, and property buckets, so a seek enumerates
+  the same subsequence a scan would.
 * **Scan on anything unusual** — an unindexable anchor value (null,
   NaN, lists) or an anchor expression that raises degrades to the exact
   scan the reference pipeline runs.
@@ -168,7 +169,6 @@ Stage = Union[MatchStage, UnwindStage, ProjectStage]
 class PhysicalPlan:
     """A compiled query: executable stages plus the renderable op tree."""
 
-    query_name: str
     query_text: str
     band: tuple
     root: PhysicalOp
@@ -494,7 +494,6 @@ def compile_query(
     lower_projection(terminal_clause(query), default_key)
     assert root is not None
     return PhysicalPlan(
-        query_name=query.name,
         query_text=query.text,
         band=band,
         root=root,
