@@ -5,7 +5,8 @@ Demonstrates, end to end, the three extension features the paper lists
 as future work (Sections 6 and 8):
 
 1. **partitioning** — the Figure 1 rental stream is split into logical
-   ``rentedAt`` / ``returnedAt`` sub-streams (future work ii);
+   ``rentedAt`` / ``returnedAt`` sub-streams, one per relationship type
+   (future work ii);
 2. **multiple streams** — a continuous query joins the two sub-streams
    with per-stream ``FROM STREAM … WITHIN`` windows (future work i);
 3. **graph-to-graph** — its emissions are materialized as a *new*
@@ -16,7 +17,7 @@ as future work (Sections 6 and 8):
 Run:  python examples/streaming_pipeline.py
 """
 
-from repro import GraphBuilder, SeraphEngine
+from repro import GraphBuilder, PropertyGraph, SeraphEngine
 from repro.graph.temporal import format_hhmm
 from repro.seraph import (
     CollectingSink,
@@ -26,7 +27,7 @@ from repro.seraph import (
     RelationshipSpec,
     explain,
 )
-from repro.stream.partition import by_relationship_type, partition_stream
+from repro.stream import StreamElement
 from repro.usecases.micromobility import _t, figure1_stream
 
 STAGE1 = """
@@ -81,9 +82,28 @@ def zones_graph():
     return builder.build()
 
 
+def by_relationship_type(elements):
+    """One sub-stream per relationship type: each event graph splits into
+    its relationships of that type plus their endpoint nodes."""
+    streams = {}
+    for element in elements:
+        graph = element.graph
+        typed = {}
+        for rel in graph.relationships.values():
+            typed.setdefault(rel.type, []).append(rel)
+        for rel_type, rels in typed.items():
+            nodes = {node_id: graph.node(node_id)
+                     for rel in rels for node_id in (rel.src, rel.trg)}
+            streams.setdefault(rel_type, []).append(StreamElement(
+                graph=PropertyGraph.of(nodes.values(), rels),
+                instant=element.instant,
+            ))
+    return streams
+
+
 def main():
     # Stage 0: partition the raw stream into logical sub-streams.
-    partitions = partition_stream(figure1_stream(), by_relationship_type())
+    partitions = by_relationship_type(figure1_stream())
     print("Partitions:",
           {name: len(elements) for name, elements in partitions.items()})
 

@@ -14,8 +14,8 @@ Public API highlights
   the Seraph language and its continuous engine (Sections 5–6).
 
 * :class:`repro.EngineConfig`, :func:`repro.build_engine` — the one
-  front door composing the serial/parallel core, the fault-tolerant
-  wrapper, and the observability layer (docs/OBSERVABILITY.md).
+  front door composing the engine core, the fault-tolerant
+  ingress, and the observability layer (docs/OBSERVABILITY.md).
 * :class:`repro.SeraphService`, :class:`repro.ServiceConfig` — the
   multi-tenant continuous-query HTTP service over that front door
   (``python -m repro serve``; docs/SERVICE.md).

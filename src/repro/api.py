@@ -2,16 +2,13 @@
 
 One declarative config describes one
 :class:`~repro.seraph.engine.SeraphEngine`: its execution modes, and
-which optional parts it owns — an ingress (``resilient=True``:
-:class:`~repro.runtime.ingress.Ingress`), a pool executor
-(``parallel_workers=N``:
-:class:`~repro.runtime.parallel.PoolExecutor`) — all sharing the
-engine's :class:`~repro.obs.Observability` (tracer + metrics registry)::
+whether it owns an ingress (``resilient=True``:
+:class:`~repro.runtime.ingress.Ingress`) — both sharing the engine's
+:class:`~repro.obs.Observability` (tracer + metrics registry)::
 
     from repro import EngineConfig, build_engine
 
     engine = build_engine(EngineConfig(
-        parallel_workers=4,
         resilient=True,
         allowed_lateness=2,
         observability=True,
@@ -113,24 +110,13 @@ class EngineConfig:
     every instant.  These fields are the only way to select a mode:
     nothing ambient (environment variables, CLI flags) can.
 
-    Parallelism
-    -----------
-    ``parallel_workers=None`` (default) keeps evaluation in place; ``N
-    >= 1`` gives the engine a
-    :class:`~repro.runtime.parallel.PoolExecutor` with an ``N``-process
-    pool, ``0`` sizes the pool to ``os.cpu_count()``.
-    ``offload_threshold`` overrides the cost-model cutoff.
-    ``max_worker_restarts`` is the supervisor's crash budget (pool
-    rebuilds tolerated before degrading to in-parent execution) and
-    ``task_timeout`` bounds each offloaded task's wall-clock seconds —
-    both ignored without an executor.
+    Every evaluation runs in the engine's own process.
 
     Chaos
     -----
-    ``chaos`` takes a :class:`~repro.runtime.faults.ChaosConfig`: its
-    worker axis (kills, poison tasks, delays, drops) feeds the pool
-    supervisor, and — when ``resilient=True`` — its source axis wraps
-    ``run_stream`` input in a seeded
+    ``chaos`` takes a :class:`~repro.runtime.faults.ChaosConfig` and
+    needs ``resilient=True`` (the ingress is what injects it): its
+    source axis wraps ``run_stream`` input in a seeded
     :class:`~repro.runtime.faults.FlakySource` while its sink axis
     slips a seeded :class:`~repro.runtime.faults.FlakySink` between the
     resilient delivery layer and each user sink.  One seed reproduces
@@ -160,11 +146,6 @@ class EngineConfig:
     physical_plans: bool = True
     graph_backend: str = "reference"
     vectorized: Optional[bool] = None
-    # -- parallelism ----------------------------------------------------
-    parallel_workers: Optional[int] = None
-    offload_threshold: Optional[float] = None
-    max_worker_restarts: Optional[int] = None
-    task_timeout: Optional[float] = None
     # -- chaos ----------------------------------------------------------
     chaos: Optional[ChaosConfig] = None
     # -- resilience -----------------------------------------------------
@@ -182,20 +163,17 @@ class EngineConfig:
     reservoir: int = 512
 
     def __post_init__(self) -> None:
-        if self.parallel_workers is not None and self.parallel_workers < 0:
-            raise EngineError(
-                "parallel_workers must be None (serial), 0 (cpu count), "
-                f"or positive, got {self.parallel_workers}"
-            )
-        if self.max_worker_restarts is not None \
-                and self.max_worker_restarts < 0:
-            raise EngineError("max_worker_restarts must be >= 0")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise EngineError("task_timeout must be positive")
-        if self.chaos is not None and not isinstance(self.chaos, ChaosConfig):
-            raise EngineError(
-                f"chaos must be a ChaosConfig, got {type(self.chaos).__name__}"
-            )
+        if self.chaos is not None:
+            if not isinstance(self.chaos, ChaosConfig):
+                raise EngineError(
+                    "chaos must be a ChaosConfig, got "
+                    f"{type(self.chaos).__name__}"
+                )
+            if not self.resilient:
+                raise EngineError(
+                    "chaos needs resilient=True: the ingress is what "
+                    "injects its source and sink faults"
+                )
         reference_mode(vars(self))  # raises on any other combination
         if self.allowed_lateness < 0:
             raise EngineError("allowed_lateness must be >= 0")
@@ -228,15 +206,14 @@ def build_engine(
     ``overrides`` are field-level shortcuts —
     ``build_engine(resilient=True)`` equals
     ``build_engine(EngineConfig(resilient=True))``.  Always a
-    :class:`~repro.seraph.engine.SeraphEngine`; ``resilient`` and
-    ``parallel_workers`` decide which optional parts it owns
-    (``engine.ingress``, ``engine.executor``).
+    :class:`~repro.seraph.engine.SeraphEngine`; ``resilient`` decides
+    whether it owns an ingress (``engine.ingress``).
     """
     if config is None:
         config = EngineConfig(**overrides)
     elif overrides:
         config = config.replace(**overrides)
-    ingress = executor = None
+    ingress = None
     if config.resilient:
         ingress = Ingress(
             allowed_lateness=config.allowed_lateness,
@@ -248,28 +225,10 @@ def build_engine(
             fallback_factory=config.fallback_factory,
             chaos=config.chaos,
         )
-    if config.parallel_workers is not None:
-        from repro.runtime.parallel import (
-            DEFAULT_OFFLOAD_THRESHOLD,
-            PoolExecutor,
-        )
-
-        executor = PoolExecutor(
-            config.parallel_workers,
-            offload_threshold=(
-                config.offload_threshold
-                if config.offload_threshold is not None
-                else DEFAULT_OFFLOAD_THRESHOLD
-            ),
-            max_worker_restarts=config.max_worker_restarts,
-            task_timeout=config.task_timeout,
-            chaos=config.chaos,
-        )
     return SeraphEngine(
         policy=config.policy,
         static_graph=config.static_graph,
         reference=reference_mode(vars(config)),
         obs=config.resolve_observability(),
         ingress=ingress,
-        executor=executor,
     )

@@ -56,24 +56,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print empty emissions too",
     )
     run.add_argument(
-        "--parallel", nargs="?", const=0, type=int, default=None,
-        metavar="N",
-        help="offload expensive evaluations to N worker processes "
-        "(bare --parallel sizes the pool to the CPU count; emissions "
-        "are identical to the serial engine, docs/PARALLEL.md)",
-    )
-    run.add_argument(
-        "--max-worker-restarts", type=int, default=None, metavar="N",
-        help="crash budget for the supervised worker pool: pool rebuilds "
-        "tolerated before degrading to in-parent serial execution "
-        "(parallel runs; docs/SUPERVISION.md)",
-    )
-    run.add_argument(
         "--chaos-seed", type=int, default=None, metavar="SEED",
-        help="enable the seeded chaos harness: kill workers mid-task, "
-        "delay/drop task results, inject poison payloads and sink "
-        "failures, all deterministically from SEED "
-        "(docs/SUPERVISION.md)",
+        help="enable the seeded chaos harness: inject poison payloads, "
+        "displaced arrivals and sink failures, all deterministically "
+        "from SEED (implies --resilient; docs/RESILIENCE.md)",
     )
     run.add_argument(
         "--resilient", action="store_true",
@@ -215,7 +201,7 @@ def _wants_observability(args: argparse.Namespace) -> bool:
 def _run_config(args: argparse.Namespace) -> EngineConfig:
     """One declarative config for everything the run flags describe.
 
-    The flags choose parts (executor, ingress, observability), never an
+    The flags choose parts (ingress, observability), never an
     execution mode: those stay at the ``EngineConfig()`` defaults.
     """
     from repro.runtime import FaultPolicy
@@ -223,8 +209,6 @@ def _run_config(args: argparse.Namespace) -> EngineConfig:
 
     return EngineConfig(
         policy=_POLICIES[args.policy],
-        parallel_workers=args.parallel,
-        max_worker_restarts=args.max_worker_restarts,
         chaos=(
             ChaosConfig.profile(args.chaos_seed)
             if args.chaos_seed is not None else None
@@ -257,8 +241,6 @@ def _restored(args: argparse.Namespace):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.obs.format import render_counters
-
     until = parse_datetime(args.until) if args.until else None
     engine = _restored(args) if args.restore \
         else build_engine(_run_config(args))
@@ -272,15 +254,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         items = [line for line in text.splitlines() if line.strip()]
     else:
         items = stream_from_jsonl(text)
-    try:
-        with _maybe_profiled(args):
-            engine.run_stream(items, until=until)
-    finally:
-        engine.close()
-        if engine.executor is not None:
-            print(render_counters("parallel", engine.executor.status()),
-                  file=sys.stderr)
-            print(engine.executor.supervisor.render(), file=sys.stderr)
+    with _maybe_profiled(args):
+        engine.run_stream(items, until=until)
     _print_emissions(args, engine.sink(query.name))
     if engine.ingress is not None:
         print(engine.ingress.render(), file=sys.stderr)

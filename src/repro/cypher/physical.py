@@ -12,8 +12,8 @@ its physical conclusion.
 
 The plan is *total* and the only body executor in production: every
 query ``SeraphEngine.register`` accepts compiles (:func:`check_lowerable`
-rejects the rest at registration), and the engine's full path, the pool
-worker and the delta path all run a :class:`PhysicalPlan`.
+rejects the rest at registration), and the engine's full path and the
+delta path both run a :class:`PhysicalPlan`.
 ``compile_query(..., hoist=False)`` — what the reference twin runs —
 compiles the same stages without hoisting anything out of the
 evaluation: each pattern is planned against the live snapshot and no
@@ -35,9 +35,9 @@ reference pipeline:
   NaN, lists) or an anchor expression that raises degrades to the exact
   scan the reference pipeline runs.
 
-Plans are plain frozen dataclasses over AST nodes: picklable, so the
-parallel engine ships them to workers, and statistics-free, so one plan
-object serves every snapshot until the plan cache invalidates it.
+Plans are plain frozen dataclasses over AST nodes, statistics-free, so
+one plan object serves every snapshot until the plan cache invalidates
+it.
 """
 
 from __future__ import annotations
@@ -192,9 +192,8 @@ class PhysicalPlan:
 @dataclass
 class PlanProfile:
     """What executing a plan counted, by operator id — the one accounting
-    value: :func:`execute_plan` fills it, pool workers
-    return it, ``RegisteredQuery.profile`` accumulates it with
-    :meth:`merge`, :func:`render_plan` prints it.  Plain data: picklable.
+    value: :func:`execute_plan` fills it, ``RegisteredQuery.profile``
+    accumulates it with :meth:`merge`, :func:`render_plan` prints it.
     """
 
     #: Rows each operator produced.

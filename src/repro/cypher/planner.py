@@ -108,58 +108,6 @@ def path_cost(
     return min(start, node_anchor_cost(path.nodes[-1], graph, bound))
 
 
-#: Branching-estimate caps for :func:`pattern_cost` — keep the estimate
-#: finite for long variable-length patterns on dense graphs.
-_MAX_HOPS = 16
-_COST_CAP = 1e12
-
-
-def pattern_cost(
-    pattern: ast.Pattern, graph: PropertyGraph, bound: FrozenSet[str]
-) -> float:
-    """Estimated total work of matching ``pattern`` against ``graph``.
-
-    Unlike :func:`path_cost` (which ranks *anchors* for join ordering)
-    this estimates the full walk: anchor candidates times per-hop
-    branching, where a variable-length relationship of bound ``k``
-    contributes ``avg_degree ** k``.  The parallel scheduler compares it
-    against an IPC-overhead threshold to decide whether shipping the
-    snapshot to a worker process can pay off; it never affects results.
-    """
-    if graph.order == 0:
-        return 0.0
-    order = float(graph.order)
-    avg_degree = max(float(graph.size) / order, 1.0)
-
-    def branching(rel: ast.RelationshipPattern) -> float:
-        # Typed hops branch by the average per-node degree restricted to
-        # the allowed types (per-type counts), not the global average —
-        # a `[:RARE_TYPE]` hop on a dense graph is cheap, and the
-        # parallel scheduler's ship-to-worker decision should see that.
-        if not rel.types:
-            return avg_degree
-        typed = sum(graph.rel_type_count(rel_type) for rel_type in rel.types)
-        return max(min(float(typed) / order, avg_degree), _MIN_ANCHOR)
-
-    total = 0.0
-    for path in pattern.paths:
-        cost = node_anchor_cost(path.nodes[0], graph, bound)
-        hops_left = _MAX_HOPS
-        for rel in path.relationships:
-            if rel.var_length is None:
-                hops = 1
-            else:
-                high = rel.var_length[1]
-                hops = min(high, _MAX_HOPS) if high is not None else _MAX_HOPS
-            hops = min(hops, hops_left)
-            hops_left -= hops
-            cost = min(cost * branching(rel) ** hops, _COST_CAP)
-            if not hops_left:
-                break
-        total += min(cost, _COST_CAP)
-    return min(total, _COST_CAP)
-
-
 def _shares_variable(path: ast.PathPattern, bound: Set[str]) -> bool:
     return any(name in bound for name in path.free_variables())
 

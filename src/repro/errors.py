@@ -60,20 +60,6 @@ class LateEventError(StreamError):
     """An element arrived later than the configured allowed lateness."""
 
 
-class PartitionError(StreamError):
-    """A partition classifier failed on a stream element.
-
-    Wraps the classifier's own exception (``__cause__``) and keeps the
-    offending ``item`` (stream element or relationship), so fault
-    policies can quarantine exactly the input that broke classification
-    instead of aborting the whole partitioned run.
-    """
-
-    def __init__(self, message: str, item: object = None):
-        super().__init__(message)
-        self.item = item
-
-
 class PoisonMessageError(IngestionError):
     """A stream payload could not be decoded into a valid element."""
 
@@ -133,31 +119,12 @@ class EngineError(SeraphError):
 
 
 class EngineModeError(EngineError):
-    """The six mode fields name neither production nor the reference twin
-    (:func:`repro.api.reference_mode`).  A configuration error, so the
-    service answers it with HTTP 400."""
+    """The configuration selects a behaviour the engine does not have:
+    six mode fields naming neither production nor the reference twin
+    (:func:`repro.api.reference_mode`), or a field of a removed part.  A
+    configuration error, so the service answers it with HTTP 400."""
 
     status = 400
-
-
-class ParallelExecutionError(EngineError):
-    """The parallel execution substrate failed beyond recovery.
-
-    Raised by the pool supervisor instead of leaking
-    ``concurrent.futures`` internals (``BrokenProcessPool``, pickling
-    failures) to callers: either the pool exceeded its crash budget with
-    graceful degradation disabled, or one task kept failing after every
-    configured retry.  ``signature`` identifies the window group whose
-    evaluation failed (its ``(stream, width)`` keys plus the evaluation
-    instant); ``workers`` is the pool size.  The original failure rides
-    along as ``__cause__``.
-    """
-
-    def __init__(self, message: str, signature: object = None,
-                 workers: object = None):
-        super().__init__(message)
-        self.signature = signature
-        self.workers = workers
 
 
 class DataflowError(SeraphError):

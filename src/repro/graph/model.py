@@ -310,8 +310,7 @@ class PropertyGraph:
         expansions) is therefore the one :meth:`of` builds from the
         ``nodes`` and ``relationships`` orders — what a pickled copy
         (:meth:`__reduce__`) reproduces, and what makes physical index
-        seeks byte-identical to interpreted scans, in-process and across
-        worker boundaries.
+        seeks byte-identical to interpreted scans.
         """
         node_map, rel_map, out_adj, in_adj, by_label, by_type = self._live
         index = self._prop_index

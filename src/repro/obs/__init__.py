@@ -1,7 +1,7 @@
 """Unified observability: tracing + metrics registry for every layer.
 
 A :class:`~repro.seraph.engine.SeraphEngine` and its parts (the delta
-path, the ingress, the pool executor and its supervisor) share one
+path, the ingress) share one
 :class:`Observability` bundle — a :class:`~repro.obs.trace.Tracer` plus
 a :class:`~repro.obs.registry.MetricsRegistry` — threaded through
 construction (``build_engine(EngineConfig(observability=True))``).
@@ -12,16 +12,14 @@ children::
     evaluate(query, instant)
       ├─ window_advance
       ├─ snapshot_build          (per window, inside the match stage)
-      ├─ reuse | match_delta | match_full | worker_evaluate
+      ├─ reuse | match_delta | match_full
       ├─ report
       ├─ sink
       │   └─ sink_attempt*       (retries, from ResilientSink)
       └─ materialize             (``EMIT ... INTO`` producers only)
 
-``ingest`` spans are separate roots.  Pool workers return span
-fragments that the parent stitches in as ``worker_evaluate`` children
-(:mod:`repro.runtime.parallel`), so one trace covers both sides of the
-process boundary.  Stage durations also feed per-query histograms in
+``ingest`` spans are separate roots; with ``EMIT ... INTO`` chaining,
+each dataflow stage adds a ``dataflow_stage`` root.  Stage durations also feed per-query histograms in
 the registry under :func:`stage_metric` names — that is what ``EXPLAIN
 ANALYZE`` (:func:`repro.seraph.explain.explain_analyze`) reads.
 
@@ -54,7 +52,6 @@ STAGES = (
     "reuse",
     "match_delta",
     "match_full",
-    "worker_evaluate",
     "report",
     "sink",
     "materialize",

@@ -1,7 +1,7 @@
 """The one human-readable formatter for every metrics surface.
 
-The CLI's run summaries, ``PoolSupervisor.render()`` and the registry's
-``render()`` exporter all delegate here, so counter formatting (``name=value`` pairs, millisecond
+The CLI's run summaries and the registry's ``render()`` exporter both
+delegate here, so counter formatting (``name=value`` pairs, millisecond
 latencies) is decided in exactly one place.
 """
 

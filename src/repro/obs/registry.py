@@ -2,7 +2,7 @@
 
 One :class:`MetricsRegistry` holds every named instrument of an engine,
 namespaced with dots (``engine.ingested``, ``query.<name>.evaluations``,
-``resilience.reordered``, ``parallel.batches``,
+``resilience.reordered``, ``dataflow.stages``,
 ``service.tenant.<t>.events``).  It is the only counter store: every
 layer bumps its instruments here, and ``status()`` /
 ``unified_status()`` are reads of it (docs/OBSERVABILITY.md has the

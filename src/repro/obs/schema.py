@@ -11,14 +11,6 @@ is a read of the engine's metrics registry:
 ``engine.*``
     The core engine surface: per-query counters, per-stream retention,
     watermark, and ``mode`` — ``"production"`` or ``"reference"``.
-``parallel.*``
-    ``None`` on an engine without an executor; otherwise the
-    ``parallel.*`` counters plus ``workers``.
-``supervision.*``
-    ``None`` without an executor; otherwise the pool supervisor's
-    document (mode, crash budget, rebuild/retry/degradation counters,
-    chaos tallies — see
-    :meth:`~repro.runtime.supervisor.PoolSupervisor.as_dict`).
 ``resilience.*``
     ``None`` on an engine without an ingress; otherwise the runtime
     policies, buffer depths, dead-letter count, and the
@@ -30,6 +22,10 @@ is a read of the engine's metrics registry:
 ``obs.*``
     Whether tracing is on and, when it is, the registry snapshot
     (counters/gauges/histograms) and trace span counts.
+
+Documents written while the engine still had a process pool also carry
+``parallel`` and ``supervision`` sections; the validator tolerates them
+and checks neither.
 
 Run ``python -m repro.obs.schema FILE...`` to validate exported JSON
 documents (status/metrics/trace are auto-detected) — the CI pipeline
@@ -60,8 +56,6 @@ def unified_status(engine) -> Dict[str, Any]:
     """One namespaced status document for a
     :class:`~repro.seraph.engine.SeraphEngine`, whatever parts it owns."""
     base = engine.status()
-    parallel = base.pop("parallel", None)
-    supervision = base.pop("supervision", None)
     resilience = base.pop("resilience", None)
     obs = engine.obs
     obs_section: Dict[str, Any] = {"enabled": False,
@@ -78,8 +72,6 @@ def unified_status(engine) -> Dict[str, Any]:
     return {
         "schema": _schema_stamp(STATUS_SCHEMA),
         "engine": base,
-        "parallel": parallel,
-        "supervision": supervision,
         "resilience": resilience,
         "obs": obs_section,
     }
@@ -153,17 +145,7 @@ def validate_status(document: Mapping[str, Any]) -> None:
                          f"dataflow stream {name!r} misses {key!r}")
         _require(isinstance(dataflow["edges"], list),
                  "engine.dataflow.edges is not a list")
-    _require("parallel" in document, "missing 'parallel' section")
     _require("resilience" in document, "missing 'resilience' section")
-    # 'supervision' arrived after v1 documents were already in the wild:
-    # validate it when present, tolerate its absence.
-    supervision = document.get("supervision")
-    if supervision is not None:
-        for key in ("mode", "workers", "crash_budget", "restarts_used",
-                    "pool_rebuilds", "task_retries"):
-            _require(key in supervision, f"supervision misses {key!r}")
-        _require(supervision["mode"] in ("pooled", "degraded"),
-                 f"unknown supervision mode {supervision['mode']!r}")
     resilience = document["resilience"]
     if resilience is not None:
         for key in ("allowed_lateness", "poison_policy", "late_policy",

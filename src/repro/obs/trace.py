@@ -10,19 +10,16 @@ nested:
 
 * **explicit** — :meth:`Tracer.start` opens a span under a given parent
   (or as a root) without touching any ambient state; the caller closes
-  it with :meth:`Span.finish`.  The engine keeps the per-evaluation root
-  span on its pending-evaluation record this way, which is what lets the
-  parallel engine open many evaluation roots concurrently without them
-  nesting into each other.
+  it with :meth:`Span.finish`.  The engine opens each per-evaluation
+  root span this way and hands it to the stage methods as ``parent``.
 * **ambient** — :meth:`Tracer.span` returns a context manager that
   parents under the innermost open ``span()`` block (or the explicit
   ``parent=`` argument) and closes on exit.  Retry spans created deep
   inside a :class:`~repro.runtime.resilient_sink.ResilientSink` land
   under the engine's ``sink`` span this way.
 
-Worker processes cannot share a tracer; they return *span fragments*
-(start offset + duration) that the parent stitches into the trace with
-:meth:`Tracer.add_completed` (see ``repro.runtime.parallel``).
+A span measured elsewhere (the engine's ``dataflow_stage``) joins the
+trace with :meth:`Tracer.add_completed`.
 
 The disabled path is :data:`NOOP_TRACER`: every call returns the shared
 :data:`NOOP_SPAN` singleton and records nothing, so instrumented code
@@ -183,11 +180,10 @@ class Tracer:
     def add_completed(self, name: str, duration: float,
                       parent: Optional[Span] = None,
                       start_offset: float = 0.0, **tags: Any) -> Span:
-        """Record an already-measured span (e.g. a worker fragment).
+        """Record an already-measured span.
 
         ``start_offset`` places the child relative to its parent's start
-        (or the tracer epoch for roots), preserving worker-side ordering
-        in the stitched trace.
+        (or the tracer epoch for roots).
         """
         span = self._make(name, parent, tags)
         if isinstance(span, _NoopSpan):

@@ -15,14 +15,10 @@ denotational-semantics contract:
 * :class:`Ingress` — the part that composes them in front of an
   engine's stream log (``EngineConfig(resilient=True)``), with its state
   in the engine's JSON checkpoint;
-* :class:`PoolExecutor` — the part that computes full evaluations in
-  worker processes (``EngineConfig(parallel_workers=N)``);
 * :class:`GuardedIngestionPipeline` — fault policies for the MERGE
   ingestion pipeline;
-* :class:`PoolSupervisor` — crash detection, pool rebuilds, idempotent
-  retry, and graceful degradation around the process pools;
 * :mod:`repro.runtime.faults` — the deterministic chaos harness
-  (:class:`ChaosConfig` drives every fault axis from one seed).
+  (:class:`ChaosConfig` drives both fault axes from one seed).
 """
 
 from repro.runtime.checkpoint import (
@@ -36,24 +32,14 @@ from repro.runtime.deadletter import DeadLetterEntry, DeadLetterQueue
 from repro.runtime.ingress import Ingress, decode_item
 from repro.runtime.faults import (
     ChaosConfig,
-    ChaosInjector,
-    ChaosPoisonError,
     FailureSchedule,
     FlakySink,
     FlakySource,
     InjectedSinkFailure,
 )
 from repro.runtime.guard import GuardedIngestionPipeline, message_from_payload
-from repro.runtime.parallel import (
-    PoolExecutor,
-    ShardedEngine,
-    dead_letter_partition_handler,
-    merge_emissions,
-    run_partitioned,
-)
 from repro.runtime.policies import FaultPolicy
 from repro.runtime.reorder import ReorderBuffer
-from repro.runtime.supervisor import PoolSupervisor, SupervisorConfig
 from repro.runtime.resilient_sink import (
     CircuitBreaker,
     ResilientSink,
@@ -62,8 +48,6 @@ from repro.runtime.resilient_sink import (
 
 __all__ = [
     "ChaosConfig",
-    "ChaosInjector",
-    "ChaosPoisonError",
     "CircuitBreaker",
     "DeadLetterEntry",
     "DeadLetterQueue",
@@ -74,17 +58,10 @@ __all__ = [
     "GuardedIngestionPipeline",
     "Ingress",
     "InjectedSinkFailure",
-    "PoolExecutor",
-    "PoolSupervisor",
     "ReorderBuffer",
     "ResilientSink",
     "RetryPolicy",
-    "ShardedEngine",
-    "SupervisorConfig",
-    "dead_letter_partition_handler",
     "decode_item",
-    "merge_emissions",
-    "run_partitioned",
     "engine_from_dict",
     "engine_from_json",
     "engine_to_dict",

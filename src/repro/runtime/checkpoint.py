@@ -6,12 +6,12 @@ run (the property the tests assert).  One document, version 2, for every
 engine:
 
 * ``config`` — policy, the static background graph, the six mode
-  fields, the pool size (``parallel_workers``) and whether tracing was
-  on.  The mode fields are written as production's or the reference
-  twin's values and read back by :func:`repro.api.reference_mode`
-  (absent ones at their defaults), so a document naming a partial
-  ablation or a removed backend is an
-  :class:`~repro.errors.EngineModeError`;
+  fields and whether tracing was on.  The mode fields are written as
+  production's or the reference twin's values and read back by
+  :func:`repro.api.reference_mode` (absent ones at their defaults), so
+  a document naming a partial ablation or a removed backend is an
+  :class:`~repro.errors.EngineModeError`.  A pool size written before
+  the process pool was removed is ignored: the engine restores serial;
 * per-stream retained elements **with their eviction bookkeeping**
   (``base_seq``), so restored window states catch up over exactly the
   surviving history;
@@ -54,7 +54,6 @@ from repro.graph.model import Node, Path, Relationship
 from repro.graph.table import Record, Table
 from repro.obs import Observability
 from repro.runtime.ingress import Ingress
-from repro.runtime.parallel import PoolExecutor
 from repro.seraph.dataflow import StreamMaterializer
 from repro.seraph.engine import QUERY_COUNTERS, SeraphEngine
 from repro.seraph.parser import parse_seraph
@@ -153,10 +152,6 @@ def engine_to_dict(engine: SeraphEngine) -> Dict[str, Any]:
                 graph_to_dict(engine.static_graph)
                 if engine.static_graph is not None else None
             ),
-            "parallel_workers": (
-                engine.executor.workers
-                if engine.executor is not None else None
-            ),
             "observability": engine.obs.enabled,
         },
         "runtime": (
@@ -230,7 +225,6 @@ def engine_from_dict(
                 f"checkpoint has no ingress to apply {sorted(tuning)} to"
             )
         static = config.get("static_graph")
-        workers = config.get("parallel_workers")
         engine = SeraphEngine(
             policy=ActiveSubstreamPolicy[config["policy"]],
             static_graph=graph_from_dict(static) if static is not None
@@ -239,7 +233,6 @@ def engine_from_dict(
             else None,
             ingress=Ingress.from_dict(runtime, **tuning)
             if runtime is not None else None,
-            executor=PoolExecutor(workers) if workers is not None else None,
             reference=reference_mode(config),
         )
         if runtime is not None:

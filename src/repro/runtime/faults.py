@@ -9,20 +9,18 @@ global-random dependent, so a failing test reproduces exactly:
   attempt and every successful delivery;
 * :class:`FlakySource` — wraps a clean element sequence and injects
   poison payloads and displaced (late) events per seed;
-* :class:`ChaosConfig` / :class:`ChaosInjector` — one seeded knob
-  (``EngineConfig(chaos=...)``, ``--chaos-seed`` on the CLI) driving
-  every fault axis at once: worker murder, delayed/dropped task
-  results, and poison task bursts against the supervised process pools
-  (:mod:`repro.runtime.supervisor`), plus poison payloads / displaced
-  events at the source and scheduled sink failures — so tests, the CLI,
-  and the chaos benchmarks share a single deterministic fault path.
+* :class:`ChaosConfig` — one seeded knob (``EngineConfig(resilient=True,
+  chaos=...)``, ``--chaos-seed`` on the CLI) driving both fault axes at
+  once: poison payloads / displaced events at the source and scheduled
+  sink failures — so tests and the CLI share a single deterministic
+  fault path.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence
 
 from repro.errors import EngineError
 from repro.seraph.sinks import CollectingSink, Emission, Sink
@@ -31,15 +29,6 @@ from repro.stream.stream import StreamElement
 
 class InjectedSinkFailure(RuntimeError):
     """The error a :class:`FlakySink` raises on a scheduled failure."""
-
-
-class ChaosPoisonError(RuntimeError):
-    """The error a chaos-poisoned worker task raises.
-
-    Must stay trivially picklable: it crosses the process boundary as a
-    future's exception.  The pool supervisor treats it like any other
-    task failure — retry, then degrade — which is exactly the point.
-    """
 
 
 class FailureSchedule:
@@ -187,56 +176,27 @@ class FlakySource:
 
 # -- the unified chaos knob ---------------------------------------------------
 
-#: Worker-side chaos directives (shipped inside the task payload).
-KILL_WORKER = "kill"
-DELAY_RESULT = "delay"
-POISON_TASK = "poison"
-#: Parent-side directive: the task runs, its result is discarded.
-DROP_RESULT = "drop"
-
 _RATE_FIELDS = (
-    "worker_kill_rate", "worker_poison_rate", "result_delay_rate",
-    "result_drop_rate", "source_poison_rate", "source_displace_rate",
-    "sink_failure_rate",
+    "source_poison_rate", "source_displace_rate", "sink_failure_rate",
 )
 
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """One seeded description of every fault the harness can inject.
-
-    Worker axis (consumed by :class:`repro.runtime.supervisor.PoolSupervisor`
-    through a :class:`ChaosInjector`):
-
-    * ``worker_kill_rate`` — probability a task's worker process calls
-      ``os._exit`` mid-task, breaking the whole pool;
-    * ``worker_poison_rate`` — probability a task raises
-      :class:`ChaosPoisonError` instead of evaluating (a poison
-      snapshot burst);
-    * ``result_delay_rate`` / ``delay_seconds`` — probability a worker
-      sleeps before returning;
-    * ``result_drop_rate`` — probability the parent discards a
-      completed task's result (a lost response).
-
-    Stream/sink axis (consumed by the engine's
-    :class:`~repro.runtime.ingress.Ingress` when built with
-    ``EngineConfig(resilient=True, chaos=...)``):
+    """One seeded description of every fault the harness can inject,
+    consumed by the engine's :class:`~repro.runtime.ingress.Ingress`
+    (``EngineConfig(resilient=True, chaos=...)``):
 
     * ``source_poison_rate`` / ``source_displace_rate`` /
       ``source_displace_by`` — the :class:`FlakySource` knobs;
     * ``sink_failure_rate`` — scheduled :class:`FlakySink` failures
       between the resilient delivery layer and the user sink.
 
-    The same ``seed`` drives every axis, so one integer reproduces an
+    The same ``seed`` drives both axes, so one integer reproduces an
     entire chaotic run.
     """
 
     seed: int = 0
-    worker_kill_rate: float = 0.0
-    worker_poison_rate: float = 0.0
-    result_delay_rate: float = 0.0
-    result_drop_rate: float = 0.0
-    delay_seconds: float = 0.01
     source_poison_rate: float = 0.0
     source_displace_rate: float = 0.0
     source_displace_by: int = 2
@@ -249,33 +209,20 @@ class ChaosConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise EngineError(f"{name} must be in [0, 1], got {rate!r}")
-        if self.delay_seconds < 0:
-            raise EngineError("delay_seconds must be >= 0")
 
     @classmethod
     def profile(cls, seed: int) -> "ChaosConfig":
         """The default CLI chaos profile (``--chaos-seed``): every axis
         on at a modest rate — survivable, but guaranteed to exercise the
-        supervision and resilience machinery on any non-trivial run."""
+        resilience machinery on any non-trivial run."""
         return cls(
             seed=seed,
-            worker_kill_rate=0.05,
-            worker_poison_rate=0.05,
-            result_delay_rate=0.05,
-            result_drop_rate=0.05,
             source_poison_rate=0.05,
             source_displace_rate=0.1,
             sink_failure_rate=0.05,
         )
 
     # -- what is switched on -------------------------------------------
-
-    @property
-    def wants_worker_chaos(self) -> bool:
-        return bool(
-            self.worker_kill_rate or self.worker_poison_rate
-            or self.result_delay_rate or self.result_drop_rate
-        )
 
     @property
     def wants_source_chaos(self) -> bool:
@@ -286,10 +233,6 @@ class ChaosConfig:
         return bool(self.sink_failure_rate)
 
     # -- factories for each axis ---------------------------------------
-
-    def injector(self) -> "ChaosInjector":
-        """The parent-side directive source for the pool supervisor."""
-        return ChaosInjector(self)
 
     def source(self, items: Iterable[Any]) -> FlakySource:
         """Wrap a payload sequence in the seeded :class:`FlakySource`."""
@@ -311,54 +254,3 @@ class ChaosConfig:
     def sink(self, inner: Sink) -> FlakySink:
         """Wrap a sink in the seeded :class:`FlakySink`."""
         return FlakySink(self.sink_schedule(), inner=inner)
-
-
-class ChaosInjector:
-    """Seeded per-attempt directive source for the worker chaos axis.
-
-    Lives in the parent process and is consulted once per task
-    *submission attempt* (not per task), so a retried task rolls a fresh
-    directive — an injected fault never deterministically re-fires on
-    the retry, which is what lets chaotic runs converge.  All draws
-    happen sequentially in the parent, so a given seed always produces
-    the same directive sequence regardless of worker scheduling.
-    """
-
-    def __init__(self, config: ChaosConfig):
-        self.config = config
-        self._rng = random.Random(config.seed)
-        self.kills = 0
-        self.poisons = 0
-        self.delays = 0
-        self.drops = 0
-
-    def directive(self) -> Optional[Tuple]:
-        """The chaos verdict for one submission attempt (or ``None``)."""
-        config = self.config
-        roll = self._rng.random()
-        edge = config.worker_kill_rate
-        if roll < edge:
-            self.kills += 1
-            return (KILL_WORKER,)
-        edge += config.worker_poison_rate
-        if roll < edge:
-            self.poisons += 1
-            return (POISON_TASK, self.poisons)
-        edge += config.result_delay_rate
-        if roll < edge:
-            self.delays += 1
-            return (DELAY_RESULT, config.delay_seconds)
-        edge += config.result_drop_rate
-        if roll < edge:
-            self.drops += 1
-            return (DROP_RESULT,)
-        return None
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "seed": self.config.seed,
-            "kills": self.kills,
-            "poisons": self.poisons,
-            "delays": self.delays,
-            "drops": self.drops,
-        }

@@ -22,10 +22,9 @@ optimization items:
   agree on (stream, width, ω₀, slide) share one incrementally-maintained
   snapshot instead of each maintaining its own.
 
-Two optional parts are stages of this pipeline, not other engines: an
-*ingress* (:mod:`repro.runtime.ingress`) in front of the stream log and
-an *executor* (:class:`repro.runtime.parallel.PoolExecutor`) for a stage
-chunk's full evaluations.
+One optional part is a stage of this pipeline, not another engine: an
+*ingress* (:mod:`repro.runtime.ingress`) in front of the stream log.
+Every evaluation runs in the engine's own process.
 
 Correctness contract: for every query and instant, the engine's emission
 bag-equals the denotational :func:`repro.seraph.semantics.continuous_run`
@@ -269,28 +268,6 @@ class RegisteredQuery:
         return self.query.name
 
 
-@dataclass
-class _PendingEvaluation:
-    """One due evaluation after window advancement, before computing.
-
-    Splitting an evaluation around this value lets an executor offload
-    the expensive middle (:meth:`SeraphEngine._compute_table`) to worker
-    processes while window maintenance and emission delivery stay serial
-    and deterministic.
-    """
-
-    registered: RegisteredQuery
-    instant: TimeInstant
-    interval: "object"
-    version: Tuple
-    #: Neither set: the full (pure) body runs — what a worker can compute.
-    reusable: bool
-    takes_delta_path: bool
-    deltas: List[Tuple[_WindowState, WindowDelta]]
-    #: Open per-evaluation trace root (the no-op span when tracing is off).
-    span: Any = None
-
-
 class SeraphEngine:
     """Registers Seraph queries and drives their continuous evaluation.
 
@@ -323,9 +300,6 @@ class SeraphEngine:
         An optional :class:`repro.runtime.ingress.Ingress`: validates and
         re-sequences arrivals before the stream log and isolates sinks
         (docs/RESILIENCE.md).  Absent, arrivals are appended as given.
-    executor:
-        An optional :class:`repro.runtime.parallel.PoolExecutor`: computes
-        a chunk's full evaluations in worker processes (docs/PARALLEL.md).
     """
 
     def __init__(
@@ -335,7 +309,6 @@ class SeraphEngine:
         reference: bool = False,
         obs: Optional[Observability] = None,
         ingress=None,
-        executor=None,
     ):
         self.policy = policy
         self.static_graph = static_graph
@@ -346,10 +319,8 @@ class SeraphEngine:
         self._ingested = self.obs.registry.counter("engine.ingested")
         self._evaluations = self.obs.registry.counter("engine.evaluations")
         self.ingress = ingress
-        self.executor = executor
-        for part in (ingress, executor):
-            if part is not None:
-                part.attach(self.obs)
+        if ingress is not None:
+            ingress.attach(self.obs)
         self._queries: Dict[str, RegisteredQuery] = {}
         self._shared_windows: Dict[Tuple, _WindowState] = {}
         self._watermark: Optional[TimeInstant] = None
@@ -624,8 +595,7 @@ class SeraphEngine:
         stream some query already in the chunk produces: everything
         before the boundary must finish (and materialize) before the
         consumer's windows advance.  With no ``INTO`` queries this
-        yields the whole list once — the pre-dataflow fast path, and the
-        unit the parallel engine batches between its barriers.
+        yields the whole list once — the pre-dataflow fast path.
         """
         if self._dataflow.is_trivial:
             yield due
@@ -651,22 +621,13 @@ class SeraphEngine:
         chunk: List[RegisteredQuery],
         emissions: List[Emission],
     ) -> None:
-        """One dataflow stage chunk: begin every evaluation (windows
-        advance), compute the tables (in place, or wherever the executor
-        decides), finish in firing order (report, sink)."""
+        """One dataflow stage chunk: every evaluation, in firing order."""
         obs = self.obs
         staged = obs.enabled and not self._dataflow.is_trivial
         if staged:
             started = time.perf_counter()
-        pendings = [
-            self._begin_evaluation(registered) for registered in chunk
-        ]
-        if self.executor is not None:
-            tables = self.executor.compute_batch(self, pendings)
-        else:
-            tables = [self._compute_table(pending) for pending in pendings]
-        for pending, table in zip(pendings, tables):
-            emissions.append(self._finish_evaluation(pending, table))
+        for registered in chunk:
+            emissions.append(self._evaluate(registered))
         if staged:
             obs.tracer.add_completed(
                 "dataflow_stage", time.perf_counter() - started,
@@ -711,20 +672,75 @@ class SeraphEngine:
 
     # -- internals -------------------------------------------------------------------
 
-    def _begin_evaluation(
-        self, registered: RegisteredQuery
-    ) -> _PendingEvaluation:
-        """Advance windows and classify the evaluation (serial, stateful)."""
+    def _evaluate(self, registered: RegisteredQuery) -> Emission:
+        """One due evaluation: advance the windows, compute the table
+        (reuse / delta / full), apply the report policy, deliver to the
+        sink, advance ET."""
         query = registered.query
+        name = query.name
         instant = registered.next_eval
         obs = self.obs
-        # Explicit parenting: a chunk opens many evaluation roots before
-        # finishing any; they must not nest.
-        span = obs.tracer.start("evaluate", query=query.name,
-                                instant=instant)
+        span = obs.tracer.start("evaluate", query=name, instant=instant)
+        deltas = self._advance_windows(registered, instant, span)
+        interval = semantics.reported_interval(query, instant, self.policy)
+        version = tuple(
+            state.version() for state in registered.windows.values()
+        )
+        if (
+            not self.reference
+            and not registered.uses_window_bounds
+            and registered._last_table is not None
+            and version == registered._last_version
+        ):
+            self._record_path(registered, span, "reuse")
+            with obs.stage(name, "reuse", parent=span):
+                table = registered._last_table
+        elif registered.delta_state is not None:
+            # Only a production engine keeps delta state, and only for a
+            # single-MATCH body: one window.
+            table = self._match_delta(registered, deltas[0], interval, span)
+        else:
+            table = self._match_full(registered, interval, span)
+        registered._last_version = version
+        registered._last_table = table
+
+        emitted = table
+        if registered.report is not None:
+            with obs.stage(name, "report", parent=span,
+                           policy=query.emit.policy.value):
+                emitted = registered.report.apply(table)
+        annotated = TimeAnnotatedTable(table=emitted, interval=interval)
+        registered.result.append(
+            TimeAnnotatedTable(table=table, interval=interval)
+        )
+        if query.is_continuous:
+            registered.next_eval = instant + query.slide
+        else:
+            registered.done = True
+        emission = Emission(query_name=name, instant=instant, table=annotated)
+        with obs.stage(name, "sink", parent=span, rows=len(annotated)):
+            registered.sink.receive(emission)
+        if query.emits_into is not None:
+            self._materialize_emission(registered, emission, span)
+        registered.counters["evaluations"].inc()
+        self._evaluations.inc()
+        if obs.enabled:
+            span.annotate(rows=len(annotated))
+            span.finish()
+            obs.record_stage(name, "total", span.duration_seconds)
+            obs.registry.observe(f"query.{name}.rows", len(annotated))
+        return emission
+
+    def _advance_windows(
+        self, registered: RegisteredQuery, instant: TimeInstant, span
+    ) -> List[Tuple[_WindowState, WindowDelta]]:
+        """Bring every window of the query up to ``instant``: the
+        ``window_advance`` stage."""
+        obs = self.obs
+        name = registered.name
         deltas: List[Tuple[_WindowState, WindowDelta]] = []
         derived = not self._dataflow.is_trivial
-        with obs.stage(query.name, "window_advance", parent=span,
+        with obs.stage(name, "window_advance", parent=span,
                        windows=len(registered.windows)):
             for (stream_name, _width), state in registered.windows.items():
                 delta = state.advance(
@@ -737,85 +753,71 @@ class SeraphEngine:
                     # are the delta for this downstream window (EXPLAIN
                     # ANALYZE's dataflow edges render these).
                     obs.registry.inc(
-                        f"query.{query.name}.consumed.{stream_name}",
+                        f"query.{name}.consumed.{stream_name}",
                         len(delta.added),
                     )
+        return deltas
 
-        interval = semantics.reported_interval(query, instant, self.policy)
-        version = tuple(
-            state.version() for state in registered.windows.values()
-        )
-        reusable = (
-            not self.reference
-            and not registered.uses_window_bounds
-            and registered._last_table is not None
-            and version == registered._last_version
-        )
-        return _PendingEvaluation(
-            registered=registered,
-            instant=instant,
-            interval=interval,
-            version=version,
-            reusable=reusable,
-            # Only a production engine keeps delta state, and only for a
-            # single-MATCH body: one window.
-            takes_delta_path=(
-                not reusable and registered.delta_state is not None
-            ),
-            deltas=deltas,
-            span=span,
-        )
-
-    def _compute_table(self, pending: _PendingEvaluation) -> Table:
-        """The evaluation work itself: reuse / delta / full execution."""
-        registered = pending.registered
+    def _match_delta(
+        self,
+        registered: RegisteredQuery,
+        window: Tuple[_WindowState, WindowDelta],
+        interval,
+        span,
+    ) -> Table:
+        """The delta path: re-match only the dirty neighbourhood."""
         name = registered.name
-        obs = self.obs
-        if pending.reusable:
-            self._record_path(pending, "reuse")
-            with obs.stage(name, "reuse", parent=pending.span):
-                return registered._last_table
-        if pending.takes_delta_path:
-            window_state, delta = pending.deltas[0]
-            with obs.stage(name, "match_delta", parent=pending.span) as stage:
-                snapshot = self._timed_graph(window_state, name, stage)
-                table, stats = evaluate_delta(
-                    registered.query,
-                    registered.delta_state,
-                    snapshot,
-                    delta,
-                    pending.interval,
-                    self._plan(registered, lambda _s, _w: snapshot),
-                    expr_cache=registered._expr_cache,
-                    span=stage,
-                )
-            self._record_path(
-                pending, "full_refresh" if stats.full_refresh else "delta"
+        window_state, delta = window
+        with self.obs.stage(name, "match_delta", parent=span) as stage:
+            snapshot = self._timed_graph(window_state, name, stage)
+            table, stats = evaluate_delta(
+                registered.query,
+                registered.delta_state,
+                snapshot,
+                delta,
+                interval,
+                self._plan(registered, lambda _s, _w: snapshot),
+                expr_cache=registered._expr_cache,
+                span=stage,
             )
-            registered.counters["assignments_retained"].inc(stats.retained)
-            registered.counters["assignments_recomputed"].inc(
-                stats.recomputed
-            )
-            return table
-        self._record_path(pending, "full")
-        with obs.stage(name, "match_full", parent=pending.span) as stage:
+        self._record_path(
+            registered, span, "full_refresh" if stats.full_refresh else "delta"
+        )
+        registered.counters["assignments_retained"].inc(stats.retained)
+        registered.counters["assignments_recomputed"].inc(stats.recomputed)
+        return table
+
+    def _match_full(
+        self, registered: RegisteredQuery, interval, span
+    ) -> Table:
+        """The full path: execute the compiled plan on every window's
+        snapshot."""
+        self._record_path(registered, span, "full")
+        with self.obs.stage(registered.name, "match_full",
+                            parent=span) as stage:
             provider = self._graph_provider(registered, stage)
             profile = PlanProfile()
             table = execute_plan(
                 self._plan(registered, provider),
                 provider,
-                pending.interval,
+                interval,
                 expr_cache=registered._expr_cache,
                 profile=profile,
             )
-        self._record_profile(registered, profile)
+        registered.profile.merge(profile)
+        if self.obs.enabled:
+            for op_id, count in profile.rows.items():
+                self.obs.registry.inc(
+                    f"query.{registered.name}.op.{op_id}.rows", count
+                )
         return table
 
-    def _record_path(self, pending: _PendingEvaluation, path: str) -> None:
+    def _record_path(self, registered: RegisteredQuery, span,
+                     path: str) -> None:
         """Which way an evaluation went: reuse | delta | full_refresh |
         full — on its root span and as a per-query counter."""
-        pending.span.annotate(path=path)
-        pending.registered.counters[f"path.{path}"].inc()
+        span.annotate(path=path)
+        registered.counters[f"path.{path}"].inc()
 
     def _timed_graph(self, window_state: _WindowState, query_name: str,
                      parent) -> PropertyGraph:
@@ -829,46 +831,6 @@ class SeraphEngine:
             graph = window_state.graph()
             span.annotate(order=graph.order, size=graph.size)
         return graph
-
-    def _finish_evaluation(
-        self, pending: _PendingEvaluation, table: Table
-    ) -> Emission:
-        """Apply report policy, deliver to the sink, advance ET (serial)."""
-        registered = pending.registered
-        query = registered.query
-        instant = pending.instant
-        interval = pending.interval
-        obs = self.obs
-        span = pending.span
-        registered._last_version = pending.version
-        registered._last_table = table
-
-        emitted = table
-        if registered.report is not None:
-            with obs.stage(query.name, "report", parent=span,
-                           policy=query.emit.policy.value):
-                emitted = registered.report.apply(table)
-        annotated = TimeAnnotatedTable(table=emitted, interval=interval)
-        registered.result.append(
-            TimeAnnotatedTable(table=table, interval=interval)
-        )
-        if query.is_continuous:
-            registered.next_eval = instant + query.slide
-        else:
-            registered.done = True
-        emission = Emission(query_name=query.name, instant=instant, table=annotated)
-        with obs.stage(query.name, "sink", parent=span, rows=len(annotated)):
-            registered.sink.receive(emission)
-        if query.emits_into is not None:
-            self._materialize_emission(registered, emission, span)
-        registered.counters["evaluations"].inc()
-        self._evaluations.inc()
-        if obs.enabled:
-            span.annotate(rows=len(annotated))
-            span.finish()
-            obs.record_stage(query.name, "total", span.duration_seconds)
-            obs.registry.observe(f"query.{query.name}.rows", len(annotated))
-        return emission
 
     def _materialize_emission(
         self, registered: RegisteredQuery, emission: Emission, span
@@ -939,19 +901,6 @@ class SeraphEngine:
             registered.physical_plan = plan
             registered.profile = PlanProfile()
         return plan
-
-    def _record_profile(
-        self, registered: RegisteredQuery, profile: PlanProfile
-    ) -> None:
-        """Add one execution's profile (computed here or in a worker) to
-        the query's cumulative one and to the registry."""
-        registered.profile.merge(profile)
-        obs = self.obs
-        if obs.enabled:
-            for op_id, count in profile.rows.items():
-                obs.registry.inc(
-                    f"query.{registered.name}.op.{op_id}.rows", count
-                )
 
     def _evict(self) -> None:
         """Drop stream elements no future evaluation can reach, and shared
@@ -1094,9 +1043,6 @@ class SeraphEngine:
             "shared_window_states": len(self._shared_windows),
             "dataflow": self.dataflow_status(),
         }
-        if self.executor is not None:
-            info["parallel"] = self.executor.status()
-            info["supervision"] = self.executor.supervisor.as_dict()
         if self.ingress is not None:
             info["resilience"] = self.ingress.status()
         return info
@@ -1114,17 +1060,6 @@ class SeraphEngine:
     def dead_letters(self):
         """The ingress's quarantine (``None`` without an ingress)."""
         return self.ingress.dead_letters if self.ingress is not None else None
-
-    def close(self) -> None:
-        """Release the executor's worker pool, if there is one."""
-        if self.executor is not None:
-            self.executor.close()
-
-    def __enter__(self) -> "SeraphEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def checkpoint(self) -> Dict[str, Any]:
         """The engine's whole state as one JSON-safe document

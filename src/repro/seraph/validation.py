@@ -13,7 +13,9 @@ checks an implementation wants *before* a query starts running forever:
     under gapped windows),
   - a RETURN-terminal query carries no window-relevant clauses.
 
-``SeraphEngine.register`` runs :func:`validate` by default.
+``SeraphEngine.register`` runs :func:`validate` by default, after
+:func:`repro.cypher.physical.check_lowerable` has rejected any body
+clause other than MATCH / UNWIND / WITH.
 """
 
 from __future__ import annotations
@@ -102,22 +104,18 @@ def check(query: SeraphQuery) -> List[Issue]:
         elif isinstance(clause, cypher_ast.With):
             for item in clause.items:
                 check_expression(item.expression, "WITH item")
-            for order in clause.order_by:
-                check_expression(order.expression, "ORDER BY")
             new_scope = set(IMPLICIT_NAMES)
             if clause.star:
                 new_scope |= scope
             for item in clause.items:
                 new_scope.add(item.output_name())
+            # ORDER BY sees the projected names beside the incoming ones.
+            scope = scope | new_scope
+            for order in clause.order_by:
+                check_expression(order.expression, "ORDER BY")
             scope = new_scope
             ever_bound.update(scope)
             check_where(clause.where, "WITH")
-        else:  # pragma: no cover — parser restricts body clause types
-            issues.append(Issue(
-                "error",
-                f"unsupported clause {type(clause).__name__} in a "
-                "Seraph body",
-            ))
 
     terminal_items: Tuple[cypher_ast.ProjectionItem, ...]
     if query.emit is not None:

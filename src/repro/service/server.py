@@ -75,17 +75,12 @@ _REASONS = {
 SERVICE_SCHEMA = {"name": "repro.service", "version": 1}
 
 
-_NUMBER = (int, float)
 #: The JSON-settable :class:`EngineConfig` fields and the JSON types each
 #: takes (``None`` = the field also accepts ``null``).  The six mode
 #: fields are settable too; :func:`repro.api.reference_mode` is their one
 #: reader.  Everything else on the dataclass (graphs, callables, policy
 #: objects) has no JSON form.
 _ENGINE_JSON_FIELDS: Dict[str, tuple] = {
-    "parallel_workers": (int, None),
-    "offload_threshold": (*_NUMBER, None),
-    "max_worker_restarts": (int, None),
-    "task_timeout": (*_NUMBER, None),
     "resilient": (bool,),
     "allowed_lateness": (int,),
     "dead_letter_capacity": (int, None),
@@ -93,6 +88,11 @@ _ENGINE_JSON_FIELDS: Dict[str, tuple] = {
     "span_limit": (int,),
     "reservoir": (int,),
 }
+#: Fields an older configuration may still carry: the process pool's.
+_REMOVED_JSON_FIELDS = (
+    "parallel_workers", "offload_threshold", "max_worker_restarts",
+    "task_timeout",
+)
 
 
 def engine_config_from_dict(data: Dict[str, Any]) -> EngineConfig:
@@ -100,7 +100,8 @@ def engine_config_from_dict(data: Dict[str, Any]) -> EngineConfig:
 
     Accepts ``policy`` by name, the six mode fields (checked by
     :func:`repro.api.reference_mode`) plus the JSON-scalar config fields,
-    each with its field's type; anything else raises
+    each with its field's type; a field of the removed process pool raises
+    :class:`EngineModeError` (HTTP 400), anything else
     :class:`EngineError`.
     """
     if not isinstance(data, dict):
@@ -109,6 +110,12 @@ def engine_config_from_dict(data: Dict[str, Any]) -> EngineConfig:
         )
     overrides = dict(data)
     policy = overrides.pop("policy", None)
+    removed = sorted(set(overrides) & set(_REMOVED_JSON_FIELDS))
+    if removed:
+        raise EngineModeError(
+            f"engine config fields {removed} were removed with the process "
+            "pool: every evaluation runs in the engine's own process"
+        )
     unknown = set(overrides) - set(_ENGINE_JSON_FIELDS) - set(MODE_FIELDS)
     if unknown:
         raise EngineError(
@@ -280,7 +287,7 @@ class SeraphService:
     async def stop(self) -> None:
         """Graceful shutdown: stop accepting, end every connection (idle,
         mid-request or SSE) *before* ``wait_closed``, which waits for them
-        since Python 3.12, release tenant engines (worker pools included)."""
+        since Python 3.12, close every tenant's emission logs."""
         self._running = False
         server, self._server = self._server, None
         if server is not None:

@@ -360,10 +360,9 @@ class TenantState:
         self.count("restores")
 
     def close(self) -> None:
-        """Release engine resources (worker pools) and wake consumers."""
+        """Wake consumers: every emission log closes."""
         for log in self.logs.values():
             log.close()
-        self.engine.close()
 
 
 class TenantManager:

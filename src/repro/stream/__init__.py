@@ -1,13 +1,5 @@
 """Graph stream substrate: time, streams, snapshots, windows, reports."""
 
-from repro.stream.partition import (
-    by_property,
-    by_relationship_type,
-    partition_elements,
-    partition_stream,
-    split_element,
-)
-from repro.stream.advanced_windows import CountWindow, SessionWindow
 from repro.stream.replay import FakeClock, ReplayDriver
 from repro.stream.report import ReportPolicy, ReportState
 from repro.stream.snapshot import SnapshotMaintainer, snapshot_graph
@@ -30,10 +22,8 @@ from repro.stream.window import ActiveSubstreamPolicy, WindowConfig
 
 __all__ = [
     "ActiveSubstreamPolicy",
-    "CountWindow",
     "FakeClock",
     "ReplayDriver",
-    "SessionWindow",
     "GeneratorSource",
     "ListSource",
     "PropertyGraphStream",
@@ -49,11 +39,6 @@ __all__ = [
     "WIN_END",
     "WIN_START",
     "WindowConfig",
-    "by_property",
-    "by_relationship_type",
     "constant_rate_source",
-    "partition_elements",
-    "partition_stream",
     "snapshot_graph",
-    "split_element",
 ]

@@ -2,34 +2,10 @@
 
 from __future__ import annotations
 
-import multiprocessing
-
 import pytest
 
 from repro.graph.builder import GraphBuilder
 from repro.usecases.micromobility import figure1_stream, figure2_graph
-
-
-@pytest.fixture(scope="module", autouse=True)
-def no_leaked_worker_processes():
-    """Guardrail for the parallel execution layer: every pool a test
-    module starts (including supervisor-rebuilt and chaos-broken ones)
-    must be shut down by the time the module ends — an orphaned worker
-    process fails the run at the module that leaked it.
-
-    Module-scoped so module-scoped pool fixtures (which tear down
-    first) stay legal while leaks are pinned to the offending module.
-    """
-    before = {child.pid for child in multiprocessing.active_children()}
-    yield
-    leaked = [
-        child for child in multiprocessing.active_children()
-        if child.pid not in before
-    ]
-    assert not leaked, (
-        f"worker processes leaked by this test module: "
-        f"{[child.pid for child in leaked]}"
-    )
 
 
 @pytest.fixture

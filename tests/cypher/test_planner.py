@@ -9,7 +9,6 @@ from repro.cypher.planner import (
     node_anchor_cost,
     orient_path,
     path_cost,
-    pattern_cost,
     plan_pattern,
 )
 from repro.graph.builder import GraphBuilder
@@ -205,51 +204,14 @@ class TestJoinOrdering:
         assert shortest[0].nodes[0].labels == ("Common",)
 
 
-class TestPatternCost:
-    def test_typed_hop_cheaper_than_untyped_on_skew(self):
-        # 50 DENSE edges vs 2 RARE edges out of the same node set: a
-        # [:RARE] hop must cost less than an untyped hop.
-        builder = GraphBuilder()
-        ids = [builder.add_node(["N"], node_id=i + 1) for i in range(10)]
-        rel_id = 0
-        for _ in range(5):
-            for i in range(10):
-                rel_id += 1
-                builder.add_relationship(
-                    ids[i], "DENSE", ids[(i + 1) % 10], rel_id=rel_id
-                )
-        for i in range(2):
-            rel_id += 1
-            builder.add_relationship(
-                ids[i], "RARE", ids[9 - i], rel_id=rel_id
-            )
-        graph = builder.build()
-        untyped = pattern_cost(
-            pattern_of("(a:N)-->(b)"), graph, frozenset()
-        )
-        rare = pattern_cost(
-            pattern_of("(a:N)-[:RARE]->(b)"), graph, frozenset()
-        )
-        dense = pattern_cost(
-            pattern_of("(a:N)-[:DENSE]->(b)"), graph, frozenset()
-        )
-        assert rare < untyped
-        assert rare < dense
-        assert dense <= untyped
-
-    def test_unknown_type_still_positive(self, skewed_graph):
-        cost = pattern_cost(
-            pattern_of("(a:Common)-[:NOPE]->(b)"), skewed_graph, frozenset()
-        )
-        assert cost > 0.0
-
+class TestGraphStatistics:
     def test_graph_statistics_duck_types_as_graph(self, skewed_graph):
         stats = GraphStatistics.of(skewed_graph)
         assert stats.order == skewed_graph.order
         assert stats.rel_type_count("R") == skewed_graph.rel_type_count("R")
         pattern = pattern_of("(c:Common)-[:R]->(r:Rare)")
-        assert pattern_cost(pattern, stats, frozenset()) == \
-            pattern_cost(pattern, skewed_graph, frozenset())
+        assert path_cost(pattern.paths[0], stats, frozenset()) == \
+            path_cost(pattern.paths[0], skewed_graph, frozenset())
         assert plan_pattern(pattern, stats, frozenset()) == \
             plan_pattern(pattern, skewed_graph, frozenset())
 

@@ -8,9 +8,9 @@ to a rerun of the whole suite per mode.  The corpus
 tests (``tests/seraph/test_continuous_conformance.py``, the Figure 1 /
 Listing 5 running example) parametrise over :data:`MODES`; a mode can
 only be selected here the way it can anywhere: through explicit
-:class:`~repro.api.EngineConfig` fields.  The same holds for the parts an
-engine may own (:data:`STACKS`): an ingress and a pool executor are
-stages of the one pipeline, so every stack answers to the same oracle.
+:class:`~repro.api.EngineConfig` fields.  The same holds for the part an
+engine may own (:data:`STACKS`): an ingress is a stage of the one
+pipeline, so every stack answers to the same oracle.
 """
 
 from __future__ import annotations
@@ -40,14 +40,10 @@ MODES: Dict[str, dict] = {
     "reference": SLOW_TWIN,
 }
 
-#: The parts an engine can own.  ``offload_threshold=0`` so the pool
-#: really runs: every full evaluation crosses the process boundary.
+#: The parts an engine can own.
 STACKS: Dict[str, dict] = {
     "plain": {},
-    "pool": {"parallel_workers": 2, "offload_threshold": 0.0},
     "resilient": {"resilient": True},
-    "resilient+pool": {"resilient": True, "parallel_workers": 2,
-                       "offload_threshold": 0.0},
 }
 
 
@@ -118,13 +114,13 @@ def run_mode(
 ) -> CollectingSink:
     """One continuous run of ``query_text`` under ``MODES[mode]`` on an
     engine owning the parts ``STACKS[stack]`` names."""
-    with build_engine(EngineConfig(
+    engine = build_engine(EngineConfig(
         policy=policy, static_graph=static_graph,
         **MODES[mode], **STACKS[stack],
-    )) as engine:
-        sink = CollectingSink()
-        engine.register(query_text, sink=sink)
-        engine.run_stream(elements, until=until)
+    ))
+    sink = CollectingSink()
+    engine.register(query_text, sink=sink)
+    engine.run_stream(elements, until=until)
     return sink
 
 

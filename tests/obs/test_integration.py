@@ -1,14 +1,13 @@
-"""Cross-layer observability: stitched worker spans, sink retries,
-reorder gauges, EXPLAIN ANALYZE.
+"""Cross-layer observability: the evaluation stage ladder, sink
+retries, reorder gauges, EXPLAIN ANALYZE.
 
-These are the acceptance scenarios of the observability layer: one
-trace covers both sides of the process-pool boundary, retry spans land
-under the engine's sink span, and the analyze output reads the same
-histograms the exporters publish.
+These are the acceptance scenarios of the observability layer: every
+evaluation is one ``evaluate`` root with its stages as children, retry
+spans land under the engine's sink span, and the analyze output reads
+the same histograms the exporters publish.
 """
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -16,15 +15,15 @@ from repro import EngineConfig, build_engine
 from repro.errors import EngineError
 from repro.graph.generators import random_stream
 from repro.obs import Observability
-from repro.runtime import Ingress, PoolExecutor
+from repro.runtime import Ingress
 from repro.runtime.faults import FailureSchedule, FlakySink
 from repro.runtime.resilient_sink import RetryPolicy
 from repro.seraph import CollectingSink, SeraphEngine, explain_analyze
 from repro.usecases.micromobility import LISTING5_SERAPH, _t, figure1_stream
 
-# shortestPath is delta-ineligible, so a zero threshold offloads every
-# evaluation to the pool — the stitching path under test.
-OFFLOADED_QUERY = """
+# shortestPath is delta-ineligible, so every evaluation that is not a
+# reuse takes the full path.
+FULL_PATH_QUERY = """
 REGISTER QUERY paths STARTING AT 1970-01-01T00:00
 {
   MATCH p = shortestPath((a)-[*..3]->(b)) WITHIN PT5M
@@ -32,12 +31,7 @@ REGISTER QUERY paths STARTING AT 1970-01-01T00:00
   EMIT id(a) AS a, id(b) AS b SNAPSHOT EVERY PT1M
 }
 """
-
-
-@pytest.fixture(scope="module")
-def pool():
-    with ProcessPoolExecutor(max_workers=2) as executor:
-        yield executor
+PATH_STAGES = ("reuse", "match_delta", "match_full")
 
 
 @pytest.fixture(scope="module")
@@ -48,62 +42,52 @@ def elements():
     )
 
 
-class TestWorkerSpanStitching:
+class TestEvaluationStages:
     @pytest.fixture(scope="class")
-    def traced(self, pool, elements):
-        engine = SeraphEngine(
-            executor=PoolExecutor(2, pool=pool, offload_threshold=0.0),
-            obs=Observability.create(),
-        )
+    def traced(self, elements):
+        engine = SeraphEngine(obs=Observability.create())
         sink = CollectingSink()
-        engine.register(OFFLOADED_QUERY, sink=sink)
+        engine.register(FULL_PATH_QUERY, sink=sink)
         engine.run_stream(elements)
         return engine, sink
 
-    def test_offloaded_evaluations_match_the_serial_engine(
-        self, traced, elements
-    ):
+    def test_traced_run_matches_the_untraced_engine(self, traced, elements):
         engine, sink = traced
-        serial = SeraphEngine()
-        serial_sink = CollectingSink()
-        serial.register(OFFLOADED_QUERY, sink=serial_sink)
-        serial.run_stream(elements)
+        plain = SeraphEngine()
+        plain_sink = CollectingSink()
+        plain.register(FULL_PATH_QUERY, sink=plain_sink)
+        plain.run_stream(elements)
         assert [e.render() for e in sink.emissions] \
-            == [e.render() for e in serial_sink.emissions]
+            == [e.render() for e in plain_sink.emissions]
 
-    def test_worker_fragments_are_stitched_under_evaluate_roots(
-        self, traced
-    ):
+    def test_every_evaluate_root_carries_its_stage_ladder(self, traced):
         engine, sink = traced
-        tracer = engine.obs.tracer
-        workers = tracer.find("worker_evaluate")
-        assert len(workers) == len(sink.emissions)
-        for root in tracer.roots:
-            if root.name != "evaluate":
-                continue
-            (fragment,) = [child for child in root.children
-                           if child.name == "worker_evaluate"]
-            # The fragment is placed inside its parent's time box and
-            # carries the worker-side identity.
-            assert fragment.start >= root.start
-            assert fragment.end is not None
-            assert fragment.tags["pid"] > 0
-            assert fragment.tags["rows"] >= 0
+        roots = [root for root in engine.obs.tracer.roots
+                 if root.name == "evaluate"]
+        assert len(roots) == len(sink.emissions)
+        for root in roots:
+            names = [child.name for child in root.children]
+            assert names[0] == "window_advance"
+            assert names[-1] == "sink"
+            (path,) = [name for name in names if name in PATH_STAGES]
+            assert root.tags["path"] == {"match_full": "full"}.get(path, path)
+            for child in root.children:
+                assert root.start <= child.start <= child.end <= root.end
 
-    def test_worker_stage_feeds_the_registry(self, traced):
+    def test_full_path_stage_feeds_the_registry(self, traced):
         engine, sink = traced
         registry = engine.obs.registry
-        hist = registry.get("query.paths.stage.worker_evaluate")
-        assert hist is not None
-        assert hist.count == len(sink.emissions)
-        assert registry.counter("parallel.offloaded_evaluations").value \
+        full = registry.value("query.paths.path.full")
+        assert full >= 1
+        assert registry.get("query.paths.stage.match_full").count == full
+        assert full + registry.value("query.paths.path.reuse") \
             == len(sink.emissions)
 
-    def test_analyze_reports_the_worker_stage(self, traced):
+    def test_analyze_reports_the_match_stage(self, traced):
         engine, _ = traced
         text = explain_analyze(engine, "paths")
         assert "  analyze     :" in text
-        assert "worker_evaluate: n=" in text
+        assert "match_full: n=" in text
 
 
 class TestSinkRetrySpans:

@@ -146,28 +146,28 @@ class TestLedgerReads:
     def test_value_reads_counters_and_gauges_and_is_zero_before_use(self):
         registry = MetricsRegistry()
         registry.inc("resilience.reordered", 3)
-        registry.set("parallel.max_queue_depth", 2)
+        registry.set("resilience.reorder_depth", 2)
         assert registry.value("resilience.reordered") == 3
-        assert registry.value("parallel.max_queue_depth") == 2
+        assert registry.value("resilience.reorder_depth") == 2
         assert registry.value("resilience.never_bumped") == 0
         assert "resilience.never_bumped" not in registry
 
     def test_values_reads_a_namespace_in_the_order_asked(self):
         registry = MetricsRegistry()
-        registry.inc("supervision.pool_rebuilds")
+        registry.inc("resilience.retried")
         assert registry.values(
-            "supervision", ("task_retries", "pool_rebuilds")
-        ) == {"task_retries": 0, "pool_rebuilds": 1}
-        assert list(registry.values("supervision", ("b", "a"))) == ["b", "a"]
+            "resilience", ("reordered", "retried")
+        ) == {"reordered": 0, "retried": 1}
+        assert list(registry.values("resilience", ("b", "a"))) == ["b", "a"]
 
     def test_under_yields_suffixes_sorted(self):
         registry = MetricsRegistry()
-        registry.observe("parallel.worker.7.task_seconds", 0.5)
-        registry.observe("parallel.worker.3.task_seconds", 0.25)
-        registry.inc("parallel.batches")
-        found = list(registry.under("parallel.worker."))
+        registry.observe("query.q7.stage.total", 0.5)
+        registry.observe("query.q3.stage.total", 0.25)
+        registry.inc("query.evaluations")
+        found = list(registry.under("query.q"))
         assert [name for name, _ in found] == [
-            "3.task_seconds", "7.task_seconds"]
+            "3.stage.total", "7.stage.total"]
         assert [hist.total for _, hist in found] == [0.25, 0.5]
 
     def test_discard_forgets_a_prefix_and_nothing_else(self):

@@ -66,8 +66,7 @@ def resilient_status():
 class TestGoldenStatusShape:
     def test_top_level_sections_are_pinned(self, serial_status):
         assert sorted(serial_status) == [
-            "engine", "obs", "parallel", "resilience", "schema",
-            "supervision",
+            "engine", "obs", "resilience", "schema",
         ]
         assert serial_status["schema"] == {
             "name": "repro.status", "version": SCHEMA_VERSION,
@@ -88,9 +87,9 @@ class TestGoldenStatusShape:
         assert set(engine["streams"]["default"]) == {"head", "retained"}
         assert set(engine["planner"]) == GOLDEN_PLANNER_KEYS
 
-    def test_serial_layers_are_explicit_nulls(self, serial_status):
-        assert serial_status["parallel"] is None
-        assert serial_status["supervision"] is None
+    def test_an_engine_without_an_ingress_has_a_null_resilience(
+        self, serial_status
+    ):
         assert serial_status["resilience"] is None
 
     def test_obs_section_names_every_stage_that_ran(self, serial_status):
@@ -193,6 +192,17 @@ class TestValidators:
         with pytest.raises(ObservabilityError, match="engine mode"):
             validate_status(status)
         del status["engine"]["mode"]  # a document from before the key
+        validate_status(status)
+
+    def test_documents_from_the_pool_era_still_validate(self, status):
+        """Documents written while the engine had a process pool carry
+        ``parallel`` and ``supervision`` sections: null without a pool,
+        the pool's counters with one.  Neither is required or checked."""
+        validate_status(status)  # written now: neither section
+        status["parallel"] = status["supervision"] = None
+        validate_status(status)
+        status["parallel"] = {"workers": 2, "offloaded_evaluations": 0}
+        status["supervision"] = {"mode": "pooled", "workers": 2}
         validate_status(status)
 
     def test_boolean_counter_rejected(self, status):

@@ -105,7 +105,7 @@ class TestAddCompleted:
         parent = tracer.start("evaluate")
         clock.tick(10.0)
         child = tracer.add_completed(
-            "worker_evaluate", 0.5, parent=parent, start_offset=2.0, pid=7
+            "dataflow_stage", 0.5, parent=parent, start_offset=2.0, pid=7
         )
         assert child.start == parent.start + 2.0
         assert child.end == child.start + 2.5 - 2.0

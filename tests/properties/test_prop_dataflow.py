@@ -5,22 +5,18 @@ fused into ONE engine emits, at every stage, exactly what the
 hand-composed two-engine run emits — the upstream engine's emissions
 materialized by a standalone :class:`StreamMaterializer` and fed to a
 second engine in lockstep.  Across random streams and window shapes the
-equality must hold through the whole execution matrix: production or
-the reference twin × serial/parallel runtime.
+equality must hold for production and for the reference twin.
 
 Rendered-text equality is asserted, which implies order- and
 bag-equality of the emissions.
 """
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.generators import random_stream
-from repro.runtime import PoolExecutor
 from repro.seraph import CollectingSink, SeraphEngine, StreamMaterializer
 
 DETECT_TEMPLATE = """
@@ -65,14 +61,7 @@ def scenario(draw):
         slide=DURATIONS[draw(st.sampled_from([60, 120]))],
     )
     reference = draw(st.booleans())
-    parallel = draw(st.booleans())
-    return elements, detect, enrich, reference, parallel
-
-
-@pytest.fixture(scope="module")
-def pool():
-    with ProcessPoolExecutor(max_workers=2) as executor:
-        yield executor
+    return elements, detect, enrich, reference
 
 
 def _rendered(sink):
@@ -112,12 +101,10 @@ def _run_hand_composed(elements, detect, enrich, reference):
 
 @given(data=scenario())
 @settings(max_examples=30, deadline=None)
-def test_fused_pipeline_equals_hand_composed(data, pool):
-    elements, detect, enrich, reference, parallel = data
+def test_fused_pipeline_equals_hand_composed(data):
+    elements, detect, enrich, reference = data
     glued = _run_hand_composed(elements, detect, enrich, reference)
-    executor = (PoolExecutor(2, pool=pool, offload_threshold=0.0)
-                if parallel else None)
-    engine = SeraphEngine(executor=executor, reference=reference)
+    engine = SeraphEngine(reference=reference)
     detect_sink, enrich_sink = CollectingSink(), CollectingSink()
     engine.register(detect, sink=detect_sink)
     engine.register(enrich, sink=enrich_sink)

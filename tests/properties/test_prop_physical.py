@@ -8,10 +8,10 @@ window configurations:
   compile-time planning may pick a different join order than the
   per-evaluation planner, so row order inside a table can differ, never
   the bag;
-* in either mode, the parallel x resilient composition matrix stays
-  **byte-identical** to the serial run in that mode — compiled plans
-  ship to workers and feed the delta path without changing a single
-  rendered emission.
+* in either mode, the engine with an ingress stays **byte-identical**
+  to the plain run in that mode — compiled plans feed the delta path
+  behind the reorder buffer without changing a single rendered
+  emission.
 
 The query pool deliberately includes a property-map anchor
 (``{weight: 42}``) so IndexSeek runs against randomly generated data
@@ -20,14 +20,12 @@ aggregation, var-length expansion, and shortestPath.
 """
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.generators import random_stream
-from repro.runtime import Ingress, PoolExecutor
+from repro.runtime import Ingress
 from repro.seraph import CollectingSink, SeraphEngine
 
 QUERY_TEMPLATES = [
@@ -89,12 +87,6 @@ def scenario(draw):
     return elements, texts, reference
 
 
-@pytest.fixture(scope="module")
-def pool():
-    with ProcessPoolExecutor(max_workers=2) as executor:
-        yield executor
-
-
 def _run(engine, elements, texts):
     sinks = [CollectingSink() for _ in texts]
     for text, sink in zip(texts, sinks):
@@ -125,29 +117,13 @@ class TestPhysicalEqualsInterpreted:
 class TestPhysicalMatrix:
     @given(data=scenario())
     @settings(max_examples=25, deadline=None)
-    def test_parallel_byte_identical(self, data, pool):
-        elements, texts, reference = data
-        serial = _run(
-            SeraphEngine(reference=reference), elements, texts
-        )
-        engine = SeraphEngine(
-            executor=PoolExecutor(2, pool=pool, offload_threshold=0.0),
-            reference=reference,
-        )
-        parallel = _run(engine, elements, texts)
-        assert [e.render() for sink in parallel for e in sink.emissions] \
-            == [e.render() for sink in serial for e in sink.emissions]
-
-    @given(data=scenario())
-    @settings(max_examples=25, deadline=None)
-    def test_resilient_parallel_delta_matrix(self, data, pool):
+    def test_resilient_delta_matrix(self, data):
         elements, texts, reference = data
         serial = _run(
             SeraphEngine(reference=reference), elements, texts
         )
         engine = SeraphEngine(
             ingress=Ingress(),
-            executor=PoolExecutor(2, pool=pool, offload_threshold=0.0),
             reference=reference,
         )
         for text in texts:

@@ -296,6 +296,33 @@ class TestConfigRoundTrip:
             assert restored.status()["mode"] == mode
             assert list(restored._queries) == list(engine._queries)
 
+    @pytest.mark.parametrize("resilient", [False, True])
+    @pytest.mark.parametrize("workers", [None, 0, 2])
+    def test_a_pool_size_of_older_documents_restores_serial(
+        self, workers, resilient
+    ):
+        """Documents written while the engine had a process pool carry
+        ``config.parallel_workers`` (null for a serial engine).  The key
+        is ignored: the engine restores serial and its tail is
+        bag-equal to the uninterrupted run."""
+        until = _t("15:40")
+        queries = [COUNT_QUERY, LISTING5_SERAPH]
+        engine = build_engine(EngineConfig(resilient=resilient))
+        for text in queries:
+            engine.register(text)
+        stream = figure1_stream()
+        emissions = engine.run_stream(stream[:3], until=stream[2].instant)
+        document = engine_to_dict(engine)
+        assert "parallel_workers" not in document["config"]
+        document["config"]["parallel_workers"] = workers
+        restored = engine_from_json(json.dumps(document))
+        assert not hasattr(restored, "executor")
+        assert "parallel" not in restored.status()
+        emissions += restored.run_stream(stream[3:], until=until)
+        assert sorted(map(emission_key, emissions)) == sorted(
+            map(emission_key, run_uninterrupted(queries, until))
+        )
+
     def test_share_windows_key_of_older_documents_is_ignored(self):
         """Documents written while ``share_windows`` was a knob still
         load; the key is dropped and new documents no longer carry it."""

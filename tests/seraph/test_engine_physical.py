@@ -8,8 +8,6 @@ ANALYZE``.  The reference twin compiles the same stages un-hoisted
 (planned per evaluation) with identical results.
 """
 
-import pytest
-
 from repro import EngineConfig, build_engine
 from repro.cypher.plan_cache import PLANS_PER_QUERY
 from repro.seraph import CollectingSink, SeraphEngine
@@ -161,37 +159,7 @@ class TestExplainPhysical:
         assert planner["hit_rate"] > 0.0
 
 
-def _pooled(**options):
-    from repro.runtime.parallel import PoolExecutor
-
-    return SeraphEngine(
-        executor=PoolExecutor(2, offload_threshold=0.0), **options,
-    )
-
-
-class TestParallelPlans:
-    @pytest.mark.parametrize("query, name", [
-        (SEEK_QUERY, "anna_rentals"), (SHORTEST_QUERY, "routes"),
-    ], ids=["seek", "shortest"])
-    @pytest.mark.parametrize("options", [{}, {"reference": True}])
-    def test_offloaded_profiles_equal_in_parent_profiles(
-        self, options, query, name
-    ):
-        """The worker returns each execution's PlanProfile and the parent
-        accumulates it exactly as it does its own: the same stream
-        in-parent and through the pool ends with equal cumulative
-        profiles (rows per op)."""
-        serial = SeraphEngine(**options)
-        _run(serial, query=query)
-        with _pooled(**options) as engine:
-            sink = _run(engine, query=query)
-        assert sink.emissions
-        assert engine.status()["parallel"]["offloaded_evaluations"] > 0
-        pooled = engine.registered(name).profile
-        assert sum(pooled.rows.values()) > 0
-        assert pooled == serial.registered(name).profile
-        assert explain_analyze(engine, name) == explain_analyze(serial, name)
-
+class TestShortestPathProfile:
     def test_shortest_path_operator_counts_expanded_relationships(self):
         """``ShortestPath ... rows=`` is the relationships its searches
         expanded (it used to print ``rows=0`` for ever)."""
@@ -204,10 +172,3 @@ class TestParallelPlans:
         assert expanded > 0
         analyzed = explain_analyze(engine, "routes")
         assert f"[op {op.op_id}] rows={expanded}" in analyzed
-
-    def test_parallel_matches_serial_byte_for_byte(self):
-        serial = _run(SeraphEngine(reference=True))
-        with _pooled(reference=True) as engine:
-            parallel = _run(engine)
-        assert [e.render() for e in parallel.emissions] == \
-            [e.render() for e in serial.emissions]

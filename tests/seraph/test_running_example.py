@@ -149,8 +149,8 @@ class TestTables5And6:
     def test_every_stack_is_byte_identical_to_the_plain_engine(
         self, rental_stream, stack
     ):
-        """Listing 5 is delta-ineligible: on the pool stacks every
-        evaluation that is not a reuse crosses the process boundary."""
+        """The ingress re-sequences arrivals and wraps the sink; neither
+        may change a byte of what Listing 5 emits."""
         sink = run_mode("production", LISTING5_SERAPH, rental_stream,
                         _t("15:40"), stack=stack)
         assert_equals_denotation(sink, LISTING5_SERAPH, rental_stream,

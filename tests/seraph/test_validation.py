@@ -40,6 +40,15 @@ class TestCleanQueries:
         )) == []
 
 
+    def test_order_by_after_with_sees_the_projected_names(self):
+        """``WITH n.name AS name ORDER BY name`` used to be rejected as an
+        undefined variable; the incoming names stay visible too."""
+        assert validate(wrap(
+            "MATCH (n) WITHIN PT1H WITH n.name AS name ORDER BY name, n.age",
+            "EMIT collect(name) AS names SNAPSHOT EVERY PT1M",
+        )) == []
+
+
 class TestErrors:
     def test_undefined_variable_in_emit(self):
         with pytest.raises(SeraphSemanticError, match="ghost"):

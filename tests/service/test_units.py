@@ -207,10 +207,10 @@ class TestEngineConfigFromDict:
         config = engine_config_from_dict({
             "policy": "trailing", "resilient": True,
             "allowed_lateness": 600, "graph_backend": "reference",
-            "vectorized": None, "offload_threshold": 2,
+            "vectorized": None, "dead_letter_capacity": 2,
         })
         assert config == EngineConfig(
-            resilient=True, allowed_lateness=600, offload_threshold=2,
+            resilient=True, allowed_lateness=600, dead_letter_capacity=2,
         )
 
     def test_the_slow_twin_is_settable_from_json(self):
@@ -244,6 +244,21 @@ class TestEngineConfigFromDict:
             assert config == EngineConfig(**selection)
             assert reference_mode(vars(config)) is (mode == "reference")
 
+    @pytest.mark.parametrize("fragment", [
+        {"parallel_workers": 2}, {"offload_threshold": 0.0},
+        {"max_worker_restarts": 3}, {"task_timeout": 1.5},
+        {"resilient": True, "parallel_workers": None},
+    ], ids=["parallel_workers", "offload_threshold", "max_worker_restarts",
+            "task_timeout", "null-pool-size"])
+    def test_a_process_pool_field_is_a_typed_400_saying_it_was_removed(
+        self, fragment
+    ):
+        with pytest.raises(EngineError, match="were removed") as raised:
+            engine_config_from_dict(fragment)
+        assert raised.value.status == 400
+        (field,) = set(fragment) - {"resilient"}
+        assert field in str(raised.value)
+
     def test_observability_flag_the_benchmarks_traced_server_sends(self):
         assert engine_config_from_dict(
             {"observability": True}
@@ -263,7 +278,6 @@ class TestEngineConfigFromDict:
         {"no_such_field": 1},
         {"policy": "sometimes"},
         {"graph_backend": "bogus"},
-        {"parallel_workers": -1},
         ["resilient"],                 # not an object at all
     ])
     def test_everything_else_is_a_typed_error(self, fragment):

@@ -5,7 +5,7 @@ import pytest
 from repro import EngineConfig, Observability, build_engine
 from repro.api import PRODUCTION_MODE, REFERENCE_MODE, reference_mode
 from repro.errors import EngineError, EngineModeError
-from repro.runtime import Ingress, PoolExecutor
+from repro.runtime import ChaosConfig, Ingress
 from repro.runtime.policies import FaultPolicy
 from repro.seraph import SeraphEngine
 from repro.stream.window import ActiveSubstreamPolicy
@@ -26,12 +26,10 @@ class TestEngineConfig:
         config = EngineConfig()
         assert config.policy is ActiveSubstreamPolicy.TRAILING
         assert reference_mode(vars(config)) is False
-        assert config.parallel_workers is None
         assert config.resilient is False
         assert config.observability is False
 
     @pytest.mark.parametrize("bad", [
-        dict(parallel_workers=-1),
         dict(allowed_lateness=-5),
         dict(span_limit=-1),
         dict(reservoir=0),
@@ -52,7 +50,22 @@ class TestEngineConfig:
 
     def test_replace_revalidates(self):
         with pytest.raises(EngineError):
-            EngineConfig().replace(parallel_workers=-2)
+            EngineConfig().replace(allowed_lateness=-2)
+
+    @pytest.mark.parametrize("chaos", [
+        ChaosConfig(seed=1, sink_failure_rate=1.0, source_poison_rate=1.0),
+        ChaosConfig(seed=1, source_displace_rate=0.5),
+        ChaosConfig(seed=1),
+    ], ids=["sink+source", "displace", "all-rates-zero"])
+    def test_chaos_without_the_ingress_is_a_typed_error(self, chaos):
+        """Only the ingress injects chaos: on an engine without one the
+        config used to be accepted and silently ignored."""
+        with pytest.raises(EngineError, match="resilient=True"):
+            EngineConfig(chaos=chaos)
+        with pytest.raises(EngineError, match="resilient=True"):
+            EngineConfig(resilient=True, chaos=chaos).replace(
+                resilient=False)
+        assert build_engine(resilient=True, chaos=chaos).ingress is not None
 
     def test_resolve_observability_disabled_still_owns_a_registry(self):
         first = EngineConfig().resolve_observability()
@@ -173,22 +186,16 @@ class TestBuildEngine:
     def test_default_is_an_engine_without_parts(self):
         engine = build_engine()
         assert type(engine) is SeraphEngine
-        assert engine.ingress is None and engine.executor is None
+        assert engine.ingress is None
+        assert not hasattr(engine, "executor")
         assert engine.obs.enabled is False
 
     @pytest.mark.parametrize("stack", sorted(STACKS))
     def test_every_stack_is_one_engine_type(self, stack):
-        with build_engine(EngineConfig(**STACKS[stack])) as engine:
-            assert type(engine) is SeraphEngine
-            assert (engine.ingress is not None) \
-                is STACKS[stack].get("resilient", False)
-            assert (engine.executor is not None) \
-                is ("parallel_workers" in STACKS[stack])
-
-    def test_parallel_workers_gives_the_engine_an_executor(self):
-        with build_engine(EngineConfig(parallel_workers=2)) as engine:
-            assert isinstance(engine.executor, PoolExecutor)
-            assert engine.executor.workers == 2
+        engine = build_engine(EngineConfig(**STACKS[stack]))
+        assert type(engine) is SeraphEngine
+        assert (engine.ingress is not None) \
+            is STACKS[stack].get("resilient", False)
 
     def test_resilient_gives_the_engine_an_ingress(self):
         engine = build_engine(EngineConfig(
@@ -217,14 +224,12 @@ class TestBuildEngine:
         assert engine.reference is True
 
     def test_every_part_shares_one_observability_bundle(self):
-        with build_engine(EngineConfig(
-            resilient=True, parallel_workers=2, observability=True,
-        )) as engine:
-            assert engine.obs.enabled is True
-            assert engine.ingress.obs is engine.obs
-            assert engine.executor.obs is engine.obs
-            assert engine.executor.supervisor.obs is engine.obs
-            assert engine.dead_letters.registry is engine.obs.registry
+        engine = build_engine(EngineConfig(
+            resilient=True, observability=True,
+        ))
+        assert engine.obs.enabled is True
+        assert engine.ingress.obs is engine.obs
+        assert engine.dead_letters.registry is engine.obs.registry
 
     def test_one_bundle_can_span_several_engines(self):
         bundle = Observability.create()
@@ -248,10 +253,6 @@ class TestBuildEngine:
 
 
 class TestPartsConstructDirectly:
-    def test_an_executor_is_passed_to_the_engine(self):
-        with SeraphEngine(executor=PoolExecutor(2)) as engine:
-            assert engine.executor.workers == 2
-
     def test_an_ingress_is_passed_to_the_engine(self):
         engine = SeraphEngine(reference=True, ingress=Ingress())
         assert engine.reference is True

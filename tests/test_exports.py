@@ -1,8 +1,16 @@
-"""The curated top-level surface is pinned: additions and removals to
-``repro.__all__`` must be deliberate (update this list in the same
-change that edits the package ``__init__``)."""
+"""The curated surfaces are pinned: additions and removals to
+``repro.__all__``, ``repro.runtime.__all__`` and ``repro.stream.__all__``
+must be deliberate (update these lists in the same change that edits
+the package ``__init__``)."""
+
+import subprocess
+import sys
+
+import pytest
 
 import repro
+import repro.runtime
+import repro.stream
 
 PINNED_EXPORTS = {
     # engine front door
@@ -34,8 +42,70 @@ PINNED_EXPORTS = {
 }
 
 
+PINNED_RUNTIME_EXPORTS = {
+    "ChaosConfig", "CircuitBreaker", "DeadLetterEntry", "DeadLetterQueue",
+    "FailureSchedule", "FaultPolicy", "FlakySink", "FlakySource",
+    "GuardedIngestionPipeline", "Ingress", "InjectedSinkFailure",
+    "ReorderBuffer", "ResilientSink", "RetryPolicy", "decode_item",
+    "engine_from_dict", "engine_from_json", "engine_to_dict",
+    "load_checkpoint", "message_from_payload", "save_checkpoint",
+}
+PINNED_STREAM_EXPORTS = {
+    "ActiveSubstreamPolicy", "FakeClock", "GeneratorSource", "ListSource",
+    "PropertyGraphStream", "RESERVED_FIELDS", "ReplayDriver",
+    "ReportPolicy", "ReportState", "SimulatedEventQueue",
+    "SnapshotMaintainer", "StreamElement", "TimeAnnotatedTable",
+    "TimeInterval", "TimeVaryingTable", "WIN_END", "WIN_START",
+    "WindowConfig", "constant_rate_source", "snapshot_graph",
+}
+#: Names the process pool, the sharded engine and the count/session
+#: windows took with them.
+REMOVED = {
+    repro.runtime: (
+        "PoolExecutor", "PoolSupervisor", "SupervisorConfig",
+        "ShardedEngine", "run_partitioned", "merge_emissions",
+        "dead_letter_partition_handler", "ChaosInjector",
+        "ChaosPoisonError",
+    ),
+    repro.stream: (
+        "CountWindow", "SessionWindow", "partition_stream",
+        "partition_elements", "split_element", "by_property",
+        "by_relationship_type",
+    ),
+}
+
+
 def test_all_matches_the_pinned_surface():
     assert set(repro.__all__) == PINNED_EXPORTS
+
+
+@pytest.mark.parametrize("package, pinned", [
+    (repro.runtime, PINNED_RUNTIME_EXPORTS),
+    (repro.stream, PINNED_STREAM_EXPORTS),
+], ids=["runtime", "stream"])
+def test_subpackage_all_matches_the_pinned_surface(package, pinned):
+    assert set(package.__all__) == pinned
+    assert len(package.__all__) == len(pinned)
+    for name in package.__all__:
+        assert getattr(package, name) is not None
+    for name in REMOVED[package]:
+        assert not hasattr(package, name), name
+
+
+def test_importing_the_package_starts_no_process_machinery():
+    """Every evaluation runs in the engine's process, so ``import repro``
+    loads neither ``multiprocessing`` nor the process-pool executor."""
+    probe = (
+        "import sys, repro, repro.cli, repro.service; "
+        "print(sorted(name for name in sys.modules "
+        "if name.startswith('multiprocessing') "
+        "or name == 'concurrent.futures.process'))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], check=True, capture_output=True,
+        text=True, env={"PYTHONPATH": ":".join(sys.path)},
+    ).stdout.strip()
+    assert loaded == "[]"
 
 
 def test_every_export_resolves():

@@ -8,18 +8,17 @@ Two contracts of the engine that owns its parts:
   renames one fails this test first);
 * every count a status view shows **is** the registry instrument of the
   same name — nothing is counted in two places — and a Prometheus export
-  of the registry therefore carries the resilience and supervision
-  counters that used to live in objects the exporter never saw.
+  of the registry therefore carries the resilience counters that used
+  to live in objects the exporter never saw.
 """
 
 import pytest
 
 from repro import EngineConfig, build_engine
 from repro.obs.export import parse_prometheus, to_prometheus
-from repro.runtime import ChaosConfig, PoolExecutor, PoolSupervisor
+from repro.runtime import ChaosConfig
 from repro.runtime.ingress import Ingress
 from repro.runtime.resilient_sink import RetryPolicy
-from repro.runtime.supervisor import SupervisorConfig
 from repro.seraph import SeraphEngine
 from repro.service.tenants import TenantSpec, TenantState
 from repro.stream.stream import StreamElement
@@ -46,22 +45,6 @@ ENGINE_PATHS = {
     "streams.default", "streams.default.head", "streams.default.retained",
     "watermark",
 }
-PARALLEL_PATHS = {
-    "parallel", "parallel.batches", "parallel.inline_evaluations",
-    "parallel.max_queue_depth", "parallel.offloaded_evaluations",
-    "parallel.offloaded_groups", "parallel.scheduler_parallel",
-    "parallel.scheduler_serial", "parallel.workers",
-}
-SUPERVISION_PATHS = {
-    "supervision", "supervision.crash_budget",
-    "supervision.degraded_recoveries", "supervision.degraded_transitions",
-    "supervision.dropped_results", "supervision.inline_tasks",
-    "supervision.mode", "supervision.pool_rebuilds",
-    "supervision.pooled_tasks", "supervision.probation",
-    "supervision.restarts_used", "supervision.task_retries",
-    "supervision.task_timeouts", "supervision.worker_crashes",
-    "supervision.workers",
-}
 RESILIENCE_PATHS = {
     "resilience", "resilience.allowed_lateness", "resilience.buffered",
     "resilience.buffered.default", "resilience.dead_letters",
@@ -77,12 +60,11 @@ RESILIENCE_PATHS = {
     "resilience.metrics.sink_deliveries", "resilience.metrics.sink_failures",
     "resilience.poison_policy", "resilience.sink_policy",
 }
-#: Always present in the unified document; the three part sections are
-#: explicit nulls on an engine that does not own the part.
+#: Always present in the unified document; ``resilience`` is an
+#: explicit null on an engine without an ingress.
 UNIFIED_FRAME = {
-    "schema", "schema.name", "schema.version", "engine", "parallel",
-    "supervision", "resilience", "obs", "obs.enabled", "obs.metrics",
-    "obs.trace",
+    "schema", "schema.name", "schema.version", "engine", "resilience",
+    "obs", "obs.enabled", "obs.metrics", "obs.trace",
 }
 
 
@@ -98,15 +80,13 @@ def key_paths(document, prefix=""):
 @pytest.mark.parametrize("stack", sorted(STACKS))
 def test_status_key_paths_are_the_parents_on_every_stack(stack):
     parts = set()
-    if "parallel_workers" in STACKS[stack]:
-        parts |= PARALLEL_PATHS | SUPERVISION_PATHS
     if STACKS[stack].get("resilient"):
         parts |= RESILIENCE_PATHS
-    with build_engine(EngineConfig(**STACKS[stack])) as engine:
-        engine.register(LISTING5_SERAPH)
-        engine.run_stream(figure1_stream(), until=_t("15:40"))
-        assert key_paths(engine.status()) == ENGINE_PATHS | parts
-        unified = engine.unified_status()
+    engine = build_engine(EngineConfig(**STACKS[stack]))
+    engine.register(LISTING5_SERAPH)
+    engine.run_stream(figure1_stream(), until=_t("15:40"))
+    assert key_paths(engine.status()) == ENGINE_PATHS | parts
+    unified = engine.unified_status()
     assert key_paths(unified) == (
         UNIFIED_FRAME | parts | {f"engine.{path}" for path in ENGINE_PATHS}
     )
@@ -115,14 +95,12 @@ def test_status_key_paths_are_the_parents_on_every_stack(stack):
 
 
 class TestEveryStatusCountIsARegistryRead:
-    """A seeded disordered, poison-carrying, sink-failing run over a pool
-    whose workers get killed."""
+    """A seeded disordered, poison-carrying, sink-failing run."""
 
     @pytest.fixture(scope="class")
     def engine(self):
         chaos = ChaosConfig(
-            seed=13, worker_kill_rate=0.3, worker_poison_rate=0.2,
-            source_poison_rate=0.3, source_displace_rate=0.4,
+            seed=13, source_poison_rate=0.3, source_displace_rate=0.4,
             sink_failure_rate=0.2,
         )
         engine = SeraphEngine(
@@ -131,24 +109,16 @@ class TestEveryStatusCountIsARegistryRead:
                 retry=RetryPolicy(max_attempts=6, base_delay=0.0,
                                   max_delay=0.0, jitter=0.0),
             ),
-            executor=PoolExecutor(
-                2, offload_threshold=0.0,
-                supervisor=PoolSupervisor(
-                    2, config=SupervisorConfig(max_restarts=50),
-                    chaos=chaos, sleep=lambda _s: None,
-                ),
-            ),
         )
-        with engine:
-            engine.register(LISTING5_SERAPH)
-            # On top of the seeded displacement: two swaps inside the
-            # allowed lateness and one arrival far beyond it.
-            s = figure1_stream()
-            too_late = StreamElement(graph=s[0].graph, instant=_t("14:00"))
-            engine.run_stream(
-                [s[1], s[0], s[2], s[4], s[3], too_late], until=_t("15:40")
-            )
-            engine.checkpoint()
+        engine.register(LISTING5_SERAPH)
+        # On top of the seeded displacement: two swaps inside the
+        # allowed lateness and one arrival far beyond it.
+        s = figure1_stream()
+        too_late = StreamElement(graph=s[0].graph, instant=_t("14:00"))
+        engine.run_stream(
+            [s[1], s[0], s[2], s[4], s[3], too_late], until=_t("15:40")
+        )
+        engine.checkpoint()
         return engine
 
     def test_the_run_exercised_every_layer(self, engine):
@@ -160,23 +130,12 @@ class TestEveryStatusCountIsARegistryRead:
         assert resilience["sink_failures"] >= 1
         assert resilience["sink_deliveries"] >= 1
         assert resilience["checkpoints"] == 1
-        assert status["parallel"]["offloaded_evaluations"] >= 1
-        assert status["supervision"]["pool_rebuilds"] >= 1
 
-    def test_resilience_parallel_and_supervision_views(self, engine):
+    def test_resilience_and_query_views(self, engine):
         registry = engine.obs.registry
         status = engine.status()
         for name, value in status["resilience"]["metrics"].items():
             assert value == registry.value(f"resilience.{name}"), name
-        for name, value in status["parallel"].items():
-            if name != "workers":  # a size, not a count
-                assert value == registry.value(f"parallel.{name}"), name
-        for name in ("pooled_tasks", "inline_tasks", "worker_crashes",
-                     "pool_rebuilds", "task_retries", "task_timeouts",
-                     "dropped_results", "degraded_transitions",
-                     "degraded_recoveries"):
-            assert status["supervision"][name] \
-                == registry.value(f"supervision.{name}"), name
         for key, suffix in (("evaluations", "evaluations"),
                             ("reused", "path.reuse"),
                             ("plan_compiles", "plan_compiles")):
@@ -193,8 +152,8 @@ class TestEveryStatusCountIsARegistryRead:
              status["resilience"]["metrics"]["late_dropped"]),
             ("repro_resilience_sink_deliveries_total",
              status["resilience"]["metrics"]["sink_deliveries"]),
-            ("repro_supervision_pool_rebuilds_total",
-             status["supervision"]["pool_rebuilds"]),
+            ("repro_resilience_retried_total",
+             status["resilience"]["metrics"]["retried"]),
         ):
             assert samples[metric][""] == value, metric
 
