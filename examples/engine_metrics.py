@@ -4,7 +4,7 @@
 Runs the fraud-detection query over a synthetic RideAnywhere day and
 prints the measurements a systems evaluation would report — comparing
 the production engine (incremental snapshots, unchanged-window reuse,
-the delta path, hoisted plans) with its from-scratch reference twin.
+hoisted plans) with its from-scratch reference twin.
 
 Run:  python examples/engine_metrics.py
 """
@@ -39,8 +39,8 @@ def run(reference: bool, stream) -> str:
         f"{int(rows.total)} rows emitted; "
         f"reuse ratio "
         f"{registry.value(f'query.{name}.path.reuse') / evaluations:.0%}; "
-        f"delta ratio "
-        f"{registry.value(f'query.{name}.path.delta') / evaluations:.0%}"
+        f"full-match ratio "
+        f"{registry.value(f'query.{name}.path.full') / evaluations:.0%}"
     )
 
 

@@ -88,7 +88,7 @@ def main():
 
     engine_section = status["engine"]["queries"]["student_trick"]
     print(f"\nUnified status: {engine_section['evaluations']} evaluations, "
-          f"{engine_section['delta']} via the delta path; "
+          f"{engine_section['reused']} reused; "
           f"resilience ingested "
           f"{status['resilience']['metrics']['ingested']} elements.")
 

@@ -13,22 +13,12 @@ Implements Cypher's matching semantics:
 The matcher works against a *scope* of pre-existing bindings (the record
 ``u``), only yielding assignments for names not already bound, exactly as
 ``dom(u') = free(π) \\ dom(u)`` requires.
-
-Beyond the plain enumeration, :meth:`PatternMatcher.match_pattern_traced`
-also reports each match's *footprint* — the set of graph entities the
-embedding traverses (bound or anonymous) — and accepts an anchor
-restriction on the first path's start candidates.  Together these are the
-entry points the delta-driven incremental evaluation layer
-(:mod:`repro.seraph.delta`) uses: footprints decide which previous
-assignments a stream delta invalidates, the anchor restricts re-matching
-to the dirty neighbourhood.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from typing import (
-    AbstractSet,
     Any,
     Dict,
     FrozenSet,
@@ -49,16 +39,10 @@ from repro.graph.values import NULL, Ternary, cypher_equals
 
 Bindings = Dict[str, Any]
 UsedRels = FrozenSet[int]
-#: One traversed entity: ("n", node_id) or ("r", relationship_id).
-EntityRef = Tuple[str, int]
-#: All entities one embedding of a pattern traverses.
-Footprint = FrozenSet[EntityRef]
 
 #: One walk of a shortest-path search: (relationship ids, nodes,
 #: relationships), all three in source orientation.
 Walk = Tuple[Tuple[int, ...], Tuple[Node, ...], Tuple[Relationship, ...]]
-
-_EMPTY_FOOTPRINT: Footprint = frozenset()
 
 #: Pattern orientation -> the graph read contract's ``expand_pairs`` tag.
 _DIRECTION_TAGS = {
@@ -66,18 +50,6 @@ _DIRECTION_TAGS = {
     ast.Direction.IN: "in",
     ast.Direction.BOTH: "any",
 }
-
-
-def footprint_of(
-    nodes: Iterable[Node], rels: Iterable[Relationship], traced: bool
-) -> Footprint:
-    """The footprint of an explicit node/relationship traversal — built
-    only for a ``traced`` match (the delta path), the one reader."""
-    if not traced:
-        return _EMPTY_FOOTPRINT
-    entries: List[EntityRef] = [("n", node.id) for node in nodes]
-    entries.extend(("r", rel.id) for rel in rels)
-    return frozenset(entries)
 
 
 class PatternMatcher:
@@ -170,60 +142,21 @@ class PatternMatcher:
         is ignored when the first path is a shortestPath or its start
         variable is already bound in ``scope``.
         """
-        for new, _footprint in self._matches(
-            pattern, scope, None, anchor_nodes, traced=False
-        ):
-            yield new
-
-    def match_pattern_traced(
-        self,
-        pattern: ast.Pattern,
-        scope: Mapping[str, Any],
-        first_candidates: Optional[AbstractSet[int]] = None,
-        anchor_nodes: Optional[Iterable[Node]] = None,
-    ) -> Iterator[Tuple[Bindings, Footprint]]:
-        """Like :meth:`match_pattern`, but also yield each embedding's
-        footprint (every node/relationship it traverses, named or not).
-
-        ``first_candidates`` — the anchored entry point — restricts the
-        *start node* of the first path pattern to the given node ids.
-        The delta layer passes the dirty neighbourhood here, so
-        re-matching explores only embeddings that can possibly touch a
-        changed entity instead of the whole snapshot.
-        """
-        return self._matches(
-            pattern, scope, first_candidates, anchor_nodes, traced=True
-        )
-
-    def _matches(
-        self,
-        pattern: ast.Pattern,
-        scope: Mapping[str, Any],
-        first_candidates: Optional[AbstractSet[int]],
-        anchor_nodes: Optional[Iterable[Node]],
-        traced: bool,
-    ) -> Iterator[Tuple[Bindings, Footprint]]:
-        """Both entry points: footprints are built only when ``traced``
-        (only the traced entry point reads them)."""
         initial = frozenset(scope)
         if self.hop_counts is not None:
             self._register_paths(pattern)
-        for bindings, _used, footprint in self._match_paths(
-            list(pattern.paths), dict(scope), frozenset(), _EMPTY_FOOTPRINT,
-            first_candidates=first_candidates, anchor_nodes=anchor_nodes,
-            traced=traced,
+        for bindings, _used in self._match_paths(
+            list(pattern.paths), dict(scope), frozenset(), anchor_nodes
         ):
-            new = {
-                name: value for name, value in bindings.items() if name not in initial
+            yield {
+                name: value for name, value in bindings.items()
+                if name not in initial
             }
-            yield new, footprint
 
     def has_match(self, path: ast.PathPattern, scope: Mapping[str, Any]) -> bool:
         """Existence check for pattern predicates (no uniqueness sharing
         with the enclosing MATCH, per Cypher)."""
-        for _ in self._match_single_path(
-            path, dict(scope), frozenset(), traced=False
-        ):
+        for _ in self._match_single_path(path, dict(scope), frozenset()):
             return True
         return False
 
@@ -234,25 +167,16 @@ class PatternMatcher:
         paths: List[ast.PathPattern],
         bindings: Bindings,
         used: UsedRels,
-        footprint: Footprint,
-        first_candidates: Optional[AbstractSet[int]] = None,
         anchor_nodes: Optional[Iterable[Node]] = None,
-        *,
-        traced: bool,
-    ) -> Iterator[Tuple[Bindings, UsedRels, Footprint]]:
+    ) -> Iterator[Tuple[Bindings, UsedRels]]:
         if not paths:
-            yield bindings, used, footprint
+            yield bindings, used
             return
         head, tail = paths[0], paths[1:]
-        for new_bindings, new_used, path_footprint in self._match_single_path(
-            head, bindings, used, start_candidates=first_candidates,
-            anchor_nodes=anchor_nodes, traced=traced,
+        for new_bindings, new_used in self._match_single_path(
+            head, bindings, used, anchor_nodes
         ):
-            yield from self._match_paths(
-                tail, new_bindings, new_used,
-                footprint | path_footprint if traced else footprint,
-                traced=traced,
-            )
+            yield from self._match_paths(tail, new_bindings, new_used)
 
     # -- single path pattern ----------------------------------------------------
 
@@ -261,13 +185,10 @@ class PatternMatcher:
         path: ast.PathPattern,
         bindings: Bindings,
         used: UsedRels,
-        start_candidates: Optional[AbstractSet[int]] = None,
         anchor_nodes: Optional[Iterable[Node]] = None,
-        *,
-        traced: bool,
-    ) -> Iterator[Tuple[Bindings, UsedRels, Footprint]]:
+    ) -> Iterator[Tuple[Bindings, UsedRels]]:
         if path.shortest is not None:
-            yield from self._match_shortest(path, bindings, used, traced)
+            yield from self._match_shortest(path, bindings, used)
             return
         start_pattern = path.nodes[0]
         start_unbound = not (
@@ -281,15 +202,13 @@ class PatternMatcher:
         else:
             starts = self._node_candidates(start_pattern, bindings)
         for start in starts:
-            if start_candidates is not None and start.id not in start_candidates:
-                continue
             if slot is not None:
                 slot[0] += 1
             start_bindings = self._bind_node(path.nodes[0], start, bindings)
             if start_bindings is None:
                 continue
             yield from self._walk(
-                path, 0, start, start_bindings, used, [start], [], traced
+                path, 0, start, start_bindings, used, [start], []
             )
 
     def _walk(
@@ -301,8 +220,7 @@ class PatternMatcher:
         used: UsedRels,
         trav_nodes: List[Node],
         trav_rels: List[Relationship],
-        traced: bool,
-    ) -> Iterator[Tuple[Bindings, UsedRels, Footprint]]:
+    ) -> Iterator[Tuple[Bindings, UsedRels]]:
         if step == len(path.relationships):
             final = bindings
             if path.variable is not None:
@@ -316,7 +234,7 @@ class PatternMatcher:
                 else:
                     final = dict(bindings)
                     final[path.variable] = path_value
-            yield final, used, footprint_of(trav_nodes, trav_rels, traced)
+            yield final, used
             return
 
         rel_pattern = path.relationships[step]
@@ -328,7 +246,7 @@ class PatternMatcher:
         )
         yield from walk_hop(
             path, step, rel_pattern, next_pattern, current, bindings, used,
-            trav_nodes, trav_rels, traced,
+            trav_nodes, trav_rels,
         )
 
     def _walk_single_hop(
@@ -342,8 +260,7 @@ class PatternMatcher:
         used: UsedRels,
         trav_nodes: List[Node],
         trav_rels: List[Relationship],
-        traced: bool,
-    ) -> Iterator[Tuple[Bindings, UsedRels, Footprint]]:
+    ) -> Iterator[Tuple[Bindings, UsedRels]]:
         bound_rel = None
         if rel_pattern.variable is not None and rel_pattern.variable in bindings:
             bound_rel = bindings[rel_pattern.variable]
@@ -371,7 +288,6 @@ class PatternMatcher:
                 used | {rel.id},
                 trav_nodes + [next_node],
                 trav_rels + [rel],
-                traced,
             )
 
     def _walk_var_length(
@@ -385,8 +301,7 @@ class PatternMatcher:
         used: UsedRels,
         trav_nodes: List[Node],
         trav_rels: List[Relationship],
-        traced: bool,
-    ) -> Iterator[Tuple[Bindings, UsedRels, Footprint]]:
+    ) -> Iterator[Tuple[Bindings, UsedRels]]:
         low, high = rel_pattern.var_length
         low = 1 if low is None else low
         bound_value = None
@@ -446,7 +361,6 @@ class PatternMatcher:
                 seg_used,
                 trav_nodes + seg_nodes,
                 trav_rels + seg_rels,
-                traced,
             )
 
     # -- expansion and candidate generation ------------------------------------
@@ -542,9 +456,8 @@ class PatternMatcher:
         ]
 
     def _match_shortest(
-        self, path: ast.PathPattern, bindings: Bindings, used: UsedRels,
-        traced: bool,
-    ) -> Iterator[Tuple[Bindings, UsedRels, Footprint]]:
+        self, path: ast.PathPattern, bindings: Bindings, used: UsedRels
+    ) -> Iterator[Tuple[Bindings, UsedRels]]:
         """``shortestPath`` / ``allShortestPaths``, a set at a time
         (docs/PLANNING.md).
 
@@ -594,7 +507,7 @@ class PatternMatcher:
                     found = search(start, [end], rel_pattern, end_bindings)
                     yield from self._shortest_rows(
                         path, start_bindings, end_bindings,
-                        found.get(end.id, ()), used, traced,
+                        found.get(end.id, ()), used,
                     )
             return
 
@@ -621,7 +534,7 @@ class PatternMatcher:
                 )
                 if walks:
                     yield from self._shortest_rows(
-                        path, start_bindings, end_bindings, walks, used, traced
+                        path, start_bindings, end_bindings, walks, used
                     )
 
     def _shortest_rows(
@@ -631,8 +544,7 @@ class PatternMatcher:
         end_bindings: Bindings,
         walks: List[Walk],
         used: UsedRels,
-        traced: bool,
-    ) -> Iterator[Tuple[Bindings, UsedRels, Footprint]]:
+    ) -> Iterator[Tuple[Bindings, UsedRels]]:
         """The output rows of one ``(start, end)`` pair from its ordered
         shortest walks — the first only for ``shortestPath``: the start's
         bindings, then the end's, the relationship list, the path."""
@@ -645,7 +557,7 @@ class PatternMatcher:
                 final[rel_variable] = list(rels)
             if path.variable is not None:
                 final[path.variable] = Path(nodes, rels)
-            yield final, used.union(ids), footprint_of(nodes, rels, traced)
+            yield final, used.union(ids)
 
     def _shortest_from(
         self,

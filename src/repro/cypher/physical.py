@@ -12,8 +12,8 @@ its physical conclusion.
 
 The plan is *total* and the only body executor in production: every
 query ``SeraphEngine.register`` accepts compiles (:func:`check_lowerable`
-rejects the rest at registration), and the engine's full path and the
-delta path both run a :class:`PhysicalPlan`.
+rejects the rest at registration), and every evaluation the engine does
+not reuse runs a :class:`PhysicalPlan`.
 ``compile_query(..., hoist=False)`` — what the reference twin runs —
 compiles the same stages without hoisting anything out of the
 evaluation: each pattern is planned against the live snapshot and no

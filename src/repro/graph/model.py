@@ -543,8 +543,8 @@ class PropertyGraph:
     def label_count(self, label: str) -> int:
         """Number of nodes carrying ``label`` (served from the index).
 
-        The public per-label statistic the pattern planner and the
-        delta-evaluation layer cost their anchor choices with.
+        The public per-label statistic the pattern planner costs its
+        anchor choices with.
         """
         return len(self._by_label.get(label, ()))
 

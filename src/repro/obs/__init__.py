@@ -1,9 +1,9 @@
 """Unified observability: tracing + metrics registry for every layer.
 
-A :class:`~repro.seraph.engine.SeraphEngine` and its parts (the delta
-path, the ingress) share one
-:class:`Observability` bundle — a :class:`~repro.obs.trace.Tracer` plus
-a :class:`~repro.obs.registry.MetricsRegistry` — threaded through
+A :class:`~repro.seraph.engine.SeraphEngine` and its part (the ingress)
+share one :class:`Observability` bundle — a
+:class:`~repro.obs.trace.Tracer` plus a
+:class:`~repro.obs.registry.MetricsRegistry` — threaded through
 construction (``build_engine(EngineConfig(observability=True))``).
 
 One evaluation produces one ``evaluate`` root span with the stage
@@ -12,7 +12,7 @@ children::
     evaluate(query, instant)
       ├─ window_advance
       ├─ snapshot_build          (per window, inside the match stage)
-      ├─ reuse | match_delta | match_full
+      ├─ reuse | match_full
       ├─ report
       ├─ sink
       │   └─ sink_attempt*       (retries, from ResilientSink)
@@ -50,7 +50,6 @@ STAGES = (
     "snapshot_build",
     "plan_compile",
     "reuse",
-    "match_delta",
     "match_full",
     "report",
     "sink",

@@ -25,9 +25,10 @@ engine:
   (:meth:`repro.runtime.ingress.Ingress.to_dict`).
 
 Not captured: sinks (arbitrary user objects — pass replacements to
-:func:`engine_from_dict`), the accumulated per-query result history, the
-reuse-memo table, and the delta-path assignment set (the first
-post-restore evaluation simply recomputes / full-refreshes).  Version 1
+:func:`engine_from_dict`), the accumulated per-query result history and
+the reuse-memo table (the first post-restore evaluation simply
+recomputes).  Counters of a suffix the engine no longer keeps are
+ignored.  Version 1
 documents (two shapes, mode fields missing) are rejected.
 
 The document is pure JSON; graph payloads reuse :mod:`repro.graph.io`,

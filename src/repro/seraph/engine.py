@@ -54,12 +54,6 @@ from repro.graph.temporal import TimeInstant
 from repro.seraph import semantics
 from repro.seraph.ast import DEFAULT_STREAM, SeraphMatch, SeraphQuery
 from repro.seraph.dataflow import StreamMaterializer
-from repro.seraph.delta import (
-    QueryDeltaState,
-    WindowDelta,
-    delta_ineligibility,
-    evaluate_delta,
-)
 from repro.seraph.parser import parse_seraph
 from repro.seraph.registry import DataflowGraph
 from repro.seraph.sinks import CollectingSink, Emission, Sink
@@ -126,20 +120,18 @@ class _WindowState:
         self.content_seqs: List[int] = []
         self.next_seq = 0  # stream sequence number of the next element
         self.last_advanced: Optional[TimeInstant] = None
-        self.last_delta = WindowDelta()
+        self.last_arrivals = 0
 
-    def advance(self, source: _StreamState, instant: TimeInstant) -> WindowDelta:
+    def advance(self, source: _StreamState, instant: TimeInstant) -> int:
         """Bring the window content up to the evaluation at ``instant``.
 
-        Returns the content delta: the elements that entered and the
-        net-changed ids since the last snapshot build.  Idempotent
-        for repeated calls at the same instant — that is what lets
-        concurrent queries with identical window configurations share one
-        state (they fire at the same ET instants, in lock-step; each gets
-        the same cached delta).
+        Returns how many elements entered.  Idempotent for repeated
+        calls at the same instant — that is what lets concurrent queries
+        with identical window configurations share one state (they fire
+        at the same ET instants, in lock-step; each gets the same count).
         """
         if self.last_advanced is not None and instant == self.last_advanced:
-            return self.last_delta
+            return self.last_arrivals
         self.last_advanced = instant
         window = self.config.active_window(instant, self.policy)
         if self.policy is ActiveSubstreamPolicy.TRAILING:
@@ -183,19 +175,14 @@ class _WindowState:
                 added.append(element)
             index += 1
             self.next_seq += 1
-        maintainer = self.maintainer
         if not self.reference:
+            maintainer = self.maintainer
             for element in added:
                 maintainer.add(element)
             for element in removed:
                 maintainer.remove(element)
-        self.last_delta = WindowDelta(
-            added=tuple(added),
-            changed_nodes=frozenset(maintainer.changed_nodes),
-            changed_rels=frozenset(maintainer.changed_rels),
-            changed_endpoints=frozenset(maintainer.changed_endpoints),
-        )
-        return self.last_delta
+        self.last_arrivals = len(added)
+        return self.last_arrivals
 
     def version(self):
         """Identifies the current window content: equal versions ⇒ equal
@@ -223,14 +210,16 @@ class _WindowState:
 _STATUS_COUNTERS = {
     "evaluations": "evaluations",
     "reused": "path.reuse",
-    "delta": "path.delta",
-    "delta_full_refreshes": "path.full_refresh",
-    "assignments_retained": "assignments_retained",
-    "assignments_recomputed": "assignments_recomputed",
     "plan_compiles": "plan_compiles",
 }
 #: Every per-query counter suffix.
 QUERY_COUNTERS = (*_STATUS_COUNTERS.values(), "path.full")
+#: ``status()["queries"][q]`` keys the end-to-end benchmark still reads
+#: from the removed delta path: always 0, with no counter behind them.
+_RETIRED_STATUS_KEYS = dict.fromkeys((
+    "delta", "delta_full_refreshes",
+    "assignments_retained", "assignments_recomputed",
+), 0)
 
 
 @dataclass
@@ -248,8 +237,6 @@ class RegisteredQuery:
     #: The registry's ``query.<name>.<suffix>`` counters, pre-bound by
     #: :data:`QUERY_COUNTERS` suffix (the only per-query counter store).
     counters: Dict[str, Counter] = field(default_factory=dict)
-    delta_state: Optional[QueryDeltaState] = None
-    delta_reason: Optional[str] = None  # why the delta path is off
     done: bool = False
     #: The compiled plan last executed (None until the first evaluation:
     #: compiling reads the snapshot's statistics).
@@ -283,13 +270,12 @@ class SeraphEngine:
         False (default): **production** — snapshots maintained
         incrementally, an evaluation whose window content did not change
         reuses the previous table (Section 6's "avoidable re-executions
-        on equal window contents"), delta-eligible queries re-match only
-        the dirty neighbourhood (:mod:`repro.seraph.delta`), and plans
-        are compiled once per statistics band
-        (:mod:`repro.cypher.plan_cache`).  True: the **reference** twin,
-        the test oracle — every snapshot re-unioned from its window,
-        every evaluation from scratch, every pattern planned against its
-        snapshot.  Both emit the same bag at every instant;
+        on equal window contents"), every other one executes the
+        query's compiled plan, and plans are compiled once per
+        statistics band (:mod:`repro.cypher.plan_cache`).  True: the
+        **reference** twin, the test oracle — every snapshot re-unioned
+        from its window, every evaluation from scratch, every pattern
+        planned against its snapshot.  Both emit the same bag at every instant;
         :func:`repro.api.reference_mode` maps ``EngineConfig``'s six mode
         fields onto this flag.
     obs:
@@ -395,9 +381,6 @@ class SeraphEngine:
             if shared is None:
                 self._shared_windows[share_key] = state
             windows[(stream_name, width)] = state
-        delta_reason = delta_ineligibility(query)
-        if delta_reason is None and self.reference:
-            delta_reason = "the reference twin keeps no net-change record"
         if sink is None:
             sink = CollectingSink()
         if self.ingress is not None and wrap_sink:
@@ -411,8 +394,6 @@ class SeraphEngine:
             report=ReportState(query.emit.policy) if query.is_continuous else None,
             next_eval=query.starting_at,
             uses_window_bounds=query.references_window_bounds(),
-            delta_state=QueryDeltaState() if delta_reason is None else None,
-            delta_reason=delta_reason,
             counters={
                 suffix: registry.counter(f"query.{query.name}.{suffix}")
                 for suffix in QUERY_COUNTERS
@@ -674,14 +655,14 @@ class SeraphEngine:
 
     def _evaluate(self, registered: RegisteredQuery) -> Emission:
         """One due evaluation: advance the windows, compute the table
-        (reuse / delta / full), apply the report policy, deliver to the
-        sink, advance ET."""
+        (reuse / full), apply the report policy, deliver to the sink,
+        advance ET."""
         query = registered.query
         name = query.name
         instant = registered.next_eval
         obs = self.obs
         span = obs.tracer.start("evaluate", query=name, instant=instant)
-        deltas = self._advance_windows(registered, instant, span)
+        self._advance_windows(registered, instant, span)
         interval = semantics.reported_interval(query, instant, self.policy)
         version = tuple(
             state.version() for state in registered.windows.values()
@@ -695,10 +676,6 @@ class SeraphEngine:
             self._record_path(registered, span, "reuse")
             with obs.stage(name, "reuse", parent=span):
                 table = registered._last_table
-        elif registered.delta_state is not None:
-            # Only a production engine keeps delta state, and only for a
-            # single-MATCH body: one window.
-            table = self._match_delta(registered, deltas[0], interval, span)
         else:
             table = self._match_full(registered, interval, span)
         registered._last_version = version
@@ -733,59 +710,26 @@ class SeraphEngine:
 
     def _advance_windows(
         self, registered: RegisteredQuery, instant: TimeInstant, span
-    ) -> List[Tuple[_WindowState, WindowDelta]]:
+    ) -> None:
         """Bring every window of the query up to ``instant``: the
         ``window_advance`` stage."""
         obs = self.obs
         name = registered.name
-        deltas: List[Tuple[_WindowState, WindowDelta]] = []
         derived = not self._dataflow.is_trivial
         with obs.stage(name, "window_advance", parent=span,
                        windows=len(registered.windows)):
             for (stream_name, _width), state in registered.windows.items():
-                delta = state.advance(
+                arrivals = state.advance(
                     self._stream_state(stream_name), instant
                 )
-                deltas.append((state, delta))
-                if derived and delta.added \
+                if derived and arrivals \
                         and self._dataflow.producers_of(stream_name):
                     # Per-edge consumption counter: upstream emissions
-                    # are the delta for this downstream window (EXPLAIN
-                    # ANALYZE's dataflow edges render these).
+                    # entering this downstream window (EXPLAIN ANALYZE's
+                    # dataflow edges render these).
                     obs.registry.inc(
-                        f"query.{name}.consumed.{stream_name}",
-                        len(delta.added),
+                        f"query.{name}.consumed.{stream_name}", arrivals
                     )
-        return deltas
-
-    def _match_delta(
-        self,
-        registered: RegisteredQuery,
-        window: Tuple[_WindowState, WindowDelta],
-        interval,
-        span,
-    ) -> Table:
-        """The delta path: re-match only the dirty neighbourhood."""
-        name = registered.name
-        window_state, delta = window
-        with self.obs.stage(name, "match_delta", parent=span) as stage:
-            snapshot = self._timed_graph(window_state, name, stage)
-            table, stats = evaluate_delta(
-                registered.query,
-                registered.delta_state,
-                snapshot,
-                delta,
-                interval,
-                self._plan(registered, lambda _s, _w: snapshot),
-                expr_cache=registered._expr_cache,
-                span=stage,
-            )
-        self._record_path(
-            registered, span, "full_refresh" if stats.full_refresh else "delta"
-        )
-        registered.counters["assignments_retained"].inc(stats.retained)
-        registered.counters["assignments_recomputed"].inc(stats.recomputed)
-        return table
 
     def _match_full(
         self, registered: RegisteredQuery, interval, span
@@ -814,8 +758,8 @@ class SeraphEngine:
 
     def _record_path(self, registered: RegisteredQuery, span,
                      path: str) -> None:
-        """Which way an evaluation went: reuse | delta | full_refresh |
-        full — on its root span and as a per-query counter."""
+        """Which way an evaluation went: reuse | full — on its root span
+        and as a per-query counter."""
         span.annotate(path=path)
         registered.counters[f"path.{path}"].inc()
 
@@ -1017,7 +961,7 @@ class SeraphEngine:
                 name: {
                     **{key: registered.counters[suffix].value
                        for key, suffix in _STATUS_COUNTERS.items()},
-                    "delta_reason": registered.delta_reason,
+                    **_RETIRED_STATUS_KEYS,
                     "next_eval": registered.next_eval,
                     "done": registered.done,
                     "warnings": [str(w) for w in registered.warnings],

@@ -63,14 +63,6 @@ def explain(query: Union[str, SeraphQuery], graph=None) -> str:
            if query.references_window_bounds()
            else "not referenced (unchanged-window reuse applies)")
     )
-    from repro.seraph.delta import delta_ineligibility
-
-    reason = delta_ineligibility(query)
-    lines.append(
-        "  delta eval  : "
-        + ("eligible (incremental re-matching applies)"
-           if reason is None else f"full re-evaluation ({reason})")
-    )
     lines.append("  pipeline    :")
     step = 0
     for clause in query.body:

@@ -495,7 +495,6 @@ class SeraphService:
             "query": handle.name,
             "tenant": tenant.name,
             "warnings": [str(warning) for warning in handle.warnings],
-            "delta_reason": handle.delta_reason,
         }
 
     async def _handle_list_queries(

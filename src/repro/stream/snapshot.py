@@ -61,11 +61,9 @@ class SnapshotMaintainer:
         #: Content version: bumped by every mutation that nets a change.
         #: Equal versions ⇒ equal snapshot graphs.
         self.version = 0
-        #: Net-changed ids since the last :meth:`graph` build, and the
-        #: endpoints of every relationship key that appeared or vanished.
+        #: Net-changed ids since the last :meth:`graph` build.
         self.changed_nodes: Set[int] = set()
         self.changed_rels: Set[int] = set()
-        self.changed_endpoints: Set[int] = set()
         #: The one live snapshot graph, from the first :meth:`graph` on.
         self._graph: Optional[PropertyGraph] = None
 
@@ -101,7 +99,6 @@ class SnapshotMaintainer:
                 contribs[key] = [1, rel]
                 self.version = bumped
                 self.changed_rels.add(rel_id)
-                self.changed_endpoints.update(key[1:3])
             else:
                 slot[0] += 1
 
@@ -118,7 +115,6 @@ class SnapshotMaintainer:
                               "relationship"):
                 self.version = bumped
                 self.changed_rels.add(rel_id)
-                self.changed_endpoints.update(key[1:3])
 
     @staticmethod
     def _withdraw(table: Dict[int, Dict[Tuple, list]], entity_id: int,
@@ -222,7 +218,6 @@ class SnapshotMaintainer:
         self._graph = graph._apply(nodes, relationships, gone_nodes, gone_rels)
         changed_nodes.clear()
         changed_rels.clear()
-        self.changed_endpoints.clear()
         return graph
 
     def is_empty(self) -> bool:

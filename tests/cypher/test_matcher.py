@@ -458,7 +458,6 @@ class TestLifetime:
         try:
             matcher = matcher_for(triangle)
             assert list(matcher.match_pattern(pattern, {}))
-            assert list(matcher.match_pattern_traced(pattern, {}))
             del matcher
             assert gc.collect() == 0
         finally:

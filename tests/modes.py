@@ -20,10 +20,23 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import EngineConfig, build_engine
 from repro.graph.model import PropertyGraph
+from repro.graph.union import union as graph_union
 from repro.seraph import CollectingSink, parse_seraph
-from repro.seraph.semantics import continuous_run
+from repro.seraph.ast import SeraphMatch
+from repro.seraph.semantics import (
+    continuous_run,
+    evaluation_instants,
+    reported_interval,
+    terminal_clause,
+    window_config,
+)
+from repro.stream.report import ReportState
+from repro.stream.snapshot import snapshot_graph
 from repro.stream.stream import PropertyGraphStream, StreamElement
+from repro.stream.tvt import WIN_END, WIN_START
 from repro.stream.window import ActiveSubstreamPolicy
+
+from . import oracle
 
 #: The slow twin: every optimisation off.  The same six names
 #: ``benchmarks/e2e/check.py`` builds its oracle from; exactly these
@@ -146,3 +159,55 @@ def assert_equals_denotation(
 
 def renders(sink: CollectingSink) -> List[str]:
     return [emission.render() for emission in sink.emissions]
+
+
+def brute_force_run(text, elements, until, static_graph=None):
+    """The continuous run with every body evaluated by the oracle
+    (:mod:`tests.oracle`): each ET instant's window snapshots (the
+    static graph unioned in), the body's clauses by nested loops (a
+    clause after a MATCH reads that MATCH's window, as
+    ``semantics.execute_body`` has it), then the report policy."""
+    query = parse_seraph(text)
+    stream = PropertyGraphStream(elements)
+    report = ReportState(query.emit.policy)
+    out = {}
+    for instant in evaluation_instants(query, until):
+        def snapshot(width, instant=instant):
+            graph = snapshot_graph(window_config(query, width)
+                                   .active_substream(stream, instant))
+            if static_graph is not None:
+                graph = graph_union(static_graph, graph)
+            return graph
+
+        graph = snapshot(query.window_keys()[-1][1])
+        steps = []
+        for clause in query.body:
+            if isinstance(clause, SeraphMatch):
+                graph = snapshot(clause.within)
+                clause = clause.match
+            steps.append((clause, graph))
+        interval = reported_interval(query, instant)
+        table = oracle.run_clauses(
+            steps + [(terminal_clause(query), graph)],
+            {WIN_START: interval.start, WIN_END: interval.end},
+        )
+        out[instant] = report.apply(table)
+    return out
+
+
+def assert_equals_oracle(
+    sink: CollectingSink,
+    query_text: str,
+    elements: Sequence[StreamElement],
+    until: int,
+    static_graph: Optional[PropertyGraph] = None,
+) -> None:
+    """The run fired at the oracle's instants, and every emission is
+    bag-equal to :func:`brute_force_run`'s table of the same instant."""
+    expected = brute_force_run(query_text, elements, until, static_graph)
+    assert [emission.instant for emission in sink.emissions] \
+        == list(expected)
+    for emission in sink.emissions:
+        assert emission.table.table.bag_equals(
+            expected[emission.instant]
+        ), emission.instant

@@ -21,8 +21,7 @@ from repro.runtime.resilient_sink import RetryPolicy
 from repro.seraph import CollectingSink, SeraphEngine, explain_analyze
 from repro.usecases.micromobility import LISTING5_SERAPH, _t, figure1_stream
 
-# shortestPath is delta-ineligible, so every evaluation that is not a
-# reuse takes the full path.
+# Every evaluation that is not a reuse takes the full path.
 FULL_PATH_QUERY = """
 REGISTER QUERY paths STARTING AT 1970-01-01T00:00
 {
@@ -31,7 +30,7 @@ REGISTER QUERY paths STARTING AT 1970-01-01T00:00
   EMIT id(a) AS a, id(b) AS b SNAPSHOT EVERY PT1M
 }
 """
-PATH_STAGES = ("reuse", "match_delta", "match_full")
+PATH_STAGES = ("reuse", "match_full")
 
 
 @pytest.fixture(scope="module")

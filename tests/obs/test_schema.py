@@ -29,7 +29,7 @@ HISTOGRAM_KEYS = {"count", "sum", "min", "max", "mean", "p50", "p95", "p99"}
 
 GOLDEN_QUERY_KEYS = {
     "assignments_recomputed", "assignments_retained", "delta",
-    "delta_full_refreshes", "delta_reason", "done", "evaluations",
+    "delta_full_refreshes", "done", "evaluations",
     "next_eval", "plan_compiles", "plan_operators",
     "reused", "warnings",
 }
@@ -104,7 +104,7 @@ class TestGoldenStatusShape:
         }
         assert base <= counters
         # Which way each evaluation went (Figure 1: full matches and
-        # reuse; Listing 5 is delta-ineligible).
+        # reuse, the only two paths).
         paths = {name for name in counters
                  if name.startswith("query.student_trick.path.")}
         assert {name for name in paths if metrics["counters"][name]} \
@@ -114,8 +114,7 @@ class TestGoldenStatusShape:
         # The query's own ledger — what status() reads.
         ledger = {
             f"query.student_trick.{suffix}"
-            for suffix in ("evaluations", "assignments_retained",
-                           "assignments_recomputed", "plan_compiles")
+            for suffix in ("evaluations", "plan_compiles")
         }
         assert ledger <= counters
         assert metrics["counters"]["query.student_trick.evaluations"] == 12

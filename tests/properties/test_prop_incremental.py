@@ -1,7 +1,10 @@
-"""Property-based correctness of the delta-driven incremental path:
-production engine emissions (delta path included) must bag-equal the
-denotational :func:`continuous_run` on random streams and random window
-configurations — the same contract the full-evaluation engine carries.
+"""Property: incremental equals from-scratch at every instant.
+
+The production engine — net-change window maintenance, the snapshot
+graph patched in place, unchanged-window reuse, compiled plans — must
+bag-equal the denotational :func:`continuous_run` per emission on random
+streams and random window configurations, and so must the reference
+twin that re-unions and re-evaluates everything.
 """
 
 import random
@@ -17,9 +20,9 @@ from repro.stream.stream import PropertyGraphStream
 
 from ..modes import MODES, assert_equals_denotation, run_mode
 
-# Mostly delta-eligible shapes (single MATCH, finite patterns); the last
-# two fall back (shortestPath; win-bounds reference), keeping the
-# fallback path under the same property.
+# Single-MATCH shapes: fixed and bounded variable-length paths with and
+# without WHERE, aggregation, shortestPath, and a win-bounds reference
+# (which turns reuse off).
 QUERY_TEMPLATES = [
     """REGISTER QUERY q STARTING AT 1970-01-01T00:00
        {{ MATCH (a)-[r:SENT]->(b) WITHIN {width}
@@ -71,7 +74,7 @@ def scenario(draw):
     return elements, parse_seraph(text)
 
 
-class TestNetDirtyAcrossModes:
+class TestNetChangeAcrossModes:
     @given(data=scenario(), mode=st.sampled_from(sorted(MODES)),
            static=st.booleans())
     @settings(max_examples=80, deadline=None)
@@ -88,10 +91,10 @@ class TestNetDirtyAcrossModes:
                                  static_graph=static_graph)
 
 
-class TestDeltaPathEqualsDenotational:
+class TestProductionEqualsDenotational:
     @given(data=scenario())
     @settings(max_examples=60, deadline=None)
-    def test_engine_with_delta_matches_continuous_run(self, data):
+    def test_production_matches_continuous_run(self, data):
         elements, query = data
         engine = SeraphEngine()
         sink = CollectingSink()
@@ -117,7 +120,7 @@ class TestDeltaPathEqualsDenotational:
             engine.register(query, sink=sink)
             engine.run_stream(elements)
             results.append(sink.emissions)
-        with_delta, without = results
-        assert len(with_delta) == len(without)
-        for left, right in zip(with_delta, without):
+        production, reference = results
+        assert len(production) == len(reference)
+        for left, right in zip(production, reference):
             assert left.table.bag_equals(right.table)

@@ -17,8 +17,8 @@ from repro.runtime import Ingress
 from repro.seraph import CollectingSink, SeraphEngine
 
 # Distinct body shapes; {name} keeps concurrently registered queries
-# apart.  The shortestPath and win-bounds shapes are delta-ineligible,
-# so random query sets mix the delta and the full path.
+# apart.  The win-bounds shape never reuses, so random query sets mix
+# reused and fully matched evaluations.
 QUERY_TEMPLATES = [
     """REGISTER QUERY {name} STARTING AT 1970-01-01T00:00
        {{ MATCH (a)-[r:SENT]->(b) WITHIN {width}

@@ -9,9 +9,8 @@ window configurations:
   per-evaluation planner, so row order inside a table can differ, never
   the bag;
 * in either mode, the engine with an ingress stays **byte-identical**
-  to the plain run in that mode — compiled plans feed the delta path
-  behind the reorder buffer without changing a single rendered
-  emission.
+  to the plain run in that mode — compiled plans run behind the reorder
+  buffer without changing a single rendered emission.
 
 The query pool deliberately includes a property-map anchor
 (``{weight: 42}``) so IndexSeek runs against randomly generated data
@@ -117,7 +116,7 @@ class TestPhysicalEqualsInterpreted:
 class TestPhysicalMatrix:
     @given(data=scenario())
     @settings(max_examples=25, deadline=None)
-    def test_resilient_delta_matrix(self, data):
+    def test_resilient_matrix(self, data):
         elements, texts, reference = data
         serial = _run(
             SeraphEngine(reference=reference), elements, texts

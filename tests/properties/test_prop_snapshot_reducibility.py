@@ -99,8 +99,8 @@ class TestEngineEqualsDenotation:
            policy=st.sampled_from(list(ActiveSubstreamPolicy)))
     @settings(max_examples=40, deadline=None)
     def test_engine_matches_reference(self, data, reference, policy):
-        """Production (incremental snapshots, reuse, delta path) and the
-        reference twin both equal the denotation."""
+        """Production (incremental snapshots, reuse, compiled plans) and
+        the reference twin both equal the denotation."""
         elements, query = data
         until = elements[-1].instant
         engine = SeraphEngine(policy=policy, reference=reference)

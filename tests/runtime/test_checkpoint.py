@@ -10,6 +10,7 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.model import Node, Path, Relationship
 from repro.graph.table import Record, Table
 from repro.runtime.checkpoint import (
+    checkpoint_to_json,
     decode_value,
     encode_value,
     engine_from_dict,
@@ -229,6 +230,39 @@ class TestConfigRoundTrip:
         assert restored.reference is engine.reference
         assert restored.obs.enabled is observability
         assert (restored.ingress is not None) is resilient
+
+    def test_a_registered_reference_twin_round_trips(self):
+        engine = SeraphEngine(reference=True)
+        engine.register(COUNT_QUERY, sink=CollectingSink())
+        restored = engine_from_json(checkpoint_to_json(engine))
+        assert restored.reference is True
+        assert restored.query_names == ["rentals"]
+
+    def test_a_document_without_delta_eval_restores_production(self):
+        engine = SeraphEngine()
+        engine.register(COUNT_QUERY, sink=CollectingSink())
+        document = json.loads(checkpoint_to_json(engine))
+        del document["config"]["delta_eval"]
+        restored = engine_from_json(json.dumps(document))
+        assert restored.reference is False
+
+    def test_counters_of_the_removed_delta_path_are_ignored(self):
+        """Documents written while the delta path existed carry its
+        counters; they restore, and the status keys stay zero."""
+        engine = SeraphEngine()
+        engine.register(COUNT_QUERY)
+        engine.run_stream(figure1_stream()[:3])
+        document = engine_to_dict(engine)
+        document["queries"][0]["counters"].update({
+            "path.delta": 4, "path.full_refresh": 2,
+            "assignments_retained": 9, "assignments_recomputed": 3,
+        })
+        restored = engine_from_dict(document).status()["queries"]["rentals"]
+        for key in ("delta", "delta_full_refreshes",
+                    "assignments_retained", "assignments_recomputed"):
+            assert restored[key] == 0, key
+        assert restored["evaluations"] \
+            == engine.status()["queries"]["rentals"]["evaluations"] > 0
 
     def test_an_absent_mode_field_restores_its_default(self):
         """Removing a mode field later needs no version bump."""

@@ -23,25 +23,14 @@ oracle (:mod:`tests.oracle`) on the same window snapshot.
 import pytest
 
 from repro.graph.builder import GraphBuilder
-from repro.seraph.ast import SeraphMatch
-from repro.seraph.parser import parse_seraph
-from repro.seraph.semantics import (
-    evaluation_instants,
-    reported_interval,
-    terminal_clause,
-    window_config,
-)
-from repro.stream.report import ReportState
-from repro.stream.snapshot import snapshot_graph
-from repro.stream.stream import PropertyGraphStream, StreamElement
-from repro.stream.tvt import WIN_END, WIN_START
+from repro.stream.stream import StreamElement
 from repro.stream.window import ActiveSubstreamPolicy
 
-from .. import oracle
 from ..modes import (
     MODES,
     STACKS,
     assert_equals_denotation,
+    assert_equals_oracle,
     renders,
     run_mode,
 )
@@ -182,36 +171,6 @@ def test_every_case_compiles_to_a_plan(stream, case_id, body, expected, hoist):
         assert list(table.records) == list(reference.records)
 
 
-def brute_force_run(text, elements, until):
-    """The continuous run with every body evaluated by the oracle: each
-    ET instant's window snapshots, the body's clauses by nested loops
-    (a clause after a MATCH reads that MATCH's window, as
-    ``semantics.execute_body`` has it), then the report policy."""
-    query = parse_seraph(text)
-    stream = PropertyGraphStream(elements)
-    report = ReportState(query.emit.policy)
-    out = {}
-    for instant in evaluation_instants(query, until):
-        def snapshot(width, instant=instant):
-            return snapshot_graph(window_config(query, width)
-                                  .active_substream(stream, instant))
-
-        graph = snapshot(query.window_keys()[-1][1])
-        steps = []
-        for clause in query.body:
-            if isinstance(clause, SeraphMatch):
-                graph = snapshot(clause.within)
-                clause = clause.match
-            steps.append((clause, graph))
-        interval = reported_interval(query, instant)
-        table = oracle.run_clauses(
-            steps + [(terminal_clause(query), graph)],
-            {WIN_START: interval.start, WIN_END: interval.end},
-        )
-        out[instant] = report.apply(table)
-    return out
-
-
 @pytest.mark.parametrize("mode", MODES)
 @BY_CASE
 def test_every_instant_equals_the_brute_force_oracle(
@@ -219,13 +178,7 @@ def test_every_instant_equals_the_brute_force_oracle(
 ):
     until = max(expected)
     sink = run_mode(mode, wrap(body), stream, until)
-    oracle_run = brute_force_run(wrap(body), stream, until)
-    assert [emission.instant for emission in sink.emissions] \
-        == list(oracle_run)
-    for emission in sink.emissions:
-        assert emission.table.table.bag_equals(oracle_run[emission.instant]), (
-            f"{case_id} @ {emission.instant}"
-        )
+    assert_equals_oracle(sink, wrap(body), stream, until)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -1,10 +1,9 @@
 """Engine-level physical plan integration.
 
 The engine compiles each registered query once (per statistics band),
-executes the compiled plan on full evaluations, feeds its pre-planned
-pattern to the delta path, and surfaces compiles / cache hit-rate /
-the per-operator ``PlanProfile`` through ``status()`` and ``EXPLAIN
-ANALYZE``.  The reference twin compiles the same stages un-hoisted
+executes the compiled plan on every evaluation it does not reuse, and
+surfaces compiles / cache hit-rate / the per-operator ``PlanProfile``
+through ``status()`` and ``EXPLAIN ANALYZE``.  The reference twin compiles the same stages un-hoisted
 (planned per evaluation) with identical results.
 """
 
@@ -15,9 +14,10 @@ from repro.seraph.explain import explain, explain_analyze
 from repro.usecases.micromobility import _t, figure1_stream
 
 from ..modes import SLOW_TWIN
+from .test_net_change import overlapping_stream
 
-#: Reading ``win_end`` keeps it off the delta path and off reuse: every
-#: evaluation runs the compiled plan, seek included.
+#: Reading ``win_end`` keeps it off reuse: every evaluation runs the
+#: compiled plan, seek included.
 SEEK_QUERY = """
 REGISTER QUERY anna_rentals STARTING AT 2022-08-01T14:45
 {
@@ -172,3 +172,46 @@ class TestShortestPathProfile:
         assert expanded > 0
         analyzed = explain_analyze(engine, "routes")
         assert f"[op {op.op_id}] rows={expanded}" in analyzed
+
+
+class TestProfileOfASingleMatch:
+    """A single fixed-length ``MATCH`` with no window-bound reference
+    runs the compiled plan like every other query, so ``EXPLAIN
+    ANALYZE`` counts its rows (it used to print ``rows=0`` on every
+    operator of such a query)."""
+
+    QUERY = """
+    REGISTER QUERY chains STARTING AT 1970-01-01T00:00:08
+    {
+      MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) WITHIN PT4S
+      EMIT id(a) AS a, id(c) AS c ON ENTERING EVERY PT1S
+    }
+    """
+
+    def run(self, observability):
+        engine = build_engine(EngineConfig(observability=observability))
+        registered = engine.register(self.QUERY)
+        # Every window from the first evaluation on holds four elements:
+        # one statistics band, one compiled plan.
+        engine.run_stream(overlapping_stream(24), until=24)
+        assert registered.counters["plan_compiles"].value == 1
+        return engine, registered
+
+    def test_the_scan_and_every_hop_count_rows(self):
+        engine, registered = self.run(observability=False)
+        ops = registered.physical_plan.operators()
+        assert [op.kind for op in ops] \
+            == ["LabelScan", "ExpandHop", "ExpandHop", "Project"]
+        for op in ops:
+            assert registered.profile.rows.get(op.op_id, 0) > 0, op.kind
+        analyzed = explain_analyze(engine, "chains")
+        for op in ops:
+            assert f"[op {op.op_id}] rows={registered.profile.rows[op.op_id]}" \
+                in analyzed
+
+    def test_the_registry_counts_the_same_rows(self):
+        engine, registered = self.run(observability=True)
+        registry = engine.obs.registry
+        assert registered.profile.rows
+        for op_id, rows in registered.profile.rows.items():
+            assert registry.value(f"query.chains.op.{op_id}.rows") == rows

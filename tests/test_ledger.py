@@ -37,7 +37,7 @@ ENGINE_PATHS = {
     "queries.student_trick.assignments_retained",
     "queries.student_trick.delta",
     "queries.student_trick.delta_full_refreshes",
-    "queries.student_trick.delta_reason", "queries.student_trick.done",
+    "queries.student_trick.done",
     "queries.student_trick.evaluations", "queries.student_trick.next_eval",
     "queries.student_trick.plan_compiles",
     "queries.student_trick.plan_operators", "queries.student_trick.reused",
