@@ -4,7 +4,7 @@
 Runs the fraud-detection query over a synthetic RideAnywhere day and
 prints the measurements a systems evaluation would report — comparing
 the production engine (incremental snapshots, unchanged-window reuse,
-hoisted plans) with its from-scratch reference twin.
+one compiled plan per query) with its from-scratch reference twin.
 
 Run:  python examples/engine_metrics.py
 """

@@ -148,17 +148,14 @@ class QueryEvaluator:
         clause: ast.Match,
         table: Table,
         pattern: Optional[ast.Pattern] = None,
-        anchor_factory: Optional[Any] = None,
         count: Optional[Any] = None,
     ) -> Table:
         """Apply a MATCH clause.
 
         The optional hooks serve physical plan execution: ``pattern`` is
-        a pre-planned pattern (skips the per-evaluation planner run),
-        ``anchor_factory(scope)`` yields an ordered start-candidate
-        sequence for the first path (an index seek) or ``None`` to scan,
-        and ``count(step, rows)`` receives per-record "match" and
-        "filter" row counts.
+        a pre-planned pattern (skips the per-evaluation planner run), and
+        ``count("filter", rows)`` receives each record's surviving row
+        count.
         """
         free = clause.pattern.free_variables()
         out_fields = set(table.fields) | set(free)
@@ -175,16 +172,11 @@ class QueryEvaluator:
         out: List[Record] = []
         for record in table:
             scope = self._scope(record)
-            anchor = anchor_factory(scope) if anchor_factory is not None else None
-            matched = 0
             survivors: List[Record] = []
-            for new_bindings in self.matcher.match_pattern(
-                pattern, scope, anchor_nodes=anchor
-            ):
+            for new_bindings in self.matcher.match_pattern(pattern, scope):
                 # Free variables already bound by the incoming record stay
                 # as they are; the match only adds the genuinely new names,
                 # so merged.domain == out_fields by construction.
-                matched += 1
                 merged = record.merged(Record(new_bindings))
                 if where_fn is not None and not is_true(
                     where_fn(self.evaluator, self._scope(merged))
@@ -192,7 +184,6 @@ class QueryEvaluator:
                     continue
                 survivors.append(merged.project(out_fields))
             if count is not None:
-                count("match", matched)
                 count("filter", len(survivors))
             if survivors:
                 out.extend(survivors)

@@ -22,7 +22,6 @@ from typing import (
     Any,
     Dict,
     FrozenSet,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -126,27 +125,16 @@ class PatternMatcher:
     # -- public API ---------------------------------------------------------
 
     def match_pattern(
-        self,
-        pattern: ast.Pattern,
-        scope: Mapping[str, Any],
-        anchor_nodes: Optional[Iterable[Node]] = None,
+        self, pattern: ast.Pattern, scope: Mapping[str, Any]
     ) -> Iterator[Bindings]:
         """Yield the new-bindings records ``u'`` for each match of the
         whole comma-separated pattern, honouring relationship uniqueness
-        across all its path patterns.
-
-        ``anchor_nodes`` — an *ordered* candidate sequence that replaces
-        the first path's start-node enumeration (physical index seeks).
-        Candidates are still checked against the node pattern, so any
-        superset of the true matches in global node order is sound.  It
-        is ignored when the first path is a shortestPath or its start
-        variable is already bound in ``scope``.
-        """
+        across all its path patterns."""
         initial = frozenset(scope)
         if self.hop_counts is not None:
             self._register_paths(pattern)
         for bindings, _used in self._match_paths(
-            list(pattern.paths), dict(scope), frozenset(), anchor_nodes
+            list(pattern.paths), dict(scope), frozenset()
         ):
             yield {
                 name: value for name, value in bindings.items()
@@ -167,14 +155,13 @@ class PatternMatcher:
         paths: List[ast.PathPattern],
         bindings: Bindings,
         used: UsedRels,
-        anchor_nodes: Optional[Iterable[Node]] = None,
     ) -> Iterator[Tuple[Bindings, UsedRels]]:
         if not paths:
             yield bindings, used
             return
         head, tail = paths[0], paths[1:]
         for new_bindings, new_used in self._match_single_path(
-            head, bindings, used, anchor_nodes
+            head, bindings, used
         ):
             yield from self._match_paths(tail, new_bindings, new_used)
 
@@ -185,23 +172,12 @@ class PatternMatcher:
         path: ast.PathPattern,
         bindings: Bindings,
         used: UsedRels,
-        anchor_nodes: Optional[Iterable[Node]] = None,
     ) -> Iterator[Tuple[Bindings, UsedRels]]:
         if path.shortest is not None:
             yield from self._match_shortest(path, bindings, used)
             return
-        start_pattern = path.nodes[0]
-        start_unbound = not (
-            start_pattern.variable is not None
-            and start_pattern.variable in bindings
-        )
         slot = self._count_slot(path, -1)
-        if anchor_nodes is not None and start_unbound:
-            # Physical index seek: an ordered superset of the matches.
-            starts: Iterable[Node] = anchor_nodes
-        else:
-            starts = self._node_candidates(start_pattern, bindings)
-        for start in starts:
+        for start in self._node_candidates(path.nodes[0], bindings):
             if slot is not None:
                 slot[0] += 1
             start_bindings = self._bind_node(path.nodes[0], start, bindings)

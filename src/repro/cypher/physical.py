@@ -4,40 +4,28 @@ The reference pipeline (:func:`repro.seraph.semantics.execute_body`, the
 test oracle) re-plans every MATCH pattern and re-walks the AST on every
 snapshot.  This module lowers a registered Seraph query *once* through
 the heuristic planner (:mod:`repro.cypher.planner`) into a pipeline of
-physical stages whose operator tree names the access paths — IndexSeek /
-LabelScan / AllNodesScan / ExpandHop / VarLengthExpand / ShortestPath /
-Filter / Project / Aggregate / Distinct / OrderBy — the first of the
-paper's Section 6 "query planning at different levels" rounds taken to
-its physical conclusion.
+physical stages whose operator tree names the access paths — LabelScan /
+AllNodesScan / ExpandHop / VarLengthExpand / ShortestPath / Filter /
+Project / Aggregate / Distinct / OrderBy — the first of the paper's
+Section 6 "query planning at different levels" rounds taken to its
+physical conclusion.
 
 The plan is *total* and the only body executor in production: every
 query ``SeraphEngine.register`` accepts compiles (:func:`check_lowerable`
 rejects the rest at registration), and every evaluation the engine does
-not reuse runs a :class:`PhysicalPlan`.
-``compile_query(..., hoist=False)`` — what the reference twin runs —
-compiles the same stages without hoisting anything out of the
-evaluation: each pattern is planned against the live snapshot and no
-seek is taken, step for step what the reference pipeline does.  What an
-execution counted travels in one :class:`PlanProfile`.
+not reuse runs the :class:`PhysicalPlan` compiled at the registration's
+first full evaluation.  What an execution counted travels in one
+:class:`PlanProfile`.
 
-Three design rules keep hoisted execution byte-identical to the
-reference pipeline:
-
-* **Supersets, not substitutes** — an IndexSeek replaces only the start
-  *enumeration* of the first path; the matcher still checks every label
-  and property on the pattern, so an index bucket that over-approximates
-  (mixed ``1``/``1.0`` buckets) cannot change results.
-* **Global node order** — the graph mutator
-  (:meth:`PropertyGraph._apply`) keeps one total node order shared by
-  node scans, label buckets, and property buckets, so a seek enumerates
-  the same subsequence a scan would.
-* **Scan on anything unusual** — an unindexable anchor value (null,
-  NaN, lists) or an anchor expression that raises degrades to the exact
-  scan the reference pipeline runs.
+Planning only reorders and re-orients path patterns, so a plan compiled
+under one snapshot's statistics computes the same bag on every other
+snapshot: the choices it fixes change enumeration order and cost, never
+results.  Enumeration stays deterministic because the graph mutator
+(:meth:`PropertyGraph._apply`) keeps one total node order shared by node
+scans and label buckets.
 
 Plans are plain frozen dataclasses over AST nodes, statistics-free, so
-one plan object serves every snapshot until the plan cache invalidates
-it.
+one plan object serves every snapshot of a registration.
 """
 
 from __future__ import annotations
@@ -67,7 +55,6 @@ from repro.stream.tvt import WIN_END, WIN_START
 __all__ = [
     "PhysicalOp",
     "PhysicalPlan",
-    "IndexSeekSpec",
     "MatchStage",
     "UnwindStage",
     "ProjectStage",
@@ -99,47 +86,22 @@ class PhysicalOp:
 
 
 @dataclass(frozen=True)
-class IndexSeekSpec:
-    """An anchor served from the (label, property-key, value) index.
-
-    ``value_expr`` is evaluated against the incoming record's scope at
-    runtime; a value the index cannot serve falls back to the scan the
-    interpreted matcher would have run.
-    """
-
-    label: str
-    key: str
-    value_expr: ast.Expression
-    op_id: int
-
-
-@dataclass(frozen=True)
 class MatchStage:
-    """A MATCH: its pattern hoisted (planned at compile time, with an
-    optional seek) or, with ``pattern`` ``None``, planned per evaluation.
+    """A MATCH with its pattern planned at compile time.
 
     ``ops`` names the operators this stage's accounting lands on: the
-    evaluator's ``"match"`` / ``"filter"`` row counts and, for a hoisted
-    pattern, the matcher's per-``(path, hop)`` candidate counts — hop
-    ``-1`` is a path's start enumeration (its anchor op), hop ``k`` its
-    k-th relationship pattern.  A shortestPath path has the one entry
-    ``(path, 0)``, with the meaning every hop has: candidates expanded
-    before target filtering, i.e. the relationships its searches
-    expanded.
+    evaluator's ``"filter"`` row counts and the matcher's per-``(path,
+    hop)`` candidate counts — hop ``-1`` is a path's start enumeration
+    (its anchor op), hop ``k`` its k-th relationship pattern.  A
+    shortestPath path has the one entry ``(path, 0)``, with the meaning
+    every hop has: candidates expanded before target filtering, i.e. the
+    relationships its searches expanded.
     """
 
     clause: ast.Match
     window_key: Tuple[str, int]
-    pattern: Optional[ast.Pattern]
-    seek: Optional[IndexSeekSpec]
+    pattern: ast.Pattern
     ops: Mapping[Any, int] = field(default_factory=dict)
-
-    def planned(self, graph: PropertyGraph, bound: frozenset) -> ast.Pattern:
-        """The pattern to match on ``graph``: the hoisted one, else the
-        source pattern planned now (``bound`` = names already in scope)."""
-        if self.pattern is not None:
-            return self.pattern
-        return plan_pattern(self.clause.pattern, graph, bound)
 
 
 @dataclass(frozen=True)
@@ -169,8 +131,6 @@ Stage = Union[MatchStage, UnwindStage, ProjectStage]
 class PhysicalPlan:
     """A compiled query: executable stages plus the renderable op tree."""
 
-    query_text: str
-    band: tuple
     root: PhysicalOp
     stages: Tuple[Stage, ...]
     op_count: int
@@ -223,39 +183,9 @@ class PlanProfile:
 # ---------------------------------------------------------------------------
 
 
-def _seek_for(
-    path: ast.PathPattern,
-    bound: Set[str],
-    stats,
-    next_id: Callable[[], int],
-) -> Optional[IndexSeekSpec]:
-    """An index-seek spec for the path's start anchor, if one applies.
-
-    Eligible when the first node has both labels and a property map and
-    its variable is not statically bound (a bound variable makes the
-    matcher enumerate the single binding — already optimal).  The rarest
-    label (by the compile-time statistics band) and the first property
-    key are chosen; the matcher re-checks everything, so the choice
-    affects speed only, never results.
-    """
-    if path.shortest is not None:
-        return None
-    start = path.nodes[0]
-    if not start.labels or not start.properties:
-        return None
-    if start.variable is not None and start.variable in bound:
-        return None
-    label = min(start.labels, key=lambda name: (stats.label_count(name), name))
-    key, value_expr = start.properties[0]
-    return IndexSeekSpec(
-        label=label, key=key, value_expr=value_expr, op_id=next_id()
-    )
-
-
 def _pattern_ops(
     pattern: ast.Pattern,
     bound: Set[str],
-    seek: Optional[IndexSeekSpec],
     next_id: Callable[[], int],
     upstream: Optional[PhysicalOp],
 ) -> Tuple[PhysicalOp, Dict[Any, int]]:
@@ -284,15 +214,10 @@ def _pattern_ops(
             )
         ):
             kind = "BoundAnchor"
-        elif index == 0 and seek is not None:
-            kind = "IndexSeek"
-            detail += (
-                f" via (:{seek.label}).{seek.key} = {seek.value_expr.render()}"
-            )
         elif start.labels:
             kind = "LabelScan"
         anchor = PhysicalOp(
-            op_id=seek.op_id if kind == "IndexSeek" else next_id(),
+            op_id=next_id(),
             kind=kind,
             detail=detail,
             children=(current,) if current is not None else (),
@@ -383,22 +308,14 @@ def check_lowerable(query) -> None:
 
 
 def compile_query(
-    query,
-    stats_for: Optional[Callable[[str, int], Any]],
-    band: tuple = (),
-    hoist: bool = True,
+    query, stats_for: Callable[[str, int], Any]
 ) -> "PhysicalPlan":
     """Lower a :class:`~repro.seraph.ast.SeraphQuery` to a physical plan.
 
-    ``stats_for(stream, width)`` supplies the planner statistics (a
-    :class:`~repro.cypher.planner.GraphStatistics` or a graph) for each
-    window; they fix join order, orientation, and seek choices for the
-    plan's lifetime.  ``band`` records the statistics band the plan was
-    costed under (see :mod:`repro.cypher.plan_cache`).
-
-    ``hoist=False`` reads no statistics: every MATCH becomes one opaque
-    ``Match`` operator whose pattern is planned per evaluation, without a
-    seek — the reference pipeline's behaviour, as a plan.
+    ``stats_for(stream, width)`` supplies the planner statistics (any
+    object with a graph's ``order``/``label_count``, usually the window's
+    snapshot) for each window; they fix join order and orientation for
+    the plan's lifetime.
     """
     from repro.seraph.ast import SeraphMatch
     from repro.seraph.semantics import terminal_clause
@@ -419,20 +336,11 @@ def compile_query(
 
     def lower_match(clause: ast.Match, window_key: Tuple[str, int]) -> None:
         nonlocal root, fields
-        if hoist:
-            stats = stats_for(*window_key)
-            bound = base_names | fields
-            pattern = plan_pattern(clause.pattern, stats, frozenset(bound))
-            seek = _seek_for(pattern.paths[0], bound, stats, next_id)
-            root, ops = _pattern_ops(pattern, bound, seek, next_id, root)
-        else:
-            pattern = seek = None
-            root = PhysicalOp(
-                op_id=next_id(), kind="Match",
-                detail=clause.pattern.render(),
-                children=(root,) if root is not None else (),
-            )
-            ops = {"match": root.op_id}
+        bound = base_names | fields
+        pattern = plan_pattern(
+            clause.pattern, stats_for(*window_key), frozenset(bound)
+        )
+        root, ops = _pattern_ops(pattern, bound, next_id, root)
         if clause.where is not None:
             root = PhysicalOp(
                 op_id=next_id(), kind="Filter",
@@ -446,7 +354,7 @@ def compile_query(
         stages.append(
             MatchStage(
                 clause=clause, window_key=window_key, pattern=pattern,
-                seek=seek, ops=ops,
+                ops=ops,
             )
         )
         fields |= set(clause.pattern.free_variables())
@@ -492,47 +400,12 @@ def compile_query(
             lower_projection(clause, default_key)
     lower_projection(terminal_clause(query), default_key)
     assert root is not None
-    return PhysicalPlan(
-        query_text=query.text,
-        band=band,
-        root=root,
-        stages=tuple(stages),
-        op_count=counter[0],
-    )
+    return PhysicalPlan(root=root, stages=tuple(stages), op_count=counter[0])
 
 
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
-
-
-def _anchor_factory(
-    seek: IndexSeekSpec, evaluator: QueryEvaluator, profile: PlanProfile
-):
-    """The per-record start-candidate hook for a MatchStage's seek.
-
-    Returns ``None`` (scan) whenever the index cannot help — value not
-    indexable, or the anchor expression raising — so error behaviour and
-    enumeration order match the reference pipeline exactly.  The seek
-    op's rows count *index-served* candidates only (a scan fallback
-    leaves the op absent — the observable that seeks are being taken);
-    the matcher's own start-enumeration accounting covers the scan
-    anchors.
-    """
-    value_fn = evaluator._compiled(seek.value_expr)
-    graph = evaluator.graph
-
-    def anchor(scope: Mapping[str, Any]):
-        try:
-            value = value_fn(evaluator.evaluator, scope)
-        except Exception:
-            return None  # let the scan raise identically
-        candidates = graph.nodes_with_property(seek.label, seek.key, value)
-        if candidates is not None:
-            profile.add_rows(seek.op_id, len(candidates))
-        return candidates
-
-    return anchor
 
 
 def execute_plan(
@@ -545,11 +418,9 @@ def execute_plan(
     """Run a compiled plan over per-window snapshot graphs.
 
     Same snapshot provider contract, ``win_start``/``win_end`` scope
-    injection and result as the reference
-    :func:`repro.seraph.semantics.execute_body` — but (for a hoisted
-    plan) no per-evaluation planning, and index-seek anchors where the
-    plan provides them.  ``profile`` receives the rows each operator
-    produced.
+    injection and result bag as the reference
+    :func:`repro.seraph.semantics.execute_body` — but no per-evaluation
+    planning.  ``profile`` receives the rows each operator produced.
     """
     if profile is None:
         profile = PlanProfile()
@@ -566,29 +437,18 @@ def execute_plan(
             )
         count = profile.counter(stage.ops)
         if isinstance(stage, MatchStage):
-            # A hoisted pattern's operators take the matcher's per-hop
+            # The pattern's operators take the matcher's per-hop
             # candidate counts (expanded before target filtering — a
             # VarLengthExpand counts every traversed edge at every
-            # depth); an un-hoisted Match op takes the matched rows.
-            hops: Optional[dict] = {} if stage.pattern is not None else None
+            # depth).
+            hops: dict = {}
             evaluator.matcher.hop_counts = hops
             table = evaluator._apply_match(
-                stage.clause,
-                table,
-                pattern=stage.planned(
-                    evaluator.graph, frozenset(base_scope) | table.fields
-                ),
-                anchor_factory=(
-                    _anchor_factory(stage.seek, evaluator, profile)
-                    if stage.seek is not None else None
-                ),
-                count=count,
+                stage.clause, table, pattern=stage.pattern, count=count
             )
             evaluator.matcher.hop_counts = None
-            for key, (candidates,) in (hops or {}).items():
-                op_id = stage.ops[key]
-                if stage.seek is None or op_id != stage.seek.op_id:
-                    profile.add_rows(op_id, candidates)
+            for key, (candidates,) in hops.items():
+                profile.add_rows(stage.ops[key], candidates)
         elif isinstance(stage, UnwindStage):
             table = evaluator._apply_unwind(stage.clause, table)
             count("unwind", len(table))

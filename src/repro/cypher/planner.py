@@ -18,8 +18,7 @@ data sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Set, Tuple
+from typing import FrozenSet, List, Set
 
 from repro.cypher import ast
 from repro.graph.model import PropertyGraph
@@ -34,37 +33,6 @@ _PROPERTY_FACTOR = 0.1
 #: :func:`plan_pattern`'s greedy ordering.  The epsilon keeps relative
 #: selectivity meaningful while staying far below one real node.
 _MIN_ANCHOR = 1e-6
-
-
-@dataclass(frozen=True)
-class GraphStatistics:
-    """The cheap cardinality statistics the planner consumes.
-
-    A plain-data stand-in for a :class:`PropertyGraph` in every planner
-    cost function (duck-typed: ``order``/``size``/``label_count``/
-    ``rel_type_count``), so compiled plans can be costed — and cache
-    invalidation bands computed — without holding a graph snapshot.
-    """
-
-    order: int = 0
-    size: int = 0
-    label_counts: Mapping[str, int] = field(default_factory=dict)
-    rel_type_counts: Mapping[str, int] = field(default_factory=dict)
-
-    @staticmethod
-    def of(graph: "PropertyGraph") -> "GraphStatistics":
-        return GraphStatistics(
-            order=graph.order,
-            size=graph.size,
-            label_counts=graph.label_counts(),
-            rel_type_counts=graph.rel_type_counts(),
-        )
-
-    def label_count(self, label: str) -> int:
-        return self.label_counts.get(label, 0)
-
-    def rel_type_count(self, rel_type: str) -> int:
-        return self.rel_type_counts.get(rel_type, 0)
 
 
 def node_anchor_cost(

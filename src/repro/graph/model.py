@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Any, Collection, Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.errors import GraphConsistencyError
-from repro.graph.values import NULL, property_index_key
+from repro.graph.values import NULL
 
 NodeId = int
 RelationshipId = int
@@ -34,29 +34,6 @@ def _freeze_properties(properties: Optional[Mapping[str, Any]]) -> Mapping[str, 
     if not properties:
         return _EMPTY_MAP
     return MappingProxyType(dict(properties))
-
-
-def _prop_entries(node: "Node") -> Iterator[Tuple[Tuple[str, str], tuple]]:
-    """All ((label, property-key), value-bucket-key) entries of a node."""
-    for label in node.labels:
-        for key, value in node.properties.items():
-            value_key = property_index_key(value)
-            if value_key is not None:
-                yield (label, key), value_key
-
-
-def _index_node(index: Dict[Tuple[str, str], Dict], node: "Node") -> None:
-    """Append ``node`` to the end of each of its property-index buckets."""
-    for label_key, value_key in _prop_entries(node):
-        index.setdefault(label_key, {}).setdefault(value_key, {})[node.id] = None
-
-
-def _count_down(counts: Dict[str, int], key: str) -> None:
-    count = counts[key] - 1
-    if count:
-        counts[key] = count
-    else:
-        del counts[key]
 
 
 def _same_node(left: "Node", right: "Node") -> bool:
@@ -130,16 +107,6 @@ class Relationship:
         """Property lookup; missing keys yield Cypher ``null``."""
         return self.properties.get(key, NULL)
 
-    def other_end(self, node_id: NodeId) -> NodeId:
-        """The endpoint opposite to ``node_id`` (for undirected traversal)."""
-        if node_id == self.src:
-            return self.trg
-        if node_id == self.trg:
-            return self.src
-        raise GraphConsistencyError(
-            f"node {node_id} is not an endpoint of relationship {self.id}"
-        )
-
     def __reduce__(self):
         return (
             Relationship,
@@ -184,17 +151,8 @@ class PropertyGraph:
     _by_label: Mapping[str, Collection[NodeId]] = field(
         default_factory=dict, repr=False, compare=False
     )
-    _by_type: Mapping[str, int] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    #: Lazily-built (label, property-key) → {value bucket → node-id
-    #: dict-set} equality index.  ``None`` until first use; :meth:`_apply`
-    #: maintains a materialized index in place.
-    _prop_index: Optional[
-        Dict[Tuple[str, str], Dict[tuple, Dict[NodeId, None]]]
-    ] = field(default=None, repr=False, compare=False)
     #: A live graph's raw maps behind the views above (nodes,
-    #: relationships, out, in, by-label, by-type); ``None`` when built.
+    #: relationships, out, in, by-label); ``None`` when built.
     _live: Optional[Tuple[dict, ...]] = field(
         default=None, repr=False, compare=False
     )
@@ -232,9 +190,6 @@ class PropertyGraph:
         for node in node_map.values():
             for label in node.labels:
                 by_label.setdefault(label, []).append(node.id)
-        by_type: Dict[str, int] = {}
-        for rel in rel_map.values():
-            by_type[rel.type] = by_type.get(rel.type, 0) + 1
         return PropertyGraph(
             nodes=MappingProxyType(node_map),
             relationships=MappingProxyType(rel_map),
@@ -243,7 +198,6 @@ class PropertyGraph:
             _by_label=MappingProxyType(
                 {label: tuple(ids) for label, ids in by_label.items()}
             ),
-            _by_type=MappingProxyType(by_type),
         )
 
     def patched(
@@ -265,26 +219,16 @@ class PropertyGraph:
         )
 
     def _thawed(self) -> "PropertyGraph":
-        """A live copy: the same content and enumeration orders, the
-        materialized property index included, in dict-set form."""
+        """A live copy: the same content and enumeration orders, in
+        dict-set form."""
         live = (
             dict(self.nodes),
             dict(self.relationships),
             {node_id: dict.fromkeys(ids) for node_id, ids in self._out.items()},
             {node_id: dict.fromkeys(ids) for node_id, ids in self._in.items()},
             {label: dict.fromkeys(ids) for label, ids in self._by_label.items()},
-            dict(self._by_type),
         )
-        index = self._prop_index
-        if index is not None:
-            index = {
-                label_key: {value_key: dict(ids)
-                            for value_key, ids in buckets.items()}
-                for label_key, buckets in index.items()
-            }
-        return PropertyGraph(
-            *map(MappingProxyType, live), _prop_index=index, _live=live
-        )
+        return PropertyGraph(*map(MappingProxyType, live), _live=live)
 
     def _apply(
         self,
@@ -303,17 +247,15 @@ class PropertyGraph:
         :class:`GraphConsistencyError` leaves the graph as it was.
 
         Ordering invariant: every upserted node moves to the *end* of
-        ``nodes`` and of each label/property bucket it belongs to, in
-        upsert order, and a relationship whose endpoints change moves to
-        the end of ``relationships`` and of its adjacency.  Every
-        enumeration order (node scans, label scans, index seeks,
-        expansions) is therefore the one :meth:`of` builds from the
-        ``nodes`` and ``relationships`` orders — what a pickled copy
-        (:meth:`__reduce__`) reproduces, and what makes physical index
-        seeks byte-identical to interpreted scans.
+        ``nodes`` and of each label bucket it belongs to, in upsert
+        order, and a relationship whose endpoints change moves to the end
+        of ``relationships`` and of its adjacency.  Every enumeration
+        order (node scans, label scans, expansions) is therefore the one
+        :meth:`of` builds from the ``nodes`` and ``relationships`` orders
+        — what a pickled copy (:meth:`__reduce__`) reproduces, and what
+        keeps a maintained snapshot's enumeration deterministic.
         """
-        node_map, rel_map, out_adj, in_adj, by_label, by_type = self._live
-        index = self._prop_index
+        node_map, rel_map, out_adj, in_adj, by_label = self._live
         gone_rels: Dict[RelationshipId, Relationship] = {}
         for rel_id in removed_rels:
             if rel_id not in rel_map or rel_id in gone_rels:
@@ -352,19 +294,9 @@ class PropertyGraph:
                 del bucket[node.id]
                 if not bucket:
                     del by_label[label]
-            if index is not None:
-                for label_key, value_key in _prop_entries(node):
-                    buckets = index[label_key]
-                    ids = buckets[value_key]
-                    del ids[node.id]
-                    if not ids:
-                        del buckets[value_key]
-                        if not buckets:
-                            del index[label_key]
 
         for rel in gone_rels.values():
             del rel_map[rel.id], out_adj[rel.src][rel.id], in_adj[rel.trg][rel.id]
-            _count_down(by_type, rel.type)
         # Every leaving or moving node leaves its buckets before any
         # re-enters, so a bucket emptied on the way is deleted and
         # re-created at the end, as a rebuild would order it.
@@ -382,14 +314,8 @@ class PropertyGraph:
         for node in upserts.values():
             for label in node.labels:
                 by_label.setdefault(label, {})[node.id] = None
-            if index is not None:
-                _index_node(index, node)
         for rel in rels:
             old = rel_map.get(rel.id)
-            if old is None or old.type != rel.type:
-                if old is not None:
-                    _count_down(by_type, old.type)
-                by_type[rel.type] = by_type.get(rel.type, 0) + 1
             if old is not None:
                 if (old.src, old.trg) == (rel.src, rel.trg):
                     rel_map[rel.id] = rel  # keeps its place everywhere
@@ -424,26 +350,6 @@ class PropertyGraph:
         for rel_id in self._in.get(node_id, ()):
             yield self.relationships[rel_id]
 
-    def incident(self, node_id: NodeId) -> Iterator[Relationship]:
-        """All relationships touching ``node_id`` (undirected view).
-
-        Every relationship — self-loops included — is yielded exactly
-        once, deduplicated by id.  A self-loop sits in both the outgoing
-        and the incoming index, but Cypher's undirected traversal
-        ``(a)-[r]-(b)`` visits it as a *single* candidate, producing one
-        match, not one per direction.  Direction-specific patterns go
-        through :meth:`outgoing`/:meth:`incoming` directly, where a
-        self-loop contributes one match for ``()-[]->()`` and one for
-        ``()<-[]-()``.
-        """
-        seen = set()
-        for rel in self.outgoing(node_id):
-            seen.add(rel.id)
-            yield rel
-        for rel in self.incoming(node_id):
-            if rel.id not in seen:
-                yield rel
-
     def nodes_with_labels(self, labels: Iterable[str]) -> Iterator[Node]:
         """All nodes whose label set includes every label in ``labels``.
 
@@ -465,42 +371,6 @@ class PropertyGraph:
             node = self.nodes[node_id]
             if wanted <= node.labels:
                 yield node
-
-    def _prop_buckets(
-        self,
-    ) -> Dict[Tuple[str, str], Dict[tuple, Dict[NodeId, None]]]:
-        """The (label, property-key, value) equality index, built lazily.
-
-        Buckets list node ids in global node order (``nodes`` insertion
-        order), so a seek enumerates exactly the subsequence a label scan
-        would — the invariant :meth:`_apply` maintains in place.
-        Memoized on first use; construction is O(Σ labels × properties).
-        """
-        index = self._prop_index
-        if index is None:
-            index = {}
-            for node in self.nodes.values():
-                _index_node(index, node)
-            object.__setattr__(self, "_prop_index", index)
-        return index
-
-    def nodes_with_property(
-        self, label: str, key: str, value: Any
-    ) -> Optional[Tuple[Node, ...]]:
-        """Index seek: nodes with ``label`` whose ``key`` may equal ``value``.
-
-        Returns ``None`` when the index cannot serve ``value`` (null, NaN,
-        lists/maps, …) — the caller must fall back to a scan.  A non-None
-        result is a *superset* of the true matches in global node order;
-        callers still re-check properties with Cypher equality (e.g. the
-        matcher's ``_bind_node``), which is what keeps seek and scan
-        byte-identical.
-        """
-        value_key = property_index_key(value)
-        if value_key is None:
-            return None
-        ids = self._prop_buckets().get((label, key), {}).get(value_key, ())
-        return tuple(self.nodes[node_id] for node_id in ids)
 
     # -- the matcher's read contract ------------------------------------------
 
@@ -532,14 +402,6 @@ class PropertyGraph:
                 if not types or rel.type in types:
                     yield rel, nodes[rel.src]
 
-    def rel_type_count(self, rel_type: str) -> int:
-        """Number of relationships of ``rel_type`` (cheap statistic)."""
-        return self._by_type.get(rel_type, 0)
-
-    def rel_type_counts(self) -> Dict[str, int]:
-        """All per-type relationship counts (cheap cardinality statistics)."""
-        return dict(self._by_type)
-
     def label_count(self, label: str) -> int:
         """Number of nodes carrying ``label`` (served from the index).
 
@@ -564,9 +426,6 @@ class PropertyGraph:
 
     def is_empty(self) -> bool:
         return not self.nodes and not self.relationships
-
-    def degree(self, node_id: NodeId) -> int:
-        return len(self._out.get(node_id, ())) + len(self._in.get(node_id, ()))
 
     def __contains__(self, item: object) -> bool:
         if isinstance(item, Node):

@@ -262,32 +262,6 @@ def hashable(value: Any) -> Any:
     return value
 
 
-def property_index_key(value: Any) -> Optional[tuple]:
-    """Equality-index bucket key for a scalar property value.
-
-    Returns ``None`` for values the (label, property-key, value) index
-    cannot serve: ``null``, NaN (equal to nothing, including itself),
-    non-scalars, and integers too large to normalize to a float.  Keys
-    are type-tagged to mirror :func:`cypher_equals` exactly — booleans
-    never equal numbers, while ``1`` and ``1.0`` share a bucket.  A seek
-    for an indexable value is guaranteed to visit a *superset* of the
-    nodes whose stored value Cypher-equals it (callers re-check with
-    :func:`cypher_equals`), and must fall back to a scan on ``None``.
-    """
-    if isinstance(value, bool):
-        return ("bool", value)
-    if is_numeric(value):
-        if value != value:  # NaN
-            return None
-        try:
-            return ("num", float(value))
-        except OverflowError:
-            return None
-    if isinstance(value, str):
-        return ("str", value)
-    return None
-
-
 def values_distinct(values: Iterable[Any]) -> list:
     """Deduplicate preserving first-seen order, using Cypher value equality."""
     seen = set()

@@ -9,7 +9,6 @@ time-annotated tables) or ``RETURN …`` (a single one).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -155,11 +154,6 @@ class SeraphQuery:
         import re
 
         return re.search(r"\bwin_(start|end)\b", self.render()) is not None
-
-    @functools.cached_property
-    def text(self) -> str:
-        """:meth:`render`, computed once (the plan cache's key)."""
-        return self.render()
 
     def render(self) -> str:
         lines = [f"REGISTER QUERY {self.name} "

@@ -42,9 +42,9 @@ from repro.cypher.physical import (
     PhysicalPlan,
     PlanProfile,
     check_lowerable,
+    compile_query,
     execute_plan,
 )
-from repro.cypher.plan_cache import PlanCache
 from repro.errors import EngineError, QueryRegistryError, UnknownStreamError
 from repro.obs import Observability
 from repro.obs.registry import Counter
@@ -238,8 +238,9 @@ class RegisteredQuery:
     #: :data:`QUERY_COUNTERS` suffix (the only per-query counter store).
     counters: Dict[str, Counter] = field(default_factory=dict)
     done: bool = False
-    #: The compiled plan last executed (None until the first evaluation:
-    #: compiling reads the snapshot's statistics).
+    #: The registration's one compiled plan (None until its first full
+    #: evaluation, whose snapshots it is costed on; always None for the
+    #: reference twin, which plans nothing ahead).
     physical_plan: Optional[PhysicalPlan] = None
     #: What executing that plan has counted so far (EXPLAIN ANALYZE).
     profile: PlanProfile = field(default_factory=PlanProfile)
@@ -271,11 +272,12 @@ class SeraphEngine:
         incrementally, an evaluation whose window content did not change
         reuses the previous table (Section 6's "avoidable re-executions
         on equal window contents"), every other one executes the
-        query's compiled plan, and plans are compiled once per
-        statistics band (:mod:`repro.cypher.plan_cache`).  True: the
-        **reference** twin, the test oracle — every snapshot re-unioned
-        from its window, every evaluation from scratch, every pattern
-        planned against its snapshot.  Both emit the same bag at every instant;
+        query's physical plan, compiled once per registration at its
+        first full evaluation.  True: the **reference** twin, the test
+        oracle — every snapshot re-unioned from its window, every
+        evaluation the literal ``Q(snapshot(S, ω))`` of
+        :func:`repro.seraph.semantics.execute_body`.  Both emit the same
+        bag at every instant;
         :func:`repro.api.reference_mode` maps ``EngineConfig``'s six mode
         fields onto this flag.
     obs:
@@ -299,7 +301,6 @@ class SeraphEngine:
         self.policy = policy
         self.static_graph = static_graph
         self.reference = reference
-        self.plan_cache = PlanCache(hoist=not reference)
         self._streams: Dict[str, _StreamState] = {}
         self.obs = obs if obs is not None else Observability.disabled()
         self._ingested = self.obs.registry.counter("engine.ingested")
@@ -414,7 +415,6 @@ class SeraphEngine:
     def deregister(self, name: str) -> None:
         if name not in self._queries:
             raise QueryRegistryError(f"no registered query named {name!r}")
-        self.plan_cache.evict(self._queries[name].query)
         del self._queries[name]
         self.obs.registry.discard(f"query.{name}.")
         self._dataflow.remove(name)
@@ -734,15 +734,24 @@ class SeraphEngine:
     def _match_full(
         self, registered: RegisteredQuery, interval, span
     ) -> Table:
-        """The full path: execute the compiled plan on every window's
-        snapshot."""
+        """The full path on every window's snapshot: the registration's
+        compiled plan in production, ``execute_body`` in the reference
+        twin."""
         self._record_path(registered, span, "full")
         with self.obs.stage(registered.name, "match_full",
                             parent=span) as stage:
             provider = self._graph_provider(registered, stage)
+            if self.reference:
+                return semantics.execute_body(
+                    registered.query, provider, interval,
+                    expr_cache=registered._expr_cache,
+                )
+            plan = registered.physical_plan
+            if plan is None:
+                plan = self._compile(registered, provider)
             profile = PlanProfile()
             table = execute_plan(
-                self._plan(registered, provider),
+                plan,
                 provider,
                 interval,
                 expr_cache=registered._expr_cache,
@@ -806,9 +815,9 @@ class SeraphEngine:
 
     def _graph_provider(self, registered: RegisteredQuery, parent):
         """Window snapshots by (stream, width): each built once per
-        evaluation (plan lookup reads statistics from the snapshots the
-        plan then executes against), as a ``snapshot_build`` stage under
-        ``parent``."""
+        evaluation (a first compile reads statistics from the snapshots
+        the plan then executes against), as a ``snapshot_build`` stage
+        under ``parent``."""
         snapshots: Dict[Tuple[str, int], PropertyGraph] = {}
 
         def graph_for(stream_name: str, width: int) -> PropertyGraph:
@@ -827,23 +836,18 @@ class SeraphEngine:
 
         return graph_for
 
-    def _plan(self, registered: RegisteredQuery, stats_for) -> PhysicalPlan:
-        """The query's compiled plan under the current statistics band
-        (compiled on the first visit to a band)."""
-        misses_before = self.plan_cache.misses
+    def _compile(self, registered: RegisteredQuery, stats_for) -> PhysicalPlan:
+        """Compile the registration's one plan, costed on the snapshots
+        of its first full evaluation."""
         started = time.perf_counter()
-        plan = self.plan_cache.plan_for(registered.query, stats_for)
-        if self.plan_cache.misses != misses_before:
-            registered.counters["plan_compiles"].inc()
-            if self.obs.enabled:
-                self.obs.record_stage(
-                    registered.name,
-                    "plan_compile",
-                    time.perf_counter() - started,
-                )
-        if registered.physical_plan is not plan:
-            registered.physical_plan = plan
-            registered.profile = PlanProfile()
+        plan = registered.physical_plan = compile_query(
+            registered.query, stats_for
+        )
+        registered.counters["plan_compiles"].inc()
+        if self.obs.enabled:
+            self.obs.record_stage(
+                registered.name, "plan_compile", time.perf_counter() - started
+            )
         return plan
 
     def _evict(self) -> None:
@@ -973,7 +977,7 @@ class SeraphEngine:
                 }
                 for name, registered in self._queries.items()
             },
-            "planner": self.plan_cache.stats(),
+            "planner": self._planner_status(),
             "streams": {
                 name: {
                     "retained": len(state),
@@ -990,6 +994,22 @@ class SeraphEngine:
         if self.ingress is not None:
             info["resilience"] = self.ingress.status()
         return info
+
+    def _planner_status(self) -> Dict[str, object]:
+        """``status()["planner"]``, read from the per-query counters of
+        the queries holding a plan: each compile is a miss, every other
+        full evaluation a hit on the registration's plan."""
+        planned = [registered for registered in self._queries.values()
+                   if registered.physical_plan is not None]
+        misses = sum(r.counters["plan_compiles"].value for r in planned)
+        full = sum(r.counters["path.full"].value for r in planned)
+        return {
+            "plans": len(planned),
+            "hits": full - misses,
+            "misses": misses,
+            "invalidations": 0,
+            "hit_rate": (full - misses) / full if full else 0.0,
+        }
 
     def unified_status(self) -> Dict[str, object]:
         """The namespaced, schema-versioned status document

@@ -30,10 +30,9 @@ def _indent(text: str, prefix: str) -> List[str]:
 def explain(query: Union[str, SeraphQuery], graph=None) -> str:
     """Render an execution outline for a Seraph query.
 
-    With ``graph`` (a :class:`~repro.graph.model.PropertyGraph` or
-    :class:`~repro.cypher.planner.GraphStatistics` standing in for every
-    window), the outline also shows the physical operator tree the
-    compiler produces under those statistics."""
+    With ``graph`` (a :class:`~repro.graph.model.PropertyGraph` standing
+    in for every window), the outline also shows the physical operator
+    tree the compiler produces under its statistics."""
     if isinstance(query, str):
         query = parse_seraph(query)
     lines: List[str] = []
@@ -123,8 +122,7 @@ def explain_analyze(engine, query_name: str) -> str:
     if plan is not None:
         lines.append(
             f"  physical    : "
-            f"({registered.counters['plan_compiles'].value} compiles, "
-            f"band {len(plan.band)} windows)"
+            f"({registered.counters['plan_compiles'].value} compiles)"
         )
         lines.extend(_indent(render_plan(plan, registered.profile), "    "))
     obs = engine.obs

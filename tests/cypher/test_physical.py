@@ -1,11 +1,11 @@
-"""Unit tests for physical plan compilation, execution, and caching.
+"""Unit tests for physical plan compilation and execution.
 
 The contract under test: ``execute_plan(compile_query(q, stats), ...)``
 produces the *byte-identical* table :func:`semantics.execute_body`
-would, hoisted or not, for every query ``register()`` accepts — seeks
-are supersets the matcher re-checks, unindexable anchor values degrade
-to scans, and a (hand-built) body clause no stage models is a typed
-SeraphSemanticError instead of a guess.
+would on the snapshot it was costed on, and the same bag on any other
+snapshot (planning fixes enumeration order, never results), for every
+query ``register()`` accepts; a (hand-built) body clause no stage models
+is a typed SeraphSemanticError instead of a guess.
 """
 
 import pickle
@@ -18,12 +18,6 @@ from repro.cypher.physical import (
     compile_query,
     execute_plan,
     render_plan,
-)
-from repro.cypher.plan_cache import (
-    PLANS_PER_QUERY,
-    PlanCache,
-    band_signature,
-    stats_band,
 )
 from repro.errors import SeraphSemanticError
 from repro.graph.builder import GraphBuilder
@@ -107,25 +101,17 @@ REGISTER QUERY q STARTING AT 2024-01-01T00:00h
 
 
 class TestCompilation:
-    def test_seek_pipeline_shape(self):
+    def test_property_map_anchor_is_a_label_scan(self):
         plan = _compile(SIMPLE, _graph())
         kinds = [op.kind for op in plan.operators()]
-        assert kinds == ["IndexSeek", "ExpandHop", "Project"]
-        assert plan.stages[0].seek is not None
-        assert plan.stages[0].seek.label == "Person"
-        assert plan.stages[0].seek.key == "name"
+        assert kinds == ["LabelScan", "ExpandHop", "Project"]
+        assert plan.operators()[0].detail == "(p:Person {name: 'p3'})"
 
     def test_label_scan_without_property_map(self):
         plan = _compile(PIPELINE, _graph())
         kinds = {op.kind for op in plan.operators()}
-        assert "LabelScan" in kinds and "IndexSeek" not in kinds
+        assert "LabelScan" in kinds
         assert "Filter" in kinds and "Aggregate" in kinds
-
-    def test_seek_prefers_the_rarer_label(self):
-        text = SIMPLE.replace("(p:Person {name: 'p3'})",
-                              "(p:City:Person {name: 'p3'})")
-        plan = _compile(text, _graph())
-        assert plan.stages[0].seek.label == "City"
 
     def test_op_ids_are_dense_and_unique(self):
         plan = _compile(PIPELINE, _graph())
@@ -136,10 +122,8 @@ class TestCompilation:
         # The Seraph surface grammar cannot produce an unsupported body
         # clause, but programmatically-built queries can (e.g. a Return
         # mid-body); the compiler must refuse rather than guess.
-        query = _unsupported_query()
-        for hoist in (True, False):
-            with pytest.raises(SeraphSemanticError):
-                compile_query(query, lambda _s, _w: _graph(), hoist=hoist)
+        with pytest.raises(SeraphSemanticError):
+            compile_query(_unsupported_query(), lambda _s, _w: _graph())
 
     def test_registration_rejects_what_cannot_compile(self):
         """Compile totality, engine side: no registered query lacks a
@@ -153,14 +137,6 @@ class TestCompilation:
                 with pytest.raises(SeraphSemanticError):
                     engine.register(_unsupported_query(), validate=validate)
             assert engine.query_names == []
-
-    def test_unhoisted_plan_reads_no_statistics(self):
-        plan = compile_query(parse_seraph(PIPELINE), None, hoist=False)
-        kinds = [op.kind for op in plan.operators()]
-        assert kinds == ["Match", "Filter", "Aggregate", "Project"]
-        stage = plan.stages[0]
-        assert stage.pattern is None and stage.seek is None
-        assert plan.band == ()
 
     def test_plan_is_picklable(self):
         plan = _compile(PIPELINE, _graph())
@@ -182,34 +158,19 @@ class TestExecution:
         assert physical == interpreted
         assert list(physical.records) == list(interpreted.records)
 
-    @pytest.mark.parametrize("text", [SIMPLE, PIPELINE])
-    def test_unhoisted_identical_to_interpreted(self, text):
-        graph = _graph()
-        plan = compile_query(parse_seraph(text), None, hoist=False)
-        table, profile = _profiled(plan, graph)
-        interpreted = semantics.execute_body(
-            parse_seraph(text), lambda _s, _w: graph, TimeInterval(0, 100)
-        )
-        assert list(table.records) == list(interpreted.records)
-        # The opaque Match op reports the matched rows.
-        assert profile.rows[plan.stages[0].ops["match"]] > 0
-
-    def test_seek_counts_rows(self):
+    def test_anchor_scan_counts_every_candidate(self):
         graph = _graph()
         plan = _compile(SIMPLE, graph)
         _table, profile = _profiled(plan, graph)
-        seek_id = plan.stages[0].seek.op_id
-        assert profile.rows[seek_id] == 1  # one p3 in the bucket
-        assert profile.rows[plan.stages[0].ops[(0, 0)]] == 1
+        stage = plan.stages[0]
+        assert profile.rows[stage.ops[(0, -1)]] == 8  # every Person
+        assert profile.rows[stage.ops[(0, 0)]] == 1  # p3's one LIVES_IN
 
-    def test_unindexable_anchor_value_falls_back_to_scan(self):
-        graph = _graph()
+    def test_list_anchor_value_matches_interpreted(self):
         text = SIMPLE.replace("'p3'", "[1, 2]")
-        plan = _compile(text, graph)
-        assert plan.stages[0].seek is not None  # compiled optimistically
-        table, profile = _profiled(plan, graph)
-        assert plan.stages[0].seek.op_id not in profile.rows  # scan taken
-        assert len(table) == 0  # no Person.name equals a list
+        _plan, physical, interpreted = _both(text, _graph())
+        assert physical == interpreted
+        assert len(physical) == 0  # no Person.name equals a list
 
     def test_null_anchor_value_matches_interpreted(self):
         text = SIMPLE.replace("'p3'", "null")
@@ -234,114 +195,72 @@ class TestExecution:
         plan = _compile(SIMPLE, graph)
         _table, profile = _profiled(plan, graph)
         rendered = render_plan(plan, profile)
-        assert "IndexSeek" in rendered
+        assert "LabelScan" in rendered
         assert "rows=" in rendered
         assert "[op 0]" in rendered
 
 
-def _people(count):
-    builder = GraphBuilder()
-    for i in range(count):
-        builder.add_node(["Person"], {"name": f"x{i}"}, node_id=i + 1)
-    return builder.build()
+class TestOnePlanForEverySnapshot:
+    """The engine compiles a plan once, on its registration's first full
+    evaluation, and runs it on every later snapshot: a plan costed on one
+    graph computes the reference bag on any other."""
 
+    QUERY = """
+    REGISTER QUERY q STARTING AT 2024-01-01T00:00h
+    {
+      MATCH (a:A)-[:R]->(b:B)
+      WITHIN PT10S
+      EMIT id(a) AS a, id(b) AS b
+      SNAPSHOT EVERY PT10S
+    }
+    """
 
-class TestPlanCache:
-    def test_hit_on_same_band(self):
-        graph = _graph()
-        cache = PlanCache()
-        query = parse_seraph(SIMPLE)
-        first = cache.plan_for(query, lambda _s, _w: graph)
-        second = cache.plan_for(query, lambda _s, _w: graph)
-        assert first is second
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["misses"] == 1
+    @staticmethod
+    def _skewed(rare, common):
+        """One ``rare`` node, four ``common`` ones, every rare-common
+        pair related ``(:A)-[:R]->(:B)``."""
+        builder = GraphBuilder()
+        hub = builder.add_node([rare], {}, node_id=1)
+        for node_id in range(2, 6):
+            other = builder.add_node([common], {}, node_id=node_id)
+            src, trg = (hub, other) if rare == "A" else (other, hub)
+            builder.add_relationship(src, "R", trg, rel_id=node_id)
+        return builder.build()
 
-    def test_invalidated_on_band_drift(self):
-        small, big = _graph(), _people(200)
-        cache = PlanCache()
-        query = parse_seraph(SIMPLE)
-        first = cache.plan_for(query, lambda _s, _w: small)
-        second = cache.plan_for(query, lambda _s, _w: big)
-        assert first is not second
-        assert cache.invalidations == 1
+    def test_orientation_follows_the_compile_snapshot(self):
+        few_a, few_b = self._skewed("A", "B"), self._skewed("B", "A")
+        assert _compile(self.QUERY, few_a).operators()[0].detail == "(a:A)"
+        assert _compile(self.QUERY, few_b).operators()[0].detail == "(b:B)"
 
-    def test_a_band_seen_before_is_a_hit(self):
-        """A statistic oscillating across a band boundary flips between
-        two retained plans; it compiles once per band, not per crossing."""
-        small, big = _graph(), _people(200)
-        cache = PlanCache()
-        query = parse_seraph(SIMPLE)
-        first = cache.plan_for(query, lambda _s, _w: small)
-        second = cache.plan_for(query, lambda _s, _w: big)
-        for _ in range(5):
-            assert cache.plan_for(query, lambda _s, _w: small) is first
-            assert cache.plan_for(query, lambda _s, _w: big) is second
-        assert cache.stats()["misses"] == 2
-        assert cache.stats()["hits"] == 10
-        assert cache.stats()["plans"] == len(cache) == 2
+    SHAPES = {
+        "path": QUERY,
+        "join": QUERY.replace(
+            "MATCH (a:A)-[:R]->(b:B)", "MATCH (c:A)-[:R]->(b:B), (a:A)-->(b)"
+        ),
+        "var_length": QUERY.replace("-[:R]->", "-[:R*1..2]-"),
+        "optional": QUERY.replace(
+            "MATCH (a:A)-[:R]->(b:B)",
+            "MATCH (a:A) WITHIN PT10S OPTIONAL MATCH (a)-[:R]->(b:B)",
+        ),
+    }
 
-    def test_retention_per_query_is_bounded_oldest_first(self):
-        cache = PlanCache()
-        query = parse_seraph(SIMPLE)
-        sizes = [2 ** (power + 3) for power in range(PLANS_PER_QUERY + 1)]
-        plans = [
-            cache.plan_for(query, lambda _s, _w, n=n: _people(n))
-            for n in sizes
-        ]
-        assert len(cache) == PLANS_PER_QUERY
-        # The newest bands are hits; the oldest was evicted and recompiles.
-        assert cache.plan_for(
-            query, lambda _s, _w: _people(sizes[-1])) is plans[-1]
-        misses = cache.misses
-        assert cache.plan_for(
-            query, lambda _s, _w: _people(sizes[0])) is not plans[0]
-        assert cache.misses == misses + 1
-
-    def test_exact_quantize_mode(self):
-        graph = _graph()
-        cache = PlanCache(quantize=int)
-        query = parse_seraph(SIMPLE)
-        cache.plan_for(query, lambda _s, _w: graph)
-        grown = graph.patched(
-            nodes=[next(iter(graph.nodes.values()))]
-        )  # same stats: still a hit
-        cache.plan_for(query, lambda _s, _w: grown)
-        assert cache.hits == 1
-
-    def test_band_signature_covers_referenced_names_only(self):
-        graph = _graph()
-        signature = band_signature(
-            parse_seraph(SIMPLE), lambda _s, _w: graph
-        )
-        (entry,) = signature
-        labels = dict(entry[3])
-        assert set(labels) == {"Person", "City"}
-        assert labels["Person"] == stats_band(8)
-
-    def test_compile_failure_is_not_cached(self):
-        graph = _graph()
-        cache = PlanCache()
-        with pytest.raises(SeraphSemanticError):
-            cache.plan_for(_unsupported_query(), lambda _s, _w: graph)
-        assert len(cache) == 0
-
-    def test_unhoisted_cache_holds_one_plan_per_query(self):
-        """Without hoisting nothing depends on statistics: one compile,
-        then hits, whatever the snapshots look like."""
-        cache = PlanCache(hoist=False)
-        query = parse_seraph(SIMPLE)
-        first = cache.plan_for(query, lambda _s, _w: _graph())
-        assert cache.plan_for(query, lambda _s, _w: _people(200)) is first
-        assert (cache.misses, cache.hits, len(cache)) == (1, 1, 1)
-
-    def test_evict(self):
-        graph = _graph()
-        cache = PlanCache()
-        query = parse_seraph(SIMPLE)
-        cache.plan_for(query, lambda _s, _w: graph)
-        cache.evict(query)
-        assert len(cache) == 0
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_a_plan_costed_on_one_graph_is_exact_on_another(self, shape):
+        few_a, few_b = self._skewed("A", "B"), self._skewed("B", "A")
+        query = parse_seraph(self.SHAPES[shape])
+        rows = 0
+        for costed_on in (few_a, few_b):
+            plan = compile_query(query, lambda _s, _w: costed_on)
+            for graph in (few_a, few_b):
+                physical = execute_plan(
+                    plan, lambda _s, _w: graph, TimeInterval(0, 100)
+                )
+                interpreted = semantics.execute_body(
+                    query, lambda _s, _w: graph, TimeInterval(0, 100)
+                )
+                assert physical.bag_equals(interpreted)
+                rows += len(physical)
+        assert rows >= 8
 
 
 VARLEN_QUERY = """

@@ -5,7 +5,6 @@ import pytest
 from repro.cypher import ast, run_cypher
 from repro.cypher.parser import CypherParser
 from repro.cypher.planner import (
-    GraphStatistics,
     node_anchor_cost,
     orient_path,
     path_cost,
@@ -202,18 +201,6 @@ class TestJoinOrdering:
         assert len(shortest) == 1
         assert not shortest[0].flipped
         assert shortest[0].nodes[0].labels == ("Common",)
-
-
-class TestGraphStatistics:
-    def test_graph_statistics_duck_types_as_graph(self, skewed_graph):
-        stats = GraphStatistics.of(skewed_graph)
-        assert stats.order == skewed_graph.order
-        assert stats.rel_type_count("R") == skewed_graph.rel_type_count("R")
-        pattern = pattern_of("(c:Common)-[:R]->(r:Rare)")
-        assert path_cost(pattern.paths[0], stats, frozenset()) == \
-            path_cost(pattern.paths[0], skewed_graph, frozenset())
-        assert plan_pattern(pattern, stats, frozenset()) == \
-            plan_pattern(pattern, skewed_graph, frozenset())
 
 
 class TestPlannerPreservesResults:

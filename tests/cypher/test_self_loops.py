@@ -25,9 +25,10 @@ def loop_graph():
 
 
 class TestSelfLoopMatching:
-    def test_incident_yields_self_loop_once(self):
+    def test_undirected_expansion_yields_self_loop_once(self):
         graph = loop_graph()
-        assert [rel.id for rel in graph.incident(1)] == [10, 11]
+        assert [rel.id for rel, _ in graph.expand_pairs(1, "any", ())] \
+            == [10, 11]
 
     def test_undirected_matches_self_loop_once(self):
         graph = loop_graph()

@@ -38,16 +38,6 @@ class TestNode:
 
 
 class TestRelationship:
-    def test_other_end(self):
-        _, _, rel = _pair()
-        assert rel.other_end(1) == 2
-        assert rel.other_end(2) == 1
-
-    def test_other_end_rejects_non_endpoint(self):
-        _, _, rel = _pair()
-        with pytest.raises(GraphConsistencyError):
-            rel.other_end(99)
-
     def test_property_access(self):
         _, _, rel = _pair()
         assert rel.property("w") == 3
@@ -80,18 +70,20 @@ class TestPropertyGraph:
         with pytest.raises(GraphConsistencyError):
             PropertyGraph.of([a, b], [rel, rel2])
 
-    def test_incident_covers_both_directions(self):
+    def test_undirected_expansion_covers_both_directions(self):
         a, b, rel = _pair()
         back = Relationship(id=2, type="KNOWS", src=2, trg=1)
         graph = PropertyGraph.of([a, b], [rel, back])
-        assert {r.id for r in graph.incident(1)} == {1, 2}
-        assert graph.degree(1) == 2
+        assert [(r.id, n.id) for r, n in graph.expand_pairs(1, "any", ())] \
+            == [(1, 2), (2, 2)]
 
-    def test_incident_self_loop_once(self):
+    def test_undirected_expansion_yields_a_self_loop_once(self):
         node = Node(id=1)
         loop = Relationship(id=1, type="SELF", src=1, trg=1)
         graph = PropertyGraph.of([node], [loop])
-        assert [r.id for r in graph.incident(1)] == [1]
+        assert [r.id for r, _ in graph.expand_pairs(1, "any", ())] == [1]
+        assert [r.id for r, _ in graph.expand_pairs(1, "out", ())] == [1]
+        assert [r.id for r, _ in graph.expand_pairs(1, "in", ())] == [1]
 
     def test_nodes_with_labels(self):
         a = Node(id=1, labels={"A", "B"})
@@ -213,7 +205,8 @@ class TestPatched:
         )
         assert patched == rebuilt
         assert patched.label_counts() == rebuilt.label_counts()
-        assert sorted(r.id for r in patched.incident(3)) == [2, 3]
+        assert sorted(r.id for r, _ in patched.expand_pairs(3, "any", ())) \
+            == [2, 3]
 
     def test_original_graph_unchanged(self):
         base = self._base()
@@ -293,3 +286,57 @@ class TestPatched:
             self._base().patched(removed_nodes=[42])
         with pytest.raises(GraphConsistencyError):
             self._base().patched(removed_rels=[42])
+
+
+def _people_graph():
+    return PropertyGraph.of(
+        [
+            Node(id=1, labels=("Person",), properties={"name": "Ann"}),
+            Node(id=2, labels=("Person",), properties={"name": "Bob"}),
+            Node(id=3, labels=("Person", "Admin"), properties={"name": "Cal"}),
+            Node(id=4, labels=("City",), properties={"name": "Ann"}),
+        ],
+        [
+            Relationship(id=1, type="KNOWS", src=1, trg=2),
+            Relationship(id=2, type="KNOWS", src=2, trg=3),
+            Relationship(id=3, type="VISITS", src=3, trg=4),
+        ],
+    )
+
+
+class TestGlobalNodeOrder:
+    """Every upserted node moves to the end of ``nodes`` and of each of
+    its label buckets, so every scan enumerates in the order a rebuild
+    (and a pickle round trip) has."""
+
+    def test_upsert_moves_node_to_end_of_all_orders(self):
+        patched = _people_graph().patched(
+            nodes=[Node(id=1, labels=("Person",), properties={"age": 31})]
+        )
+        assert list(patched.nodes) == [2, 3, 4, 1]
+        assert [n.id for n in patched.nodes_with_labels(["Person"])] \
+            == [2, 3, 1]
+
+    def test_pickle_roundtrip_preserves_order(self):
+        graph = _people_graph().patched(
+            nodes=[Node(id=2, labels=("Person",), properties={"name": "B"})]
+        )
+        clone = pickle.loads(pickle.dumps(graph))
+        assert list(clone.nodes) == list(graph.nodes) == [1, 3, 4, 2]
+        assert [n.id for n in clone.nodes_with_labels(["Person"])] \
+            == [n.id for n in graph.nodes_with_labels(["Person"])]
+
+
+class TestRetype:
+    def test_a_retyped_relationship_expands_under_its_new_type(self):
+        """An upsert that changes only a relationship's type keeps its
+        place in every order, and typed expansion sees the new type."""
+        patched = _people_graph().patched(
+            relationships=[Relationship(id=1, type="LIKES", src=1, trg=2)],
+        )
+        assert list(patched.relationships) == [1, 2, 3]
+        assert [r.id for r, _ in patched.expand_pairs(1, "out", ("LIKES",))] \
+            == [1]
+        assert list(patched.expand_pairs(1, "out", ("KNOWS",))) == []
+        assert [r.id for r, _ in patched.expand_pairs(2, "any", ("KNOWS",))] \
+            == [2]

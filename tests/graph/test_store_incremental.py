@@ -82,16 +82,6 @@ class TestIncrementalFreeze:
         assert extra.id in snapshot.nodes
         assert snapshot == _rebuilt(store)
 
-    def test_incremental_snapshot_carries_the_property_index(self):
-        store, nodes = _seeded()
-        base = store.graph()
-        base._prop_buckets()  # materialize on the base snapshot
-        store.set_property(nodes[2], "i", 1000)
-        snapshot = store.graph()
-        assert snapshot._prop_index is not None  # carried forward, not lazy
-        hits = snapshot.nodes_with_property("N", "i", 1000)
-        assert [node.id for node in hits] == [nodes[2].id]
-
     def test_repeated_epochs_stay_consistent(self):
         store, nodes = _seeded()
         for round_no in range(5):

@@ -17,32 +17,14 @@ from hypothesis import strategies as st
 from repro.errors import GraphUnionError
 from repro.graph.generators import random_stream
 from repro.graph.model import Node, PropertyGraph, Relationship
-from repro.graph.values import property_index_key
 from repro.stream.snapshot import SnapshotMaintainer, snapshot_graph
 from repro.stream.stream import StreamElement
 
 
-def _seeks(graph):
-    """Each index seek the graph's own values ask for, beside the label
-    scan filtered on the same index key."""
-    seeks = {}
-    for node in graph.nodes.values():
-        for label in node.labels:
-            for key, value in node.properties.items():
-                wanted = property_index_key(value)
-                found = graph.nodes_with_property(label, key, value)
-                if found is None:
-                    continue
-                scan = [n.id for n in graph.nodes_with_labels([label])
-                        if property_index_key(n.property(key)) == wanted]
-                seeks[label, key, wanted] = ([n.id for n in found], scan)
-    return seeks
-
-
-def _orders(graph, seeks):
+def _orders(graph):
     """Every enumeration order a query evaluation can observe."""
     labels = {label for node in graph.nodes.values() for label in node.labels}
-    orders = {
+    return {
         "nodes": list(graph.nodes),
         "rels": list(graph.relationships),
         "labels": {label: [n.id for n in graph.nodes_with_labels([label])]
@@ -51,21 +33,11 @@ def _orders(graph, seeks):
             rel.id for rel, _ in graph.expand_pairs(node_id, direction, ())
         ] for node_id in graph.nodes for direction in ("out", "in", "any")},
     }
-    if seeks:
-        orders["seeks"] = _seeks(graph)
-    return orders
 
 
-def assert_in_place_orders(graph, seeks):
-    """``graph`` enumerates as its pickle round trip does; with ``seeks``
-    (which materializes the property index) every seek equals its
-    filtered label scan."""
-    assert _orders(graph, seeks) == _orders(
-        pickle.loads(pickle.dumps(graph)), seeks
-    )
-    if seeks:
-        for found, scan in _seeks(graph).values():
-            assert found == scan
+def assert_in_place_orders(graph):
+    """``graph`` enumerates as its pickle round trip does."""
+    assert _orders(graph) == _orders(pickle.loads(pickle.dumps(graph)))
 
 
 @st.composite
@@ -100,10 +72,7 @@ class TestMaintainerAgreesWithDefinition:
             assert graph is None or maintained is graph
             graph = maintained
             assert maintained == snapshot_graph(live)
-            # The property index materializes mid-stream and is then
-            # maintained in place.
-            assert_in_place_orders(maintained,
-                                   seeks=2 * index >= len(elements))
+            assert_in_place_orders(maintained)
 
     @given(data=stream_and_ops())
     @settings(max_examples=50, deadline=None)
@@ -265,7 +234,6 @@ class TestNetChangeTracking:
                 continue
             changed_nodes = set(maintainer.changed_nodes)
             changed_rels = set(maintainer.changed_rels)
-            seeks = 2 * step >= len(ops)
             try:
                 literal = snapshot_graph(live)
             except GraphUnionError:
@@ -276,7 +244,7 @@ class TestNetChangeTracking:
                     maintainer.graph()
                 if snapshot is not None:
                     assert snapshot == built
-                    assert_in_place_orders(snapshot, seeks)
+                    assert_in_place_orders(snapshot)
                 assert maintainer.changed_nodes == changed_nodes
                 assert maintainer.changed_rels == changed_rels
                 continue
@@ -284,7 +252,7 @@ class TestNetChangeTracking:
             assert snapshot is None or maintained is snapshot
             snapshot = maintained
             assert maintained == literal
-            assert_in_place_orders(maintained, seeks)
+            assert_in_place_orders(maintained)
             assert_reuse(maintained, live, pool)
             # Net-changed ids cover the true symmetric difference against
             # the last snapshot that built (they accumulate across skipped

@@ -4,7 +4,7 @@ The oracle: for ANY sequence of store mutations interleaved with freezes,
 the incremental (``patched``-based) freeze enumerates byte-identically
 to a forced full rebuild — and so does a pickled copy — on every order
 the matcher and physical operators can observe: node and relationship
-enumeration, adjacency, label buckets, property-index seeks, and counts.
+enumeration, adjacency, label buckets, and counts.
 """
 
 import pickle
@@ -36,22 +36,12 @@ def observe(graph):
                 for nid in graph.nodes},
         "in": {nid: [rel.id for rel in graph.incoming(nid)]
                for nid in graph.nodes},
-        "incident": {nid: [rel.id for rel in graph.incident(nid)]
-                     for nid in graph.nodes},
+        "any": {nid: [rel.id for rel, _ in graph.expand_pairs(nid, "any", ())]
+                for nid in graph.nodes},
         "labels": {label: [node.id
                            for node in graph.nodes_with_labels([label])]
                    for label in LABELS},
         "label_counts": graph.label_counts(),
-        "type_counts": graph.rel_type_counts(),
-        "seeks": {
-            (label, key, repr(value)): (
-                None if found is None else [node.id for node in found]
-            )
-            for label in LABELS
-            for key in KEYS
-            for value in VALUES
-            for found in [graph.nodes_with_property(label, key, value)]
-        },
     }
 
 
@@ -142,13 +132,20 @@ class TestFreezeOracle:
     @settings(max_examples=60, deadline=None)
     def test_expand_pairs_follows_the_accessor_order(self, steps):
         """The matcher's one graph read, ``expand_pairs``, enumerates in
-        the order ``outgoing`` / ``incoming`` / ``incident`` define, on
-        built graphs and after every ``patched()`` freeze."""
+        the order ``outgoing`` / ``incoming`` define (``any``: outgoing,
+        then incoming without the self-loops already yielded), on built
+        graphs and after every ``patched()`` freeze."""
         for graph in apply_script(GraphStore(), steps):
+            def undirected(nid, graph=graph):
+                yield from graph.outgoing(nid)
+                for rel in graph.incoming(nid):
+                    if rel.src != nid:
+                        yield rel
+
             for nid in graph.nodes:
                 for direction, accessor in (("out", graph.outgoing),
                                             ("in", graph.incoming),
-                                            ("any", graph.incident)):
+                                            ("any", undirected)):
                     assert [rel.id for rel, _ in graph.expand_pairs(
                         nid, direction, ())
                     ] == [rel.id for rel in accessor(nid)]

@@ -22,7 +22,9 @@ oracle (:mod:`tests.oracle`) on the same window snapshot.
 
 import pytest
 
+from repro import EngineConfig, build_engine
 from repro.graph.builder import GraphBuilder
+from repro.seraph import CollectingSink
 from repro.stream.stream import StreamElement
 from repro.stream.window import ActiveSubstreamPolicy
 
@@ -147,13 +149,18 @@ def test_continuous_conformance(stream, case_id, body, expected, mode):
         )
 
 
-@pytest.mark.parametrize("hoist", [True, False])
+@pytest.mark.parametrize("costed_on", ["snapshot", "empty"])
 @BY_CASE
-def test_every_case_compiles_to_a_plan(stream, case_id, body, expected, hoist):
+def test_every_case_compiles_to_a_plan(
+    stream, case_id, body, expected, costed_on
+):
     """Compile totality: every corpus query lowers to a physical plan,
-    hoisted and un-hoisted, and the plan computes — row for row — what
-    the reference pipeline does on the same snapshot."""
+    and the plan computes the bag the reference pipeline does on the
+    snapshot — whether it was costed on that snapshot or on an empty
+    window (a registration's first evaluation may see one, and its plan
+    serves every later snapshot)."""
     from repro.cypher.physical import compile_query, execute_plan
+    from repro.graph.model import PropertyGraph
     from repro.seraph.parser import parse_seraph
     from repro.seraph.semantics import execute_body
     from repro.stream.snapshot import snapshot_graph
@@ -161,14 +168,30 @@ def test_every_case_compiles_to_a_plan(stream, case_id, body, expected, hoist):
 
     query = parse_seraph(wrap(body))
     graph = snapshot_graph(stream)
+    statistics = graph if costed_on == "snapshot" else PropertyGraph.empty()
     interval = TimeInterval(0, 600)
-    plan = compile_query(query, lambda _s, _w: graph, hoist=hoist)
+    plan = compile_query(query, lambda _s, _w: statistics)
     table = execute_plan(plan, lambda _s, _w: graph, interval)
     reference = execute_body(query, lambda _s, _w: graph, interval)
-    if hoist:
-        assert table.bag_equals(reference)
-    else:
-        assert list(table.records) == list(reference.records)
+    assert table.bag_equals(reference)
+
+
+@BY_CASE
+def test_production_compiles_once_and_the_reference_twin_never(
+    stream, case_id, body, expected
+):
+    """Per registration, production compiles one plan (at its first
+    full evaluation) and the reference twin none, and both agree with
+    the brute-force oracle at every instant."""
+    until = max(expected)
+    for mode, compiles in (("production", 1), ("reference", 0)):
+        engine = build_engine(EngineConfig(**MODES[mode]))
+        sink = CollectingSink()
+        registered = engine.register(wrap(body), sink=sink)
+        engine.run_stream(stream, until=until)
+        assert registered.counters["plan_compiles"].value == compiles
+        assert (registered.physical_plan is not None) is bool(compiles)
+        assert_equals_oracle(sink, wrap(body), stream, until)
 
 
 @pytest.mark.parametrize("mode", MODES)

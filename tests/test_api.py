@@ -147,7 +147,6 @@ class TestModeNormaliser:
         engine = build_engine(EngineConfig(**SLOW_TWIN))
         assert engine.reference is True
         assert engine.status()["mode"] == "reference"
-        assert engine.plan_cache.hoist is False
 
     def test_defaults_build_the_production_engine(self):
         for config in (EngineConfig(), EngineConfig(vectorized=False),
@@ -174,7 +173,7 @@ class TestModeNormaliser:
         else:
             engine = build_engine(EngineConfig(**selection))
             assert engine.status()["mode"] == mode
-            assert engine.plan_cache.hoist is (mode == "production")
+            assert engine.reference is (mode == "reference")
 
     @pytest.mark.parametrize("value", [0, 1, "false", None])
     def test_a_mode_flag_must_be_a_boolean(self, value):
