@@ -132,9 +132,10 @@ class PropertyGraph:
 
     A *built* graph (:func:`PropertyGraph.of`, :class:`repro.graph.builder.
     GraphBuilder`) is immutable and compact: tuple adjacency and tuple
-    label buckets.  A *live* graph (:meth:`patched`'s result, and the one
+    label buckets.  A *live* graph (:meth:`_thawed`'s result: the one
     graph a :class:`~repro.stream.snapshot.SnapshotMaintainer` keeps per
-    window) holds insertion-ordered dict-sets instead, which
+    window, and the one a :class:`~repro.graph.store.GraphStore` writes
+    through) holds insertion-ordered dict-sets instead, which
     :meth:`_apply` mutates in place.  Readers see read-only views either
     way, and adjacency is indexed so pattern matching is O(degree) per
     expansion.
@@ -200,24 +201,6 @@ class PropertyGraph:
             ),
         )
 
-    def patched(
-        self,
-        nodes: Iterable[Node] = (),
-        relationships: Iterable[Relationship] = (),
-        removed_nodes: Iterable[NodeId] = (),
-        removed_rels: Iterable[RelationshipId] = (),
-    ) -> "PropertyGraph":
-        """A new graph with the given upserts/removals applied.
-
-        Copy-then-mutate: a live copy of this graph takes the change
-        through :meth:`_apply`, so this graph stays as it was.  The copy
-        is O(graph); a graph maintained across many changes keeps one
-        live graph and calls :meth:`_apply` on it directly.
-        """
-        return self._thawed()._apply(
-            nodes, relationships, removed_nodes, removed_rels
-        )
-
     def _thawed(self) -> "PropertyGraph":
         """A live copy: the same content and enumeration orders, in
         dict-set form."""
@@ -238,22 +221,25 @@ class PropertyGraph:
         removed_rels: Iterable[RelationshipId] = (),
     ) -> "PropertyGraph":
         """Apply upserts and removals to this live graph in place; returns
-        it.  The one maintenance algorithm: work is proportional to the
-        touched entities.
+        it.  The one graph mutator: work is proportional to the touched
+        entities.
 
-        Everything touched is validated before the first write, as
-        :meth:`of` would (removals must leave no dangling endpoints,
-        upserted relationships must reference present nodes), so a
+        Any batch whose result is a consistent graph is accepted.  A
+        removed node's incident relationships must each be removed or
+        re-upserted onto endpoints that remain, in the same call; a node
+        both removed and upserted is an upsert.  Everything touched is
+        validated before the first write, as :meth:`of` would, so a
         :class:`GraphConsistencyError` leaves the graph as it was.
 
         Ordering invariant: every upserted node moves to the *end* of
         ``nodes`` and of each label bucket it belongs to, in upsert
-        order, and a relationship whose endpoints change moves to the end
-        of ``relationships`` and of its adjacency.  Every enumeration
-        order (node scans, label scans, expansions) is therefore the one
-        :meth:`of` builds from the ``nodes`` and ``relationships`` orders
-        — what a pickled copy (:meth:`__reduce__`) reproduces, and what
-        keeps a maintained snapshot's enumeration deterministic.
+        order, and a relationship whose endpoints change (or whose old
+        endpoint leaves) moves to the end of ``relationships`` and of its
+        adjacency.  Every enumeration order (node scans, label scans,
+        expansions) is therefore the one :meth:`of` builds from the
+        ``nodes`` and ``relationships`` orders — what a pickled copy
+        (:meth:`__reduce__`) reproduces, and what keeps a maintained
+        snapshot's enumeration deterministic.
         """
         node_map, rel_map, out_adj, in_adj, by_label = self._live
         gone_rels: Dict[RelationshipId, Relationship] = {}
@@ -263,26 +249,34 @@ class PropertyGraph:
                     f"cannot remove unknown relationship {rel_id}"
                 )
             gone_rels[rel_id] = rel_map[rel_id]
-        gone_nodes: Dict[NodeId, Node] = {}
+        leaving: Dict[NodeId, Node] = {}
         for node_id in removed_nodes:
-            if node_id not in node_map or node_id in gone_nodes:
+            if node_id not in node_map or node_id in leaving:
                 raise GraphConsistencyError(
                     f"cannot remove unknown node {node_id}"
                 )
-            incident = (*out_adj[node_id], *in_adj[node_id])
-            if any(rel_id not in gone_rels for rel_id in incident):
-                raise GraphConsistencyError(
-                    f"removing node {node_id} would dangle its relationships"
-                )
-            gone_nodes[node_id] = node_map[node_id]
+            leaving[node_id] = node_map[node_id]
         upserts: Dict[NodeId, Node] = {}
         for node in nodes:
             upserts[node.id] = node  # dedupe: last upsert of an id wins
+            leaving.pop(node.id, None)
         rels = list(relationships)
+        moving = None  # upserted relationship ids, built when first needed
+        for node_id in leaving:
+            for rel_id in (*out_adj[node_id], *in_adj[node_id]):
+                if rel_id in gone_rels:
+                    continue
+                if moving is None:
+                    moving = {rel.id for rel in rels}
+                if rel_id not in moving:
+                    raise GraphConsistencyError(
+                        f"removing node {node_id} would dangle its "
+                        "relationships"
+                    )
         for rel in rels:
             for role, end in (("source", rel.src), ("target", rel.trg)):
                 if end not in upserts and (
-                    end not in node_map or end in gone_nodes
+                    end not in node_map or end in leaving
                 ):
                     raise GraphConsistencyError(
                         f"relationship {rel.id} has dangling {role} {end}"
@@ -300,8 +294,8 @@ class PropertyGraph:
         # Every leaving or moving node leaves its buckets before any
         # re-enters, so a bucket emptied on the way is deleted and
         # re-created at the end, as a rebuild would order it.
-        for node in gone_nodes.values():
-            del node_map[node.id], out_adj[node.id], in_adj[node.id]
+        for node in leaving.values():
+            del node_map[node.id]
             unindex(node)
         for node_id, node in upserts.items():
             old = node_map.pop(node_id, None)  # move to end of node order
@@ -326,6 +320,11 @@ class PropertyGraph:
             rel_map[rel.id] = rel
             out_adj[rel.src][rel.id] = None
             in_adj[rel.trg][rel.id] = None
+        # Leaving nodes drop their adjacency last: the loop above has
+        # detached every relationship moving off them (its endpoints
+        # differ, since none may move onto a leaving node).
+        for node_id in leaving:
+            del out_adj[node_id], in_adj[node_id]
         return self
 
     @staticmethod

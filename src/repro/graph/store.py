@@ -3,38 +3,22 @@
 The query language of Section 3 is read-only, but the paper's ingestion
 path (Section 5.2, Listing 4 — the Neo4j Kafka connector) maps stream
 events into a *store* via ``MERGE``-style statements.  :class:`GraphStore`
-is that store: a mutable counterpart of :class:`PropertyGraph` supporting
-the write clauses of :mod:`repro.cypher.updating`.
+is that store: one live :class:`PropertyGraph` that every write clause of
+:mod:`repro.cypher.updating` changes through the graph's one mutator.
 
-``graph()`` freezes the current state into an immutable
-:class:`PropertyGraph` (cached until the next mutation), which is what
-the read side of the engine consumes.
+``graph()`` returns a persistent snapshot of the current state (cached
+until the next write), which is what the read side of the engine
+consumes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Set
+from typing import Any, Dict, Iterable, Optional
 
 from repro.errors import GraphConsistencyError
 from repro.graph.model import Node, NodeId, PropertyGraph, Relationship, \
     RelationshipId
 from repro.graph.values import NULL
-
-
-@dataclass
-class _NodeState:
-    labels: Set[str] = field(default_factory=set)
-    properties: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
-class _RelationshipState:
-    type: str = ""
-    src: NodeId = 0
-    trg: NodeId = 0
-    properties: Dict[str, Any] = field(default_factory=dict)
-
 
 #: Sentinel distinguishing "property absent" from any stored value.
 _MISSING = object()
@@ -44,143 +28,56 @@ class GraphStore:
     """Mutable node/relationship state with Cypher write semantics."""
 
     def __init__(self, graph: Optional[PropertyGraph] = None):
-        self._nodes: Dict[NodeId, _NodeState] = {}
-        self._relationships: Dict[RelationshipId, _RelationshipState] = {}
-        # node id → ids of relationships incident to it (either endpoint),
-        # so DETACH DELETE is O(degree) instead of a full relationship scan.
-        self._incident: Dict[NodeId, Set[RelationshipId]] = {}
+        self._graph = PropertyGraph.empty()._thawed()
+        self._snapshot: Optional[PropertyGraph] = None
         self._next_node_id = 1
         self._next_rel_id = 1
-        self._dirty = True
-        self._full_rebuild = True
-        self._cached = PropertyGraph.empty()
-        # Epoch deltas since the last freeze; insertion-ordered so the
-        # incremental freeze applies upserts deterministically.
-        self._touched_nodes: Dict[NodeId, None] = {}
-        self._touched_rels: Dict[RelationshipId, None] = {}
-        self._removed_nodes: Set[NodeId] = set()
-        self._removed_rels: Set[RelationshipId] = set()
         if graph is not None:
             self.load(graph)
+
+    def _write(self, nodes: Iterable[Node] = (),
+               relationships: Iterable[Relationship] = (),
+               removed_nodes: Iterable[NodeId] = (),
+               removed_rels: Iterable[RelationshipId] = ()) -> None:
+        self._graph._apply(nodes, relationships, removed_nodes, removed_rels)
+        self._snapshot = None
 
     # -- loading -------------------------------------------------------------
 
     def load(self, graph: PropertyGraph) -> None:
         """Bulk-load an immutable graph (existing ids preserved)."""
-        for node in graph.nodes.values():
-            self._nodes[node.id] = _NodeState(
-                labels=set(node.labels), properties=dict(node.properties)
-            )
-            self._next_node_id = max(self._next_node_id, node.id + 1)
-        for rel in graph.relationships.values():
-            self._relationships[rel.id] = _RelationshipState(
-                type=rel.type, src=rel.src, trg=rel.trg,
-                properties=dict(rel.properties),
-            )
-            self._incident.setdefault(rel.src, set()).add(rel.id)
-            self._incident.setdefault(rel.trg, set()).add(rel.id)
-            self._next_rel_id = max(self._next_rel_id, rel.id + 1)
-        self._dirty = True
-        self._full_rebuild = True
+        self._write(graph.nodes.values(), graph.relationships.values())
+        self._next_node_id = max(self._next_node_id,
+                                 max(graph.nodes, default=0) + 1)
+        self._next_rel_id = max(self._next_rel_id,
+                                max(graph.relationships, default=0) + 1)
 
     # -- reads ------------------------------------------------------------------
 
-    def _freeze_node(self, node_id: NodeId) -> Node:
-        state = self._nodes[node_id]
-        return Node(id=node_id, labels=frozenset(state.labels),
-                    properties=dict(state.properties))
-
-    def _freeze_relationship(self, rel_id: RelationshipId) -> Relationship:
-        state = self._relationships[rel_id]
-        return Relationship(id=rel_id, type=state.type, src=state.src,
-                            trg=state.trg, properties=dict(state.properties))
-
     def graph(self) -> PropertyGraph:
-        """Freeze the current state (cached until the next mutation).
+        """The current state (cached until the next write).
 
-        Snapshots are persistent: a graph returned earlier never changes.
-        When only a small fraction of the store changed since the last
-        freeze, the new snapshot is the previous one copied and then
-        mutated by the epoch delta (:meth:`PropertyGraph.patched`), which
-        carries the previous snapshot's property-value index forward
-        instead of discarding it.  Bulk loads and large epochs fall back
-        to a full rebuild.
+        Snapshots are persistent: a graph returned earlier never changes,
+        because each is a copy of the live graph, which alone takes the
+        writes.  The copy keeps the live graph's enumeration orders.
         """
-        if not self._dirty:
-            return self._cached
-        base = self._cached
-        touched = (len(self._touched_nodes) + len(self._touched_rels)
-                   + len(self._removed_nodes) + len(self._removed_rels))
-        live = len(self._nodes) + len(self._relationships)
-        if self._full_rebuild or 2 * touched >= max(live, 1):
-            self._cached = PropertyGraph.of(
-                (self._freeze_node(node_id) for node_id in self._nodes),
-                (self._freeze_relationship(rel_id)
-                 for rel_id in self._relationships),
-            )
-        else:
-            # Reconcile the epoch delta against the previous snapshot:
-            # entities created and destroyed within the epoch appear in
-            # neither side of the patch.
-            self._cached = base.patched(
-                nodes=tuple(
-                    self._freeze_node(node_id)
-                    for node_id in self._touched_nodes
-                    if node_id in self._nodes
-                ),
-                relationships=tuple(
-                    self._freeze_relationship(rel_id)
-                    for rel_id in self._touched_rels
-                    if rel_id in self._relationships
-                ),
-                removed_nodes=tuple(
-                    node_id for node_id in self._removed_nodes
-                    if node_id in base.nodes
-                ),
-                removed_rels=tuple(
-                    rel_id for rel_id in self._removed_rels
-                    if rel_id in base.relationships
-                ),
-            )
-        self._dirty = False
-        self._full_rebuild = False
-        self._touched_nodes.clear()
-        self._touched_rels.clear()
-        self._removed_nodes.clear()
-        self._removed_rels.clear()
-        return self._cached
-
-    def _touch_node(self, node_id: NodeId) -> None:
-        # Move the node to the end of both the live order and the epoch
-        # order: the graph mutator moves every upsert to the end of the
-        # global node order, so keeping the store's own order in
-        # lockstep makes the incremental freeze and a forced full
-        # rebuild enumerate byte-identically regardless of which path
-        # graph() takes.  (Relationships keep their position unless their
-        # endpoints change, which no store write does, so
-        # _touch_relationship intentionally does not move.)
-        self._nodes[node_id] = self._nodes.pop(node_id)
-        self._touched_nodes.pop(node_id, None)
-        self._touched_nodes[node_id] = None
-        self._dirty = True
-
-    def _touch_relationship(self, rel_id: RelationshipId) -> None:
-        self._touched_rels[rel_id] = None
-        self._dirty = True
+        if self._snapshot is None:
+            self._snapshot = self._graph._thawed()
+        return self._snapshot
 
     @property
     def order(self) -> int:
-        return len(self._nodes)
+        return self._graph.order
 
     @property
     def size(self) -> int:
-        return len(self._relationships)
+        return self._graph.size
 
     def has_node(self, node_id: NodeId) -> bool:
-        return node_id in self._nodes
+        return node_id in self._graph.nodes
 
     def has_relationship(self, rel_id: RelationshipId) -> bool:
-        return rel_id in self._relationships
+        return rel_id in self._graph.relationships
 
     # -- creation -----------------------------------------------------------------
 
@@ -191,16 +88,11 @@ class GraphStore:
     ) -> Node:
         node_id = self._next_node_id
         self._next_node_id += 1
-        # Materialize ``labels`` exactly once: it may be a generator, and
-        # consuming it twice would store the labels but return a Node
-        # without them.
-        label_set = frozenset(labels)
+        # Materialize ``labels`` exactly once: it may be a generator.
         clean = {k: v for k, v in (properties or {}).items() if v is not NULL}
-        self._nodes[node_id] = _NodeState(
-            labels=set(label_set), properties=clean
-        )
-        self._touch_node(node_id)
-        return Node(id=node_id, labels=label_set, properties=clean)
+        node = Node(id=node_id, labels=frozenset(labels), properties=clean)
+        self._write(nodes=(node,))
+        return node
 
     def create_relationship(
         self,
@@ -209,57 +101,62 @@ class GraphStore:
         trg: NodeId,
         properties: Optional[Dict[str, Any]] = None,
     ) -> Relationship:
-        if src not in self._nodes:
+        if src not in self._graph.nodes:
             raise GraphConsistencyError(f"unknown source node {src}")
-        if trg not in self._nodes:
+        if trg not in self._graph.nodes:
             raise GraphConsistencyError(f"unknown target node {trg}")
         rel_id = self._next_rel_id
         self._next_rel_id += 1
         clean = {k: v for k, v in (properties or {}).items() if v is not NULL}
-        self._relationships[rel_id] = _RelationshipState(
-            type=rel_type, src=src, trg=trg, properties=clean
-        )
-        self._incident.setdefault(src, set()).add(rel_id)
-        self._incident.setdefault(trg, set()).add(rel_id)
-        self._touch_relationship(rel_id)
-        return Relationship(id=rel_id, type=rel_type, src=src, trg=trg,
-                            properties=clean)
+        rel = Relationship(id=rel_id, type=rel_type, src=src, trg=trg,
+                           properties=clean)
+        self._write(relationships=(rel,))
+        return rel
 
     # -- updates -------------------------------------------------------------------
 
-    def _node_state(self, node_id: NodeId) -> _NodeState:
-        state = self._nodes.get(node_id)
-        if state is None:
-            raise GraphConsistencyError(f"unknown node {node_id}")
-        return state
+    def _current(self, entity: Any):
+        """The live version of ``entity`` (a node or relationship)."""
+        if isinstance(entity, Node):
+            current = self._graph.nodes.get(entity.id)
+            kind = "node"
+        elif isinstance(entity, Relationship):
+            current = self._graph.relationships.get(entity.id)
+            kind = "relationship"
+        else:
+            raise GraphConsistencyError(
+                f"cannot set properties on {entity!r}"
+            )
+        if current is None:
+            raise GraphConsistencyError(f"unknown {kind} {entity.id}")
+        return current
 
-    def _rel_state(self, rel_id: RelationshipId) -> _RelationshipState:
-        state = self._relationships.get(rel_id)
-        if state is None:
-            raise GraphConsistencyError(f"unknown relationship {rel_id}")
-        return state
+    def _rewrite(self, current: Any, properties: Dict[str, Any],
+                 labels: Optional[Iterable[str]] = None) -> None:
+        if isinstance(current, Node):
+            self._write(nodes=(Node(
+                current.id,
+                current.labels if labels is None else labels,
+                properties,
+            ),))
+        else:
+            self._write(relationships=(Relationship(
+                current.id, current.type, current.src, current.trg,
+                properties,
+            ),))
 
     def set_property(self, entity: Any, key: str, value: Any) -> None:
         """SET e.key = value; setting null removes the property (Cypher).
 
         A write that leaves the stored state unchanged — rewriting an
         identical value, or removing an absent key — is a no-op: it does
-        not dirty the cached snapshot and does not enter the epoch
-        delta, so ``graph()`` keeps returning the same cached object.
-        Identity is type-exact (``1`` does not match ``1.0`` or
-        ``true``), and ``NaN`` never matches, so every observable
-        rewrite still invalidates.
+        not invalidate the cached snapshot, so ``graph()`` keeps
+        returning the same object.  Identity is type-exact (``1`` does
+        not match ``1.0`` or ``true``), and ``NaN`` never matches, so
+        every observable rewrite still invalidates.
         """
-        if isinstance(entity, Node):
-            properties = self._node_state(entity.id).properties
-            touch = self._touch_node
-        elif isinstance(entity, Relationship):
-            properties = self._rel_state(entity.id).properties
-            touch = self._touch_relationship
-        else:
-            raise GraphConsistencyError(
-                f"cannot set properties on {entity!r}"
-            )
+        current = self._current(entity)
+        properties = dict(current.properties)
         if value is NULL:
             if key not in properties:
                 return
@@ -273,78 +170,52 @@ class GraphStore:
             ):
                 return
             properties[key] = value
-        touch(entity.id)
+        self._rewrite(current, properties)
 
     def set_properties_from_map(
         self, entity: Any, mapping: Dict[str, Any], replace: bool
     ) -> None:
         """SET e = map (replace) or SET e += map (additive)."""
-        if isinstance(entity, Node):
-            properties = self._node_state(entity.id).properties
-            self._touch_node(entity.id)
-        elif isinstance(entity, Relationship):
-            properties = self._rel_state(entity.id).properties
-            self._touch_relationship(entity.id)
-        else:
-            raise GraphConsistencyError(
-                f"cannot set properties on {entity!r}"
-            )
-        if replace:
-            properties.clear()
+        current = self._current(entity)
+        properties = {} if replace else dict(current.properties)
         for key, value in mapping.items():
             if value is NULL:
                 properties.pop(key, None)
             else:
                 properties[key] = value
-        self._dirty = True
+        self._rewrite(current, properties)
 
     def add_labels(self, node: Node, labels: Iterable[str]) -> None:
-        self._node_state(node.id).labels.update(labels)
-        self._touch_node(node.id)
+        current = self._current(node)
+        self._rewrite(current, current.properties, current.labels | set(labels))
 
     def remove_labels(self, node: Node, labels: Iterable[str]) -> None:
-        self._node_state(node.id).labels.difference_update(labels)
-        self._touch_node(node.id)
+        current = self._current(node)
+        self._rewrite(current, current.properties, current.labels - set(labels))
 
     def remove_property(self, entity: Any, key: str) -> None:
         self.set_property(entity, key, NULL)
 
     # -- deletion -------------------------------------------------------------------
 
-    def _drop_relationship(self, rel_id: RelationshipId) -> None:
-        state = self._relationships.pop(rel_id)
-        for endpoint in (state.src, state.trg):
-            incident = self._incident.get(endpoint)
-            if incident is not None:
-                incident.discard(rel_id)
-                if not incident:
-                    del self._incident[endpoint]
-        self._touched_rels.pop(rel_id, None)
-        self._removed_rels.add(rel_id)
-
     def delete_relationship(self, rel_id: RelationshipId) -> None:
-        if rel_id in self._relationships:
-            self._drop_relationship(rel_id)
-            self._dirty = True
+        if rel_id in self._graph.relationships:
+            self._write(removed_rels=(rel_id,))
 
     def delete_node(self, node_id: NodeId, detach: bool = False) -> None:
         """DELETE / DETACH DELETE a node.
 
-        Incident relationships come from the store's incident-rel index,
-        so a detach costs O(degree) — not a scan of every relationship,
-        which is quadratic under churny streams.
+        Incident relationships come from the live graph's adjacency, so a
+        detach costs O(degree) — not a scan of every relationship, which
+        is quadratic under churny streams.
         """
-        if node_id not in self._nodes:
+        if node_id not in self._graph.nodes:
             return
-        incident = self._incident.get(node_id, ())
+        incident = [rel.id for rel, _ in
+                    self._graph.expand_pairs(node_id, "any", ())]
         if incident and not detach:
             raise GraphConsistencyError(
                 f"cannot delete node {node_id}: it still has "
                 f"{len(incident)} relationship(s); use DETACH DELETE"
             )
-        for rel_id in list(incident):
-            self._drop_relationship(rel_id)
-        del self._nodes[node_id]
-        self._touched_nodes.pop(node_id, None)
-        self._removed_nodes.add(node_id)
-        self._dirty = True
+        self._write(removed_nodes=(node_id,), removed_rels=incident)

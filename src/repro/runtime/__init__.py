@@ -15,8 +15,6 @@ denotational-semantics contract:
 * :class:`Ingress` — the part that composes them in front of an
   engine's stream log (``EngineConfig(resilient=True)``), with its state
   in the engine's JSON checkpoint;
-* :class:`GuardedIngestionPipeline` — fault policies for the MERGE
-  ingestion pipeline;
 * :mod:`repro.runtime.faults` — the deterministic chaos harness
   (:class:`ChaosConfig` drives both fault axes from one seed).
 """
@@ -37,7 +35,6 @@ from repro.runtime.faults import (
     FlakySource,
     InjectedSinkFailure,
 )
-from repro.runtime.guard import GuardedIngestionPipeline, message_from_payload
 from repro.runtime.policies import FaultPolicy
 from repro.runtime.reorder import ReorderBuffer
 from repro.runtime.resilient_sink import (
@@ -55,7 +52,6 @@ __all__ = [
     "FaultPolicy",
     "FlakySink",
     "FlakySource",
-    "GuardedIngestionPipeline",
     "Ingress",
     "InjectedSinkFailure",
     "ReorderBuffer",
@@ -66,6 +62,5 @@ __all__ = [
     "engine_from_json",
     "engine_to_dict",
     "load_checkpoint",
-    "message_from_payload",
     "save_checkpoint",
 ]

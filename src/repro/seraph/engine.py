@@ -331,7 +331,6 @@ class SeraphEngine:
         replace: bool = False,
         validate: bool = True,
         fallback: Optional[Sink] = None,
-        wrap_sink: bool = True,
     ) -> RegisteredQuery:
         """Register a continuous query; returns its engine-side handle.
 
@@ -342,8 +341,8 @@ class SeraphEngine:
         :class:`~repro.errors.SeraphSemanticError` on errors; warnings are
         recorded on the returned handle as ``handle.warnings``.  An
         ingress wraps the sink for fault isolation (``fallback`` takes
-        what it cannot) unless ``wrap_sink`` is false.  A (hand-built)
-        query with a body clause the plan compiler has no stage for is a
+        what it cannot).  A (hand-built) query with a body clause the
+        plan compiler has no stage for is a
         :class:`~repro.errors.SeraphSemanticError` whatever ``validate``
         says: every registered query must compile.
         """
@@ -384,7 +383,7 @@ class SeraphEngine:
             windows[(stream_name, width)] = state
         if sink is None:
             sink = CollectingSink()
-        if self.ingress is not None and wrap_sink:
+        if self.ingress is not None:
             sink = self.ingress.wrap_sink(sink, fallback)
         registry = self.obs.registry
         registry.discard(f"query.{query.name}.")

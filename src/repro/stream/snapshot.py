@@ -185,36 +185,31 @@ class SnapshotMaintainer:
         """The current snapshot graph: after the first build, always the
         same live graph, mutated in place.
 
-        Only the net-changed entities are re-merged and applied
-        (:meth:`~repro.graph.model.PropertyGraph._apply`): the
-        per-evaluation step is O(net change), not O(window).  When the
-        net change covers half the live entities or more, the graph is
-        laid out afresh in contribution order, in place.  Every merge
+        The first build applies every contribution; every later one
+        re-merges and applies only the net-changed entities
+        (:meth:`~repro.graph.model.PropertyGraph._apply`), so the
+        per-evaluation step is O(net change), not O(window).  Every merge
         runs before the first write, so a :class:`GraphUnionError`
         leaves the graph and the net-change record as they were.
         """
         changed_nodes, changed_rels = self.changed_nodes, self.changed_rels
-        graph = self._graph
-        if graph is not None and not changed_nodes and not changed_rels:
-            return graph
         node_contribs, rel_contribs = self._node_contribs, self._rel_contribs
-        fresh = graph is None
-        if fresh:
+        graph = self._graph
+        if graph is None:
             graph = PropertyGraph.empty()._thawed()
-        if fresh or 2 * (len(changed_nodes) + len(changed_rels)) \
-                >= len(node_contribs) + len(rel_contribs):
             node_ids, rel_ids = node_contribs, rel_contribs
-            gone_nodes, gone_rels = tuple(graph.nodes), tuple(graph.relationships)
-        else:
+        elif changed_nodes or changed_rels:
             node_ids, rel_ids = changed_nodes, changed_rels
-            gone_nodes = [node_id for node_id in changed_nodes
-                          if node_id not in node_contribs and node_id in graph.nodes]
-            gone_rels = [rel_id for rel_id in changed_rels
-                         if rel_id not in rel_contribs and rel_id in graph.relationships]
+        else:
+            return graph
         nodes = [self._merge_node(node_id) for node_id in node_ids
                  if node_id in node_contribs]
         relationships = [self._merge_rel(rel_id) for rel_id in rel_ids
                          if rel_id in rel_contribs]
+        gone_nodes = [node_id for node_id in changed_nodes
+                      if node_id not in node_contribs and node_id in graph.nodes]
+        gone_rels = [rel_id for rel_id in changed_rels
+                     if rel_id not in rel_contribs and rel_id in graph.relationships]
         self._graph = graph._apply(nodes, relationships, gone_nodes, gone_rels)
         changed_nodes.clear()
         changed_rels.clear()

@@ -39,34 +39,23 @@ class PropertyGraphStream:
     """A recorded, appendable property graph stream.
 
     Elements must arrive with non-decreasing instants (Definition 5.2);
-    violations raise :class:`OutOfOrderEventError` unless the stream was
-    created with ``allow_out_of_order=True``, in which case elements are
-    kept sorted by instant (useful when replaying merged logs).
+    violations raise :class:`OutOfOrderEventError` (an engine's ingress
+    re-sequences a disordered feed before it reaches the stream).
     """
 
-    def __init__(
-        self,
-        elements: Iterable[StreamElement] = (),
-        allow_out_of_order: bool = False,
-    ):
+    def __init__(self, elements: Iterable[StreamElement] = ()):
         self._elements: List[StreamElement] = []
         self._instants: List[TimeInstant] = []
-        self._allow_out_of_order = allow_out_of_order
         for element in elements:
             self.append(element)
 
     def append(self, element: StreamElement) -> None:
         """Ingest one element at the head of the stream."""
         if self._instants and element.instant < self._instants[-1]:
-            if not self._allow_out_of_order:
-                raise OutOfOrderEventError(
-                    f"element at {element.instant} arrived after stream head "
-                    f"{self._instants[-1]}"
-                )
-            index = bisect.bisect_right(self._instants, element.instant)
-            self._instants.insert(index, element.instant)
-            self._elements.insert(index, element)
-            return
+            raise OutOfOrderEventError(
+                f"element at {element.instant} arrived after stream head "
+                f"{self._instants[-1]}"
+            )
         self._instants.append(element.instant)
         self._elements.append(element)
 

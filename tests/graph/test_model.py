@@ -169,7 +169,23 @@ class TestLabelStats:
         assert self._graph().label_counts() == {"A": 2, "B": 1}
 
 
-class TestPatched:
+def _patched(graph, **change):
+    """Copy-then-mutate: ``graph`` stays as it was."""
+    return graph._thawed()._apply(**change)
+
+
+def _orders(graph):
+    """Every enumeration order a query evaluation can see."""
+    return (
+        list(graph.nodes), list(graph.relationships),
+        {n: [r.id for r, _ in graph.expand_pairs(n, d, ())]
+         for n in graph.nodes for d in ("out", "in", "any")},
+        {label: [n.id for n in graph.nodes_with_labels([label])]
+         for label in graph.label_counts()},
+    )
+
+
+class TestApply:
     def _base(self):
         return PropertyGraph.of(
             [
@@ -185,7 +201,8 @@ class TestPatched:
 
     def test_equals_rebuilt_graph(self):
         base = self._base()
-        patched = base.patched(
+        patched = _patched(
+            base,
             nodes=[Node(id=4, labels=("B",)), Node(id=1, labels=("A",),
                                                    properties={"x": 1})],
             relationships=[Relationship(id=3, type="S", src=3, trg=4)],
@@ -210,25 +227,26 @@ class TestPatched:
 
     def test_original_graph_unchanged(self):
         base = self._base()
-        base.patched(removed_rels=[1, 2], removed_nodes=[2])
+        _patched(base, removed_rels=[1, 2], removed_nodes=[2])
         assert set(base.relationships) == {1, 2}
         assert set(base.nodes) == {1, 2, 3}
 
     def test_node_removal_updates_label_index(self):
         base = self._base()
-        patched = base.patched(removed_rels=[1, 2], removed_nodes=[3])
+        patched = _patched(base, removed_rels=[1, 2], removed_nodes=[3])
         assert patched.label_count("A") == 1
         assert set(patched.nodes) == {1, 2}
 
     def test_label_change_updates_index(self):
         base = self._base()
-        patched = base.patched(nodes=[Node(id=1, labels=("B",))])
+        patched = _patched(base, nodes=[Node(id=1, labels=("B",))])
         assert patched.label_count("A") == 1
         assert patched.label_count("B") == 2
 
     def test_endpoint_change_updates_adjacency(self):
         base = self._base()
-        patched = base.patched(
+        patched = _patched(
+            base,
             relationships=[Relationship(id=1, type="R", src=3, trg=2)]
         )
         assert [r.id for r in patched.outgoing(1)] == []
@@ -244,7 +262,8 @@ class TestPatched:
              Relationship(id=11, type="T", src=1, trg=3),
              Relationship(id=12, type="T", src=1, trg=2)],
         )
-        moved = graph.patched(
+        moved = _patched(
+            graph,
             relationships=[Relationship(id=10, type="T", src=1, trg=3)]
         )
         clone = pickle.loads(pickle.dumps(moved))
@@ -257,7 +276,8 @@ class TestPatched:
     def test_failed_patch_leaves_both_graphs_as_they_were(self):
         base = self._base()
         with pytest.raises(GraphConsistencyError):
-            base.patched(
+            _patched(
+                base,
                 nodes=[Node(id=4)],
                 removed_rels=[1],
                 relationships=[Relationship(id=9, type="R", src=1, trg=99)],
@@ -273,19 +293,91 @@ class TestPatched:
 
     def test_remove_node_with_live_relationship_raises(self):
         with pytest.raises(GraphConsistencyError):
-            self._base().patched(removed_nodes=[2])
+            _patched(self._base(), removed_nodes=[2])
 
     def test_upsert_rel_with_dangling_endpoint_raises(self):
         with pytest.raises(GraphConsistencyError):
-            self._base().patched(
+            _patched(
+                self._base(),
                 relationships=[Relationship(id=9, type="R", src=1, trg=99)]
             )
 
     def test_remove_unknown_entities_raise(self):
         with pytest.raises(GraphConsistencyError):
-            self._base().patched(removed_nodes=[42])
+            _patched(self._base(), removed_nodes=[42])
         with pytest.raises(GraphConsistencyError):
-            self._base().patched(removed_rels=[42])
+            _patched(self._base(), removed_rels=[42])
+
+
+class TestApplyMovesRelationshipsOffLeavingNodes:
+    """A relationship may re-arrive on new endpoints in the same change
+    that removes its old endpoint node; the result must enumerate as a
+    rebuild from its own collections would."""
+
+    @staticmethod
+    def _assert_rebuild_orders(graph):
+        rebuilt = PropertyGraph.of(
+            graph.nodes.values(), graph.relationships.values()
+        )
+        assert _orders(graph) == _orders(rebuilt)
+        assert graph.label_counts() == rebuilt.label_counts()
+
+    def test_self_loop_moves_onto_a_remaining_node(self):
+        graph = PropertyGraph.of(
+            [Node(id=1), Node(id=2, labels=("B",))],
+            [Relationship(id=1, type="R", src=2, trg=2)],
+        )._thawed()
+        graph._apply(
+            relationships=[Relationship(id=1, type="R", src=1, trg=1)],
+            removed_nodes=[2],
+        )
+        assert list(graph.nodes) == [1]
+        assert (graph.relationship(1).src, graph.relationship(1).trg) \
+            == (1, 1)
+        assert graph.label_count("B") == 0
+        self._assert_rebuild_orders(graph)
+
+    def test_relationship_keeps_its_other_endpoint(self):
+        graph = PropertyGraph.of(
+            [Node(id=i, labels=("A",)) for i in (1, 2, 3)],
+            [Relationship(id=1, type="R", src=1, trg=2),
+             Relationship(id=2, type="R", src=2, trg=3),
+             Relationship(id=3, type="R", src=3, trg=1)],
+        )._thawed()
+        graph._apply(
+            relationships=[Relationship(id=1, type="R", src=1, trg=3)],
+            removed_nodes=[2],
+            removed_rels=[2],
+        )
+        assert list(graph.relationships) == [3, 1]
+        assert [r.id for r in graph.incoming(3)] == [1]
+        assert [r.id for r, _ in graph.expand_pairs(1, "any", ())] == [1, 3]
+        self._assert_rebuild_orders(graph)
+
+    def test_moving_onto_the_leaving_node_still_raises(self):
+        base = PropertyGraph.of(
+            [Node(id=1), Node(id=2)],
+            [Relationship(id=1, type="R", src=2, trg=2)],
+        )
+        graph = base._thawed()
+        with pytest.raises(GraphConsistencyError, match="dangl"):
+            graph._apply(
+                relationships=[Relationship(id=1, type="R", src=1, trg=2)],
+                removed_nodes=[2],
+            )
+        assert graph == base and _orders(graph) == _orders(base)
+
+    def test_a_removed_and_upserted_node_is_an_upsert(self):
+        graph = PropertyGraph.of(
+            [Node(id=1), Node(id=2, labels=("B",)), Node(id=3)],
+            [Relationship(id=1, type="R", src=1, trg=2),
+             Relationship(id=2, type="R", src=2, trg=3)],
+        )._thawed()
+        graph._apply(nodes=[Node(id=2, labels=("C",))], removed_nodes=[2])
+        assert list(graph.nodes) == [1, 3, 2]
+        assert list(graph.relationships) == [1, 2]
+        assert graph.label_counts() == {"C": 1}
+        self._assert_rebuild_orders(graph)
 
 
 def _people_graph():
@@ -310,7 +402,8 @@ class TestGlobalNodeOrder:
     (and a pickle round trip) has."""
 
     def test_upsert_moves_node_to_end_of_all_orders(self):
-        patched = _people_graph().patched(
+        patched = _patched(
+            _people_graph(),
             nodes=[Node(id=1, labels=("Person",), properties={"age": 31})]
         )
         assert list(patched.nodes) == [2, 3, 4, 1]
@@ -318,7 +411,8 @@ class TestGlobalNodeOrder:
             == [2, 3, 1]
 
     def test_pickle_roundtrip_preserves_order(self):
-        graph = _people_graph().patched(
+        graph = _patched(
+            _people_graph(),
             nodes=[Node(id=2, labels=("Person",), properties={"name": "B"})]
         )
         clone = pickle.loads(pickle.dumps(graph))
@@ -331,7 +425,8 @@ class TestRetype:
     def test_a_retyped_relationship_expands_under_its_new_type(self):
         """An upsert that changes only a relationship's type keeps its
         place in every order, and typed expansion sees the new type."""
-        patched = _people_graph().patched(
+        patched = _patched(
+            _people_graph(),
             relationships=[Relationship(id=1, type="LIKES", src=1, trg=2)],
         )
         assert list(patched.relationships) == [1, 2, 3]

@@ -4,9 +4,12 @@ Each class pins one fixed defect: generator-consuming iterable
 parameters, O(R)-scan DETACH DELETE, and cache-dirtying no-op SETs.
 """
 
+from types import MappingProxyType
+
 import pytest
 
 from repro.errors import GraphConsistencyError
+from repro.graph.model import PropertyGraph
 from repro.graph.store import GraphStore
 
 
@@ -39,9 +42,12 @@ class TestIterableParamsConsumedOnce:
 
 
 class _ScanTrap(dict):
-    """A relationship-state dict that forbids whole-table scans."""
+    """A relationship map that forbids whole-table scans."""
 
     def __iter__(self):
+        raise AssertionError("full relationship scan during delete")
+
+    def keys(self):
         raise AssertionError("full relationship scan during delete")
 
     def items(self):
@@ -51,7 +57,16 @@ class _ScanTrap(dict):
         raise AssertionError("full relationship scan during delete")
 
 
-class TestDetachDeleteUsesIncidentIndex:
+def _trap_relationship_scans(store):
+    """Swap the store's live graph for an equal one whose relationship
+    map trips on iteration; key lookups and deletes stay legal."""
+    live = list(store._graph._live)
+    live[1] = _ScanTrap(live[1])
+    store._graph = PropertyGraph(*map(MappingProxyType, live),
+                                 _live=tuple(live))
+
+
+class TestDetachDeleteUsesAdjacency:
     def _star(self, spokes=50):
         store = GraphStore()
         hub = store.create_node(["Hub"])
@@ -62,22 +77,29 @@ class TestDetachDeleteUsesIncidentIndex:
 
     def test_detach_does_not_scan_relationships(self):
         store, hub = self._star()
-        # Key lookups (pop) stay legal; any iteration over the whole
-        # relationship table trips the trap.
-        store._relationships = _ScanTrap(store._relationships)
+        store.create_relationship(hub.id, "SELF", hub.id)
+        bystander = store.create_node()
+        kept = store.create_relationship(bystander.id, "R", bystander.id)
+        _trap_relationship_scans(store)
         store.delete_node(hub.id, detach=True)
         assert not store.has_node(hub.id)
-        assert store.size == 0
+        assert store.size == 1 and store.has_relationship(kept.id)
 
     def test_plain_delete_error_does_not_scan(self):
         store, hub = self._star(spokes=3)
-        store._relationships = _ScanTrap(store._relationships)
+        _trap_relationship_scans(store)
         with pytest.raises(GraphConsistencyError, match="3 relationship"):
             store.delete_node(hub.id)
 
-    def test_incident_index_tracks_deletes(self):
+    def test_trap_catches_a_scan(self):
+        store, _hub = self._star(spokes=1)
+        _trap_relationship_scans(store)
+        with pytest.raises(AssertionError, match="full relationship scan"):
+            store.graph()
+
+    def test_deleted_relationships_leave_the_adjacency(self):
         store, hub = self._star(spokes=2)
-        rel_ids = list(store._incident[hub.id])
+        rel_ids = [rel.id for rel in store.graph().outgoing(hub.id)]
         store.delete_relationship(rel_ids[0])
         store.delete_relationship(rel_ids[1])
         # Emptied buckets are dropped, so the node deletes plainly.

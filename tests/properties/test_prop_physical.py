@@ -13,10 +13,11 @@ window configurations:
   buffer without changing a single rendered emission.
 
 The query pool deliberately includes a property-map anchor
-(``{weight: 42}``, a label scan that checks the map on every candidate)
-against randomly generated data (random_stream assigns ``weight`` in
-0..100), alongside label scans, aggregation, var-length expansion, and
-shortestPath.
+(``{weight: w}``, a label scan that checks the map on every candidate)
+whose literal is drawn from the weights of the generated ``Person``
+nodes, so its tables are not empty by construction (random_stream
+assigns ``weight`` in 0..100), alongside label scans, aggregation,
+var-length expansion, and shortestPath.
 """
 
 import random
@@ -31,7 +32,7 @@ from repro.seraph import CollectingSink, SeraphEngine
 QUERY_TEMPLATES = [
     # Property-map anchor: a label scan filtered on a generated property.
     """REGISTER QUERY {name} STARTING AT 1970-01-01T00:00
-       {{ MATCH (a:Person {{weight: 42}})-[r]->(b) WITHIN {width}
+       {{ MATCH (a:Person {{weight: {weight}}})-[r]->(b) WITHIN {width}
           EMIT id(a) AS src, id(b) AS dst SNAPSHOT EVERY {slide} }}""",
     """REGISTER QUERY {name} STARTING AT 1970-01-01T00:00
        {{ MATCH (a)-[r:SENT]->(b) WITHIN {width}
@@ -52,6 +53,17 @@ QUERY_TEMPLATES = [
 DURATIONS = {60: "PT1M", 120: "PT2M", 300: "PT5M", 600: "PT10M"}
 
 
+def person_weights(elements):
+    """The ``weight`` values on the stream's ``Person`` nodes, sorted
+    (``[42]`` when there are none)."""
+    return sorted({
+        node.properties["weight"]
+        for element in elements
+        for node in element.graph.nodes.values()
+        if "Person" in node.labels
+    }) or [42]
+
+
 @st.composite
 def scenario(draw):
     seed = draw(st.integers(min_value=0, max_value=10**6))
@@ -65,6 +77,7 @@ def scenario(draw):
         relationships_per_event=3,
         shared_node_pool=draw(st.sampled_from([0, 5])),
     )
+    weight = draw(st.sampled_from(person_weights(elements)))
     count = draw(st.integers(min_value=1, max_value=3))
     indices = draw(
         st.lists(
@@ -81,6 +94,7 @@ def scenario(draw):
                 name=f"q{position}",
                 width=DURATIONS[width],
                 slide=DURATIONS[slide],
+                weight=weight,
             )
         )
     reference = draw(st.booleans())
@@ -144,7 +158,8 @@ def test_the_property_map_anchor_is_a_label_scan():
     """``{weight: 42}`` compiles to a scan of ``Person`` whose candidates
     the matcher checks against the map; it answers what the reference
     twin does."""
-    text = QUERY_TEMPLATES[0].format(name="q0", width="PT5M", slide="PT1M")
+    text = QUERY_TEMPLATES[0].format(name="q0", width="PT5M", slide="PT1M",
+                                     weight=42)
     elements = random_stream(
         random.Random(0), num_events=40, period=30, start=0,
         nodes_per_event=3, relationships_per_event=3, shared_node_pool=0,
@@ -161,6 +176,25 @@ def test_the_property_map_anchor_is_a_label_scan():
     for left, right in zip(on.emissions, off.emissions):
         assert left.table.bag_equals(right.table)
     assert sum(len(emission.table) for emission in on.emissions) == 10
+
+
+def test_the_property_map_template_returns_rows_on_most_seeds():
+    """With its literal drawn from the generated ``Person`` weights, the
+    property-map template matches something on most streams the scenario
+    draws, so its bag-equality compares non-empty tables."""
+    matched = 0
+    for seed in range(10):
+        rng = random.Random(seed)
+        elements = random_stream(
+            rng, num_events=6, period=60, start=0, nodes_per_event=3,
+            relationships_per_event=3, shared_node_pool=5 * (seed % 2),
+        )
+        weight = rng.choice(person_weights(elements))
+        text = QUERY_TEMPLATES[0].format(name="q0", width="PT5M",
+                                         slide="PT1M", weight=weight)
+        (sink,) = _run(SeraphEngine(), elements, [text])
+        matched += any(len(emission.table) for emission in sink.emissions)
+    assert matched >= 7
 
 
 class TestPhysicalMatrix:

@@ -201,15 +201,27 @@ def _differing(before, after):
     return {key for key in set(old) | set(new) if old.get(key) != new.get(key)}
 
 
+def _filler(count):
+    """An element over ids no generated element uses (never expires)."""
+    return StreamElement(graph=PropertyGraph.of(
+        Node(100 + index, ("F",)) for index in range(count)
+    ), instant=0)
+
+
 class TestNetChangeTracking:
+    # A large filler keeps every build after the first on the net-change
+    # path, however much of the small generated part changes.
+    @pytest.mark.parametrize("filler", [0, 12])
     @given(
         pool=st.lists(overlapping_element(), min_size=2, max_size=8),
         ops=st.lists(st.integers(min_value=0, max_value=63),
                      min_size=1, max_size=20),
     )
     @settings(max_examples=200, deadline=None)
-    def test_law_version_changed_ids_and_union_errors(self, pool, ops):
+    def test_law_version_changed_ids_and_union_errors(self, filler, pool, ops):
         maintainer = SnapshotMaintainer()
+        fixed = _filler(filler)
+        maintainer.add(fixed)
         live = []
         built = PropertyGraph.empty()  # the last snapshot that built
         snapshot = None  # the maintainer's one live graph
@@ -235,7 +247,7 @@ class TestNetChangeTracking:
             changed_nodes = set(maintainer.changed_nodes)
             changed_rels = set(maintainer.changed_rels)
             try:
-                literal = snapshot_graph(live)
+                literal = snapshot_graph([fixed, *live])
             except GraphUnionError:
                 # ... raised at exactly the instants the literal union does,
                 # and a no-op: the graph is still the last snapshot that
@@ -253,7 +265,7 @@ class TestNetChangeTracking:
             snapshot = maintained
             assert maintained == literal
             assert_in_place_orders(maintained)
-            assert_reuse(maintained, live, pool)
+            assert_reuse(maintained, [fixed, *live], [fixed, *pool])
             # Net-changed ids cover the true symmetric difference against
             # the last snapshot that built (they accumulate across skipped
             # and failed builds).
@@ -263,6 +275,27 @@ class TestNetChangeTracking:
             assert not maintainer.changed_nodes
             assert not maintainer.changed_rels
             built = literal
-        for element in live:
+        for element in [fixed, *live]:
             maintainer.remove(element)
         assert maintainer.is_empty()
+
+    def test_relationship_moves_off_an_expiring_node(self):
+        """(n2)-[r1]->(n2) leaves as (n1)-[r1]->(n1) arrives, next to a
+        filler large enough that the build applies only the net change:
+        r1 moves in the same change that removes node 2."""
+        fixed = _filler(10)
+        old = StreamElement(graph=PropertyGraph.of(
+            [Node(2)], [Relationship(1, "R", 2, 2)]), instant=0)
+        new = StreamElement(graph=PropertyGraph.of(
+            [Node(1)], [Relationship(1, "R", 1, 1)]), instant=1)
+        maintainer = SnapshotMaintainer()
+        maintainer.add(fixed)
+        maintainer.add(old)
+        snapshot = maintainer.graph()
+        maintainer.add(new)
+        maintainer.remove(old)
+        assert maintainer.graph() is snapshot
+        assert snapshot == snapshot_graph([fixed, new])
+        assert_in_place_orders(snapshot)
+        assert list(snapshot.relationships) == [1]
+        assert [r.id for r in snapshot.outgoing(1)] == [1]

@@ -229,3 +229,43 @@ def test_a_conflicting_description_fails_at_the_same_instant(mode, stack):
         [(1, 100 + leaf) for leaf in range(1, instant + 1)]
         for instant in range(1, 6)
     ]
+
+
+MOVE_QUERY = """
+REGISTER QUERY moves STARTING AT 1970-01-01T00:01:00
+{
+  MATCH (a)-[r]->(b) WITHIN PT2M
+  EMIT id(a) AS a, id(r) AS r, id(b) AS b SNAPSHOT EVERY PT1M
+}
+"""
+
+
+def moving_self_loop_stream():
+    """``r1`` loops on node 2, then re-arrives looping on node 1 in the
+    tick in which node 2's element leaves the window; ten filler nodes
+    keep that change under half the window."""
+    return [
+        StreamElement(graph=PropertyGraph.of(
+            [Node(id=2)], [Relationship(id=1, type="R", src=2, trg=2)]
+        ), instant=60),
+        StreamElement(graph=PropertyGraph.of(
+            Node(id=10 + index, labels=("Filler",)) for index in range(10)
+        ), instant=120),
+        StreamElement(graph=PropertyGraph.of(
+            [Node(id=1)], [Relationship(id=1, type="R", src=1, trg=1)]
+        ), instant=180),
+    ]
+
+
+@pytest.mark.parametrize("stack", sorted(STACKS))
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_a_relationship_moves_off_an_expiring_node(mode, stack):
+    elements = moving_self_loop_stream()
+    sink = run_mode(mode, MOVE_QUERY, elements, until=180, stack=stack)
+    assert [
+        (emission.instant, [(row["a"], row["r"], row["b"])
+                            for row in emission.table])
+        for emission in sink.emissions
+    ] == [(60, [(2, 1, 2)]), (120, [(2, 1, 2)]), (180, [(1, 1, 1)])]
+    assert_equals_denotation(sink, MOVE_QUERY, elements, until=180)
+    assert_equals_oracle(sink, MOVE_QUERY, elements, until=180)

@@ -28,11 +28,6 @@ class TestAppendOrdering:
         with pytest.raises(OutOfOrderEventError):
             stream.append(element(3))
 
-    def test_out_of_order_allowed_when_opted_in(self):
-        stream = PropertyGraphStream([element(5)], allow_out_of_order=True)
-        stream.append(element(3))
-        assert [item.instant for item in stream] == [3, 5]
-
     def test_push_convenience(self):
         stream = PropertyGraphStream()
         pushed = stream.push(PropertyGraph.empty(), 7)

@@ -45,10 +45,9 @@ PINNED_EXPORTS = {
 PINNED_RUNTIME_EXPORTS = {
     "ChaosConfig", "CircuitBreaker", "DeadLetterEntry", "DeadLetterQueue",
     "FailureSchedule", "FaultPolicy", "FlakySink", "FlakySource",
-    "GuardedIngestionPipeline", "Ingress", "InjectedSinkFailure",
-    "ReorderBuffer", "ResilientSink", "RetryPolicy", "decode_item",
-    "engine_from_dict", "engine_from_json", "engine_to_dict",
-    "load_checkpoint", "message_from_payload", "save_checkpoint",
+    "Ingress", "InjectedSinkFailure", "ReorderBuffer", "ResilientSink",
+    "RetryPolicy", "decode_item", "engine_from_dict", "engine_from_json",
+    "engine_to_dict", "load_checkpoint", "save_checkpoint",
 }
 PINNED_STREAM_EXPORTS = {
     "ActiveSubstreamPolicy", "FakeClock", "GeneratorSource", "ListSource",

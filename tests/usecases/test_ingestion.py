@@ -209,76 +209,3 @@ class TestMessageValidation:
 
         for message in running_example_messages():
             validate_message(message)  # must not raise
-
-
-class TestGuardedPipeline:
-    def test_guarded_pipeline_quarantines_bad_messages(self):
-        from repro.runtime import FaultPolicy, GuardedIngestionPipeline
-
-        guarded = GuardedIngestionPipeline(
-            IngestionPipeline(period=300, start=_t("14:40"))
-        )
-        assert guarded.feed(
-            RentalMessage("rental", 5, 1, 1234, _t("14:41"))
-        )
-        assert not guarded.feed(
-            RentalMessage("bogus", 5, 1, 1234, _t("14:42"))
-        )
-        assert not guarded.feed(  # predates queue start
-            RentalMessage("rental", 5, 1, 1234, _t("14:39"))
-        )
-        elements = guarded.seal_until(_t("14:50"))
-        assert len(elements) == 1
-        assert len(guarded.dead_letters) == 2
-        assert guarded.registry.value("resilience.poison_rejected") == 2
-
-    def test_feed_raw_survives_malformed_payloads(self):
-        from repro.runtime import GuardedIngestionPipeline
-
-        guarded = GuardedIngestionPipeline(
-            IngestionPipeline(period=300, start=_t("14:40"))
-        )
-        good = {"kind": "rental", "vehicle": 5, "station": 1,
-                "user": 1234, "time": _t("14:41")}
-        assert guarded.feed_raw(good)
-        assert not guarded.feed_raw({"vehicle": 5})          # missing keys
-        assert not guarded.feed_raw("{broken json")
-        assert not guarded.feed_raw(["not", "an", "object"])
-        assert not guarded.feed_raw(
-            {"kind": "return", "vehicle": 5, "station": 1,
-             "user": 1234, "time": _t("14:41")}              # no duration
-        )
-        assert len(guarded.dead_letters) == 4
-
-    def test_fail_fast_policy_re_raises(self):
-        from repro.errors import IngestionError
-        from repro.runtime import FaultPolicy, GuardedIngestionPipeline
-
-        guarded = GuardedIngestionPipeline(
-            IngestionPipeline(period=300, start=_t("14:40")),
-            policy=FaultPolicy.FAIL_FAST,
-        )
-        with pytest.raises(IngestionError):
-            guarded.feed(RentalMessage("bogus", 5, 1, 1234, _t("14:41")))
-
-    def test_replay_after_fixup(self):
-        """The quarantine is replayable: fix the payload, feed it back."""
-        from repro.runtime import GuardedIngestionPipeline
-
-        guarded = GuardedIngestionPipeline(
-            IngestionPipeline(period=300, start=_t("14:40"))
-        )
-        guarded.feed(RentalMessage("return", 5, 1, 1234, _t("14:41")))
-        assert len(guarded.dead_letters) == 1
-
-        def fixup(entry):
-            message = entry.payload
-            guarded.pipeline.feed(
-                RentalMessage(message.kind, message.vehicle,
-                              message.station, message.user, message.time,
-                              duration=15)
-            )
-
-        replayed = guarded.dead_letters.replay(fixup)
-        assert len(replayed) == 1 and len(guarded.dead_letters) == 0
-        assert len(guarded.seal_until(_t("14:50"))) == 1
