@@ -24,6 +24,7 @@ test:
 test-dataflow:
 	PYTHONPATH=src $(PYTHON) -m pytest \
 		tests/seraph/test_dataflow.py \
+		tests/seraph/test_materializer_oracle.py \
 		tests/properties/test_prop_dataflow.py \
 		tests/service/test_dataflow_service.py \
 		tests/usecases/test_network.py \

@@ -24,7 +24,7 @@ on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Union
 
 from repro.errors import EngineError, EngineModeError
 from repro.graph.model import PropertyGraph
@@ -156,7 +156,6 @@ class EngineConfig:
     sink_policy: FaultPolicy = FaultPolicy.DEAD_LETTER
     retry: Optional[RetryPolicy] = None
     dead_letter_capacity: Optional[int] = None
-    fallback_factory: Optional[Callable] = None
     # -- observability --------------------------------------------------
     observability: Union[bool, Observability] = False
     span_limit: int = 100_000
@@ -222,7 +221,6 @@ def build_engine(
             sink_policy=config.sink_policy,
             retry=config.retry,
             dead_letter_capacity=config.dead_letter_capacity,
-            fallback_factory=config.fallback_factory,
             chaos=config.chaos,
         )
     return SeraphEngine(

@@ -20,6 +20,9 @@ from repro.errors import CypherSyntaxError
 #: date shape is required.
 _DATETIME_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}(?::\d{2})?[hHzZ]?")
 
+#: The four hex digits of a ``\uXXXX`` string escape.
+_HEX4 = re.compile(r"[0-9A-Fa-f]{4}")
+
 _SINGLE = {
     "(": TokenKind.LPAREN,
     ")": TokenKind.RPAREN,
@@ -211,6 +214,8 @@ class Lexer:
                     code = self._advance(4)
                     if len(code) < 4:
                         raise self._error("truncated unicode escape")
+                    if not _HEX4.fullmatch(code):
+                        raise self._error(f"invalid unicode escape '\\u{code}'")
                     out.append(chr(int(code, 16)))
                 elif escape in _ESCAPES:
                     out.append(_ESCAPES[escape])

@@ -3,9 +3,13 @@
 This is the ingestion subset of Cypher the paper relies on in Section 5.2
 (Listing 4): stream events are loaded into a store with ``MERGE``-style
 statements.  Read clauses delegate to the regular
-:class:`repro.cypher.evaluator.QueryEvaluator` over the store's current
-snapshot; write clauses mutate the :class:`repro.graph.store.GraphStore`
-row by row, exactly like Cypher's per-record update semantics.
+:class:`repro.cypher.evaluator.QueryEvaluator`; write clauses mutate the
+:class:`repro.graph.store.GraphStore` row by row, exactly like Cypher's
+per-record update semantics.
+
+A statement reads the store's live graph, so every read sees the
+statement's earlier writes (read-your-writes) and no write copies the
+store; ``MERGE`` lists a row's matches before it writes.
 """
 
 from __future__ import annotations
@@ -31,11 +35,9 @@ class UpdatingQueryEvaluator:
         self,
         store: GraphStore,
         parameters: Optional[Mapping[str, Any]] = None,
-        base_scope: Optional[Mapping[str, Any]] = None,
     ):
         self.store = store
         self.parameters = dict(parameters or {})
-        self.base_scope = dict(base_scope or {})
 
     # -- public API ------------------------------------------------------------
 
@@ -65,34 +67,24 @@ class UpdatingQueryEvaluator:
             return self._apply_delete(clause, table)
         if isinstance(clause, ast.Remove):
             return self._apply_remove(clause, table)
-        # Read clauses evaluate over the store's current snapshot.
-        reader = QueryEvaluator(
-            self.store.graph(),
-            parameters=self.parameters,
-            base_scope=self.base_scope,
-        )
+        # Read clauses evaluate over the live graph.
+        reader = QueryEvaluator(self.store.live(), parameters=self.parameters)
         return reader.apply_clause(clause, table)
 
     # -- helpers -----------------------------------------------------------------
 
     def _expressions(self) -> ExpressionEvaluator:
-        evaluator = ExpressionEvaluator(
-            self.store.graph(), parameters=self.parameters
-        )
-        matcher = PatternMatcher(self.store.graph(), evaluator)
+        graph = self.store.live()
+        evaluator = ExpressionEvaluator(graph, parameters=self.parameters)
+        matcher = PatternMatcher(graph, evaluator)
         evaluator._pattern_checker = matcher.has_match
         return evaluator
-
-    def _scope(self, record: Record) -> Dict[str, Any]:
-        scope = dict(self.base_scope)
-        scope.update(record)
-        return scope
 
     def _refresh(self, record: Record) -> Record:
         """Re-resolve entity values after mutations so later clauses see
         current labels/properties.  Deleted entities keep their last
         snapshot (Cypher errors on *use*, not on mere retention)."""
-        graph = self.store.graph()
+        graph = self.store.live()
         fresh: Dict[str, Any] = {}
         changed = False
         for name, value in record.items():
@@ -140,8 +132,7 @@ class UpdatingQueryEvaluator:
         if path.shortest is not None:
             raise CypherEvaluationError("cannot CREATE a shortestPath")
         evaluator = self._expressions()
-        scope = dict(self.base_scope)
-        scope.update(bindings)
+        scope = dict(bindings)
         created_nodes: List[Node] = []
         created_rels: List[Relationship] = []
 
@@ -222,8 +213,8 @@ class UpdatingQueryEvaluator:
         out: List[Record] = []
         for record in table:
             evaluator = self._expressions()
-            matcher = PatternMatcher(self.store.graph(), evaluator)
-            scope = self._scope(record)
+            matcher = PatternMatcher(self.store.live(), evaluator)
+            scope = dict(record)
             matches = list(
                 matcher.match_pattern(
                     ast.Pattern(paths=(clause.path,)), scope
@@ -254,7 +245,7 @@ class UpdatingQueryEvaluator:
         self, items: Tuple[object, ...], record: Record
     ) -> None:
         evaluator = self._expressions()
-        scope = self._scope(record)
+        scope = dict(record)
         for item in items:
             if isinstance(item, ast.SetProperty):
                 entity = evaluator.evaluate(item.target, scope)
@@ -294,7 +285,7 @@ class UpdatingQueryEvaluator:
         out: List[Record] = []
         for record in table:
             evaluator = self._expressions()
-            scope = self._scope(record)
+            scope = dict(record)
             for item in clause.items:
                 if isinstance(item, ast.RemoveProperty):
                     entity = evaluator.evaluate(item.target, scope)
@@ -321,7 +312,7 @@ class UpdatingQueryEvaluator:
         node_ids: Dict[int, None] = {}
         rel_ids: Dict[int, None] = {}
         for record in table:
-            scope = self._scope(record)
+            scope = dict(record)
             for target in clause.targets:
                 value = evaluator.evaluate(target, scope)
                 if value is NULL:

@@ -8,7 +8,7 @@ is that store: one live :class:`PropertyGraph` that every write clause of
 
 ``graph()`` returns a persistent snapshot of the current state (cached
 until the next write), which is what the read side of the engine
-consumes.
+consumes; ``live()`` is the live graph, for reads inside one statement.
 """
 
 from __future__ import annotations
@@ -64,6 +64,10 @@ class GraphStore:
         if self._snapshot is None:
             self._snapshot = self._graph._thawed()
         return self._snapshot
+
+    def live(self) -> PropertyGraph:
+        """The live graph, uncopied: it changes with every write."""
+        return self._graph
 
     @property
     def order(self) -> int:

@@ -168,11 +168,6 @@ class FlakySource:
         for _release_at, late in sorted(held):
             yield late
 
-    @property
-    def clean_elements(self) -> List[StreamElement]:
-        """The undisturbed underlying stream."""
-        return list(self._elements)
-
 
 # -- the unified chaos knob ---------------------------------------------------
 

@@ -123,9 +123,8 @@ class Ingress:
     poison_policy / late_policy / sink_policy:
         What to do with malformed payloads, events beyond the lateness
         bound, and emissions no delivery attempt could place.
-    retry / breaker_factory / fallback_factory:
-        Sink-delivery tuning; each registered query gets its own breaker
-        (and fallback, when a factory is given).
+    retry / breaker_factory:
+        Sink-delivery tuning; each registered query gets its own breaker.
     sleep / clock:
         Injectable time for deterministic tests (backoff sleeping and
         breaker recovery timing).
@@ -152,7 +151,6 @@ class Ingress:
         sink_policy: FaultPolicy = FaultPolicy.DEAD_LETTER,
         retry: Optional[RetryPolicy] = None,
         breaker_factory: Optional[Callable[[], CircuitBreaker]] = None,
-        fallback_factory: Optional[Callable[[], Sink]] = None,
         dead_letter_capacity: Optional[int] = None,
         dead_letters: Optional[DeadLetterQueue] = None,
         sleep: Callable[[float], None] = time.sleep,
@@ -170,7 +168,6 @@ class Ingress:
         self.clock = clock
         self.chaos = chaos
         self._breaker_factory = breaker_factory
-        self._fallback_factory = fallback_factory
         self._buffers: Dict[str, ReorderBuffer] = {}
         self.attach(Observability.disabled())
 
@@ -235,8 +232,6 @@ class Ingress:
     def wrap_sink(
         self, inner: Sink, fallback: Optional[Sink] = None
     ) -> ResilientSink:
-        if fallback is None and self._fallback_factory is not None:
-            fallback = self._fallback_factory()
         breaker = (
             self._breaker_factory()
             if self._breaker_factory is not None

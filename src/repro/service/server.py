@@ -265,6 +265,7 @@ class SeraphService:
         self._connections: set = set()
         self._running = False
         self._started_at: Optional[float] = None
+        self._internal_errors = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -349,6 +350,9 @@ class SeraphService:
                 response = await self._dispatch(request, writer)
             except ReproError as exc:
                 response = _error_status(exc), _error_body(exc)
+            except Exception as exc:  # a defect: answer it, never drop
+                self._internal_errors += 1
+                response = 500, _error_body(exc)
             if response is None:
                 break  # an SSE stream owned the connection to its end
             self._respond(writer, *response, close=not keep_alive)
@@ -717,6 +721,7 @@ class SeraphService:
                 if self._started_at is not None else None
             ),
             "connections": len(self._connections),
+            "internal_errors": self._internal_errors,
             "tenants": self.manager.status(),
         }
 

@@ -167,11 +167,6 @@ TABLE6_EXPECTED = (
 )
 TABLE6_WINDOW = (_t("14:40"), _t("15:40"))
 
-#: All evaluation instants of the running example run (14:45h .. 15:40h).
-EVALUATION_INSTANTS = tuple(
-    _t("14:45") + offset * 5 * MINUTE for offset in range(12)
-)
-
 
 # ---------------------------------------------------------------------------
 # Scalable synthetic rental stream (for benchmarks)

@@ -57,6 +57,14 @@ class TestBasics:
         with pytest.raises(CypherSyntaxError):
             tokenize(r"'\q'")
 
+    def test_unicode_escape_needs_four_hex_digits(self):
+        assert tokenize(r"'\u00e9\u00C9'")[0].value == "\u00e9\u00c9"
+        for escape in (r"\uzzzz", r"\u 12a", r"\u1_2a", r"\u+12a"):
+            with pytest.raises(CypherSyntaxError,
+                               match="invalid unicode escape") as caught:
+                tokenize(f"RETURN '{escape}'")
+            assert caught.value.line == 1 and caught.value.column > 0
+
     def test_backtick_identifier(self):
         token = tokenize("`weird name`")[0]
         assert token.kind is TokenKind.IDENT and token.value == "weird name"

@@ -5,6 +5,7 @@ import pytest
 from repro.cypher import run_cypher
 from repro.cypher.updating import UpdatingQueryEvaluator, run_update
 from repro.errors import CypherEvaluationError, CypherSyntaxError
+from repro.graph.model import PropertyGraph
 from repro.graph.store import GraphStore
 from repro.graph.values import NULL
 
@@ -262,3 +263,49 @@ class TestQueryShapes:
         ]:
             query = parse_cypher(text)
             assert parse_cypher(query.render()) == query
+
+
+class TestReadYourWrites:
+    """A statement reads the store's live graph: each row sees the writes
+    of the rows before it, and no write copies the store."""
+
+    def test_merge_sees_the_node_an_earlier_row_created(self):
+        store = GraphStore()
+        run_update("UNWIND [1, 1] AS k MERGE (r:R {k: k})", store)
+        assert store.order == 1
+        assert [node.properties["k"] for node in
+                store.graph().nodes.values()] == [1]
+
+    def test_a_snapshot_taken_before_a_statement_is_unchanged(self):
+        store = GraphStore()
+        run_update("CREATE (:R {k: 0})", store)
+        before = store.graph()
+        run_update(
+            "MATCH (r:R) SET r.k = 1 "
+            "CREATE (r)-[:NEXT]->(:R {k: 2})", store
+        )
+        assert [dict(node.properties) for node in before.nodes.values()] \
+            == [{"k": 0}]
+        assert before.size == 0
+        assert store.order == 2 and store.size == 1
+
+    def test_a_statement_makes_no_store_copy(self, monkeypatch):
+        store = GraphStore()
+        run_update("UNWIND range(1, 5) AS k CREATE (:R {k: k})", store)
+        copies = []
+        original = PropertyGraph._thawed
+        monkeypatch.setattr(
+            PropertyGraph, "_thawed",
+            lambda graph: copies.append(graph) or original(graph),
+        )
+        run_update(
+            "UNWIND [1, 2, 6, 6] AS k MERGE (r:R {k: k}) "
+            "ON CREATE SET r.new = true "
+            "WITH r MATCH (s:R) WHERE s.k < r.k "
+            "MERGE (s)-[:BELOW]->(r) SET r.seen = true "
+            "REMOVE r.new", store,
+        )
+        assert copies == []
+        assert store.order == 6
+        store.graph()  # a snapshot for a caller is one copy
+        assert len(copies) == 1

@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import DataflowCycleError, UnknownStreamError
 from repro.graph.generators import random_stream
-from repro.graph.io import graph_to_dict
+from repro.graph.io import graph_from_dict, graph_to_dict
 from repro.runtime.checkpoint import engine_from_dict, engine_to_dict
 from repro.seraph import (
     DERIVED_NODE_ID_BASE,
@@ -324,20 +324,35 @@ def test_checkpoint_restore_mid_pipeline(cut):
         assert bag(head[name] + tail[name]) == bag(full[name])
 
 
+def _element_dicts(materializer, emissions):
+    return [
+        None if element is None else graph_to_dict(element.graph)
+        for element in map(materializer.materialize, emissions)
+    ]
+
+
 def test_materializer_checkpoint_round_trip():
     elements = _stream()
     engine = SeraphEngine()
     sink = CollectingSink()
     engine.register(DETECT, sink=sink)
-    engine.run_stream(elements)
+    engine.run_stream(elements[:5])
     materializer = engine._materializers["pairs"]
     clone = StreamMaterializer.from_dict(materializer.to_dict())
     assert clone.stream == "pairs"
     assert clone.elements == materializer.elements
     assert clone.rows == materializer.rows
-    assert clone.store._next_node_id == materializer.store._next_node_id
-    assert graph_to_dict(clone.store.graph()) == \
-        graph_to_dict(materializer.store.graph())
+    assert clone.to_dict() == materializer.to_dict()
+    # The clone continues exactly as the original: the same rows merge
+    # onto the same nodes and new rows get the same fresh ids.
+    later = SeraphEngine()
+    tail = CollectingSink()
+    later.register(DETECT.replace("\n  INTO pairs", ""), sink=tail)
+    later.run_stream(elements)
+    assert _element_dicts(clone, tail.emissions) == \
+        _element_dicts(materializer, tail.emissions)
+    assert clone.to_dict() == materializer.to_dict()
+    assert materializer.next_node_id > DERIVED_NODE_ID_BASE
 
 
 # -- materializer semantics ----------------------------------------------------
@@ -350,7 +365,8 @@ def test_materializer_merges_repeated_rows_into_one_node():
     engine.register(DETECT, sink=sink)
     engine.run_stream(elements)
     materializer = engine._materializers["pairs"]
-    derived = materializer.store.graph()
+    document = materializer.to_dict()
+    derived = graph_from_dict(document["graph"])
     rows = {
         tuple(sorted(dict(node.properties).items()))
         for node in derived.nodes.values()
@@ -361,6 +377,14 @@ def test_materializer_merges_repeated_rows_into_one_node():
     assert all(node_id >= DERIVED_NODE_ID_BASE for node_id in derived.nodes)
     assert materializer.elements == \
         sum(1 for emission in sink.emissions if not emission.is_empty())
+    # Every emitted row already has its node: replaying the emissions
+    # maps each row back onto it and creates nothing.
+    for emission in sink.emissions:
+        element = materializer.materialize(emission)
+        if element is not None:
+            assert set(element.graph.nodes) <= set(derived.nodes)
+    assert materializer.to_dict()["graph"] == document["graph"]
+    assert materializer.next_node_id == document["next_node_id"]
 
 
 def test_empty_emissions_materialize_nothing():

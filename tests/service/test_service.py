@@ -626,6 +626,45 @@ class TestErrors:
 
         run(scenario())
 
+    def test_non_hex_unicode_escape_answers_400(self):
+        async def scenario():
+            service = await start_service(tenants={"t": spec("t")})
+            client = ServiceClient("127.0.0.1", service.port)
+            response = await client.request(
+                "POST", "/tenants/t/queries",
+                payload={"query": LISTING5_SERAPH.replace(
+                    "EMIT ", "EMIT '\\uzzzz' AS bad, ", 1)},
+            )
+            assert response.status == 400
+            assert response.json()["type"] == "CypherSyntaxError"
+            assert "unicode escape" in response.json()["error"]
+            await client.close()
+            await service.stop()
+
+        run(scenario())
+
+    def test_an_untyped_failure_answers_500_and_keeps_the_connection(self):
+        deep = "(" * 120 + "1" + ")" * 120
+
+        async def scenario():
+            service = await start_service(tenants={"t": spec("t")})
+            client = ServiceClient("127.0.0.1", service.port)
+            response = await client.request(
+                "POST", "/tenants/t/queries",
+                payload={"query": LISTING5_SERAPH.replace(
+                    "EMIT ", f"EMIT {deep} AS deep, ", 1)},
+            )
+            assert response.status == 500
+            assert response.json()["type"] == "RecursionError"
+            status = await client.request("GET", "/status")
+            assert status.json()["internal_errors"] == 1
+            assert status.json()["connections"] == 1  # the same one
+            await register(client, "t")  # the service keeps serving
+            await client.close()
+            await service.stop()
+
+        run(scenario())
+
     def test_duplicate_query_answers_409(self):
         async def scenario():
             service = await start_service(tenants={"t": spec("t")})
