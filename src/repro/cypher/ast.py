@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from typing import Any, Optional, Tuple, Union
 
 
 class Direction(enum.Enum):
@@ -523,17 +523,7 @@ class With(Clause):
     where: Optional[Expression] = None
 
     def render(self) -> str:
-        out = "WITH "
-        if self.distinct:
-            out += "DISTINCT "
-        parts = (["*"] if self.star else []) + [item.render() for item in self.items]
-        out += ", ".join(parts)
-        if self.order_by:
-            out += " ORDER BY " + ", ".join(item.render() for item in self.order_by)
-        if self.skip is not None:
-            out += f" SKIP {self.skip.render()}"
-        if self.limit is not None:
-            out += f" LIMIT {self.limit.render()}"
+        out = _render_projection("WITH", self)
         if self.where is not None:
             out += f" WHERE {self.where.render()}"
         return out
@@ -549,18 +539,20 @@ class Return(Clause):
     limit: Optional[Expression] = None
 
     def render(self) -> str:
-        out = "RETURN "
-        if self.distinct:
-            out += "DISTINCT "
-        parts = (["*"] if self.star else []) + [item.render() for item in self.items]
-        out += ", ".join(parts)
-        if self.order_by:
-            out += " ORDER BY " + ", ".join(item.render() for item in self.order_by)
-        if self.skip is not None:
-            out += f" SKIP {self.skip.render()}"
-        if self.limit is not None:
-            out += f" LIMIT {self.limit.render()}"
-        return out
+        return _render_projection("RETURN", self)
+
+
+def _render_projection(keyword: str, clause: Union[With, Return]) -> str:
+    out = keyword + (" DISTINCT " if clause.distinct else " ")
+    parts = (["*"] if clause.star else []) + [item.render() for item in clause.items]
+    out += ", ".join(parts)
+    if clause.order_by:
+        out += " ORDER BY " + ", ".join(item.render() for item in clause.order_by)
+    if clause.skip is not None:
+        out += f" SKIP {clause.skip.render()}"
+    if clause.limit is not None:
+        out += f" LIMIT {clause.limit.render()}"
+    return out
 
 
 # ---------------------------------------------------------------------------

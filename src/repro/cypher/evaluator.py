@@ -9,7 +9,7 @@ snapshot reducibility (Definition 5.8) in code.
 from __future__ import annotations
 
 import weakref
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.cypher import ast
 from repro.cypher.aggregates import compute_aggregate
@@ -26,7 +26,7 @@ from repro.cypher.expressions import (
     slice_value,
 )
 from repro.cypher.functions import AGGREGATE_NAMES
-from repro.cypher.matcher import PatternMatcher
+from repro.cypher.matcher import CompiledPattern, PatternMatcher, compile_pattern
 from repro.errors import CypherEvaluationError
 from repro.graph.model import PropertyGraph
 from repro.graph.table import Record, Table
@@ -110,36 +110,14 @@ class QueryEvaluator:
             return self._apply_match(clause, table)
         if isinstance(clause, ast.Unwind):
             return self._apply_unwind(clause, table)
-        if isinstance(clause, ast.With):
-            return self._apply_projection(
-                table,
-                items=clause.items,
-                distinct=clause.distinct,
-                star=clause.star,
-                order_by=clause.order_by,
-                skip=clause.skip,
-                limit=clause.limit,
-                where=clause.where,
-            )
-        if isinstance(clause, ast.Return):
-            return self._apply_projection(
-                table,
-                items=clause.items,
-                distinct=clause.distinct,
-                star=clause.star,
-                order_by=clause.order_by,
-                skip=clause.skip,
-                limit=clause.limit,
-                where=None,
-            )
+        if isinstance(clause, (ast.With, ast.Return)):
+            return self._apply_projection(table, clause)
         raise CypherEvaluationError(f"unsupported clause {type(clause).__name__}")
 
     # -- scopes -----------------------------------------------------------------
 
     def _scope(self, record: Record) -> Dict[str, Any]:
-        scope = dict(self.base_scope)
-        scope.update(record)
-        return scope
+        return {**self.base_scope, **record._fields}
 
     # -- MATCH -------------------------------------------------------------------
 
@@ -147,42 +125,46 @@ class QueryEvaluator:
         self,
         clause: ast.Match,
         table: Table,
-        pattern: Optional[ast.Pattern] = None,
+        compiled: Optional[CompiledPattern] = None,
         count: Optional[Any] = None,
     ) -> Table:
-        """Apply a MATCH clause.
-
-        The optional hooks serve physical plan execution: ``pattern`` is
-        a pre-planned pattern (skips the per-evaluation planner run), and
-        ``count("filter", rows)`` receives each record's surviving row
-        count.
-        """
-        free = clause.pattern.free_variables()
-        out_fields = set(table.fields) | set(free)
-        if pattern is None:
+        """Apply a MATCH clause through its compiled pattern: a physical
+        plan's ``compiled``, or one planned here (unless ``optimize`` is
+        off) and compiled through the by-value cache.  ``count(step,
+        rows)`` receives each record's surviving row count as
+        ``"filter"`` and, once, each ``(path, hop)`` candidate count."""
+        bound = frozenset(self.base_scope) | table.fields
+        if compiled is None:
             pattern = clause.pattern
             if self.optimize:
                 from repro.cypher.planner import plan_pattern
 
-                bound = frozenset(self.base_scope) | table.fields
                 pattern = plan_pattern(pattern, self.graph, bound)
+            compiled = compile_pattern(pattern, bound)
+        out_fields = table.fields | set(clause.pattern.free_variables())
+        # A pattern name only the base scope binds is null in the output.
+        pad = dict.fromkeys(out_fields - table.fields - set(compiled.names))
         where_fn = (
             self._compiled(clause.where) if clause.where is not None else None
         )
+        run, names, matcher = compiled.run, compiled.names, self.matcher
+        counts = [0] * len(compiled.slots)
         out: List[Record] = []
         for record in table:
+            fields = {**record._fields, **pad} if pad else record._fields
             scope = self._scope(record)
-            survivors: List[Record] = []
-            for new_bindings in self.matcher.match_pattern(pattern, scope):
-                # Free variables already bound by the incoming record stay
-                # as they are; the match only adds the genuinely new names,
-                # so merged.domain == out_fields by construction.
-                merged = record.merged(Record(new_bindings))
-                if where_fn is not None and not is_true(
-                    where_fn(self.evaluator, self._scope(merged))
-                ):
-                    continue
-                survivors.append(merged.project(out_fields))
+            if where_fn is None:
+                survivors = [
+                    Record._adopt(row)
+                    for row in run(matcher, scope, fields, counts)
+                ]
+            else:
+                # Each row is the WHERE scope; the record keeps the fields.
+                survivors = [
+                    Record._adopt({**fields, **{name: row[name] for name in names}})
+                    for row in run(matcher, scope, scope, counts)
+                    if is_true(where_fn(self.evaluator, row))
+                ]
             if count is not None:
                 count("filter", len(survivors))
             if survivors:
@@ -192,6 +174,9 @@ class QueryEvaluator:
                 for name in out_fields - record.domain:
                     nulled[name] = NULL
                 out.append(Record(nulled))
+        if count is not None:
+            for key, candidates in zip(compiled.slots, counts):
+                count(key, candidates)
         return Table(out, fields=out_fields)
 
     # -- UNWIND ------------------------------------------------------------------
@@ -212,17 +197,11 @@ class QueryEvaluator:
     # -- WITH / RETURN -----------------------------------------------------------
 
     def _apply_projection(
-        self,
-        table: Table,
-        items: Tuple[ast.ProjectionItem, ...],
-        distinct: bool,
-        star: bool,
-        order_by: Tuple[ast.OrderItem, ...],
-        skip: Optional[ast.Expression],
-        limit: Optional[ast.Expression],
-        where: Optional[ast.Expression],
+        self, table: Table, clause: Union[ast.With, ast.Return],
         count: Optional[Any] = None,
     ) -> Table:
+        items, star, skip, limit = clause.items, clause.star, clause.skip, clause.limit
+        where = getattr(clause, "where", None)
         has_aggregate = any(contains_aggregate(item.expression) for item in items)
         if has_aggregate and star:
             raise CypherEvaluationError(
@@ -246,7 +225,7 @@ class QueryEvaluator:
             if count is not None:
                 count("filter", len(pair_rows))
 
-        if distinct:
+        if clause.distinct:
             seen = set()
             kept = []
             for out_record, in_record in pair_rows:
@@ -258,8 +237,8 @@ class QueryEvaluator:
             if count is not None:
                 count("distinct", len(pair_rows))
 
-        if order_by:
-            pair_rows = self._sort(pair_rows, order_by)
+        if clause.order_by:
+            pair_rows = self._sort(pair_rows, clause.order_by)
             if count is not None:
                 count("order", len(pair_rows))
 
@@ -292,7 +271,7 @@ class QueryEvaluator:
             scope = self._scope(record)
             values: Dict[str, Any] = {}
             if star:
-                values.update(record)
+                values.update(record._fields)
             for name, item_fn in item_fns:
                 values[name] = item_fn(self.evaluator, scope)
             pair_rows.append((Record(values), record))
@@ -411,10 +390,7 @@ class QueryEvaluator:
     # -- ordering, skip/limit --------------------------------------------------------
 
     def _order_scope(self, out_record: Record, in_record: Record) -> Dict[str, Any]:
-        scope = dict(self.base_scope)
-        scope.update(in_record)
-        scope.update(out_record)
-        return scope
+        return {**self.base_scope, **in_record._fields, **out_record._fields}
 
     def _sort(
         self,

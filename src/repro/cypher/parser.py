@@ -7,7 +7,7 @@ mirroring how the language in the paper "compositionally enriches" Cypher.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cypher import ast
 from repro.cypher.lexer import tokenize
@@ -28,6 +28,11 @@ _QUANTIFIERS = ("ALL", "ANY", "NONE", "SINGLE")
 _SHORTEST_FUNCTIONS = {"shortestpath": "shortestPath",
                        "allshortestpaths": "allShortestPaths"}
 
+#: How deep expressions may nest (parentheses, list and map literals,
+#: property maps, prefix operators).  A level costs the recursive descent
+#: up to ~16 frames: 32 stay well inside the interpreter's recursion limit.
+MAX_NESTING = 32
+
 
 class CypherParser:
     """Parses one token stream into a :class:`repro.cypher.ast.Query`."""
@@ -36,6 +41,11 @@ class CypherParser:
         self.text = text
         self.tokens: List[Token] = tokenize(text)
         self.pos = 0
+        self.nesting = 0
+        self.too_deep = False
+        #: start position -> (pattern, end position), or None: no
+        #: relationship pattern starts there (see :meth:`_try_pattern`).
+        self.patterns: Dict[int, Optional[Tuple[ast.PathPattern, int]]] = {}
 
     # -- token helpers -----------------------------------------------------
 
@@ -78,6 +88,17 @@ class CypherParser:
         token = self._peek()
         return CypherSyntaxError(message, token.line, token.column)
 
+    def _nested(self, parse: Callable[[], ast.Expression]) -> ast.Expression:
+        """``parse()`` one nesting level deeper (see :data:`MAX_NESTING`)."""
+        if self.nesting == MAX_NESTING:
+            self.too_deep = True  # no backtracking past this error
+            raise self._error("nesting too deep")
+        self.nesting += 1
+        try:
+            return parse()
+        finally:
+            self.nesting -= 1
+
     def _name_token(self, context: str) -> str:
         """An identifier, allowing non-reserved use of keywords as names."""
         token = self._peek()
@@ -108,30 +129,21 @@ class CypherParser:
         return ast.Query(parts=tuple(parts), union_all=tuple(union_all))
 
     def parse_single_query(self) -> ast.SingleQuery:
+        parsers = {
+            "MATCH": self.parse_match, "OPTIONAL": self.parse_match,
+            "UNWIND": self.parse_unwind, "WITH": self.parse_with,
+            "CREATE": self.parse_create, "MERGE": self.parse_merge,
+            "SET": self.parse_set, "DELETE": self.parse_delete,
+            "DETACH": self.parse_delete, "REMOVE": self.parse_remove,
+            "RETURN": self.parse_return,
+        }
         clauses: List[ast.Clause] = []
-        while True:
+        # Clauses up to the first RETURN, or to a token that starts none.
+        while not clauses or not isinstance(clauses[-1], ast.Return):
             token = self._peek()
-            if token.is_keyword("MATCH") or token.is_keyword("OPTIONAL"):
-                clauses.append(self.parse_match())
-            elif token.is_keyword("UNWIND"):
-                clauses.append(self.parse_unwind())
-            elif token.is_keyword("WITH"):
-                clauses.append(self.parse_with())
-            elif token.is_keyword("CREATE"):
-                clauses.append(self.parse_create())
-            elif token.is_keyword("MERGE"):
-                clauses.append(self.parse_merge())
-            elif token.is_keyword("SET"):
-                clauses.append(self.parse_set())
-            elif token.is_keyword("DELETE") or token.is_keyword("DETACH"):
-                clauses.append(self.parse_delete())
-            elif token.is_keyword("REMOVE"):
-                clauses.append(self.parse_remove())
-            elif token.is_keyword("RETURN"):
-                clauses.append(self.parse_return())
+            if token.kind is not TokenKind.KEYWORD or token.text not in parsers:
                 break
-            else:
-                break
+            clauses.append(parsers[token.text]())
         if not clauses:
             raise self._error("expected a query clause")
         # A read query must end in RETURN; update queries may omit it.
@@ -361,20 +373,14 @@ class CypherParser:
         ):
             shortest = _SHORTEST_FUNCTIONS[self._advance().value.lower()]
             self._expect(TokenKind.LPAREN, "after shortestPath")
-            inner = self._parse_anonymous_path()
-            self._expect(TokenKind.RPAREN, "closing shortestPath")
-            return ast.PathPattern(
-                nodes=inner.nodes,
-                relationships=inner.relationships,
-                variable=variable,
-                shortest=shortest,
-            )
         inner = self._parse_anonymous_path()
+        if shortest is not None:
+            self._expect(TokenKind.RPAREN, "closing shortestPath")
         return ast.PathPattern(
             nodes=inner.nodes,
             relationships=inner.relationships,
             variable=variable,
-            shortest=None,
+            shortest=shortest,
         )
 
     def _parse_anonymous_path(self) -> ast.PathPattern:
@@ -482,7 +488,7 @@ class CypherParser:
     # -- expressions ----------------------------------------------------------------
 
     def parse_expression(self) -> ast.Expression:
-        return self._parse_or()
+        return self._nested(self._parse_or)
 
     def _parse_or(self) -> ast.Expression:
         left = self._parse_xor()
@@ -504,7 +510,7 @@ class CypherParser:
 
     def _parse_not(self) -> ast.Expression:
         if self._match_keyword("NOT"):
-            return ast.Not(operand=self._parse_not())
+            return ast.Not(operand=self._nested(self._parse_not))
         return self._parse_comparison()
 
     def _parse_comparison(self) -> ast.Expression:
@@ -586,14 +592,15 @@ class CypherParser:
         left = self._parse_unary()
         if self._match(TokenKind.CARET):
             # right-associative
-            return ast.BinaryOp(op="^", left=left, right=self._parse_power())
+            return ast.BinaryOp(op="^", left=left,
+                                right=self._nested(self._parse_power))
         return left
 
     def _parse_unary(self) -> ast.Expression:
         if self._match(TokenKind.MINUS):
-            return ast.UnaryOp(op="-", operand=self._parse_unary())
+            return ast.UnaryOp(op="-", operand=self._nested(self._parse_unary))
         if self._match(TokenKind.PLUS):
-            return ast.UnaryOp(op="+", operand=self._parse_unary())
+            return ast.UnaryOp(op="+", operand=self._nested(self._parse_unary))
         return self._parse_postfix()
 
     def _parse_postfix(self) -> ast.Expression:
@@ -704,18 +711,14 @@ class CypherParser:
         self._expect_keyword("EXISTS")
         self._expect(TokenKind.LPAREN, "after EXISTS")
         saved = self.pos
-        try:
-            pattern = self._parse_anonymous_path()
-            if not pattern.relationships:
-                raise self._error("not a pattern")
-            self._expect(TokenKind.RPAREN, "to close EXISTS(...)")
+        pattern = self._try_pattern()
+        if pattern is not None and self._match(TokenKind.RPAREN):
             return ast.PatternPredicate(
                 pattern=ast.PathPattern(
                     nodes=pattern.nodes, relationships=pattern.relationships
                 )
             )
-        except CypherSyntaxError:
-            self.pos = saved
+        self.pos = saved
         expression = self.parse_expression()
         self._expect(TokenKind.RPAREN, "to close EXISTS(...)")
         return ast.FunctionCall(name="exists", args=(expression,))
@@ -774,18 +777,31 @@ class CypherParser:
 
     def _parse_paren_or_pattern(self) -> ast.Expression:
         """Disambiguate '(expr)' from a pattern predicate '(a)-[..]-(b)'."""
-        saved = self.pos
-        try:
-            pattern = self._parse_anonymous_path()
-            if pattern.relationships:
-                return ast.PatternPredicate(pattern=pattern)
-        except CypherSyntaxError:
-            pass
-        self.pos = saved
+        pattern = self._try_pattern()
+        if pattern is not None:
+            return ast.PatternPredicate(pattern=pattern)
         self._expect(TokenKind.LPAREN, "to start a parenthesized expression")
         expression = self.parse_expression()
         self._expect(TokenKind.RPAREN, "to close the parenthesized expression")
         return expression
+
+    def _try_pattern(self) -> Optional[ast.PathPattern]:
+        """The relationship pattern starting here, or ``None`` with the
+        position unchanged.  Remembered per position, so backtracking out
+        of nested pattern predicates parses each of them once, not once
+        per enclosing attempt."""
+        start = self.pos
+        if start not in self.patterns:
+            try:
+                pattern = self._parse_anonymous_path()
+                found = (pattern, self.pos) if pattern.relationships else None
+            except CypherSyntaxError:
+                if self.too_deep:
+                    raise
+                found = None
+            self.patterns[start] = found
+        pattern, self.pos = self.patterns[start] or (None, start)
+        return pattern
 
 
 def parse_cypher(text: str) -> ast.Query:

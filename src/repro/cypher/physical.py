@@ -45,6 +45,7 @@ from typing import (
 
 from repro.cypher import ast
 from repro.cypher.evaluator import QueryEvaluator
+from repro.cypher.matcher import CompiledPattern, compile_pattern
 from repro.cypher.planner import plan_pattern
 from repro.errors import SeraphSemanticError
 from repro.graph.model import PropertyGraph
@@ -87,20 +88,18 @@ class PhysicalOp:
 
 @dataclass(frozen=True)
 class MatchStage:
-    """A MATCH with its pattern planned at compile time.
+    """A MATCH with its pattern planned and compiled at plan time, so
+    executing it compiles nothing.
 
     ``ops`` names the operators this stage's accounting lands on: the
-    evaluator's ``"filter"`` row counts and the matcher's per-``(path,
-    hop)`` candidate counts — hop ``-1`` is a path's start enumeration
-    (its anchor op), hop ``k`` its k-th relationship pattern.  A
-    shortestPath path has the one entry ``(path, 0)``, with the meaning
-    every hop has: candidates expanded before target filtering, i.e. the
-    relationships its searches expanded.
+    evaluator's ``"filter"`` row counts and the compiled pattern's
+    ``(path, hop)`` candidate counts (see :class:`~repro.cypher.matcher.
+    CompiledPattern`); hop ``-1`` is a path's anchor op.
     """
 
     clause: ast.Match
     window_key: Tuple[str, int]
-    pattern: ast.Pattern
+    compiled: CompiledPattern
     ops: Mapping[Any, int] = field(default_factory=dict)
 
 
@@ -353,8 +352,8 @@ def compile_query(
             )
         stages.append(
             MatchStage(
-                clause=clause, window_key=window_key, pattern=pattern,
-                ops=ops,
+                clause=clause, window_key=window_key,
+                compiled=compile_pattern(pattern, frozenset(bound)), ops=ops,
             )
         )
         fields |= set(clause.pattern.free_variables())
@@ -437,34 +436,14 @@ def execute_plan(
             )
         count = profile.counter(stage.ops)
         if isinstance(stage, MatchStage):
-            # The pattern's operators take the matcher's per-hop
-            # candidate counts (expanded before target filtering — a
-            # VarLengthExpand counts every traversed edge at every
-            # depth).
-            hops: dict = {}
-            evaluator.matcher.hop_counts = hops
             table = evaluator._apply_match(
-                stage.clause, table, pattern=stage.pattern, count=count
+                stage.clause, table, compiled=stage.compiled, count=count
             )
-            evaluator.matcher.hop_counts = None
-            for key, (candidates,) in hops.items():
-                profile.add_rows(stage.ops[key], candidates)
         elif isinstance(stage, UnwindStage):
             table = evaluator._apply_unwind(stage.clause, table)
             count("unwind", len(table))
         else:
-            clause = stage.clause
-            table = evaluator._apply_projection(
-                table,
-                items=clause.items,
-                distinct=clause.distinct,
-                star=clause.star,
-                order_by=clause.order_by,
-                skip=clause.skip,
-                limit=clause.limit,
-                where=getattr(clause, "where", None),
-                count=count,
-            )
+            table = evaluator._apply_projection(table, stage.clause, count=count)
     return table
 
 

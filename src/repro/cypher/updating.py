@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 from repro.cypher import ast
 from repro.cypher.evaluator import QueryEvaluator
 from repro.cypher.expressions import ExpressionEvaluator
-from repro.cypher.matcher import PatternMatcher
+from repro.cypher.matcher import PatternMatcher, compile_pattern
 from repro.cypher.parser import parse_cypher
 from repro.errors import CypherEvaluationError
 from repro.graph.model import Node, Path, PropertyGraph, Relationship
@@ -38,6 +38,14 @@ class UpdatingQueryEvaluator:
     ):
         self.store = store
         self.parameters = dict(parameters or {})
+        # Every write goes to the store's one live graph, so one matcher
+        # over it serves every clause, pattern predicates included.
+        graph = store.live()
+        self.matcher = PatternMatcher(
+            graph, ExpressionEvaluator(graph, parameters=self.parameters)
+        )
+        self.evaluator = self.matcher.evaluator
+        self.evaluator._pattern_checker = self.matcher.has_match
 
     # -- public API ------------------------------------------------------------
 
@@ -49,6 +57,7 @@ class UpdatingQueryEvaluator:
         return self.run_single(query.parts[0])
 
     def run_single(self, query: ast.SingleQuery) -> Table:
+        self.evaluator.compile_cache.clear()  # an earlier statement's
         table = Table.unit()
         for clause in query.clauses:
             table = self.apply_clause(clause, table)
@@ -72,13 +81,6 @@ class UpdatingQueryEvaluator:
         return reader.apply_clause(clause, table)
 
     # -- helpers -----------------------------------------------------------------
-
-    def _expressions(self) -> ExpressionEvaluator:
-        graph = self.store.live()
-        evaluator = ExpressionEvaluator(graph, parameters=self.parameters)
-        matcher = PatternMatcher(graph, evaluator)
-        evaluator._pattern_checker = matcher.has_match
-        return evaluator
 
     def _refresh(self, record: Record) -> Record:
         """Re-resolve entity values after mutations so later clauses see
@@ -131,7 +133,7 @@ class UpdatingQueryEvaluator:
     ) -> Dict[str, Any]:
         if path.shortest is not None:
             raise CypherEvaluationError("cannot CREATE a shortestPath")
-        evaluator = self._expressions()
+        evaluator = self.evaluator
         scope = dict(bindings)
         created_nodes: List[Node] = []
         created_rels: List[Relationship] = []
@@ -211,15 +213,10 @@ class UpdatingQueryEvaluator:
     def _apply_merge(self, clause: ast.Merge, table: Table) -> Table:
         out_fields = set(table.fields) | set(clause.path.free_variables())
         out: List[Record] = []
+        compiled = compile_pattern(ast.Pattern(paths=(clause.path,)), table.fields)
         for record in table:
-            evaluator = self._expressions()
-            matcher = PatternMatcher(self.store.live(), evaluator)
-            scope = dict(record)
-            matches = list(
-                matcher.match_pattern(
-                    ast.Pattern(paths=(clause.path,)), scope
-                )
-            )
+            # Listed before any write: ON MATCH must not see its own sets.
+            matches = list(compiled.run(self.matcher, dict(record), {}, None))
             if matches:
                 for new_bindings in matches:
                     merged = record.merged(Record(new_bindings))
@@ -244,7 +241,7 @@ class UpdatingQueryEvaluator:
     def _apply_set_items(
         self, items: Tuple[object, ...], record: Record
     ) -> None:
-        evaluator = self._expressions()
+        evaluator = self.evaluator
         scope = dict(record)
         for item in items:
             if isinstance(item, ast.SetProperty):
@@ -284,7 +281,7 @@ class UpdatingQueryEvaluator:
     def _apply_remove(self, clause: ast.Remove, table: Table) -> Table:
         out: List[Record] = []
         for record in table:
-            evaluator = self._expressions()
+            evaluator = self.evaluator
             scope = dict(record)
             for item in clause.items:
                 if isinstance(item, ast.RemoveProperty):
@@ -307,7 +304,7 @@ class UpdatingQueryEvaluator:
     # -- DELETE ------------------------------------------------------------------------
 
     def _apply_delete(self, clause: ast.Delete, table: Table) -> Table:
-        evaluator = self._expressions()
+        evaluator = self.evaluator
         # Collect first, delete once: multiple rows may name one entity.
         node_ids: Dict[int, None] = {}
         rel_ids: Dict[int, None] = {}

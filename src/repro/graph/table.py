@@ -40,6 +40,14 @@ class Record(Mapping[str, Any]):
         object.__setattr__(self, "_fields", data)
         object.__setattr__(self, "_key", None)
 
+    @classmethod
+    def _adopt(cls, fields: Dict[str, Any]) -> "Record":
+        """A record over ``fields`` itself, which the caller hands over."""
+        record = object.__new__(cls)
+        object.__setattr__(record, "_fields", fields)
+        object.__setattr__(record, "_key", None)
+        return record
+
     # -- Mapping protocol ---------------------------------------------------
 
     def __getitem__(self, name: str) -> Any:

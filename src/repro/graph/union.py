@@ -31,11 +31,15 @@ def _check_node_consistent(left: Node, right: Node) -> None:
             )
 
 
-def _check_relationship_consistent(left: Relationship, right: Relationship) -> None:
+def _check_relationship_consistent(
+    left: Relationship, right: Relationship, strict: bool
+) -> None:
     if (left.type, left.src, left.trg) != (right.type, right.src, right.trg):
         raise GraphUnionError(
             f"relationship {left.id} has conflicting type/endpoints"
         )
+    if not strict:
+        return
     for key in left.properties.keys() & right.properties.keys():
         if left.properties[key] != right.properties[key]:
             raise GraphUnionError(
@@ -64,23 +68,7 @@ def union(left: PropertyGraph, right: PropertyGraph) -> PropertyGraph:
     (the paper maps that case to the empty graph; an exception is the
     safer library behaviour, and callers who want ∅ can catch it).
     """
-    nodes: Dict[int, Node] = dict(left.nodes)
-    for node in right.nodes.values():
-        existing = nodes.get(node.id)
-        if existing is None:
-            nodes[node.id] = node
-        else:
-            _check_node_consistent(existing, node)
-            nodes[node.id] = _combine_node(existing, node)
-    relationships: Dict[int, Relationship] = dict(left.relationships)
-    for rel in right.relationships.values():
-        existing = relationships.get(rel.id)
-        if existing is None:
-            relationships[rel.id] = rel
-        else:
-            _check_relationship_consistent(existing, rel)
-            relationships[rel.id] = _combine_relationship(existing, rel)
-    return PropertyGraph.of(nodes.values(), relationships.values())
+    return _union(left, right, strict=True)
 
 
 def merge(left: PropertyGraph, right: PropertyGraph) -> PropertyGraph:
@@ -91,28 +79,26 @@ def merge(left: PropertyGraph, right: PropertyGraph) -> PropertyGraph:
     This mirrors ``MERGE``-style ingestion (newer event wins) used when
     loading a stream into a persisted graph (Section 2 / Figure 2).
     """
+    return _union(left, right, strict=False)
+
+
+def _union(left: PropertyGraph, right: PropertyGraph, strict: bool) -> PropertyGraph:
+    """Both unions; only a ``strict`` one checks labels and properties."""
     nodes: Dict[int, Node] = dict(left.nodes)
     for node in right.nodes.values():
         existing = nodes.get(node.id)
-        if existing is None:
-            nodes[node.id] = node
-        else:
-            nodes[node.id] = _combine_node(existing, node)
+        if existing is not None:
+            if strict:
+                _check_node_consistent(existing, node)
+            node = _combine_node(existing, node)
+        nodes[node.id] = node
     relationships: Dict[int, Relationship] = dict(left.relationships)
     for rel in right.relationships.values():
         existing = relationships.get(rel.id)
-        if existing is None:
-            relationships[rel.id] = rel
-        else:
-            if (existing.type, existing.src, existing.trg) != (
-                rel.type,
-                rel.src,
-                rel.trg,
-            ):
-                raise GraphUnionError(
-                    f"relationship {rel.id} has conflicting type/endpoints"
-                )
-            relationships[rel.id] = _combine_relationship(existing, rel)
+        if existing is not None:
+            _check_relationship_consistent(existing, rel, strict)
+            rel = _combine_relationship(existing, rel)
+        relationships[rel.id] = rel
     return PropertyGraph.of(nodes.values(), relationships.values())
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.cypher import ast
 from repro.cypher.evaluator import QueryEvaluator, run_cypher
 from repro.cypher.expressions import ExpressionEvaluator
-from repro.cypher.matcher import PatternMatcher
+from repro.cypher.matcher import PatternMatcher, compile_pattern
 from repro.cypher.parser import CypherParser
 from repro.graph.builder import GraphBuilder
 from repro.graph.model import Node, Path, PropertyGraph, Relationship
@@ -432,10 +432,11 @@ class TestShortestPathSetAtATime:
             builder.add_relationship(src, "R", trg, rel_id=rel_id)
         graph = builder.build()
         pattern = pattern_of("p = shortestPath((a:N {k:0})-[:R*]-(b:N {k:150}))")
-        matcher = matcher_for(graph)
-        matcher.hop_counts = {}
-        assert list(matcher.match_pattern(pattern, {})) == []
-        [expanded] = matcher.hop_counts[(0, 0)]
+        compiled = compile_pattern(pattern, frozenset())
+        counts = [0] * len(compiled.slots)
+        assert list(compiled.run(matcher_for(graph), {}, {}, counts)) == []
+        assert compiled.slots == ((0, 0),)
+        [expanded] = counts
         assert 0 < expanded <= 2 * len(graph.relationships)
 
 
@@ -444,6 +445,7 @@ class TestLifetime:
         "p = (a {name:'a'})-[rs:R*1..3]->(b)",
         "p = shortestPath((a {name:'a'})-[rs:R*2..]->(b))",
         "p = allShortestPaths((a)-[:R*]-(b {name:'c'}))",
+        "(a {name:'a'})-[r:R]->(b), q = (b)-[:R|S*0..]-(c {name:'a'})",
     ])
     def test_a_match_leaves_nothing_for_the_cyclic_collector(self, triangle, text):
         # Variable-length and shortest-path matching run once per full
@@ -488,10 +490,8 @@ def _flagged_ring():
     return PropertyGraph.of(nodes, rels)
 
 
-class TestConstantPropertyHoist:
-    def test_literal_evaluated_once_per_pattern_not_per_candidate(
-        self, monkeypatch
-    ):
+class TestCompiledPatterns:
+    def test_a_literal_is_never_evaluated_per_candidate(self, monkeypatch):
         literal_evals = []
         original = ExpressionEvaluator.evaluate
 
@@ -505,15 +505,39 @@ class TestConstantPropertyHoist:
             "MATCH (a:N {flag: true}) RETURN id(a)", _flagged_ring()
         )
         assert len(table) == 4  # 12 N-candidates walked
-        # Hoisted: one evaluation for the pattern's literal, not one per
-        # candidate the label scan enumerates.
-        assert len(literal_evals) == 1
+        # The literal is a constant of the compiled source.
+        assert literal_evals == []
 
-    def test_hoist_cache_is_per_matcher_and_id_safe(self):
-        evaluator = QueryEvaluator(_flagged_ring())
-        properties = pattern_of("(a:N {flag: true})").paths[0].nodes[0] \
-            .properties
-        first = evaluator.matcher._const_entries(properties)
-        assert evaluator.matcher._const_entries(properties) is first
-        key, is_const, value = first[0]
-        assert (key, is_const, value) == ("flag", True, True)
+    def test_equal_patterns_share_one_compiled_form(self):
+        first = compile_pattern(pattern_of("(a:N {flag: true})"), frozenset())
+        again = compile_pattern(pattern_of("(a:N {flag: true})"), frozenset())
+        assert again is first
+        assert "flag" in first.source and first.names == ("a",)
+        # ``Literal(1) == Literal(True)`` in Python; in Cypher true <> 1.
+        one = compile_pattern(pattern_of("(a:N {flag: 1})"), frozenset())
+        assert one is not first
+        ring = _flagged_ring()
+        assert len(list(matcher_for(ring).match_pattern(
+            pattern_of("(a:N {flag: 1})"), {}))) == 0
+
+    def test_bound_names_and_orientation_key_the_form(self):
+        text = "(a)-[r:R]->(b)"
+        free = compile_pattern(pattern_of(text), frozenset())
+        bound = compile_pattern(pattern_of(text), frozenset({"a", "x"}))
+        assert bound is not free
+        assert bound.bound == frozenset({"a"})  # only pattern names count
+        assert bound.names == ("r", "b")
+        flipped = ast.Pattern(
+            paths=(pattern_of(text).paths[0].reversed_pattern(),)
+        )
+        assert compile_pattern(flipped, frozenset()) is not free
+
+    def test_a_mixed_pattern_reaches_the_shortest_search_from_the_nest(
+        self, triangle
+    ):
+        rows = matches(
+            triangle,
+            "(x {name:'a'})-[e:S]->(y), p = shortestPath((y)-[:R*]->(z {name:'a'}))",
+        )
+        assert [(row["e"].id, [r.id for r in row["p"].relationships])
+                for row in rows] == [(4, [2, 3])]

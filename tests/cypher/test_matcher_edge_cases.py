@@ -77,6 +77,33 @@ class TestBoundCompositeVariables:
         assert len(rows) == 1
         assert rows[0]["x"].id == 1 and rows[0]["y"].id == 2
 
+    @pytest.mark.parametrize("text, names", [
+        ("p = (x)-[:R]->(y)-[:R]->(z)", ["x", "y", "z"]),
+        ("(a)-[r:S]->(b), p = (x)-[:R]->(y)-[:R]->(z)", ["a", "x"]),
+    ])
+    def test_a_failed_bound_path_frees_its_relationships(self, text, names):
+        # A -R-> B and X -R-> B, both into B -R-> C, with A enumerated
+        # before X: A's attempt at the bound path X->B->C fails after
+        # taking B->C, which must still be free for X's.
+        builder = GraphBuilder()
+        a = builder.add_node(["N"], {"name": "A"}, node_id=1)
+        x = builder.add_node(["N"], {"name": "X"}, node_id=2)
+        b = builder.add_node(["N"], {"name": "B"}, node_id=3)
+        c = builder.add_node(["N"], {"name": "C"}, node_id=4)
+        builder.add_relationship(a, "R", b, rel_id=1)
+        builder.add_relationship(x, "R", b, rel_id=2)
+        builder.add_relationship(b, "R", c, rel_id=3)
+        builder.add_relationship(c, "S", a, rel_id=4)
+        graph = builder.build()
+        [bound] = [
+            row["p"] for row in matches(graph, "p = (x)-[:R]->(y)-[:R]->(z)")
+            if row["x"].id == 2
+        ]
+        rows = matches(graph, text, scope={"p": bound})
+        assert [[row[name].id for name in names] for row in rows] == [
+            [2, 3, 4] if names == ["x", "y", "z"] else [4, 2]
+        ]
+
     def test_bound_relationship_list_checks_sequence(self, multigraph):
         first = matches(multigraph, "(a {name:'a'})-[rs:R*2..2]->(c)")
         bound = first[0]["rs"]

@@ -318,3 +318,59 @@ class TestRendering:
         first = parse_cypher(text)
         second = parse_cypher(first.render())
         assert first == second
+
+
+class TestNestingLimit:
+    """Deep nesting is a typed syntax error, never a ``RecursionError``."""
+
+    @pytest.mark.parametrize("text", [
+        "RETURN " + "(" * 120 + "1" + ")" * 120,
+        "RETURN " + "[" * 80 + "1" + "]" * 80,
+        "RETURN " + "{a: " * 80 + "1" + "}" * 80,
+        "RETURN " + "NOT " * 400 + "true",
+        "RETURN " + "- " * 400 + "1",
+        "RETURN " + "2 ^ " * 400 + "2",
+        "MATCH (a {k: " + "(" * 60 + "1" + ")" * 60 + "}) RETURN a",
+        "MATCH (a) WHERE " + "(a)-[{k: " * 60 + "1" + "}]->()" * 60
+        + " RETURN a",
+    ])
+    def test_too_deep_is_a_syntax_error_with_its_position(self, text):
+        with pytest.raises(CypherSyntaxError, match="nesting too deep") as info:
+            parse_cypher(text)
+        assert info.value.line == 1 and info.value.column > 1
+
+    def test_the_limit_itself_still_parses(self):
+        from repro.cypher.parser import MAX_NESTING
+
+        depth = MAX_NESTING - 1  # the RETURN item is the first level
+        parse_cypher("RETURN " + "(" * depth + "1" + ")" * depth)
+        parse_cypher("RETURN " + "[" * depth + "1" + "]" * depth)
+        with pytest.raises(CypherSyntaxError):
+            parse_cypher("RETURN " + "(" * (depth + 1) + "1" + ")" * (depth + 1))
+
+    def test_a_registered_query_is_limited_too(self):
+        from repro.seraph.parser import parse_seraph
+        from repro.usecases.micromobility import LISTING5_SERAPH
+
+        deep = "(" * 120 + "1" + ")" * 120
+        with pytest.raises(CypherSyntaxError, match="nesting too deep"):
+            parse_seraph(LISTING5_SERAPH.replace("EMIT ", f"EMIT {deep} AS d, ", 1))
+
+    def test_backtracking_parses_each_nested_pattern_once(self, monkeypatch):
+        # A syntax error under nested pattern predicates used to make every
+        # enclosing level re-parse its subtree: 2^depth attempts.
+        from repro.cypher.parser import CypherParser
+
+        attempts = []
+        original = CypherParser._parse_anonymous_path
+
+        def counted(self):
+            attempts.append(self.pos)
+            return original(self)
+
+        monkeypatch.setattr(CypherParser, "_parse_anonymous_path", counted)
+        depth = 14
+        with pytest.raises(CypherSyntaxError):
+            parse_cypher("MATCH (a) WHERE " + "(a)-[{k: " * depth + "1 +"
+                         + "}]->()" * depth + " RETURN a")
+        assert len(attempts) == len(set(attempts)) <= 2 * depth

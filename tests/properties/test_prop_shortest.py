@@ -1,11 +1,11 @@
 """``shortestPath`` / ``allShortestPaths`` against an oracle that is not
 the code under test.
 
-The set-at-a-time shortest-path operator (``PatternMatcher._match_shortest``)
-is checked against rows *derived* from the plain variable-length match
-``(a)-[rs*l..h]-(b)`` — a different routine (``_walk_var_length``: a
-depth-first enumeration of every trail) — grouped per ``(a, b)`` by minimum
-length.  Same rows, same order (start-major, end-minor, both in global node
+The set-at-a-time shortest-path operator (``cypher/matcher.py``
+``_shortest``) is checked against rows *derived* from the plain
+variable-length match ``(a)-[rs*l..h]-(b)`` — a different routine
+(``_trail_ends``: a depth-first enumeration of every trail) — grouped per
+``(a, b)`` by minimum length.  Same rows, same order (start-major, end-minor, both in global node
 order), same picked path (smallest relationship-id sequence as the pattern
 is written).
 """

@@ -482,3 +482,39 @@ def test_each_usecase_query_compiles_once_per_registration(usecase):
     for left, right in zip(sink.emissions, expected.emissions):
         assert left.instant == right.instant
         assert left.table.bag_equals(right.table)
+
+
+class TestCompiledPatternsCompileAtPlanTime:
+    def test_a_registration_compiles_each_match_pattern_once(self, monkeypatch):
+        # The cache is emptied after the first evaluation: a later tick
+        # that compiled (or merely looked up) a pattern would lower it
+        # again and be counted.
+        from repro.cypher import matcher
+
+        lowered = []
+        original = matcher._lower
+
+        def counting(pattern, bound):
+            lowered.append(pattern.render())
+            return original(pattern, bound)
+
+        monkeypatch.setattr(matcher, "_lower", counting)
+        matcher._compiled.cache_clear()
+        engine = SeraphEngine()
+        engine.register(LISTING5_SERAPH, sink=CollectingSink())
+        stream = list(figure1_stream())
+        engine.ingest_element(stream[0])
+        engine.advance_to(stream[0].instant)
+        registered = engine.registered("student_trick")
+        first = _counter(registered, "path.full")
+        assert len(lowered) == 1 and first >= 1
+        matcher._compiled.cache_clear()
+        for instant in range(stream[0].instant, stream[0].instant + 50 * 300, 300):
+            for element in stream[1:]:
+                if element.instant == instant:
+                    engine.ingest_element(element)
+            engine.advance_to(instant)
+        assert _counter(registered, "path.full") + _counter(
+            registered, "path.reuse") >= 50
+        assert _counter(registered, "path.full") - first >= 5
+        assert len(lowered) == 1

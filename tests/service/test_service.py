@@ -643,9 +643,47 @@ class TestErrors:
 
         run(scenario())
 
-    def test_an_untyped_failure_answers_500_and_keeps_the_connection(self):
-        deep = "(" * 120 + "1" + ")" * 120
+    def test_an_untyped_failure_answers_500_and_keeps_the_connection(
+        self, monkeypatch
+    ):
+        # A defect planted in a handler: the first registration raises a
+        # non-ReproError, later ones go through.
+        original = SeraphService._handle_register
+        calls = []
 
+        async def defective(self, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise RuntimeError("planted defect")
+            return await original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SeraphService, "_handle_register", defective)
+
+        async def scenario():
+            service = await start_service(tenants={"t": spec("t")})
+            client = ServiceClient("127.0.0.1", service.port)
+            response = await client.request(
+                "POST", "/tenants/t/queries",
+                payload={"query": LISTING5_SERAPH},
+            )
+            assert response.status == 500
+            assert response.json() == {
+                "error": "planted defect", "type": "RuntimeError"
+            }
+            status = await client.request("GET", "/status")
+            assert status.json()["internal_errors"] == 1
+            assert status.json()["connections"] == 1  # the same one
+            await register(client, "t")  # the service keeps serving
+            await client.close()
+            await service.stop()
+
+        run(scenario())
+
+    @pytest.mark.parametrize("deep", [
+        "(" * 120 + "1" + ")" * 120,
+        "[" * 80 + "1" + "]" * 80,
+    ])
+    def test_a_too_deeply_nested_query_answers_400(self, deep):
         async def scenario():
             service = await start_service(tenants={"t": spec("t")})
             client = ServiceClient("127.0.0.1", service.port)
@@ -654,12 +692,12 @@ class TestErrors:
                 payload={"query": LISTING5_SERAPH.replace(
                     "EMIT ", f"EMIT {deep} AS deep, ", 1)},
             )
-            assert response.status == 500
-            assert response.json()["type"] == "RecursionError"
+            assert response.status == 400
+            assert response.json()["type"] == "CypherSyntaxError"
+            assert "nesting too deep" in response.json()["error"]
             status = await client.request("GET", "/status")
-            assert status.json()["internal_errors"] == 1
-            assert status.json()["connections"] == 1  # the same one
-            await register(client, "t")  # the service keeps serving
+            assert status.json()["internal_errors"] == 0
+            await register(client, "t")
             await client.close()
             await service.stop()
 
